@@ -3,8 +3,8 @@
 Border-move probes are contracted to cost time linear in the vertex
 degree (constant on grids), not in the instance size.  The benchmark
 builds square grids of increasing size, pre-collects border moves, and
-times the paper-fast connectedness probe, the balance probe and the
-path-interior probe over identical move batches.
+times the paper-fast and the exact connectedness probes, the balance
+probe and the path-interior probe over identical move batches.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ def _setup(side: int, seed: int):
     state.set_all(grow_regions(env, n, rng))
     workloads = {v: rng.randint(1, 9) for v in sorted(env.vertices)}
     connected = ConnectedConstraint(state, "=", n, mode="paper-fast")
+    connected_exact = ConnectedConstraint(state, "=", n)
     balanced = BalancedConstraint(state, workloads, delta_scaled=0)
     legs = []
     t = 0
@@ -46,7 +47,13 @@ def _setup(side: int, seed: int):
         for c in sorted({state.colour(w) for w in base.adjacent(v)} - {cv}):
             moves.append((v, c))
     rng.shuffle(moves)
-    return state, {"connected": connected, "balanced": balanced, "nonborder": non_border}, moves
+    constraints = {
+        "connected": connected,
+        "connected-exact": connected_exact,
+        "balanced": balanced,
+        "nonborder": non_border,
+    }
+    return state, constraints, moves
 
 
 def _time_probes(constraint, moves: Sequence[Tuple[int, int]], repeats: int = 3) -> float:
@@ -87,10 +94,10 @@ def bench_probe_scaling(
 
 def format_report(report: Dict) -> str:
     lines = ["probe cost scaling (mean microseconds per probe)"]
-    header = "constraint" + "".join(f"{size:>12}" for size in report["sizes"])
+    header = f"{'constraint':<15}" + "".join(f"{size:>12}" for size in report["sizes"])
     lines.append(header)
     for name, by_size in sorted(report["means"].items()):
-        row = f"{name:<10}" + "".join(
+        row = f"{name:<15}" + "".join(
             f"{by_size[size] * 1e6:>12.3f}" for size in report["sizes"]
         )
         lines.append(row)

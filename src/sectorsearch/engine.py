@@ -3,9 +3,10 @@ protocol, border-move neighbourhood and a tabu min-conflicts loop.
 
 Swap moves are probed as the sequential composition of their two
 assignments: probe the first, commit it, probe the second, then roll the
-first back.  Every constraint's caches are functions of the state (or, for
-the paper-fast connectedness counters, restored exactly by the inverse
-assignment), so a rollback leaves the model observably unchanged.
+first back.  Every constraint's caches are functions of the state (the
+exact connectedness labels up to renaming; the paper-fast connectedness
+counters are restored exactly by the inverse assignment), so a rollback
+leaves the model observably unchanged.
 """
 
 from __future__ import annotations
@@ -323,11 +324,9 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             )
         model.commit(move)
         total = model.total_violation()
-        if hard_ids:
-            for cid in hard_ids:
-                assert model.constraint(cid).violation() == 0, (
-                    f"hard constraint {cid} violated after commit"
-                )
+        for cid in cfg.hard:
+            if model.constraint(cid).violation() != 0:
+                raise RuntimeError(f"hard constraint {cid!r} violated after commit")
         if total < best_total - TOLERANCE:
             best_total = total
             best_colours = state.snapshot()

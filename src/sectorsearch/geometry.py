@@ -92,10 +92,11 @@ class Geometry:
         self._border: FrozenSet[int] = frozenset(
             v for v, fs in self._border_facets.items() if fs
         )
+        self._vertices: FrozenSet[int] = frozenset(self._facets_of)
 
     @property
     def vertices(self) -> FrozenSet[int]:
-        return frozenset(self._facets_of)
+        return self._vertices
 
     @property
     def facets(self) -> FrozenSet[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
 from .geometry import BOTTOM, EnvelopedGeometry, Geometry
@@ -220,37 +220,3 @@ def grow_regions(env: EnvelopedGeometry, k: int, rng) -> Dict[int, int]:
             raise InputError("region growing could not reach every vertex")
     return colour
 
-
-def class_component_count(
-    base: Geometry,
-    members: Set[int],
-    add: Optional[int] = None,
-    drop: Optional[int] = None,
-) -> int:
-    """Component count of ``members`` with one vertex added or dropped.
-
-    Avoids copying the member set so probes can ask what-if questions
-    cheaply.
-    """
-
-    def inside(u: int) -> bool:
-        if u == drop:
-            return False
-        return u in members or u == add
-
-    count = 0
-    seen: Set[int] = set()
-    candidates: Iterable[int] = members if add is None else [*members, add]
-    for start in candidates:
-        if start in seen or not inside(start):
-            continue
-        count += 1
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in base.adjacent(u):
-                if w not in seen and inside(w):
-                    seen.add(w)
-                    queue.append(w)
-    return count

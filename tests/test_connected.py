@@ -4,13 +4,14 @@ import pytest
 
 from oracles import (
     all_colourings,
+    naive_components,
     naive_connected_ok,
     naive_connected_violation,
     random_colours,
     random_env,
 )
 from sectorsearch.constraints import ConnectedConstraint, connected_check
-from sectorsearch.errors import InitError
+from sectorsearch.errors import InitError, InputError
 from sectorsearch.geometry import envelop, grid
 from sectorsearch.state import ColourState
 
@@ -156,6 +157,79 @@ def test_fast_mode_tracks_component_counts_without_splits_or_merges():
         # the estimate never diverges without a split or a merge
         if p - m != true_ncc_delta:
             assert merges >= 2 or pieces >= 2
+
+
+def assert_labels_match_components(c, base, colours):
+    comps = naive_components(base, colours)
+    labels = []
+    for colour, comp in comps:
+        comp_labels = {c.label[u] for u in comp}
+        assert len(comp_labels) == 1, "one component carries several labels"
+        (lab,) = comp_labels
+        assert c.size[lab] == len(comp)
+        labels.append(lab)
+    assert len(set(labels)) == len(labels), "two components share a label"
+    assert set(c.size) == set(labels), "sizes kept for labels no vertex carries"
+    per = {colour: 0 for colour in c.ncc_by_colour}
+    for colour, _ in comps:
+        per[colour] += 1
+    assert c.ncc_by_colour == per
+
+
+def label_walk(rng, env, n, steps, relop="=", n_val=2):
+    """Random commits, checking labels, sizes and probes after each one;
+    returns how many commits split their old component and how many
+    merged several components of the new colour."""
+    st = ColourState(env, n, colours=random_colours(rng, env, n))
+    c = ConnectedConstraint(st, relop, n_val)
+    st.register(c)
+    vertices = sorted(env.vertices)
+    splits = merges = 0
+    for _ in range(steps):
+        v = rng.choice(vertices)
+        colour = rng.randint(1, n)
+        if colour != st.colour(v):
+            splits += c.old_colour_split_pieces(v) >= 2
+            merges += c.new_colour_merge_count(v, colour) >= 2
+        st.assign(v, colour)
+        colours = st.snapshot()
+        assert_labels_match_components(c, env.base, colours)
+        before = naive_connected_violation(env.base, colours, relop, n_val)
+        assert c.violation() == before
+        for _ in range(3):
+            w = rng.choice(vertices)
+            probe_colour = rng.randint(1, n)
+            after_colours = dict(colours)
+            after_colours[w] = probe_colour
+            after = naive_connected_violation(env.base, after_colours, relop, n_val)
+            assert c.probe_assign(w, probe_colour) == after - before
+    return splits, merges
+
+
+def test_labels_track_components_on_random_envs():
+    rng = random.Random(41)
+    splits = merges = 0
+    for _ in range(20):
+        env = random_env(rng)
+        s, m = label_walk(rng, env, rng.randint(2, 3), 20, relop=rng.choice(RELOPS))
+        splits += s
+        merges += m
+    assert splits > 0 and merges > 0
+
+
+def test_labels_track_components_on_grid():
+    rng = random.Random(43)
+    env = envelop(grid(6, 6, dim=2))
+    splits, merges = label_walk(rng, env, 3, 400, n_val=3)
+    assert splits > 0 and merges > 0
+
+
+def test_label_helpers_need_exact_mode():
+    fast = ConnectedConstraint(path_state([1, 1, 2]), "=", 2, mode="paper-fast")
+    with pytest.raises(InputError):
+        fast.old_colour_split_pieces(0)
+    with pytest.raises(InputError):
+        fast.new_colour_merge_count(0, 2)
 
 
 def test_hard_init_relops():

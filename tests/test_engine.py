@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from sectorsearch.constraints import (
 from sectorsearch.engine import Model, Move, SearchConfig, neighbourhood, search
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import OrderedPath, envelop, grid
+from sectorsearch.instance import generate
 from sectorsearch.state import ColourState
 
 
@@ -233,3 +236,102 @@ def test_hard_stretchsum_initialised_and_kept():
     model = Model(st, [(ss, 1)])
     result = search(model, SearchConfig(max_iterations=100, seed=3, hard=("dwell",)))
     assert ss.violation() == 0
+
+
+class _BreaksOnCommit:
+    """A hard constraint that is satisfied until the first commit."""
+
+    id = "brittle"
+
+    def __init__(self, state):
+        self.state = state
+        self.broken = False
+
+    def rebuild(self):
+        pass
+
+    def hard_init(self, rng):
+        pass
+
+    def violation(self):
+        return int(self.broken)
+
+    def var_violation(self, v):
+        return 0
+
+    def probe_assign(self, v, colour):
+        return 0
+
+    def commit_assign(self, v, old, new):
+        self.broken = True
+
+
+def test_hard_constraint_broken_by_a_commit_raises():
+    env = envelop(grid(3, 3, dim=2))
+    st = ColourState(env, 2)
+    brittle = _BreaksOnCommit(st)
+    model = Model(st, [(ConnectedConstraint(st, "=", 1), 1), (brittle, 1)])
+    cfg = SearchConfig(max_iterations=50, seed=1, hard=("brittle",), init="random")
+    with pytest.raises(RuntimeError, match="brittle"):
+        search(model, cfg)
+
+# ---------------------------------------------------------------------------
+# golden replays: any refactor must reproduce these runs byte for byte
+
+
+def replay_digest(result):
+    payload = repr(
+        (sorted(result.colours.items()), result.trace, result.iterations, result.violation)
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _run_2d(seed, iters, init="regions", mode=None):
+    instance = generate(seed=42, width=10, height=10, colours=4, flights=1)
+    model = instance.build(mode_override=mode)
+    cfg = replace(instance.search, seed=seed, max_iterations=iters, init=init)
+    return search(model, cfg)
+
+
+def _run_3d_compact_a(seed, iters):
+    instance = generate(
+        seed=5, width=4, height=4, depth=3, dim=3, colours=6, flights=2, with_compact=True
+    )
+    for spec in instance.constraints:
+        if spec.kind == "compact":
+            spec.params.update(mode="A", threshold=0)
+    model = instance.build()
+    cfg = replace(
+        instance.search, seed=seed, max_iterations=iters, moves_per_iter=2, restart_after=15
+    )
+    return search(model, cfg)
+
+
+GOLDEN = [
+    # exact connectedness from grown regions: short runs to zero
+    (lambda: _run_2d(1, 1500), "a8fa6b684c733ad1a0b9ffdca760fb1b630eaaac89ba122999220e7274925860"),
+    (lambda: _run_2d(2, 1500), "71ec73abb4897ddcb61096371bb8a907638e8331459e2f9c13031240759408ba"),
+    (lambda: _run_2d(3, 1500), "9b046a442c89b43a71199e9b03447e9c8750a3da2e8d7c4a05a0919483d4f1aa"),
+    # exact connectedness from a random colouring: many splits and merges
+    (
+        lambda: _run_2d(1, 600, init="random"),
+        "ef8ca2b2e23c35915d5caf81f724848f5fe0c91ff0f711e6cfde08567a26cf83",
+    ),
+    (
+        lambda: _run_2d(2, 600, init="random"),
+        "da5034c00d516e4050e1ba1d8b489a5f2d6f16c1ddc98f5829e16d248db1a78d",
+    ),
+    # the paper-fast estimate, false counts included
+    (
+        lambda: _run_2d(1, 300, init="random", mode="paper-fast"),
+        "3824336d682f591b03187954b0113165c5b5013c0c3d82a786dd0379dd1df048",
+    ),
+    # 3D, compact mode A, restarting every 15 iterations without progress
+    (lambda: _run_3d_compact_a(1, 300), "3533d8880ce21bd63081024d141c39d8f3de8dabcbf2e09fa068c135a9edbda3"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN)))
+def test_golden_replay_digest(case):
+    run, expected = GOLDEN[case]
+    assert replay_digest(run()) == expected
