@@ -4,6 +4,11 @@ A constraint owns incremental caches over one :class:`ColourState`.  The
 caches are initialised from the state at construction time and kept in
 sync through the commit hooks, which the state invokes for every change
 once the constraint is registered.  Probes never mutate anything.
+
+Besides its violation, every constraint reports its conflicting vertices
+as a bit mask over ``state.order`` (see :meth:`Constraint.conflicts`).
+The built-in kinds keep that mask up to date as part of their caches;
+the search draws its focus vertex from the union of the masks.
 """
 
 from __future__ import annotations
@@ -30,6 +35,17 @@ class Constraint:
         """Semantics of the constraint on the current state, cache-free."""
         raise NotImplementedError
 
+    def conflicts(self) -> int:
+        """Mask of the vertices ``v`` with ``var_violation(v) > 0``.
+
+        Bit ``r`` stands for ``state.order[r]``.  Per-colour kinds answer
+        with the union of the class masks of their violating colours,
+        per-vertex kinds with a mask they update where they update the
+        terms.  This default scans every vertex, so a kind that does not
+        override it costs O(V) per search iteration.
+        """
+        return scan_conflicts(self, self.state)
+
     # differentiation ----------------------------------------------------
     def probe_assign(self, v: int, colour: int):
         """Violation delta of the move ``colour(v) := colour``."""
@@ -43,3 +59,9 @@ class Constraint:
     def rebuild(self) -> None:
         """Recompute every cache from the current state."""
         raise NotImplementedError
+
+
+def scan_conflicts(constraint, state: ColourState) -> int:
+    """The conflict mask of ``constraint`` from one ``var_violation`` call
+    per vertex; the fallback for constraints without ``conflicts()``."""
+    return state.mask_of(v for v in state.order if constraint.var_violation(v) > 0)

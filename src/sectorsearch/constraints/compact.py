@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Set, Tuple
 
 from ..errors import InputError
 from ..geometry import BOTTOM
-from ..state import ColourState, class_components
+from ..state import ColourState, class_components, with_bit
 from .base import Constraint
 
 MODES = ("A", "B")
@@ -77,6 +77,8 @@ class CompactConstraint(Constraint):
             v: state.border_area(v) for v in state.env.vertices
         }
         self._outside = state.env.outside_area()
+        # border areas are never negative, so f(b) > 0 iff b > 0
+        self._conflicts = state.mask_of(v for v, b in self.border_cache.items() if b)
         if self.mode == "B":
             self._total2 = sum(self._f(b) for b in self.border_cache.values()) + self._f(
                 self._outside
@@ -107,6 +109,9 @@ class CompactConstraint(Constraint):
 
     def var_violation(self, v: int) -> int:
         return self._f(self.border_cache[v])
+
+    def conflicts(self) -> int:
+        return self._conflicts
 
     def violation(self) -> float:
         if self.mode == "B":
@@ -235,8 +240,12 @@ class CompactConstraint(Constraint):
                 bw = self.border_cache[w]
                 self._total2 += self._f(bw + delta) - self._f(bw)
         self.border_cache[v] = new_bv
+        rank = state.rank
+        mask = with_bit(self._conflicts, rank[v], new_bv > 0)
         for w, delta in changes:
             self.border_cache[w] += delta
+            mask = with_bit(mask, rank[w], self.border_cache[w] > 0)
+        self._conflicts = mask
         if self.mode == "A":
             self.members[old].discard(v)
             self.members[new].add(v)

@@ -113,6 +113,9 @@ class ConnectedConstraint(Constraint):
     def var_violation(self, v: int) -> int:
         return self.var_violation_colour(v)
 
+    def conflicts(self) -> int:
+        return self.state.classes_mask(c for c, k in self.ncc_by_colour.items() if k > 1)
+
     def check(self, n_val: Optional[int] = None) -> bool:
         if n_val is None:
             n_val = self.counter_value

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..state import ColourState
+from ..state import ColourState, with_bit
 from ..geometry import OrderedPath
 from .base import Constraint
 
@@ -53,6 +53,7 @@ class NonBorderConstraint(Constraint):
             cv = state.colour(v)
             self._vv[v] = sum(1 for w in self.off_path[v] if state.colour(w) != cv)
         self._total = sum(self._vv.values())
+        self._conflicts = state.mask_of(v for v, k in self._vv.items() if k)
 
     # measurement -------------------------------------------------------
     def violation(self) -> int:
@@ -60,6 +61,9 @@ class NonBorderConstraint(Constraint):
 
     def var_violation(self, v: int) -> int:
         return self._vv.get(v, 0)
+
+    def conflicts(self) -> int:
+        return self._conflicts
 
     def check(self) -> bool:
         return non_border_check(self.state, self.path)
@@ -95,6 +99,7 @@ class NonBorderConstraint(Constraint):
             fresh = sum(1 for w in self.off_path[v] if state.colour(w) != new)
             self._total += fresh - self._vv[v]
             self._vv[v] = fresh
+            self._conflicts = with_bit(self._conflicts, state.rank[v], fresh > 0)
             return
         neighbours = self.path_neighbours.get(v)
         if neighbours is None:
@@ -105,3 +110,6 @@ class NonBorderConstraint(Constraint):
             if delta:
                 self._vv[u] += delta
                 self._total += delta
+                self._conflicts = with_bit(
+                    self._conflicts, state.rank[u], self._vv[u] > 0
+                )

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import InitError, InputError
 from ..geometry import OrderedPath
 from ..relation import check_relop, holds
-from ..state import ColourState, stretches
+from ..state import ColourState, stretches, with_bit
 from .base import Constraint
 
 
@@ -74,6 +74,10 @@ class StretchSumConstraint(Constraint):
                 self._sum[k] = s
             self._violating += self._viol(s)
             i = j + 1
+        interior = self.path.interior
+        self._conflicts = self.state.mask_of(
+            interior[k] for k in range(m) if self._term(k)
+        )
 
     def _col(self, i: int) -> int:
         return self.state.colour(self.path.interior[i])
@@ -102,6 +106,13 @@ class StretchSumConstraint(Constraint):
         i = self._pos.get(v)
         if i is None:
             return 0
+        return self._term(i)
+
+    def conflicts(self) -> int:
+        return self._conflicts
+
+    def _term(self, i: int) -> int:
+        """``var_violation`` of the path vertex at position ``i``."""
         if self._start[i] < i < self._end[i]:
             return 0
         sigma = self._sum[i]
@@ -192,6 +203,14 @@ class StretchSumConstraint(Constraint):
                 self._sum[idx] = s
             self._violating += self._viol(s)
             j = k + 1
+        # a term reads only its own position's record, so only the
+        # window's terms can have changed
+        interior = self.path.interior
+        rank = self.state.rank
+        mask = self._conflicts
+        for idx in range(window_a, window_b + 1):
+            mask = with_bit(mask, rank[interior[idx]], self._term(idx) > 0)
+        self._conflicts = mask
 
     # hard mode -------------------------------------------------------------
     def hard_init(self, rng: Optional[random.Random] = None) -> None:

@@ -81,6 +81,9 @@ class BalancedConstraint(Constraint):
     def var_violation(self, v: int) -> int:
         return self._dev(self.sums[self.state.colour(v)])
 
+    def conflicts(self) -> int:
+        return self.state.classes_mask(c for c, x in self.sums.items() if self._dev(x))
+
     def check(self) -> bool:
         sums = {c: 0 for c in range(1, self.state.n + 1)}
         for v in self.state.env.vertices:
@@ -154,6 +157,11 @@ class BoundedConstraint(Constraint):
 
     def var_violation(self, v: int) -> int:
         return excess(self.relop, self.sums[self.state.colour(v)], self.threshold)
+
+    def conflicts(self) -> int:
+        return self.state.classes_mask(
+            c for c, x in self.sums.items() if excess(self.relop, x, self.threshold)
+        )
 
     def check(self) -> bool:
         sums = {c: 0 for c in range(1, self.state.n + 1)}

@@ -1,6 +1,14 @@
 """Search orchestration: weighted constraint registry, probe/commit
 protocol, border-move neighbourhood and a tabu min-conflicts loop.
 
+The conflict pool, the vertices with a positive ``var_violation`` in some
+constraint, is maintained rather than scanned: every constraint keeps its
+conflicting vertices as a bit mask (``Constraint.conflicts``), and the
+state keeps one mask and one size per colour class.  An iteration ORs a
+handful of masks and draws its focus vertex through a sorted view of the
+union, so its cost does not grow with the instance, and a seeded run
+draws exactly the vertex a draw from the sorted pool list would.
+
 Swap moves are probed as the sequential composition of their two
 assignments: probe the first, commit it, probe the second, then roll the
 first back.  Every constraint's caches are functions of the state (the
@@ -11,12 +19,14 @@ leaves the model observably unchanged.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .constraints.base import scan_conflicts
 from .errors import InitError, InputError
-from .state import ColourState, grow_regions
+from .state import ColourState, MaskView, grow_regions
 
 #: total violations below this are treated as zero (Compact contributes
 #: floats; everything else is integer)
@@ -166,10 +176,9 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     """
     state = model.state
     base = state.env.base
-    in_use = {state.colour(v) for v in state.env.vertices}
-    unused = [c for c in range(1, state.n + 1) if c not in in_use]
+    unused = state.unused_colours()
     moves: List[Move] = []
-    for v in sorted(state.env.vertices):
+    for v in state.order:
         cv = state.colour(v)
         if selector == "full":
             cands = [c for c in range(1, state.n + 1) if c != cv]
@@ -201,6 +210,20 @@ def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -
     diff = {state.colour(w) for w in state.env.base.adjacent(v)} - {cv}
     cands = diff | set(unused)
     return sorted(cands)
+
+
+def _conflict_sources(model: Model) -> List:
+    """One callable per constraint returning its conflict mask; constraints
+    without ``conflicts()`` fall back to a scan of their ``var_violation``.
+
+    Weights are positive (``Model`` rejects the rest), so ``w * var > 0``
+    holds exactly when ``var > 0``.
+    """
+    return [
+        getattr(constraint, "conflicts", None)
+        or functools.partial(scan_conflicts, constraint, model.state)
+        for constraint, _ in model.entries
+    ]
 
 
 def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
@@ -240,7 +263,8 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     trace: List[Tuple] = [(0, total, tuple(c.violation() for c, _ in model.entries))]
     tabu: Dict[Tuple, int] = {}
     since_best = 0
-    vertices = sorted(state.env.vertices)
+    vertices = state.order
+    sources = _conflict_sources(model)
     iteration = 0
 
     for iteration in range(1, cfg.max_iterations + 1):
@@ -257,13 +281,11 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             trace.append((iteration, total, tuple(c.violation() for c, _ in model.entries)))
             continue
 
-        in_use = {state.colour(v) for v in vertices}
-        unused = [c for c in range(1, state.n + 1) if c not in in_use]
-        pool = [
-            v
-            for v in vertices
-            if any(w * c.var_violation(v) > 0 for c, w in model.entries)
-        ]
+        unused = state.unused_colours()
+        mask = 0
+        for conflicts in sources:
+            mask |= conflicts()
+        pool = MaskView(vertices, mask)
         if not pool:
             pool = [
                 v

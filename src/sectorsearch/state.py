@@ -3,13 +3,20 @@
 Every constraint observes one :class:`ColourState`.  The state owns the
 assignment and the commit protocol; the constraints own their incremental
 caches and are notified of every committed change.
+
+Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
+``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
+mask and one size per colour class, so the constraints can report their
+conflicting vertices as the union of a few masks.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
 from .geometry import BOTTOM, EnvelopedGeometry, Geometry
@@ -42,7 +49,18 @@ class ColourState:
         self.env = env
         self.n = n
         self.revision = 0
-        self._observers: List = []
+        #: constraints are held weakly, so a model is free of reference
+        #: cycles and is freed as soon as it is dropped
+        self._observers: List[weakref.ref] = []
+        self.order: List[int] = sorted(env.vertices)
+        #: position of each real vertex in ``order``; when the ids are
+        #: exactly 0..V-1, as on every grid, that is the identity, and a
+        #: range stands in for a V-entry dict
+        self.rank: Mapping[int, int] = (
+            range(len(self.order))
+            if not self.order or self.order[-1] == len(self.order) - 1
+            else {v: r for r, v in enumerate(self.order)}
+        )
         self._colour: Dict[int, int] = {}
         if colours is None:
             self._colour = {v: 1 for v in env.vertices}
@@ -52,6 +70,7 @@ class ColourState:
                     raise InputError(f"vertex {v} has no colour")
                 self._check_colour(colours[v])
                 self._colour[v] = colours[v]
+        self._rebuild_classes()
 
     def _check_colour(self, c: int) -> None:
         if not isinstance(c, int) or not 1 <= c <= self.n:
@@ -69,8 +88,12 @@ class ColourState:
         return dict(self._colour)
 
     def register(self, observer) -> None:
-        """Attach a constraint; it will see every commit via hooks."""
-        self._observers.append(observer)
+        """Attach a constraint; it will see every commit via hooks for as
+        long as something else keeps it alive."""
+        self._observers.append(weakref.ref(observer))
+
+    def _live_observers(self) -> List:
+        return [obs for obs in (ref() for ref in self._observers) if obs is not None]
 
     def assign(self, v: int, c: int) -> None:
         """Commit ``colour(v) := c`` and notify registered constraints."""
@@ -81,7 +104,12 @@ class ColourState:
         self._colour[v] = c
         self.revision += 1
         if old != c:
-            for obs in self._observers:
+            bit = 1 << self.rank[v]
+            self.class_mask[old] ^= bit
+            self.class_mask[c] |= bit
+            self.class_size[old] -= 1
+            self.class_size[c] += 1
+            for obs in self._live_observers():
                 obs.commit_assign(v, old, c)
 
     def set_all(self, colours: Mapping[int, int]) -> None:
@@ -92,8 +120,48 @@ class ColourState:
             self._check_colour(colours[v])
         self._colour = {v: colours[v] for v in self.env.vertices}
         self.revision += 1
-        for obs in self._observers:
+        self._rebuild_classes()
+        for obs in self._live_observers():
             obs.rebuild()
+
+    # ------------------------------------------------------------------
+    # vertex masks
+
+    def _rebuild_classes(self) -> None:
+        """Refill ``class_mask``/``class_size`` (indexed by colour, entry 0
+        unused) in one pass over the vertices."""
+        width = (len(self.order) + 7) // 8
+        buffers = [bytearray(width) for _ in range(self.n + 1)]
+        sizes = [0] * (self.n + 1)
+        colour = self._colour
+        for r, v in enumerate(self.order):
+            c = colour[v]
+            buffers[c][r >> 3] |= 1 << (r & 7)
+            sizes[c] += 1
+        self.class_mask: List[int] = [int.from_bytes(b, "little") for b in buffers]
+        self.class_size: List[int] = sizes
+
+    def mask_of(self, vertices: Iterable[int]) -> int:
+        """The mask of a vertex set, built in one linear pass."""
+        buffer = bytearray((len(self.order) + 7) // 8)
+        rank = self.rank
+        for v in vertices:
+            r = rank[v]
+            buffer[r >> 3] |= 1 << (r & 7)
+        return int.from_bytes(buffer, "little")
+
+    def classes_mask(self, colours: Iterable[int]) -> int:
+        """The union of the given colours' classes."""
+        mask = 0
+        class_mask = self.class_mask
+        for c in colours:
+            mask |= class_mask[c]
+        return mask
+
+    def unused_colours(self) -> List[int]:
+        """The colours no vertex carries, in increasing order."""
+        size = self.class_size
+        return [c for c in range(1, self.n + 1) if not size[c]]
 
     # ------------------------------------------------------------------
     # induced structures
@@ -139,6 +207,54 @@ class ColourState:
             nu = sum(base.volume(u) for u in members)
             out.append(Component(c, frozenset(members), sigma, nu))
         return out
+
+
+def with_bit(mask: int, r: int, on: bool) -> int:
+    """``mask`` with bit ``r`` set when ``on``, cleared otherwise."""
+    bit = 1 << r
+    return mask | bit if on else mask & ~bit
+
+
+class MaskView(collections.abc.Sequence):
+    """The vertices of a mask as a read-only sorted sequence.
+
+    ``view[k]`` is the vertex of the ``k``-th set bit, found by halving
+    the mask on its popcount, so a draw through ``rng.choice(view)``
+    consumes the same random numbers and picks the same vertex as
+    ``rng.choice`` over the sorted vertex list.
+    """
+
+    __slots__ = ("_order", "_mask", "_len")
+
+    def __init__(self, order: Sequence[int], mask: int):
+        self._order = order
+        self._mask = mask
+        self._len = mask.bit_count()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> int:
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("mask view index out of range")
+        mask = self._mask
+        pos = 0
+        width = mask.bit_length()
+        while width > 1:
+            half = width >> 1
+            low = mask & ((1 << half) - 1)
+            below = low.bit_count()
+            if k < below:
+                mask = low
+                width = half
+            else:
+                k -= below
+                mask >>= half
+                pos += half
+                width -= half
+        return self._order[pos]
 
 
 def stretches(seq: Sequence) -> List[Tuple[int, int]]:
