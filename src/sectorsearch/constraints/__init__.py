@@ -1,5 +1,5 @@
 from .base import Constraint
-from .compact import CompactConstraint, border_area, sphere_surface
+from .compact import CompactConstraint, sphere_surface
 from .connected import ConnectedConstraint, connected_check
 from .non_border import NonBorderConstraint, non_border_check
 from .stretch_sum import StretchSumConstraint, stretch_sum_check
@@ -25,6 +25,5 @@ __all__ = [
     "deviation_check",
     "mu_of",
     "scale_delta",
-    "border_area",
     "sphere_surface",
 ]

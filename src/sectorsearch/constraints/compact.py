@@ -10,17 +10,19 @@ Mode B is kept in doubled integer units internally (the per-vertex border
 sum counts interior facets twice and boundary facets twice once the
 outside vertex's own border term is added), so its arithmetic is exact.
 The only floating point in this module is the sphere term of mode A.
+Its per-component terms come from :func:`sectorsearch.state.components`,
+which lists the components in the order of the start vertices it is
+given, so the float sums add up in one fixed order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, Dict, List, Set, Tuple
 
 from ..errors import InputError
 from ..geometry import BOTTOM
-from ..state import ColourState, class_components, with_bit
+from ..state import ColourState, class_components, components, with_bit
 from .base import Constraint
 
 MODES = ("A", "B")
@@ -41,11 +43,6 @@ def sphere_surface(volume, dim: int) -> float:
     if dim == 2:
         return 2.0 * math.sqrt(math.pi * volume)
     raise InputError(f"dim must be 2 or 3, got {dim}")
-
-
-def border_area(state: ColourState, v: int) -> int:
-    """Free border area of vertex ``v`` under the current colouring."""
-    return state.border_area(v)
 
 
 class CompactConstraint(Constraint):
@@ -87,21 +84,19 @@ class CompactConstraint(Constraint):
             self.members: Dict[int, Set[int]] = {c: set() for c in range(1, state.n + 1)}
             for v in state.env.vertices:
                 self.members[state.colour(v)].add(v)
-            self.components: Dict[int, List[Tuple[int, int]]] = {}
             self._contrib: Dict[int, float] = {}
             for c in self.members:
                 self._refresh_colour(c)
 
     def _refresh_colour(self, c: int) -> None:
         base = self.state.env.base
-        comps = []
+        dim = self.state.env.dim
+        terms = []
         for comp in class_components(base, self.members[c]):
             sigma = sum(self.border_cache[u] for u in comp)
             nu = sum(base.volume(u) for u in comp)
-            comps.append((sigma, nu))
-        self.components[c] = comps
-        dim = self.state.env.dim
-        self._contrib[c] = sum(s - sphere_surface(n, dim) for s, n in comps)
+            terms.append(sigma - sphere_surface(nu, dim))
+        self._contrib[c] = sum(terms)
 
     # measurement -------------------------------------------------------
     def border_area(self, v: int) -> int:
@@ -187,23 +182,13 @@ class CompactConstraint(Constraint):
                 return colour
             return state.colour(u)
 
-        seen: Set[int] = set()
+        classes: Dict[int, Set[int]] = {}
+        for u in env.vertices:
+            classes.setdefault(col(u), set()).add(u)
         total = 0.0
         dim = env.dim
-        for start in env.vertices:
-            if start in seen:
-                continue
-            c = col(start)
-            comp = {start}
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in base.adjacent(u):
-                    if w not in seen and col(w) == c:
-                        seen.add(w)
-                        comp.add(w)
-                        queue.append(w)
+        for comp in components(base, env.vertices, lambda s: classes[col(s)]):
+            c = col(next(iter(comp)))
             sigma = 0
             nu = 0
             for u in comp:

@@ -37,7 +37,74 @@ def deviation_check(sums: Sequence[int], mu: Fraction, delta_scaled: int) -> boo
     return total <= delta_scaled
 
 
-class BalancedConstraint(Constraint):
+class ColourSumConstraint(Constraint):
+    """Shared core of the per-colour sum kinds: the sum of the values of
+    each colour class, a penalty per sum, and their maintained total.
+
+    A kind supplies :meth:`_penalty` (zero when the colour's sum is fine)
+    and :meth:`_violation_of`, the violation for a total of penalties.
+    """
+
+    def __init__(self, state: ColourState, values: Mapping[int, int]):
+        super().__init__(state)
+        for v in state.env.vertices:
+            if v not in values:
+                raise InputError(f"vertex {v} has no value")
+        self.values = {v: int(values[v]) for v in state.env.vertices}
+
+    def _penalty(self, x: int) -> int:
+        raise NotImplementedError
+
+    def _violation_of(self, total: int) -> int:
+        raise NotImplementedError
+
+    def rebuild(self) -> None:
+        self.sums: Dict[int, int] = {c: 0 for c in range(1, self.state.n + 1)}
+        for v in self.state.env.vertices:
+            self.sums[self.state.colour(v)] += self.values[v]
+        self._total = sum(self._penalty(x) for x in self.sums.values())
+
+    # measurement -------------------------------------------------------
+    def violation(self) -> int:
+        return self._violation_of(self._total)
+
+    def var_violation(self, v: int) -> int:
+        return self._penalty(self.sums[self.state.colour(v)])
+
+    def conflicts(self) -> int:
+        return self.state.classes_mask(c for c, x in self.sums.items() if self._penalty(x))
+
+    # differentiation ----------------------------------------------------
+    def probe_assign(self, v: int, colour: int) -> int:
+        d = self.state.colour(v)
+        if colour == d:
+            return 0
+        val = self.values[v]
+        penalty = self._penalty
+        sums = self.sums
+        total = (
+            self._total
+            - penalty(sums[colour])
+            - penalty(sums[d])
+            + penalty(sums[colour] + val)
+            + penalty(sums[d] - val)
+        )
+        return self._violation_of(total) - self._violation_of(self._total)
+
+    # incrementality ------------------------------------------------------
+    def commit_assign(self, v: int, old: int, new: int) -> None:
+        if old == new:
+            return
+        val = self.values[v]
+        penalty = self._penalty
+        sums = self.sums
+        self._total -= penalty(sums[old]) + penalty(sums[new])
+        sums[old] -= val
+        sums[new] += val
+        self._total += penalty(sums[old]) + penalty(sums[new])
+
+
+class BalancedConstraint(ColourSumConstraint):
     """Sum of scaled deviations from the average bounded by a threshold."""
 
     def __init__(
@@ -48,11 +115,7 @@ class BalancedConstraint(Constraint):
         mu: Optional[Fraction] = None,
         id: str = "balanced",
     ):
-        super().__init__(state)
-        for v in state.env.vertices:
-            if v not in values:
-                raise InputError(f"vertex {v} has no value")
-        self.values = {v: int(values[v]) for v in state.env.vertices}
+        super().__init__(state, values)
         if delta_scaled < 0:
             raise InputError(f"threshold must be non-negative, got {delta_scaled}")
         self.delta_scaled = int(delta_scaled)
@@ -65,24 +128,11 @@ class BalancedConstraint(Constraint):
         self.id = id
         self.rebuild()
 
-    def rebuild(self) -> None:
-        self.sums: Dict[int, int] = {c: 0 for c in range(1, self.state.n + 1)}
-        for v in self.state.env.vertices:
-            self.sums[self.state.colour(v)] += self.values[v]
-        self._dev_sum = sum(self._dev(x) for x in self.sums.values())
-
-    def _dev(self, x: int) -> int:
+    def _penalty(self, x: int) -> int:
         return abs(self.state.n * x - self.mu_num)
 
-    # measurement -------------------------------------------------------
-    def violation(self) -> int:
-        return max(self._dev_sum - self.delta_scaled, 0)
-
-    def var_violation(self, v: int) -> int:
-        return self._dev(self.sums[self.state.colour(v)])
-
-    def conflicts(self) -> int:
-        return self.state.classes_mask(c for c, x in self.sums.items() if self._dev(x))
+    def _violation_of(self, total: int) -> int:
+        return max(total - self.delta_scaled, 0)
 
     def check(self) -> bool:
         sums = {c: 0 for c in range(1, self.state.n + 1)}
@@ -94,35 +144,8 @@ class BalancedConstraint(Constraint):
             self.delta_scaled,
         )
 
-    # differentiation ----------------------------------------------------
-    def probe_assign(self, v: int, colour: int) -> int:
-        d = self.state.colour(v)
-        if colour == d:
-            return 0
-        val = self.values[v]
-        new_dev = (
-            self._dev_sum
-            - self._dev(self.sums[colour])
-            - self._dev(self.sums[d])
-            + self._dev(self.sums[colour] + val)
-            + self._dev(self.sums[d] - val)
-        )
-        return max(new_dev - self.delta_scaled, 0) - max(
-            self._dev_sum - self.delta_scaled, 0
-        )
 
-    # incrementality ------------------------------------------------------
-    def commit_assign(self, v: int, old: int, new: int) -> None:
-        if old == new:
-            return
-        val = self.values[v]
-        self._dev_sum -= self._dev(self.sums[old]) + self._dev(self.sums[new])
-        self.sums[old] -= val
-        self.sums[new] += val
-        self._dev_sum += self._dev(self.sums[old]) + self._dev(self.sums[new])
-
-
-class BoundedConstraint(Constraint):
+class BoundedConstraint(ColourSumConstraint):
     """Every per-colour value sum relates to a fixed threshold."""
 
     def __init__(
@@ -133,67 +156,20 @@ class BoundedConstraint(Constraint):
         threshold: int,
         id: str = "bounded",
     ):
-        super().__init__(state)
-        for v in state.env.vertices:
-            if v not in values:
-                raise InputError(f"vertex {v} has no value")
-        self.values = {v: int(values[v]) for v in state.env.vertices}
+        super().__init__(state, values)
         self.relop = check_relop(relop)
         self.threshold = int(threshold)
         self.id = id
         self.rebuild()
 
-    def rebuild(self) -> None:
-        self.sums: Dict[int, int] = {c: 0 for c in range(1, self.state.n + 1)}
-        for v in self.state.env.vertices:
-            self.sums[self.state.colour(v)] += self.values[v]
-        self._excess_sum = sum(
-            excess(self.relop, x, self.threshold) for x in self.sums.values()
-        )
+    def _penalty(self, x: int) -> int:
+        return excess(self.relop, x, self.threshold)
 
-    # measurement -------------------------------------------------------
-    def violation(self) -> int:
-        return self._excess_sum
-
-    def var_violation(self, v: int) -> int:
-        return excess(self.relop, self.sums[self.state.colour(v)], self.threshold)
-
-    def conflicts(self) -> int:
-        return self.state.classes_mask(
-            c for c, x in self.sums.items() if excess(self.relop, x, self.threshold)
-        )
+    def _violation_of(self, total: int) -> int:
+        return total
 
     def check(self) -> bool:
         sums = {c: 0 for c in range(1, self.state.n + 1)}
         for v in self.state.env.vertices:
             sums[self.state.colour(v)] += self.values[v]
         return all(holds(self.relop, x, self.threshold) for x in sums.values())
-
-    # differentiation ----------------------------------------------------
-    def probe_assign(self, v: int, colour: int) -> int:
-        d = self.state.colour(v)
-        if colour == d:
-            return 0
-        val = self.values[v]
-        t = self.threshold
-        return (
-            excess(self.relop, self.sums[colour] + val, t)
-            + excess(self.relop, self.sums[d] - val, t)
-            - excess(self.relop, self.sums[colour], t)
-            - excess(self.relop, self.sums[d], t)
-        )
-
-    # incrementality ------------------------------------------------------
-    def commit_assign(self, v: int, old: int, new: int) -> None:
-        if old == new:
-            return
-        val = self.values[v]
-        t = self.threshold
-        self._excess_sum -= excess(self.relop, self.sums[old], t) + excess(
-            self.relop, self.sums[new], t
-        )
-        self.sums[old] -= val
-        self.sums[new] += val
-        self._excess_sum += excess(self.relop, self.sums[old], t) + excess(
-            self.relop, self.sums[new], t
-        )

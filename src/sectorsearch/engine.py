@@ -1,6 +1,10 @@
 """Search orchestration: weighted constraint registry, probe/commit
 protocol, border-move neighbourhood and a tabu min-conflicts loop.
 
+A move recolours one vertex or sets one constraint's counter.  Probes
+only read the caches, so probing any move leaves the model unchanged;
+commits go through the state, which notifies every constraint.
+
 The conflict pool, the vertices with a positive ``var_violation`` in some
 constraint, is maintained rather than scanned: every constraint keeps its
 conflicting vertices as a bit mask (``Constraint.conflicts``), and the
@@ -9,12 +13,10 @@ handful of masks and draws its focus vertex through a sorted view of the
 union, so its cost does not grow with the instance, and a seeded run
 draws exactly the vertex a draw from the sorted pool list would.
 
-Swap moves are probed as the sequential composition of their two
-assignments: probe the first, commit it, probe the second, then roll the
-first back.  Every constraint's caches are functions of the state (the
-exact connectedness labels up to renaming; the paper-fast connectedness
-counters are restored exactly by the inverse assignment), so a rollback
-leaves the model observably unchanged.
+:func:`search` and :func:`neighbourhood` share one candidate rule: a
+vertex may take the colour of a differently coloured neighbour or an
+unused colour (``selector="border"``), or any other colour (``"full"``).
+:func:`neighbourhood` lists exactly the moves :func:`search` may draw.
 """
 
 from __future__ import annotations
@@ -38,23 +40,16 @@ class Move:
     kind: str
     vertex: Optional[int] = None
     colour: Optional[int] = None
-    other: Optional[int] = None
     counter_id: Optional[str] = None
     value: Optional[int] = None
-    provenance: str = ""
 
     @classmethod
-    def assign(cls, v: int, c: int, provenance: str = "") -> "Move":
-        return cls(kind="assign", vertex=v, colour=c, provenance=provenance)
+    def assign(cls, v: int, c: int) -> "Move":
+        return cls(kind="assign", vertex=v, colour=c)
 
     @classmethod
-    def swap(cls, v: int, w: int, provenance: str = "") -> "Move":
-        return cls(kind="swap", vertex=v, other=w, provenance=provenance)
-
-    @classmethod
-    def counter(cls, constraint_id: str, value: int, provenance: str = "") -> "Move":
-        return cls(kind="counter", counter_id=constraint_id, value=value,
-                   provenance=provenance)
+    def counter(cls, constraint_id: str, value: int) -> "Move":
+        return cls(kind="counter", counter_id=constraint_id, value=value)
 
 
 @dataclass
@@ -130,32 +125,15 @@ class Model:
         if move.kind == "counter":
             constraint, weight = self.by_id[move.counter_id]
             return {constraint.id: weight * constraint.probe_counter(move.value)}
-        raise InputError(f"probe_parts does not handle {move.kind!r} moves")
+        raise InputError(f"unknown move kind {move.kind!r}")
 
     def probe(self, move: Move) -> float:
-        if move.kind in ("assign", "counter"):
-            return sum(self.probe_parts(move).values())
-        if move.kind == "swap":
-            v, w = move.vertex, move.other
-            cv, cw = self.state.colour(v), self.state.colour(w)
-            if cv == cw:
-                return 0
-            first = sum(self.probe_parts(Move.assign(v, cw)).values())
-            self.state.assign(v, cw)
-            second = sum(self.probe_parts(Move.assign(w, cv)).values())
-            self.state.assign(v, cv)  # roll back
-            return first + second
-        raise InputError(f"unknown move kind {move.kind!r}")
+        return sum(self.probe_parts(move).values())
 
     # incrementality ------------------------------------------------------
     def commit(self, move: Move) -> None:
         if move.kind == "assign":
             self.state.assign(move.vertex, move.colour)
-        elif move.kind == "swap":
-            cv = self.state.colour(move.vertex)
-            cw = self.state.colour(move.other)
-            self.state.assign(move.vertex, cw)
-            self.state.assign(move.other, cv)
         elif move.kind == "counter":
             if move.counter_id in self.frozen_counters:
                 raise InputError(
@@ -167,49 +145,46 @@ class Model:
 
 
 def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
-    """Candidate moves: border-vertex recolourings plus counter moves.
+    """Every move :func:`search` may draw: each vertex's candidate
+    recolourings (see :func:`_candidate_colours`), then the counter moves.
 
-    Border vertices are those with a differently coloured neighbour; they
-    may take an adjacent component's colour or an unused colour.  Vertices
-    on the geometry boundary additionally qualify when an unused colour
-    exists, which keeps monochrome states escapable.
+    With unused colours, every vertex has a candidate, interior vertices
+    of a colour class included, so monochrome states stay escapable.
     """
     state = model.state
-    base = state.env.base
     unused = state.unused_colours()
-    moves: List[Move] = []
-    for v in state.order:
-        cv = state.colour(v)
-        if selector == "full":
-            cands = [c for c in range(1, state.n + 1) if c != cv]
-        else:
-            diff = {state.colour(w) for w in base.adjacent(v)} - {cv}
-            if diff:
-                cands = sorted(diff | set(unused))
-            elif unused and state.env.is_border(v):
-                cands = list(unused)
-            else:
-                continue
-        for c in cands:
-            moves.append(Move.assign(v, c, provenance=selector))
-    for cid, domain in model.searchable_counters.items():
-        if cid in model.frozen_counters:
-            continue
-        current = model.constraint(cid).counter_value
-        for value in domain:
-            if value != current:
-                moves.append(Move.counter(cid, value, provenance="counter"))
+    moves = [
+        Move.assign(v, c)
+        for v in state.order
+        for c in _candidate_colours(model, v, selector, unused)
+    ]
+    moves.extend(_counter_moves(model))
     return moves
 
 
 def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -> List[int]:
+    """The colours ``v`` may take, in increasing order: those of its
+    differently coloured neighbours plus the unused ones, or with
+    ``selector="full"`` every colour but its own."""
     state = model.state
     cv = state.colour(v)
     if selector == "full":
         return [c for c in range(1, state.n + 1) if c != cv]
-    diff = {state.colour(w) for w in state.env.base.adjacent(v)} - {cv}
-    cands = diff | set(unused)
+    cands = {state.colour(w) for w in state.env.base.adjacent(v)}
+    cands.update(unused)
+    cands.discard(cv)
     return sorted(cands)
+
+
+def _counter_moves(model: Model) -> List[Move]:
+    """Every other value of each searchable counter that is not frozen."""
+    moves: List[Move] = []
+    for cid, domain in model.searchable_counters.items():
+        if cid in model.frozen_counters:
+            continue
+        current = model.constraint(cid).counter_value
+        moves.extend(Move.counter(cid, value) for value in domain if value != current)
+    return moves
 
 
 def _conflict_sources(model: Model) -> List:
@@ -301,11 +276,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             cands = _candidate_colours(model, v, cfg.neighbourhood, unused)
             if cands:
                 moves.append(Move.assign(v, rng.choice(cands)))
-        for cid, domain in model.searchable_counters.items():
-            if cid in model.frozen_counters:
-                continue
-            current = model.constraint(cid).counter_value
-            moves.extend(Move.counter(cid, val) for val in domain if val != current)
+        moves.extend(_counter_moves(model))
 
         evaluated = []
         for move in moves:

@@ -10,7 +10,7 @@ depth-1 cell complexes whose facet "areas" are side lengths.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
 
@@ -46,20 +46,29 @@ class Geometry:
             fset = frozenset(fs)
             self._facets_of[v] = fset
             for f in fset:
-                owners.setdefault(f, []).append(v)
+                vs = owners.get(f)
+                if vs is None:
+                    owners[f] = [v]
+                else:
+                    vs.append(v)
         self._area: Dict[int, int] = {}
-        for f, owner_list in owners.items():
-            if len(owner_list) > 2:
-                raise InputError(f"facet {f} has {len(owner_list)} owners, at most 2 allowed")
+        self._owners: Dict[int, Tuple[int, ...]] = {}
+        # the facets of each vertex that no other vertex shares, in the
+        # order of its facet set
+        single: Dict[int, List[int]] = {}
+        for f, vs in owners.items():
+            if len(vs) > 2:
+                raise InputError(f"facet {f} has {len(vs)} owners, at most 2 allowed")
             if f not in facet_area:
                 raise InputError(f"facet {f} has no area")
             a = facet_area[f]
             if not isinstance(a, int) or a <= 0:
                 raise InputError(f"facet {f} area must be a positive integer, got {a!r}")
             self._area[f] = a
-        self._owners: Dict[int, Tuple[int, ...]] = {
-            f: tuple(sorted(vs)) for f, vs in owners.items()
-        }
+            vs.sort()
+            self._owners[f] = tuple(vs)
+            if len(vs) == 1:
+                single.setdefault(vs[0], []).append(f)
         self._volume: Dict[int, int] = {}
         for v in self._facets_of:
             if v not in volume:
@@ -69,13 +78,13 @@ class Geometry:
                 raise InputError(f"vertex {v} volume must be a positive integer, got {w!r}")
             self._volume[v] = w
 
-        # adjacency and the edge -> shared facet map
+        # adjacency and the edge -> shared facet map, keyed by the owner
+        # tuples, so no vertex pair is stored twice
         adj: Dict[int, set] = {v: set() for v in self._facets_of}
         self._shared: Dict[Tuple[int, int], int] = {}
-        for f, vs in self._owners.items():
-            if len(vs) == 2:
-                v, w = vs
-                key = (v, w)
+        for f, key in self._owners.items():
+            if len(key) == 2:
+                v, w = key
                 if key in self._shared:
                     raise InputError(
                         f"vertices {v} and {w} share facets {self._shared[key]} and {f}, "
@@ -85,9 +94,10 @@ class Geometry:
                 adj[v].add(w)
                 adj[w].add(v)
         self._adj: Dict[int, FrozenSet[int]] = {v: frozenset(ws) for v, ws in adj.items()}
+        # interior vertices share one empty set instead of holding one each
+        no_facets: FrozenSet[int] = frozenset()
         self._border_facets: Dict[int, FrozenSet[int]] = {
-            v: frozenset(f for f in fs if len(self._owners[f]) == 1)
-            for v, fs in self._facets_of.items()
+            v: frozenset(single[v]) if v in single else no_facets for v in self._facets_of
         }
         self._border: FrozenSet[int] = frozenset(
             v for v, fs in self._border_facets.items() if fs
@@ -192,9 +202,6 @@ class EnvelopedGeometry:
     def dim(self) -> int:
         return self.base.dim
 
-    def is_border(self, v: int) -> bool:
-        return v in self.border_areas
-
     def adjacent(self, v: int) -> FrozenSet[int]:
         if v == BOTTOM:
             return self.base.border_vertices()
@@ -235,6 +242,21 @@ def envelop(g: Geometry) -> EnvelopedGeometry:
     return EnvelopedGeometry(g)
 
 
+def grid_vertices(w: int, h: int, d: int = 1, dim: Optional[int] = None) -> range:
+    """The vertex ids of ``grid(w, h, d, dim=dim)``, ``x + w * (y + h * z)``
+    for the cell at ``(x, y, z)``; the arguments are checked as ``grid``
+    checks them, but no geometry is built."""
+    if w < 1 or h < 1 or d < 1:
+        raise InputError(f"grid dimensions must be at least 1, got {w}x{h}x{d}")
+    if dim is None:
+        dim = 3
+    if dim not in (2, 3):
+        raise InputError(f"dim must be 2 or 3, got {dim}")
+    if dim == 2 and d != 1:
+        raise InputError(f"a 2D grid needs d=1, got d={d}")
+    return range(w * h * d)
+
+
 def grid(
     w: int,
     h: int,
@@ -249,45 +271,31 @@ def grid(
     grid whose cells have four side facets.  All facets get ``cell_area``
     and all cells ``cell_volume``.
     """
-    if w < 1 or h < 1 or d < 1:
-        raise InputError(f"grid dimensions must be at least 1, got {w}x{h}x{d}")
+    vertices = grid_vertices(w, h, d, dim)
     if dim is None:
         dim = 3
-    if dim == 2 and d != 1:
-        raise InputError(f"a 2D grid needs d=1, got d={d}")
 
-    def vid(x: int, y: int, z: int) -> int:
-        return x + w * (y + h * z)
-
-    facets_of: Dict[int, list] = {vid(x, y, z): [] for z in range(d) for y in range(h) for x in range(w)}
-    areas: Dict[int, int] = {}
+    # per axis, a low border facet, then the facet towards the next cell
+    # or a high border facet, numbered in that order
+    facets_of: Dict[int, list] = {v: [] for v in vertices}
+    strides = ((w, 1), (h, w), (d, w * h))[: 3 if dim == 3 else 2]
     fid = 0
-
-    def new_facet(*vs: int) -> None:
-        nonlocal fid
-        for v in vs:
-            facets_of[v].append(fid)
-        areas[fid] = cell_area
-        fid += 1
-
-    n_axes = 3 if dim == 3 else 2
+    v = 0
     for z in range(d):
         for y in range(h):
             for x in range(w):
-                v = vid(x, y, z)
-                sides = (
-                    (x, w, (x + 1, y, z)),
-                    (y, h, (x, y + 1, z)),
-                    (z, d, (x, y, z + 1)),
-                )[:n_axes]
-                for coord, extent, nxt in sides:
+                own = facets_of[v]
+                for coord, (extent, stride) in zip((x, y, z), strides):
                     if coord == 0:
-                        new_facet(v)  # low-side border facet
-                    if coord == extent - 1:
-                        new_facet(v)  # high-side border facet
-                    else:
-                        new_facet(v, vid(*nxt))
-    volumes = {v: cell_volume for v in facets_of}
+                        own.append(fid)
+                        fid += 1
+                    own.append(fid)
+                    if coord != extent - 1:
+                        facets_of[v + stride].append(fid)
+                    fid += 1
+                v += 1
+    areas = dict.fromkeys(range(fid), cell_area)
+    volumes = dict.fromkeys(facets_of, cell_volume)
     return Geometry(facets_of, areas, volumes, dim)
 
 

@@ -9,7 +9,7 @@ stay stable across platforms.  ``#`` starts a comment when reading.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import (
@@ -22,9 +22,8 @@ from .constraints import (
 )
 from .engine import Model, SearchConfig
 from .errors import FormatError, InputError
-from .geometry import Geometry, envelop, grid
+from .geometry import Geometry, envelop, grid, grid_vertices
 from .state import ColourState
-from .systematic import brute_force_solve
 from .traffic import FlightPlan, dwell_values, validate, visited_path
 
 INSTANCE_MAGIC = "sector-instance 1"
@@ -81,8 +80,19 @@ class Instance:
     def workload_total(self) -> int:
         return sum(self.workloads.values())
 
-    def validate(self) -> None:
-        g = self.grid.build()
+    def validate(self) -> Geometry:
+        """Check the instance against its grid; returns the grid geometry.
+
+        The geometry is kept with the spec it was built from and built
+        again only once ``grid`` differs from that spec, so ``loads``
+        followed by ``build`` makes one geometry; the checks run every
+        time.
+        """
+        built = getattr(self, "_built_grid", None)
+        if built is None or built[0] != self.grid:
+            built = (replace(self.grid), self.grid.build())
+            self._built_grid = built
+        g = built[1]
         for v in g.vertices:
             if v not in self.workloads:
                 raise FormatError("workloads", f"vertex {v} has no workload")
@@ -104,6 +114,7 @@ class Instance:
                 raise FormatError(
                     f"constraint {spec.id}", f"flight {flight} does not exist"
                 )
+        return g
 
     def build(
         self,
@@ -112,8 +123,7 @@ class Instance:
         weight_overrides: Optional[Dict[str, int]] = None,
     ) -> Model:
         """Assemble the state and all configured constraints into a model."""
-        self.validate()
-        env = envelop(self.grid.build())
+        env = envelop(self.validate())
         if colours is not None:
             unknown = sorted(set(colours) - env.vertices)
             if unknown:
@@ -186,11 +196,6 @@ class Instance:
                 )
             entries.append((constraint, weight))
         return Model(state, entries, searchable_counters=counters)
-
-
-def enumerate_solutions(instance: Instance, limit: int = 10) -> List[Dict[int, int]]:
-    """Brute-force oracle over a whole instance (small instances only)."""
-    return brute_force_solve(instance.build(), limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +445,14 @@ def generate(
     Flights are random monotone grid paths (steps only increase
     coordinates), so they are simple and adjacent by construction; the
     balance threshold defaults to a deviation budget of
-    ``balanced_share`` of the total workload, in scaled units.
+    ``balanced_share`` of the total workload, in scaled units.  No
+    geometry is built here: the instance is valid by construction, and
+    ``Instance.build`` and ``loads`` check it against its grid.
     """
     rng = random.Random(seed)
-    g = grid(width, height, depth, dim=dim)
-    workloads = {v: rng.randint(*workload) for v in sorted(g.vertices)}
+    workloads = {
+        v: rng.randint(*workload) for v in grid_vertices(width, height, depth, dim)
+    }
 
     def vid(x: int, y: int, z: int) -> int:
         return x + width * (y + height * z)
@@ -531,5 +539,4 @@ def generate(
         constraints=specs,
         search=SearchConfig(seed=seed),
     )
-    instance.validate()
     return instance

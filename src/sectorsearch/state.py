@@ -8,6 +8,11 @@ Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
 ``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
 mask and one size per colour class, so the constraints can report their
 conflicting vertices as the union of a few masks.
+
+The component searches of the state, of compact mode A and of the
+systematic toolbox share :func:`components`, which takes its start
+vertices in the caller's order, so the components come out in that order
+and float sums over them always add up the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +21,19 @@ import collections.abc
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .errors import InputError
 from .geometry import BOTTOM, EnvelopedGeometry, Geometry
@@ -48,7 +65,6 @@ class ColourState:
             raise InputError(f"need at least one colour, got n={n}")
         self.env = env
         self.n = n
-        self.revision = 0
         #: constraints are held weakly, so a model is free of reference
         #: cycles and is freed as soon as it is dropped
         self._observers: List[weakref.ref] = []
@@ -102,7 +118,6 @@ class ColourState:
         old = self.colour(v)
         self._check_colour(c)
         self._colour[v] = c
-        self.revision += 1
         if old != c:
             bit = 1 << self.rank[v]
             self.class_mask[old] ^= bit
@@ -119,7 +134,6 @@ class ColourState:
                 raise InputError(f"vertex {v} has no colour")
             self._check_colour(colours[v])
         self._colour = {v: colours[v] for v in self.env.vertices}
-        self.revision += 1
         self._rebuild_classes()
         for obs in self._live_observers():
             obs.rebuild()
@@ -185,26 +199,18 @@ class ColourState:
         }
 
     def connected_components(self) -> List[Component]:
-        """All maximal same-coloured components with their attributes."""
+        """All maximal same-coloured components with their attributes, in
+        the order of their smallest vertex."""
         base = self.env.base
-        seen: Set[int] = set()
+        colour = self._colour
+        classes: Dict[int, Set[int]] = {}
+        for v in self.order:
+            classes.setdefault(colour[v], set()).add(v)
         out: List[Component] = []
-        for start in sorted(self.env.vertices):
-            if start in seen:
-                continue
-            c = self._colour[start]
-            members = {start}
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                u = queue.popleft()
-                for w in base.adjacent(u):
-                    if w not in seen and self._colour[w] == c:
-                        seen.add(w)
-                        members.add(w)
-                        queue.append(w)
+        for members in components(base, self.order, lambda s: classes[colour[s]]):
             sigma = sum(self.border_area(u) for u in members)
             nu = sum(base.volume(u) for u in members)
+            c = colour[next(iter(members))]
             out.append(Component(c, frozenset(members), sigma, nu))
         return out
 
@@ -272,25 +278,42 @@ def stretches(seq: Sequence) -> List[Tuple[int, int]]:
     return spans
 
 
-def class_components(base: Geometry, members: Set[int]) -> List[Set[int]]:
-    """Connected components of the subgraph induced by ``members``."""
+def components(
+    base: Geometry, starts: Iterable[int], class_of: Callable[[int], Container[int]]
+) -> List[Set[int]]:
+    """Connected components of ``base`` within vertex classes.
+
+    ``class_of(s)`` is the class of vertex ``s``, a vertex set that holds
+    ``s``; the classes partition the vertices reached, and the component
+    of ``s`` is its component in the subgraph induced by its class.  Only
+    components that contain a start vertex are searched, one breadth-first
+    search per start not yet covered, so the components come out in the
+    order of their first start vertex.
+    """
+    adjacent = base.adjacent
     seen: Set[int] = set()
     comps: List[Set[int]] = []
-    for start in members:
+    for start in starts:
         if start in seen:
             continue
+        members = class_of(start)
         comp = {start}
         seen.add(start)
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in base.adjacent(u):
+            for w in adjacent(u):
                 if w in members and w not in seen:
                     seen.add(w)
                     comp.add(w)
                     queue.append(w)
         comps.append(comp)
     return comps
+
+
+def class_components(base: Geometry, members: Set[int]) -> List[Set[int]]:
+    """Connected components of the subgraph induced by ``members``."""
+    return components(base, members, lambda s: members)
 
 
 def grow_regions(env: EnvelopedGeometry, k: int, rng) -> Dict[int, int]:

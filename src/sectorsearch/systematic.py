@@ -11,6 +11,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .errors import InputError
 from .geometry import Geometry, OrderedPath
 from .relation import holds
+from .state import class_components
 
 Event = Tuple[int, int]  # (vertex, pruned colour)
 
@@ -278,7 +279,7 @@ def connected_feasibility(
     for c in colours:
         if not required[c]:
             continue
-        comps = _components_within(g, possible[c])
+        comps = class_components(g, possible[c])
         touched = sum(1 for comp in comps if comp & required[c])
         if touched >= 2:
             return "failed"
@@ -288,7 +289,7 @@ def connected_feasibility(
         ncc = 0
         fragmented = False
         for c in colours:
-            comps = _components_within(g, required[c])
+            comps = class_components(g, required[c])
             ncc += len(comps)
             if len(comps) > 1:
                 fragmented = True
@@ -302,26 +303,6 @@ def connected_feasibility(
     ):
         return "failed"
     return "feasible"
-
-
-def _components_within(g: Geometry, members: Set[int]) -> List[Set[int]]:
-    comps: List[Set[int]] = []
-    seen: Set[int] = set()
-    for start in sorted(members):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacent(u):
-                if w in members and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
 
 
 # ---------------------------------------------------------------------------

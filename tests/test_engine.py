@@ -13,7 +13,14 @@ from sectorsearch.constraints import (
     NonBorderConstraint,
     StretchSumConstraint,
 )
-from sectorsearch.engine import Model, Move, SearchConfig, neighbourhood, search
+from sectorsearch.engine import (
+    Model,
+    Move,
+    SearchConfig,
+    _candidate_colours,
+    neighbourhood,
+    search,
+)
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import OrderedPath, envelop, grid
 from sectorsearch.instance import generate
@@ -73,33 +80,6 @@ def test_probe_noop_is_zero():
     assert model.probe(Move.assign(v, st.colour(v))) == 0
 
 
-def test_probe_swap_same_colour_is_zero():
-    st, model = full_model(seed=1)
-    vs = sorted(st.env.vertices)
-    v = vs[0]
-    w = next(u for u in vs[1:] if st.colour(u) == st.colour(v))
-    assert model.probe(Move.swap(v, w)) == 0
-
-
-def test_probe_swap_matches_commits_and_preserves_state():
-    rng = random.Random(7)
-    st, model = full_model(seed=7)
-    vs = sorted(st.env.vertices)
-    for _ in range(40):
-        v, w = rng.sample(vs, 2)
-        before_colours = st.snapshot()
-        before_total = model.total_violation()
-        delta = model.probe(Move.swap(v, w))
-        # the probe rolls its trial commit back completely
-        assert st.snapshot() == before_colours
-        assert abs(model.total_violation() - before_total) < 1e-9
-        assert abs(scratch_model_violation(model) - before_total) < 1e-9
-        model.commit(Move.swap(v, w))
-        after = model.total_violation()
-        assert abs((after - before_total) - delta) < 1e-9
-        assert abs(scratch_model_violation(model) - after) < 1e-9
-
-
 def test_assign_probe_matches_total_delta():
     rng = random.Random(13)
     st, model = full_model(seed=13)
@@ -146,6 +126,25 @@ def test_neighbourhood_border_moves():
     assert (1, 2) in moves
     assert (2, 1) in moves
     assert (0, 2) not in moves  # interior of its component, no unused colour
+
+
+def test_neighbourhood_is_what_search_draws_from():
+    env = envelop(grid(3, 3, dim=2))
+    st = ColourState(env, 3)
+    model = Model(st, [(ConnectedConstraint(st, "=", 2), 1)])
+    # the centre borders neither another colour nor the outside, and an
+    # unused colour still lets it move
+    assert (4, 2) in {(m.vertex, m.colour) for m in neighbourhood(model)}
+    rng = random.Random(4)
+    for _ in range(3):
+        for selector in ("border", "full"):
+            unused = st.unused_colours()
+            listed = {v: [] for v in st.order}
+            for move in neighbourhood(model, selector):
+                listed[move.vertex].append(move.colour)
+            for v in st.order:
+                assert listed[v] == _candidate_colours(model, v, selector, unused)
+        st.assign(rng.choice(st.order), rng.randint(1, st.n))
 
 
 def test_neighbourhood_counter_moves_and_freezing():

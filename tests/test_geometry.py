@@ -8,6 +8,7 @@ from sectorsearch.geometry import (
     OrderedPath,
     envelop,
     grid,
+    grid_vertices,
 )
 
 
@@ -106,6 +107,31 @@ def test_grid_zero_dimension():
 def test_grid_2d_needs_flat_depth():
     with pytest.raises(InputError):
         grid(2, 2, 2, dim=2)
+
+
+@pytest.mark.parametrize("args", [(0, 2, 1, 2), (2, 2, 2, 2), (2, 2, 1, 4)])
+def test_grid_vertices_rejects_what_grid_rejects(args):
+    w, h, d, dim = args
+    with pytest.raises(InputError):
+        grid(w, h, d, dim=dim)
+    with pytest.raises(InputError):
+        grid_vertices(w, h, d, dim)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1, 2), (3, 4, 1, 2), (2, 3, 1, 3), (3, 2, 4, 3)])
+def test_grid_vertices_are_the_grid_vertices(dims):
+    w, h, d, dim = dims
+    assert list(grid_vertices(w, h, d, dim)) == sorted(grid(w, h, d, dim=dim).vertices)
+
+
+def test_grid_facet_numbering():
+    # per cell and axis: the low border facet, then the facet towards the
+    # next cell or the high border facet; seeded searches depend on it
+    g = grid(2, 1, dim=2)
+    assert g.facets_of(0) == {0, 1, 2, 3}
+    assert g.facets_of(1) == {1, 4, 5, 6}
+    assert g.shared_facet(0, 1) == 1
+    assert g.border_facets(1) == {4, 5, 6}
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 1, 2), (3, 4, 1, 2), (2, 2, 2, 3), (3, 2, 2, 3)])

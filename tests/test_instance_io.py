@@ -81,6 +81,50 @@ def test_generate_flights_validate():
     assert instance.workload_total() == sum(instance.workloads.values())
 
 
+def _count_grid_builds(monkeypatch):
+    calls = []
+    build = GridSpec.build
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(GridSpec, "build", counted)
+    return calls
+
+
+def test_generate_builds_no_geometry(monkeypatch):
+    calls = _count_grid_builds(monkeypatch)
+    instance = generate(seed=4, width=6, height=4, colours=3, flights=3)
+    assert calls == []
+    assert sorted(instance.workloads) == list(range(24))
+
+
+def test_loads_then_build_makes_one_geometry(monkeypatch):
+    text = dumps(generate(seed=4, width=6, height=4, colours=3, flights=3))
+    calls = _count_grid_builds(monkeypatch)
+    instance = loads(text)
+    model = instance.build()
+    assert len(calls) == 1
+    assert instance.validate() is model.state.env.base
+    assert len(calls) == 1
+
+
+def test_validate_follows_a_changed_grid():
+    instance = tiny_instance()
+    g = instance.validate()
+    assert instance.validate() is g
+    instance.grid.width = 5  # changed in place: vertex 4 has no workload
+    with pytest.raises(FormatError):
+        instance.validate()
+    instance.workloads[4] = 1
+    assert len(instance.validate()) == 5
+    instance.grid = GridSpec(width=4, height=1)
+    del instance.workloads[4]
+    assert instance.validate() is not g
+    assert len(instance.validate()) == 4
+
+
 def test_generated_model_builds_all_kinds():
     instance = generate(
         seed=5,
