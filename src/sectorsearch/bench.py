@@ -24,6 +24,10 @@ from .state import ColourState, grow_regions
 from .traffic import FlightPlan, visited_path
 
 
+#: timing rounds of :func:`bench_probe_scaling`
+ROUNDS = 5
+
+
 def _setup(side: int, seed: int):
     rng = random.Random(seed)
     env = envelop(grid(side, side, dim=2))
@@ -56,16 +60,12 @@ def _setup(side: int, seed: int):
     return state, constraints, moves
 
 
-def _time_probes(constraint, moves: Sequence[Tuple[int, int]], repeats: int = 3) -> float:
-    """Mean seconds per probe, best of ``repeats`` passes."""
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for v, c in moves:
-            constraint.probe_assign(v, c)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / len(moves))
-    return best
+def _time_probes(constraint, moves: Sequence[Tuple[int, int]]) -> float:
+    """Mean seconds per probe over one pass through ``moves``."""
+    start = time.perf_counter()
+    for v, c in moves:
+        constraint.probe_assign(v, c)
+    return (time.perf_counter() - start) / len(moves)
 
 
 def bench_probe_scaling(
@@ -74,17 +74,32 @@ def bench_probe_scaling(
     seed: int = 0,
 ) -> Dict:
     """Mean probe times per constraint per instance size, plus the ratio
-    of means between the two largest sizes."""
-    means: Dict[str, Dict[int, float]] = {}
+    of means between the two largest sizes.
+
+    Every size is set up first; the timing then runs in ``ROUNDS``
+    interleaved rounds, each a pass per size and constraint with the
+    order of the sizes rotated by one, and keeps each size's best pass.
+    A burst of CPU contention from elsewhere thus slows one round of all
+    sizes rather than one side of the ratio.
+    """
+    batches = {}
     for size in sizes:
         side = max(int(round(math.sqrt(size))), 2)
-        state, constraints, moves = _setup(side, seed)
+        _, constraints, moves = _setup(side, seed)
         if not moves:
             raise RuntimeError("no border moves available for the benchmark")
         batch = [moves[i % len(moves)] for i in range(probes)]
-        for name, constraint in constraints.items():
+        for constraint in constraints.values():
             constraint.probe_assign(*batch[0])  # warm caches
-            means.setdefault(name, {})[size] = _time_probes(constraint, batch)
+        batches[size] = (constraints, batch)
+    means: Dict[str, Dict[int, float]] = {}
+    for r in range(ROUNDS):
+        k = r % len(sizes)
+        for size in list(sizes[k:]) + list(sizes[:k]):
+            constraints, batch = batches[size]
+            for name, constraint in constraints.items():
+                by_size = means.setdefault(name, {})
+                by_size[size] = min(by_size.get(size, math.inf), _time_probes(constraint, batch))
     top, runner_up = sorted(sizes)[-1], sorted(sizes)[-2]
     ratios = {
         name: by_size[top] / by_size[runner_up] for name, by_size in means.items()

@@ -5,6 +5,14 @@ caches are initialised from the state at construction time and kept in
 sync through the commit hooks, which the state invokes for every change
 once the constraint is registered.  Probes never mutate anything.
 
+A kind computes the local effect of a single-vertex move once, in one
+routine that reads the other vertices' colours from the state and so
+gives the same answer before the move and after it: ``probe_assign``
+reduces that effect to a violation delta and ``commit_assign`` applies
+it to the caches, so the two cannot drift apart.  (The stretch-sum kind
+is the exception: its probe is the paper's constant-time case table and
+its commit rescans the window.)
+
 Besides its violation, every constraint reports its conflicting vertices
 as a bit mask over ``state.order`` (see :meth:`Constraint.conflicts`).
 The built-in kinds keep that mask up to date as part of their caches;
@@ -44,7 +52,8 @@ class Constraint:
         terms.  This default scans every vertex, so a kind that does not
         override it costs O(V) per search iteration.
         """
-        return scan_conflicts(self, self.state)
+        state = self.state
+        return state.mask_of(v for v in state.order if self.var_violation(v) > 0)
 
     # differentiation ----------------------------------------------------
     def probe_assign(self, v: int, colour: int):
@@ -60,8 +69,3 @@ class Constraint:
         """Recompute every cache from the current state."""
         raise NotImplementedError
 
-
-def scan_conflicts(constraint, state: ColourState) -> int:
-    """The conflict mask of ``constraint`` from one ``var_violation`` call
-    per vertex; the fallback for constraints without ``conflicts()``."""
-    return state.mask_of(v for v in state.order if constraint.var_violation(v) > 0)

@@ -13,16 +13,24 @@ The only floating point in this module is the sphere term of mode A.
 Its per-component terms come from :func:`sectorsearch.state.components`,
 which lists the components in the order of the start vertices it is
 given, so the float sums add up in one fixed order.
+
+A move changes the border areas of the moved vertex and of its
+neighbours only; one pass over its facets yields them, and probes and
+commits both start from that pass.  Mode B probes and the mode A fast
+probe (the change of the moved vertex's own border area) cost
+O(degree).  The exact mode A probe recomputes the terms of the old and
+the new colour class over the changed border areas, so it costs the two
+classes, not the whole geometry.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Set, Tuple
+from collections import ChainMap
+from typing import Callable, Dict, Mapping, Set
 
 from ..errors import InputError
-from ..geometry import BOTTOM
-from ..state import ColourState, class_components, components, with_bit
+from ..state import ColourState, class_components, with_bit
 from .base import Constraint
 
 MODES = ("A", "B")
@@ -89,14 +97,19 @@ class CompactConstraint(Constraint):
                 self._refresh_colour(c)
 
     def _refresh_colour(self, c: int) -> None:
+        self._contrib[c] = self._class_term(self.members[c], self.border_cache)
+
+    def _class_term(self, members: Set[int], border: Mapping[int, int]) -> float:
+        """Sphericity discrepancy of one colour class: the sum over its
+        components of border area minus the equal-volume sphere surface."""
         base = self.state.env.base
         dim = self.state.env.dim
         terms = []
-        for comp in class_components(base, self.members[c]):
-            sigma = sum(self.border_cache[u] for u in comp)
+        for comp in class_components(base, members):
+            sigma = sum(border[u] for u in comp)
             nu = sum(base.volume(u) for u in comp)
             terms.append(sigma - sphere_surface(nu, dim))
-        self._contrib[c] = sum(terms)
+        return sum(terms)
 
     # measurement -------------------------------------------------------
     def border_area(self, v: int) -> int:
@@ -140,96 +153,69 @@ class CompactConstraint(Constraint):
             return +area
         return 0
 
+    def _border_move(self, v: int, before: int, after: int) -> Dict[int, int]:
+        """The border areas the move ``colour(v): before -> after`` changes.
+
+        Maps ``v`` to its new border area and every real neighbour whose
+        border changes to its new one, in one pass over v's facets.  Only
+        the neighbours' colours and the cached areas are read, so a probe
+        (before the move) and a commit (after it) get the same answer.
+        """
+        state = self.state
+        env = state.env
+        border = self.border_cache
+        changed: Dict[int, int] = {}
+        new_bv = 0
+        # the outside vertex has no colour of 1..n, so it is never changed
+        for w in env.adjacent(v):
+            cw = state.colour(w)
+            area = env.edge_area(v, w)
+            if cw == after:
+                changed[w] = border[w] - area
+            else:
+                new_bv += area
+                if cw == before:
+                    changed[w] = border[w] + area
+        changed[v] = new_bv
+        return changed
+
+    def _total2_change(self, changed: Mapping[int, int]) -> int:
+        f = self._f
+        border = self.border_cache
+        return sum(f(b) - f(border[u]) for u, b in changed.items())
+
     def probe_assign(self, v: int, colour: int) -> float:
-        state = self.state
-        d = state.colour(v)
-        if colour == d:
+        before = self.state.colour(v)
+        if colour == before:
             return 0.0
-        env = state.env
+        changed = self._border_move(v, before, colour)
         if self.mode == "B":
-            new_bv = sum(
-                env.edge_area(v, w)
-                for w in env.adjacent(v)
-                if state.colour(w) != colour
-            )
-            change = self._f(new_bv) - self._f(self.border_cache[v])
-            for w in env.adjacent(v):
-                if w == BOTTOM:
-                    continue
-                delta = self.neighbour_delta(w, v, colour)
-                if delta:
-                    bw = self.border_cache[w]
-                    change += self._f(bw + delta) - self._f(bw)
-            total2 = self._total2 + change
-            return (
-                max(total2 - 2 * self.threshold, 0) - max(self._total2 - 2 * self.threshold, 0)
-            ) / 2.0
-        if self.exact_probe:
-            after = max(self._scratch_discrepancy(v, colour) - self.threshold, 0.0)
-            return after - self.violation()
-        # cheap approximation: the change of v's own border area
-        return sum(self.neighbour_delta(w, v, colour) for w in env.adjacent(v))
-
-    def _scratch_discrepancy(self, v: int, colour: int) -> float:
-        """Total sphericity discrepancy with ``colour(v) := colour`` applied
-        hypothetically; linear in the geometry size."""
-        state = self.state
-        env = state.env
-        base = env.base
-
-        def col(u: int) -> int:
-            if u == v:
-                return colour
-            return state.colour(u)
-
-        classes: Dict[int, Set[int]] = {}
-        for u in env.vertices:
-            classes.setdefault(col(u), set()).add(u)
-        total = 0.0
-        dim = env.dim
-        for comp in components(base, env.vertices, lambda s: classes[col(s)]):
-            c = col(next(iter(comp)))
-            sigma = 0
-            nu = 0
-            for u in comp:
-                nu += base.volume(u)
-                for w in env.adjacent(u):
-                    if col(w) != c:
-                        sigma += env.edge_area(u, w)
-            total += sigma - sphere_surface(nu, dim)
-        return total
+            total2 = self._total2 + self._total2_change(changed)
+            return max(total2 - 2 * self.threshold, 0) / 2.0 - self.violation()
+        if not self.exact_probe:
+            # cheap approximation: the change of v's own border area
+            return changed[v] - self.border_cache[v]
+        # only the old and the new colour class change their terms
+        border = ChainMap(changed, self.border_cache)
+        terms = {
+            before: self._class_term(self.members[before] - {v}, border),
+            colour: self._class_term(self.members[colour] | {v}, border),
+        }
+        total = sum(terms.get(c, t) for c, t in self._contrib.items())
+        return max(total - self.threshold, 0.0) - self.violation()
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         if old == new:
             return
-        state = self.state
-        env = state.env
-        changes: List[Tuple[int, int]] = []
-        for w in env.adjacent(v):
-            if w == BOTTOM:
-                continue
-            cw = state.colour(w)
-            delta = 0
-            area = env.edge_area(v, w)
-            if old != cw and cw == new:
-                delta = -area
-            elif old == cw and cw != new:
-                delta = +area
-            if delta:
-                changes.append((w, delta))
-        new_bv = state.border_area(v)
+        changed = self._border_move(v, old, new)
         if self.mode == "B":
-            self._total2 += self._f(new_bv) - self._f(self.border_cache[v])
-            for w, delta in changes:
-                bw = self.border_cache[w]
-                self._total2 += self._f(bw + delta) - self._f(bw)
-        self.border_cache[v] = new_bv
-        rank = state.rank
-        mask = with_bit(self._conflicts, rank[v], new_bv > 0)
-        for w, delta in changes:
-            self.border_cache[w] += delta
-            mask = with_bit(mask, rank[w], self.border_cache[w] > 0)
+            self._total2 += self._total2_change(changed)
+        rank = self.state.rank
+        mask = self._conflicts
+        for u, b in changed.items():
+            self.border_cache[u] = b
+            mask = with_bit(mask, rank[u], b > 0)
         self._conflicts = mask
         if self.mode == "A":
             self.members[old].discard(v)

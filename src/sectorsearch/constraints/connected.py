@@ -140,21 +140,15 @@ class ConnectedConstraint(Constraint):
                 + int(holds(self.relop, self.ncc, self.counter_value))
                 - int(holds(self.relop, self.ncc + p - m, self.counter_value))
             )
-        k_old = self.ncc_by_colour[d]
-        k_new = self.ncc_by_colour[colour]
-        k_old2 = k_old - 1 + self._split(v)[0]
-        k_new2 = k_new + 1 - len(self._neighbour_labels(v, colour))
-        ncc2 = self.ncc - k_old - k_new + k_old2 + k_new2
-        d_counter = int(holds(self.relop, self.ncc, self.counter_value)) - int(
-            holds(self.relop, ncc2, self.counter_value)
+        k_old2 = self.ncc_by_colour[d] - 1 + self._split(v)[0]
+        k_new2 = self.ncc_by_colour[colour] + 1 - len(self._neighbour_labels(v, colour))
+        ncc2, excess2 = self._recount(d, colour, k_old2, k_new2)
+        return (
+            int(holds(self.relop, self.ncc, self.counter_value))
+            - int(holds(self.relop, ncc2, self.counter_value))
+            + excess2
+            - self._excess
         )
-        d_excess = (
-            max(k_old2 - 1, 0)
-            + max(k_new2 - 1, 0)
-            - max(k_old - 1, 0)
-            - max(k_new - 1, 0)
-        )
-        return d_counter + d_excess
 
     def probe_counter(self, n_new: int) -> int:
         return int(holds(self.relop, self.ncc, self.counter_value)) - int(
@@ -165,26 +159,33 @@ class ConnectedConstraint(Constraint):
     def commit_assign(self, v: int, old: int, new: int) -> None:
         if old == new:
             return
-        k_old = self.ncc_by_colour[old]
-        k_new = self.ncc_by_colour[new]
         if self.mode == "paper-fast":
             # neighbour colours are unchanged by this move, so the p/m
             # tests still see the pre-move situation
             p, m = self._fast_pm(v, new, old)
-            k_old2 = k_old - m
-            k_new2 = k_new + p
+            k_old2 = self.ncc_by_colour[old] - m
+            k_new2 = self.ncc_by_colour[new] + p
         else:
-            k_old2 = k_old - 1 + self._leave(v)
-            k_new2 = k_new + 1 - self._join(v, new)
-        self.ncc += k_old2 + k_new2 - k_old - k_new
-        self._excess += (
-            max(k_old2 - 1, 0)
+            k_old2 = self.ncc_by_colour[old] - 1 + self._leave(v)
+            k_new2 = self.ncc_by_colour[new] + 1 - self._join(v, new)
+        self.ncc, self._excess = self._recount(old, new, k_old2, k_new2)
+        self.ncc_by_colour[old] = k_old2
+        self.ncc_by_colour[new] = k_new2
+
+    def _recount(self, old: int, new: int, k_old2: int, k_new2: int) -> Tuple[int, int]:
+        """Component total and excess once colours ``old`` and ``new``
+        have ``k_old2`` and ``k_new2`` components."""
+        k_old = self.ncc_by_colour[old]
+        k_new = self.ncc_by_colour[new]
+        ncc = self.ncc + k_old2 + k_new2 - k_old - k_new
+        excess = (
+            self._excess
+            + max(k_old2 - 1, 0)
             + max(k_new2 - 1, 0)
             - max(k_old - 1, 0)
             - max(k_new - 1, 0)
         )
-        self.ncc_by_colour[old] = k_old2
-        self.ncc_by_colour[new] = k_new2
+        return ncc, excess
 
     def commit_counter(self, n_new: int) -> None:
         self.counter_value = int(n_new)

@@ -69,47 +69,40 @@ class NonBorderConstraint(Constraint):
         return non_border_check(self.state, self.path)
 
     # differentiation ----------------------------------------------------
-    def probe_assign(self, v: int, colour: int) -> int:
+    def _term_changes(self, v: int, before: int, after: int) -> Dict[int, int]:
+        """Path vertex -> signed change of its term, for every term the
+        move ``colour(v): before -> after`` changes.  Only the other
+        vertices' colours are read, so a probe (before the move) and a
+        commit (after it) agree."""
         state = self.state
-        cv = state.colour(v)
-        if colour == cv:
-            return 0
         if v in self.off_path:
-            return sum(
-                (1 if state.colour(w) != colour else 0)
-                - (1 if state.colour(w) != cv else 0)
+            delta = sum(
+                (state.colour(w) != after) - (state.colour(w) != before)
                 for w in self.off_path[v]
             )
-        neighbours = self.path_neighbours.get(v)
-        if neighbours is None:
-            return 0
+            return {v: delta} if delta else {}
         # a recoloured off-path vertex changes the terms it appears in
-        return sum(
-            (1 if colour != state.colour(u) else 0)
-            - (1 if cv != state.colour(u) else 0)
-            for u in neighbours
-        )
+        changes = {}
+        for u in self.path_neighbours.get(v, ()):
+            cu = state.colour(u)
+            delta = (after != cu) - (before != cu)
+            if delta:
+                changes[u] = delta
+        return changes
+
+    def probe_assign(self, v: int, colour: int) -> int:
+        before = self.state.colour(v)
+        # most vertices are neither on the path nor next to it
+        if colour == before or (v not in self.off_path and v not in self.path_neighbours):
+            return 0
+        return sum(self._term_changes(v, before, colour).values())
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         if old == new:
             return
-        state = self.state
-        if v in self.off_path:
-            fresh = sum(1 for w in self.off_path[v] if state.colour(w) != new)
-            self._total += fresh - self._vv[v]
-            self._vv[v] = fresh
-            self._conflicts = with_bit(self._conflicts, state.rank[v], fresh > 0)
-            return
-        neighbours = self.path_neighbours.get(v)
-        if neighbours is None:
-            return
-        for u in neighbours:
-            cu = state.colour(u)
-            delta = (1 if new != cu else 0) - (1 if old != cu else 0)
-            if delta:
-                self._vv[u] += delta
-                self._total += delta
-                self._conflicts = with_bit(
-                    self._conflicts, state.rank[u], self._vv[u] > 0
-                )
+        rank = self.state.rank
+        for u, delta in self._term_changes(v, old, new).items():
+            self._vv[u] += delta
+            self._total += delta
+            self._conflicts = with_bit(self._conflicts, rank[u], self._vv[u] > 0)

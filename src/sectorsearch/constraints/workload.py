@@ -75,33 +75,34 @@ class ColourSumConstraint(Constraint):
         return self.state.classes_mask(c for c, x in self.sums.items() if self._penalty(x))
 
     # differentiation ----------------------------------------------------
+    def _total_after(self, v: int, before: int, after: int) -> int:
+        """The total of penalties once ``v`` moved from ``before`` to
+        ``after``, from the sums as they stand before the move."""
+        val = self.values[v]
+        penalty = self._penalty
+        sums = self.sums
+        return (
+            self._total
+            - penalty(sums[before])
+            - penalty(sums[after])
+            + penalty(sums[before] - val)
+            + penalty(sums[after] + val)
+        )
+
     def probe_assign(self, v: int, colour: int) -> int:
         d = self.state.colour(v)
         if colour == d:
             return 0
-        val = self.values[v]
-        penalty = self._penalty
-        sums = self.sums
-        total = (
-            self._total
-            - penalty(sums[colour])
-            - penalty(sums[d])
-            + penalty(sums[colour] + val)
-            + penalty(sums[d] - val)
-        )
+        total = self._total_after(v, d, colour)
         return self._violation_of(total) - self._violation_of(self._total)
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         if old == new:
             return
-        val = self.values[v]
-        penalty = self._penalty
-        sums = self.sums
-        self._total -= penalty(sums[old]) + penalty(sums[new])
-        sums[old] -= val
-        sums[new] += val
-        self._total += penalty(sums[old]) + penalty(sums[new])
+        self._total = self._total_after(v, old, new)
+        self.sums[old] -= self.values[v]
+        self.sums[new] += self.values[v]
 
 
 class BalancedConstraint(ColourSumConstraint):

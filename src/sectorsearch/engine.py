@@ -21,12 +21,10 @@ unused colour (``selector="border"``), or any other colour (``"full"``).
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .constraints.base import scan_conflicts
 from .errors import InitError, InputError
 from .state import ColourState, MaskView, grow_regions
 
@@ -187,20 +185,6 @@ def _counter_moves(model: Model) -> List[Move]:
     return moves
 
 
-def _conflict_sources(model: Model) -> List:
-    """One callable per constraint returning its conflict mask; constraints
-    without ``conflicts()`` fall back to a scan of their ``var_violation``.
-
-    Weights are positive (``Model`` rejects the rest), so ``w * var > 0``
-    holds exactly when ``var > 0``.
-    """
-    return [
-        getattr(constraint, "conflicts", None)
-        or functools.partial(scan_conflicts, constraint, model.state)
-        for constraint, _ in model.entries
-    ]
-
-
 def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
     state = model.state
     if cfg.init == "random":
@@ -239,7 +223,6 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     tabu: Dict[Tuple, int] = {}
     since_best = 0
     vertices = state.order
-    sources = _conflict_sources(model)
     iteration = 0
 
     for iteration in range(1, cfg.max_iterations + 1):
@@ -257,9 +240,11 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             continue
 
         unused = state.unused_colours()
+        # weights are positive, so a vertex conflicts in the weighted sum
+        # exactly when it conflicts in some constraint
         mask = 0
-        for conflicts in sources:
-            mask |= conflicts()
+        for constraint, _ in model.entries:
+            mask |= constraint.conflicts()
         pool = MaskView(vertices, mask)
         if not pool:
             pool = [

@@ -335,7 +335,8 @@ def grow_regions(env: EnvelopedGeometry, k: int, rng) -> Dict[int, int]:
     seeds = []
     for comp in sorted(graph_comps, key=min):
         seeds.append(rng.choice(sorted(comp)))
-    remaining = [v for v in vertices if v not in set(seeds)]
+    chosen = set(seeds)
+    remaining = [v for v in vertices if v not in chosen]
     seeds.extend(rng.sample(remaining, k - len(seeds)))
 
     colour: Dict[int, int] = {s: i + 1 for i, s in enumerate(seeds)}

@@ -206,16 +206,18 @@ def test_component_border_sums_add_up():
 def test_identity_probe_equals_neighbour_delta_sum():
     rng = random.Random(59)
     env = envelop(grid(3, 3, dim=2))
-    for _ in range(50):
-        st = ColourState(env, 3, colours=random_colours(rng, env, 3))
-        c = CompactConstraint(st, threshold=0, mode="B")
-        v = rng.choice(sorted(env.vertices))
-        colour = rng.randint(1, 3)
-        if colour == st.colour(v):
-            continue
-        table_sum = sum(
-            c.neighbour_delta(w, v, colour) for w in env.adjacent(v)
-        )
-        # with identity weight and an exceeded threshold the probe is the
-        # physical border-area change, which the case table sums up
-        assert c.probe_assign(v, colour) == table_sum
+    # mode B with identity weight and an exceeded threshold, and the mode A
+    # fast probe, are both the physical border-area change of the move,
+    # which the case table sums up
+    for mode in ("B", "A"):
+        for _ in range(50):
+            st = ColourState(env, 3, colours=random_colours(rng, env, 3))
+            c = CompactConstraint(st, threshold=0, mode=mode)
+            v = rng.choice(sorted(env.vertices))
+            colour = rng.randint(1, 3)
+            if colour == st.colour(v):
+                continue
+            table_sum = sum(
+                c.neighbour_delta(w, v, colour) for w in env.adjacent(v)
+            )
+            assert c.probe_assign(v, colour) == table_sum

@@ -10,6 +10,7 @@ from sectorsearch.constraints import (
     BoundedConstraint,
     CompactConstraint,
     ConnectedConstraint,
+    Constraint,
     NonBorderConstraint,
     StretchSumConstraint,
 )
@@ -237,13 +238,13 @@ def test_hard_stretchsum_initialised_and_kept():
     assert ss.violation() == 0
 
 
-class _BreaksOnCommit:
+class _BreaksOnCommit(Constraint):
     """A hard constraint that is satisfied until the first commit."""
 
     id = "brittle"
 
     def __init__(self, state):
-        self.state = state
+        super().__init__(state)
         self.broken = False
 
     def rebuild(self):
@@ -292,17 +293,39 @@ def _run_2d(seed, iters, init="regions", mode=None):
     return search(model, cfg)
 
 
-def _run_3d_compact_a(seed, iters):
+def _run_3d_compact_a(seed, iters, probe="fast"):
     instance = generate(
         seed=5, width=4, height=4, depth=3, dim=3, colours=6, flights=2, with_compact=True
     )
     for spec in instance.constraints:
         if spec.kind == "compact":
-            spec.params.update(mode="A", threshold=0)
+            spec.params.update(mode="A", threshold=0, probe=probe)
     model = instance.build()
     cfg = replace(
         instance.search, seed=seed, max_iterations=iters, moves_per_iter=2, restart_after=15
     )
+    return search(model, cfg)
+
+
+def _run_mixed(seed, iters):
+    """Compact mode B, non-border and bounded alongside the default kinds;
+    the compact budget is tight enough that its violation rises and falls."""
+    instance = generate(
+        seed=11,
+        width=12,
+        height=12,
+        colours=5,
+        flights=3,
+        balanced_share=0.03,
+        with_compact=True,
+        with_nonborder=True,
+        bounded_threshold=150,
+    )
+    for spec in instance.constraints:
+        if spec.kind == "compact":
+            spec.params.update(threshold=120)
+    model = instance.build()
+    cfg = replace(instance.search, seed=seed, max_iterations=iters, init="random")
     return search(model, cfg)
 
 
@@ -327,6 +350,20 @@ GOLDEN = [
     ),
     # 3D, compact mode A, restarting every 15 iterations without progress
     (lambda: _run_3d_compact_a(1, 300), "3533d8880ce21bd63081024d141c39d8f3de8dabcbf2e09fa068c135a9edbda3"),
+    # the same run with the exact mode A probe
+    (
+        lambda: _run_3d_compact_a(1, 300, probe="exact"),
+        "391ecf5716a81a4fc86c435e7fe9148e643db40da7eff012f6b3cc7b957ab76e",
+    ),
+    # compact mode B, non-border and bounded from a random colouring
+    (
+        lambda: _run_mixed(1, 800),
+        "06dc2399c597c93a92ca95ab4a24cb0c15590232163c2069a49dab6c64a12efe",
+    ),
+    (
+        lambda: _run_mixed(2, 800),
+        "3f0e94384be1fffb67094b936b5feb33bad54d247fae6145ca03f42adfc8c1bf",
+    ),
 ]
 
 
