@@ -9,28 +9,34 @@ counts once, every facet on the geometry boundary counts once.
 Mode B is kept in doubled integer units internally (the per-vertex border
 sum counts interior facets twice and boundary facets twice once the
 outside vertex's own border term is added), so its arithmetic is exact.
-The only floating point in this module is the sphere term of mode A.
-Its per-component terms come from :func:`sectorsearch.state.components`,
-which lists the components in the order of the start vertices it is
-given, so the float sums add up in one fixed order.
 
 A move changes the border areas of the moved vertex and of its
 neighbours only; one pass over its facets yields them, and probes and
 commits both start from that pass.  Mode B probes and the mode A fast
 probe (the change of the moved vertex's own border area) cost
-O(degree).  The exact mode A probe recomputes the terms of the old and
-the new colour class over the changed border areas, so it costs the two
-classes, not the whole geometry.
+O(degree).
+
+Mode A keeps an integer border sum sigma and volume nu per component,
+keyed by the labels of the state's component index.  One routine
+computes the sums of the components a move leaves behind and forms: the
+closed pieces of a split, the rest of the old component, and the new
+colour's components merged with the moved vertex.  The exact probe feeds
+it the pieces of the index's split search and the labels of v's
+neighbours; a commit feeds it the index's record of the same move.  So
+probes and commits cost the smaller sides of a split, never a whole
+colour class.  Per colour, the terms ``sigma - sphere_surface(nu)`` are
+summed with :func:`math.fsum`, and so are the colours' sums; ``fsum`` is
+correctly rounded whatever the order, so a probe equals the committed
+change to the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import ChainMap
-from typing import Callable, Dict, Mapping, Set
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import InputError
-from ..state import ColourState, class_components, with_bit
+from ..state import ColourState, with_bit
 from .base import Constraint
 
 MODES = ("A", "B")
@@ -78,38 +84,45 @@ class CompactConstraint(Constraint):
 
     def rebuild(self) -> None:
         state = self.state
-        self.border_cache: Dict[int, int] = {
-            v: state.border_area(v) for v in state.env.vertices
-        }
-        self._outside = state.env.outside_area()
+        env = state.env
+        colour = state.colours()
+        # one pass over the shared facets, then the outside's
+        border = dict.fromkeys(state.order, 0)
+        for v, w, area in env.base.shared_areas():
+            if colour[v] != colour[w]:
+                border[v] += area
+                border[w] += area
+        for v, area in env.border_areas.items():
+            border[v] += area
+        self.border_cache: Dict[int, int] = border
+        self._outside = env.outside_area()
         # border areas are never negative, so f(b) > 0 iff b > 0
-        self._conflicts = state.mask_of(v for v, b in self.border_cache.items() if b)
+        self._conflicts = state.mask_of(v for v, b in border.items() if b)
         if self.mode == "B":
-            self._total2 = sum(self._f(b) for b in self.border_cache.values()) + self._f(
-                self._outside
-            )
-        else:
-            self.members: Dict[int, Set[int]] = {c: set() for c in range(1, state.n + 1)}
-            for v in state.env.vertices:
-                self.members[state.colour(v)].add(v)
-            self._contrib: Dict[int, float] = {}
-            for c in self.members:
-                self._refresh_colour(c)
+            self._total2 = sum(self._f(b) for b in border.values()) + self._f(self._outside)
+            return
+        self.index = state.component_index()
+        label = self.index.label
+        volume = env.base.volume
+        self.sigma: Dict[int, int] = dict.fromkeys(self.index.size, 0)
+        self.nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
+        owner: Dict[int, int] = {}
+        for v, b in border.items():
+            lab = label[v]
+            self.sigma[lab] += b
+            self.nu[lab] += volume(v)
+            owner[lab] = colour[v]
+        #: per colour, the term of each of its components' labels
+        self.terms: List[Dict[int, float]] = [{} for _ in range(state.n + 1)]
+        for lab, c in owner.items():
+            self.terms[c][lab] = self._term(self.sigma[lab], self.nu[lab])
+        self.colour_term: List[float] = [math.fsum(t.values()) for t in self.terms]
+        self._total = math.fsum(self.colour_term)
 
-    def _refresh_colour(self, c: int) -> None:
-        self._contrib[c] = self._class_term(self.members[c], self.border_cache)
-
-    def _class_term(self, members: Set[int], border: Mapping[int, int]) -> float:
-        """Sphericity discrepancy of one colour class: the sum over its
-        components of border area minus the equal-volume sphere surface."""
-        base = self.state.env.base
-        dim = self.state.env.dim
-        terms = []
-        for comp in class_components(base, members):
-            sigma = sum(border[u] for u in comp)
-            nu = sum(base.volume(u) for u in comp)
-            terms.append(sigma - sphere_surface(nu, dim))
-        return sum(terms)
+    def _term(self, sigma: int, nu: int) -> float:
+        """Sphericity discrepancy of one component: its border area minus
+        the surface of the equal-volume sphere."""
+        return sigma - sphere_surface(nu, self.state.env.dim)
 
     # measurement -------------------------------------------------------
     def border_area(self, v: int) -> int:
@@ -124,7 +137,7 @@ class CompactConstraint(Constraint):
     def violation(self) -> float:
         if self.mode == "B":
             return max(self._total2 - 2 * self.threshold, 0) / 2.0
-        return max(sum(self._contrib.values()) - self.threshold, 0.0)
+        return max(self._total - self.threshold, 0.0)
 
     def check(self) -> bool:
         """Cache-free semantics at the current state."""
@@ -195,14 +208,78 @@ class CompactConstraint(Constraint):
         if not self.exact_probe:
             # cheap approximation: the change of v's own border area
             return changed[v] - self.border_cache[v]
-        # only the old and the new colour class change their terms
-        border = ChainMap(changed, self.border_cache)
-        terms = {
-            before: self._class_term(self.members[before] - {v}, border),
-            colour: self._class_term(self.members[colour] | {v}, border),
-        }
-        total = sum(terms.get(c, t) for c, t in self._contrib.items())
+        total = self._total_after(v, before, colour, changed)
         return max(total - self.threshold, 0.0) - self.violation()
+
+    def _total_after(self, v: int, before: int, after: int, changed: Mapping[int, int]) -> float:
+        """Mode A's total once ``colour(v): before -> after``, with the
+        pieces of the index's split search and the labels of v's
+        neighbours of the new colour; ``changed`` is the move's
+        :meth:`_border_move`."""
+        index = self.index
+        lab = index.label[v]
+        pieces, closed = index.split(v)
+        joined = index.neighbour_labels(v, after)
+        split_off, rest, merged = self._components_move(v, lab, pieces, closed, joined, changed)
+        old_terms = [t for m, t in self.terms[before].items() if m != lab]
+        old_terms.extend(self._term(*comp) for comp in split_off)
+        if rest is not None:
+            old_terms.append(self._term(*rest))
+        new_terms = [t for m, t in self.terms[after].items() if m not in joined]
+        new_terms.append(self._term(*merged))
+        sums = [t for c, t in enumerate(self.colour_term) if c != before and c != after]
+        sums.append(math.fsum(old_terms))
+        sums.append(math.fsum(new_terms))
+        return math.fsum(sums)
+
+    def _components_move(
+        self,
+        v: int,
+        lab: int,
+        pieces: int,
+        closed: List[List[int]],
+        joined: Iterable[int],
+        changed: Mapping[int, int],
+    ) -> Tuple[List[Tuple[int, int]], Optional[Tuple[int, int]], Tuple[int, int]]:
+        """Border sums and volumes of the components a move of ``v``
+        leaves behind and forms.
+
+        Without ``v`` its component ``lab`` falls into ``pieces`` pieces,
+        ``closed`` holding the vertices of all of them but one, and ``v``
+        joins the components ``joined`` of its new colour.  Returns the
+        (sigma, nu) of every closed piece, of the remaining piece (None if
+        ``v`` was alone) and of v's new component.  Only the sums and areas
+        from before the move are read, so a probe and the commit that
+        follows get the same answer.
+        """
+        sigma = self.sigma
+        nu = self.nu
+        border = self.border_cache
+        volume = self.state.env.base.volume
+        rest_sigma = sigma[lab] - border[v]
+        rest_nu = nu[lab] - volume(v)
+        big_sigma = changed[v]
+        big_nu = volume(v)
+        for m in joined:
+            big_sigma += sigma[m]
+            big_nu += nu[m]
+        for u, b in changed.items():
+            # a changed neighbour of the old colour gains the facet it
+            # shares with v as border; one of the new colour loses it
+            if u != v:
+                if b > border[u]:
+                    rest_sigma += b - border[u]
+                else:
+                    big_sigma += b - border[u]
+        split_off = []
+        for piece in closed:
+            piece_sigma = sum(changed.get(u, border[u]) for u in piece)
+            piece_nu = sum(volume(u) for u in piece)
+            split_off.append((piece_sigma, piece_nu))
+            rest_sigma -= piece_sigma
+            rest_nu -= piece_nu
+        rest = (rest_sigma, rest_nu) if pieces else None
+        return split_off, rest, (big_sigma, big_nu)
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
@@ -211,14 +288,43 @@ class CompactConstraint(Constraint):
         changed = self._border_move(v, old, new)
         if self.mode == "B":
             self._total2 += self._total2_change(changed)
+        else:
+            self._commit_components(v, old, new, changed)
         rank = self.state.rank
         mask = self._conflicts
         for u, b in changed.items():
             self.border_cache[u] = b
             mask = with_bit(mask, rank[u], b > 0)
         self._conflicts = mask
-        if self.mode == "A":
-            self.members[old].discard(v)
-            self.members[new].add(v)
-            self._refresh_colour(old)
-            self._refresh_colour(new)
+
+    def _commit_components(self, v: int, old: int, new: int, changed: Mapping[int, int]) -> None:
+        """Follow the index's record of the move in sigma, nu and the
+        terms of colours ``old`` and ``new``; ``border_cache`` still holds
+        the areas before the move."""
+        change = self.index.change
+        lab = change.label
+        split_off, rest, merged = self._components_move(
+            v, lab, change.pieces, change.closed, change.joined, changed
+        )
+        sigma = self.sigma
+        nu = self.nu
+        old_terms = self.terms[old]
+        new_terms = self.terms[new]
+        # drop the components the move touched, then add those it formed
+        del sigma[lab], nu[lab], old_terms[lab]
+        for m in change.joined:
+            del sigma[m], nu[m], new_terms[m]
+        formed = list(zip(change.fresh, split_off))
+        if rest is not None:
+            formed.append((lab, rest))
+        for m, (m_sigma, m_nu) in formed:
+            sigma[m] = m_sigma
+            nu[m] = m_nu
+            old_terms[m] = self._term(m_sigma, m_nu)
+        big_sigma, big_nu = merged
+        sigma[change.big] = big_sigma
+        nu[change.big] = big_nu
+        new_terms[change.big] = self._term(big_sigma, big_nu)
+        self.colour_term[old] = math.fsum(old_terms.values())
+        self.colour_term[new] = math.fsum(new_terms.values())
+        self._total = math.fsum(self.colour_term)

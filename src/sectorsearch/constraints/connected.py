@@ -4,54 +4,49 @@ The constraint holds when the total number of same-colour connected
 components relates to the counter and no colour is fragmented.  Two
 probing/updating modes exist:
 
-* ``exact`` (default): every vertex carries the label of its component
-  and every label its size, filled in by the single pass of
-  :meth:`ConnectedConstraint.rebuild`.  A move of ``v`` joins as many
-  components of the new colour as there are distinct labels among v's
-  neighbours of that colour, which costs O(degree).  Whether ``v``'s old
-  component splits is decided by interleaved breadth-first searches from
-  its same-component neighbours, with ``v`` blocked, that unite when they
-  meet and stop once one search group is left or all groups but one are
-  exhausted (the on-line edge-deletion trick of Even & Shiloach, JACM
-  1981).  The cost is that of the smaller sides, not of the colour class.
-  Commits run the same routines: exhausted pieces of a split get fresh
-  labels, and a merge relabels the smaller components into the largest
-  (union by size).  Deltas and caches are exact under arbitrary moves,
-  articulation splits and multi-component merges included.
+* ``exact`` (default): the counts are those of the state's component
+  index (:class:`sectorsearch.state.ComponentIndex`), which every commit
+  keeps up to date before the constraint hears of it, so a commit has
+  nothing left to do.  A probe of ``v`` counts the distinct labels among
+  v's neighbours of the new colour, which costs O(degree), and asks the
+  index's interleaved split search how many pieces v's old component
+  falls into, which costs the smaller sides, not the colour class.
+  Deltas are exact under arbitrary moves, articulation splits and
+  multi-component merges included.
 * ``paper-fast``: the literal constant-per-neighbour estimate.  It tests
   only whether the moved vertex starts or ends a component among its
   neighbours, so it miscounts splits and merges; the engine keeps it for
   cheap probing and for measuring how often the estimate diverges.  Its
-  commits use the estimate too and leave the labels untouched.
+  commits use the estimate too, on counts of its own.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..errors import InitError, InputError
 from ..relation import check_relop, holds
-from ..state import ColourState, class_components, grow_regions
+from ..state import ColourState, ComponentCounts, class_components, grow_regions
 from .base import Constraint
 
 MODES = ("exact", "paper-fast")
 
 
+def component_counts(state: ColourState) -> Dict[int, int]:
+    """Cache-free count of the components of every colour ``1..n``."""
+    members: Dict[int, Set[int]] = {c: set() for c in range(1, state.n + 1)}
+    for v in state.env.vertices:
+        members[state.colour(v)].add(v)
+    base = state.env.base
+    return {c: len(class_components(base, vs)) for c, vs in members.items()}
+
+
 def connected_check(state: ColourState, relop: str, n_val: int) -> bool:
     """Cache-free semantics: component count relates to ``n_val`` and every
     colour has at most one component."""
-    counts: Dict[int, int] = {}
-    base = state.env.base
-    members: Dict[int, Set[int]] = {}
-    for v in state.env.vertices:
-        members.setdefault(state.colour(v), set()).add(v)
-    for c, vs in members.items():
-        counts[c] = len(class_components(base, vs))
-    total = sum(counts.values())
-    return holds(relop, total, n_val) and all(k <= 1 for k in counts.values())
+    counts = component_counts(state).values()
+    return holds(relop, sum(counts), n_val) and all(k <= 1 for k in counts)
 
 
 class ConnectedConstraint(Constraint):
@@ -73,48 +68,44 @@ class ConnectedConstraint(Constraint):
         self.rebuild()
 
     def rebuild(self) -> None:
-        base = self.state.env.base
-        colour = self.state.snapshot()
-        label: Dict[int, int] = {}
-        self.label = label
-        self.size: Dict[int, int] = {}
-        self._labels = itertools.count(1)
-        self.ncc_by_colour: Dict[int, int] = {c: 0 for c in range(1, self.state.n + 1)}
-        for start in self.state.env.vertices:
-            if start in label:
-                continue
-            c = colour[start]
-            lab = next(self._labels)
-            label[start] = lab
-            stack = [start]
-            size = 1
-            while stack:
-                u = stack.pop()
-                for w in base.adjacent(u):
-                    if w not in label and colour[w] == c:
-                        label[w] = lab
-                        stack.append(w)
-                        size += 1
-            self.size[lab] = size
-            self.ncc_by_colour[c] += 1
-        self.ncc: int = sum(self.ncc_by_colour.values())
-        self._excess: int = sum(max(k - 1, 0) for k in self.ncc_by_colour.values())
+        if self.mode == "exact":
+            self.counts: ComponentCounts = self.state.component_index()
+        else:
+            self.counts = ComponentCounts(component_counts(self.state))
+
+    @property
+    def ncc(self) -> int:
+        return self.counts.total
+
+    @property
+    def ncc_by_colour(self) -> Dict[int, int]:
+        return self.counts.count
+
+    @property
+    def label(self) -> Dict[int, int]:
+        self._require_labels()
+        return self.counts.label
+
+    @property
+    def size(self) -> Dict[int, int]:
+        self._require_labels()
+        return self.counts.size
 
     # measurement -------------------------------------------------------
     def violation(self) -> int:
-        return self.var_violation_counter() + self._excess
+        return self.var_violation_counter() + self.counts.excess
 
     def var_violation_counter(self) -> int:
         return 1 - int(holds(self.relop, self.ncc, self.counter_value))
 
     def var_violation_colour(self, v: int) -> int:
-        return self.ncc_by_colour[self.state.colour(v)] - 1
+        return self.counts.count[self.state.colour(v)] - 1
 
     def var_violation(self, v: int) -> int:
         return self.var_violation_colour(v)
 
     def conflicts(self) -> int:
-        return self.state.classes_mask(c for c, k in self.ncc_by_colour.items() if k > 1)
+        return self.state.classes_mask(c for c, k in self.counts.count.items() if k > 1)
 
     def check(self, n_val: Optional[int] = None) -> bool:
         if n_val is None:
@@ -140,14 +131,15 @@ class ConnectedConstraint(Constraint):
                 + int(holds(self.relop, self.ncc, self.counter_value))
                 - int(holds(self.relop, self.ncc + p - m, self.counter_value))
             )
-        k_old2 = self.ncc_by_colour[d] - 1 + self._split(v)[0]
-        k_new2 = self.ncc_by_colour[colour] + 1 - len(self._neighbour_labels(v, colour))
-        ncc2, excess2 = self._recount(d, colour, k_old2, k_new2)
+        counts = self.counts
+        k_old2 = counts.count[d] - 1 + counts.split(v)[0]
+        k_new2 = counts.count[colour] + 1 - len(counts.neighbour_labels(v, colour))
+        ncc2, excess2 = counts.after(d, colour, k_old2, k_new2)
         return (
             int(holds(self.relop, self.ncc, self.counter_value))
             - int(holds(self.relop, ncc2, self.counter_value))
             + excess2
-            - self._excess
+            - counts.excess
         )
 
     def probe_counter(self, n_new: int) -> int:
@@ -157,149 +149,17 @@ class ConnectedConstraint(Constraint):
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        if old == new:
+        # in exact mode the component index has already recounted
+        if old == new or self.mode == "exact":
             return
-        if self.mode == "paper-fast":
-            # neighbour colours are unchanged by this move, so the p/m
-            # tests still see the pre-move situation
-            p, m = self._fast_pm(v, new, old)
-            k_old2 = self.ncc_by_colour[old] - m
-            k_new2 = self.ncc_by_colour[new] + p
-        else:
-            k_old2 = self.ncc_by_colour[old] - 1 + self._leave(v)
-            k_new2 = self.ncc_by_colour[new] + 1 - self._join(v, new)
-        self.ncc, self._excess = self._recount(old, new, k_old2, k_new2)
-        self.ncc_by_colour[old] = k_old2
-        self.ncc_by_colour[new] = k_new2
-
-    def _recount(self, old: int, new: int, k_old2: int, k_new2: int) -> Tuple[int, int]:
-        """Component total and excess once colours ``old`` and ``new``
-        have ``k_old2`` and ``k_new2`` components."""
-        k_old = self.ncc_by_colour[old]
-        k_new = self.ncc_by_colour[new]
-        ncc = self.ncc + k_old2 + k_new2 - k_old - k_new
-        excess = (
-            self._excess
-            + max(k_old2 - 1, 0)
-            + max(k_new2 - 1, 0)
-            - max(k_old - 1, 0)
-            - max(k_new - 1, 0)
-        )
-        return ncc, excess
+        # neighbour colours are unchanged by this move, so the p/m tests
+        # still see the pre-move situation
+        p, m = self._fast_pm(v, new, old)
+        count = self.counts.count
+        self.counts.recount(old, new, count[old] - m, count[new] + p)
 
     def commit_counter(self, n_new: int) -> None:
         self.counter_value = int(n_new)
-
-    # component labels (exact mode) ----------------------------------------
-    def _neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
-        """Label -> one neighbour of ``v`` carrying it, over v's neighbours
-        of ``colour``."""
-        label = self.label
-        state_colour = self.state.colour
-        return {
-            label[w]: w
-            for w in self.state.env.base.adjacent(v)
-            if state_colour(w) == colour
-        }
-
-    def _split(self, v: int) -> Tuple[int, List[List[int]]]:
-        """Pieces that v's component falls into without ``v``.
-
-        Returns the piece count and the vertices of every piece but the
-        one the last open search group holds.  Breadth-first searches
-        start at v's neighbours of v's label and advance one vertex each
-        per round; searches that meet unite, and the run stops when one
-        open group is left.  Exhausted groups never grow again, so they
-        are whole pieces and the count is final.
-        """
-        label = self.label
-        lab = label[v]
-        adjacent = self.state.env.base.adjacent
-        starts = [w for w in adjacent(v) if label[w] == lab]
-        if len(starts) <= 1:
-            return len(starts), []
-        k = len(starts)
-        parent = list(range(k))
-        queues = [deque([s]) for s in starts]
-        found = [[s] for s in starts]
-        owner = {s: i for i, s in enumerate(starts)}
-        owner[v] = -1
-        closed: List[List[int]] = []
-        open_groups = k
-        while True:
-            for i in range(k):
-                queue = queues[i]
-                if parent[i] != i or not queue:
-                    continue
-                u = queue.popleft()
-                for w in adjacent(u):
-                    if label[w] != lab:
-                        continue
-                    o = owner.get(w)
-                    if o is None:
-                        owner[w] = i
-                        queue.append(w)
-                        found[i].append(w)
-                        continue
-                    if o < 0:
-                        continue
-                    while parent[o] != o:
-                        o = parent[o]
-                    if o != i:
-                        parent[o] = i
-                        queue.extend(queues[o])
-                        found[i].extend(found[o])
-                        open_groups -= 1
-                        if open_groups == 1:
-                            return len(closed) + 1, closed
-                if not queue:
-                    closed.append(found[i])
-                    open_groups -= 1
-                    if open_groups == 1:
-                        return len(closed) + 1, closed
-
-    def _leave(self, v: int) -> int:
-        """Take ``v`` out of its component's labels; returns the number
-        of pieces left behind."""
-        lab = self.label[v]
-        pieces, closed = self._split(v)
-        self.size[lab] -= 1
-        if pieces == 0:
-            del self.size[lab]
-        for piece in closed:
-            fresh = next(self._labels)
-            for u in piece:
-                self.label[u] = fresh
-            self.size[fresh] = len(piece)
-            self.size[lab] -= len(piece)
-        return pieces
-
-    def _join(self, v: int, colour: int) -> int:
-        """Label ``v`` into the components of ``colour`` it touches, the
-        smaller relabelled into the largest; returns how many it joined."""
-        touched = self._neighbour_labels(v, colour)
-        if touched:
-            big = max(touched, key=self.size.__getitem__)
-        else:
-            big = next(self._labels)
-            self.size[big] = 0
-        label = self.label
-        adjacent = self.state.env.base.adjacent
-        for m, start in touched.items():
-            if m == big:
-                continue
-            label[start] = big
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adjacent(u):
-                    if label[w] == m:
-                        label[w] = big
-                        stack.append(w)
-            self.size[big] += self.size.pop(m)
-        self.size[big] += 1
-        label[v] = big
-        return len(touched)
 
     # divergence analysis --------------------------------------------------
     def _require_labels(self) -> None:
@@ -309,12 +169,12 @@ class ConnectedConstraint(Constraint):
     def new_colour_merge_count(self, v: int, colour: int) -> int:
         """How many distinct components of ``colour`` the move would join."""
         self._require_labels()
-        return len(self._neighbour_labels(v, colour))
+        return len(self.counts.neighbour_labels(v, colour))
 
     def old_colour_split_pieces(self, v: int) -> int:
         """How many pieces v's current component falls into without v."""
         self._require_labels()
-        return self._split(v)[0]
+        return self.counts.split(v)[0]
 
     # hard mode -------------------------------------------------------------
     def hard_init(self, rng: Optional[random.Random] = None) -> None:
@@ -336,6 +196,5 @@ class ConnectedConstraint(Constraint):
             )
         colours = grow_regions(self.state.env, target, rng)
         self.state.set_all(colours)
-        self.rebuild()
         if not self.check():
             raise InitError("region growing failed to satisfy the constraint")

@@ -9,18 +9,27 @@ Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
 mask and one size per colour class, so the constraints can report their
 conflicting vertices as the union of a few masks.
 
-The component searches of the state, of compact mode A and of the
-systematic toolbox share :func:`components`, which takes its start
-vertices in the caller's order, so the components come out in that order
-and float sums over them always add up the same way.
+The state also keeps, once a constraint asks for it, one
+:class:`ComponentIndex`: a label per vertex naming its same-colour
+component, a size per label and a component count per colour.  Every
+``assign`` updates it before any constraint hears of the move, at the
+cost of the smaller sides of a split or merge, and records what the move
+did (:class:`ComponentChange`); ``set_all`` rebuilds it.  Exact
+connectedness counts from it and compact mode A keeps its per-component
+sums by its labels.
+
+The from-scratch component searches (``connected_components``, the
+cache-free checks and the systematic toolbox) share :func:`components`.
 """
 
 from __future__ import annotations
 
 import collections.abc
+import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Container,
@@ -29,6 +38,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -78,6 +88,7 @@ class ColourState:
             else {v: r for r, v in enumerate(self.order)}
         )
         self._colour: Dict[int, int] = {}
+        self._index: Optional[ComponentIndex] = None
         if colours is None:
             self._colour = {v: 1 for v in env.vertices}
         else:
@@ -103,10 +114,22 @@ class ColourState:
     def snapshot(self) -> Dict[int, int]:
         return dict(self._colour)
 
+    def colours(self) -> Mapping[int, int]:
+        """The assignment as a read-only view, without a copy; it follows
+        later ``assign`` calls but not ``set_all``."""
+        return MappingProxyType(self._colour)
+
     def register(self, observer) -> None:
         """Attach a constraint; it will see every commit via hooks for as
         long as something else keeps it alive."""
         self._observers.append(weakref.ref(observer))
+
+    def component_index(self) -> ComponentIndex:
+        """The maintained same-colour components, built on the first
+        request and kept up to date by every later commit."""
+        if self._index is None:
+            self._index = ComponentIndex(self.env.base, self._colour, self.n)
+        return self._index
 
     def _live_observers(self) -> List:
         return [obs for obs in (ref() for ref in self._observers) if obs is not None]
@@ -124,6 +147,8 @@ class ColourState:
             self.class_mask[c] |= bit
             self.class_size[old] -= 1
             self.class_size[c] += 1
+            if self._index is not None:
+                self._index.move(v, old, c)
             for obs in self._live_observers():
                 obs.commit_assign(v, old, c)
 
@@ -135,6 +160,8 @@ class ColourState:
             self._check_colour(colours[v])
         self._colour = {v: colours[v] for v in self.env.vertices}
         self._rebuild_classes()
+        if self._index is not None:
+            self._index.rebuild(self._colour)
         for obs in self._live_observers():
             obs.rebuild()
 
@@ -213,6 +240,220 @@ class ColourState:
             c = colour[next(iter(members))]
             out.append(Component(c, frozenset(members), sigma, nu))
         return out
+
+
+class ComponentCounts:
+    """Same-colour components per colour (``count``, colours ``1..n``),
+    their ``total`` and their ``excess``: the components beyond the first
+    of each colour."""
+
+    def __init__(self, count: Dict[int, int]):
+        self.reset(count)
+
+    def reset(self, count: Dict[int, int]) -> None:
+        self.count = count
+        self.total = sum(count.values())
+        self.excess = sum(k - 1 for k in count.values() if k > 1)
+
+    def after(self, a: int, b: int, k_a: int, k_b: int) -> Tuple[int, int]:
+        """Total and excess once colours ``a != b`` have ``k_a`` and
+        ``k_b`` components."""
+        old_a = self.count[a]
+        old_b = self.count[b]
+        total = self.total + k_a + k_b - old_a - old_b
+        excess = (
+            self.excess
+            + max(k_a - 1, 0)
+            + max(k_b - 1, 0)
+            - max(old_a - 1, 0)
+            - max(old_b - 1, 0)
+        )
+        return total, excess
+
+    def recount(self, a: int, b: int, k_a: int, k_b: int) -> None:
+        """Give colours ``a != b`` ``k_a`` and ``k_b`` components."""
+        self.total, self.excess = self.after(a, b, k_a, k_b)
+        self.count[a] = k_a
+        self.count[b] = k_b
+
+
+class ComponentChange(NamedTuple):
+    """What one committed move did to the components."""
+
+    #: the moved vertex's component before the move
+    label: int
+    #: pieces that component fell into without the vertex, 0 if it was
+    #: alone; ``label`` stays with the last piece
+    pieces: int
+    #: the vertices of every other piece, as :meth:`ComponentIndex.split`
+    #: found them
+    closed: List[List[int]]
+    #: the fresh labels of those pieces
+    fresh: List[int]
+    #: the vertex's component after the move
+    big: int
+    #: the components of the new colour the vertex joined, relabelled into
+    #: ``big``, which is one of them unless there are none and it is fresh
+    joined: List[int]
+
+
+class ComponentIndex(ComponentCounts):
+    """Same-colour components kept up to date under single-vertex moves.
+
+    Every vertex carries the ``label`` of its component and every label
+    its ``size``.  A move of ``v`` joins as many components of the new
+    colour as there are distinct labels among v's neighbours of that
+    colour, which costs O(degree); the smaller ones are relabelled into
+    the largest (union by size).  Whether v's old component splits is
+    decided by :meth:`split`, whose cost is that of the smaller sides,
+    not of the colour class; the pieces it closes get fresh labels.
+    ``change`` records the last move.
+    """
+
+    def __init__(self, base: Geometry, colour: Dict[int, int], n: int):
+        self.base = base
+        self.n = n
+        self.rebuild(colour)
+
+    def rebuild(self, colour: Dict[int, int]) -> None:
+        """Label every component of ``colour``, the state's colour map,
+        which later commits update in place."""
+        self._colour = colour
+        adjacent = self.base.adjacent
+        label: Dict[int, int] = {}
+        self.label = label
+        self.size: Dict[int, int] = {}
+        self._labels = itertools.count(1)
+        count = dict.fromkeys(range(1, self.n + 1), 0)
+        for start in colour:
+            if start in label:
+                continue
+            c = colour[start]
+            lab = next(self._labels)
+            label[start] = lab
+            stack = [start]
+            size = 1
+            while stack:
+                u = stack.pop()
+                for w in adjacent(u):
+                    if w not in label and colour[w] == c:
+                        label[w] = lab
+                        stack.append(w)
+                        size += 1
+            self.size[lab] = size
+            count[c] += 1
+        self.reset(count)
+        self.change: Optional[ComponentChange] = None
+
+    def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
+        """Label -> one neighbour of ``v`` carrying it, over v's
+        neighbours of ``colour``."""
+        label = self.label
+        state_colour = self._colour
+        return {
+            label[w]: w for w in self.base.adjacent(v) if state_colour[w] == colour
+        }
+
+    def split(self, v: int) -> Tuple[int, List[List[int]]]:
+        """Pieces that v's component falls into without ``v``.
+
+        Returns the piece count and the vertices of every piece but the
+        one the last open search group holds.  Breadth-first searches
+        start at v's neighbours of v's label and advance one vertex each
+        per round; searches that meet unite, and the run stops when one
+        open group is left (the on-line edge-deletion trick of Even &
+        Shiloach, JACM 1981).  Exhausted groups never grow again, so they
+        are whole pieces and the count is final.
+        """
+        label = self.label
+        lab = label[v]
+        adjacent = self.base.adjacent
+        starts = [w for w in adjacent(v) if label[w] == lab]
+        if len(starts) <= 1:
+            return len(starts), []
+        k = len(starts)
+        parent = list(range(k))
+        queues = [deque([s]) for s in starts]
+        found = [[s] for s in starts]
+        owner = {s: i for i, s in enumerate(starts)}
+        owner[v] = -1
+        closed: List[List[int]] = []
+        open_groups = k
+        while True:
+            for i in range(k):
+                queue = queues[i]
+                if parent[i] != i or not queue:
+                    continue
+                u = queue.popleft()
+                for w in adjacent(u):
+                    if label[w] != lab:
+                        continue
+                    o = owner.get(w)
+                    if o is None:
+                        owner[w] = i
+                        queue.append(w)
+                        found[i].append(w)
+                        continue
+                    if o < 0:
+                        continue
+                    while parent[o] != o:
+                        o = parent[o]
+                    if o != i:
+                        parent[o] = i
+                        queue.extend(queues[o])
+                        found[i].extend(found[o])
+                        open_groups -= 1
+                        if open_groups == 1:
+                            return len(closed) + 1, closed
+                if not queue:
+                    closed.append(found[i])
+                    open_groups -= 1
+                    if open_groups == 1:
+                        return len(closed) + 1, closed
+
+    def move(self, v: int, old: int, new: int) -> None:
+        """Follow ``colour(v): old -> new``, already in the colour map."""
+        label = self.label
+        size = self.size
+        lab = label[v]
+        pieces, closed = self.split(v)
+        size[lab] -= 1
+        if not pieces:
+            del size[lab]
+        fresh = []
+        for piece in closed:
+            f = next(self._labels)
+            for u in piece:
+                label[u] = f
+            size[f] = len(piece)
+            size[lab] -= len(piece)
+            fresh.append(f)
+
+        touched = self.neighbour_labels(v, new)
+        if touched:
+            big = max(touched, key=size.__getitem__)
+        else:
+            big = next(self._labels)
+            size[big] = 0
+        adjacent = self.base.adjacent
+        for m, start in touched.items():
+            if m == big:
+                continue
+            label[start] = big
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for w in adjacent(u):
+                    if label[w] == m:
+                        label[w] = big
+                        stack.append(w)
+            size[big] += size.pop(m)
+        size[big] += 1
+        label[v] = big
+
+        count = self.count
+        self.recount(old, new, count[old] - 1 + pieces, count[new] + 1 - len(touched))
+        self.change = ComponentChange(lab, pieces, closed, fresh, big, list(touched))
 
 
 def with_bit(mask: int, r: int, on: bool) -> int:

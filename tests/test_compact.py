@@ -123,6 +123,26 @@ def test_mode_a_exact_probe_matches_scratch():
         assert abs(c.probe_assign(v, colour) - (after - before)) < 1e-9
 
 
+def test_mode_a_exact_probe_is_the_committed_change():
+    """To the last bit: the probe and the commit sum the same component
+    terms, each colour and then the colours with ``math.fsum``."""
+    rng = random.Random(67)
+    env = envelop(grid(4, 4, 3))
+    moves = 0
+    while moves < 2000:
+        st = ColourState(env, 3, colours=random_colours(rng, env, 3))
+        c = CompactConstraint(st, threshold=0, mode="A", exact_probe=True)
+        st.register(c)
+        for _ in range(100):
+            v = rng.choice(st.order)
+            colour = rng.randint(1, 3)
+            before = c.violation()
+            delta = c.probe_assign(v, colour)
+            st.assign(v, colour)
+            assert delta == c.violation() - before
+            moves += 1
+
+
 def test_mode_a_fast_probe_is_border_change():
     st = square_state([1, 1, 1, 1])
     c = CompactConstraint(st, threshold=0, mode="A")
