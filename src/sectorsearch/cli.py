@@ -36,8 +36,17 @@ def _parse_weights(text: Optional[str]) -> Dict[str, int]:
         key, _, value = part.partition("=")
         if not key or not value:
             raise InputError(f"bad weight entry {part!r}, expected id=value")
-        weights[key] = int(value)
+        try:
+            weights[key] = int(value)
+        except ValueError:
+            raise InputError(f"bad weight {value!r} for {key!r}, expected an integer") from None
     return weights
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _cmd_generate(args) -> int:
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the connectedness probe mode")
     p.add_argument("--weights", default=None, help="id=value,... overrides")
     p.add_argument("--hard", default=None, help="comma list of hard constraint ids")
-    p.add_argument("--parallel", type=int, default=1,
+    p.add_argument("--parallel", type=_positive_int, default=1,
                    help="independent seeded runs, merged by best violation")
     p.set_defaults(func=_cmd_solve)
 

@@ -9,9 +9,7 @@ A kind computes the local effect of a single-vertex move once, in one
 routine that reads the other vertices' colours from the state and so
 gives the same answer before the move and after it: ``probe_assign``
 reduces that effect to a violation delta and ``commit_assign`` applies
-it to the caches, so the two cannot drift apart.  (The stretch-sum kind
-is the exception: its probe is the paper's constant-time case table and
-its commit rescans the window.)
+it to the caches, so the two cannot drift apart.
 
 Besides its violation, every constraint reports its conflicting vertices
 as a bit mask over ``state.order`` (see :meth:`Constraint.conflicts`).

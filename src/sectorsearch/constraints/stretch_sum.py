@@ -2,8 +2,11 @@
 
 Every maximal same-coloured run along the path must have a value sum in
 relation with the threshold: ``>=`` expresses minimum dwell time, ``<=``
-maximum dwell time.  Values are fixed per constraint, so fragment sums
-come from a prefix table and every probe case is constant time.
+maximum dwell time.  Each position keeps the bounds and value sum of its
+stretch.  A move of one position retires the stretches from the one left
+of its own to the one right of it and forms new ones in their place;
+values are fixed per constraint, so the new sums come from a prefix table
+and one constant-time routine answers both the probe and the commit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import InitError, InputError
 from ..geometry import OrderedPath
-from ..relation import check_relop, holds
+from ..relation import OPS, check_relop, holds
 from ..state import ColourState, stretches, with_bit
 from .base import Constraint
 
@@ -56,34 +59,30 @@ class StretchSumConstraint(Constraint):
 
     # cache layout: per position, the bounds and value sum of its stretch
     def rebuild(self) -> None:
-        m = len(self.path.interior)
+        interior = self.path.interior
+        m = len(interior)
         self._start = [0] * m
         self._end = [0] * m
         self._sum = [0] * m
-        self._violating = 0
-        i = 0
-        while i < m:
-            j = i
-            colour_i = self._col(i)
-            while j + 1 < m and self._col(j + 1) == colour_i:
-                j += 1
-            s = self._range_sum(i, j)
-            for k in range(i, j + 1):
-                self._start[k] = i
-                self._end[k] = j
-                self._sum[k] = s
-            self._violating += self._viol(s)
-            i = j + 1
-        interior = self.path.interior
+        colours = [self.state.colour(v) for v in interior]
+        self._violating = sum(self._write(left, right) for left, right in stretches(colours))
         self._conflicts = self.state.mask_of(
             interior[k] for k in range(m) if self._term(k)
         )
 
+    def _write(self, left: int, right: int) -> int:
+        """Record ``left..right`` as the stretch of each of its positions;
+        returns the stretch's violation."""
+        s = self._prefix[right + 1] - self._prefix[left]
+        start, end, sums = self._start, self._end, self._sum
+        for k in range(left, right + 1):
+            start[k] = left
+            end[k] = right
+            sums[k] = s
+        return self._viol(s)
+
     def _col(self, i: int) -> int:
         return self.state.colour(self.path.interior[i])
-
-    def _range_sum(self, i: int, j: int) -> int:
-        return self._prefix[j + 1] - self._prefix[i]
 
     def _viol(self, sigma: int) -> int:
         return 0 if holds(self.relop, sigma, self.threshold) else 1
@@ -127,89 +126,71 @@ class StretchSumConstraint(Constraint):
         return stretch_sum_check(colours, self.values, self.relop, self.threshold)
 
     # differentiation ----------------------------------------------------
+    def _stretch_move(self, i: int, colour: int):
+        """The stretches that recolouring position ``i`` to ``colour``
+        retires and those it forms in their place, as ``(left, right,
+        sum)`` triples; both cover the window from the stretch left of
+        ``i``'s to the stretch right of it.  Only the records, the prefix
+        table and the colours just outside ``i``'s stretch are read, so
+        the answer is the same before the move and after it."""
+        start, end, sums, prefix = self._start, self._end, self._sum, self._prefix
+        left, right = start[i], end[i]
+        retired = [(left, right, sums[i])]
+        formed = []
+        if left < i:
+            formed.append((left, i - 1, prefix[i] - prefix[left]))
+        if i < right:
+            formed.append((i + 1, right, prefix[right + 1] - prefix[i + 1]))
+        lo = hi = i
+        if left > 0:
+            outside = (start[left - 1], left - 1, sums[left - 1])
+            retired.append(outside)
+            if i == left and self._col(left - 1) == colour:
+                lo = outside[0]
+            else:
+                formed.append(outside)
+        if right < len(end) - 1:
+            outside = (right + 1, end[right + 1], sums[right + 1])
+            retired.append(outside)
+            if i == right and self._col(right + 1) == colour:
+                hi = outside[1]
+            else:
+                formed.append(outside)
+        formed.append((lo, hi, prefix[hi + 1] - prefix[lo]))
+        return retired, formed
+
     def probe_assign(self, v: int, colour: int) -> int:
         i = self._pos.get(v)
-        if i is None:
+        if i is None or colour == self._col(i):
             return 0
-        c = self._col(i)
-        if colour == c:
-            return 0
-        m = len(self.path.interior)
-        left, right, sigma = self._start[i], self._end[i], self._sum[i]
-        val = self.values[i]
-        has_left = left > 0
-        has_right = right < m - 1
-        merge_left = has_left and self._col(left - 1) == colour
-        merge_right = has_right and self._col(right + 1) == colour
-        viol = self._viol
-
-        if left == i == right:
-            s_left = self._sum[left - 1] if has_left else 0
-            s_right = self._sum[right + 1] if has_right else 0
-            if merge_left and merge_right:
-                return (
-                    viol(s_left + sigma + s_right)
-                    - viol(s_left)
-                    - viol(sigma)
-                    - viol(s_right)
-                )
-            if merge_left:
-                return viol(s_left + sigma) - viol(s_left) - viol(sigma)
-            if merge_right:
-                return viol(sigma + s_right) - viol(sigma) - viol(s_right)
-            return 0
-        if i == left:
-            delta = viol(sigma - val) - viol(sigma)
-            if merge_left:
-                s_left = self._sum[left - 1]
-                return delta + viol(s_left + val) - viol(s_left)
-            return delta + viol(val)
-        if i == right:
-            delta = viol(sigma - val) - viol(sigma)
-            if merge_right:
-                s_right = self._sum[right + 1]
-                return delta + viol(s_right + val) - viol(s_right)
-            return delta + viol(val)
-        # interior: the stretch splits into two fragments and a singleton
-        frag_left = self._range_sum(left, i - 1)
-        frag_right = self._range_sum(i + 1, right)
-        return viol(frag_left) + viol(val) + viol(frag_right) - viol(sigma)
+        retired, formed = self._stretch_move(i, colour)
+        ok, t = OPS[self.relop], self.threshold
+        delta = 0
+        for _, _, s in formed:
+            if not ok(s, t):
+                delta += 1
+        for _, _, s in retired:
+            if not ok(s, t):
+                delta -= 1
+        return delta
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         i = self._pos.get(v)
         if i is None or old == new:
             return
-        m = len(self.path.interior)
-        left, right = self._start[i], self._end[i]
-        window_a = self._start[left - 1] if left > 0 else left
-        window_b = self._end[right + 1] if right < m - 1 else right
-        # retire the records currently covering the window
-        j = window_a
-        while j <= window_b:
-            self._violating -= self._viol(self._sum[j])
-            j = self._end[j] + 1
-        # rescan: stretch boundaries cannot move past the window edges
-        j = window_a
-        while j <= window_b:
-            k = j
-            colour_j = self._col(j)
-            while k + 1 <= window_b and self._col(k + 1) == colour_j:
-                k += 1
-            s = self._range_sum(j, k)
-            for idx in range(j, k + 1):
-                self._start[idx] = j
-                self._end[idx] = k
-                self._sum[idx] = s
-            self._violating += self._viol(s)
-            j = k + 1
-        # a term reads only its own position's record, so only the
-        # window's terms can have changed
+        retired, formed = self._stretch_move(i, new)
+        for _, _, s in retired:
+            self._violating -= self._viol(s)
+        # a term reads only its own position's record, so only the terms
+        # of the window, which the formed stretches cover, can have changed
         interior = self.path.interior
         rank = self.state.rank
         mask = self._conflicts
-        for idx in range(window_a, window_b + 1):
-            mask = with_bit(mask, rank[interior[idx]], self._term(idx) > 0)
+        for left, right, _ in formed:
+            self._violating += self._write(left, right)
+            for k in range(left, right + 1):
+                mask = with_bit(mask, rank[interior[k]], self._term(k) > 0)
         self._conflicts = mask
 
     # hard mode -------------------------------------------------------------

@@ -58,10 +58,16 @@ class ColourSumConstraint(Constraint):
     def _violation_of(self, total: int) -> int:
         raise NotImplementedError
 
-    def rebuild(self) -> None:
-        self.sums: Dict[int, int] = {c: 0 for c in range(1, self.state.n + 1)}
+    def _class_sums(self) -> Dict[int, int]:
+        """Per colour, the value sum of its class, from the state's colours
+        alone (never from the cache)."""
+        sums = {c: 0 for c in range(1, self.state.n + 1)}
         for v in self.state.env.vertices:
-            self.sums[self.state.colour(v)] += self.values[v]
+            sums[self.state.colour(v)] += self.values[v]
+        return sums
+
+    def rebuild(self) -> None:
+        self.sums = self._class_sums()
         self._total = sum(self._penalty(x) for x in self.sums.values())
 
     # measurement -------------------------------------------------------
@@ -136,9 +142,7 @@ class BalancedConstraint(ColourSumConstraint):
         return max(total - self.delta_scaled, 0)
 
     def check(self) -> bool:
-        sums = {c: 0 for c in range(1, self.state.n + 1)}
-        for v in self.state.env.vertices:
-            sums[self.state.colour(v)] += self.values[v]
+        sums = self._class_sums()
         return deviation_check(
             [sums[c] for c in sorted(sums)],
             Fraction(self.mu_num, self.state.n),
@@ -170,7 +174,5 @@ class BoundedConstraint(ColourSumConstraint):
         return total
 
     def check(self) -> bool:
-        sums = {c: 0 for c in range(1, self.state.n + 1)}
-        for v in self.state.env.vertices:
-            sums[self.state.colour(v)] += self.values[v]
+        sums = self._class_sums()
         return all(holds(self.relop, x, self.threshold) for x in sums.values())

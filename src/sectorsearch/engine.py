@@ -110,7 +110,14 @@ class Model:
         return sum(w * c.violation() for c, w in self.entries)
 
     def constraint(self, cid: str):
-        return self.by_id[cid][0]
+        return self._entry(cid)[0]
+
+    def _entry(self, cid: str) -> Tuple:
+        """The ``(constraint, weight)`` pair of a constraint id."""
+        try:
+            return self.by_id[cid]
+        except KeyError:
+            raise InputError(f"unknown constraint id {cid!r}") from None
 
     # differentiation ----------------------------------------------------
     def probe_parts(self, move: Move) -> Dict[str, float]:
@@ -121,7 +128,7 @@ class Model:
                 for c, w in self.entries
             }
         if move.kind == "counter":
-            constraint, weight = self.by_id[move.counter_id]
+            constraint, weight = self._entry(move.counter_id)
             return {constraint.id: weight * constraint.probe_counter(move.value)}
         raise InputError(f"unknown move kind {move.kind!r}")
 

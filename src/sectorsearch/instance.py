@@ -29,15 +29,18 @@ from .traffic import FlightPlan, dwell_values, validate, visited_path
 INSTANCE_MAGIC = "sector-instance 1"
 SOLUTION_MAGIC = "sector-solution 1"
 
-CONSTRAINT_KINDS = (
-    "connected",
-    "compact",
-    "balanced",
-    "balanced_size",
-    "bounded",
-    "stretchsum",
-    "nonborder",
-)
+# each kind with the parameters it cannot be built without
+CONSTRAINT_KINDS = {
+    "connected": ("counter",),
+    "compact": ("threshold",),
+    "balanced": ("delta_scaled",),
+    "balanced_size": ("delta_scaled",),
+    "bounded": ("threshold",),
+    "stretchsum": ("flight",),
+    "nonborder": ("flight",),
+}
+
+NEIGHBOURHOODS = ("border", "full")
 
 
 @dataclass
@@ -105,15 +108,24 @@ class Instance:
             except InputError as exc:
                 raise FormatError(f"flight {i}", str(exc)) from exc
         for spec in self.constraints:
-            if spec.kind not in CONSTRAINT_KINDS:
-                raise FormatError(
-                    f"constraint {spec.id}", f"unknown constraint kind {spec.kind!r}"
-                )
+            where = f"constraint {spec.id}"
+            required = CONSTRAINT_KINDS.get(spec.kind)
+            if required is None:
+                raise FormatError(where, f"unknown constraint kind {spec.kind!r}")
+            if "counter_min" in spec.params or "counter_max" in spec.params:
+                required += ("counter_min", "counter_max")
+            for param in required:
+                if param not in spec.params:
+                    raise FormatError(where, f"missing {param}")
             flight = spec.params.get("flight")
             if flight is not None and not 0 <= int(flight) < len(self.flights):
-                raise FormatError(
-                    f"constraint {spec.id}", f"flight {flight} does not exist"
-                )
+                raise FormatError(where, f"flight {flight} does not exist")
+        if self.search.neighbourhood not in NEIGHBOURHOODS:
+            raise FormatError(
+                "search",
+                f"unknown neighbourhood {self.search.neighbourhood!r}, "
+                f"expected one of {NEIGHBOURHOODS}",
+            )
         return g
 
     def build(
@@ -128,6 +140,9 @@ class Instance:
             unknown = sorted(set(colours) - env.vertices)
             if unknown:
                 raise FormatError("solution", f"unknown vertices {unknown}")
+        unknown = sorted(set(weight_overrides or ()) - {spec.id for spec in self.constraints})
+        if unknown:
+            raise InputError(f"weight overrides for unknown constraint ids {unknown}")
         state = ColourState(env, self.colours, colours=colours)
         entries = []
         counters: Dict[str, Sequence[int]] = {}
@@ -418,7 +433,13 @@ def load_solution(path: str) -> Dict[int, int]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "colour":
             raise FormatError(f"{path}:{no}", f"expected 'colour <vertex> <colour>'")
-        colours[int(parts[1])] = int(parts[2])
+        try:
+            v, colour = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise FormatError(f"{path}:{no}", f"expected integers in {line!r}") from None
+        if v in colours:
+            raise FormatError(f"{path}:{no}", f"vertex {v} repeated")
+        colours[v] = colour
     return colours
 
 

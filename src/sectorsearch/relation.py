@@ -8,7 +8,7 @@ from .errors import InputError
 
 RELOPS = ("<=", "<", "=", "!=", ">", ">=")
 
-_OPS = {
+OPS = {
     "<=": operator.le,
     "<": operator.lt,
     "=": operator.eq,
@@ -19,14 +19,14 @@ _OPS = {
 
 
 def check_relop(relop: str) -> str:
-    if relop not in _OPS:
+    if relop not in OPS:
         raise InputError(f"unknown relation {relop!r}, expected one of {RELOPS}")
     return relop
 
 
 def holds(relop: str, a, b) -> bool:
     """True iff ``a relop b``."""
-    return _OPS[relop](a, b)
+    return OPS[relop](a, b)
 
 
 def excess(relop: str, x: int, t: int) -> int:

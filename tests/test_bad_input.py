@@ -1,0 +1,101 @@
+"""Bad input on the command line or in a file exits 2 with a named error."""
+
+import pytest
+
+from sectorsearch import cli
+from sectorsearch.engine import Move
+from sectorsearch.errors import FormatError, InputError
+from sectorsearch.instance import dumps, generate, load_solution, loads
+
+
+@pytest.fixture
+def inst(tmp_path):
+    path = tmp_path / "g.inst"
+    path.write_text(dumps(generate(seed=2, width=4, height=4, colours=3)))
+    return path
+
+
+def _solve_fails(capsys, *argv):
+    assert cli.main(["solve", *map(str, argv), "--iters", "50"]) == 2
+    return capsys.readouterr().err
+
+
+def test_unknown_hard_id_on_the_command_line(inst, capsys):
+    assert "'nosuch'" in _solve_fails(capsys, inst, "--hard", "nosuch")
+
+
+def test_unknown_hard_id_in_the_file(inst, capsys):
+    inst.write_text(inst.read_text().replace("hard -", "hard nosuch"))
+    assert "'nosuch'" in _solve_fails(capsys, inst)
+
+
+def test_non_integer_weight(inst, capsys):
+    assert "'x'" in _solve_fails(capsys, inst, "--weights", "balance=x")
+
+
+def test_weight_for_an_unknown_id(inst, capsys):
+    assert "'nosuch'" in _solve_fails(capsys, inst, "--weights", "nosuch=3")
+
+
+def test_parallel_below_one(inst, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["solve", str(inst), "--parallel", "0"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--parallel" in err and "'0'" in err
+
+
+def test_unknown_counter_id_in_a_move():
+    model = generate(seed=2, width=4, height=4, colours=3).build()
+    with pytest.raises(InputError, match="'nosuch'"):
+        model.probe(Move.counter("nosuch", 2))
+    with pytest.raises(InputError, match="'nosuch'"):
+        model.commit(Move.counter("nosuch", 2))
+
+
+REQUIRED = [
+    ("connected", "counter"),
+    ("compact", "threshold"),
+    ("bounded", "threshold"),
+    ("balanced", "delta_scaled"),
+    ("balanced_size", "delta_scaled"),
+    ("stretchsum", "flight"),
+    ("nonborder", "flight"),
+]
+
+
+@pytest.mark.parametrize("kind, param", REQUIRED)
+def test_missing_required_parameter(kind, param):
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    section = f"[constraint extra]\nkind {kind}\nweight 1\n"
+    text = text.replace("[search]", section + "[search]")
+    with pytest.raises(FormatError, match=f"constraint extra: missing {param}"):
+        loads(text)
+
+
+def test_counter_range_needs_both_ends():
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = text.replace("counter 3\n", "counter 3\ncounter_min 2\n")
+    with pytest.raises(FormatError, match="constraint connected: missing counter_max"):
+        loads(text)
+
+
+def test_unknown_neighbourhood():
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = text.replace("neighbourhood border", "neighbourhood nosuch")
+    with pytest.raises(FormatError, match="neighbourhood 'nosuch'"):
+        loads(text)
+
+
+def test_solution_with_a_non_integer_field(tmp_path):
+    path = tmp_path / "s.sol"
+    path.write_text("sector-solution 1\ncolour 0 1\ncolour 1 x\n")
+    with pytest.raises(FormatError, match=f"{path}:3"):
+        load_solution(str(path))
+
+
+def test_solution_with_a_repeated_vertex(tmp_path):
+    path = tmp_path / "s.sol"
+    path.write_text("sector-solution 1\ncolour 0 1\ncolour 1 2\ncolour 0 2\n")
+    with pytest.raises(FormatError, match=f"{path}:4: vertex 0 repeated"):
+        load_solution(str(path))

@@ -329,6 +329,17 @@ def _run_mixed(seed, iters):
     return search(model, cfg)
 
 
+def _run_dwell(seed, iters, relop=">=", threshold=120, hard=()):
+    """Three flights' stretch-sums, all under one relation and threshold."""
+    instance = generate(seed=23, width=10, height=10, colours=4, flights=3)
+    for spec in instance.constraints:
+        if spec.kind == "stretchsum":
+            spec.params.update(relop=relop, threshold=threshold)
+    model = instance.build()
+    cfg = replace(instance.search, seed=seed, max_iterations=iters, hard=hard)
+    return search(model, cfg)
+
+
 GOLDEN = [
     # exact connectedness from grown regions: short runs to zero
     (lambda: _run_2d(1, 1500), "a8fa6b684c733ad1a0b9ffdca760fb1b630eaaac89ba122999220e7274925860"),
@@ -363,6 +374,16 @@ GOLDEN = [
     (
         lambda: _run_mixed(2, 800),
         "3f0e94384be1fffb67094b936b5feb33bad54d247fae6145ca03f42adfc8c1bf",
+    ),
+    # maximum dwell: every stretch-sum is "<=" a threshold that binds
+    (
+        lambda: _run_dwell(2, 600, relop="<=", threshold=300),
+        "eaa1e4dbeec7b1f0b794e8bf002ca57d74d0c1648367dcba623a8b38c6624ff0",
+    ),
+    # a hard stretch-sum: greedy initialisation and the hard-move filter
+    (
+        lambda: _run_dwell(2, 600, hard=("dwell0",)),
+        "e4da3fae6e3454c6b41e004132cfa040b927d64a8dcc0b44291409dc40256885",
     ),
 ]
 

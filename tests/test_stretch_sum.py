@@ -88,20 +88,25 @@ def test_probe_matches_rescan_all_relops():
         assert c.probe_assign(i, colour) == after - before
 
 
-def test_commit_rebuilds_affected_records():
+@pytest.mark.parametrize("relop", RELOPS)
+def test_commit_rebuilds_affected_records(relop):
     rng = random.Random(67)
     m = 9
     colours = [rng.randint(1, 3) for _ in range(m)]
     values = [rng.randint(1, 9) for _ in range(m)]
-    st, c = make(colours, values, ">=", 12)
+    st, c = make(colours, values, relop, 12)
     st.register(c)
     for _ in range(300):
         v = rng.randrange(m)
-        st.assign(v, rng.randint(1, 3))
+        colour = rng.randint(1, 3)
+        before = c.violation()
+        delta = c.probe_assign(v, colour)
+        st.assign(v, colour)
+        assert c.violation() - before == delta
         snapshot = [st.colour(i) for i in range(m)]
-        fresh = StretchSumConstraint(st, c.path, values, ">=", 12)
+        fresh = StretchSumConstraint(st, c.path, values, relop, 12)
         assert c.records() == fresh.records()
-        assert c.violation() == naive_stretch_violation(snapshot, values, ">=", 12)
+        assert c.violation() == naive_stretch_violation(snapshot, values, relop, 12)
 
 
 def test_records_match_stretch_scan():

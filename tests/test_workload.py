@@ -159,3 +159,19 @@ def test_balanced_over_volumes_is_balanced_size():
     st.assign(3, 1)
     c.rebuild()
     assert c.violation() == naive_balanced_violation(st.snapshot(), volumes, 2, 0)
+
+
+def test_checks_read_the_colours_not_the_cache():
+    rng = random.Random(101)
+    env = random_env(rng)
+    n = 3
+    st = ColourState(env, n, colours=random_colours(rng, env, n))
+    values = {v: rng.randint(1, 9) for v in sorted(env.vertices)}
+    # unregistered: every assign leaves their sums stale
+    bal = BalancedConstraint(st, values, 10)
+    bou = BoundedConstraint(st, values, "<=", 15)
+    for _ in range(100):
+        st.assign(rng.choice(sorted(env.vertices)), rng.randint(1, n))
+        colours = st.snapshot()
+        assert bal.check() == (naive_balanced_violation(colours, values, n, 10) == 0)
+        assert bou.check() == (naive_bounded_violation(colours, values, n, "<=", 15) == 0)
