@@ -13,7 +13,6 @@ from .constraints import (
 from .engine import Model, Move, SearchConfig, SearchResult, neighbourhood, search
 from .geometry import (
     BOTTOM,
-    BOTTOM_FACET,
     EnvelopedGeometry,
     Geometry,
     OrderedPath,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOTTOM",
-    "BOTTOM_FACET",
     "BalancedConstraint",
     "BoundedConstraint",
     "ColourState",

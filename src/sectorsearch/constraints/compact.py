@@ -11,7 +11,7 @@ sum counts interior facets twice and boundary facets twice once the
 outside vertex's own border term is added), so its arithmetic is exact.
 
 A move changes the border areas of the moved vertex and of its
-neighbours only; one pass over its facets yields them, and probes and
+neighbours only; one pass over its neighbours yields them, and probes and
 commits both start from that pass.  Mode B probes and the mode A fast
 probe (the change of the moved vertex's own border area) cost
 O(degree).
@@ -86,15 +86,16 @@ class CompactConstraint(Constraint):
         state = self.state
         env = state.env
         colour = state.colours()
-        # one pass over the shared facets, then the outside's
-        border = dict.fromkeys(state.order, 0)
-        for v, w, area in env.base.shared_areas():
-            if colour[v] != colour[w]:
-                border[v] += area
-                border[w] += area
-        for v, area in env.border_areas.items():
-            border[v] += area
-        self.border_cache: Dict[int, int] = border
+        base = env.base
+        border: Dict[int, int] = {}
+        for v in state.order:
+            cv = colour[v]
+            b = base.border_areas.get(v, 0)
+            for w, area in base.edge_areas(v).items():
+                if colour[w] != cv:
+                    b += area
+            border[v] = b
+        self.border_cache = border
         self._outside = env.outside_area()
         # border areas are never negative, so f(b) > 0 iff b > 0
         self._conflicts = state.mask_of(v for v, b in border.items() if b)
@@ -103,7 +104,7 @@ class CompactConstraint(Constraint):
             return
         self.index = state.component_index()
         label = self.index.label
-        volume = env.base.volume
+        volume = base.volume
         self.sigma: Dict[int, int] = dict.fromkeys(self.index.size, 0)
         self.nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
         owner: Dict[int, int] = {}
@@ -170,19 +171,17 @@ class CompactConstraint(Constraint):
         """The border areas the move ``colour(v): before -> after`` changes.
 
         Maps ``v`` to its new border area and every real neighbour whose
-        border changes to its new one, in one pass over v's facets.  Only
+        border changes to its new one, in one pass over v's neighbours.  Only
         the neighbours' colours and the cached areas are read, so a probe
         (before the move) and a commit (after it) get the same answer.
         """
         state = self.state
-        env = state.env
         border = self.border_cache
         changed: Dict[int, int] = {}
         new_bv = 0
         # the outside vertex has no colour of 1..n, so it is never changed
-        for w in env.adjacent(v):
+        for w, area in state.env.edge_areas(v).items():
             cw = state.colour(w)
-            area = env.edge_area(v, w)
             if cw == after:
                 changed[w] = border[w] - area
             else:

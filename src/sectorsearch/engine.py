@@ -32,6 +32,9 @@ from .state import ColourState, MaskView, grow_regions
 #: floats; everything else is integer)
 TOLERANCE = 1e-9
 
+#: the candidate rules of :func:`_candidate_colours`
+NEIGHBOURHOODS = ("border", "full")
+
 
 @dataclass(frozen=True)
 class Move:
@@ -156,6 +159,7 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     With unused colours, every vertex has a candidate, interior vertices
     of a colour class included, so monochrome states stay escapable.
     """
+    _check_neighbourhood(selector)
     state = model.state
     unused = state.unused_colours()
     moves = [
@@ -165,6 +169,13 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     ]
     moves.extend(_counter_moves(model))
     return moves
+
+
+def _check_neighbourhood(selector: str) -> None:
+    if selector not in NEIGHBOURHOODS:
+        raise InputError(
+            f"unknown neighbourhood {selector!r}, expected one of {NEIGHBOURHOODS}"
+        )
 
 
 def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -> List[int]:
@@ -218,6 +229,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     The seed fully determines the run.  Returns the best state visited and
     a per-iteration violation trace.
     """
+    _check_neighbourhood(cfg.neighbourhood)
     rng = random.Random(cfg.seed)
     state = model.state
     _initialise(model, cfg, rng)

@@ -1,23 +1,26 @@
-"""Region graphs with explicit facet structure, areas and volumes.
+"""Region graphs with shared areas and volumes.
 
-A geometry is a purely combinatorial description of a partitioned space:
-vertices are atomic regions, facets are the flat boundary elements between
-two adjacent regions or between a border region and the outside.  Every
-facet carries a positive integer surface area and every vertex a positive
-integer volume, in instance-defined units.  Two-dimensional instances are
-depth-1 cell complexes whose facet "areas" are side lengths.
+A geometry is a purely combinatorial description of a partitioned space.
+Its input is a facet structure: vertices are atomic regions, facets are
+the flat boundary elements between two adjacent regions or between a
+border region and the outside.  Every facet carries a positive integer
+surface area and every vertex a positive integer volume, in
+instance-defined units.  Two-dimensional instances are depth-1 cell
+complexes whose facet "areas" are side lengths.
+
+Once the facet structure is checked, a geometry keeps per vertex only
+what the search reads: each neighbour with the area of the facet they
+share, the total area of the vertex's border facets, and its volume.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
 
 #: id of the virtual outside vertex added by :func:`envelop`
 BOTTOM = -1
-#: id of the single facet owned by the outside vertex
-BOTTOM_FACET = -1
 
 
 class Geometry:
@@ -26,6 +29,7 @@ class Geometry:
     Adjacency is not given separately: two vertices are adjacent exactly
     when they share a facet, so symmetry and irreflexivity hold by
     construction, and the one-facet-per-edge invariant is validated here.
+    The facets themselves are not kept.
     """
 
     def __init__(
@@ -38,24 +42,23 @@ class Geometry:
         if dim not in (2, 3):
             raise InputError(f"dim must be 2 or 3, got {dim}")
         self.dim = dim
-        self._facets_of: Dict[int, FrozenSet[int]] = {}
         owners: Dict[int, list] = {}
         for v, fs in facets_of.items():
             if not isinstance(v, int) or v < 0:
                 raise InputError(f"vertex ids must be non-negative integers, got {v!r}")
-            fset = frozenset(fs)
-            self._facets_of[v] = fset
-            for f in fset:
+            for f in frozenset(fs):
                 vs = owners.get(f)
                 if vs is None:
                     owners[f] = [v]
                 else:
                     vs.append(v)
-        self._area: Dict[int, int] = {}
-        self._owners: Dict[int, Tuple[int, ...]] = {}
-        # the facets of each vertex that no other vertex shares, in the
-        # order of its facet set
-        single: Dict[int, List[int]] = {}
+        edge_areas: Dict[int, Dict[int, int]] = {v: {} for v in facets_of}
+        #: the total area of each vertex's facets that no other vertex
+        #: shares; only border vertices have an entry
+        self.border_areas: Dict[int, int] = {}
+        # the first pair found sharing a second facet, reported only after
+        # the volumes are checked, as the facet checks come first
+        twice: Optional[Tuple[int, int, int]] = None
         for f, vs in owners.items():
             if len(vs) > 2:
                 raise InputError(f"facet {f} has {len(vs)} owners, at most 2 allowed")
@@ -64,102 +67,58 @@ class Geometry:
             a = facet_area[f]
             if not isinstance(a, int) or a <= 0:
                 raise InputError(f"facet {f} area must be a positive integer, got {a!r}")
-            self._area[f] = a
-            vs.sort()
-            self._owners[f] = tuple(vs)
             if len(vs) == 1:
-                single.setdefault(vs[0], []).append(f)
+                v = vs[0]
+                self.border_areas[v] = self.border_areas.get(v, 0) + a
+                continue
+            v, w = sorted(vs)
+            if w in edge_areas[v]:
+                twice = twice or (v, w, f)
+                continue
+            edge_areas[v][w] = a
+            edge_areas[w][v] = a
         self._volume: Dict[int, int] = {}
-        for v in self._facets_of:
+        for v in edge_areas:
             if v not in volume:
                 raise InputError(f"vertex {v} has no volume")
             w = volume[v]
             if not isinstance(w, int) or w <= 0:
                 raise InputError(f"vertex {v} volume must be a positive integer, got {w!r}")
             self._volume[v] = w
-
-        # adjacency and the edge -> shared facet map, keyed by the owner
-        # tuples, so no vertex pair is stored twice
-        adj: Dict[int, set] = {v: set() for v in self._facets_of}
-        self._shared: Dict[Tuple[int, int], int] = {}
-        for f, key in self._owners.items():
-            if len(key) == 2:
-                v, w = key
-                if key in self._shared:
-                    raise InputError(
-                        f"vertices {v} and {w} share facets {self._shared[key]} and {f}, "
-                        "exactly one shared facet is allowed"
-                    )
-                self._shared[key] = f
-                adj[v].add(w)
-                adj[w].add(v)
-        self._adj: Dict[int, FrozenSet[int]] = {v: frozenset(ws) for v, ws in adj.items()}
-        # interior vertices share one empty set instead of holding one each
-        no_facets: FrozenSet[int] = frozenset()
-        self._border_facets: Dict[int, FrozenSet[int]] = {
-            v: frozenset(single[v]) if v in single else no_facets for v in self._facets_of
-        }
-        self._border: FrozenSet[int] = frozenset(
-            v for v, fs in self._border_facets.items() if fs
-        )
-        self._vertices: FrozenSet[int] = frozenset(self._facets_of)
+        if twice is not None:
+            v, w, f = twice
+            first = next(g for g, vs in owners.items() if g != f and sorted(vs) == [v, w])
+            raise InputError(
+                f"vertices {v} and {w} share facets {first} and {f}, "
+                "exactly one shared facet is allowed"
+            )
+        self._edge_areas = edge_areas
+        # stored, so that the hot path allocates nothing per call
+        self._adj: Dict[int, KeysView[int]] = {v: ws.keys() for v, ws in edge_areas.items()}
+        self._border: FrozenSet[int] = frozenset(self.border_areas)
+        self._vertices: FrozenSet[int] = frozenset(edge_areas)
 
     @property
     def vertices(self) -> FrozenSet[int]:
         return self._vertices
 
-    @property
-    def facets(self) -> FrozenSet[int]:
-        return frozenset(self._area)
-
-    def adjacent(self, v: int) -> FrozenSet[int]:
+    def adjacent(self, v: int) -> KeysView[int]:
         """Vertices sharing a facet with ``v``."""
         try:
             return self._adj[v]
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
 
-    def facets_of(self, v: int) -> FrozenSet[int]:
+    def edge_areas(self, v: int) -> Mapping[int, int]:
+        """Each neighbour of ``v`` with the area of the facet they share."""
         try:
-            return self._facets_of[v]
+            return self._edge_areas[v]
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
-
-    def shared_facet(self, v: int, w: int) -> int:
-        """The unique facet shared by the adjacent pair ``v``, ``w``."""
-        key = (v, w) if v < w else (w, v)
-        try:
-            return self._shared[key]
-        except KeyError:
-            raise InputError(f"vertices {v} and {w} are not adjacent") from None
-
-    def area(self, v: int, f: int) -> int:
-        if f not in self.facets_of(v):
-            raise InputError(f"facet {f} does not belong to vertex {v}")
-        return self._area[f]
-
-    def facet_area(self, f: int) -> int:
-        try:
-            return self._area[f]
-        except KeyError:
-            raise InputError(f"unknown facet {f}") from None
-
-    def owners(self, f: int) -> Tuple[int, ...]:
-        try:
-            return self._owners[f]
-        except KeyError:
-            raise InputError(f"unknown facet {f}") from None
 
     def volume(self, v: int) -> int:
         try:
             return self._volume[v]
-        except KeyError:
-            raise InputError(f"unknown vertex {v}") from None
-
-    def border_facets(self, v: int) -> FrozenSet[int]:
-        """Facets of ``v`` shared with no other vertex."""
-        try:
-            return self._border_facets[v]
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
 
@@ -168,42 +127,31 @@ class Geometry:
         return self._border
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        return iter(sorted(self._shared))
-
-    def shared_areas(self) -> Iterator[Tuple[int, int, int]]:
-        """Every adjacent pair ``v < w`` with the area of the facet they
-        share, in no particular order."""
-        area = self._area
-        for (v, w), f in self._shared.items():
-            yield v, w, area[f]
+        """Every adjacent pair ``v < w``, in increasing order."""
+        return iter(sorted(
+            (v, w) for v, ws in self._edge_areas.items() for w in ws if v < w
+        ))
 
     def __len__(self) -> int:
-        return len(self._facets_of)
+        return len(self._edge_areas)
 
 
 class EnvelopedGeometry:
     """A geometry plus the virtual outside vertex.
 
     The outside vertex ``BOTTOM`` is adjacent to exactly the border
-    vertices of the base geometry and owns the single facet
-    ``BOTTOM_FACET``.  The bottom facet carries no area of its own; the
-    area crossed by a bottom edge is the total area of the border
-    vertex's own border facets.
+    vertices of the base geometry.  The area crossed by a bottom edge is
+    the total area of the border vertex's own border facets.
     """
 
     def __init__(self, base: Geometry):
         self.base = base
-        self.bottom = BOTTOM
-        self.bottom_facet = BOTTOM_FACET
-        self.border_areas: Dict[int, int] = {
-            v: sum(base.facet_area(f) for f in base.border_facets(v))
-            for v in base.border_vertices()
-        }
-        # a border vertex's neighbours with the outside, each built on its
-        # first use: built here, among the transient objects of a model
-        # build, they fragmented the allocator's arenas, and repeated 80x80
-        # builds peaked 1.5 MB higher
-        self._adj_out: Dict[int, FrozenSet[int]] = {}
+        # a border vertex's neighbour map and neighbours with the outside,
+        # each built on its first use: built here, among the transient
+        # objects of a model build, they fragmented the allocator's arenas,
+        # and repeated 80x80 builds peaked 1.5 MB higher
+        self._areas_out: Dict[int, Dict[int, int]] = {}
+        self._adj_out: Dict[int, KeysView[int]] = {}
 
     @property
     def vertices(self) -> FrozenSet[int]:
@@ -214,34 +162,39 @@ class EnvelopedGeometry:
     def dim(self) -> int:
         return self.base.dim
 
-    def adjacent(self, v: int) -> FrozenSet[int]:
-        if v == BOTTOM:
-            return self.base.border_vertices()
+    def adjacent(self, v: int) -> KeysView[int]:
         ws = self._adj_out.get(v)
         if ws is None:
-            ws = self.base.adjacent(v)
-            if v in self.border_areas:
-                ws = self._adj_out[v] = ws | {BOTTOM}
+            if v == BOTTOM:
+                return self.base.border_vertices()
+            if v not in self.base.border_areas:
+                return self.base.adjacent(v)
+            ws = self._adj_out[v] = self.edge_areas(v).keys()
         return ws
 
-    def facets_of(self, v: int) -> FrozenSet[int]:
-        if v == BOTTOM:
-            return frozenset({BOTTOM_FACET})
-        return self.base.facets_of(v)
+    def edge_areas(self, v: int) -> Mapping[int, int]:
+        """``base.edge_areas(v)``, plus ``BOTTOM`` with v's border area
+        for a border vertex; the outside's map is ``base.border_areas``."""
+        areas = self._areas_out.get(v)
+        if areas is None:
+            if v == BOTTOM:
+                return self.base.border_areas
+            areas = self.base.edge_areas(v)
+            border = self.base.border_areas.get(v)
+            if border is not None:
+                areas = self._areas_out[v] = {**areas, BOTTOM: border}
+        return areas
 
     def edge_area(self, v: int, w: int) -> int:
         """Surface area crossed when moving between adjacent ``v`` and ``w``."""
-        if v == BOTTOM or w == BOTTOM:
-            other = w if v == BOTTOM else v
-            try:
-                return self.border_areas[other]
-            except KeyError:
-                raise InputError(f"vertex {other} is not on the geometry border") from None
-        return self.base.facet_area(self.base.shared_facet(v, w))
+        try:
+            return self.edge_areas(v)[w]
+        except KeyError:
+            raise InputError(f"vertices {v} and {w} are not adjacent") from None
 
     def outside_area(self) -> int:
         """Total area of the geometry boundary (all border facets once)."""
-        return sum(self.border_areas.values())
+        return sum(self.base.border_areas.values())
 
 
 def envelop(g: Geometry) -> EnvelopedGeometry:

@@ -20,7 +20,7 @@ from .constraints import (
     NonBorderConstraint,
     StretchSumConstraint,
 )
-from .engine import Model, SearchConfig
+from .engine import NEIGHBOURHOODS, Model, SearchConfig
 from .errors import FormatError, InputError
 from .geometry import Geometry, envelop, grid, grid_vertices
 from .state import ColourState
@@ -39,8 +39,6 @@ CONSTRAINT_KINDS = {
     "stretchsum": ("flight",),
     "nonborder": ("flight",),
 }
-
-NEIGHBOURHOODS = ("border", "full")
 
 
 @dataclass

@@ -212,9 +212,9 @@ class ColourState:
         neighbours, the outside included."""
         c = self.colour(v)
         total = 0
-        for w in self.env.adjacent(v):
+        for w, area in self.env.edge_areas(v).items():
             if self.colour(w) != c:
-                total += self.env.edge_area(v, w)
+                total += area
         return total
 
     def colour_graph_edges(self) -> Set[Tuple[int, int]]:

@@ -28,13 +28,18 @@ from sectorsearch.state import ColourState, MaskView
 
 
 def _relabelled(g, f):
-    """``g`` with every vertex id ``v`` renamed to ``f(v)``."""
-    return Geometry(
-        {f(v): g.facets_of(v) for v in g.vertices},
-        {fc: g.facet_area(fc) for fc in g.facets},
-        {f(v): g.volume(v) for v in g.vertices},
-        g.dim,
-    )
+    """``g`` with every vertex id ``v`` renamed to ``f(v)``: one facet per
+    edge and one border facet per border vertex, with the same areas."""
+    facets_of = {f(v): [] for v in g.vertices}
+    areas = {}
+    for v, w in g.edges():
+        facets_of[f(v)].append(len(areas))
+        facets_of[f(w)].append(len(areas))
+        areas[len(areas)] = g.edge_areas(v)[w]
+    for v, area in g.border_areas.items():
+        facets_of[f(v)].append(len(areas))
+        areas[len(areas)] = area
+    return Geometry(facets_of, areas, {f(v): g.volume(v) for v in g.vertices}, g.dim)
 
 
 def all_kinds(side, n, rng, rename=None):

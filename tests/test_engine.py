@@ -161,6 +161,17 @@ def test_neighbourhood_counter_moves_and_freezing():
         model.commit(Move.counter("connected", 3))
 
 
+def test_unknown_neighbourhood_rejected_before_any_draw():
+    st, model = full_model(seed=3)
+    before = st.snapshot()
+    cfg = replace(SearchConfig(max_iterations=10, seed=1), neighbourhood="nosuch")
+    with pytest.raises(InputError, match="neighbourhood 'nosuch'"):
+        search(model, cfg)
+    with pytest.raises(InputError, match="neighbourhood 'nosuch'"):
+        neighbourhood(model, "nosuch")
+    assert st.snapshot() == before
+
+
 def test_search_starting_at_zero_returns_immediately():
     env = envelop(grid(2, 2, dim=2))
     st = ColourState(env, 1)

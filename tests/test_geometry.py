@@ -3,7 +3,6 @@ import pytest
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import (
     BOTTOM,
-    BOTTOM_FACET,
     Geometry,
     OrderedPath,
     envelop,
@@ -36,21 +35,14 @@ def test_adjacent_unknown_vertex():
 
 def test_shared_facet_unit_grid():
     g = grid(2, 2, dim=2)
-    f = g.shared_facet(0, 1)
-    assert g.area(0, f) == 1
-    assert g.owners(f) == (0, 1)
-
-
-def test_shared_facet_pair():
-    g = grid(2, 1, dim=2)
-    f = g.shared_facet(0, 1)
-    assert f in g.facets_of(0) and f in g.facets_of(1)
+    assert g.edge_areas(0)[1] == 1
+    assert g.edge_areas(1)[0] == 1
 
 
 def test_shared_facet_non_adjacent():
-    g = grid(2, 2, dim=2)
-    with pytest.raises(InputError):
-        g.shared_facet(0, 3)
+    env = envelop(grid(2, 2, dim=2))
+    with pytest.raises(InputError, match="not adjacent"):
+        env.edge_area(0, 3)
 
 
 def test_border_vertices_2x2():
@@ -60,6 +52,7 @@ def test_border_vertices_2x2():
 def test_border_vertices_3x3_excludes_centre():
     g = grid(3, 3, dim=2)
     assert g.border_vertices() == frozenset(range(9)) - {4}
+    assert g.border_areas == {0: 2, 2: 2, 6: 2, 8: 2, 1: 1, 3: 1, 5: 1, 7: 1}
 
 
 def test_border_vertices_single():
@@ -70,7 +63,8 @@ def test_envelop_single_vertex():
     env = envelop(grid(1, 1, dim=2))
     assert env.adjacent(BOTTOM) == {0}
     assert env.adjacent(0) == {BOTTOM}
-    assert env.facets_of(BOTTOM) == {BOTTOM_FACET}
+    assert env.edge_areas(BOTTOM) == {0: 4}
+    assert env.edge_areas(0) == {BOTTOM: 4}
 
 
 def test_envelop_degrees():
@@ -88,7 +82,7 @@ def test_grid_counts():
     g = grid(1, 1, 1)  # 3D by default
     assert len(g.vertices) == 1
     assert len(list(g.edges())) == 0
-    assert len(g.facets) == 6
+    assert g.border_areas == {0: 6}
 
     g2 = grid(2, 2, 1, dim=2)
     assert len(g2.vertices) == 4
@@ -124,38 +118,10 @@ def test_grid_vertices_are_the_grid_vertices(dims):
     assert list(grid_vertices(w, h, d, dim)) == sorted(grid(w, h, d, dim=dim).vertices)
 
 
-def test_grid_facet_numbering():
-    # per cell and axis: the low border facet, then the facet towards the
-    # next cell or the high border facet; seeded searches depend on it
-    g = grid(2, 1, dim=2)
-    assert g.facets_of(0) == {0, 1, 2, 3}
-    assert g.facets_of(1) == {1, 4, 5, 6}
-    assert g.shared_facet(0, 1) == 1
-    assert g.border_facets(1) == {4, 5, 6}
-
-
-@pytest.mark.parametrize("dims", [(2, 2, 1, 2), (3, 4, 1, 2), (2, 2, 2, 3), (3, 2, 2, 3)])
-def test_every_edge_has_one_shared_facet(dims):
-    w, h, d, dim = dims
-    g = grid(w, h, d, dim=dim)
-    for v, u in g.edges():
-        common = g.facets_of(v) & g.facets_of(u)
-        assert len(common) == 1
-
-
 @pytest.mark.parametrize("w,h", [(2, 2), (3, 5), (4, 4), (6, 2)])
 def test_border_count_formula_2d(w, h):
     g = grid(w, h, dim=2)
     assert len(g.border_vertices()) == 2 * w + 2 * h - 4
-
-
-def test_facet_owner_counts():
-    g = grid(3, 3, dim=2)
-    for f in g.facets:
-        assert len(g.owners(f)) in (1, 2)
-    for v in g.vertices:
-        for f in g.border_facets(v):
-            assert g.owners(f) == (v,)
 
 
 def test_enveloped_edge_areas():
@@ -167,10 +133,58 @@ def test_enveloped_edge_areas():
 
 def test_scaled_areas_and_volumes():
     g = grid(2, 2, dim=2, cell_area=3, cell_volume=5)
-    assert g.area(0, g.shared_facet(0, 1)) == 3
+    assert g.edge_areas(0) == {1: 3, 2: 3}
     assert g.volume(0) == 5
+    assert g.border_areas[0] == 6
+
+
+def test_unequal_areas_attach_to_their_pairs():
+    # three cells in a row, 0 | 1 | 2, every facet with its own area;
+    # cell 0 has two border facets, cell 1 one, cell 2 one
+    g = Geometry(
+        {0: [10, 11, 1], 1: [1, 2, 12], 2: [2, 13]},
+        {1: 2, 2: 3, 10: 5, 11: 7, 12: 11, 13: 13},
+        {0: 1, 1: 4, 2: 9},
+        2,
+    )
+    assert g.edge_areas(0) == {1: 2}
+    assert g.edge_areas(1) == {0: 2, 2: 3}
+    assert g.edge_areas(2) == {1: 3}
+    assert g.border_areas == {0: 12, 1: 11, 2: 13}
+    assert [g.volume(v) for v in range(3)] == [1, 4, 9]
+    assert list(g.edges()) == [(0, 1), (1, 2)]
     env = envelop(g)
-    assert env.border_areas[0] == 6
+    assert env.edge_area(0, BOTTOM) == 12
+    assert env.edge_area(BOTTOM, 2) == 13
+    assert env.edge_area(2, 1) == 3
+    assert env.edge_areas(1) == {0: 2, 2: 3, BOTTOM: 11}
+    assert env.outside_area() == 36
+
+
+def test_accessors_return_stored_objects():
+    g = grid(3, 3, dim=2)
+    env = envelop(g)
+    for v in (0, 4):
+        assert g.adjacent(v) is g.adjacent(v)
+        assert g.edge_areas(v) is g.edge_areas(v)
+        assert env.adjacent(v) is env.adjacent(v)
+        assert env.edge_areas(v) is env.edge_areas(v)
+
+
+def test_pair_sharing_two_facets_rejected():
+    with pytest.raises(InputError, match="vertices 0 and 1 share facets 1 and 2"):
+        Geometry({0: [1, 2], 1: [1, 2]}, {1: 1, 2: 1}, {0: 1, 1: 1}, 2)
+
+
+def test_facet_without_area_rejected():
+    with pytest.raises(InputError, match="facet 2 has no area"):
+        Geometry({0: [1, 2], 1: [1]}, {1: 1}, {0: 1, 1: 1}, 2)
+
+
+@pytest.mark.parametrize("v", [-1, 1.5, "0"])
+def test_bad_vertex_id_rejected(v):
+    with pytest.raises(InputError, match="vertex ids must be non-negative integers"):
+        Geometry({v: [1]}, {1: 1}, {v: 1}, 2)
 
 
 def test_geometry_validation_rejects_bad_data():
