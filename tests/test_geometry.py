@@ -55,6 +55,16 @@ def test_border_vertices_3x3_excludes_centre():
     assert g.border_areas == {0: 2, 2: 2, 6: 2, 8: 2, 1: 1, 3: 1, 5: 1, 7: 1}
 
 
+def test_facet_owner_counts():
+    # every facet of a flat grid cell is shared with one neighbour (an
+    # edge) or owned by the cell alone (border area), never both or neither
+    g = grid(3, 3, dim=2)
+    for v in g.vertices:
+        assert len(g.adjacent(v)) + g.border_areas.get(v, 0) == 4
+    shared = sum(len(g.adjacent(v)) for v in g.vertices) // 2
+    assert shared + sum(g.border_areas.values()) == 2 * 3 * 4
+
+
 def test_border_vertices_single():
     assert grid(1, 1, dim=2).border_vertices() == {0}
 
