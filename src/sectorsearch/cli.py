@@ -49,6 +49,19 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _scratch_violations(instance, colours, mode=None, weights=None):
+    """Build ``instance`` with ``colours`` and evaluate it from scratch:
+    each constraint's id and violation, and the weighted total."""
+    model = instance.build(colours=colours, mode_override=mode, weight_overrides=weights)
+    parts = []
+    total = 0.0
+    for constraint, weight in model.entries:
+        violation = constraint.violation()
+        total += weight * violation
+        parts.append((constraint.id, violation))
+    return parts, total
+
+
 def _cmd_generate(args) -> int:
     instance = generate(
         seed=args.seed,
@@ -96,7 +109,12 @@ def _cmd_solve(args) -> int:
             f"seed {result.seed}: violation {_fmt(result.violation)} "
             f"after {result.iterations} iterations"
         )
-    print(f"best: seed {best.seed} violation {_fmt(best.violation)}")
+    # the reported total is the rebuilt colouring's, never the search's caches
+    _, total = _scratch_violations(instance, best.colours, args.mode, weights)
+    line = f"best: seed {best.seed} violation {_fmt(total)}"
+    if abs(total - best.violation) > TOLERANCE:
+        line += f" (the search reported {_fmt(best.violation)})"
+    print(line)
     if args.output:
         save_solution(best.colours, args.output)
         print(f"wrote solution {args.output}")
@@ -108,18 +126,14 @@ def _cmd_solve(args) -> int:
                 row = [str(iteration), _fmt(total)] + [_fmt(p) for p in parts]
                 handle.write(",".join(row) + "\n")
         print(f"wrote trace {args.trace}")
-    return 0 if best.violation <= TOLERANCE else 1
+    return 0 if total <= TOLERANCE else 1
 
 
 def _cmd_check(args) -> int:
     instance = load(args.instance)
-    colours = load_solution(args.solution)
-    model = instance.build(colours=colours)
-    total = 0.0
-    for constraint, weight in model.entries:
-        violation = constraint.violation()
-        total += weight * violation
-        print(f"constraint {constraint.id} violation {_fmt(violation)}")
+    parts, total = _scratch_violations(instance, load_solution(args.solution))
+    for cid, violation in parts:
+        print(f"constraint {cid} violation {_fmt(violation)}")
     print(f"total {_fmt(total)}")
     return 0 if total <= TOLERANCE else 1
 

@@ -60,7 +60,9 @@ class Constraint:
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        """Hook called by the state after ``colour(v)`` changed."""
+        """Hook called by the state after ``colour(v)`` changed from ``old``
+        to ``new``; the state calls it only for a real change, so
+        ``old != new`` always holds."""
         raise NotImplementedError
 
     def rebuild(self) -> None:

@@ -282,8 +282,6 @@ class CompactConstraint(Constraint):
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        if old == new:
-            return
         changed = self._border_move(v, old, new)
         if self.mode == "B":
             self._total2 += self._total2_change(changed)

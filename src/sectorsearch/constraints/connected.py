@@ -150,7 +150,7 @@ class ConnectedConstraint(Constraint):
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         # in exact mode the component index has already recounted
-        if old == new or self.mode == "exact":
+        if self.mode == "exact":
             return
         # neighbour colours are unchanged by this move, so the p/m tests
         # still see the pre-move situation

@@ -99,8 +99,6 @@ class NonBorderConstraint(Constraint):
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        if old == new:
-            return
         rank = self.state.rank
         for u, delta in self._term_changes(v, old, new).items():
             self._vv[u] += delta

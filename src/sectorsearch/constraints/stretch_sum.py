@@ -177,7 +177,7 @@ class StretchSumConstraint(Constraint):
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         i = self._pos.get(v)
-        if i is None or old == new:
+        if i is None:
             return
         retired, formed = self._stretch_move(i, new)
         for _, _, s in retired:

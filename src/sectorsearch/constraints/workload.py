@@ -104,8 +104,6 @@ class ColourSumConstraint(Constraint):
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        if old == new:
-            return
         self._total = self._total_after(v, old, new)
         self.sums[old] -= self.values[v]
         self.sums[new] += self.values[v]

@@ -17,10 +17,19 @@ draws exactly the vertex a draw from the sorted pool list would.
 vertex may take the colour of a differently coloured neighbour or an
 unused colour (``selector="border"``), or any other colour (``"full"``).
 :func:`neighbourhood` lists exactly the moves :func:`search` may draw.
+
+A run's state lives in :func:`search` alone: the tabu list, keyed by the
+moves that would undo recent commits (``Model.commit`` returns them), the
+best colouring, the trace and the counters that ``cfg.hard`` freezes.
+The model holds only the colouring, the constraints and their counters,
+so a model can be searched again with any config.  Every iteration ends
+with one step that reads each constraint's ``violation()`` once and
+derives the trace row, the total and the best colouring from that read.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -103,12 +112,8 @@ class Model:
             if not hasattr(self.by_id[cid][0], "probe_counter"):
                 raise InputError(f"constraint {cid!r} has no counter variable")
             self.searchable_counters[cid] = tuple(domain)
-        self.frozen_counters: set = set()
 
     # measurement -------------------------------------------------------
-    def violations(self) -> Dict[str, float]:
-        return {c.id: c.violation() for c, _ in self.entries}
-
     def total_violation(self) -> float:
         return sum(w * c.violation() for c, w in self.entries)
 
@@ -139,22 +144,24 @@ class Model:
         return sum(self.probe_parts(move).values())
 
     # incrementality ------------------------------------------------------
-    def commit(self, move: Move) -> None:
+    def commit(self, move: Move) -> Move:
+        """Apply ``move``; returns the move that takes it back."""
         if move.kind == "assign":
+            undo = Move.assign(move.vertex, self.state.colour(move.vertex))
             self.state.assign(move.vertex, move.colour)
         elif move.kind == "counter":
-            if move.counter_id in self.frozen_counters:
-                raise InputError(
-                    f"counter of hard constraint {move.counter_id!r} is frozen"
-                )
-            self.constraint(move.counter_id).commit_counter(move.value)
+            constraint = self.constraint(move.counter_id)
+            undo = Move.counter(move.counter_id, constraint.counter_value)
+            constraint.commit_counter(move.value)
         else:
             raise InputError(f"unknown move kind {move.kind!r}")
+        return undo
 
 
 def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     """Every move :func:`search` may draw: each vertex's candidate
-    recolourings (see :func:`_candidate_colours`), then the counter moves.
+    recolourings (see :func:`_candidate_colours`), then the counter moves
+    (a search with hard constraints leaves out their counters).
 
     With unused colours, every vertex has a candidate, interior vertices
     of a colour class included, so monochrome states stay escapable.
@@ -192,11 +199,11 @@ def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -
     return sorted(cands)
 
 
-def _counter_moves(model: Model) -> List[Move]:
-    """Every other value of each searchable counter that is not frozen."""
+def _counter_moves(model: Model, frozen: Sequence[str] = ()) -> List[Move]:
+    """Every other value of each searchable counter not in ``frozen``."""
     moves: List[Move] = []
     for cid, domain in model.searchable_counters.items():
-        if cid in model.frozen_counters:
+        if cid in frozen:
             continue
         current = model.constraint(cid).counter_value
         moves.extend(Move.counter(cid, value) for value in domain if value != current)
@@ -216,8 +223,6 @@ def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
         if not hasattr(constraint, "hard_init"):
             raise InitError(f"constraint {cid!r} cannot be made hard")
         constraint.hard_init(rng)
-        if cid in model.searchable_counters or hasattr(constraint, "counter_value"):
-            model.frozen_counters.add(cid)
     for cid in cfg.hard:
         if model.constraint(cid).violation() != 0:
             raise InitError(f"hard constraints conflict at initialisation ({cid})")
@@ -227,42 +232,58 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     """Tabu min-conflicts over the configured neighbourhood.
 
     The seed fully determines the run.  Returns the best state visited and
-    a per-iteration violation trace.
+    a per-iteration violation trace.  ``cfg.hard`` freezes the hard
+    constraints' counters for this run only.
     """
     _check_neighbourhood(cfg.neighbourhood)
     rng = random.Random(cfg.seed)
     state = model.state
+    entries = model.entries
+    hard = set(cfg.hard)
+    hard_rows = [i for i, (c, _) in enumerate(entries) if c.id in hard]
     _initialise(model, cfg, rng)
-    hard_ids = set(cfg.hard)
 
-    total = model.total_violation()
-    best_total = total
-    best_colours = state.snapshot()
-    trace: List[Tuple] = [(0, total, tuple(c.violation() for c, _ in model.entries))]
-    tabu: Dict[Tuple, int] = {}
+    trace: List[Tuple] = []
+    tabu: Dict[Move, int] = {}  # move -> last iteration it stays tabu
+    best_total = math.inf
+    best_colours: Dict[int, int] = {}
     since_best = 0
+    restarted = False
     vertices = state.order
     iteration = 0
 
-    for iteration in range(1, cfg.max_iterations + 1):
+    while True:
+        # the step every iteration ends with, and the run starts with: one
+        # violation() read per constraint, summed as total_violation does
+        violations = tuple(c.violation() for c, _ in entries)
+        for i in hard_rows:
+            if violations[i] != 0:
+                raise RuntimeError(f"hard constraint {entries[i][0].id!r} violated after commit")
+        total = sum(w * x for (_, w), x in zip(entries, violations))
+        trace.append((iteration, total, violations))
+        improved = total < best_total - TOLERANCE
+        if improved:
+            best_total = total
+            best_colours = state.snapshot()
+        since_best = 0 if improved or restarted else since_best + 1
+
+        if iteration >= cfg.max_iterations:
+            break
+        iteration += 1
+        # a run at zero still counts the iteration that finds it there
         if total <= TOLERANCE:
             break
-        if since_best > cfg.restart_after:
+        restarted = since_best > cfg.restart_after
+        if restarted:
             _initialise(model, cfg, rng)
             tabu.clear()
-            since_best = 0
-            total = model.total_violation()
-            if total < best_total - TOLERANCE:
-                best_total = total
-                best_colours = state.snapshot()
-            trace.append((iteration, total, tuple(c.violation() for c, _ in model.entries)))
             continue
 
         unused = state.unused_colours()
         # weights are positive, so a vertex conflicts in the weighted sum
         # exactly when it conflicts in some constraint
         mask = 0
-        for constraint, _ in model.entries:
+        for constraint, _ in entries:
             mask |= constraint.conflicts()
         pool = MaskView(vertices, mask)
         if not pool:
@@ -280,57 +301,29 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             cands = _candidate_colours(model, v, cfg.neighbourhood, unused)
             if cands:
                 moves.append(Move.assign(v, rng.choice(cands)))
-        moves.extend(_counter_moves(model))
+        moves.extend(_counter_moves(model, hard))
 
         evaluated = []
         for move in moves:
             parts = model.probe_parts(move)
-            if hard_ids and any(
-                abs(parts.get(cid, 0)) > TOLERANCE for cid in hard_ids
-            ):
+            if hard and any(abs(parts.get(cid, 0)) > TOLERANCE for cid in hard):
                 continue
             evaluated.append((move, sum(parts.values())))
         if not evaluated:
-            since_best += 1
-            trace.append((iteration, total, tuple(c.violation() for c, _ in model.entries)))
             continue
 
         if cfg.noise > 0 and rng.random() < cfg.noise:
             move, delta = evaluated[rng.randrange(len(evaluated))]
         else:
-            allowed = []
-            for move, delta in evaluated:
-                key = _tabu_key(model, move)
-                if tabu.get(key, 0) >= iteration and total + delta >= best_total - TOLERANCE:
-                    continue
-                allowed.append((move, delta))
-            if not allowed:
-                allowed = evaluated
+            allowed = [
+                (move, delta)
+                for move, delta in evaluated
+                if tabu.get(move, 0) < iteration or total + delta < best_total - TOLERANCE
+            ] or evaluated
             best_delta = min(d for _, d in allowed)
             ties = [m for m, d in allowed if abs(d - best_delta) <= TOLERANCE]
             move = ties[rng.randrange(len(ties))]
-
-        if move.kind == "assign":
-            tabu[("assign", move.vertex, state.colour(move.vertex))] = (
-                iteration + cfg.tabu_tenure
-            )
-        elif move.kind == "counter":
-            tabu[("counter", move.counter_id,
-                  model.constraint(move.counter_id).counter_value)] = (
-                iteration + cfg.tabu_tenure
-            )
-        model.commit(move)
-        total = model.total_violation()
-        for cid in cfg.hard:
-            if model.constraint(cid).violation() != 0:
-                raise RuntimeError(f"hard constraint {cid!r} violated after commit")
-        if total < best_total - TOLERANCE:
-            best_total = total
-            best_colours = state.snapshot()
-            since_best = 0
-        else:
-            since_best += 1
-        trace.append((iteration, total, tuple(c.violation() for c, _ in model.entries)))
+        tabu[model.commit(move)] = iteration + cfg.tabu_tenure
 
     return SearchResult(
         colours=best_colours,
@@ -339,9 +332,3 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         trace=trace,
         seed=cfg.seed,
     )
-
-
-def _tabu_key(model: Model, move: Move) -> Tuple:
-    if move.kind == "assign":
-        return ("assign", move.vertex, move.colour)
-    return ("counter", move.counter_id, move.value)

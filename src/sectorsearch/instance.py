@@ -29,16 +29,22 @@ from .traffic import FlightPlan, dwell_values, validate, visited_path
 INSTANCE_MAGIC = "sector-instance 1"
 SOLUTION_MAGIC = "sector-solution 1"
 
-# each kind with the parameters it cannot be built without
+# each kind with the parameters it cannot be built without and the
+# optional ones it reads; a constraint takes no other parameter
 CONSTRAINT_KINDS = {
-    "connected": ("counter",),
-    "compact": ("threshold",),
-    "balanced": ("delta_scaled",),
-    "balanced_size": ("delta_scaled",),
-    "bounded": ("threshold",),
-    "stretchsum": ("flight",),
-    "nonborder": ("flight",),
+    "connected": (("counter",), ("relop", "counter_min", "counter_max", "mode")),
+    "compact": (("threshold",), ("mode", "weight_fn", "probe")),
+    "balanced": (("delta_scaled",), ()),
+    "balanced_size": (("delta_scaled",), ()),
+    "bounded": (("threshold",), ("relop",)),
+    "stretchsum": (("flight",), ("relop", "threshold")),
+    "nonborder": (("flight",), ()),
 }
+
+#: the values of compact's ``probe`` parameter
+_COMPACT_PROBES = ("fast", "exact")
+
+_GRID_KEYS = ("width", "height", "depth", "dim", "cell_area", "cell_volume")
 
 
 @dataclass
@@ -107,9 +113,17 @@ class Instance:
                 raise FormatError(f"flight {i}", str(exc)) from exc
         for spec in self.constraints:
             where = f"constraint {spec.id}"
-            required = CONSTRAINT_KINDS.get(spec.kind)
-            if required is None:
+            if spec.kind not in CONSTRAINT_KINDS:
                 raise FormatError(where, f"unknown constraint kind {spec.kind!r}")
+            required, optional = CONSTRAINT_KINDS[spec.kind]
+            for param in spec.params:
+                if param not in required and param not in optional:
+                    raise FormatError(where, f"kind {spec.kind} takes no parameter {param!r}")
+            probe = spec.params.get("probe", "fast")
+            if probe not in _COMPACT_PROBES:
+                raise FormatError(
+                    where, f"unknown probe {probe!r}, expected one of {_COMPACT_PROBES}"
+                )
             if "counter_min" in spec.params or "counter_max" in spec.params:
                 required += ("counter_min", "counter_max")
             for param in required:
@@ -259,7 +273,7 @@ def dumps(instance: Instance) -> str:
     lines.append(f"colours {instance.colours}")
     g = instance.grid
     lines.append("[grid]")
-    for key in ("width", "height", "depth", "dim", "cell_area", "cell_volume"):
+    for key in _GRID_KEYS:
         lines.append(f"{key} {getattr(g, key)}")
     lines.append("[workloads]")
     for v in sorted(instance.workloads):
@@ -336,6 +350,8 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                     raise FormatError(where, f"unknown model key {key!r}")
                 colours = int(rest)
             elif section == "grid":
+                if key not in _GRID_KEYS:
+                    raise FormatError(where, f"unknown grid key {key!r}")
                 grid_fields[key] = int(rest)
             elif section == "workloads":
                 if key != "w":

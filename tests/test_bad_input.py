@@ -80,6 +80,23 @@ def test_counter_range_needs_both_ends():
         loads(text)
 
 
+def test_unknown_grid_key(inst, capsys):
+    inst.write_text(inst.read_text().replace("cell_area 1", "cell_areaa 2"))
+    assert "unknown grid key 'cell_areaa'" in _solve_fails(capsys, inst)
+
+
+def test_parameter_its_kind_does_not_take(inst, capsys):
+    inst.write_text(inst.read_text().replace("mode exact", "mode exact\nprobe exact"))
+    err = _solve_fails(capsys, inst)
+    assert "constraint connected: kind connected takes no parameter 'probe'" in err
+
+
+def test_unknown_compact_probe(inst, capsys):
+    text = dumps(generate(seed=2, width=4, height=4, colours=3, with_compact=True))
+    inst.write_text(text.replace("weight_fn identity", "weight_fn identity\nprobe exakt"))
+    assert "constraint compactness: unknown probe 'exakt'" in _solve_fails(capsys, inst)
+
+
 def test_unknown_neighbourhood():
     text = dumps(generate(seed=2, width=4, height=4, colours=3))
     text = text.replace("neighbourhood border", "neighbourhood nosuch")

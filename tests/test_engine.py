@@ -148,17 +148,23 @@ def test_neighbourhood_is_what_search_draws_from():
         st.assign(rng.choice(st.order), rng.randint(1, st.n))
 
 
-def test_neighbourhood_counter_moves_and_freezing():
+def test_neighbourhood_lists_counter_moves():
     env = envelop(grid(3, 1, dim=2))
     st = ColourState(env, 3)
     con = ConnectedConstraint(st, "=", 2)
     model = Model(st, [(con, 1)], searchable_counters={"connected": (1, 2, 3)})
     counter_moves = [m for m in neighbourhood(model) if m.kind == "counter"]
     assert {m.value for m in counter_moves} == {1, 3}
-    model.frozen_counters.add("connected")
-    assert all(m.kind != "counter" for m in neighbourhood(model))
-    with pytest.raises(InputError):
-        model.commit(Move.counter("connected", 3))
+
+
+def test_commit_returns_the_move_that_takes_it_back():
+    env = envelop(grid(3, 1, dim=2))
+    st = ColourState(env, 3, colours={0: 1, 1: 2, 2: 3})
+    con = ConnectedConstraint(st, "=", 2)
+    model = Model(st, [(con, 1)], searchable_counters={"connected": (1, 2, 3)})
+    assert model.commit(Move.assign(1, 3)) == Move.assign(1, 2)
+    assert model.commit(Move.counter("connected", 3)) == Move.counter("connected", 2)
+    assert con.counter_value == 3
 
 
 def test_unknown_neighbourhood_rejected_before_any_draw():
@@ -247,6 +253,51 @@ def test_hard_stretchsum_initialised_and_kept():
     model = Model(st, [(ss, 1)])
     result = search(model, SearchConfig(max_iterations=100, seed=3, hard=("dwell",)))
     assert ss.violation() == 0
+
+
+def _counter_instance(relop="="):
+    """The default 6x6 instance with the connected counter searchable."""
+    instance = generate(seed=4, width=6, height=6, colours=3, flights=1)
+    for spec in instance.constraints:
+        if spec.kind == "connected":
+            spec.params.update(relop=relop, counter_min=2, counter_max=4)
+    return instance
+
+
+def test_hard_search_leaves_no_state_for_the_next_search():
+    instance = _counter_instance()
+    plain = replace(instance.search, seed=3, max_iterations=2000)
+    model = instance.build()
+    search(model, replace(plain, seed=1, max_iterations=500, hard=("connected",)))
+    again = search(model, plain)
+    fresh = search(_counter_instance().build(), plain)
+    assert again.trace == fresh.trace
+    assert again.colours == fresh.colours
+    assert again.iterations == fresh.iterations
+
+
+def test_hard_search_commits_no_counter_move():
+    # under "<=" raising the counter keeps the hard constraint satisfied,
+    # so only the freezing keeps the search from committing it
+    instance = _counter_instance(relop="<=")
+    model = instance.build()
+    con = model.constraint("connected")
+    assert any(m.kind == "counter" for m in neighbourhood(model))
+    committed = []
+    commit = model.commit
+
+    def recording_commit(move):
+        committed.append(move)
+        return commit(move)
+
+    model.commit = recording_commit
+    cfg = replace(
+        instance.search, seed=1, max_iterations=500, hard=("connected",), init="random"
+    )
+    search(model, cfg)
+    assert committed
+    assert all(move.kind == "assign" for move in committed)
+    assert con.counter_value == 3  # hard_init keeps the counter it was built with
 
 
 class _BreaksOnCommit(Constraint):

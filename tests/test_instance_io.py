@@ -165,6 +165,24 @@ def test_cli_pipeline(tmp_path):
     assert header == "iteration,total,connected,balance,dwell0"
 
 
+def test_cli_solve_reports_the_rebuilt_total(tmp_path, capsys):
+    """A paper-fast search that claims zero on a colouring whose rebuild
+    violates: solve prints and exits on the rebuilt total, as check does."""
+    inst = tmp_path / "f.inst"
+    sol = tmp_path / "f.sol"
+    save(generate(seed=1, width=12, height=12, colours=5, flights=3, balanced_share=0.03),
+         str(inst))
+    code = cli.main([
+        "solve", str(inst), "-o", str(sol), "--mode", "paper-fast", "--seed", "2",
+        "--iters", "4000",
+    ])
+    out = capsys.readouterr().out
+    assert "best: seed 2 violation 11 (the search reported 0)" in out
+    assert code == 1
+    assert cli.main(["check", str(inst), str(sol)]) == 1
+    assert "total 11" in capsys.readouterr().out
+
+
 def test_cli_check_reports_violations(tmp_path, capsys):
     instance = tiny_instance()
     inst = tmp_path / "p.inst"
