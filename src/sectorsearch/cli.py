@@ -49,10 +49,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _scratch_violations(instance, colours, mode=None, weights=None):
-    """Build ``instance`` with ``colours`` and evaluate it from scratch:
+def _scratch_violations(instance, colours, mode=None, weights=None, counters=None):
+    """Build ``instance`` with ``colours`` (and ``counters``, constraint id
+    to counter value, in place of the file's) and evaluate it from scratch:
     each constraint's id and violation, and the weighted total."""
     model = instance.build(colours=colours, mode_override=mode, weight_overrides=weights)
+    for cid, value in (counters or {}).items():
+        model.constraint(cid).commit_counter(value)
     parts = []
     total = 0.0
     for constraint, weight in model.entries:
@@ -109,12 +112,20 @@ def _cmd_solve(args) -> int:
             f"seed {result.seed}: violation {_fmt(result.violation)} "
             f"after {result.iterations} iterations"
         )
-    # the reported total is the rebuilt colouring's, never the search's caches
-    _, total = _scratch_violations(instance, best.colours, args.mode, weights)
+    # the reported total is the rebuilt colouring's, never the search's
+    # caches.  Searched counters are the model's final ones: those of the
+    # best state whenever the run ended on it, as every run at zero does.
+    counters = {
+        cid: best_model.constraint(cid).counter_value
+        for cid in best_model.searchable_counters
+    }
+    _, total = _scratch_violations(instance, best.colours, args.mode, weights, counters)
     line = f"best: seed {best.seed} violation {_fmt(total)}"
     if abs(total - best.violation) > TOLERANCE:
         line += f" (the search reported {_fmt(best.violation)})"
     print(line)
+    for cid, value in counters.items():
+        print(f"counter {cid} {value}")
     if args.output:
         save_solution(best.colours, args.output)
         print(f"wrote solution {args.output}")
@@ -122,8 +133,8 @@ def _cmd_solve(args) -> int:
         ids = [c.id for c, _ in best_model.entries]
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write("iteration,total," + ",".join(ids) + "\n")
-            for iteration, total, parts in best.trace:
-                row = [str(iteration), _fmt(total)] + [_fmt(p) for p in parts]
+            for iteration, row_total, parts in best.trace:
+                row = [str(iteration), _fmt(row_total)] + [_fmt(p) for p in parts]
                 handle.write(",".join(row) + "\n")
         print(f"wrote trace {args.trace}")
     return 0 if total <= TOLERANCE else 1

@@ -170,17 +170,39 @@ def test_cli_solve_reports_the_rebuilt_total(tmp_path, capsys):
     violates: solve prints and exits on the rebuilt total, as check does."""
     inst = tmp_path / "f.inst"
     sol = tmp_path / "f.sol"
+    trace = tmp_path / "f.csv"
     save(generate(seed=1, width=12, height=12, colours=5, flights=3, balanced_share=0.03),
          str(inst))
     code = cli.main([
         "solve", str(inst), "-o", str(sol), "--mode", "paper-fast", "--seed", "2",
-        "--iters", "4000",
+        "--iters", "4000", "--trace", str(trace),
     ])
     out = capsys.readouterr().out
     assert "best: seed 2 violation 11 (the search reported 0)" in out
     assert code == 1
+    # the trace keeps the search's own figures; they do not set the exit code
+    assert trace.read_text().splitlines()[-1].split(",")[1] == "0"
     assert cli.main(["check", str(inst), str(sol)]) == 1
     assert "total 11" in capsys.readouterr().out
+
+
+def test_cli_solve_rebuilds_with_the_searched_counters(tmp_path, capsys):
+    """A search that reaches zero by moving a searchable counter away from
+    the file's value: solve rebuilds with the searched counter and reports
+    it, while check on the colour-only solution file uses the file's."""
+    instance = generate(seed=4, width=6, height=6, colours=3, flights=1)
+    for spec in instance.constraints:
+        if spec.kind == "connected":
+            spec.params.update(counter=4, counter_min=2, counter_max=4)
+    inst = tmp_path / "c.inst"
+    sol = tmp_path / "c.sol"
+    save(instance, str(inst))
+    assert cli.main(["solve", str(inst), "-o", str(sol), "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "best: seed 0 violation 0\n" in out
+    assert "counter connected 3\n" in out
+    assert cli.main(["check", str(inst), str(sol)]) == 1
+    assert "constraint connected violation 1" in capsys.readouterr().out
 
 
 def test_cli_check_reports_violations(tmp_path, capsys):
