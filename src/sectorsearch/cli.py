@@ -14,6 +14,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from .bench import bench_probe_scaling, format_report
+from .constraints.connected import MODES
 from .engine import TOLERANCE, search
 from .errors import FormatError, InitError, InputError
 from .instance import generate, load, load_solution, save, save_solution
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="violation trace CSV")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--mode", choices=("exact", "paper-fast"), default=None,
+    p.add_argument("--mode", choices=MODES, default=None,
                    help="override the connectedness probe mode")
     p.add_argument("--weights", default=None, help="id=value,... overrides")
     p.add_argument("--hard", default=None, help="comma list of hard constraint ids")

@@ -41,6 +41,8 @@ from .base import Constraint
 
 MODES = ("A", "B")
 WEIGHTS = ("identity", "square")
+#: mode A probing: the moved vertex's own border change, or the committed change
+PROBES = ("fast", "exact")
 
 _WEIGHT_FN: Dict[str, Callable[[int], int]] = {
     "identity": lambda x: x,
@@ -65,20 +67,22 @@ class CompactConstraint(Constraint):
         state: ColourState,
         threshold: int,
         mode: str = "B",
-        weight: str = "identity",
-        exact_probe: bool = False,
+        weight_fn: str = "identity",
+        probe: str = "fast",
         id: str = "compact",
     ):
         super().__init__(state)
         if mode not in MODES:
             raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
-        if weight not in WEIGHTS:
-            raise InputError(f"unknown weight {weight!r}, expected one of {WEIGHTS}")
+        if weight_fn not in WEIGHTS:
+            raise InputError(f"unknown weight_fn {weight_fn!r}, expected one of {WEIGHTS}")
+        if probe not in PROBES:
+            raise InputError(f"unknown probe {probe!r}, expected one of {PROBES}")
         self.mode = mode
         self.threshold = int(threshold)
-        self.weight = weight
-        self._f = _WEIGHT_FN[weight]
-        self.exact_probe = exact_probe
+        self.weight_fn = weight_fn
+        self._f = _WEIGHT_FN[weight_fn]
+        self.probe = probe
         self.id = id
         self.rebuild()
 
@@ -204,7 +208,7 @@ class CompactConstraint(Constraint):
         if self.mode == "B":
             total2 = self._total2 + self._total2_change(changed)
             return max(total2 - 2 * self.threshold, 0) / 2.0 - self.violation()
-        if not self.exact_probe:
+        if self.probe == "fast":
             # cheap approximation: the change of v's own border area
             return changed[v] - self.border_cache[v]
         total = self._total_after(v, before, colour, changed)

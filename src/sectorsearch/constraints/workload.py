@@ -122,7 +122,7 @@ class BalancedConstraint(ColourSumConstraint):
     ):
         super().__init__(state, values)
         if delta_scaled < 0:
-            raise InputError(f"threshold must be non-negative, got {delta_scaled}")
+            raise InputError(f"delta_scaled must be non-negative, got {delta_scaled}")
         self.delta_scaled = int(delta_scaled)
         self.mu_num = sum(self.values.values())
         if mu is not None and mu != Fraction(self.mu_num, state.n):

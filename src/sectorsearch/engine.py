@@ -98,7 +98,9 @@ class Model:
         self.by_id: Dict[str, Tuple] = {}
         for constraint, weight in constraints:
             if weight <= 0:
-                raise InputError(f"constraint weight must be positive, got {weight}")
+                raise InputError(
+                    f"constraint {constraint.id}: weight must be positive, got {weight}"
+                )
             if constraint.id in self.by_id:
                 raise InputError(f"duplicate constraint id {constraint.id!r}")
             entry = (constraint, weight)
@@ -106,12 +108,15 @@ class Model:
             self.by_id[constraint.id] = entry
             state.register(constraint)
         self.searchable_counters: Dict[str, Tuple[int, ...]] = {}
+        #: each searchable counter's value as built, where a search starts it
+        self.built_counters: Dict[str, int] = {}
         for cid, domain in (searchable_counters or {}).items():
             if cid not in self.by_id:
                 raise InputError(f"unknown constraint id {cid!r} for counter domain")
             if not hasattr(self.by_id[cid][0], "probe_counter"):
                 raise InputError(f"constraint {cid!r} has no counter variable")
             self.searchable_counters[cid] = tuple(domain)
+            self.built_counters[cid] = self.by_id[cid][0].counter_value
 
     # measurement -------------------------------------------------------
     def total_violation(self) -> float:
@@ -231,8 +236,10 @@ def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
 def search(model: Model, cfg: SearchConfig) -> SearchResult:
     """Tabu min-conflicts over the configured neighbourhood.
 
-    The seed fully determines the run.  Returns the best state visited and
-    a per-iteration violation trace.  ``cfg.hard`` freezes the hard
+    The seed fully determines the run: unless ``cfg.init`` is ``"keep"``,
+    it starts from a fresh colouring and from the counter values the
+    model was built with.  Returns the best state visited and a
+    per-iteration violation trace.  ``cfg.hard`` freezes the hard
     constraints' counters for this run only.
     """
     _check_neighbourhood(cfg.neighbourhood)
@@ -241,6 +248,9 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     entries = model.entries
     hard = set(cfg.hard)
     hard_rows = [i for i, (c, _) in enumerate(entries) if c.id in hard]
+    if cfg.init != "keep":
+        for cid, value in model.built_counters.items():
+            model.constraint(cid).commit_counter(value)
     _initialise(model, cfg, rng)
 
     trace: List[Tuple] = []

@@ -9,7 +9,7 @@ stay stable across platforms.  ``#`` starts a comment when reading.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import (
@@ -30,7 +30,9 @@ INSTANCE_MAGIC = "sector-instance 1"
 SOLUTION_MAGIC = "sector-solution 1"
 
 # each kind with the parameters it cannot be built without and the
-# optional ones it reads; a constraint takes no other parameter
+# optional ones it reads; a constraint takes no other parameter.  Build
+# resolves ``flight`` and ``counter_min``/``counter_max`` and passes every
+# other parameter to the kind's constructor as the keyword of that name.
 CONSTRAINT_KINDS = {
     "connected": (("counter",), ("relop", "counter_min", "counter_max", "mode")),
     "compact": (("threshold",), ("mode", "weight_fn", "probe")),
@@ -40,11 +42,6 @@ CONSTRAINT_KINDS = {
     "stretchsum": (("flight",), ("relop", "threshold")),
     "nonborder": (("flight",), ()),
 }
-
-#: the values of compact's ``probe`` parameter
-_COMPACT_PROBES = ("fast", "exact")
-
-_GRID_KEYS = ("width", "height", "depth", "dim", "cell_area", "cell_volume")
 
 
 @dataclass
@@ -65,6 +62,9 @@ class GridSpec:
             cell_volume=self.cell_volume,
             dim=self.dim,
         )
+
+
+_GRID_KEYS = tuple(f.name for f in fields(GridSpec))
 
 
 @dataclass
@@ -119,18 +119,18 @@ class Instance:
             for param in spec.params:
                 if param not in required and param not in optional:
                     raise FormatError(where, f"kind {spec.kind} takes no parameter {param!r}")
-            probe = spec.params.get("probe", "fast")
-            if probe not in _COMPACT_PROBES:
-                raise FormatError(
-                    where, f"unknown probe {probe!r}, expected one of {_COMPACT_PROBES}"
-                )
             if "counter_min" in spec.params or "counter_max" in spec.params:
                 required += ("counter_min", "counter_max")
             for param in required:
                 if param not in spec.params:
                     raise FormatError(where, f"missing {param}")
+            low, high = spec.params.get("counter_min"), spec.params.get("counter_max")
+            if low is not None and low > high:
+                raise FormatError(
+                    where, f"counter_min {low} exceeds counter_max {high}: no counter value"
+                )
             flight = spec.params.get("flight")
-            if flight is not None and not 0 <= int(flight) < len(self.flights):
+            if flight is not None and not 0 <= flight < len(self.flights):
                 raise FormatError(where, f"flight {flight} does not exist")
         if self.search.neighbourhood not in NEIGHBOURHOODS:
             raise FormatError(
@@ -146,7 +146,12 @@ class Instance:
         mode_override: Optional[str] = None,
         weight_overrides: Optional[Dict[str, int]] = None,
     ) -> Model:
-        """Assemble the state and all configured constraints into a model."""
+        """Assemble the state and all configured constraints into a model.
+
+        Each constraint's parameters reach its constructor as keywords of
+        the same name; an ``InputError`` the constructor raises becomes a
+        ``FormatError`` naming the constraint.
+        """
         env = envelop(self.validate())
         if colours is not None:
             unknown = sorted(set(colours) - env.vertices)
@@ -159,68 +164,36 @@ class Instance:
         entries = []
         counters: Dict[str, Sequence[int]] = {}
         for spec in self.constraints:
-            weight = spec.weight
-            if weight_overrides and spec.id in weight_overrides:
-                weight = weight_overrides[spec.id]
-            p = spec.params
+            weight = (weight_overrides or {}).get(spec.id, spec.weight)
+            kwargs = dict(spec.params, id=spec.id)
+            if "counter_min" in kwargs:
+                low, high = kwargs.pop("counter_min"), kwargs.pop("counter_max")
+                counters[spec.id] = tuple(range(low, high + 1))
+            if "flight" in kwargs:
+                plan = self.flights[kwargs.pop("flight")]
             if spec.kind == "connected":
-                mode = mode_override or str(p.get("mode", "exact"))
-                constraint = ConnectedConstraint(
-                    state,
-                    str(p.get("relop", "=")),
-                    int(p["counter"]),
-                    mode=mode,
-                    id=spec.id,
-                )
-                if "counter_min" in p:
-                    counters[spec.id] = tuple(
-                        range(int(p["counter_min"]), int(p["counter_max"]) + 1)
-                    )
+                kwargs.setdefault("relop", "=")
+                if mode_override:
+                    kwargs["mode"] = mode_override
+                cls, inputs = ConnectedConstraint, ()
             elif spec.kind == "compact":
-                constraint = CompactConstraint(
-                    state,
-                    int(p["threshold"]),
-                    mode=str(p.get("mode", "B")),
-                    weight=str(p.get("weight_fn", "identity")),
-                    exact_probe=str(p.get("probe", "fast")) == "exact",
-                    id=spec.id,
-                )
+                cls, inputs = CompactConstraint, ()
             elif spec.kind == "balanced":
-                constraint = BalancedConstraint(
-                    state, self.workloads, int(p["delta_scaled"]), id=spec.id
-                )
+                cls, inputs = BalancedConstraint, (self.workloads,)
             elif spec.kind == "balanced_size":
                 volumes = {v: env.base.volume(v) for v in env.vertices}
-                constraint = BalancedConstraint(
-                    state, volumes, int(p["delta_scaled"]), id=spec.id
-                )
+                cls, inputs = BalancedConstraint, (volumes,)
             elif spec.kind == "bounded":
-                constraint = BoundedConstraint(
-                    state,
-                    self.workloads,
-                    str(p.get("relop", "<=")),
-                    int(p["threshold"]),
-                    id=spec.id,
-                )
+                kwargs.setdefault("relop", "<=")
+                cls, inputs = BoundedConstraint, (self.workloads,)
             elif spec.kind == "stretchsum":
-                plan = self.flights[int(p["flight"])]
-                constraint = StretchSumConstraint(
-                    state,
-                    visited_path(plan),
-                    dwell_values(plan),
-                    relop=str(p.get("relop", ">=")),
-                    threshold=int(p.get("threshold", 120)),
-                    id=spec.id,
-                )
-            elif spec.kind == "nonborder":
-                plan = self.flights[int(p["flight"])]
-                constraint = NonBorderConstraint(
-                    state, visited_path(plan), id=spec.id
-                )
-            else:
-                raise FormatError(
-                    f"constraint {spec.id}", f"unknown constraint kind {spec.kind!r}"
-                )
+                cls, inputs = StretchSumConstraint, (visited_path(plan), dwell_values(plan))
+            else:  # nonborder, the last kind validate admits
+                cls, inputs = NonBorderConstraint, (visited_path(plan),)
+            try:
+                constraint = cls(state, *inputs, **kwargs)
+            except InputError as exc:
+                raise FormatError(f"constraint {spec.id}", str(exc)) from exc
             entries.append((constraint, weight))
         return Model(state, entries, searchable_counters=counters)
 
@@ -239,27 +212,19 @@ _SEARCH_KEYS = (
     ("init", str),
 )
 
-_CONSTRAINT_PARAM_ORDER = (
-    "relop",
-    "counter",
-    "counter_min",
-    "counter_max",
-    "mode",
-    "threshold",
-    "weight_fn",
-    "probe",
-    "delta_scaled",
-    "flight",
+#: every constraint parameter, in file order, with its type
+_CONSTRAINT_KEYS = (
+    ("relop", str),
+    ("counter", int),
+    ("counter_min", int),
+    ("counter_max", int),
+    ("mode", str),
+    ("threshold", int),
+    ("weight_fn", str),
+    ("probe", str),
+    ("delta_scaled", int),
+    ("flight", int),
 )
-
-_INT_PARAMS = {
-    "counter",
-    "counter_min",
-    "counter_max",
-    "threshold",
-    "delta_scaled",
-    "flight",
-}
 
 
 def save(instance: Instance, path: str) -> None:
@@ -286,7 +251,7 @@ def dumps(instance: Instance) -> str:
         lines.append(f"[constraint {spec.id}]")
         lines.append(f"kind {spec.kind}")
         lines.append(f"weight {spec.weight}")
-        for key in _CONSTRAINT_PARAM_ORDER:
+        for key, _ in _CONSTRAINT_KEYS:
             if key in spec.params:
                 lines.append(f"{key} {spec.params[key]}")
     lines.append("[search]")
@@ -302,15 +267,17 @@ def load(path: str) -> Instance:
         return loads(handle.read(), origin=path)
 
 
-def loads(text: str, origin: str = "<string>") -> Instance:
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        lines.append(stripped)
-    body = [(i + 1, line) for i, line in enumerate(lines) if line]
-    if not body or body[0][1] != INSTANCE_MAGIC:
-        raise FormatError(f"{origin}:1", f"expected header {INSTANCE_MAGIC!r}")
+def _body(text: str, magic: str, origin: str) -> List[Tuple[int, str]]:
+    """The numbered non-blank lines after the ``magic`` header, with
+    comments stripped; raises unless the first such line is the header."""
+    lines = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1))
+    body = [(no, line) for no, line in lines if line]
+    if not body or body[0][1] != magic:
+        raise FormatError(f"{origin}:1", f"expected header {magic!r}")
+    return body[1:]
 
+
+def loads(text: str, origin: str = "<string>") -> Instance:
     colours: Optional[int] = None
     grid_fields: Dict[str, int] = {}
     workloads: Dict[int, int] = {}
@@ -321,7 +288,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
 
     section = None
     section_arg = None
-    for lineno, line in body[1:]:
+    for lineno, line in _body(text, INSTANCE_MAGIC, origin):
         where = f"{origin}:{lineno}"
         if line.startswith("["):
             if not line.endswith("]"):
@@ -369,12 +336,11 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                     spec.kind = rest
                 elif key == "weight":
                     spec.weight = int(rest)
-                elif key in _INT_PARAMS:
-                    spec.params[key] = int(rest)
-                elif key in _CONSTRAINT_PARAM_ORDER:
-                    spec.params[key] = rest
                 else:
-                    raise FormatError(where, f"unknown constraint key {key!r}")
+                    caster = dict(_CONSTRAINT_KEYS).get(key)
+                    if caster is None:
+                        raise FormatError(where, f"unknown constraint key {key!r}")
+                    spec.params[key] = caster(rest)
             elif section == "search":
                 if key == "hard":
                     hard = tuple(p for p in rest.split(",") if p and p != "-")
@@ -393,14 +359,6 @@ def loads(text: str, origin: str = "<string>") -> Instance:
     for required in ("width", "height"):
         if required not in grid_fields:
             raise FormatError(f"{origin}:[grid]", f"missing {required}")
-    spec = GridSpec(
-        width=grid_fields["width"],
-        height=grid_fields["height"],
-        depth=grid_fields.get("depth", 1),
-        dim=grid_fields.get("dim", 2),
-        cell_area=grid_fields.get("cell_area", 1),
-        cell_volume=grid_fields.get("cell_volume", 1),
-    )
     if sorted(flights) != list(range(len(flights))):
         raise FormatError(
             f"{origin}:[flight]", f"flight ids must be 0..{len(flights) - 1}"
@@ -414,7 +372,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
     search = SearchConfig(hard=hard, **search_fields)
     instance = Instance(
         colours=colours,
-        grid=spec,
+        grid=GridSpec(**grid_fields),
         workloads=workloads,
         flights=plans,
         constraints=constraints,
@@ -434,16 +392,9 @@ def save_solution(colours: Dict[int, int], path: str) -> None:
 
 def load_solution(path: str) -> Dict[int, int]:
     with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = handle.read().splitlines()
-    lines = [
-        (i + 1, line.split("#", 1)[0].strip())
-        for i, line in enumerate(raw_lines)
-    ]
-    body = [(no, line) for no, line in lines if line]
-    if not body or body[0][1] != SOLUTION_MAGIC:
-        raise FormatError(f"{path}:1", f"expected header {SOLUTION_MAGIC!r}")
+        text = handle.read()
     colours: Dict[int, int] = {}
-    for no, line in body[1:]:
+    for no, line in _body(text, SOLUTION_MAGIC, path):
         parts = line.split()
         if len(parts) != 3 or parts[0] != "colour":
             raise FormatError(f"{path}:{no}", f"expected 'colour <vertex> <colour>'")

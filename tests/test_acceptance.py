@@ -103,7 +103,7 @@ def test_criterion_1_violation_semantics_equivalence():
         n = 2 if not _instance_cap(3, len(env.vertices)) else rng.randint(2, 3)
         t = rng.randint(0, 30)
         weight = rng.choice(("identity", "square"))
-        sweep(env, n, lambda st: CompactConstraint(st, t, mode="B", weight=weight))
+        sweep(env, n, lambda st: CompactConstraint(st, t, mode="B", weight_fn=weight))
 
         m = rng.randint(2, 8)
         g = grid(m, 1, dim=2)
@@ -211,7 +211,7 @@ def test_criterion_2_delta_exactness():
     drive(compact_b, lambda cols: naive_compact_b_violation(env, cols, 20), tolerance=1e-9)
 
     g, env, st = _probe_state(rng)
-    compact_a = CompactConstraint(st, 10, mode="A", exact_probe=True)
+    compact_a = CompactConstraint(st, 10, mode="A", probe="exact")
     st.register(compact_a)
     drive(compact_a, lambda cols: naive_compact_a_violation(env, cols, 10), tolerance=1e-9)
 

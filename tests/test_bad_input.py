@@ -1,9 +1,11 @@
 """Bad input on the command line or in a file exits 2 with a named error."""
 
+import re
+
 import pytest
 
 from sectorsearch import cli
-from sectorsearch.engine import Move
+from sectorsearch.engine import Move, SearchConfig, search
 from sectorsearch.errors import FormatError, InputError
 from sectorsearch.instance import dumps, generate, load_solution, loads
 
@@ -78,6 +80,44 @@ def test_counter_range_needs_both_ends():
     text = text.replace("counter 3\n", "counter 3\ncounter_min 2\n")
     with pytest.raises(FormatError, match="constraint connected: missing counter_max"):
         loads(text)
+
+
+def test_empty_counter_range():
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = text.replace("counter 3\n", "counter 3\ncounter_min 5\ncounter_max 2\n")
+    with pytest.raises(FormatError, match="constraint connected: counter_min 5 exceeds"):
+        loads(text)
+
+
+def test_non_positive_weight_in_the_file(inst, capsys):
+    inst.write_text(inst.read_text().replace("kind balanced\nweight 1", "kind balanced\nweight 0"))
+    assert "constraint balance: weight must be positive" in _solve_fails(capsys, inst)
+
+
+def test_non_positive_weight_on_the_command_line(inst, capsys):
+    err = _solve_fails(capsys, inst, "--weights", "connected=-1")
+    assert "constraint connected: weight must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "param, value, message",
+    [
+        ("relop", "~", "constraint connected: unknown relation '~'"),
+        ("delta_scaled", "-1", "constraint balance: delta_scaled must be non-negative"),
+    ],
+)
+def test_value_its_constraint_rejects(inst, capsys, param, value, message):
+    text = re.sub(f"^{param} .*$", f"{param} {value}", inst.read_text(), count=1, flags=re.M)
+    inst.write_text(text)
+    assert message in _solve_fails(capsys, inst)
+
+
+def test_paper_fast_connected_cannot_be_hard(inst, capsys):
+    model = loads(inst.read_text()).build(mode_override="paper-fast")
+    with pytest.raises(InputError, match="constraint connected: mode paper-fast"):
+        search(model, SearchConfig(seed=1, max_iterations=50, hard=("connected",)))
+    err = _solve_fails(capsys, inst, "--mode", "paper-fast", "--hard", "connected")
+    assert err.count("\n") == 1 and "constraint connected: mode paper-fast" in err
 
 
 def test_unknown_grid_key(inst, capsys):

@@ -65,10 +65,10 @@ def test_mode_a_single_cube():
 
 def test_var_violation_weights():
     st9 = square_state([1] * 9, side=3)
-    c = CompactConstraint(st9, threshold=12, weight="square")
+    c = CompactConstraint(st9, threshold=12, weight_fn="square")
     assert c.var_violation(4) == 0
     st = square_state([1, 1, 1, 1])
-    assert CompactConstraint(st, threshold=8, weight="square").var_violation(0) == 4
+    assert CompactConstraint(st, threshold=8, weight_fn="square").var_violation(0) == 4
     assert CompactConstraint(st, threshold=8).var_violation(0) == 2
 
 
@@ -96,7 +96,7 @@ def test_mode_b_probe_matches_scratch():
             n = 3
             st = ColourState(env, n, colours=random_colours(rng, env, n))
             t = rng.randint(0, 30)
-            c = CompactConstraint(st, threshold=t, mode="B", weight=weight)
+            c = CompactConstraint(st, threshold=t, mode="B", weight_fn=weight)
             v = rng.choice(sorted(env.vertices))
             colour = rng.randint(1, n)
             before = naive_compact_b_violation(env, st.snapshot(), t, weight)
@@ -113,7 +113,7 @@ def test_mode_a_exact_probe_matches_scratch():
         n = 2
         st = ColourState(env, n, colours=random_colours(rng, env, n))
         t = rng.randint(0, 10)
-        c = CompactConstraint(st, threshold=t, mode="A", exact_probe=True)
+        c = CompactConstraint(st, threshold=t, mode="A", probe="exact")
         v = rng.choice(sorted(env.vertices))
         colour = rng.randint(1, n)
         before = naive_compact_a_violation(env, st.snapshot(), t)
@@ -131,7 +131,7 @@ def test_mode_a_exact_probe_is_the_committed_change():
     moves = 0
     while moves < 2000:
         st = ColourState(env, 3, colours=random_colours(rng, env, 3))
-        c = CompactConstraint(st, threshold=0, mode="A", exact_probe=True)
+        c = CompactConstraint(st, threshold=0, mode="A", probe="exact")
         st.register(c)
         for _ in range(100):
             v = rng.choice(st.order)
@@ -159,7 +159,7 @@ def test_mode_a_fast_probe_divergence_stats():
     for _ in range(300):
         st = ColourState(env, 3, colours=random_colours(rng, env, 3))
         fast = CompactConstraint(st, threshold=4, mode="A")
-        exact = CompactConstraint(st, threshold=4, mode="A", exact_probe=True)
+        exact = CompactConstraint(st, threshold=4, mode="A", probe="exact")
         v = rng.choice(sorted(env.vertices))
         colour = rng.randint(1, 3)
         if colour == st.colour(v):

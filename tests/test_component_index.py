@@ -51,7 +51,7 @@ def test_walk_keeps_index_and_compact_sums(with_connected):
     env = envelop(grid(4, 4, 3))
     n = 3
     st = ColourState(env, n, colours=random_colours(rng, env, n))
-    compact = CompactConstraint(st, threshold=0, mode="A", exact_probe=True)
+    compact = CompactConstraint(st, threshold=0, mode="A", probe="exact")
     st.register(compact)
     if with_connected:
         connected = ConnectedConstraint(st, "=", n)

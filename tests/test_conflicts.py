@@ -66,9 +66,9 @@ def all_kinds(side, n, rng, rename=None):
         BalancedConstraint(st, volumes, n, id="balanced_size"),
         BoundedConstraint(st, values, "<=", share, id="bounded"),
         CompactConstraint(st, side, mode="A", id="compact_a"),
-        CompactConstraint(st, side, mode="A", weight="square", id="compact_a2"),
+        CompactConstraint(st, side, mode="A", weight_fn="square", id="compact_a2"),
         CompactConstraint(st, 4 * side, mode="B", id="compact_b"),
-        CompactConstraint(st, 4 * side, mode="B", weight="square", id="compact_b2"),
+        CompactConstraint(st, 4 * side, mode="B", weight_fn="square", id="compact_b2"),
         StretchSumConstraint(st, paths[0], dwell[0], ">=", 120, id="dwell_min"),
         StretchSumConstraint(st, paths[1], dwell[1], "<=", 150, id="dwell_max"),
         NonBorderConstraint(st, paths[0], id="nonborder"),

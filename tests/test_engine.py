@@ -15,6 +15,7 @@ from sectorsearch.constraints import (
     StretchSumConstraint,
 )
 from sectorsearch.engine import (
+    TOLERANCE,
     Model,
     Move,
     SearchConfig,
@@ -26,6 +27,7 @@ from sectorsearch.errors import InputError
 from sectorsearch.geometry import OrderedPath, envelop, grid
 from sectorsearch.instance import generate
 from sectorsearch.state import ColourState
+from sectorsearch.systematic import brute_force_solve
 
 
 def full_model(seed=0, side=4, n=3):
@@ -62,7 +64,7 @@ def scratch_model_violation(model):
         if cls is ConnectedConstraint:
             clone = cls(st, constraint.relop, constraint.counter_value, mode=constraint.mode)
         elif cls is CompactConstraint:
-            clone = cls(st, constraint.threshold, mode=constraint.mode, weight=constraint.weight)
+            clone = cls(st, constraint.threshold, mode=constraint.mode, weight_fn=constraint.weight_fn)
         elif cls is BalancedConstraint:
             clone = cls(st, constraint.values, constraint.delta_scaled)
         elif cls is BoundedConstraint:
@@ -274,6 +276,36 @@ def test_hard_search_leaves_no_state_for_the_next_search():
     assert again.trace == fresh.trace
     assert again.colours == fresh.colours
     assert again.iterations == fresh.iterations
+
+
+def test_search_starts_from_the_built_counters():
+    # the first search leaves the counter at 4; the next starts again at 3
+    plain = replace(_counter_instance().search, seed=3, max_iterations=2000)
+    model = _counter_instance().build()
+    search(model, replace(plain, seed=5, max_iterations=15))
+    assert model.constraint("connected").counter_value == 4
+    again = search(model, plain)
+    fresh = search(_counter_instance().build(), plain)
+    assert again.trace == fresh.trace
+    assert again.colours == fresh.colours
+
+
+def test_exact_search_zeros_are_brute_force_solutions():
+    zeros = unsolvable = 0
+    for width, height, colours in ((3, 3, 2), (2, 4, 2), (3, 2, 3)):
+        for seed in range(1, 7):
+            instance = generate(seed=seed, width=width, height=height, colours=colours)
+            solutions = brute_force_solve(instance.build(), limit=9)
+            unsolvable += not solutions
+            for search_seed in (1, 2, 3):
+                cfg = replace(instance.search, seed=search_seed, max_iterations=150)
+                result = search(instance.build(), cfg)
+                # a zero on an instance without solutions fails here too
+                if result.violation <= TOLERANCE:
+                    zeros += 1
+                    assert result.colours in solutions, (width, height, seed, search_seed)
+    # both sides of the claim are exercised
+    assert zeros and unsolvable
 
 
 def test_hard_search_commits_no_counter_move():

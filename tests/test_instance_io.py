@@ -1,9 +1,12 @@
+import inspect
+
 import pytest
 
 from sectorsearch import cli
 from sectorsearch.engine import SearchConfig
 from sectorsearch.errors import FormatError
 from sectorsearch.instance import (
+    CONSTRAINT_KINDS,
     ConstraintSpec,
     GridSpec,
     Instance,
@@ -139,6 +142,33 @@ def test_generated_model_builds_all_kinds():
     model = instance.build()
     kinds = {c.id for c, _ in model.entries}
     assert kinds == {"connected", "balance", "dwell0", "inside0", "compactness", "cap"}
+
+
+def test_file_parameters_are_constructor_keywords():
+    # build passes each parameter it does not resolve itself to the kind's
+    # constructor by name, so a renamed constructor argument fails here
+    instance = generate(
+        seed=5,
+        width=4,
+        height=4,
+        colours=3,
+        flights=1,
+        with_compact=True,
+        with_nonborder=True,
+        bounded_threshold=200,
+    )
+    instance.constraints.append(
+        ConstraintSpec(id="volume", kind="balanced_size", params={"delta_scaled": 10})
+    )
+    kinds = {spec.id: spec.kind for spec in instance.constraints}
+    assert set(kinds.values()) == set(CONSTRAINT_KINDS)
+    by_name = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for constraint, _ in instance.build().entries:
+        required, optional = CONSTRAINT_KINDS[kinds[constraint.id]]
+        keywords = inspect.signature(type(constraint)).parameters
+        for param in set(required + optional) - {"flight", "counter_min", "counter_max"}:
+            assert param in keywords, (kinds[constraint.id], param)
+            assert keywords[param].kind in by_name
 
 
 def test_solution_round_trip(tmp_path):
