@@ -11,14 +11,7 @@ from .constraints import (
     StretchSumConstraint,
 )
 from .engine import Model, Move, SearchConfig, SearchResult, neighbourhood, search
-from .geometry import (
-    BOTTOM,
-    EnvelopedGeometry,
-    Geometry,
-    OrderedPath,
-    envelop,
-    grid,
-)
+from .geometry import Geometry, OrderedPath, grid
 from .instance import Instance, generate, load, loads, save, dumps
 from .state import ColourState, Component, stretches
 from .traffic import FlightPlan, dwell_values, validate, visited_path
@@ -26,14 +19,12 @@ from .traffic import FlightPlan, dwell_values, validate, visited_path
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOTTOM",
     "BalancedConstraint",
     "BoundedConstraint",
     "ColourState",
     "CompactConstraint",
     "Component",
     "ConnectedConstraint",
-    "EnvelopedGeometry",
     "FlightPlan",
     "Geometry",
     "Instance",
@@ -46,7 +37,6 @@ __all__ = [
     "StretchSumConstraint",
     "dumps",
     "dwell_values",
-    "envelop",
     "generate",
     "grid",
     "load",

@@ -19,7 +19,7 @@ from .constraints import (
     ConnectedConstraint,
     NonBorderConstraint,
 )
-from .geometry import envelop, grid
+from .geometry import grid
 from .state import ColourState, grow_regions
 from .traffic import FlightPlan, visited_path
 
@@ -30,11 +30,11 @@ ROUNDS = 5
 
 def _setup(side: int, seed: int):
     rng = random.Random(seed)
-    env = envelop(grid(side, side, dim=2))
+    geometry = grid(side, side, dim=2)
     n = 4
-    state = ColourState(env, n)
-    state.set_all(grow_regions(env, n, rng))
-    workloads = {v: rng.randint(1, 9) for v in sorted(env.vertices)}
+    state = ColourState(geometry, n)
+    state.set_all(grow_regions(geometry, n, rng))
+    workloads = {v: rng.randint(1, 9) for v in sorted(geometry.vertices)}
     connected = ConnectedConstraint(state, "=", n, mode="paper-fast")
     connected_exact = ConnectedConstraint(state, "=", n)
     balanced = BalancedConstraint(state, workloads, delta_scaled=0)
@@ -44,11 +44,10 @@ def _setup(side: int, seed: int):
         legs.append((i, t, t + 60))  # straight flight along the first row
         t += 60
     non_border = NonBorderConstraint(state, visited_path(FlightPlan(tuple(legs))))
-    base = env.base
     moves: List[Tuple[int, int]] = []
-    for v in sorted(env.vertices):
+    for v in sorted(geometry.vertices):
         cv = state.colour(v)
-        for c in sorted({state.colour(w) for w in base.adjacent(v)} - {cv}):
+        for c in sorted({state.colour(w) for w in geometry.adjacent(v)} - {cv}):
             moves.append((v, c))
     rng.shuffle(moves)
     constraints = {

@@ -7,8 +7,9 @@ the colouring: every interior facet between differently coloured vertices
 counts once, every facet on the geometry boundary counts once.
 
 Mode B is kept in doubled integer units internally (the per-vertex border
-sum counts interior facets twice and boundary facets twice once the
-outside vertex's own border term is added), so its arithmetic is exact.
+sum counts interior facets twice, and boundary facets once from their
+vertex and once more from the geometry's outside area), so its
+arithmetic is exact.
 
 A move changes the border areas of the moved vertex and of its
 neighbours only; one pass over its neighbours yields them, and probes and
@@ -88,19 +89,18 @@ class CompactConstraint(Constraint):
 
     def rebuild(self) -> None:
         state = self.state
-        env = state.env
+        geometry = state.geometry
         colour = state.colours()
-        base = env.base
         border: Dict[int, int] = {}
         for v in state.order:
             cv = colour[v]
-            b = base.border_areas.get(v, 0)
-            for w, area in base.edge_areas(v).items():
+            b = geometry.border_areas.get(v, 0)
+            for w, area in geometry.edge_areas(v).items():
                 if colour[w] != cv:
                     b += area
             border[v] = b
         self.border_cache = border
-        self._outside = env.outside_area()
+        self._outside = geometry.outside_area()
         # border areas are never negative, so f(b) > 0 iff b > 0
         self._conflicts = state.mask_of(v for v, b in border.items() if b)
         if self.mode == "B":
@@ -108,7 +108,7 @@ class CompactConstraint(Constraint):
             return
         self.index = state.component_index()
         label = self.index.label
-        volume = base.volume
+        volume = geometry.volume
         self.sigma: Dict[int, int] = dict.fromkeys(self.index.size, 0)
         self.nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
         owner: Dict[int, int] = {}
@@ -127,7 +127,7 @@ class CompactConstraint(Constraint):
     def _term(self, sigma: int, nu: int) -> float:
         """Sphericity discrepancy of one component: its border area minus
         the surface of the equal-volume sphere."""
-        return sigma - sphere_surface(nu, self.state.env.dim)
+        return sigma - sphere_surface(nu, self.state.geometry.dim)
 
     # measurement -------------------------------------------------------
     def border_area(self, v: int) -> int:
@@ -147,12 +147,13 @@ class CompactConstraint(Constraint):
     def check(self) -> bool:
         """Cache-free semantics at the current state."""
         state = self.state
+        geometry = state.geometry
         if self.mode == "B":
             total2 = sum(
-                self._f(state.border_area(v)) for v in state.env.vertices
-            ) + self._f(state.env.outside_area())
+                self._f(state.border_area(v)) for v in geometry.vertices
+            ) + self._f(geometry.outside_area())
             return total2 <= 2 * self.threshold
-        dim = state.env.dim
+        dim = geometry.dim
         total = sum(
             comp.border_area - sphere_surface(comp.volume, dim)
             for comp in state.connected_components()
@@ -164,7 +165,7 @@ class CompactConstraint(Constraint):
         """Signed area change of ``Border(w)`` under ``colour(v) := new``."""
         cv = self.state.colour(v)
         cw = self.state.colour(w)
-        area = self.state.env.edge_area(v, w)
+        area = self.state.geometry.edge_area(v, w)
         if cv != cw and cw == new_colour:
             return -area
         if cv == cw and cw != new_colour:
@@ -174,18 +175,19 @@ class CompactConstraint(Constraint):
     def _border_move(self, v: int, before: int, after: int) -> Dict[int, int]:
         """The border areas the move ``colour(v): before -> after`` changes.
 
-        Maps ``v`` to its new border area and every real neighbour whose
-        border changes to its new one, in one pass over v's neighbours.  Only
+        Maps ``v`` to its new border area and every neighbour whose border
+        changes to its new one, in one pass over v's neighbours.  Only
         the neighbours' colours and the cached areas are read, so a probe
         (before the move) and a commit (after it) get the same answer.
         """
         state = self.state
         border = self.border_cache
+        colour = state.colours()
         changed: Dict[int, int] = {}
-        new_bv = 0
-        # the outside vertex has no colour of 1..n, so it is never changed
-        for w, area in state.env.edge_areas(v).items():
-            cw = state.colour(w)
+        # the facets with the outside stay border whatever the colour
+        new_bv = state.geometry.border_areas.get(v, 0)
+        for w, area in state.geometry.edge_areas(v).items():
+            cw = colour[w]
             if cw == after:
                 changed[w] = border[w] - area
             else:
@@ -258,7 +260,7 @@ class CompactConstraint(Constraint):
         sigma = self.sigma
         nu = self.nu
         border = self.border_cache
-        volume = self.state.env.base.volume
+        volume = self.state.geometry.volume
         rest_sigma = sigma[lab] - border[v]
         rest_nu = nu[lab] - volume(v)
         big_sigma = changed[v]

@@ -36,10 +36,9 @@ MODES = ("exact", "paper-fast")
 def component_counts(state: ColourState) -> Dict[int, int]:
     """Cache-free count of the components of every colour ``1..n``."""
     members: Dict[int, Set[int]] = {c: set() for c in range(1, state.n + 1)}
-    for v in state.env.vertices:
+    for v in state.geometry.vertices:
         members[state.colour(v)].add(v)
-    base = state.env.base
-    return {c: len(class_components(base, vs)) for c, vs in members.items()}
+    return {c: len(class_components(state.geometry, vs)) for c, vs in members.items()}
 
 
 def connected_check(state: ColourState, relop: str, n_val: int) -> bool:
@@ -114,7 +113,7 @@ class ConnectedConstraint(Constraint):
 
     # differentiation ----------------------------------------------------
     def _fast_pm(self, v: int, new: int, old: int):
-        neighbours = self.state.env.base.adjacent(v)
+        neighbours = self.state.geometry.adjacent(v)
         p = int(all(self.state.colour(w) != new for w in neighbours))
         m = int(all(self.state.colour(w) != old for w in neighbours))
         return p, m
@@ -191,7 +190,7 @@ class ConnectedConstraint(Constraint):
             )
         if rng is None:
             rng = random.Random(0)
-        n_vertices = len(self.state.env.vertices)
+        n_vertices = len(self.state.geometry.vertices)
         limit = min(self.state.n, n_vertices)
         target = None
         for k in range(1, limit + 1):
@@ -203,7 +202,7 @@ class ConnectedConstraint(Constraint):
                 f"no feasible component count in 1..{limit} "
                 f"satisfies {self.relop} {self.counter_value}"
             )
-        colours = grow_regions(self.state.env, target, rng)
+        colours = grow_regions(self.state.geometry, target, rng)
         self.state.set_all(colours)
         if not self.check():
             raise InitError("region growing failed to satisfy the constraint")

@@ -16,11 +16,10 @@ from .base import Constraint
 
 def non_border_check(state: ColourState, path: OrderedPath) -> bool:
     """Cache-free semantics of the constraint."""
-    base = state.env.base
     on_path = set(path.interior)
     for v in path.interior:
         cv = state.colour(v)
-        for w in base.adjacent(v):
+        for w in state.geometry.adjacent(v):
             if w not in on_path and state.colour(w) != cv:
                 return False
     return True
@@ -31,10 +30,9 @@ class NonBorderConstraint(Constraint):
         super().__init__(state)
         self.path = path
         self.id = id
-        base = state.env.base
         on_path = set(path.interior)
         self.off_path: Dict[int, Tuple[int, ...]] = {
-            v: tuple(sorted(base.adjacent(v) - on_path)) for v in path.interior
+            v: tuple(sorted(state.geometry.adjacent(v) - on_path)) for v in path.interior
         }
         # off-path vertices adjacent to the path, keyed to their path neighbours
         side: Dict[int, list] = {}

@@ -47,10 +47,10 @@ class ColourSumConstraint(Constraint):
 
     def __init__(self, state: ColourState, values: Mapping[int, int]):
         super().__init__(state)
-        for v in state.env.vertices:
+        for v in state.geometry.vertices:
             if v not in values:
                 raise InputError(f"vertex {v} has no value")
-        self.values = {v: int(values[v]) for v in state.env.vertices}
+        self.values = {v: int(values[v]) for v in state.geometry.vertices}
 
     def _penalty(self, x: int) -> int:
         raise NotImplementedError
@@ -62,7 +62,7 @@ class ColourSumConstraint(Constraint):
         """Per colour, the value sum of its class, from the state's colours
         alone (never from the cache)."""
         sums = {c: 0 for c in range(1, self.state.n + 1)}
-        for v in self.state.env.vertices:
+        for v in self.state.geometry.vertices:
             sums[self.state.colour(v)] += self.values[v]
         return sums
 

@@ -198,7 +198,7 @@ def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -
     cv = state.colour(v)
     if selector == "full":
         return [c for c in range(1, state.n + 1) if c != cv]
-    cands = {state.colour(w) for w in state.env.base.adjacent(v)}
+    cands = {state.colour(w) for w in state.geometry.adjacent(v)}
     cands.update(unused)
     cands.discard(cv)
     return sorted(cands)
@@ -218,9 +218,9 @@ def _counter_moves(model: Model, frozen: Sequence[str] = ()) -> List[Move]:
 def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
     state = model.state
     if cfg.init == "random":
-        state.set_all({v: rng.randint(1, state.n) for v in state.env.vertices})
+        state.set_all({v: rng.randint(1, state.n) for v in state.geometry.vertices})
     elif cfg.init == "regions":
-        state.set_all(grow_regions(state.env, state.n, rng))
+        state.set_all(grow_regions(state.geometry, state.n, rng))
     elif cfg.init != "keep":
         raise InputError(f"unknown init policy {cfg.init!r}")
     for cid in cfg.hard:
@@ -301,7 +301,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
                 v
                 for v in vertices
                 if any(state.colour(w) != state.colour(v)
-                       for w in state.env.base.adjacent(v))
+                       for w in state.geometry.adjacent(v))
             ] or vertices
 
         focus = rng.choice(pool)

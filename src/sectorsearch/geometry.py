@@ -11,6 +11,11 @@ complexes whose facet "areas" are side lengths.
 Once the facet structure is checked, a geometry keeps per vertex only
 what the search reads: each neighbour with the area of the facet they
 share, the total area of the vertex's border facets, and its volume.
+
+The paper closes the geometry with an outside vertex adjacent to every
+border vertex.  Here the outside is no vertex: a vertex's border area
+stands for its facets with the outside, which no colouring can share, so
+it always counts as border.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
-
-#: id of the virtual outside vertex added by :func:`envelop`
-BOTTOM = -1
 
 
 class Geometry:
@@ -95,7 +97,6 @@ class Geometry:
         self._edge_areas = edge_areas
         # stored, so that the hot path allocates nothing per call
         self._adj: Dict[int, KeysView[int]] = {v: ws.keys() for v, ws in edge_areas.items()}
-        self._border: FrozenSet[int] = frozenset(self.border_areas)
         self._vertices: FrozenSet[int] = frozenset(edge_areas)
 
     @property
@@ -116,75 +117,6 @@ class Geometry:
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
 
-    def volume(self, v: int) -> int:
-        try:
-            return self._volume[v]
-        except KeyError:
-            raise InputError(f"unknown vertex {v}") from None
-
-    def border_vertices(self) -> FrozenSet[int]:
-        """Vertices owning at least one border facet."""
-        return self._border
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        """Every adjacent pair ``v < w``, in increasing order."""
-        return iter(sorted(
-            (v, w) for v, ws in self._edge_areas.items() for w in ws if v < w
-        ))
-
-    def __len__(self) -> int:
-        return len(self._edge_areas)
-
-
-class EnvelopedGeometry:
-    """A geometry plus the virtual outside vertex.
-
-    The outside vertex ``BOTTOM`` is adjacent to exactly the border
-    vertices of the base geometry.  The area crossed by a bottom edge is
-    the total area of the border vertex's own border facets.
-    """
-
-    def __init__(self, base: Geometry):
-        self.base = base
-        # a border vertex's neighbour map and neighbours with the outside,
-        # each built on its first use: built here, among the transient
-        # objects of a model build, they fragmented the allocator's arenas,
-        # and repeated 80x80 builds peaked 1.5 MB higher
-        self._areas_out: Dict[int, Dict[int, int]] = {}
-        self._adj_out: Dict[int, KeysView[int]] = {}
-
-    @property
-    def vertices(self) -> FrozenSet[int]:
-        """The real vertices; ``BOTTOM`` is queried explicitly."""
-        return self.base.vertices
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def adjacent(self, v: int) -> KeysView[int]:
-        ws = self._adj_out.get(v)
-        if ws is None:
-            if v == BOTTOM:
-                return self.base.border_vertices()
-            if v not in self.base.border_areas:
-                return self.base.adjacent(v)
-            ws = self._adj_out[v] = self.edge_areas(v).keys()
-        return ws
-
-    def edge_areas(self, v: int) -> Mapping[int, int]:
-        """``base.edge_areas(v)``, plus ``BOTTOM`` with v's border area
-        for a border vertex; the outside's map is ``base.border_areas``."""
-        areas = self._areas_out.get(v)
-        if areas is None:
-            if v == BOTTOM:
-                return self.base.border_areas
-            areas = self.base.edge_areas(v)
-            border = self.base.border_areas.get(v)
-            if border is not None:
-                areas = self._areas_out[v] = {**areas, BOTTOM: border}
-        return areas
-
     def edge_area(self, v: int, w: int) -> int:
         """Surface area crossed when moving between adjacent ``v`` and ``w``."""
         try:
@@ -194,19 +126,22 @@ class EnvelopedGeometry:
 
     def outside_area(self) -> int:
         """Total area of the geometry boundary (all border facets once)."""
-        return sum(self.base.border_areas.values())
+        return sum(self.border_areas.values())
 
+    def volume(self, v: int) -> int:
+        try:
+            return self._volume[v]
+        except KeyError:
+            raise InputError(f"unknown vertex {v}") from None
 
-def envelop(g: Geometry) -> EnvelopedGeometry:
-    """Attach the outside vertex to every border vertex of ``g``.
+    def edges(self) -> Iterator[Tuple[int, int]]:
+        """Every adjacent pair ``v < w``, in increasing order."""
+        return iter(sorted(
+            (v, w) for v, ws in self._edge_areas.items() for w in ws if v < w
+        ))
 
-    Enveloping an already enveloped geometry is rejected rather than
-    treated as a no-op: a second sentinel would silently corrupt border
-    logic downstream.
-    """
-    if isinstance(g, EnvelopedGeometry):
-        raise InputError("geometry is already enveloped")
-    return EnvelopedGeometry(g)
+    def __len__(self) -> int:
+        return len(self._edge_areas)
 
 
 def grid_vertices(w: int, h: int, d: int = 1, dim: Optional[int] = None) -> range:
@@ -267,50 +202,17 @@ def grid(
 
 
 class OrderedPath:
-    """A simple path through the geometry, with ``BOTTOM`` sentinels.
-
-    Interior vertices appear once each; the predecessor of the first and
-    the successor of the last interior vertex are ``BOTTOM``.
-    """
+    """A simple path through the geometry: its ``interior`` vertices, in
+    order, each once."""
 
     def __init__(self, interior: Sequence[int], geometry: Optional[Geometry] = None):
         self.interior: Tuple[int, ...] = tuple(interior)
-        if BOTTOM in self.interior:
-            raise InputError("the outside vertex cannot appear inside a path")
         if len(set(self.interior)) != len(self.interior):
             raise InputError("path vertices must be pairwise distinct")
         if geometry is not None:
-            base = geometry.base if isinstance(geometry, EnvelopedGeometry) else geometry
             for a, b in zip(self.interior, self.interior[1:]):
-                if b not in base.adjacent(a):
+                if b not in geometry.adjacent(a):
                     raise InputError(f"path vertices {a} and {b} are not adjacent")
-        self._pos: Dict[int, int] = {v: i for i, v in enumerate(self.interior)}
-
-    def position(self, v: int) -> int:
-        try:
-            return self._pos[v]
-        except KeyError:
-            raise InputError(f"vertex {v} is not on the path") from None
-
-    def pred(self, v: int) -> int:
-        i = self.position(v)
-        return self.interior[i - 1] if i > 0 else BOTTOM
-
-    def succ(self, v: int) -> int:
-        i = self.position(v)
-        return self.interior[i + 1] if i + 1 < len(self.interior) else BOTTOM
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._pos
-
-    def __iter__(self) -> Iterator[int]:
-        yield BOTTOM
-        yield from self.interior
-        yield BOTTOM
-
-    def __len__(self) -> int:
-        # sentinel-inclusive length
-        return len(self.interior) + 2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OrderedPath) and self.interior == other.interior

@@ -22,7 +22,7 @@ from .constraints import (
 )
 from .engine import NEIGHBOURHOODS, Model, SearchConfig
 from .errors import FormatError, InputError
-from .geometry import Geometry, envelop, grid, grid_vertices
+from .geometry import Geometry, grid, grid_vertices
 from .state import ColourState
 from .traffic import FlightPlan, dwell_values, validate, visited_path
 
@@ -152,15 +152,15 @@ class Instance:
         the same name; an ``InputError`` the constructor raises becomes a
         ``FormatError`` naming the constraint.
         """
-        env = envelop(self.validate())
+        geometry = self.validate()
         if colours is not None:
-            unknown = sorted(set(colours) - env.vertices)
+            unknown = sorted(set(colours) - geometry.vertices)
             if unknown:
                 raise FormatError("solution", f"unknown vertices {unknown}")
         unknown = sorted(set(weight_overrides or ()) - {spec.id for spec in self.constraints})
         if unknown:
             raise InputError(f"weight overrides for unknown constraint ids {unknown}")
-        state = ColourState(env, self.colours, colours=colours)
+        state = ColourState(geometry, self.colours, colours=colours)
         entries = []
         counters: Dict[str, Sequence[int]] = {}
         for spec in self.constraints:
@@ -181,7 +181,7 @@ class Instance:
             elif spec.kind == "balanced":
                 cls, inputs = BalancedConstraint, (self.workloads,)
             elif spec.kind == "balanced_size":
-                volumes = {v: env.base.volume(v) for v in env.vertices}
+                volumes = {v: geometry.volume(v) for v in geometry.vertices}
                 cls, inputs = BalancedConstraint, (volumes,)
             elif spec.kind == "bounded":
                 kwargs.setdefault("relop", "<=")

@@ -1,5 +1,9 @@
 """The total colour assignment and the structures induced by it.
 
+A :class:`ColourState` colours every vertex of a :class:`Geometry` with
+one of ``1..n``.  The outside carries no colour: a vertex's border area
+with it (``geometry.border_areas``) always counts as border.
+
 Every constraint observes one :class:`ColourState`.  The state owns the
 assignment and the commit protocol; the constraints own their incremental
 caches and are notified of every committed change.
@@ -46,10 +50,7 @@ from typing import (
 )
 
 from .errors import InputError
-from .geometry import BOTTOM, EnvelopedGeometry, Geometry
-
-#: colour reserved for the outside vertex, never available to real vertices
-BOTTOM_COLOUR = 0
+from .geometry import Geometry
 
 
 @dataclass(frozen=True)
@@ -63,23 +64,23 @@ class Component:
 
 
 class ColourState:
-    """Total assignment of colours ``1..n`` over an enveloped geometry."""
+    """Total assignment of colours ``1..n`` over a geometry."""
 
     def __init__(
         self,
-        env: EnvelopedGeometry,
+        geometry: Geometry,
         n: int,
         colours: Optional[Mapping[int, int]] = None,
     ):
         if n < 1:
             raise InputError(f"need at least one colour, got n={n}")
-        self.env = env
+        self.geometry = geometry
         self.n = n
         #: constraints are held weakly, so a model is free of reference
         #: cycles and is freed as soon as it is dropped
         self._observers: List[weakref.ref] = []
-        self.order: List[int] = sorted(env.vertices)
-        #: position of each real vertex in ``order``; when the ids are
+        self.order: List[int] = sorted(geometry.vertices)
+        #: position of each vertex in ``order``; when the ids are
         #: exactly 0..V-1, as on every grid, that is the identity, and a
         #: range stands in for a V-entry dict
         self.rank: Mapping[int, int] = (
@@ -90,9 +91,9 @@ class ColourState:
         self._colour: Dict[int, int] = {}
         self._index: Optional[ComponentIndex] = None
         if colours is None:
-            self._colour = {v: 1 for v in env.vertices}
+            self._colour = {v: 1 for v in geometry.vertices}
         else:
-            for v in env.vertices:
+            for v in geometry.vertices:
                 if v not in colours:
                     raise InputError(f"vertex {v} has no colour")
                 self._check_colour(colours[v])
@@ -104,8 +105,6 @@ class ColourState:
             raise InputError(f"colour {c!r} outside 1..{self.n}")
 
     def colour(self, v: int) -> int:
-        if v == BOTTOM:
-            return BOTTOM_COLOUR
         try:
             return self._colour[v]
         except KeyError:
@@ -128,7 +127,7 @@ class ColourState:
         """The maintained same-colour components, built on the first
         request and kept up to date by every later commit."""
         if self._index is None:
-            self._index = ComponentIndex(self.env.base, self._colour, self.n)
+            self._index = ComponentIndex(self.geometry, self._colour, self.n)
         return self._index
 
     def _live_observers(self) -> List:
@@ -136,8 +135,6 @@ class ColourState:
 
     def assign(self, v: int, c: int) -> None:
         """Commit ``colour(v) := c`` and notify registered constraints."""
-        if v == BOTTOM:
-            raise InputError("the outside vertex cannot be recoloured")
         old = self.colour(v)
         self._check_colour(c)
         self._colour[v] = c
@@ -154,11 +151,11 @@ class ColourState:
 
     def set_all(self, colours: Mapping[int, int]) -> None:
         """Bulk assignment; registered constraints rebuild from scratch."""
-        for v in self.env.vertices:
+        for v in self.geometry.vertices:
             if v not in colours:
                 raise InputError(f"vertex {v} has no colour")
             self._check_colour(colours[v])
-        self._colour = {v: colours[v] for v in self.env.vertices}
+        self._colour = {v: colours[v] for v in self.geometry.vertices}
         self._rebuild_classes()
         if self._index is not None:
             self._index.rebuild(self._colour)
@@ -211,32 +208,32 @@ class ColourState:
         """Total area of facets separating ``v`` from differently coloured
         neighbours, the outside included."""
         c = self.colour(v)
-        total = 0
-        for w, area in self.env.edge_areas(v).items():
-            if self.colour(w) != c:
+        total = self.geometry.border_areas.get(v, 0)
+        for w, area in self.geometry.edge_areas(v).items():
+            if self._colour[w] != c:
                 total += area
         return total
 
     def colour_graph_edges(self) -> Set[Tuple[int, int]]:
-        """Edges of the base graph whose endpoints share a colour."""
+        """Edges of the geometry whose endpoints share a colour."""
         return {
             (v, w)
-            for v, w in self.env.base.edges()
+            for v, w in self.geometry.edges()
             if self._colour[v] == self._colour[w]
         }
 
     def connected_components(self) -> List[Component]:
         """All maximal same-coloured components with their attributes, in
         the order of their smallest vertex."""
-        base = self.env.base
+        geometry = self.geometry
         colour = self._colour
         classes: Dict[int, Set[int]] = {}
         for v in self.order:
             classes.setdefault(colour[v], set()).add(v)
         out: List[Component] = []
-        for members in components(base, self.order, lambda s: classes[colour[s]]):
+        for members in components(geometry, self.order, lambda s: classes[colour[s]]):
             sigma = sum(self.border_area(u) for u in members)
-            nu = sum(base.volume(u) for u in members)
+            nu = sum(geometry.volume(u) for u in members)
             c = colour[next(iter(members))]
             out.append(Component(c, frozenset(members), sigma, nu))
         return out
@@ -310,8 +307,8 @@ class ComponentIndex(ComponentCounts):
     ``change`` records the last move.
     """
 
-    def __init__(self, base: Geometry, colour: Dict[int, int], n: int):
-        self.base = base
+    def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int):
+        self.geometry = geometry
         self.n = n
         self.rebuild(colour)
 
@@ -319,7 +316,7 @@ class ComponentIndex(ComponentCounts):
         """Label every component of ``colour``, the state's colour map,
         which later commits update in place."""
         self._colour = colour
-        adjacent = self.base.adjacent
+        adjacent = self.geometry.adjacent
         label: Dict[int, int] = {}
         self.label = label
         self.size: Dict[int, int] = {}
@@ -351,7 +348,7 @@ class ComponentIndex(ComponentCounts):
         label = self.label
         state_colour = self._colour
         return {
-            label[w]: w for w in self.base.adjacent(v) if state_colour[w] == colour
+            label[w]: w for w in self.geometry.adjacent(v) if state_colour[w] == colour
         }
 
     def split(self, v: int) -> Tuple[int, List[List[int]]]:
@@ -367,7 +364,7 @@ class ComponentIndex(ComponentCounts):
         """
         label = self.label
         lab = label[v]
-        adjacent = self.base.adjacent
+        adjacent = self.geometry.adjacent
         starts = [w for w in adjacent(v) if label[w] == lab]
         if len(starts) <= 1:
             return len(starts), []
@@ -435,7 +432,7 @@ class ComponentIndex(ComponentCounts):
         else:
             big = next(self._labels)
             size[big] = 0
-        adjacent = self.base.adjacent
+        adjacent = self.geometry.adjacent
         for m, start in touched.items():
             if m == big:
                 continue
@@ -520,9 +517,9 @@ def stretches(seq: Sequence) -> List[Tuple[int, int]]:
 
 
 def components(
-    base: Geometry, starts: Iterable[int], class_of: Callable[[int], Container[int]]
+    geometry: Geometry, starts: Iterable[int], class_of: Callable[[int], Container[int]]
 ) -> List[Set[int]]:
-    """Connected components of ``base`` within vertex classes.
+    """Connected components of ``geometry`` within vertex classes.
 
     ``class_of(s)`` is the class of vertex ``s``, a vertex set that holds
     ``s``; the classes partition the vertices reached, and the component
@@ -531,7 +528,7 @@ def components(
     search per start not yet covered, so the components come out in the
     order of their first start vertex.
     """
-    adjacent = base.adjacent
+    adjacent = geometry.adjacent
     seen: Set[int] = set()
     comps: List[Set[int]] = []
     for start in starts:
@@ -552,23 +549,22 @@ def components(
     return comps
 
 
-def class_components(base: Geometry, members: Set[int]) -> List[Set[int]]:
+def class_components(geometry: Geometry, members: Set[int]) -> List[Set[int]]:
     """Connected components of the subgraph induced by ``members``."""
-    return components(base, members, lambda s: members)
+    return components(geometry, members, lambda s: members)
 
 
-def grow_regions(env: EnvelopedGeometry, k: int, rng) -> Dict[int, int]:
+def grow_regions(geometry: Geometry, k: int, rng) -> Dict[int, int]:
     """Partition the vertices into ``k`` connected regions, colours 1..k.
 
     Multi-source BFS from random seeds, growing regions one vertex per
     round so sizes stay roughly even.  Raises when the geometry cannot be
     covered by ``k`` connected regions.
     """
-    base = env.base
-    vertices = sorted(env.vertices)
+    vertices = sorted(geometry.vertices)
     if not 1 <= k <= len(vertices):
         raise InputError(f"cannot grow {k} regions over {len(vertices)} vertices")
-    graph_comps = class_components(base, set(vertices))
+    graph_comps = class_components(geometry, set(vertices))
     if len(graph_comps) > k:
         raise InputError(
             f"geometry has {len(graph_comps)} components, more than {k} regions"
@@ -588,7 +584,7 @@ def grow_regions(env: EnvelopedGeometry, k: int, rng) -> Dict[int, int]:
             claimed = False
             while queue and not claimed:
                 u = queue[0]
-                for w in sorted(base.adjacent(u)):
+                for w in sorted(geometry.adjacent(u)):
                     if w not in colour:
                         colour[w] = i + 1
                         queue.append(w)

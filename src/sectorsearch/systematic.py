@@ -347,7 +347,7 @@ def brute_force_solve(model, limit: int = 10, max_colours: int = 4) -> List[Dict
     is restored afterwards.
     """
     state = model.state
-    vertices = sorted(state.env.vertices)
+    vertices = sorted(state.geometry.vertices)
     if len(vertices) > limit:
         raise InputError(f"{len(vertices)} vertices exceed the oracle limit {limit}")
     if state.n > max_colours:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import InputError
-from .geometry import Geometry, EnvelopedGeometry, OrderedPath
+from .geometry import Geometry, OrderedPath
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,11 @@ class FlightPlan:
 
 def validate(plan: FlightPlan, g: Geometry) -> None:
     """Raise :class:`InputError` naming the first violated invariant."""
-    base = g.base if isinstance(g, EnvelopedGeometry) else g
     if not plan.legs:
         raise InputError("leg 0: flight plan is empty")
     seen = set()
     for i, (v, t_in, t_out) in enumerate(plan.legs):
-        if v not in base.vertices:
+        if v not in g.vertices:
             raise InputError(f"leg {i}: unknown vertex {v}")
         if t_in >= t_out:
             raise InputError(f"leg {i}: zero or negative dwell ({t_in} >= {t_out})")
@@ -44,7 +43,7 @@ def validate(plan: FlightPlan, g: Geometry) -> None:
                 raise InputError(
                     f"leg {i}: time gap, previous exit {prev_out} != entry {t_in}"
                 )
-            if v not in base.adjacent(prev_v):
+            if v not in g.adjacent(prev_v):
                 raise InputError(f"leg {i}: vertices {prev_v} and {v} are not adjacent")
         if v in seen:
             raise InputError(f"leg {i}: vertex {v} revisited")
@@ -57,7 +56,7 @@ def dwell_values(plan: FlightPlan) -> List[int]:
 
 
 def visited_path(plan: FlightPlan) -> OrderedPath:
-    """The visited vertices in order, wrapped in outside sentinels.
+    """The visited vertices in order, as the ``interior`` of a path.
 
     Assumes the plan is valid; call :func:`validate` first.
     """

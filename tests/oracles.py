@@ -11,9 +11,7 @@ import math
 import random
 from itertools import product
 
-from sectorsearch.geometry import BOTTOM, envelop, grid
-
-BOTTOM_COLOUR = 0
+from sectorsearch.geometry import grid
 
 
 # ---------------------------------------------------------------------------
@@ -71,23 +69,23 @@ def naive_connected_violation(base, colours, relop, n_val):
 # ---------------------------------------------------------------------------
 # compactness
 
-def naive_border(env, colours, v):
-    total = 0
-    for w in env.adjacent(v):
-        cw = BOTTOM_COLOUR if w == BOTTOM else colours[w]
-        if cw != colours[v]:
-            total += env.edge_area(v, w)
+def naive_border(geometry, colours, v):
+    # the facets with the outside always separate v from another colour
+    total = geometry.border_areas.get(v, 0)
+    for w in geometry.adjacent(v):
+        if colours[w] != colours[v]:
+            total += geometry.edge_area(v, w)
     return total
 
 
-def naive_compact_b_total(env, colours, weight="identity"):
+def naive_compact_b_total(geometry, colours, weight="identity"):
     f = (lambda x: x) if weight == "identity" else (lambda x: x * x)
-    per_vertex = sum(f(naive_border(env, colours, v)) for v in env.vertices)
-    return (per_vertex + f(env.outside_area())) / 2
+    per_vertex = sum(f(naive_border(geometry, colours, v)) for v in geometry.vertices)
+    return (per_vertex + f(geometry.outside_area())) / 2
 
 
-def naive_compact_b_violation(env, colours, t, weight="identity"):
-    return max(naive_compact_b_total(env, colours, weight) - t, 0)
+def naive_compact_b_violation(geometry, colours, t, weight="identity"):
+    return max(naive_compact_b_total(geometry, colours, weight) - t, 0)
 
 
 def naive_sphere(volume, dim):
@@ -96,12 +94,12 @@ def naive_sphere(volume, dim):
     return 2 * math.sqrt(math.pi * volume)
 
 
-def naive_compact_a_violation(env, colours, t):
+def naive_compact_a_violation(geometry, colours, t):
     total = 0.0
-    for _, comp in naive_components(env.base, colours):
-        sigma = sum(naive_border(env, colours, v) for v in comp)
-        nu = sum(env.base.volume(v) for v in comp)
-        total += sigma - naive_sphere(nu, env.dim)
+    for _, comp in naive_components(geometry, colours):
+        sigma = sum(naive_border(geometry, colours, v) for v in comp)
+        nu = sum(geometry.volume(v) for v in comp)
+        total += sigma - naive_sphere(nu, geometry.dim)
     return max(total - t, 0.0)
 
 
@@ -242,15 +240,15 @@ GRID_CHOICES = [
 ]
 
 
-def random_env(rng, max_cells=8):
+def random_geometry(rng, max_cells=8):
     while True:
         w, h, d, dim = rng.choice(GRID_CHOICES)
         if w * h * d <= max_cells:
-            return envelop(grid(w, h, d, dim=dim))
+            return grid(w, h, d, dim=dim)
 
 
-def random_colours(rng, env, n):
-    return {v: rng.randint(1, n) for v in sorted(env.vertices)}
+def random_colours(rng, geometry, n):
+    return {v: rng.randint(1, n) for v in sorted(geometry.vertices)}
 
 
 def monotone_path(rng, width, height, max_len=None):

@@ -32,7 +32,7 @@ from sectorsearch.constraints import (
     stretch_sum_check,
 )
 from sectorsearch.engine import search
-from sectorsearch.geometry import OrderedPath, envelop, grid
+from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.instance import generate
 from sectorsearch.state import ColourState, stretches
 from sectorsearch.systematic import (
@@ -64,11 +64,11 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _small_env(rng):
+def _small_geometry(rng):
     while True:
         w, h, d, dim = rng.choice(SMALL_GRIDS)
         if w * h * d <= 8:
-            return envelop(grid(w, h, d, dim=dim))
+            return grid(w, h, d, dim=dim)
 
 
 def _instance_cap(n, size):
@@ -80,61 +80,59 @@ def test_criterion_1_violation_semantics_equivalence():
     start = time.time()
     checked = 0
 
-    def sweep(env, n, build):
+    def sweep(geometry, n, build):
         nonlocal checked
-        st = ColourState(env, n)
+        st = ColourState(geometry, n)
         constraint = build(st)
         st.register(constraint)
-        for colouring in all_colourings(env.vertices, n):
+        for colouring in all_colourings(geometry.vertices, n):
             st.set_all(colouring)
             assert (constraint.violation() == 0) == constraint.check()
             checked += 1
 
     for _ in range(50):
-        env = _small_env(rng)
+        geometry = _small_geometry(rng)
         n = rng.randint(2, 3)
-        if not _instance_cap(n, len(env.vertices)):
+        if not _instance_cap(n, len(geometry.vertices)):
             n = 2
         relop = rng.choice(RELOPS)
         n_val = rng.randint(1, n + 1)
-        sweep(env, n, lambda st: ConnectedConstraint(st, relop, n_val))
+        sweep(geometry, n, lambda st: ConnectedConstraint(st, relop, n_val))
 
-        env = _small_env(rng)
-        n = 2 if not _instance_cap(3, len(env.vertices)) else rng.randint(2, 3)
+        geometry = _small_geometry(rng)
+        n = 2 if not _instance_cap(3, len(geometry.vertices)) else rng.randint(2, 3)
         t = rng.randint(0, 30)
         weight = rng.choice(("identity", "square"))
-        sweep(env, n, lambda st: CompactConstraint(st, t, mode="B", weight_fn=weight))
+        sweep(geometry, n, lambda st: CompactConstraint(st, t, mode="B", weight_fn=weight))
 
         m = rng.randint(2, 8)
         g = grid(m, 1, dim=2)
-        env = envelop(g)
         path = OrderedPath(list(range(m)), g)
         values = [rng.randint(1, 9) for _ in range(m)]
         relop_s = rng.choice(RELOPS)
         t_s = rng.randint(1, 15)
         n = 2 if not _instance_cap(3, m) else rng.randint(2, 3)
-        sweep(env, n, lambda st: StretchSumConstraint(st, path, values, relop_s, t_s))
+        sweep(g, n, lambda st: StretchSumConstraint(st, path, values, relop_s, t_s))
 
-        env = _small_env(rng)
-        n = 2 if not _instance_cap(3, len(env.vertices)) else rng.randint(2, 3)
-        values_map = {v: rng.randint(0, 9) for v in sorted(env.vertices)}
+        g = _small_geometry(rng)
+        n = 2 if not _instance_cap(3, len(g.vertices)) else rng.randint(2, 3)
+        values_map = {v: rng.randint(0, 9) for v in sorted(g.vertices)}
         delta = rng.randint(0, 40)
-        sweep(env, n, lambda st: BalancedConstraint(st, values_map, delta))
+        sweep(g, n, lambda st: BalancedConstraint(st, values_map, delta))
 
-        env = _small_env(rng)
-        n = 2 if not _instance_cap(3, len(env.vertices)) else rng.randint(2, 3)
-        values_map = {v: rng.randint(0, 9) for v in sorted(env.vertices)}
+        g = _small_geometry(rng)
+        n = 2 if not _instance_cap(3, len(g.vertices)) else rng.randint(2, 3)
+        values_map = {v: rng.randint(0, 9) for v in sorted(g.vertices)}
         relop_b = rng.choice(RELOPS)
         t_b = rng.randint(0, 25)
-        sweep(env, n, lambda st: BoundedConstraint(st, values_map, relop_b, t_b))
+        sweep(g, n, lambda st: BoundedConstraint(st, values_map, relop_b, t_b))
 
         w, h = rng.choice(((2, 3), (3, 2), (2, 4), (2, 2)))
         g = grid(w, h, dim=2)
-        env = envelop(g)
         pv = monotone_path(rng, w, h)
         path = OrderedPath(pv, g)
         n = 2 if not _instance_cap(3, w * h) else rng.randint(2, 3)
-        sweep(env, n, lambda st: NonBorderConstraint(st, path))
+        sweep(g, n, lambda st: NonBorderConstraint(st, path))
 
     elapsed = time.time() - start
     _verdict(
@@ -147,9 +145,8 @@ def test_criterion_1_violation_semantics_equivalence():
 
 def _probe_state(rng, side=4, n=3):
     g = grid(side, side, dim=2)
-    env = envelop(g)
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
-    return g, env, st
+    st = ColourState(g, n, colours=random_colours(rng, g, n))
+    return g, st
 
 
 def test_criterion_2_delta_exactness():
@@ -161,7 +158,7 @@ def test_criterion_2_delta_exactness():
         """Random walk of probe-then-commit moves, each probe checked
         against the naive before/after difference."""
         st = constraint.state
-        vertices = sorted(st.env.vertices)
+        vertices = sorted(st.geometry.vertices)
         for _ in range(probes_per_family):
             v = rng.choice(vertices)
             colour = rng.randint(1, st.n)
@@ -176,44 +173,44 @@ def test_criterion_2_delta_exactness():
                 assert delta == expected
             st.assign(v, colour)
 
-    g, env, st = _probe_state(rng)
+    g, st = _probe_state(rng)
     connected = ConnectedConstraint(st, "=", 3)
     st.register(connected)
     drive(connected, lambda cols: naive_connected_violation(g, cols, "=", 3))
 
-    g, env, st = _probe_state(rng)
+    g, st = _probe_state(rng)
     pv = monotone_path(rng, 4, 4)
     values = [rng.randint(1, 9) for _ in pv]
     stretch = StretchSumConstraint(st, OrderedPath(pv, g), values, ">=", 12)
     st.register(stretch)
     drive(stretch, lambda cols: naive_stretch_violation([cols[u] for u in pv], values, ">=", 12))
 
-    g, env, st = _probe_state(rng)
-    value_map = {v: (v % 9) + 1 for v in env.vertices}
+    g, st = _probe_state(rng)
+    value_map = {v: (v % 9) + 1 for v in g.vertices}
     balanced = BalancedConstraint(st, value_map, 30)
     st.register(balanced)
     drive(balanced, lambda cols: naive_balanced_violation(cols, value_map, 3, 30))
 
-    g, env, st = _probe_state(rng)
+    g, st = _probe_state(rng)
     bounded = BoundedConstraint(st, value_map, "<=", 20)
     st.register(bounded)
     drive(bounded, lambda cols: naive_bounded_violation(cols, value_map, 3, "<=", 20))
 
-    g, env, st = _probe_state(rng)
+    g, st = _probe_state(rng)
     pv = monotone_path(rng, 4, 4)
     non_border = NonBorderConstraint(st, OrderedPath(pv, g))
     st.register(non_border)
     drive(non_border, lambda cols: naive_nonborder_violation(g, cols, pv))
 
-    g, env, st = _probe_state(rng)
+    g, st = _probe_state(rng)
     compact_b = CompactConstraint(st, 20, mode="B")
     st.register(compact_b)
-    drive(compact_b, lambda cols: naive_compact_b_violation(env, cols, 20), tolerance=1e-9)
+    drive(compact_b, lambda cols: naive_compact_b_violation(g, cols, 20), tolerance=1e-9)
 
-    g, env, st = _probe_state(rng)
+    g, st = _probe_state(rng)
     compact_a = CompactConstraint(st, 10, mode="A", probe="exact")
     st.register(compact_a)
-    drive(compact_a, lambda cols: naive_compact_a_violation(env, cols, 10), tolerance=1e-9)
+    drive(compact_a, lambda cols: naive_compact_a_violation(g, cols, 10), tolerance=1e-9)
 
     elapsed = time.time() - start
     _verdict(
@@ -228,10 +225,9 @@ def test_criterion_3_incrementality_on_20x20():
     rng = random.Random(30)
     side = 20
     g = grid(side, side, dim=2)
-    env = envelop(g)
     n = 4
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
-    values = {v: rng.randint(1, 9) for v in sorted(env.vertices)}
+    st = ColourState(g, n, colours=random_colours(rng, g, n))
+    values = {v: rng.randint(1, 9) for v in sorted(g.vertices)}
     pv = monotone_path(rng, side, side)
     dwell = [rng.randint(30, 120) for _ in pv]
     path = OrderedPath(pv, g)
@@ -246,15 +242,15 @@ def test_criterion_3_incrementality_on_20x20():
     for c in (connected, compact_a, compact_b, balanced, bounded, stretch, non_border):
         st.register(c)
 
-    vertices = sorted(env.vertices)
+    vertices = sorted(g.vertices)
     moves = 10000
     for i in range(1, moves + 1):
         st.assign(rng.choice(vertices), rng.randint(1, n))
         if i % 2500 == 0 or i == moves:
             cols = st.snapshot()
             assert connected.violation() == naive_connected_violation(g, cols, "=", n)
-            assert abs(compact_a.violation() - naive_compact_a_violation(env, cols, 50)) <= 1e-9
-            assert abs(compact_b.violation() - naive_compact_b_violation(env, cols, 120)) <= 1e-9
+            assert abs(compact_a.violation() - naive_compact_a_violation(g, cols, 50)) <= 1e-9
+            assert abs(compact_b.violation() - naive_compact_b_violation(g, cols, 120)) <= 1e-9
             assert balanced.violation() == naive_balanced_violation(cols, values, n, 100)
             assert bounded.violation() == naive_bounded_violation(cols, values, n, "<=", 600)
             assert stretch.violation() == naive_stretch_violation([cols[u] for u in pv], dwell, ">=", 120)
@@ -348,13 +344,12 @@ def test_criterion_7_fast_delta_divergence_ledger():
     probes = 10000
     divergences = 0
     g = grid(6, 6, dim=2)
-    env = envelop(g)
     n = 3
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
+    st = ColourState(g, n, colours=random_colours(rng, g, n))
     exact = ConnectedConstraint(st, "=", n)
     fast = ConnectedConstraint(st, "=", n, mode="paper-fast")
     st.register(exact)
-    vertices = sorted(env.vertices)
+    vertices = sorted(g.vertices)
     from sectorsearch.relation import holds
 
     for _ in range(probes):

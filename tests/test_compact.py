@@ -9,17 +9,17 @@ from oracles import (
     naive_compact_b_total,
     naive_compact_b_violation,
     random_colours,
-    random_env,
+    random_geometry,
 )
 from sectorsearch.constraints import CompactConstraint, sphere_surface
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import envelop, grid
+from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
 
 def square_state(colours, n=2, side=2):
-    env = envelop(grid(side, side, dim=2))
-    return ColourState(env, n, colours={i: c for i, c in enumerate(colours)})
+    geometry = grid(side, side, dim=2)
+    return ColourState(geometry, n, colours={i: c for i, c in enumerate(colours)})
 
 
 def test_border_area_examples():
@@ -54,8 +54,8 @@ def test_mode_b_violation_examples():
 
 
 def test_mode_a_single_cube():
-    env = envelop(grid(1, 1, 1))  # one 3D cell: sigma 6, nu 1
-    st = ColourState(env, 1)
+    geometry = grid(1, 1, 1)  # one 3D cell: sigma 6, nu 1
+    st = ColourState(geometry, 1)
     threshold = math.ceil(6 - sphere_surface(1, 3))
     c = CompactConstraint(st, threshold=threshold, mode="A")
     assert c.violation() == 0
@@ -92,34 +92,34 @@ def test_mode_b_probe_matches_scratch():
     rng = random.Random(41)
     for weight in ("identity", "square"):
         for _ in range(200):
-            env = random_env(rng)
+            geometry = random_geometry(rng)
             n = 3
-            st = ColourState(env, n, colours=random_colours(rng, env, n))
+            st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
             t = rng.randint(0, 30)
             c = CompactConstraint(st, threshold=t, mode="B", weight_fn=weight)
-            v = rng.choice(sorted(env.vertices))
+            v = rng.choice(sorted(geometry.vertices))
             colour = rng.randint(1, n)
-            before = naive_compact_b_violation(env, st.snapshot(), t, weight)
+            before = naive_compact_b_violation(geometry, st.snapshot(), t, weight)
             after_colours = st.snapshot()
             after_colours[v] = colour
-            after = naive_compact_b_violation(env, after_colours, t, weight)
+            after = naive_compact_b_violation(geometry, after_colours, t, weight)
             assert abs(c.probe_assign(v, colour) - (after - before)) < 1e-9
 
 
 def test_mode_a_exact_probe_matches_scratch():
     rng = random.Random(43)
     for _ in range(100):
-        env = random_env(rng)
+        geometry = random_geometry(rng)
         n = 2
-        st = ColourState(env, n, colours=random_colours(rng, env, n))
+        st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
         t = rng.randint(0, 10)
         c = CompactConstraint(st, threshold=t, mode="A", probe="exact")
-        v = rng.choice(sorted(env.vertices))
+        v = rng.choice(sorted(geometry.vertices))
         colour = rng.randint(1, n)
-        before = naive_compact_a_violation(env, st.snapshot(), t)
+        before = naive_compact_a_violation(geometry, st.snapshot(), t)
         after_colours = st.snapshot()
         after_colours[v] = colour
-        after = naive_compact_a_violation(env, after_colours, t)
+        after = naive_compact_a_violation(geometry, after_colours, t)
         assert abs(c.probe_assign(v, colour) - (after - before)) < 1e-9
 
 
@@ -127,10 +127,10 @@ def test_mode_a_exact_probe_is_the_committed_change():
     """To the last bit: the probe and the commit sum the same component
     terms, each colour and then the colours with ``math.fsum``."""
     rng = random.Random(67)
-    env = envelop(grid(4, 4, 3))
+    geometry = grid(4, 4, 3)
     moves = 0
     while moves < 2000:
-        st = ColourState(env, 3, colours=random_colours(rng, env, 3))
+        st = ColourState(geometry, 3, colours=random_colours(rng, geometry, 3))
         c = CompactConstraint(st, threshold=0, mode="A", probe="exact")
         st.register(c)
         for _ in range(100):
@@ -155,12 +155,12 @@ def test_mode_a_fast_probe_divergence_stats():
     often it differs from the exact recount instead of correcting it."""
     rng = random.Random(61)
     diverged = total = 0
-    env = envelop(grid(3, 3, dim=2))
+    geometry = grid(3, 3, dim=2)
     for _ in range(300):
-        st = ColourState(env, 3, colours=random_colours(rng, env, 3))
+        st = ColourState(geometry, 3, colours=random_colours(rng, geometry, 3))
         fast = CompactConstraint(st, threshold=4, mode="A")
         exact = CompactConstraint(st, threshold=4, mode="A", probe="exact")
-        v = rng.choice(sorted(env.vertices))
+        v = rng.choice(sorted(geometry.vertices))
         colour = rng.randint(1, 3)
         if colour == st.colour(v):
             continue
@@ -174,70 +174,70 @@ def test_mode_a_fast_probe_divergence_stats():
 def test_commit_matches_scratch():
     rng = random.Random(47)
     for mode in ("A", "B"):
-        env = random_env(rng)
+        geometry = random_geometry(rng)
         n = 3
-        st = ColourState(env, n, colours=random_colours(rng, env, n))
+        st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
         c = CompactConstraint(st, threshold=5, mode=mode)
         st.register(c)
         for _ in range(150):
-            v = rng.choice(sorted(env.vertices))
+            v = rng.choice(sorted(geometry.vertices))
             st.assign(v, rng.randint(1, n))
             if mode == "B":
-                expected = naive_compact_b_violation(env, st.snapshot(), 5)
+                expected = naive_compact_b_violation(geometry, st.snapshot(), 5)
             else:
-                expected = naive_compact_a_violation(env, st.snapshot(), 5)
+                expected = naive_compact_a_violation(geometry, st.snapshot(), 5)
             assert abs(c.violation() - expected) < 1e-9
 
 
 def test_commit_touches_only_neighbourhood_caches():
-    env = envelop(grid(3, 3, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(3, 3, dim=2)
+    st = ColourState(geometry, 2)
     c = CompactConstraint(st, threshold=12)
     st.register(c)
     before = dict(c.border_cache)
     st.assign(4, 2)  # centre cell
     changed = {v for v in before if before[v] != c.border_cache[v]}
-    assert changed <= {4} | set(env.base.adjacent(4))
+    assert changed <= {4} | set(geometry.adjacent(4))
 
 
 def test_mode_b_zero_iff_total_within_threshold():
-    env = envelop(grid(2, 2, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(2, 2, dim=2)
+    st = ColourState(geometry, 2)
     for t in (0, 6, 8, 10, 12):
-        for colouring in all_colourings(env.vertices, 2):
+        for colouring in all_colourings(geometry.vertices, 2):
             st.set_all(colouring)
             c = CompactConstraint(st, threshold=t, mode="B")
-            total = naive_compact_b_total(env, colouring)
+            total = naive_compact_b_total(geometry, colouring)
             assert (c.violation() == 0) == (total <= t)
             assert (c.violation() == 0) == c.check()
 
 
 def test_component_border_sums_add_up():
     rng = random.Random(53)
-    env = envelop(grid(3, 3, dim=2))
+    geometry = grid(3, 3, dim=2)
     for _ in range(20):
-        colours = random_colours(rng, env, 3)
-        st = ColourState(env, 3, colours=colours)
+        colours = random_colours(rng, geometry, 3)
+        st = ColourState(geometry, 3, colours=colours)
         comp_total = sum(comp.border_area for comp in st.connected_components())
-        vertex_total = sum(st.border_area(v) for v in env.vertices)
+        vertex_total = sum(st.border_area(v) for v in geometry.vertices)
         assert comp_total == vertex_total
 
 
 def test_identity_probe_equals_neighbour_delta_sum():
     rng = random.Random(59)
-    env = envelop(grid(3, 3, dim=2))
+    geometry = grid(3, 3, dim=2)
     # mode B with identity weight and an exceeded threshold, and the mode A
     # fast probe, are both the physical border-area change of the move,
     # which the case table sums up
     for mode in ("B", "A"):
         for _ in range(50):
-            st = ColourState(env, 3, colours=random_colours(rng, env, 3))
+            st = ColourState(geometry, 3, colours=random_colours(rng, geometry, 3))
             c = CompactConstraint(st, threshold=0, mode=mode)
-            v = rng.choice(sorted(env.vertices))
+            v = rng.choice(sorted(geometry.vertices))
             colour = rng.randint(1, 3)
             if colour == st.colour(v):
                 continue
             table_sum = sum(
-                c.neighbour_delta(w, v, colour) for w in env.adjacent(v)
+                c.neighbour_delta(w, v, colour) for w in geometry.adjacent(v)
             )
             assert c.probe_assign(v, colour) == table_sum

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import naive_components, random_colours
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
-from sectorsearch.geometry import envelop, grid
+from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
 
@@ -38,7 +38,7 @@ def assert_compact_sums_match_components(c, st):
         lab = index.label[min(comp.vertices)]
         assert c.sigma[lab] == comp.border_area
         assert c.nu[lab] == comp.volume
-        terms[comp.colour][lab] = comp.border_area - sphere_surface(comp.volume, st.env.dim)
+        terms[comp.colour][lab] = comp.border_area - sphere_surface(comp.volume, st.geometry.dim)
     assert set(c.sigma) == set(c.nu) == set(index.size)
     assert c.terms == terms
     assert c.colour_term == [math.fsum(t.values()) for t in terms]
@@ -48,9 +48,9 @@ def assert_compact_sums_match_components(c, st):
 @pytest.mark.parametrize("with_connected", [False, True], ids=["compact-alone", "with-connected"])
 def test_walk_keeps_index_and_compact_sums(with_connected):
     rng = random.Random(71)
-    env = envelop(grid(4, 4, 3))
+    geometry = grid(4, 4, 3)
     n = 3
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     compact = CompactConstraint(st, threshold=0, mode="A", probe="exact")
     st.register(compact)
     if with_connected:
@@ -60,7 +60,7 @@ def test_walk_keeps_index_and_compact_sums(with_connected):
     splits = merges = commits = 0
 
     def check():
-        assert_index_matches_components(index, env.base, st.snapshot(), n)
+        assert_index_matches_components(index, geometry, st.snapshot(), n)
         assert_compact_sums_match_components(compact, st)
         if with_connected:
             assert connected.ncc_by_colour is index.count
@@ -76,6 +76,6 @@ def test_walk_keeps_index_and_compact_sums(with_connected):
         merges += len(index.change.joined) >= 2
         check()
         if commits % 50 == 0:
-            st.set_all(random_colours(rng, env, n))
+            st.set_all(random_colours(rng, geometry, n))
             check()
     assert splits > 20 and merges > 20

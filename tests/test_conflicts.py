@@ -22,7 +22,7 @@ from sectorsearch.constraints import (
     StretchSumConstraint,
 )
 from sectorsearch.engine import Model, Move, search
-from sectorsearch.geometry import Geometry, OrderedPath, envelop, grid
+from sectorsearch.geometry import Geometry, OrderedPath, grid
 from sectorsearch.instance import ConstraintSpec, generate
 from sectorsearch.state import ColourState, MaskView
 
@@ -47,13 +47,12 @@ def all_kinds(side, n, rng, rename=None):
     registered through one model; ``rename`` relabels the vertex ids."""
     rename = rename or (lambda v: v)
     g = _relabelled(grid(side, side, dim=2), rename)
-    env = envelop(g)
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
+    st = ColourState(g, n, colours=random_colours(rng, g, n))
     # small workloads with a whole average, so that a class sum sometimes
     # hits it and the balanced term of that class is zero
-    values = {v: rng.randint(1, 2) for v in sorted(env.vertices)}
+    values = {v: rng.randint(1, 2) for v in sorted(g.vertices)}
     values[st.order[0]] += -sum(values.values()) % n
-    volumes = {v: g.volume(v) for v in env.vertices}
+    volumes = {v: g.volume(v) for v in g.vertices}
     paths = [
         OrderedPath([rename(v) for v in monotone_path(rng, side, side)], g) for _ in range(2)
     ]
@@ -101,7 +100,7 @@ def check_invariants(st, model):
     # the pool the engine used to scan for
     pool = [
         v
-        for v in sorted(st.env.vertices)
+        for v in sorted(st.geometry.vertices)
         if any(w * c.var_violation(v) > 0 for c, w in model.entries)
     ]
     view = MaskView(st.order, union)
@@ -123,7 +122,7 @@ def test_masks_track_var_violation_over_a_walk(rename):
     for step in range(420):
         roll = rng.random()
         if roll < 0.03:
-            st.set_all(random_colours(rng, st.env, st.n))
+            st.set_all(random_colours(rng, st.geometry, st.n))
             rebuilds += 1
         elif roll < 0.06:
             rng.choice(hard).hard_init(rng)
@@ -149,9 +148,9 @@ def test_masks_track_var_violation_over_a_walk(rename):
 
 def test_rank_is_the_position_in_order():
     for rename in (lambda v: v, lambda v: 5 * v + 2):
-        env = envelop(_relabelled(grid(3, 4, dim=2), rename))
-        st = ColourState(env, 2)
-        assert st.order == sorted(env.vertices)
+        geometry = _relabelled(grid(3, 4, dim=2), rename)
+        st = ColourState(geometry, 2)
+        assert st.order == sorted(geometry.vertices)
         assert [st.rank[v] for v in st.order] == list(range(len(st.order)))
 
 

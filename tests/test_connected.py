@@ -8,19 +8,19 @@ from oracles import (
     naive_connected_ok,
     naive_connected_violation,
     random_colours,
-    random_env,
+    random_geometry,
 )
 from sectorsearch.constraints import ConnectedConstraint, connected_check
 from sectorsearch.errors import InitError, InputError
-from sectorsearch.geometry import envelop, grid
+from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
 RELOPS = ("<=", "<", "=", "!=", ">", ">=")
 
 
 def path_state(colours, n=2):
-    env = envelop(grid(len(colours), 1, dim=2))
-    return ColourState(env, n, colours={i: c for i, c in enumerate(colours)})
+    geometry = grid(len(colours), 1, dim=2)
+    return ColourState(geometry, n, colours={i: c for i, c in enumerate(colours)})
 
 
 def test_check_examples():
@@ -95,56 +95,56 @@ def test_commit_merge_exact():
 def test_probe_matches_scratch_diff():
     rng = random.Random(17)
     for _ in range(300):
-        env = random_env(rng)
+        geometry = random_geometry(rng)
         n = rng.randint(2, 3)
-        st = ColourState(env, n, colours=random_colours(rng, env, n))
+        st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
         relop = rng.choice(RELOPS)
         n_val = rng.randint(1, n + 1)
         c = ConnectedConstraint(st, relop, n_val)
-        v = rng.choice(sorted(env.vertices))
+        v = rng.choice(sorted(geometry.vertices))
         colour = rng.randint(1, n)
-        before = naive_connected_violation(env.base, st.snapshot(), relop, n_val)
+        before = naive_connected_violation(geometry, st.snapshot(), relop, n_val)
         delta = c.probe_assign(v, colour)
         after_colours = st.snapshot()
         after_colours[v] = colour
-        after = naive_connected_violation(env.base, after_colours, relop, n_val)
+        after = naive_connected_violation(geometry, after_colours, relop, n_val)
         assert delta == after - before
 
 
 def test_incremental_equals_scratch_after_commits():
     rng = random.Random(23)
-    env = random_env(rng)
+    geometry = random_geometry(rng)
     n = 3
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     c = ConnectedConstraint(st, "=", 2)
     st.register(c)
     for _ in range(200):
-        v = rng.choice(sorted(env.vertices))
+        v = rng.choice(sorted(geometry.vertices))
         st.assign(v, rng.randint(1, n))
-        assert c.violation() == naive_connected_violation(env.base, st.snapshot(), "=", 2)
+        assert c.violation() == naive_connected_violation(geometry, st.snapshot(), "=", 2)
         assert c.ncc == sum(c.ncc_by_colour.values())
 
 
 def test_violation_zero_iff_check_small_exhaustive():
-    env = envelop(grid(2, 2, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(2, 2, dim=2)
+    st = ColourState(geometry, 2)
     for relop, n_val in (("=", 2), ("<=", 1), (">=", 3)):
-        for colouring in all_colourings(env.vertices, 2):
+        for colouring in all_colourings(geometry.vertices, 2):
             st.set_all(colouring)
             c = ConnectedConstraint(st, relop, n_val)
             assert (c.violation() == 0) == c.check()
-            assert c.check() == naive_connected_ok(env.base, colouring, relop, n_val)
+            assert c.check() == naive_connected_ok(geometry, colouring, relop, n_val)
 
 
 def test_fast_mode_tracks_component_counts_without_splits_or_merges():
     rng = random.Random(31)
     for _ in range(200):
-        env = random_env(rng)
+        geometry = random_geometry(rng)
         n = 3
-        st = ColourState(env, n, colours=random_colours(rng, env, n))
+        st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
         exact = ConnectedConstraint(st, "=", 2)
         fast = ConnectedConstraint(st, "=", 2, mode="paper-fast")
-        v = rng.choice(sorted(env.vertices))
+        v = rng.choice(sorted(geometry.vertices))
         colour = rng.randint(1, n)
         if colour == st.colour(v):
             continue
@@ -176,14 +176,14 @@ def assert_labels_match_components(c, base, colours):
     assert c.ncc_by_colour == per
 
 
-def label_walk(rng, env, n, steps, relop="=", n_val=2):
+def label_walk(rng, geometry, n, steps, relop="=", n_val=2):
     """Random commits, checking labels, sizes and probes after each one;
     returns how many commits split their old component and how many
     merged several components of the new colour."""
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     c = ConnectedConstraint(st, relop, n_val)
     st.register(c)
-    vertices = sorted(env.vertices)
+    vertices = sorted(geometry.vertices)
     splits = merges = 0
     for _ in range(steps):
         v = rng.choice(vertices)
@@ -193,15 +193,15 @@ def label_walk(rng, env, n, steps, relop="=", n_val=2):
             merges += c.new_colour_merge_count(v, colour) >= 2
         st.assign(v, colour)
         colours = st.snapshot()
-        assert_labels_match_components(c, env.base, colours)
-        before = naive_connected_violation(env.base, colours, relop, n_val)
+        assert_labels_match_components(c, geometry, colours)
+        before = naive_connected_violation(geometry, colours, relop, n_val)
         assert c.violation() == before
         for _ in range(3):
             w = rng.choice(vertices)
             probe_colour = rng.randint(1, n)
             after_colours = dict(colours)
             after_colours[w] = probe_colour
-            after = naive_connected_violation(env.base, after_colours, relop, n_val)
+            after = naive_connected_violation(geometry, after_colours, relop, n_val)
             assert c.probe_assign(w, probe_colour) == after - before
     return splits, merges
 
@@ -210,8 +210,8 @@ def test_labels_track_components_on_random_envs():
     rng = random.Random(41)
     splits = merges = 0
     for _ in range(20):
-        env = random_env(rng)
-        s, m = label_walk(rng, env, rng.randint(2, 3), 20, relop=rng.choice(RELOPS))
+        geometry = random_geometry(rng)
+        s, m = label_walk(rng, geometry, rng.randint(2, 3), 20, relop=rng.choice(RELOPS))
         splits += s
         merges += m
     assert splits > 0 and merges > 0
@@ -219,8 +219,8 @@ def test_labels_track_components_on_random_envs():
 
 def test_labels_track_components_on_grid():
     rng = random.Random(43)
-    env = envelop(grid(6, 6, dim=2))
-    splits, merges = label_walk(rng, env, 3, 400, n_val=3)
+    geometry = grid(6, 6, dim=2)
+    splits, merges = label_walk(rng, geometry, 3, 400, n_val=3)
     assert splits > 0 and merges > 0
 
 
@@ -233,10 +233,10 @@ def test_label_helpers_need_exact_mode():
 
 
 def test_hard_init_relops():
-    env = envelop(grid(4, 3, dim=2))
+    geometry = grid(4, 3, dim=2)
     rng = random.Random(2)
     for relop, counter in (("=", 3), ("<=", 2), (">=", 2), ("<", 4), (">", 1), ("!=", 1)):
-        st = ColourState(env, 4)
+        st = ColourState(geometry, 4)
         c = ConnectedConstraint(st, relop, counter)
         c.hard_init(rng)
         assert c.check()
@@ -244,16 +244,16 @@ def test_hard_init_relops():
 
 
 def test_hard_init_single_colour():
-    env = envelop(grid(3, 1, dim=2))
-    st = ColourState(env, 1)
+    geometry = grid(3, 1, dim=2)
+    st = ColourState(geometry, 1)
     c = ConnectedConstraint(st, "=", 1)
     c.hard_init(random.Random(0))
     assert len(set(st.snapshot().values())) == 1
 
 
 def test_hard_init_impossible():
-    env = envelop(grid(2, 1, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(2, 1, dim=2)
+    st = ColourState(geometry, 2)
     c = ConnectedConstraint(st, "=", 5)  # needs 5 components on 2 vertices
     with pytest.raises(InitError):
         c.hard_init(random.Random(0))

@@ -24,7 +24,7 @@ from sectorsearch.engine import (
     search,
 )
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import OrderedPath, envelop, grid
+from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.instance import generate
 from sectorsearch.state import ColourState
 from sectorsearch.systematic import brute_force_solve
@@ -34,9 +34,8 @@ def full_model(seed=0, side=4, n=3):
     """A model exercising every constraint family at once."""
     rng = random.Random(seed)
     g = grid(side, side, dim=2)
-    env = envelop(g)
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
-    values = {v: rng.randint(1, 9) for v in sorted(env.vertices)}
+    st = ColourState(g, n, colours=random_colours(rng, g, n))
+    values = {v: rng.randint(1, 9) for v in sorted(g.vertices)}
     path_vertices = monotone_path(rng, side, side)
     path = OrderedPath(path_vertices, g)
     dwell = [rng.randint(30, 90) for _ in path_vertices]
@@ -79,14 +78,14 @@ def scratch_model_violation(model):
 
 def test_probe_noop_is_zero():
     st, model = full_model()
-    v = sorted(st.env.vertices)[0]
+    v = sorted(st.geometry.vertices)[0]
     assert model.probe(Move.assign(v, st.colour(v))) == 0
 
 
 def test_assign_probe_matches_total_delta():
     rng = random.Random(13)
     st, model = full_model(seed=13)
-    vs = sorted(st.env.vertices)
+    vs = sorted(st.geometry.vertices)
     for _ in range(100):
         v = rng.choice(vs)
         c = rng.randint(1, st.n)
@@ -99,7 +98,7 @@ def test_assign_probe_matches_total_delta():
 def test_committed_caches_equal_scratch():
     rng = random.Random(19)
     st, model = full_model(seed=19)
-    vs = sorted(st.env.vertices)
+    vs = sorted(st.geometry.vertices)
     for _ in range(200):
         model.commit(Move.assign(rng.choice(vs), rng.randint(1, st.n)))
     assert abs(model.total_violation() - scratch_model_violation(model)) < 1e-9
@@ -112,18 +111,18 @@ def test_weighted_total():
 
 
 def test_neighbourhood_monochrome_introduces_unused_colours():
-    env = envelop(grid(2, 2, dim=2))
-    st = ColourState(env, 3)
+    geometry = grid(2, 2, dim=2)
+    st = ColourState(geometry, 3)
     model = Model(st, [(ConnectedConstraint(st, "=", 2), 1)])
     moves = neighbourhood(model)
     assert moves  # every vertex borders the outside, unused colours exist
     assert all(m.colour in (2, 3) for m in moves)
-    assert {m.vertex for m in moves} == set(env.vertices)
+    assert {m.vertex for m in moves} == set(geometry.vertices)
 
 
 def test_neighbourhood_border_moves():
-    env = envelop(grid(4, 1, dim=2))
-    st = ColourState(env, 2, colours={0: 1, 1: 1, 2: 2, 3: 2})
+    geometry = grid(4, 1, dim=2)
+    st = ColourState(geometry, 2, colours={0: 1, 1: 1, 2: 2, 3: 2})
     model = Model(st, [(ConnectedConstraint(st, "=", 2), 1)])
     moves = {(m.vertex, m.colour) for m in neighbourhood(model)}
     assert (1, 2) in moves
@@ -132,8 +131,8 @@ def test_neighbourhood_border_moves():
 
 
 def test_neighbourhood_is_what_search_draws_from():
-    env = envelop(grid(3, 3, dim=2))
-    st = ColourState(env, 3)
+    geometry = grid(3, 3, dim=2)
+    st = ColourState(geometry, 3)
     model = Model(st, [(ConnectedConstraint(st, "=", 2), 1)])
     # the centre borders neither another colour nor the outside, and an
     # unused colour still lets it move
@@ -151,8 +150,8 @@ def test_neighbourhood_is_what_search_draws_from():
 
 
 def test_neighbourhood_lists_counter_moves():
-    env = envelop(grid(3, 1, dim=2))
-    st = ColourState(env, 3)
+    geometry = grid(3, 1, dim=2)
+    st = ColourState(geometry, 3)
     con = ConnectedConstraint(st, "=", 2)
     model = Model(st, [(con, 1)], searchable_counters={"connected": (1, 2, 3)})
     counter_moves = [m for m in neighbourhood(model) if m.kind == "counter"]
@@ -160,8 +159,8 @@ def test_neighbourhood_lists_counter_moves():
 
 
 def test_commit_returns_the_move_that_takes_it_back():
-    env = envelop(grid(3, 1, dim=2))
-    st = ColourState(env, 3, colours={0: 1, 1: 2, 2: 3})
+    geometry = grid(3, 1, dim=2)
+    st = ColourState(geometry, 3, colours={0: 1, 1: 2, 2: 3})
     con = ConnectedConstraint(st, "=", 2)
     model = Model(st, [(con, 1)], searchable_counters={"connected": (1, 2, 3)})
     assert model.commit(Move.assign(1, 3)) == Move.assign(1, 2)
@@ -181,8 +180,8 @@ def test_unknown_neighbourhood_rejected_before_any_draw():
 
 
 def test_search_starting_at_zero_returns_immediately():
-    env = envelop(grid(2, 2, dim=2))
-    st = ColourState(env, 1)
+    geometry = grid(2, 2, dim=2)
+    st = ColourState(geometry, 1)
     model = Model(st, [(ConnectedConstraint(st, "=", 1), 1)])
     result = search(model, SearchConfig(max_iterations=100, seed=0, init="keep"))
     assert result.violation == 0
@@ -190,20 +189,20 @@ def test_search_starting_at_zero_returns_immediately():
 
 
 def test_search_tiny_instance_reaches_zero():
-    env = envelop(grid(4, 1, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(4, 1, dim=2)
+    st = ColourState(geometry, 2)
     model = Model(st, [(ConnectedConstraint(st, "=", 2), 1)])
     result = search(model, SearchConfig(max_iterations=2000, seed=5))
     assert result.violation == 0
-    check_state = ColourState(env, 2, colours=result.colours)
+    check_state = ColourState(geometry, 2, colours=result.colours)
     assert ConnectedConstraint(check_state, "=", 2).violation() == 0
 
 
 def test_search_replay_is_deterministic():
     def run():
-        env = envelop(grid(4, 4, dim=2))
-        st = ColourState(env, 3)
-        values = {v: (v % 5) + 1 for v in st.env.vertices}
+        geometry = grid(4, 4, dim=2)
+        st = ColourState(geometry, 3)
+        values = {v: (v % 5) + 1 for v in st.geometry.vertices}
         model = Model(
             st,
             [
@@ -220,8 +219,8 @@ def test_search_replay_is_deterministic():
 
 
 def test_search_trace_shape():
-    env = envelop(grid(3, 3, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(3, 3, dim=2)
+    st = ColourState(geometry, 2)
     model = Model(st, [(ConnectedConstraint(st, "=", 2), 1)])
     result = search(model, SearchConfig(max_iterations=50, seed=1))
     assert result.trace[0][0] == 0
@@ -231,9 +230,9 @@ def test_search_trace_shape():
 
 
 def test_hard_connected_stays_satisfied():
-    env = envelop(grid(4, 4, dim=2))
-    st = ColourState(env, 3)
-    values = {v: (v * 7) % 11 + 1 for v in st.env.vertices}
+    geometry = grid(4, 4, dim=2)
+    st = ColourState(geometry, 3)
+    values = {v: (v * 7) % 11 + 1 for v in st.geometry.vertices}
     con = ConnectedConstraint(st, "=", 3, id="connected")
     bal = BalancedConstraint(st, values, 40, id="balance")
     model = Model(st, [(con, 1), (bal, 1)])
@@ -247,8 +246,7 @@ def test_hard_connected_stays_satisfied():
 
 def test_hard_stretchsum_initialised_and_kept():
     g = grid(6, 1, dim=2)
-    env = envelop(g)
-    st = ColourState(env, 2)
+    st = ColourState(g, 2)
     path = OrderedPath([0, 1, 2, 3, 4, 5], g)
     dwell = [70, 70, 70, 70, 70, 70]
     ss = StretchSumConstraint(st, path, dwell, ">=", 120, id="dwell")
@@ -361,8 +359,8 @@ class _BreaksOnCommit(Constraint):
 
 
 def test_hard_constraint_broken_by_a_commit_raises():
-    env = envelop(grid(3, 3, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(3, 3, dim=2)
+    st = ColourState(geometry, 2)
     brittle = _BreaksOnCommit(st)
     model = Model(st, [(ConnectedConstraint(st, "=", 1), 1), (brittle, 1)])
     cfg = SearchConfig(max_iterations=50, seed=1, hard=("brittle",), init="random")

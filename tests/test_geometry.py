@@ -1,14 +1,7 @@
 import pytest
 
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import (
-    BOTTOM,
-    Geometry,
-    OrderedPath,
-    envelop,
-    grid,
-    grid_vertices,
-)
+from sectorsearch.geometry import Geometry, OrderedPath, grid, grid_vertices
 
 
 def test_adjacent_on_path():
@@ -40,18 +33,18 @@ def test_shared_facet_unit_grid():
 
 
 def test_shared_facet_non_adjacent():
-    env = envelop(grid(2, 2, dim=2))
+    g = grid(2, 2, dim=2)
     with pytest.raises(InputError, match="not adjacent"):
-        env.edge_area(0, 3)
+        g.edge_area(0, 3)
 
 
 def test_border_vertices_2x2():
-    assert grid(2, 2, dim=2).border_vertices() == {0, 1, 2, 3}
+    assert set(grid(2, 2, dim=2).border_areas) == {0, 1, 2, 3}
 
 
 def test_border_vertices_3x3_excludes_centre():
     g = grid(3, 3, dim=2)
-    assert g.border_vertices() == frozenset(range(9)) - {4}
+    assert set(g.border_areas) == set(range(9)) - {4}
     assert g.border_areas == {0: 2, 2: 2, 6: 2, 8: 2, 1: 1, 3: 1, 5: 1, 7: 1}
 
 
@@ -66,26 +59,12 @@ def test_facet_owner_counts():
 
 
 def test_border_vertices_single():
-    assert grid(1, 1, dim=2).border_vertices() == {0}
-
-
-def test_envelop_single_vertex():
-    env = envelop(grid(1, 1, dim=2))
-    assert env.adjacent(BOTTOM) == {0}
-    assert env.adjacent(0) == {BOTTOM}
-    assert env.edge_areas(BOTTOM) == {0: 4}
-    assert env.edge_areas(0) == {BOTTOM: 4}
-
-
-def test_envelop_degrees():
-    assert len(envelop(grid(2, 2, dim=2)).adjacent(BOTTOM)) == 4
-    assert len(envelop(grid(3, 3, dim=2)).adjacent(BOTTOM)) == 8
-
-
-def test_envelop_twice_rejected():
-    env = envelop(grid(2, 2, dim=2))
-    with pytest.raises(InputError):
-        envelop(env)
+    # a lone cell has no neighbour: all four sides face the outside
+    g = grid(1, 1, dim=2)
+    assert g.border_areas == {0: 4}
+    assert g.adjacent(0) == frozenset()
+    assert g.edge_areas(0) == {}
+    assert g.outside_area() == 4
 
 
 def test_grid_counts():
@@ -131,14 +110,14 @@ def test_grid_vertices_are_the_grid_vertices(dims):
 @pytest.mark.parametrize("w,h", [(2, 2), (3, 5), (4, 4), (6, 2)])
 def test_border_count_formula_2d(w, h):
     g = grid(w, h, dim=2)
-    assert len(g.border_vertices()) == 2 * w + 2 * h - 4
+    assert len(g.border_areas) == 2 * w + 2 * h - 4
 
 
-def test_enveloped_edge_areas():
-    env = envelop(grid(2, 2, dim=2))
-    assert env.edge_area(0, 1) == 1
-    assert env.edge_area(0, BOTTOM) == 2  # two outer sides
-    assert env.outside_area() == 8
+def test_edge_area_and_outside_area():
+    g = grid(2, 2, dim=2)
+    assert g.edge_area(0, 1) == 1
+    assert g.border_areas[0] == 2  # two outer sides
+    assert g.outside_area() == 8
 
 
 def test_scaled_areas_and_volumes():
@@ -163,22 +142,15 @@ def test_unequal_areas_attach_to_their_pairs():
     assert g.border_areas == {0: 12, 1: 11, 2: 13}
     assert [g.volume(v) for v in range(3)] == [1, 4, 9]
     assert list(g.edges()) == [(0, 1), (1, 2)]
-    env = envelop(g)
-    assert env.edge_area(0, BOTTOM) == 12
-    assert env.edge_area(BOTTOM, 2) == 13
-    assert env.edge_area(2, 1) == 3
-    assert env.edge_areas(1) == {0: 2, 2: 3, BOTTOM: 11}
-    assert env.outside_area() == 36
+    assert g.edge_area(2, 1) == 3
+    assert g.outside_area() == 36
 
 
 def test_accessors_return_stored_objects():
     g = grid(3, 3, dim=2)
-    env = envelop(g)
     for v in (0, 4):
         assert g.adjacent(v) is g.adjacent(v)
         assert g.edge_areas(v) is g.edge_areas(v)
-        assert env.adjacent(v) is env.adjacent(v)
-        assert env.edge_areas(v) is env.edge_areas(v)
 
 
 def test_pair_sharing_two_facets_rejected():
@@ -209,13 +181,9 @@ def test_geometry_validation_rejects_bad_data():
 def test_ordered_path_navigation():
     g = grid(3, 1, dim=2)
     p = OrderedPath([0, 1, 2], g)
-    assert p.pred(0) == BOTTOM
-    assert p.succ(2) == BOTTOM
-    assert p.pred(1) == 0 and p.succ(1) == 2
-    assert p.position(2) == 2
-    assert len(p) == 5
-    assert list(p) == [BOTTOM, 0, 1, 2, BOTTOM]
-    assert 1 in p and 7 not in p
+    assert p.interior == (0, 1, 2)
+    assert p == OrderedPath((0, 1, 2))
+    assert p != OrderedPath([2, 1, 0], g)
 
 
 def test_ordered_path_validation():

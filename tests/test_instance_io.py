@@ -109,7 +109,7 @@ def test_loads_then_build_makes_one_geometry(monkeypatch):
     instance = loads(text)
     model = instance.build()
     assert len(calls) == 1
-    assert instance.validate() is model.state.env.base
+    assert instance.validate() is model.state.geometry
     assert len(calls) == 1
 
 

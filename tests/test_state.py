@@ -4,14 +4,13 @@ import pytest
 
 from oracles import naive_components
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import BOTTOM, envelop, grid
+from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState, grow_regions, stretches
 
 
 def path_state(colours, n=3):
     g = grid(len(colours), 1, dim=2)
-    env = envelop(g)
-    return ColourState(env, n, colours={i: c for i, c in enumerate(colours)})
+    return ColourState(g, n, colours={i: c for i, c in enumerate(colours)})
 
 
 def test_colour_graph_edges_path():
@@ -20,9 +19,9 @@ def test_colour_graph_edges_path():
 
 
 def test_colour_graph_edges_monochrome():
-    env = envelop(grid(2, 2, dim=2))
-    st = ColourState(env, 2)
-    assert st.colour_graph_edges() == set(env.base.edges())
+    geometry = grid(2, 2, dim=2)
+    st = ColourState(geometry, 2)
+    assert st.colour_graph_edges() == set(geometry.edges())
 
 
 def test_colour_graph_edges_proper_colouring():
@@ -38,8 +37,8 @@ def test_components_path():
 
 
 def test_components_monochrome():
-    env = envelop(grid(2, 2, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(2, 2, dim=2)
+    st = ColourState(geometry, 2)
     comps = st.connected_components()
     assert len(comps) == 1
     assert comps[0].border_area == 8
@@ -47,16 +46,16 @@ def test_components_monochrome():
 
 
 def test_components_diagonal():
-    env = envelop(grid(2, 2, dim=2))
-    st = ColourState(env, 2, colours={0: 1, 1: 2, 2: 2, 3: 1})
+    geometry = grid(2, 2, dim=2)
+    st = ColourState(geometry, 2, colours={0: 1, 1: 2, 2: 2, 3: 1})
     assert len(st.connected_components()) == 4
 
 
 def test_component_attributes_match_scratch():
     rng = random.Random(5)
-    env = envelop(grid(3, 3, dim=2))
+    geometry = grid(3, 3, dim=2)
     for _ in range(20):
-        st = ColourState(env, 3, colours={v: rng.randint(1, 3) for v in env.vertices})
+        st = ColourState(geometry, 3, colours={v: rng.randint(1, 3) for v in geometry.vertices})
         for comp in st.connected_components():
             assert comp.border_area == sum(st.border_area(v) for v in comp.vertices)
             assert comp.volume == len(comp.vertices)
@@ -95,38 +94,33 @@ def test_assign_errors():
         st.assign(0, 4)
     with pytest.raises(InputError):
         st.assign(0, 0)
-    with pytest.raises(InputError):
-        st.assign(BOTTOM, 1)
-
-
-def test_bottom_colour_reserved():
-    st = path_state([1, 1, 2])
-    assert st.colour(BOTTOM) == 0
+    with pytest.raises(InputError, match="unknown vertex -1"):
+        st.assign(-1, 1)
 
 
 def test_grow_regions_properties():
     rng = random.Random(3)
-    env = envelop(grid(5, 4, dim=2))
+    geometry = grid(5, 4, dim=2)
     for k in (1, 2, 3, 5):
-        colours = grow_regions(env, k, rng)
-        assert set(colours) == set(env.vertices)
+        colours = grow_regions(geometry, k, rng)
+        assert set(colours) == set(geometry.vertices)
         assert set(colours.values()) == set(range(1, k + 1))
-        st = ColourState(env, k, colours=colours)
+        st = ColourState(geometry, k, colours=colours)
         assert len(st.connected_components()) == k
 
 
 def test_grow_regions_too_many():
-    env = envelop(grid(2, 1, dim=2))
+    geometry = grid(2, 1, dim=2)
     with pytest.raises(InputError):
-        grow_regions(env, 3, random.Random(0))
+        grow_regions(geometry, 3, random.Random(0))
 
 
 def test_components_agree_with_oracle():
     rng = random.Random(11)
-    env = envelop(grid(3, 3, dim=2))
+    geometry = grid(3, 3, dim=2)
     for _ in range(25):
-        colours = {v: rng.randint(1, 3) for v in env.vertices}
-        st = ColourState(env, 3, colours=colours)
+        colours = {v: rng.randint(1, 3) for v in geometry.vertices}
+        st = ColourState(geometry, 3, colours=colours)
         mine = {frozenset(c.vertices) for c in st.connected_components()}
-        theirs = {frozenset(vs) for _, vs in naive_components(env.base, colours)}
+        theirs = {frozenset(vs) for _, vs in naive_components(geometry, colours)}
         assert mine == theirs

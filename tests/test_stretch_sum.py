@@ -10,7 +10,7 @@ from oracles import (
 )
 from sectorsearch.constraints import StretchSumConstraint, stretch_sum_check
 from sectorsearch.errors import InitError, InputError
-from sectorsearch.geometry import OrderedPath, envelop, grid
+from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.state import ColourState
 
 RELOPS = ("<=", "<", "=", "!=", ">", ">=")
@@ -18,8 +18,7 @@ RELOPS = ("<=", "<", "=", "!=", ">", ">=")
 
 def make(colours, values, relop=">=", t=120, n=3):
     g = grid(len(colours), 1, dim=2)
-    env = envelop(g)
-    st = ColourState(env, n, colours={i: c for i, c in enumerate(colours)})
+    st = ColourState(g, n, colours={i: c for i, c in enumerate(colours)})
     path = OrderedPath(list(range(len(colours))), g)
     return st, StretchSumConstraint(st, path, values, relop, t)
 
@@ -157,8 +156,7 @@ def test_hard_init_minimum_dwell():
         values = [rng.randint(20, 90) for _ in range(m)]
         t = rng.randint(30, 150)
         g = grid(m, 1, dim=2)
-        env = envelop(g)
-        st = ColourState(env, 2)
+        st = ColourState(g, 2)
         path = OrderedPath(list(range(m)), g)
         c = StretchSumConstraint(st, path, values, ">=", t)
         if sum(values) < t:
@@ -176,8 +174,7 @@ def test_hard_init_maximum_dwell():
         values = [rng.randint(5, 60) for _ in range(m)]
         t = rng.randint(40, 120)
         g = grid(m, 1, dim=2)
-        env = envelop(g)
-        st = ColourState(env, 2)
+        st = ColourState(g, 2)
         path = OrderedPath(list(range(m)), g)
         c = StretchSumConstraint(st, path, values, "<=", t)
         if max(values) > t:
@@ -190,7 +187,7 @@ def test_hard_init_maximum_dwell():
 
 def test_hard_init_single_vertex():
     g = grid(1, 1, dim=2)
-    st = ColourState(envelop(g), 2)
+    st = ColourState(g, 2)
     c = StretchSumConstraint(st, OrderedPath([0], g), [150], ">=", 120)
     c.hard_init()
     assert c.violation() == 0
@@ -198,7 +195,7 @@ def test_hard_init_single_vertex():
 
 def test_hard_init_unsupported_relop():
     g = grid(2, 1, dim=2)
-    st = ColourState(envelop(g), 2)
+    st = ColourState(g, 2)
     c = StretchSumConstraint(st, OrderedPath([0, 1], g), [5, 5], "=", 10)
     with pytest.raises(InitError):
         c.hard_init()
@@ -206,7 +203,7 @@ def test_hard_init_unsupported_relop():
 
 def test_value_validation():
     g = grid(2, 1, dim=2)
-    st = ColourState(envelop(g), 2)
+    st = ColourState(g, 2)
     path = OrderedPath([0, 1], g)
     with pytest.raises(InputError):
         StretchSumConstraint(st, path, [5], ">=", 10)

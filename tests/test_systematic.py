@@ -7,7 +7,7 @@ from oracles import naive_stretch_ok
 from sectorsearch.constraints import ConnectedConstraint
 from sectorsearch.engine import Model
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import OrderedPath, envelop, grid
+from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.state import ColourState
 from sectorsearch.systematic import (
     DomainStore,
@@ -138,7 +138,6 @@ def test_connected_feasibility_flags():
 def test_connected_feasibility_sound():
     rng = random.Random(109)
     g = grid(4, 1, dim=2)
-    env = envelop(g)
     for _ in range(150):
         n = rng.randint(2, 3)
         doms = {v: set(rng.sample(range(1, n + 1), rng.randint(1, n))) for v in range(4)}
@@ -147,7 +146,7 @@ def test_connected_feasibility_sound():
         verdict = connected_feasibility(store, g, "=", counter_dom)
         # enumerate completions to know the truth
         satisfiable = False
-        st = ColourState(env, n)
+        st = ColourState(g, n)
         for combo in itertools.product(*[sorted(doms[v]) for v in range(4)]):
             st.set_all(dict(enumerate(combo)))
             from sectorsearch.constraints import connected_check
@@ -189,25 +188,25 @@ def test_dfa_agrees_with_scan_randomised():
 
 
 def test_brute_force_solve_counts():
-    env = envelop(grid(3, 1, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(3, 1, dim=2)
+    st = ColourState(geometry, 2)
     model = Model(st, [(ConnectedConstraint(st, "=", 1), 1)])
     solutions = brute_force_solve(model)
     assert len(solutions) == 2
     assert all(len(set(sol.values())) == 1 for sol in solutions)
 
-    st2 = ColourState(envelop(grid(2, 1, dim=2)), 2)
+    st2 = ColourState(grid(2, 1, dim=2), 2)
     empty_model = Model(st2, [])
     assert len(brute_force_solve(empty_model)) == 4
 
-    st3 = ColourState(envelop(grid(2, 1, dim=2)), 2)
+    st3 = ColourState(grid(2, 1, dim=2), 2)
     unsat = Model(st3, [(ConnectedConstraint(st3, "=", 5), 1)])
     assert brute_force_solve(unsat) == []
 
 
 def test_brute_force_solve_respects_limit():
-    env = envelop(grid(4, 3, dim=2))
-    st = ColourState(env, 2)
+    geometry = grid(4, 3, dim=2)
+    st = ColourState(geometry, 2)
     model = Model(st, [])
     with pytest.raises(InputError):
         brute_force_solve(model, limit=10)

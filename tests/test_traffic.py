@@ -1,7 +1,7 @@
 import pytest
 
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import BOTTOM, grid
+from sectorsearch.geometry import grid
 from sectorsearch.traffic import FlightPlan, dwell_values, validate, visited_path
 
 
@@ -52,12 +52,12 @@ def test_dwell_values():
 def test_visited_path():
     plan = FlightPlan(((0, 0, 50), (1, 50, 130), (2, 130, 260)))
     p = visited_path(plan)
-    assert list(p) == [BOTTOM, 0, 1, 2, BOTTOM]
-    assert list(visited_path(FlightPlan(((5, 0, 9),)))) == [BOTTOM, 5, BOTTOM]
+    assert p.interior == (0, 1, 2)
+    assert visited_path(FlightPlan(((5, 0, 9),))).interior == (5,)
 
 
 def test_dwell_sum_equals_span(path_geometry):
     plan = FlightPlan(((0, 7, 50), (1, 50, 130), (2, 130, 260)))
     validate(plan, path_geometry)
     assert sum(dwell_values(plan)) == plan.legs[-1][2] - plan.legs[0][1]
-    assert len(visited_path(plan)) == len(plan.legs) + 2
+    assert len(visited_path(plan).interior) == len(plan.legs)

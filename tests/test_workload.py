@@ -7,7 +7,7 @@ from oracles import (
     naive_balanced_violation,
     naive_bounded_violation,
     random_colours,
-    random_env,
+    random_geometry,
 )
 from sectorsearch.constraints import (
     BalancedConstraint,
@@ -17,15 +17,15 @@ from sectorsearch.constraints import (
     scale_delta,
 )
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import envelop, grid
+from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
 RELOPS = ("<=", "<", "=", "!=", ">", ">=")
 
 
 def make_state(colours, n=2):
-    env = envelop(grid(len(colours), 1, dim=2))
-    return ColourState(env, n, colours={i: c for i, c in enumerate(colours)})
+    geometry = grid(len(colours), 1, dim=2)
+    return ColourState(geometry, n, colours={i: c for i, c in enumerate(colours)})
 
 
 def test_mu_of():
@@ -101,12 +101,12 @@ def test_bounded_probe_example():
 def test_probes_match_scratch():
     rng = random.Random(89)
     for _ in range(300):
-        env = random_env(rng)
+        geometry = random_geometry(rng)
         n = rng.randint(2, 3)
-        st = ColourState(env, n, colours=random_colours(rng, env, n))
-        values = {v: rng.randint(0, 9) for v in sorted(env.vertices)}
+        st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+        values = {v: rng.randint(0, 9) for v in sorted(geometry.vertices)}
         colours = st.snapshot()
-        v = rng.choice(sorted(env.vertices))
+        v = rng.choice(sorted(geometry.vertices))
         colour = rng.randint(1, n)
         after = dict(colours)
         after[v] = colour
@@ -129,17 +129,17 @@ def test_probes_match_scratch():
 
 def test_commits_conserve_sums():
     rng = random.Random(97)
-    env = random_env(rng)
+    geometry = random_geometry(rng)
     n = 3
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
-    values = {v: rng.randint(1, 9) for v in sorted(env.vertices)}
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    values = {v: rng.randint(1, 9) for v in sorted(geometry.vertices)}
     bal = BalancedConstraint(st, values, 10)
     bou = BoundedConstraint(st, values, "<=", 15)
     st.register(bal)
     st.register(bou)
     total = sum(values.values())
     for _ in range(200):
-        v = rng.choice(sorted(env.vertices))
+        v = rng.choice(sorted(geometry.vertices))
         st.assign(v, rng.randint(1, n))
         assert sum(bal.sums.values()) == total
         assert sum(bou.sums.values()) == total
@@ -151,9 +151,9 @@ def test_commits_conserve_sums():
 
 
 def test_balanced_over_volumes_is_balanced_size():
-    env = envelop(grid(2, 2, dim=2, cell_volume=3))
-    st = ColourState(env, 2, colours={0: 1, 1: 1, 2: 2, 3: 2})
-    volumes = {v: env.base.volume(v) for v in env.vertices}
+    geometry = grid(2, 2, dim=2, cell_volume=3)
+    st = ColourState(geometry, 2, colours={0: 1, 1: 1, 2: 2, 3: 2})
+    volumes = {v: geometry.volume(v) for v in geometry.vertices}
     c = BalancedConstraint(st, volumes, 0, id="balanced_size")
     assert c.violation() == 0  # two cells of volume 3 per colour
     st.assign(3, 1)
@@ -163,15 +163,15 @@ def test_balanced_over_volumes_is_balanced_size():
 
 def test_checks_read_the_colours_not_the_cache():
     rng = random.Random(101)
-    env = random_env(rng)
+    geometry = random_geometry(rng)
     n = 3
-    st = ColourState(env, n, colours=random_colours(rng, env, n))
-    values = {v: rng.randint(1, 9) for v in sorted(env.vertices)}
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    values = {v: rng.randint(1, 9) for v in sorted(geometry.vertices)}
     # unregistered: every assign leaves their sums stale
     bal = BalancedConstraint(st, values, 10)
     bou = BoundedConstraint(st, values, "<=", 15)
     for _ in range(100):
-        st.assign(rng.choice(sorted(env.vertices)), rng.randint(1, n))
+        st.assign(rng.choice(sorted(geometry.vertices)), rng.randint(1, n))
         colours = st.snapshot()
         assert bal.check() == (naive_balanced_violation(colours, values, n, 10) == 0)
         assert bou.check() == (naive_bounded_violation(colours, values, n, "<=", 15) == 0)
