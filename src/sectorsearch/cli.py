@@ -56,6 +56,13 @@ def _scratch_violations(instance, colours, mode=None, weights=None, counters=Non
     each constraint's id and violation, and the weighted total."""
     model = instance.build(colours=colours, mode_override=mode, weight_overrides=weights)
     for cid, value in (counters or {}).items():
+        domain = model.searchable_counters.get(cid)
+        if domain is None:
+            raise FormatError("solution", f"counter {cid} names no searchable counter")
+        if value not in domain:
+            raise FormatError(
+                "solution", f"counter {cid} value {value} outside {domain[0]}..{domain[-1]}"
+            )
         model.constraint(cid).commit_counter(value)
     parts = []
     total = 0.0
@@ -128,7 +135,7 @@ def _cmd_solve(args) -> int:
     for cid, value in counters.items():
         print(f"counter {cid} {value}")
     if args.output:
-        save_solution(best.colours, args.output)
+        save_solution(best.colours, args.output, counters)
         print(f"wrote solution {args.output}")
     if args.trace:
         ids = [c.id for c, _ in best_model.entries]
@@ -143,7 +150,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     instance = load(args.instance)
-    parts, total = _scratch_violations(instance, load_solution(args.solution))
+    colours, counters = load_solution(args.solution)
+    parts, total = _scratch_violations(instance, colours, counters=counters)
     for cid, violation in parts:
         print(f"constraint {cid} violation {_fmt(violation)}")
     print(f"total {_fmt(total)}")

@@ -382,30 +382,49 @@ def loads(text: str, origin: str = "<string>") -> Instance:
     return instance
 
 
-def save_solution(colours: Dict[int, int], path: str) -> None:
+def save_solution(
+    colours: Dict[int, int], path: str, counters: Optional[Dict[str, int]] = None
+) -> None:
+    """Write the colours, then one ``counter <id> <value>`` line per
+    searched counter, in the order given."""
     lines = [SOLUTION_MAGIC]
     for v in sorted(colours):
         lines.append(f"colour {v} {colours[v]}")
+    for cid, value in (counters or {}).items():
+        lines.append(f"counter {cid} {value}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def load_solution(path: str) -> Dict[int, int]:
+def load_solution(path: str) -> Tuple[Dict[int, int], Dict[str, int]]:
+    """The colours of a solution file and its counter values, constraint
+    id to value (empty for a colour-only file)."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     colours: Dict[int, int] = {}
+    counters: Dict[str, int] = {}
     for no, line in _body(text, SOLUTION_MAGIC, path):
+        where = f"{path}:{no}"
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "colour":
-            raise FormatError(f"{path}:{no}", f"expected 'colour <vertex> <colour>'")
+        if len(parts) != 3 or parts[0] not in ("colour", "counter"):
+            raise FormatError(where, "expected 'colour <vertex> <colour>' or 'counter <id> <value>'")
+        if parts[0] == "counter":
+            cid = parts[1]
+            if cid in counters:
+                raise FormatError(where, f"counter {cid} repeated")
+            try:
+                counters[cid] = int(parts[2])
+            except ValueError:
+                raise FormatError(where, f"expected an integer value in {line!r}") from None
+            continue
         try:
             v, colour = int(parts[1]), int(parts[2])
         except ValueError:
-            raise FormatError(f"{path}:{no}", f"expected integers in {line!r}") from None
+            raise FormatError(where, f"expected integers in {line!r}") from None
         if v in colours:
-            raise FormatError(f"{path}:{no}", f"vertex {v} repeated")
+            raise FormatError(where, f"vertex {v} repeated")
         colours[v] = colour
-    return colours
+    return colours, counters
 
 
 # ---------------------------------------------------------------------------

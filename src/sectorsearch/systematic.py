@@ -343,8 +343,10 @@ def stretchsum_dfa_check(
 def brute_force_solve(model, limit: int = 10, max_colours: int = 4) -> List[Dict[int, int]]:
     """All total colourings satisfying every constraint's semantics.
 
-    Exhaustive; guarded by instance-size preconditions.  The model's state
-    is restored afterwards.
+    Exhaustive; guarded by instance-size preconditions.  Each colouring
+    recolours, through ``assign``, only the vertices the previous one
+    coloured differently; ``check()`` reads the colours alone.  The
+    model's state is restored afterwards.
     """
     state = model.state
     vertices = sorted(state.geometry.vertices)
@@ -354,11 +356,14 @@ def brute_force_solve(model, limit: int = 10, max_colours: int = 4) -> List[Dict
         raise InputError(f"{state.n} colours exceed the oracle limit {max_colours}")
     original = state.snapshot()
     solutions: List[Dict[int, int]] = []
+    previous = [original[v] for v in vertices]
     for combo in itertools.product(range(1, state.n + 1), repeat=len(vertices)):
-        colouring = dict(zip(vertices, combo))
-        state.set_all(colouring)
+        for v, old, c in zip(vertices, previous, combo):
+            if old != c:
+                state.assign(v, c)
+        previous = combo
         if all(constraint.check() for constraint, _ in model.entries):
-            solutions.append(colouring)
+            solutions.append(dict(zip(vertices, combo)))
     state.set_all(original)
     return solutions
 

@@ -156,3 +156,32 @@ def test_solution_with_a_repeated_vertex(tmp_path):
     path.write_text("sector-solution 1\ncolour 0 1\ncolour 1 2\ncolour 0 2\n")
     with pytest.raises(FormatError, match=f"{path}:4: vertex 0 repeated"):
         load_solution(str(path))
+
+
+def _check_fails(capsys, inst, tmp_path, *lines):
+    sol = tmp_path / "s.sol"
+    colours = [f"colour {v} 1" for v in range(16)]
+    sol.write_text("\n".join(["sector-solution 1", *colours, *lines]) + "\n")
+    assert cli.main(["check", str(inst), str(sol)]) == 2
+    return sol, capsys.readouterr().err
+
+
+def test_solution_with_a_malformed_counter(inst, tmp_path, capsys):
+    sol, err = _check_fails(capsys, inst, tmp_path, "counter connected three")
+    assert f"{sol}:18: expected an integer value" in err
+
+
+def test_solution_with_a_repeated_counter(inst, tmp_path, capsys):
+    sol, err = _check_fails(capsys, inst, tmp_path, "counter connected 3", "counter connected 3")
+    assert f"{sol}:19: counter connected repeated" in err
+
+
+def test_solution_counter_that_is_not_searchable(inst, tmp_path, capsys):
+    _, err = _check_fails(capsys, inst, tmp_path, "counter connected 3")
+    assert "counter connected names no searchable counter" in err
+
+
+def test_solution_counter_outside_its_domain(inst, tmp_path, capsys):
+    inst.write_text(inst.read_text().replace("counter 3\n", "counter 3\ncounter_min 2\ncounter_max 4\n"))
+    _, err = _check_fails(capsys, inst, tmp_path, "counter connected 5")
+    assert "counter connected value 5 outside 2..4" in err

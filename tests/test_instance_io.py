@@ -175,7 +175,10 @@ def test_solution_round_trip(tmp_path):
     path = tmp_path / "t.sol"
     colours = {0: 1, 1: 2, 2: 1}
     save_solution(colours, str(path))
-    assert load_solution(str(path)) == colours
+    assert load_solution(str(path)) == (colours, {})
+    save_solution(colours, str(path), {"connected": 3, "other": 1})
+    assert path.read_text().endswith("colour 2 1\ncounter connected 3\ncounter other 1\n")
+    assert load_solution(str(path)) == (colours, {"connected": 3, "other": 1})
 
 
 def test_cli_pipeline(tmp_path):
@@ -218,8 +221,8 @@ def test_cli_solve_reports_the_rebuilt_total(tmp_path, capsys):
 
 def test_cli_solve_rebuilds_with_the_searched_counters(tmp_path, capsys):
     """A search that reaches zero by moving a searchable counter away from
-    the file's value: solve rebuilds with the searched counter and reports
-    it, while check on the colour-only solution file uses the file's."""
+    the file's value: solve rebuilds with the searched counter, reports it
+    and writes it to the solution file, so check agrees with solve."""
     instance = generate(seed=4, width=6, height=6, colours=3, flights=1)
     for spec in instance.constraints:
         if spec.kind == "connected":
@@ -231,8 +234,11 @@ def test_cli_solve_rebuilds_with_the_searched_counters(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "best: seed 0 violation 0\n" in out
     assert "counter connected 3\n" in out
-    assert cli.main(["check", str(inst), str(sol)]) == 1
-    assert "constraint connected violation 1" in capsys.readouterr().out
+    assert "counter connected 3\n" in sol.read_text()
+    assert cli.main(["check", str(inst), str(sol)]) == 0
+    out = capsys.readouterr().out
+    assert "constraint connected violation 0" in out
+    assert "total 0\n" in out
 
 
 def test_cli_check_reports_violations(tmp_path, capsys):
