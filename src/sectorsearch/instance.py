@@ -407,7 +407,9 @@ def load_solution(path: str) -> Tuple[Dict[int, int], Dict[str, int]]:
         where = f"{path}:{no}"
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("colour", "counter"):
-            raise FormatError(where, "expected 'colour <vertex> <colour>' or 'counter <id> <value>'")
+            raise FormatError(
+                where, "expected 'colour <vertex> <colour>' or 'counter <id> <value>'"
+            )
         if parts[0] == "counter":
             cid = parts[1]
             if cid in counters:

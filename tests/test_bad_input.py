@@ -182,6 +182,7 @@ def test_solution_counter_that_is_not_searchable(inst, tmp_path, capsys):
 
 
 def test_solution_counter_outside_its_domain(inst, tmp_path, capsys):
-    inst.write_text(inst.read_text().replace("counter 3\n", "counter 3\ncounter_min 2\ncounter_max 4\n"))
+    ranged = "counter 3\ncounter_min 2\ncounter_max 4\n"
+    inst.write_text(inst.read_text().replace("counter 3\n", ranged))
     _, err = _check_fails(capsys, inst, tmp_path, "counter connected 5")
     assert "counter connected value 5 outside 2..4" in err
