@@ -59,7 +59,12 @@ def test_facet_owner_counts():
 
 
 def test_border_vertices_single():
-    # a lone cell has no neighbour: all four sides face the outside
+    assert set(grid(1, 1, dim=2).border_areas) == {0}
+
+
+def test_envelop_single_vertex():
+    # a lone cell has no neighbour: all four sides face the outside,
+    # which is its border area rather than an enveloping vertex
     g = grid(1, 1, dim=2)
     assert g.border_areas == {0: 4}
     assert g.adjacent(0) == frozenset()
