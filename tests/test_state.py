@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from oracles import naive_components
 from sectorsearch.errors import InputError
-from sectorsearch.geometry import grid
+from sectorsearch.geometry import Geometry, grid
 from sectorsearch.state import ColourState, grow_regions, stretches
 
 
@@ -124,3 +125,45 @@ def test_components_agree_with_oracle():
         mine = {frozenset(c.vertices) for c in st.connected_components()}
         theirs = {frozenset(vs) for _, vs in naive_components(geometry, colours)}
         assert mine == theirs
+
+
+def _two_component_geometry():
+    """Two components with interleaved ids, the one holding vertex 0 not
+    the first built: a 2x2 block {2, 5, 7, 9} and a path 8-0-3."""
+    edges = [(2, 5), (5, 9), (9, 7), (7, 2), (8, 0), (0, 3)]
+    facets_of = {v: [100 + v] for v in (9, 7, 5, 2, 8, 3, 0)}
+    for f, (v, w) in enumerate(edges):
+        facets_of[v].append(f)
+        facets_of[w].append(f)
+    areas = {f: 1 for fs in facets_of.values() for f in fs}
+    return Geometry(facets_of, areas, dict.fromkeys(facets_of, 1), 2)
+
+
+GROW_CASES = {
+    "20x20": (lambda: grid(20, 20, dim=2), (1, 2, 6, 13)),
+    "80x80": (lambda: grid(80, 80, dim=2), (8,)),
+    "8x8x4": (lambda: grid(8, 8, 4, dim=3), (3, 16)),
+    "two-components": (_two_component_geometry, (2, 3, 7)),
+}
+
+#: computed before the claim loop was rewritten: every colouring and the
+#: next random draw after it, over seeds 0..3 for each k
+GROW_DIGESTS = {
+    "20x20": "a1b49b5ed737616fa13b4d926748a12a7cf99c131c7a106afa55a6cb954ad95c",
+    "80x80": "cedcf1e7cc89383f87facc6db1bb0b743cda41116b18f34df7aa96dbab0bd240",
+    "8x8x4": "faea25e54a4b8ae12224d31dc79823b5775af0039725c7c02890f5de76509609",
+    "two-components": "d25f58571cef59d85cd660cf27f4c28297a41a05f17b002de3002357510e9297",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROW_CASES))
+def test_grow_regions_pinned(name):
+    build, ks = GROW_CASES[name]
+    geometry = build()
+    runs = []
+    for k in ks:
+        for seed in range(4):
+            rng = random.Random(seed)
+            colours = grow_regions(geometry, k, rng)
+            runs.append((k, seed, sorted(colours.items()), rng.random()))
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == GROW_DIGESTS[name]
