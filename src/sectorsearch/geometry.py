@@ -16,11 +16,30 @@ The paper closes the geometry with an outside vertex adjacent to every
 border vertex.  Here the outside is no vertex: a vertex's border area
 stands for its facets with the outside, which no colouring can share, so
 it always counts as border.
+
+The breadth-first component searches over vertex classes
+(:func:`components`, :func:`class_components`) live here too, as a
+geometry's own components are one of their results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, KeysView, Mapping, Optional, Sequence, Tuple
+from collections import deque
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    KeysView,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .errors import InputError
 
@@ -32,6 +51,10 @@ class Geometry:
     when they share a facet, so symmetry and irreflexivity hold by
     construction, and the one-facet-per-edge invariant is validated here.
     The facets themselves are not kept.
+
+    As nothing in a geometry changes after construction, its sorted
+    vertex ``order()`` and its connected ``components()`` are computed on
+    the first request and kept: every later call returns the same tuple.
     """
 
     def __init__(
@@ -98,10 +121,29 @@ class Geometry:
         # stored, so that the hot path allocates nothing per call
         self._adj: Dict[int, KeysView[int]] = {v: ws.keys() for v, ws in edge_areas.items()}
         self._vertices: FrozenSet[int] = frozenset(edge_areas)
+        self._order: Optional[Tuple[int, ...]] = None
+        self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def vertices(self) -> FrozenSet[int]:
         return self._vertices
+
+    def order(self) -> Tuple[int, ...]:
+        """The vertices in increasing order, sorted on the first request."""
+        if self._order is None:
+            self._order = tuple(sorted(self._vertices))
+        return self._order
+
+    def components(self) -> Tuple[Tuple[int, ...], ...]:
+        """The connected components, each a sorted tuple, in the order of
+        their smallest vertex; searched on the first request and kept."""
+        if self._components is None:
+            vertices = self._vertices
+            self._components = tuple(
+                tuple(sorted(comp))
+                for comp in components(self, self.order(), lambda s: vertices)
+            )
+        return self._components
 
     def adjacent(self, v: int) -> KeysView[int]:
         """Vertices sharing a facet with ``v``."""
@@ -142,6 +184,46 @@ class Geometry:
 
     def __len__(self) -> int:
         return len(self._edge_areas)
+
+
+def components(
+    geometry: Geometry, starts: Iterable[int], class_of: Callable[[int], Container[int]]
+) -> List[Set[int]]:
+    """Connected components of ``geometry`` within vertex classes.
+
+    ``class_of(s)`` is the class of vertex ``s``, a vertex set that holds
+    ``s``; the classes partition the vertices reached, and the component
+    of ``s`` is its component in the subgraph induced by its class.  Only
+    components that contain a start vertex are searched, one breadth-first
+    search per start not yet covered, so the components come out in the
+    order of their first start vertex.
+    """
+    adjacent = geometry.adjacent
+    seen: Set[int] = set()
+    comps: List[Set[int]] = []
+    for start in starts:
+        if start in seen:
+            continue
+        members = class_of(start)
+        comp = {start}
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adjacent(u):
+                if w in members and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(comp)
+    return comps
+
+
+def class_components(geometry: Geometry, members: Set[int]) -> List[Set[int]]:
+    """Connected components of the subgraph induced by ``members``."""
+    return components(geometry, members, lambda s: members)
+
+
 
 
 def grid_vertices(w: int, h: int, d: int = 1, dim: Optional[int] = None) -> range:

@@ -23,7 +23,9 @@ connectedness counts from it and compact mode A keeps its per-component
 sums by its labels.
 
 The from-scratch component searches (``connected_components``, the
-cache-free checks and the systematic toolbox) share :func:`components`.
+cache-free checks and the systematic toolbox) share :func:`components`,
+which lives in :mod:`.geometry` beside the components of the geometry
+itself and is exported from here as well.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
-    Callable,
-    Container,
     Dict,
     FrozenSet,
     Iterable,
@@ -50,7 +50,7 @@ from typing import (
 )
 
 from .errors import InputError
-from .geometry import Geometry
+from .geometry import Geometry, class_components, components
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class ColourState:
         #: constraints are held weakly, so a model is free of reference
         #: cycles and is freed as soon as it is dropped
         self._observers: List[weakref.ref] = []
-        self.order: List[int] = sorted(geometry.vertices)
+        self.order: List[int] = list(geometry.order())
         #: position of each vertex in ``order``; when the ids are
         #: exactly 0..V-1, as on every grid, that is the identity, and a
         #: range stands in for a V-entry dict
@@ -516,84 +516,48 @@ def stretches(seq: Sequence) -> List[Tuple[int, int]]:
     return spans
 
 
-def components(
-    geometry: Geometry, starts: Iterable[int], class_of: Callable[[int], Container[int]]
-) -> List[Set[int]]:
-    """Connected components of ``geometry`` within vertex classes.
-
-    ``class_of(s)`` is the class of vertex ``s``, a vertex set that holds
-    ``s``; the classes partition the vertices reached, and the component
-    of ``s`` is its component in the subgraph induced by its class.  Only
-    components that contain a start vertex are searched, one breadth-first
-    search per start not yet covered, so the components come out in the
-    order of their first start vertex.
-    """
-    adjacent = geometry.adjacent
-    seen: Set[int] = set()
-    comps: List[Set[int]] = []
-    for start in starts:
-        if start in seen:
-            continue
-        members = class_of(start)
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adjacent(u):
-                if w in members and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
-
-
-def class_components(geometry: Geometry, members: Set[int]) -> List[Set[int]]:
-    """Connected components of the subgraph induced by ``members``."""
-    return components(geometry, members, lambda s: members)
-
-
 def grow_regions(geometry: Geometry, k: int, rng) -> Dict[int, int]:
     """Partition the vertices into ``k`` connected regions, colours 1..k.
 
-    Multi-source BFS from random seeds, growing regions one vertex per
-    round so sizes stay roughly even.  Raises when the geometry cannot be
-    covered by ``k`` connected regions.
+    Multi-source BFS from random seeds, one per geometry component first,
+    growing regions one vertex per round so sizes stay roughly even.
+    Each round a region claims the first unclaimed neighbour, in
+    increasing order, of the oldest vertex it holds that has one.  That
+    vertex's neighbours are walked by a resumable head, an iterator made
+    when the vertex is claimed: a neighbour once found claimed stays
+    claimed, so each round resumes where the last claim stopped.  Raises
+    when the geometry cannot be covered by ``k`` connected regions.
     """
-    vertices = sorted(geometry.vertices)
+    vertices = geometry.order()
     if not 1 <= k <= len(vertices):
         raise InputError(f"cannot grow {k} regions over {len(vertices)} vertices")
-    graph_comps = class_components(geometry, set(vertices))
+    graph_comps = geometry.components()
     if len(graph_comps) > k:
         raise InputError(
             f"geometry has {len(graph_comps)} components, more than {k} regions"
         )
-    seeds = []
-    for comp in sorted(graph_comps, key=min):
-        seeds.append(rng.choice(sorted(comp)))
+    seeds = [rng.choice(comp) for comp in graph_comps]
     chosen = set(seeds)
     remaining = [v for v in vertices if v not in chosen]
     seeds.extend(rng.sample(remaining, k - len(seeds)))
 
+    adjacent = geometry.adjacent
     colour: Dict[int, int] = {s: i + 1 for i, s in enumerate(seeds)}
-    queues = [deque([s]) for s in seeds]
+    heads = [deque([iter(sorted(adjacent(s)))]) for s in seeds]
     while len(colour) < len(vertices):
         progress = False
-        for i, queue in enumerate(queues):
-            claimed = False
-            while queue and not claimed:
-                u = queue[0]
-                for w in sorted(geometry.adjacent(u)):
+        for c, queue in enumerate(heads, 1):
+            while queue:
+                for w in queue[0]:
                     if w not in colour:
-                        colour[w] = i + 1
-                        queue.append(w)
-                        claimed = True
-                        progress = True
                         break
                 else:
                     queue.popleft()
+                    continue
+                colour[w] = c
+                queue.append(iter(sorted(adjacent(w))))
+                progress = True
+                break
         if not progress:
             raise InputError("region growing could not reach every vertex")
     return colour
-

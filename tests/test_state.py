@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_components
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import Geometry, grid
-from sectorsearch.state import ColourState, grow_regions, stretches
+from sectorsearch.state import ColourState, class_components, grow_regions, stretches
 
 
 def path_state(colours, n=3):
@@ -167,3 +167,25 @@ def test_grow_regions_pinned(name):
             colours = grow_regions(geometry, k, rng)
             runs.append((k, seed, sorted(colours.items()), rng.random()))
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == GROW_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: grid(5, 4, dim=2), lambda: grid(3, 3, 2, dim=3), _two_component_geometry],
+)
+def test_geometry_components_are_cached_sorted_tuples(build):
+    geometry = build()
+    expected = tuple(
+        sorted(tuple(sorted(comp)) for comp in class_components(geometry, set(geometry.vertices)))
+    )
+    comps = geometry.components()
+    assert comps == expected
+    assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+    assert geometry.components() is comps
+    assert geometry.order() == tuple(sorted(geometry.vertices))
+    assert geometry.order() is geometry.order()
+
+
+def test_grow_regions_more_components_than_regions():
+    with pytest.raises(InputError, match="geometry has 2 components, more than 1 regions"):
+        grow_regions(_two_component_geometry(), 1, random.Random(0))
