@@ -151,7 +151,8 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     instance = load(args.instance)
     colours, counters = load_solution(args.solution)
-    parts, total = _scratch_violations(instance, colours, counters=counters)
+    weights = _parse_weights(args.weights)
+    parts, total = _scratch_violations(instance, colours, weights=weights, counters=counters)
     for cid, violation in parts:
         print(f"constraint {cid} violation {_fmt(violation)}")
     print(f"total {_fmt(total)}")
@@ -220,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate a solution file from scratch")
     p.add_argument("instance")
     p.add_argument("solution")
+    p.add_argument("--weights", default=None, help="id=value,... overrides, as for solve")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle", help="brute-force enumeration of solutions")

@@ -7,7 +7,7 @@ import pytest
 from sectorsearch import cli
 from sectorsearch.engine import Move, SearchConfig, search
 from sectorsearch.errors import FormatError, InputError
-from sectorsearch.instance import dumps, generate, load_solution, loads
+from sectorsearch.instance import dumps, generate, load_solution, loads, save_solution
 
 
 @pytest.fixture
@@ -37,6 +37,13 @@ def test_non_integer_weight(inst, capsys):
 
 def test_weight_for_an_unknown_id(inst, capsys):
     assert "'nosuch'" in _solve_fails(capsys, inst, "--weights", "nosuch=3")
+
+
+def test_check_weight_for_an_unknown_id(inst, tmp_path, capsys):
+    sol = tmp_path / "g.sol"
+    save_solution(dict.fromkeys(range(16), 1), str(sol))
+    assert cli.main(["check", str(inst), str(sol), "--weights", "nosuch=3"]) == 2
+    assert "'nosuch'" in capsys.readouterr().err
 
 
 def test_parallel_below_one(inst, capsys):

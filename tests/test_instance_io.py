@@ -241,6 +241,22 @@ def test_cli_solve_rebuilds_with_the_searched_counters(tmp_path, capsys):
     assert "total 0\n" in out
 
 
+def test_cli_check_takes_the_solve_weights(tmp_path, capsys):
+    """check --weights rebuilds the total that solve --weights reports."""
+    inst = tmp_path / "w.inst"
+    sol = tmp_path / "w.sol"
+    save(generate(seed=5, width=6, height=6, colours=3, flights=1, balanced_share=0.01),
+         str(inst))
+    weights = ["--weights", "dwell0=5"]
+    assert cli.main(["solve", str(inst), "-o", str(sol), "--seed", "4", "--iters", "100",
+                     *weights]) == 1
+    assert "best: seed 4 violation 7\n" in capsys.readouterr().out
+    assert cli.main(["check", str(inst), str(sol)]) == 1
+    assert "total 3\n" in capsys.readouterr().out
+    assert cli.main(["check", str(inst), str(sol), *weights]) == 1
+    assert "total 7\n" in capsys.readouterr().out
+
+
 def test_cli_check_reports_violations(tmp_path, capsys):
     instance = tiny_instance()
     inst = tmp_path / "p.inst"
