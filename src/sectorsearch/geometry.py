@@ -224,8 +224,6 @@ def class_components(geometry: Geometry, members: Set[int]) -> List[Set[int]]:
     return components(geometry, members, lambda s: members)
 
 
-
-
 def grid_vertices(w: int, h: int, d: int = 1, dim: Optional[int] = None) -> range:
     """The vertex ids of ``grid(w, h, d, dim=dim)``, ``x + w * (y + h * z)``
     for the cell at ``(x, y, z)``; the arguments are checked as ``grid``
