@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .bench import bench_probe_scaling, format_report
 from .constraints.connected import MODES
@@ -48,6 +48,13 @@ def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
     return int(text)
+
+
+def _sizes(text: str) -> Tuple[int, ...]:
+    sizes = tuple(_positive_int(part) for part in text.split(","))
+    if len(sizes) < 2:
+        raise argparse.ArgumentTypeError(f"expected at least two sizes, got {text!r}")
+    return sizes
 
 
 def _scratch_violations(instance, colours, mode=None, weights=None, counters=None):
@@ -109,17 +116,18 @@ def _cmd_solve(args) -> int:
         cfg = replace(cfg, hard=tuple(p for p in args.hard.split(",") if p))
     weights = _parse_weights(args.weights)
 
-    results = []
+    # only the best run so far is kept, so k runs hold at most two models
+    best = best_model = None
     for offset in range(args.parallel):
         model = instance.build(mode_override=args.mode, weight_overrides=weights)
-        run_cfg = replace(cfg, seed=cfg.seed + offset)
-        results.append((search(model, run_cfg), model))
-    best, best_model = min(results, key=lambda pair: (pair[0].violation, pair[0].seed))
-    for result, _ in results:
+        result = search(model, replace(cfg, seed=cfg.seed + offset))
         print(
             f"seed {result.seed}: violation {_fmt(result.violation)} "
             f"after {result.iterations} iterations"
         )
+        if best is None or (result.violation, result.seed) < (best.violation, best.seed):
+            best, best_model = result, model
+        del model, result
     # the reported total is the rebuilt colouring's, never the search's
     # caches.  Searched counters are the model's final ones: those of the
     # best state whenever the run ended on it, as every run at zero does.
@@ -172,8 +180,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_probe_bench(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    report = bench_probe_scaling(sizes=sizes, probes=args.probes, seed=args.seed)
+    report = bench_probe_scaling(sizes=args.sizes, probes=args.probes, seed=args.seed)
     print(format_report(report))
     return 0
 
@@ -231,8 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("probe-bench", help="probe-cost scaling report")
-    p.add_argument("--sizes", default="100,1000,10000")
-    p.add_argument("--probes", type=int, default=3000)
+    p.add_argument("--sizes", type=_sizes, default="100,1000,10000",
+                   help="comma list of at least two vertex counts")
+    p.add_argument("--probes", type=_positive_int, default=3000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_probe_bench)
     return parser

@@ -11,6 +11,12 @@ gives the same answer before the move and after it: ``probe_assign``
 reduces that effect to a violation delta and ``commit_assign`` applies
 it to the caches, so the two cannot drift apart.
 
+A constraint names the vertices whose recolouring can change its
+violation in :meth:`Constraint.scope`.  The model never probes it and the
+state never notifies it for a move outside that scope, so its probe and
+commit hooks see only moves of those vertices (a direct probe outside the
+scope must still answer 0).
+
 Besides its violation, every constraint reports its conflicting vertices
 as a bit mask over ``state.order`` (see :meth:`Constraint.conflicts`).
 The built-in kinds keep that mask up to date as part of their caches;
@@ -52,6 +58,12 @@ class Constraint:
         """
         state = self.state
         return state.mask_of(v for v in state.order if self.var_violation(v) > 0)
+
+    def scope(self):
+        """The vertices whose recolouring can change the violation, or
+        ``None`` for every vertex.  A constraint without this method is
+        treated as scoped to every vertex."""
+        return None
 
     # differentiation ----------------------------------------------------
     def probe_assign(self, v: int, colour: int):

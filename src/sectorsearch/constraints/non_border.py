@@ -57,6 +57,11 @@ class NonBorderConstraint(Constraint):
     def violation(self) -> int:
         return self._total
 
+    def scope(self):
+        """The path and the path's off-path neighbours, the only vertices
+        whose colour a term reads."""
+        return [*self.off_path, *self.path_neighbours]
+
     def var_violation(self, v: int) -> int:
         return self._vv.get(v, 0)
 
@@ -90,8 +95,7 @@ class NonBorderConstraint(Constraint):
 
     def probe_assign(self, v: int, colour: int) -> int:
         before = self.state.colour(v)
-        # most vertices are neither on the path nor next to it
-        if colour == before or (v not in self.off_path and v not in self.path_neighbours):
+        if colour == before:
             return 0
         return sum(self._term_changes(v, before, colour).values())
 

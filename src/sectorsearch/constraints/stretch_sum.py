@@ -101,6 +101,10 @@ class StretchSumConstraint(Constraint):
             i = self._end[i] + 1
         return out
 
+    def scope(self):
+        """Only the path's vertices can change its stretches."""
+        return self.path.interior
+
     def var_violation(self, v: int) -> int:
         i = self._pos.get(v)
         if i is None:
@@ -176,9 +180,7 @@ class StretchSumConstraint(Constraint):
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        i = self._pos.get(v)
-        if i is None:
-            return
+        i = self._pos[v]
         retired, formed = self._stretch_move(i, new)
         for _, _, s in retired:
             self._violating -= self._viol(s)

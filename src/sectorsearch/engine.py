@@ -3,7 +3,9 @@ protocol, border-move neighbourhood and a tabu min-conflicts loop.
 
 A move recolours one vertex or sets one constraint's counter.  Probes
 only read the caches, so probing any move leaves the model unchanged;
-commits go through the state, which notifies every constraint.
+commits go through the state, which notifies the constraints whose scope
+holds the vertex.  A probe of ``v`` likewise reaches only those
+constraints: the others' delta is 0 by their scope.
 
 The conflict pool, the vertices with a positive ``var_violation`` in some
 constraint, is maintained rather than scanned: every constraint keeps its
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InitError, InputError
-from .state import ColourState, MaskView, grow_regions
+from .state import ColourState, MaskView, grow_regions, scope_of, scope_table
 
 #: total violations below this are treated as zero (Compact contributes
 #: floats; everything else is integer)
@@ -107,6 +109,10 @@ class Model:
             self.entries.append(entry)
             self.by_id[constraint.id] = entry
             state.register(constraint)
+        #: the entries a move of each vertex reaches, see :func:`scope_table`
+        self._everywhere, self._scoped = scope_table(
+            (entry, scope_of(entry[0])) for entry in self.entries
+        )
         self.searchable_counters: Dict[str, Tuple[int, ...]] = {}
         #: each searchable counter's value as built, where a search starts it
         self.built_counters: Dict[str, int] = {}
@@ -134,11 +140,14 @@ class Model:
 
     # differentiation ----------------------------------------------------
     def probe_parts(self, move: Move) -> Dict[str, float]:
-        """Per-constraint weighted deltas of an assign or counter move."""
+        """Per-constraint weighted deltas of an assign or counter move; an
+        assign move leaves out the constraints whose scope does not hold
+        its vertex, whose delta is 0."""
         if move.kind == "assign":
+            v, colour = move.vertex, move.colour
             return {
-                c.id: w * c.probe_assign(move.vertex, move.colour)
-                for c, w in self.entries
+                c.id: w * c.probe_assign(v, colour)
+                for c, w in self._scoped.get(v, self._everywhere)
             }
         if move.kind == "counter":
             constraint, weight = self._entry(move.counter_id)

@@ -6,7 +6,10 @@ with it (``geometry.border_areas``) always counts as border.
 
 Every constraint observes one :class:`ColourState`.  The state owns the
 assignment and the commit protocol; the constraints own their incremental
-caches and are notified of every committed change.
+caches.  A committed change of ``v`` is notified to the constraints whose
+``scope()`` holds ``v`` and to those scoped to every vertex, in
+registration order, through a table built once by :func:`scope_table`;
+``set_all`` rebuilds every constraint.
 
 Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
 ``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
@@ -79,6 +82,9 @@ class ColourState:
         #: constraints are held weakly, so a model is free of reference
         #: cycles and is freed as soon as it is dropped
         self._observers: List[weakref.ref] = []
+        #: :func:`scope_table` of those weak references, built by the first
+        #: ``assign`` after a ``register``
+        self._notify: Optional[Tuple[Tuple, Dict[int, Tuple]]] = None
         self.order: List[int] = list(geometry.order())
         #: position of each vertex in ``order``; when the ids are
         #: exactly 0..V-1, as on every grid, that is the identity, and a
@@ -119,9 +125,11 @@ class ColourState:
         return MappingProxyType(self._colour)
 
     def register(self, observer) -> None:
-        """Attach a constraint; it will see every commit via hooks for as
-        long as something else keeps it alive."""
+        """Attach a constraint; for as long as something else keeps it
+        alive, it will see every commit of a vertex in its ``scope()`` via
+        hooks, and every ``set_all``."""
         self._observers.append(weakref.ref(observer))
+        self._notify = None
 
     def component_index(self) -> ComponentIndex:
         """The maintained same-colour components, built on the first
@@ -146,8 +154,13 @@ class ColourState:
             self.class_size[c] += 1
             if self._index is not None:
                 self._index.move(v, old, c)
-            for obs in self._live_observers():
-                obs.commit_assign(v, old, c)
+            if self._notify is None:
+                self._notify = scope_table((ref, scope_of(ref())) for ref in self._observers)
+            everywhere, table = self._notify
+            for ref in table.get(v, everywhere):
+                obs = ref()
+                if obs is not None:
+                    obs.commit_assign(v, old, c)
 
     def set_all(self, colours: Mapping[int, int]) -> None:
         """Bulk assignment; registered constraints rebuild from scratch."""
@@ -451,6 +464,48 @@ class ComponentIndex(ComponentCounts):
         count = self.count
         self.recount(old, new, count[old] - 1 + pieces, count[new] + 1 - len(touched))
         self.change = ComponentChange(lab, pieces, closed, fresh, big, list(touched))
+
+
+def scope_of(item) -> Optional[Iterable[int]]:
+    """The vertices whose recolouring can change ``item``, from its
+    ``scope()``; ``None``, every vertex, when it has no such method."""
+    scope = getattr(item, "scope", None)
+    return None if scope is None else scope()
+
+
+def scope_table(scoped: Iterable[Tuple[object, Optional[Iterable[int]]]]):
+    """Route items to the vertices they apply to.
+
+    ``scoped`` lists ``(item, scope)`` pairs in registration order; a
+    scope of ``None`` means every vertex.  Returns the tuple of the global
+    items and a dict mapping each vertex of some scope to the tuple of
+    every item that applies to it, both in registration order, so
+    ``table.get(v, everywhere)`` is what a move of ``v`` reaches.  A
+    vertex listed twice in one scope gets the item once, and vertices
+    with the same items share one tuple.
+    """
+    items = []
+    everywhere: List[int] = []
+    at: Dict[int, List[int]] = {}
+    for i, (item, scope) in enumerate(scoped):
+        items.append(item)
+        if scope is None:
+            everywhere.append(i)
+            continue
+        for v in scope:
+            mine = at.setdefault(v, [])
+            if not mine or mine[-1] != i:
+                mine.append(i)
+    # keyed by the scoped items alone: the global ones are the same for all
+    shared: Dict[Tuple[int, ...], Tuple] = {}
+    table: Dict[int, Tuple] = {}
+    for v, mine in at.items():
+        key = tuple(mine)
+        row = shared.get(key)
+        if row is None:
+            row = shared[key] = tuple(items[i] for i in sorted(everywhere + mine))
+        table[v] = row
+    return tuple(items[i] for i in everywhere), table
 
 
 def with_bit(mask: int, r: int, on: bool) -> int:

@@ -54,6 +54,18 @@ def test_parallel_below_one(inst, capsys):
     assert "--parallel" in err and "'0'" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--sizes", "10,x", "'x'"), ("--sizes", "100", "two sizes"), ("--probes", "0", "'0'")],
+)
+def test_probe_bench_bad_argument(flag, value, named, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["probe-bench", flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and named in err
+
+
 def test_unknown_counter_id_in_a_move():
     model = generate(seed=2, width=4, height=4, colours=3).build()
     with pytest.raises(InputError, match="'nosuch'"):

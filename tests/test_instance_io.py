@@ -1,4 +1,5 @@
 import inspect
+import weakref
 
 import pytest
 
@@ -303,6 +304,27 @@ def test_cli_solve_parallel_and_overrides(tmp_path):
     ])
     assert code in (0, 1)
     assert sol.exists()
+
+
+def test_cli_solve_parallel_keeps_only_the_best_model(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "p.inst"
+    save(generate(seed=6, width=4, height=4, colours=3), str(inst))
+    searched = []
+    alive = []
+    real_search = cli.search
+
+    def counting_search(model, cfg):
+        searched.append(weakref.ref(model))
+        alive.append(sum(ref() is not None for ref in searched))
+        return real_search(model, cfg)
+
+    monkeypatch.setattr(cli, "search", counting_search)
+    cli.main(["solve", str(inst), "--seed", "1", "--parallel", "4", "--iters", "50"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:4]] == [f"seed {s}" for s in (1, 2, 3, 4)]
+    assert lines[4].startswith("best: seed ")
+    # the best run so far and the one being searched
+    assert len(alive) == 4 and max(alive) <= 2
 
 
 def test_cli_solve_replay_identical(tmp_path):

@@ -99,6 +99,78 @@ def test_assign_errors():
         st.assign(-1, 1)
 
 
+class _Listener:
+    """A stub observer, scoped to every vertex, logging what it hears."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def commit_assign(self, v, old, new):
+        self.log.append((self.name, v, old, new))
+
+
+class _ScopedListener(_Listener):
+    def __init__(self, name, log, scope):
+        super().__init__(name, log)
+        self._scope = scope
+
+    def scope(self):
+        return self._scope
+
+
+def test_commits_reach_the_observers_in_scope_in_registration_order():
+    st = path_state([1, 1, 1, 1])
+    log = []
+    observers = [
+        _ScopedListener("a", log, (1, 2)),
+        _Listener("all", log),
+        _ScopedListener("b", log, (2, 3, 2)),  # vertex 2 listed twice
+    ]
+    for obs in observers:
+        st.register(obs)
+    st.assign(0, 2)
+    st.assign(2, 2)
+    st.assign(2, 2)  # no change, no notification
+    st.assign(3, 3)
+    st.assign(1, 3)
+    assert log == [
+        ("all", 0, 1, 2),
+        ("a", 2, 1, 2), ("all", 2, 1, 2), ("b", 2, 1, 2),
+        ("all", 3, 1, 3), ("b", 3, 1, 3),
+        ("a", 1, 1, 3), ("all", 1, 1, 3),
+    ]
+
+
+def test_registering_after_the_first_assign_takes_effect():
+    st = path_state([1, 1, 1])
+    log = []
+    first = _ScopedListener("first", log, (0,))
+    st.register(first)
+    st.assign(0, 2)
+    late = _ScopedListener("late", log, (0, 1))
+    st.register(late)
+    st.assign(0, 3)
+    st.assign(1, 2)
+    assert log == [("first", 0, 1, 2), ("first", 0, 2, 3), ("late", 0, 2, 3), ("late", 1, 1, 2)]
+
+
+def test_dropped_scoped_observers_are_skipped():
+    st = path_state([1, 1, 1])
+    log = []
+    kept = _ScopedListener("kept", log, (0,))
+    early = _ScopedListener("early", log, (0,))
+    late = _ScopedListener("late", log, (0,))
+    st.register(early)
+    st.register(kept)
+    st.register(late)
+    del early  # dropped before the first assign builds the table
+    st.assign(0, 2)
+    del late  # dropped after
+    st.assign(0, 3)
+    assert log == [("kept", 0, 1, 2), ("late", 0, 1, 2), ("kept", 0, 2, 3)]
+
+
 def test_grow_regions_properties():
     rng = random.Random(3)
     geometry = grid(5, 4, dim=2)
