@@ -4,7 +4,10 @@ Border-move probes are contracted to cost time linear in the vertex
 degree (constant on grids), not in the instance size.  The benchmark
 builds square grids of increasing size, pre-collects border moves, and
 times the paper-fast and the exact connectedness probes, the balance
-probe and the path-interior probe over identical move batches.
+probe and the path-interior probe over identical move batches.  The
+component index keeps a split until the next commit, and the batches
+repeat moves and commit nothing, so its kept splits are dropped before
+every probe: each exact probe times a fresh split search.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .constraints import (
     BalancedConstraint,
@@ -59,10 +62,14 @@ def _setup(side: int, seed: int):
     return state, constraints, moves
 
 
-def _time_probes(constraint, moves: Sequence[Tuple[int, int]]) -> float:
-    """Mean seconds per probe over one pass through ``moves``."""
+def _time_probes(
+    constraint, moves: Sequence[Tuple[int, int]], forget: Callable[[], None]
+) -> float:
+    """Mean seconds per probe over one pass through ``moves``, calling
+    ``forget`` before each probe."""
     start = time.perf_counter()
     for v, c in moves:
+        forget()
         constraint.probe_assign(v, c)
     return (time.perf_counter() - start) / len(moves)
 
@@ -84,21 +91,22 @@ def bench_probe_scaling(
     batches = {}
     for size in sizes:
         side = max(int(round(math.sqrt(size))), 2)
-        _, constraints, moves = _setup(side, seed)
+        state, constraints, moves = _setup(side, seed)
         if not moves:
             raise RuntimeError("no border moves available for the benchmark")
         batch = [moves[i % len(moves)] for i in range(probes)]
         for constraint in constraints.values():
             constraint.probe_assign(*batch[0])  # warm caches
-        batches[size] = (constraints, batch)
+        batches[size] = (constraints, batch, state.component_index().forget_splits)
     means: Dict[str, Dict[int, float]] = {}
     for r in range(ROUNDS):
         k = r % len(sizes)
         for size in list(sizes[k:]) + list(sizes[:k]):
-            constraints, batch = batches[size]
+            constraints, batch, forget = batches[size]
             for name, constraint in constraints.items():
                 by_size = means.setdefault(name, {})
-                by_size[size] = min(by_size.get(size, math.inf), _time_probes(constraint, batch))
+                mean = _time_probes(constraint, batch, forget)
+                by_size[size] = min(by_size.get(size, math.inf), mean)
     top, runner_up = sorted(sizes)[-1], sorted(sizes)[-2]
     ratios = {
         name: by_size[top] / by_size[runner_up] for name, by_size in means.items()

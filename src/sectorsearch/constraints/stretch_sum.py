@@ -184,15 +184,22 @@ class StretchSumConstraint(Constraint):
         retired, formed = self._stretch_move(i, new)
         for _, _, s in retired:
             self._violating -= self._viol(s)
+        for left, right, _ in formed:
+            self._violating += self._write(left, right)
         # a term reads only its own position's record, so only the terms
-        # of the window, which the formed stretches cover, can have changed
+        # of the window, which both lists cover, can have changed; and a
+        # term is 0 inside a stretch, so the window's conflict bits sit at
+        # the retired stretches' ends before and at the formed ones' after
         interior = self.path.interior
         rank = self.state.rank
         mask = self._conflicts
+        for left, right, _ in retired:
+            for k in (left, right):
+                mask = with_bit(mask, rank[interior[k]], False)
         for left, right, _ in formed:
-            self._violating += self._write(left, right)
-            for k in range(left, right + 1):
-                mask = with_bit(mask, rank[interior[k]], self._term(k) > 0)
+            for k in (left, right):
+                if self._term(k):
+                    mask |= 1 << rank[interior[k]]
         self._conflicts = mask
 
     # hard mode -------------------------------------------------------------

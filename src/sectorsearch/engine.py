@@ -20,6 +20,13 @@ vertex may take the colour of a differently coloured neighbour or an
 unused colour (``selector="border"``), or any other colour (``"full"``).
 :func:`neighbourhood` lists exactly the moves :func:`search` may draw.
 
+An iteration evaluates only what its choice reads.  Probes draw no
+random numbers, so the noise coin is flipped before them: a noise
+iteration commits a random move and probes nothing.  Only with
+``cfg.hard`` is every move probed first, for the filter that keeps the
+hard constraints satisfied.  The state's component index keeps a split
+search until the next commit, so committing a probed move repeats none.
+
 A run's state lives in :func:`search` alone: the tabu list, keyed by the
 moves that would undo recent commits (``Model.commit`` returns them), the
 best colouring, the trace and the counters that ``cfg.hard`` freezes.
@@ -34,7 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InitError, InputError
 from .state import ColourState, MaskView, grow_regions, scope_of, scope_table
@@ -46,9 +53,14 @@ TOLERANCE = 1e-9
 #: the candidate rules of :func:`_candidate_colours`
 NEIGHBOURHOODS = ("border", "full")
 
+#: the search parameters that count something, none of which may be negative
+COUNTS = ("max_iterations", "tabu_tenure", "restart_after", "moves_per_iter")
 
-@dataclass(frozen=True)
-class Move:
+
+class Move(NamedTuple):
+    """One move; a tuple, so building, hashing and comparing it, as the
+    move list and the tabu dict do every iteration, run in C."""
+
     kind: str
     vertex: Optional[int] = None
     colour: Optional[int] = None
@@ -57,11 +69,11 @@ class Move:
 
     @classmethod
     def assign(cls, v: int, c: int) -> "Move":
-        return cls(kind="assign", vertex=v, colour=c)
+        return cls("assign", v, c)
 
     @classmethod
     def counter(cls, constraint_id: str, value: int) -> "Move":
-        return cls(kind="counter", counter_id=constraint_id, value=value)
+        return cls("counter", None, None, constraint_id, value)
 
 
 @dataclass
@@ -192,6 +204,16 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     return moves
 
 
+def check_parameter(name: str, value) -> None:
+    """Raise an :class:`InputError` naming the search parameter ``name``
+    when ``value`` is out of its range: ``noise`` is a probability and
+    the :data:`COUNTS` are not negative."""
+    if name == "noise" and not 0 <= value <= 1:
+        raise InputError(f"search parameter noise must lie in [0, 1], got {value!r}")
+    if name in COUNTS and value < 0:
+        raise InputError(f"search parameter {name} must not be negative, got {value!r}")
+
+
 def _check_neighbourhood(selector: str) -> None:
     if selector not in NEIGHBOURHOODS:
         raise InputError(
@@ -204,10 +226,19 @@ def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -
     differently coloured neighbours plus the unused ones, or with
     ``selector="full"`` every colour but its own."""
     state = model.state
-    cv = state.colour(v)
+    colour = state.colours()
+    cv = colour[v]
     if selector == "full":
         return [c for c in range(1, state.n + 1) if c != cv]
-    cands = {state.colour(w) for w in state.geometry.adjacent(v)}
+    adjacent = state.geometry.adjacent(v)
+    if not unused:
+        # most vertices are interior to their class and have no candidate
+        for w in adjacent:
+            if colour[w] != cv:
+                break
+        else:
+            return []
+    cands = {colour[w] for w in adjacent}
     cands.update(unused)
     cands.discard(cv)
     return sorted(cands)
@@ -252,6 +283,8 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     constraints' counters for this run only.
     """
     _check_neighbourhood(cfg.neighbourhood)
+    for name in ("noise", *COUNTS):
+        check_parameter(name, getattr(cfg, name))
     rng = random.Random(cfg.seed)
     state = model.state
     entries = model.entries
@@ -322,18 +355,26 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
                 moves.append(Move.assign(v, rng.choice(cands)))
         moves.extend(_counter_moves(model, hard))
 
-        evaluated = []
-        for move in moves:
-            parts = model.probe_parts(move)
-            if hard and any(abs(parts.get(cid, 0)) > TOLERANCE for cid in hard):
-                continue
-            evaluated.append((move, sum(parts.values())))
-        if not evaluated:
+        evaluated = None
+        if hard:
+            # the filter needs every probe; the choice reuses their sums
+            evaluated = []
+            for move in moves:
+                parts = model.probe_parts(move)
+                if any(abs(parts.get(cid, 0)) > TOLERANCE for cid in hard):
+                    continue
+                evaluated.append((move, sum(parts.values())))
+            moves = [move for move, _ in evaluated]
+        if not moves:
             continue
 
+        # probes draw no random numbers, so flipping the noise coin before
+        # them leaves every draw as it was, and a noise draw probes nothing
         if cfg.noise > 0 and rng.random() < cfg.noise:
-            move, delta = evaluated[rng.randrange(len(evaluated))]
+            move = moves[rng.randrange(len(moves))]
         else:
+            if evaluated is None:
+                evaluated = [(move, sum(model.probe_parts(move).values())) for move in moves]
             allowed = [
                 (move, delta)
                 for move, delta in evaluated

@@ -20,7 +20,7 @@ from .constraints import (
     NonBorderConstraint,
     StretchSumConstraint,
 )
-from .engine import NEIGHBOURHOODS, Model, SearchConfig
+from .engine import NEIGHBOURHOODS, Model, SearchConfig, check_parameter
 from .errors import FormatError, InputError
 from .geometry import Geometry, grid, grid_vertices
 from .state import ColourState
@@ -349,6 +349,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                     if caster is None:
                         raise FormatError(where, f"unknown search key {key!r}")
                     search_fields[key] = caster(rest)
+                    check_parameter(key, search_fields[key])
         except FormatError:
             raise
         except ValueError as exc:

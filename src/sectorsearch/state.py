@@ -318,6 +318,12 @@ class ComponentIndex(ComponentCounts):
     decided by :meth:`split`, whose cost is that of the smaller sides,
     not of the colour class; the pieces it closes get fresh labels.
     ``change`` records the last move.
+
+    A split reads only labels, which change only on ``move`` and
+    ``rebuild``, so :meth:`split` keeps each result until the next of
+    them: the commit of a probed move, and a second constraint probing
+    the same vertex, reuse the probe's search.  :meth:`forget_splits`
+    drops the kept results.
     """
 
     def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int):
@@ -354,6 +360,7 @@ class ComponentIndex(ComponentCounts):
             count[c] += 1
         self.reset(count)
         self.change: Optional[ComponentChange] = None
+        self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
 
     def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
         """Label -> one neighbour of ``v`` carrying it, over v's
@@ -368,7 +375,21 @@ class ComponentIndex(ComponentCounts):
         """Pieces that v's component falls into without ``v``.
 
         Returns the piece count and the vertices of every piece but the
-        one the last open search group holds.  Breadth-first searches
+        one the last open search group holds, as found by
+        :meth:`_split_search` since the last move or rebuild.
+        """
+        found = self._splits.get(v)
+        if found is None:
+            found = self._splits[v] = self._split_search(v)
+        return found
+
+    def forget_splits(self) -> None:
+        """Drop the results :meth:`split` keeps, so the next split of
+        every vertex searches again."""
+        self._splits = {}
+
+    def _split_search(self, v: int) -> Tuple[int, List[List[int]]]:
+        """The search behind :meth:`split`.  Breadth-first searches
         start at v's neighbours of v's label and advance one vertex each
         per round; searches that meet unite, and the run stops when one
         open group is left (the on-line edge-deletion trick of Even &
@@ -427,6 +448,7 @@ class ComponentIndex(ComponentCounts):
         size = self.size
         lab = label[v]
         pieces, closed = self.split(v)
+        self.forget_splits()
         size[lab] -= 1
         if not pieces:
             del size[lab]

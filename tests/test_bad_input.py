@@ -1,6 +1,7 @@
 """Bad input on the command line or in a file exits 2 with a named error."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +162,42 @@ def test_unknown_neighbourhood():
     text = text.replace("neighbourhood border", "neighbourhood nosuch")
     with pytest.raises(FormatError, match="neighbourhood 'nosuch'"):
         loads(text)
+
+
+OUT_OF_RANGE = [
+    ("noise", "nan"),
+    ("noise", "-0.5"),
+    ("noise", "7"),
+    ("moves_per_iter", "-3"),
+    ("tabu_tenure", "-2"),
+    ("max_iterations", "-1"),
+    ("restart_after", "-5"),
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_search_parameter_out_of_range_in_the_file(key, value):
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = re.sub(f"^{key} .*$", f"{key} {value}", text, count=1, flags=re.M)
+    lineno = text.splitlines().index(f"{key} {value}") + 1
+    with pytest.raises(FormatError, match=f"^g.inst:{lineno}: .*search parameter {key} "):
+        loads(text, origin="g.inst")
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_search_parameter_out_of_range_in_the_config(key, value):
+    model = generate(seed=2, width=4, height=4, colours=3).build()
+    before = model.state.snapshot()
+    cast = float if key == "noise" else int
+    cfg = replace(SearchConfig(seed=1, max_iterations=50), **{key: cast(value)})
+    with pytest.raises(InputError, match=f"search parameter {key} "):
+        search(model, cfg)
+    assert model.state.snapshot() == before
+
+
+def test_negative_iterations_on_the_command_line(inst, capsys):
+    assert cli.main(["solve", str(inst), "--iters", "-1"]) == 2
+    assert "search parameter max_iterations must not be negative" in capsys.readouterr().err
 
 
 def test_solution_with_a_non_integer_field(tmp_path):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from oracles import naive_components, random_colours
+from sectorsearch import bench
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
@@ -79,3 +80,69 @@ def test_walk_keeps_index_and_compact_sums(with_connected):
             st.set_all(random_colours(rng, geometry, n))
             check()
     assert splits > 20 and merges > 20
+
+
+def test_a_split_is_searched_once_per_vertex_and_state():
+    rng = random.Random(73)
+    geometry = grid(4, 4, 3)
+    n = 3
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    compact = CompactConstraint(st, threshold=0, mode="A", probe="exact")
+    connected = ConnectedConstraint(st, "=", n)
+    st.register(compact)
+    st.register(connected)
+    index = st.component_index()
+    searched = []
+    split_search = index._split_search
+
+    def counting_search(v):
+        searched.append(v)
+        return split_search(v)
+
+    index._split_search = counting_search
+    splits = 0
+    for step in range(300):
+        probed = rng.sample(st.order, 3)
+        for v in probed:
+            for colour in range(1, n + 1):
+                if colour != st.colour(v):
+                    compact.probe_assign(v, colour)
+                    connected.probe_assign(v, colour)
+        # both exact probes of every other colour share one search
+        assert sorted(searched) == sorted(probed)
+        searched.clear()
+        # the commit of a probed vertex reuses its search; a commit
+        # without a probe, as after a noise draw, runs its own
+        v = probed[0] if step % 4 else rng.choice([u for u in st.order if u not in probed])
+        st.assign(v, rng.choice([c for c in range(1, n + 1) if c != st.colour(v)]))
+        assert searched == ([] if step % 4 else [v])
+        searched.clear()
+        splits += index.change.pieces >= 2
+        assert_index_matches_components(index, geometry, st.snapshot(), n)
+        assert_compact_sums_match_components(compact, st)
+        if step % 50 == 49:
+            # a rebuild relabels, so a split found before it is searched again
+            index.split(v)
+            st.set_all(random_colours(rng, geometry, n))
+            index.split(v)
+            assert searched == [v, v]
+            searched.clear()
+    assert splits > 20
+
+
+def test_probe_bench_times_a_split_search_per_exact_probe():
+    # the probe bench repeats moves and commits nothing, so without
+    # dropping the kept splits its exact probes would time dict lookups
+    state, constraints, moves = bench._setup(6, seed=0)
+    index = state.component_index()
+    searched = []
+    split_search = index._split_search
+
+    def counting_search(v):
+        searched.append(v)
+        return split_search(v)
+
+    index._split_search = counting_search
+    batch = moves[:3] * 2
+    bench._time_probes(constraints["connected-exact"], batch, index.forget_splits)
+    assert searched == [v for v, _ in batch]

@@ -137,6 +137,11 @@ def test_neighbourhood_is_what_search_draws_from():
     # the centre borders neither another colour nor the outside, and an
     # unused colour still lets it move
     assert (4, 2) in {(m.vertex, m.colour) for m in neighbourhood(model)}
+
+    def set_rule(v, unused):
+        """The border rule as a set: neighbour colours and unused ones."""
+        return sorted({st.colour(w) for w in geometry.adjacent(v)}.union(unused) - {st.colour(v)})
+
     rng = random.Random(4)
     for _ in range(3):
         for selector in ("border", "full"):
@@ -146,7 +151,15 @@ def test_neighbourhood_is_what_search_draws_from():
                 listed[move.vertex].append(move.colour)
             for v in st.order:
                 assert listed[v] == _candidate_colours(model, v, selector, unused)
+                if selector == "border":
+                    assert listed[v] == set_rule(v, unused)
         st.assign(rng.choice(st.order), rng.randint(1, st.n))
+    # every colour in use and the centre interior to its class: no candidate
+    st.set_all({v: {0: 2, 8: 3}.get(v, 1) for v in st.order})
+    assert st.unused_colours() == []
+    for v in st.order:
+        assert _candidate_colours(model, v, "border", []) == set_rule(v, [])
+    assert _candidate_colours(model, 4, "border", []) == []
 
 
 def test_neighbourhood_lists_counter_moves():
@@ -166,6 +179,19 @@ def test_commit_returns_the_move_that_takes_it_back():
     assert model.commit(Move.assign(1, 3)) == Move.assign(1, 2)
     assert model.commit(Move.counter("connected", 3)) == Move.counter("connected", 2)
     assert con.counter_value == 3
+
+
+def test_moves_are_immutable_and_hashable():
+    move = Move.assign(1, 3)
+    with pytest.raises(AttributeError):
+        move.colour = 2
+    assert (move.kind, move.vertex, move.colour, move.counter_id, move.value) == (
+        "assign", 1, 3, None, None
+    )
+    assert Move.counter("connected", 3) == Move(kind="counter", counter_id="connected", value=3)
+    tabu = {move: 5, Move.counter("connected", 3): 6}
+    assert tabu[Move.assign(1, 3)] == 5
+    assert Move.assign(1, 2) not in tabu and Move.assign(3, 1) not in tabu
 
 
 def test_unknown_neighbourhood_rejected_before_any_draw():
@@ -366,6 +392,44 @@ def test_hard_constraint_broken_by_a_commit_raises():
     cfg = SearchConfig(max_iterations=50, seed=1, hard=("brittle",), init="random")
     with pytest.raises(RuntimeError, match="brittle"):
         search(model, cfg)
+
+class _CountsProbes(Constraint):
+    """Violated at every vertex for good; counts the probes it answers."""
+
+    id = "counting"
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.probes = 0
+
+    def rebuild(self):
+        pass
+
+    def violation(self):
+        return 1
+
+    def var_violation(self, v):
+        return 1
+
+    def probe_assign(self, v, colour):
+        self.probes += 1
+        return 0
+
+    def commit_assign(self, v, old, new):
+        pass
+
+
+@pytest.mark.parametrize("hard", [(), ("connected",)], ids=["soft", "hard"])
+def test_noise_draws_probe_nothing(hard):
+    geometry = grid(4, 4, dim=2)
+    st = ColourState(geometry, 3)
+    counting = _CountsProbes(st)
+    model = Model(st, [(ConnectedConstraint(st, "=", 3, id="connected"), 1), (counting, 1)])
+    result = search(model, SearchConfig(max_iterations=50, seed=1, noise=1.0, hard=hard))
+    assert result.iterations == 50
+    # a noise draw needs no delta, but the hard filter needs every one
+    assert (counting.probes > 0) == bool(hard)
+
 
 # ---------------------------------------------------------------------------
 # golden replays: any refactor must reproduce these runs byte for byte
