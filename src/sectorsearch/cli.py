@@ -116,8 +116,7 @@ def _cmd_solve(args) -> int:
         cfg = replace(cfg, hard=tuple(p for p in args.hard.split(",") if p))
     weights = _parse_weights(args.weights)
 
-    # only the best run so far is kept, so k runs hold at most two models
-    best = best_model = None
+    best = None
     for offset in range(args.parallel):
         model = instance.build(mode_override=args.mode, weight_overrides=weights)
         result = search(model, replace(cfg, seed=cfg.seed + offset))
@@ -126,27 +125,20 @@ def _cmd_solve(args) -> int:
             f"after {result.iterations} iterations"
         )
         if best is None or (result.violation, result.seed) < (best.violation, best.seed):
-            best, best_model = result, model
-        del model, result
-    # the reported total is the rebuilt colouring's, never the search's
-    # caches.  Searched counters are the model's final ones: those of the
-    # best state whenever the run ended on it, as every run at zero does.
-    counters = {
-        cid: best_model.constraint(cid).counter_value
-        for cid in best_model.searchable_counters
-    }
-    _, total = _scratch_violations(instance, best.colours, args.mode, weights, counters)
+            best = result
+    # the reported total is the rebuilt best state's, never the search's caches
+    _, total = _scratch_violations(instance, best.colours, args.mode, weights, best.counters)
     line = f"best: seed {best.seed} violation {_fmt(total)}"
     if abs(total - best.violation) > TOLERANCE:
         line += f" (the search reported {_fmt(best.violation)})"
     print(line)
-    for cid, value in counters.items():
+    for cid, value in best.counters.items():
         print(f"counter {cid} {value}")
     if args.output:
-        save_solution(best.colours, args.output, counters)
+        save_solution(best.colours, args.output, best.counters)
         print(f"wrote solution {args.output}")
     if args.trace:
-        ids = [c.id for c, _ in best_model.entries]
+        ids = [spec.id for spec in instance.constraints]
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write("iteration,total," + ",".join(ids) + "\n")
             for iteration, row_total, parts in best.trace:

@@ -130,9 +130,6 @@ class CompactConstraint(Constraint):
         return sigma - sphere_surface(nu, self.state.geometry.dim)
 
     # measurement -------------------------------------------------------
-    def border_area(self, v: int) -> int:
-        return self.border_cache[v]
-
     def var_violation(self, v: int) -> int:
         return self._f(self.border_cache[v])
 

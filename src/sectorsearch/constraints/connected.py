@@ -18,6 +18,9 @@ probing/updating modes exist:
   neighbours, so it miscounts splits and merges; the engine keeps it for
   cheap probing and for measuring how often the estimate diverges.  Its
   commits use the estimate too, on counts of its own.
+
+The constraint exposes only the local-search protocol; component labels,
+sizes, merges and splits are read from ``state.component_index()``.
 """
 
 from __future__ import annotations
@@ -76,20 +79,6 @@ class ConnectedConstraint(Constraint):
     def ncc(self) -> int:
         return self.counts.total
 
-    @property
-    def ncc_by_colour(self) -> Dict[int, int]:
-        return self.counts.count
-
-    @property
-    def label(self) -> Dict[int, int]:
-        self._require_labels()
-        return self.counts.label
-
-    @property
-    def size(self) -> Dict[int, int]:
-        self._require_labels()
-        return self.counts.size
-
     # measurement -------------------------------------------------------
     def violation(self) -> int:
         return self.var_violation_counter() + self.counts.excess
@@ -97,11 +86,8 @@ class ConnectedConstraint(Constraint):
     def var_violation_counter(self) -> int:
         return 1 - int(holds(self.relop, self.ncc, self.counter_value))
 
-    def var_violation_colour(self, v: int) -> int:
-        return self.counts.count[self.state.colour(v)] - 1
-
     def var_violation(self, v: int) -> int:
-        return self.var_violation_colour(v)
+        return self.counts.count[self.state.colour(v)] - 1
 
     def conflicts(self) -> int:
         return self.state.classes_mask(c for c, k in self.counts.count.items() if k > 1)
@@ -159,21 +145,6 @@ class ConnectedConstraint(Constraint):
 
     def commit_counter(self, n_new: int) -> None:
         self.counter_value = int(n_new)
-
-    # divergence analysis --------------------------------------------------
-    def _require_labels(self) -> None:
-        if self.mode != "exact":
-            raise InputError("component labels are kept in exact mode only")
-
-    def new_colour_merge_count(self, v: int, colour: int) -> int:
-        """How many distinct components of ``colour`` the move would join."""
-        self._require_labels()
-        return len(self.counts.neighbour_labels(v, colour))
-
-    def old_colour_split_pieces(self, v: int) -> int:
-        """How many pieces v's current component falls into without v."""
-        self._require_labels()
-        return self.counts.split(v)[0]
 
     # hard mode -------------------------------------------------------------
     def hard_init(self, rng: Optional[random.Random] = None) -> None:

@@ -8,7 +8,7 @@ floating point; the threshold is declared in the same scaled units.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 from ..errors import InputError
 from ..relation import check_relop, excess, holds
@@ -117,7 +117,6 @@ class BalancedConstraint(ColourSumConstraint):
         state: ColourState,
         values: Mapping[int, int],
         delta_scaled: int,
-        mu: Optional[Fraction] = None,
         id: str = "balanced",
     ):
         super().__init__(state, values)
@@ -125,11 +124,6 @@ class BalancedConstraint(ColourSumConstraint):
             raise InputError(f"delta_scaled must be non-negative, got {delta_scaled}")
         self.delta_scaled = int(delta_scaled)
         self.mu_num = sum(self.values.values())
-        if mu is not None and mu != Fraction(self.mu_num, state.n):
-            raise InputError(
-                f"given average {mu} contradicts values/colours "
-                f"({self.mu_num}/{state.n})"
-            )
         self.id = id
         self.rebuild()
 

@@ -29,7 +29,8 @@ search until the next commit, so committing a probed move repeats none.
 
 A run's state lives in :func:`search` alone: the tabu list, keyed by the
 moves that would undo recent commits (``Model.commit`` returns them), the
-best colouring, the trace and the counters that ``cfg.hard`` freezes.
+best colouring with its counter values, the trace and the counters that
+``cfg.hard`` freezes.
 The model holds only the colouring, the constraints and their counters,
 so a model can be searched again with any config.  Every iteration ends
 with one step that reads each constraint's ``violation()`` once and
@@ -96,6 +97,8 @@ class SearchResult:
     iterations: int
     trace: List[Tuple]
     seed: int
+    #: each searchable counter's value in the best state, beside ``colours``
+    counters: Dict[str, int]
 
 
 class Model:
@@ -131,10 +134,16 @@ class Model:
         for cid, domain in (searchable_counters or {}).items():
             if cid not in self.by_id:
                 raise InputError(f"unknown constraint id {cid!r} for counter domain")
-            if not hasattr(self.by_id[cid][0], "probe_counter"):
+            constraint = self.by_id[cid][0]
+            if not hasattr(constraint, "probe_counter"):
                 raise InputError(f"constraint {cid!r} has no counter variable")
-            self.searchable_counters[cid] = tuple(domain)
-            self.built_counters[cid] = self.by_id[cid][0].counter_value
+            domain = tuple(domain)
+            value = constraint.counter_value
+            if value not in domain:
+                span = f"{domain[0]}..{domain[-1]}" if domain else "an empty range"
+                raise InputError(f"constraint {cid}: counter {value} outside {span}")
+            self.searchable_counters[cid] = domain
+            self.built_counters[cid] = value
 
     # measurement -------------------------------------------------------
     def total_violation(self) -> float:
@@ -165,9 +174,6 @@ class Model:
             constraint, weight = self._entry(move.counter_id)
             return {constraint.id: weight * constraint.probe_counter(move.value)}
         raise InputError(f"unknown move kind {move.kind!r}")
-
-    def probe(self, move: Move) -> float:
-        return sum(self.probe_parts(move).values())
 
     # incrementality ------------------------------------------------------
     def commit(self, move: Move) -> Move:
@@ -278,9 +284,10 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
 
     The seed fully determines the run: unless ``cfg.init`` is ``"keep"``,
     it starts from a fresh colouring and from the counter values the
-    model was built with.  Returns the best state visited and a
-    per-iteration violation trace.  ``cfg.hard`` freezes the hard
-    constraints' counters for this run only.
+    model was built with.  Returns the best state visited (its colouring
+    and its searchable counters' values) and a per-iteration violation
+    trace.  ``cfg.hard`` freezes the hard constraints' counters for this
+    run only.
     """
     _check_neighbourhood(cfg.neighbourhood)
     for name in ("noise", *COUNTS):
@@ -299,6 +306,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     tabu: Dict[Move, int] = {}  # move -> last iteration it stays tabu
     best_total = math.inf
     best_colours: Dict[int, int] = {}
+    best_counters: Dict[str, int] = {}
     since_best = 0
     restarted = False
     vertices = state.order
@@ -317,6 +325,9 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         if improved:
             best_total = total
             best_colours = state.snapshot()
+            best_counters = {
+                cid: model.constraint(cid).counter_value for cid in model.searchable_counters
+            }
         since_best = 0 if improved or restarted else since_best + 1
 
         if iteration >= cfg.max_iterations:
@@ -391,4 +402,5 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         iterations=iteration,
         trace=trace,
         seed=cfg.seed,
+        counters=best_counters,
     )

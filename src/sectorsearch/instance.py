@@ -457,6 +457,8 @@ def generate(
     geometry is built here: the instance is valid by construction, and
     ``Instance.build`` and ``loads`` check it against its grid.
     """
+    if colours < 1:
+        raise InputError(f"need at least one colour, got colours={colours}")
     rng = random.Random(seed)
     workloads = {
         v: rng.randint(*workload) for v in grid_vertices(width, height, depth, dim)

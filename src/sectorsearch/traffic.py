@@ -20,12 +20,6 @@ class FlightPlan:
 
     legs: Tuple[Tuple[int, int, int], ...]
 
-    def validate(self, g: Geometry) -> None:
-        validate(self, g)
-
-    def __len__(self) -> int:
-        return len(self.legs)
-
 
 def validate(plan: FlightPlan, g: Geometry) -> None:
     """Raise :class:`InputError` naming the first violated invariant."""

@@ -2,7 +2,8 @@
 
 Everything here recomputes from first principles (plain DFS/scans/sums
 over the geometry data), independently of the package's incremental
-caches and delta formulas.
+caches and delta formulas; the ``assert_*`` helpers compare those caches
+against it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,27 @@ def naive_components(base, colours):
                     stack.append(w)
         comps.append((colours[v], comp))
     return comps
+
+
+def assert_index_matches_components(index, base, colours, n):
+    """A component index (labels, sizes, per-colour counts, total and
+    excess) agrees with the DFS components of ``colours``."""
+    comps = naive_components(base, colours)
+    labels = []
+    for _, comp in comps:
+        comp_labels = {index.label[u] for u in comp}
+        assert len(comp_labels) == 1, "one component carries several labels"
+        (lab,) = comp_labels
+        assert index.size[lab] == len(comp)
+        labels.append(lab)
+    assert len(set(labels)) == len(labels), "two components share a label"
+    assert set(index.size) == set(labels), "sizes kept for labels no vertex carries"
+    per = dict.fromkeys(range(1, n + 1), 0)
+    for colour, _ in comps:
+        per[colour] += 1
+    assert index.count == per
+    assert index.total == len(comps)
+    assert index.excess == sum(k - 1 for k in per.values() if k > 1)
 
 
 def _rel(relop, a, b):

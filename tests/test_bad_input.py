@@ -70,7 +70,7 @@ def test_probe_bench_bad_argument(flag, value, named, capsys):
 def test_unknown_counter_id_in_a_move():
     model = generate(seed=2, width=4, height=4, colours=3).build()
     with pytest.raises(InputError, match="'nosuch'"):
-        model.probe(Move.counter("nosuch", 2))
+        model.probe_parts(Move.counter("nosuch", 2))
     with pytest.raises(InputError, match="'nosuch'"):
         model.commit(Move.counter("nosuch", 2))
 
@@ -242,3 +242,21 @@ def test_solution_counter_outside_its_domain(inst, tmp_path, capsys):
     inst.write_text(inst.read_text().replace("counter 3\n", ranged))
     _, err = _check_fails(capsys, inst, tmp_path, "counter connected 5")
     assert "counter connected value 5 outside 2..4" in err
+
+
+def test_built_counter_outside_its_range(inst, capsys):
+    ranged = "counter 9\ncounter_min 2\ncounter_max 4\n"
+    inst.write_text(inst.read_text().replace("counter 3\n", ranged))
+    with pytest.raises(InputError, match="constraint connected: counter 9 outside 2..4"):
+        loads(inst.read_text()).build()
+    # rejected before any search prints its seed line
+    assert cli.main(["solve", str(inst), "--iters", "50"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: constraint connected: counter 9 outside 2..4\n"
+
+
+def test_generate_without_colours(tmp_path, capsys):
+    out = tmp_path / "none.inst"
+    assert cli.main(["generate", "--colours", "0", "-o", str(out)]) == 2
+    assert "colours=0" in capsys.readouterr().err
+    assert not out.exists()

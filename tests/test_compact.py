@@ -25,15 +25,15 @@ def square_state(colours, n=2, side=2):
 def test_border_area_examples():
     st = square_state([1, 1, 1, 1])
     c = CompactConstraint(st, threshold=8)
-    assert all(c.border_area(v) == 2 for v in range(4))
+    assert all(c.border_cache[v] == 2 for v in range(4))
 
     st9 = square_state([1] * 9, side=3)
     c9 = CompactConstraint(st9, threshold=12)
-    assert c9.border_area(4) == 0  # interior cell
+    assert c9.border_cache[4] == 0  # interior cell
 
     st2 = square_state([1, 2, 2, 2])
     c2 = CompactConstraint(st2, threshold=8)
-    assert c2.border_area(0) == 4  # two outer sides plus two colour borders
+    assert c2.border_cache[0] == 4  # two outer sides plus two colour borders
 
 
 def test_sphere_surface_values():

@@ -6,30 +6,11 @@ import random
 
 import pytest
 
-from oracles import naive_components, random_colours
+from oracles import assert_index_matches_components, random_colours
 from sectorsearch import bench
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
-
-
-def assert_index_matches_components(index, base, colours, n):
-    comps = naive_components(base, colours)
-    labels = []
-    for _, comp in comps:
-        comp_labels = {index.label[u] for u in comp}
-        assert len(comp_labels) == 1, "one component carries several labels"
-        (lab,) = comp_labels
-        assert index.size[lab] == len(comp)
-        labels.append(lab)
-    assert len(set(labels)) == len(labels), "two components share a label"
-    assert set(index.size) == set(labels), "sizes kept for labels no vertex carries"
-    per = dict.fromkeys(range(1, n + 1), 0)
-    for colour, _ in comps:
-        per[colour] += 1
-    assert index.count == per
-    assert index.total == len(comps)
-    assert index.excess == sum(k - 1 for k in per.values() if k > 1)
 
 
 def assert_compact_sums_match_components(c, st):
@@ -64,7 +45,7 @@ def test_walk_keeps_index_and_compact_sums(with_connected):
         assert_index_matches_components(index, geometry, st.snapshot(), n)
         assert_compact_sums_match_components(compact, st)
         if with_connected:
-            assert connected.ncc_by_colour is index.count
+            assert connected.counts is index
 
     while commits < 400:
         v = rng.choice(st.order)

@@ -130,7 +130,7 @@ def test_masks_track_var_violation_over_a_walk(rename):
         elif roll < 0.2:
             v, w = rng.sample(st.order, 2)
             before = st.snapshot()
-            model.probe(Move.assign(v, st.colour(w)))
+            model.probe_parts(Move.assign(v, st.colour(w)))
             assert st.snapshot() == before
             st.assign(v, st.colour(w))
             check_invariants(st, model)

@@ -4,14 +4,14 @@ import pytest
 
 from oracles import (
     all_colourings,
-    naive_components,
+    assert_index_matches_components,
     naive_connected_ok,
     naive_connected_violation,
     random_colours,
     random_geometry,
 )
 from sectorsearch.constraints import ConnectedConstraint, connected_check
-from sectorsearch.errors import InitError, InputError
+from sectorsearch.errors import InitError
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
@@ -41,10 +41,10 @@ def test_violation_examples():
 def test_var_violations():
     st = path_state([1, 1, 2, 1])
     c = ConnectedConstraint(st, "=", 2)
-    assert c.var_violation_colour(0) == 1
-    assert c.var_violation_colour(2) == 0
+    assert c.var_violation(0) == 1
+    assert c.var_violation(2) == 0
     mono = ConnectedConstraint(path_state([1, 1, 1]), "=", 1)
-    assert all(mono.var_violation_colour(v) == 0 for v in (0, 1, 2))
+    assert all(mono.var_violation(v) == 0 for v in (0, 1, 2))
 
 
 def test_counter_violation():
@@ -80,7 +80,7 @@ def test_commit_updates_caches():
     c = ConnectedConstraint(st, "=", 2)
     st.register(c)
     st.assign(3, 2)
-    assert c.ncc_by_colour == {1: 1, 2: 1}
+    assert c.counts.count == {1: 1, 2: 1}
     assert c.violation() == 0
 
 
@@ -122,7 +122,7 @@ def test_incremental_equals_scratch_after_commits():
         v = rng.choice(sorted(geometry.vertices))
         st.assign(v, rng.randint(1, n))
         assert c.violation() == naive_connected_violation(geometry, st.snapshot(), "=", 2)
-        assert c.ncc == sum(c.ncc_by_colour.values())
+        assert c.ncc == sum(c.counts.count.values())
 
 
 def test_violation_zero_iff_check_small_exhaustive():
@@ -142,14 +142,14 @@ def test_fast_mode_tracks_component_counts_without_splits_or_merges():
         geometry = random_geometry(rng)
         n = 3
         st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
-        exact = ConnectedConstraint(st, "=", 2)
+        index = st.component_index()
         fast = ConnectedConstraint(st, "=", 2, mode="paper-fast")
         v = rng.choice(sorted(geometry.vertices))
         colour = rng.randint(1, n)
         if colour == st.colour(v):
             continue
-        merges = exact.new_colour_merge_count(v, colour)
-        pieces = exact.old_colour_split_pieces(v)
+        merges = len(index.neighbour_labels(v, colour))
+        pieces = index.split(v)[0]
         p, m = fast._fast_pm(v, colour, st.colour(v))
         true_ncc_delta = (1 - merges) + (pieces - 1)
         if merges <= 1 and pieces <= 1:
@@ -159,23 +159,6 @@ def test_fast_mode_tracks_component_counts_without_splits_or_merges():
             assert merges >= 2 or pieces >= 2
 
 
-def assert_labels_match_components(c, base, colours):
-    comps = naive_components(base, colours)
-    labels = []
-    for colour, comp in comps:
-        comp_labels = {c.label[u] for u in comp}
-        assert len(comp_labels) == 1, "one component carries several labels"
-        (lab,) = comp_labels
-        assert c.size[lab] == len(comp)
-        labels.append(lab)
-    assert len(set(labels)) == len(labels), "two components share a label"
-    assert set(c.size) == set(labels), "sizes kept for labels no vertex carries"
-    per = {colour: 0 for colour in c.ncc_by_colour}
-    for colour, _ in comps:
-        per[colour] += 1
-    assert c.ncc_by_colour == per
-
-
 def label_walk(rng, geometry, n, steps, relop="=", n_val=2):
     """Random commits, checking labels, sizes and probes after each one;
     returns how many commits split their old component and how many
@@ -183,17 +166,18 @@ def label_walk(rng, geometry, n, steps, relop="=", n_val=2):
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     c = ConnectedConstraint(st, relop, n_val)
     st.register(c)
+    index = st.component_index()
     vertices = sorted(geometry.vertices)
     splits = merges = 0
     for _ in range(steps):
         v = rng.choice(vertices)
         colour = rng.randint(1, n)
         if colour != st.colour(v):
-            splits += c.old_colour_split_pieces(v) >= 2
-            merges += c.new_colour_merge_count(v, colour) >= 2
+            splits += index.split(v)[0] >= 2
+            merges += len(index.neighbour_labels(v, colour)) >= 2
         st.assign(v, colour)
         colours = st.snapshot()
-        assert_labels_match_components(c, geometry, colours)
+        assert_index_matches_components(index, geometry, colours, n)
         before = naive_connected_violation(geometry, colours, relop, n_val)
         assert c.violation() == before
         for _ in range(3):
@@ -222,14 +206,6 @@ def test_labels_track_components_on_grid():
     geometry = grid(6, 6, dim=2)
     splits, merges = label_walk(rng, geometry, 3, 400, n_val=3)
     assert splits > 0 and merges > 0
-
-
-def test_label_helpers_need_exact_mode():
-    fast = ConnectedConstraint(path_state([1, 1, 2]), "=", 2, mode="paper-fast")
-    with pytest.raises(InputError):
-        fast.old_colour_split_pieces(0)
-    with pytest.raises(InputError):
-        fast.new_colour_merge_count(0, 2)
 
 
 def test_hard_init_relops():

@@ -242,6 +242,26 @@ def test_cli_solve_rebuilds_with_the_searched_counters(tmp_path, capsys):
     assert "total 0\n" in out
 
 
+def test_cli_solve_writes_the_best_states_counters(tmp_path, capsys):
+    """A run whose counter moved on after its best state: solve reports,
+    prints and writes the best state's counter, so its total is the
+    search's and check agrees with it."""
+    instance = generate(seed=2, width=6, height=6, colours=3, flights=1, balanced_share=0.01)
+    for spec in instance.constraints:
+        if spec.kind == "connected":
+            spec.params.update(counter_min=2, counter_max=4)
+    inst = tmp_path / "b.inst"
+    sol = tmp_path / "b.sol"
+    save(instance, str(inst))
+    assert cli.main(["solve", str(inst), "-o", str(sol), "--seed", "2", "--iters", "60"]) == 1
+    out = capsys.readouterr().out
+    assert "best: seed 2 violation 1\n" in out
+    assert "counter connected 4\n" in out
+    assert "counter connected 4\n" in sol.read_text()
+    assert cli.main(["check", str(inst), str(sol)]) == 1
+    assert "total 1\n" in capsys.readouterr().out
+
+
 def test_cli_check_takes_the_solve_weights(tmp_path, capsys):
     """check --weights rebuilds the total that solve --weights reports."""
     inst = tmp_path / "w.inst"
@@ -323,8 +343,8 @@ def test_cli_solve_parallel_keeps_only_the_best_model(tmp_path, capsys, monkeypa
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:4]] == [f"seed {s}" for s in (1, 2, 3, 4)]
     assert lines[4].startswith("best: seed ")
-    # the best run so far and the one being searched
-    assert len(alive) == 4 and max(alive) <= 2
+    # a result keeps no model, so only the one being searched is alive
+    assert alive == [1, 1, 1, 1]
 
 
 def test_cli_solve_replay_identical(tmp_path):

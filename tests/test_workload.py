@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from oracles import (
     naive_balanced_violation,
     naive_bounded_violation,
@@ -16,7 +14,6 @@ from sectorsearch.constraints import (
     mu_of,
     scale_delta,
 )
-from sectorsearch.errors import InputError
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
@@ -75,13 +72,6 @@ def test_balanced_probe_reaching_balance():
     assert c.probe_assign(3, 1) == naive_balanced_violation(
         {0: 1, 1: 1, 2: 2, 3: 1}, {0: 1, 1: 2, 2: 2, 3: 3}, 2, 0
     ) - before
-
-
-def test_balanced_mu_validation():
-    st = make_state([1, 1, 2])
-    BalancedConstraint(st, {0: 3, 1: 5, 2: 4}, 0, mu=Fraction(6))
-    with pytest.raises(InputError):
-        BalancedConstraint(st, {0: 3, 1: 5, 2: 4}, 0, mu=Fraction(5))
 
 
 def test_bounded_violation_examples():
