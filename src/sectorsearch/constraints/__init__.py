@@ -3,13 +3,7 @@ from .compact import CompactConstraint, sphere_surface
 from .connected import ConnectedConstraint, connected_check
 from .non_border import NonBorderConstraint, non_border_check
 from .stretch_sum import StretchSumConstraint, stretch_sum_check
-from .workload import (
-    BalancedConstraint,
-    BoundedConstraint,
-    deviation_check,
-    mu_of,
-    scale_delta,
-)
+from .workload import BalancedConstraint, BoundedConstraint, deviation_check
 
 __all__ = [
     "Constraint",
@@ -23,7 +17,5 @@ __all__ = [
     "non_border_check",
     "stretch_sum_check",
     "deviation_check",
-    "mu_of",
-    "scale_delta",
     "sphere_surface",
 ]

@@ -158,17 +158,6 @@ class CompactConstraint(Constraint):
         return total <= self.threshold
 
     # differentiation ----------------------------------------------------
-    def neighbour_delta(self, w: int, v: int, new_colour: int) -> int:
-        """Signed area change of ``Border(w)`` under ``colour(v) := new``."""
-        cv = self.state.colour(v)
-        cw = self.state.colour(w)
-        area = self.state.geometry.edge_area(v, w)
-        if cv != cw and cw == new_colour:
-            return -area
-        if cv == cw and cw != new_colour:
-            return +area
-        return 0
-
     def _border_move(self, v: int, before: int, after: int) -> Dict[int, int]:
         """The border areas the move ``colour(v): before -> after`` changes.
 

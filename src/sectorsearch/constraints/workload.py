@@ -7,7 +7,6 @@ floating point; the threshold is declared in the same scaled units.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Mapping, Sequence
 
 from ..errors import InputError
@@ -16,25 +15,12 @@ from ..state import ColourState
 from .base import Constraint
 
 
-def mu_of(values: Sequence[int], n: int) -> Fraction:
-    """Exact per-colour average of the given values."""
-    if n < 1:
-        raise InputError(f"need at least one colour, got n={n}")
-    return Fraction(sum(values), n)
-
-
-def scale_delta(delta: int, n: int) -> int:
-    """Convert an unscaled deviation budget into n-scaled units."""
-    return delta * n
-
-
-def deviation_check(sums: Sequence[int], mu: Fraction, delta_scaled: int) -> bool:
-    """True iff the scaled deviations of ``sums`` around ``mu`` stay within
-    the scaled threshold."""
+def deviation_check(sums: Sequence[int], total: int, delta_scaled: int) -> bool:
+    """True iff the scaled deviations of ``sums`` around their average,
+    ``sum(|n * x - total|)`` for ``n`` sums adding up to ``total``, stay
+    within the scaled threshold."""
     n = len(sums)
-    mu_num = mu * n
-    total = sum(abs(n * x - mu_num) for x in sums)
-    return total <= delta_scaled
+    return sum(abs(n * x - total) for x in sums) <= delta_scaled
 
 
 class ColourSumConstraint(Constraint):
@@ -135,11 +121,7 @@ class BalancedConstraint(ColourSumConstraint):
 
     def check(self) -> bool:
         sums = self._class_sums()
-        return deviation_check(
-            [sums[c] for c in sorted(sums)],
-            Fraction(self.mu_num, self.state.n),
-            self.delta_scaled,
-        )
+        return deviation_check(list(sums.values()), self.mu_num, self.delta_scaled)
 
 
 class BoundedConstraint(ColourSumConstraint):

@@ -182,9 +182,6 @@ class Geometry:
             (v, w) for v, ws in self._edge_areas.items() for w in ws if v < w
         ))
 
-    def __len__(self) -> int:
-        return len(self._edge_areas)
-
 
 def components(
     geometry: Geometry, starts: Iterable[int], class_of: Callable[[int], Container[int]]

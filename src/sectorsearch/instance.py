@@ -316,6 +316,8 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                 if key != "colours":
                     raise FormatError(where, f"unknown model key {key!r}")
                 colours = int(rest)
+                if colours < 1:
+                    raise FormatError(where, f"colours must be at least 1, got {colours}")
             elif section == "grid":
                 if key not in _GRID_KEYS:
                     raise FormatError(where, f"unknown grid key {key!r}")

@@ -94,21 +94,28 @@ class ColourState:
             if not self.order or self.order[-1] == len(self.order) - 1
             else {v: r for r, v in enumerate(self.order)}
         )
-        self._colour: Dict[int, int] = {}
         self._index: Optional[ComponentIndex] = None
-        if colours is None:
-            self._colour = {v: 1 for v in geometry.vertices}
-        else:
-            for v in geometry.vertices:
-                if v not in colours:
-                    raise InputError(f"vertex {v} has no colour")
-                self._check_colour(colours[v])
-                self._colour[v] = colours[v]
+        self._colour: Dict[int, int] = (
+            {v: 1 for v in geometry.vertices} if colours is None else self._checked(colours)
+        )
         self._rebuild_classes()
 
-    def _check_colour(self, c: int) -> None:
+    def _check_colour(self, v: int, c: int) -> None:
         if not isinstance(c, int) or not 1 <= c <= self.n:
-            raise InputError(f"colour {c!r} outside 1..{self.n}")
+            raise InputError(f"vertex {v}: colour {c!r} outside 1..{self.n}")
+
+    def _checked(self, colours: Mapping[int, int]) -> Dict[int, int]:
+        """A copy of ``colours`` over the geometry's vertices, in their
+        order, once every vertex is found to carry a colour in 1..n."""
+        out: Dict[int, int] = {}
+        for v in self.geometry.vertices:
+            try:
+                c = colours[v]
+            except KeyError:
+                raise InputError(f"vertex {v} has no colour") from None
+            self._check_colour(v, c)
+            out[v] = c
+        return out
 
     def colour(self, v: int) -> int:
         try:
@@ -144,7 +151,7 @@ class ColourState:
     def assign(self, v: int, c: int) -> None:
         """Commit ``colour(v) := c`` and notify registered constraints."""
         old = self.colour(v)
-        self._check_colour(c)
+        self._check_colour(v, c)
         self._colour[v] = c
         if old != c:
             bit = 1 << self.rank[v]
@@ -164,11 +171,7 @@ class ColourState:
 
     def set_all(self, colours: Mapping[int, int]) -> None:
         """Bulk assignment; registered constraints rebuild from scratch."""
-        for v in self.geometry.vertices:
-            if v not in colours:
-                raise InputError(f"vertex {v} has no colour")
-            self._check_colour(colours[v])
-        self._colour = {v: colours[v] for v in self.geometry.vertices}
+        self._colour = self._checked(colours)
         self._rebuild_classes()
         if self._index is not None:
             self._index.rebuild(self._colour)
@@ -226,14 +229,6 @@ class ColourState:
             if self._colour[w] != c:
                 total += area
         return total
-
-    def colour_graph_edges(self) -> Set[Tuple[int, int]]:
-        """Edges of the geometry whose endpoints share a colour."""
-        return {
-            (v, w)
-            for v, w in self.geometry.edges()
-            if self._colour[v] == self._colour[w]
-        }
 
     def connected_components(self) -> List[Component]:
         """All maximal same-coloured components with their attributes, in

@@ -100,6 +100,20 @@ def naive_border(geometry, colours, v):
     return total
 
 
+def literal_neighbour_delta(geometry, colours, w, v, new_colour):
+    """Case table for the signed change of ``Border(w)`` when its
+    neighbour ``v`` is recoloured to ``new_colour``: the facet they share
+    stops being border when ``w`` already has the new colour, and becomes
+    border when ``v`` leaves ``w``'s colour."""
+    cv, cw = colours[v], colours[w]
+    area = geometry.edge_area(v, w)
+    if cv != cw and cw == new_colour:
+        return -area
+    if cv == cw and cw != new_colour:
+        return +area
+    return 0
+
+
 def naive_compact_b_total(geometry, colours, weight="identity"):
     f = (lambda x: x) if weight == "identity" else (lambda x: x * x)
     per_vertex = sum(f(naive_border(geometry, colours, v)) for v in geometry.vertices)

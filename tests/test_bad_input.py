@@ -222,6 +222,13 @@ def _check_fails(capsys, inst, tmp_path, *lines):
     return sol, capsys.readouterr().err
 
 
+def test_solution_colour_out_of_range(inst, tmp_path, capsys):
+    sol = tmp_path / "s.sol"
+    save_solution({**dict.fromkeys(range(16), 1), 5: 9}, str(sol))
+    assert cli.main(["check", str(inst), str(sol)]) == 2
+    assert capsys.readouterr().err == "error: vertex 5: colour 9 outside 1..3\n"
+
+
 def test_solution_with_a_malformed_counter(inst, tmp_path, capsys):
     sol, err = _check_fails(capsys, inst, tmp_path, "counter connected three")
     assert f"{sol}:18: expected an integer value" in err
@@ -260,3 +267,12 @@ def test_generate_without_colours(tmp_path, capsys):
     assert cli.main(["generate", "--colours", "0", "-o", str(out)]) == 2
     assert "colours=0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_model_colours_below_one_in_the_file(inst, capsys):
+    text = inst.read_text()
+    lineno = text.splitlines().index("colours 3") + 1
+    inst.write_text(text.replace("colours 3\n", "colours 0\n"))
+    with pytest.raises(FormatError, match=f"^g.inst:{lineno}: colours must be at least 1, got 0$"):
+        loads(inst.read_text(), origin="g.inst")
+    assert f"{inst}:{lineno}: colours must be at least 1" in _solve_fails(capsys, inst)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     all_colourings,
+    literal_neighbour_delta,
     naive_compact_a_violation,
     naive_compact_b_total,
     naive_compact_b_violation,
@@ -74,10 +75,15 @@ def test_var_violation_weights():
 
 def test_neighbour_delta_cases():
     st = square_state([1, 2, 1, 1])
-    c = CompactConstraint(st, threshold=0)
-    assert c.neighbour_delta(1, 0, 2) == -1  # w joins v's new colour side
-    assert c.neighbour_delta(2, 0, 1) == 0  # no-op move
-    assert c.neighbour_delta(2, 0, 2) == +1  # same-coloured pair separates
+    geometry, colours = st.geometry, st.colours()
+    # (w, new colour of vertex 0, change of Border(w))
+    cases = [
+        (1, 2, -1),  # w joins v's new colour side
+        (2, 1, 0),  # no-op move
+        (2, 2, +1),  # same-coloured pair separates
+    ]
+    for w, new_colour, expected in cases:
+        assert literal_neighbour_delta(geometry, colours, w, 0, new_colour) == expected
 
 
 def test_mode_b_probe_example():
@@ -238,6 +244,7 @@ def test_identity_probe_equals_neighbour_delta_sum():
             if colour == st.colour(v):
                 continue
             table_sum = sum(
-                c.neighbour_delta(w, v, colour) for w in geometry.adjacent(v)
+                literal_neighbour_delta(geometry, st.colours(), w, v, colour)
+                for w in geometry.adjacent(v)
             )
             assert c.probe_assign(v, colour) == table_sum

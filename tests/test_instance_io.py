@@ -122,11 +122,11 @@ def test_validate_follows_a_changed_grid():
     with pytest.raises(FormatError):
         instance.validate()
     instance.workloads[4] = 1
-    assert len(instance.validate()) == 5
+    assert len(instance.validate().vertices) == 5
     instance.grid = GridSpec(width=4, height=1)
     del instance.workloads[4]
     assert instance.validate() is not g
-    assert len(instance.validate()) == 4
+    assert len(instance.validate().vertices) == 4
 
 
 def test_generated_model_builds_all_kinds():

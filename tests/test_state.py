@@ -14,22 +14,6 @@ def path_state(colours, n=3):
     return ColourState(g, n, colours={i: c for i, c in enumerate(colours)})
 
 
-def test_colour_graph_edges_path():
-    st = path_state([1, 1, 2])
-    assert st.colour_graph_edges() == {(0, 1)}
-
-
-def test_colour_graph_edges_monochrome():
-    geometry = grid(2, 2, dim=2)
-    st = ColourState(geometry, 2)
-    assert st.colour_graph_edges() == set(geometry.edges())
-
-
-def test_colour_graph_edges_proper_colouring():
-    st = path_state([1, 2, 1])
-    assert st.colour_graph_edges() == set()
-
-
 def test_components_path():
     st = path_state([1, 1, 2, 1])
     comps = st.connected_components()
