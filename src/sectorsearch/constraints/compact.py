@@ -91,36 +91,50 @@ class CompactConstraint(Constraint):
         state = self.state
         geometry = state.geometry
         colour = state.colours()
+        border_areas = geometry.border_areas
+        # the geometry's own tables: every vertex read here is known to it
+        edge_areas = geometry._edge_areas
+        volume = geometry._volume
+        mode_a = self.mode == "A"
+        if mode_a:
+            self.index = state.component_index()
+            label = self.index.label
+            sigma: Dict[int, int] = dict.fromkeys(self.index.size, 0)
+            nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
+            owner: Dict[int, int] = {}
+        f = self._f
+        total2 = 0
         border: Dict[int, int] = {}
-        for v in state.order:
+        conflicts = bytearray((len(state.order) + 7) // 8)
+        # one pass in sorted order, so r is v's bit in a vertex mask
+        for r, v in enumerate(state.order):
             cv = colour[v]
-            b = geometry.border_areas.get(v, 0)
-            for w, area in geometry.edge_areas(v).items():
+            b = border_areas.get(v, 0)
+            for w, area in edge_areas[v].items():
                 if colour[w] != cv:
                     b += area
             border[v] = b
+            # border areas are never negative, so f(b) > 0 iff b > 0
+            if b:
+                conflicts[r >> 3] |= 1 << (r & 7)
+                total2 += f(b)
+            if mode_a:
+                lab = label[v]
+                sigma[lab] += b
+                nu[lab] += volume[v]
+                owner[lab] = cv
         self.border_cache = border
         self._outside = geometry.outside_area()
-        # border areas are never negative, so f(b) > 0 iff b > 0
-        self._conflicts = state.mask_of(v for v, b in border.items() if b)
-        if self.mode == "B":
-            self._total2 = sum(self._f(b) for b in border.values()) + self._f(self._outside)
+        self._conflicts = int.from_bytes(conflicts, "little")
+        if not mode_a:
+            self._total2 = total2 + f(self._outside)
             return
-        self.index = state.component_index()
-        label = self.index.label
-        volume = geometry.volume
-        self.sigma: Dict[int, int] = dict.fromkeys(self.index.size, 0)
-        self.nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
-        owner: Dict[int, int] = {}
-        for v, b in border.items():
-            lab = label[v]
-            self.sigma[lab] += b
-            self.nu[lab] += volume(v)
-            owner[lab] = colour[v]
+        self.sigma = sigma
+        self.nu = nu
         #: per colour, the term of each of its components' labels
         self.terms: List[Dict[int, float]] = [{} for _ in range(state.n + 1)]
         for lab, c in owner.items():
-            self.terms[c][lab] = self._term(self.sigma[lab], self.nu[lab])
+            self.terms[c][lab] = self._term(sigma[lab], nu[lab])
         self.colour_term: List[float] = [math.fsum(t.values()) for t in self.terms]
         self._total = math.fsum(self.colour_term)
 

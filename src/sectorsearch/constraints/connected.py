@@ -174,6 +174,6 @@ class ConnectedConstraint(Constraint):
                 f"satisfies {self.relop} {self.counter_value}"
             )
         colours = grow_regions(self.state.geometry, target, rng)
-        self.state.set_all(colours)
+        self.state.set_all(colours, regions=True)
         if not self.check():
             raise InitError("region growing failed to satisfy the constraint")

@@ -47,9 +47,10 @@ class NonBorderConstraint(Constraint):
     def rebuild(self) -> None:
         self._vv: Dict[int, int] = {}
         state = self.state
+        colour = state.colours()
         for v in self.path.interior:
-            cv = state.colour(v)
-            self._vv[v] = sum(1 for w in self.off_path[v] if state.colour(w) != cv)
+            cv = colour[v]
+            self._vv[v] = sum(1 for w in self.off_path[v] if colour[w] != cv)
         self._total = sum(self._vv.values())
         self._conflicts = state.mask_of(v for v, k in self._vv.items() if k)
 

@@ -64,7 +64,8 @@ class StretchSumConstraint(Constraint):
         self._start = [0] * m
         self._end = [0] * m
         self._sum = [0] * m
-        colours = [self.state.colour(v) for v in interior]
+        colour = self.state.colours()
+        colours = [colour[v] for v in interior]
         self._violating = sum(self._write(left, right) for left, right in stretches(colours))
         self._conflicts = self.state.mask_of(
             interior[k] for k in range(m) if self._term(k)

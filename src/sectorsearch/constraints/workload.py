@@ -47,9 +47,10 @@ class ColourSumConstraint(Constraint):
     def _class_sums(self) -> Dict[int, int]:
         """Per colour, the value sum of its class, from the state's colours
         alone (never from the cache)."""
-        sums = {c: 0 for c in range(1, self.state.n + 1)}
-        for v in self.state.geometry.vertices:
-            sums[self.state.colour(v)] += self.values[v]
+        sums = dict.fromkeys(range(1, self.state.n + 1), 0)
+        colour = self.state.colours()
+        for v, x in self.values.items():
+            sums[colour[v]] += x
         return sums
 
     def rebuild(self) -> None:

@@ -266,7 +266,7 @@ def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
     if cfg.init == "random":
         state.set_all({v: rng.randint(1, state.n) for v in state.geometry.vertices})
     elif cfg.init == "regions":
-        state.set_all(grow_regions(state.geometry, state.n, rng))
+        state.set_all(grow_regions(state.geometry, state.n, rng), regions=True)
     elif cfg.init != "keep":
         raise InputError(f"unknown init policy {cfg.init!r}")
     for cid in cfg.hard:

@@ -25,6 +25,7 @@ geometry's own components are one of their results.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import (
     Callable,
     Container,
@@ -52,9 +53,13 @@ class Geometry:
     construction, and the one-facet-per-edge invariant is validated here.
     The facets themselves are not kept.
 
-    As nothing in a geometry changes after construction, its sorted
-    vertex ``order()`` and its connected ``components()`` are computed on
-    the first request and kept: every later call returns the same tuple.
+    As nothing in a geometry changes after construction, three tables
+    are computed on the first request and kept, so every later call
+    returns the same object: the sorted vertex ``order()``, the connected
+    ``components()`` and the ``ascending_adjacency()``, each vertex's
+    neighbours as an increasing tuple.  ``adjacent()`` keeps the order in
+    which the facets named the neighbours; the sorted table is built only
+    for the callers that walk neighbours in increasing order.
     """
 
     def __init__(
@@ -123,6 +128,7 @@ class Geometry:
         self._vertices: FrozenSet[int] = frozenset(edge_areas)
         self._order: Optional[Tuple[int, ...]] = None
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._ascending: Optional[Mapping[int, Tuple[int, ...]]] = None
 
     @property
     def vertices(self) -> FrozenSet[int]:
@@ -144,6 +150,15 @@ class Geometry:
                 for comp in components(self, self.order(), lambda s: vertices)
             )
         return self._components
+
+    def ascending_adjacency(self) -> Mapping[int, Tuple[int, ...]]:
+        """Each vertex's neighbours as an increasing tuple, sorted on the
+        first request and kept."""
+        if self._ascending is None:
+            self._ascending = MappingProxyType(
+                {v: tuple(sorted(ws)) for v, ws in self._adj.items()}
+            )
+        return self._ascending
 
     def adjacent(self, v: int) -> KeysView[int]:
         """Vertices sharing a facet with ``v``."""

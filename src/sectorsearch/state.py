@@ -14,16 +14,23 @@ registration order, through a table built once by :func:`scope_table`;
 Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
 ``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
 mask and one size per colour class, so the constraints can report their
-conflicting vertices as the union of a few masks.
+conflicting vertices as the union of a few masks.  ``set_all`` (and the
+constructor) makes one pass over the vertices that checks each colour,
+copies it and fills the class masks and sizes; a bad colour raises,
+naming its vertex, before any of the state changes.
 
 The state also keeps, once a constraint asks for it, one
 :class:`ComponentIndex`: a label per vertex naming its same-colour
 component, a size per label and a component count per colour.  Every
 ``assign`` updates it before any constraint hears of the move, at the
 cost of the smaller sides of a split or merge, and records what the move
-did (:class:`ComponentChange`); ``set_all`` rebuilds it.  Exact
-connectedness counts from it and compact mode A keeps its per-component
-sums by its labels.
+did (:class:`ComponentChange`); ``set_all`` rebuilds it.  A restart
+passes ``set_all(..., regions=True)`` with a :func:`grow_regions`
+colouring, whose used colours are one component each: the index then
+labels every vertex by its colour, takes the sizes from the class sizes
+and mints fresh labels above ``n``, with no search.  Exact connectedness
+counts from the index and compact mode A keeps its per-component sums by
+its labels.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,
@@ -95,27 +102,38 @@ class ColourState:
             else {v: r for r, v in enumerate(self.order)}
         )
         self._index: Optional[ComponentIndex] = None
-        self._colour: Dict[int, int] = (
-            {v: 1 for v in geometry.vertices} if colours is None else self._checked(colours)
-        )
-        self._rebuild_classes()
+        self._take(dict.fromkeys(geometry.vertices, 1) if colours is None else colours)
 
     def _check_colour(self, v: int, c: int) -> None:
         if not isinstance(c, int) or not 1 <= c <= self.n:
             raise InputError(f"vertex {v}: colour {c!r} outside 1..{self.n}")
 
-    def _checked(self, colours: Mapping[int, int]) -> Dict[int, int]:
-        """A copy of ``colours`` over the geometry's vertices, in their
-        order, once every vertex is found to carry a colour in 1..n."""
+    def _take(self, colours: Mapping[int, int]) -> None:
+        """Make ``colours`` the assignment, with its ``class_mask`` and
+        ``class_size`` (indexed by colour, entry 0 unused).
+
+        One pass over the geometry's vertices, in their order, checks
+        each colour, copies it and sets its class bit; nothing changes
+        unless every vertex carries a colour in 1..n.
+        """
+        n = self.n
+        rank = self.rank
+        width = (len(self.order) + 7) // 8
+        buffers = [bytearray(width) for _ in range(n + 1)]
         out: Dict[int, int] = {}
         for v in self.geometry.vertices:
             try:
                 c = colours[v]
             except KeyError:
                 raise InputError(f"vertex {v} has no colour") from None
-            self._check_colour(v, c)
+            if type(c) is not int or not 1 <= c <= n:
+                self._check_colour(v, c)  # raises unless an int subclass in range
             out[v] = c
-        return out
+            r = rank[v]
+            buffers[c][r >> 3] |= 1 << (r & 7)
+        self._colour: Dict[int, int] = out
+        self.class_mask: List[int] = [int.from_bytes(b, "little") for b in buffers]
+        self.class_size: List[int] = [mask.bit_count() for mask in self.class_mask]
 
     def colour(self, v: int) -> int:
         try:
@@ -169,31 +187,22 @@ class ColourState:
                 if obs is not None:
                     obs.commit_assign(v, old, c)
 
-    def set_all(self, colours: Mapping[int, int]) -> None:
-        """Bulk assignment; registered constraints rebuild from scratch."""
-        self._colour = self._checked(colours)
-        self._rebuild_classes()
+    def set_all(self, colours: Mapping[int, int], *, regions: bool = False) -> None:
+        """Bulk assignment; registered constraints rebuild from scratch.
+
+        ``regions`` says that every colour class of ``colours`` is
+        connected or empty, as in a :func:`grow_regions` colouring; the
+        component index then takes one component per used colour, labelled
+        by the colour, instead of searching.
+        """
+        self._take(colours)
         if self._index is not None:
-            self._index.rebuild(self._colour)
+            self._index.rebuild(self._colour, self.class_size if regions else None)
         for obs in self._live_observers():
             obs.rebuild()
 
     # ------------------------------------------------------------------
     # vertex masks
-
-    def _rebuild_classes(self) -> None:
-        """Refill ``class_mask``/``class_size`` (indexed by colour, entry 0
-        unused) in one pass over the vertices."""
-        width = (len(self.order) + 7) // 8
-        buffers = [bytearray(width) for _ in range(self.n + 1)]
-        sizes = [0] * (self.n + 1)
-        colour = self._colour
-        for r, v in enumerate(self.order):
-            c = colour[v]
-            buffers[c][r >> 3] |= 1 << (r & 7)
-            sizes[c] += 1
-        self.class_mask: List[int] = [int.from_bytes(b, "little") for b in buffers]
-        self.class_size: List[int] = sizes
 
     def mask_of(self, vertices: Iterable[int]) -> int:
         """The mask of a vertex set, built in one linear pass."""
@@ -326,14 +335,28 @@ class ComponentIndex(ComponentCounts):
         self.n = n
         self.rebuild(colour)
 
-    def rebuild(self, colour: Dict[int, int]) -> None:
+    def rebuild(self, colour: Dict[int, int], class_size: Optional[Sequence[int]] = None) -> None:
         """Label every component of ``colour``, the state's colour map,
-        which later commits update in place."""
+        which later commits update in place.
+
+        Given the colouring's ``class_size`` (indexed by colour), every
+        class is taken to be connected or empty: each vertex is labelled
+        by its colour, with no search, and fresh labels start above n.
+        """
         self._colour = colour
-        adjacent = self.geometry.adjacent
-        label: Dict[int, int] = {}
-        self.label = label
+        # drop the old labels first, so they never coexist with the new
+        self.label: Dict[int, int] = {}
         self.size: Dict[int, int] = {}
+        self.change: Optional[ComponentChange] = None
+        self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
+        if class_size is not None:
+            self.label = dict(colour)
+            self.size = {c: k for c, k in enumerate(class_size) if c and k}
+            self._labels = itertools.count(self.n + 1)
+            self.reset({c: int(class_size[c] > 0) for c in range(1, self.n + 1)})
+            return
+        adjacent = self.geometry.adjacent
+        label = self.label
         self._labels = itertools.count(1)
         count = dict.fromkeys(range(1, self.n + 1), 0)
         for start in colour:
@@ -354,8 +377,6 @@ class ComponentIndex(ComponentCounts):
             self.size[lab] = size
             count[c] += 1
         self.reset(count)
-        self.change: Optional[ComponentChange] = None
-        self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
 
     def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
         """Label -> one neighbour of ``v`` carrying it, over v's
@@ -594,11 +615,13 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Dict[int, int]:
     Multi-source BFS from random seeds, one per geometry component first,
     growing regions one vertex per round so sizes stay roughly even.
     Each round a region claims the first unclaimed neighbour, in
-    increasing order, of the oldest vertex it holds that has one.  That
-    vertex's neighbours are walked by a resumable head, an iterator made
-    when the vertex is claimed: a neighbour once found claimed stays
-    claimed, so each round resumes where the last claim stopped.  Raises
-    when the geometry cannot be covered by ``k`` connected regions.
+    increasing order, of the oldest vertex it holds that has one.  So a
+    region reads one stream, the tuples of ``geometry.ascending_adjacency()``
+    of its vertices in the order it claimed them, through one resumable
+    head: a neighbour once found claimed stays claimed, so each round
+    resumes where the last claim stopped.  Each region is connected by
+    construction.  Raises when the geometry cannot be covered by ``k``
+    connected regions.
     """
     vertices = geometry.order()
     if not 1 <= k <= len(vertices):
@@ -613,23 +636,20 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Dict[int, int]:
     remaining = [v for v in vertices if v not in chosen]
     seeds.extend(rng.sample(remaining, k - len(seeds)))
 
-    adjacent = geometry.adjacent
+    ascending = geometry.ascending_adjacency()
     colour: Dict[int, int] = {s: i + 1 for i, s in enumerate(seeds)}
-    heads = [deque([iter(sorted(adjacent(s)))]) for s in seeds]
+    # a list iterator sees what is appended to its list until it runs out,
+    # and a region's stream runs out only once the region can claim nothing
+    streams = [list(ascending[s]) for s in seeds]
+    heads = [iter(stream) for stream in streams]
     while len(colour) < len(vertices):
-        progress = False
-        for c, queue in enumerate(heads, 1):
-            while queue:
-                for w in queue[0]:
-                    if w not in colour:
-                        break
-                else:
-                    queue.popleft()
-                    continue
-                colour[w] = c
-                queue.append(iter(sorted(adjacent(w))))
-                progress = True
-                break
-        if not progress:
+        claimed = len(colour)
+        for c, (stream, head) in enumerate(zip(streams, heads), 1):
+            for w in head:
+                if w not in colour:
+                    colour[w] = c
+                    stream.extend(ascending[w])
+                    break
+        if len(colour) == claimed:
             raise InputError("region growing could not reach every vertex")
     return colour

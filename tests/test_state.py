@@ -3,10 +3,18 @@ import random
 
 import pytest
 
-from oracles import naive_components
+from oracles import assert_index_matches_components, naive_components
+from sectorsearch import generate
+from sectorsearch.constraints import ConnectedConstraint
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import Geometry, grid
-from sectorsearch.state import ColourState, class_components, grow_regions, stretches
+from sectorsearch.state import (
+    ColourState,
+    ComponentIndex,
+    class_components,
+    grow_regions,
+    stretches,
+)
 
 
 def path_state(colours, n=3):
@@ -225,10 +233,12 @@ def test_grow_regions_pinned(name):
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == GROW_DIGESTS[name]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda: grid(5, 4, dim=2), lambda: grid(3, 3, 2, dim=3), _two_component_geometry],
-)
+CACHED_TABLE_BUILDS = [
+    lambda: grid(5, 4, dim=2), lambda: grid(3, 3, 2, dim=3), _two_component_geometry,
+]
+
+
+@pytest.mark.parametrize("build", CACHED_TABLE_BUILDS)
 def test_geometry_components_are_cached_sorted_tuples(build):
     geometry = build()
     expected = tuple(
@@ -244,3 +254,108 @@ def test_geometry_components_are_cached_sorted_tuples(build):
 def test_grow_regions_more_components_than_regions():
     with pytest.raises(InputError, match="geometry has 2 components, more than 1 regions"):
         grow_regions(_two_component_geometry(), 1, random.Random(0))
+
+
+@pytest.mark.parametrize("build", CACHED_TABLE_BUILDS)
+def test_geometry_ascending_adjacency_is_cached_and_sorted(build):
+    geometry = build()
+    table = geometry.ascending_adjacency()
+    assert set(table) == set(geometry.vertices)
+    for v in geometry.vertices:
+        assert table[v] == tuple(sorted(geometry.adjacent(v)))
+    assert geometry.ascending_adjacency() is table
+
+
+def _partition(index):
+    """The vertex sets of an index's labels."""
+    members = {}
+    for v, lab in index.label.items():
+        members.setdefault(lab, set()).add(v)
+    return {frozenset(vs) for vs in members.values()}
+
+
+def _check_region_index_walk(st, rng, walk=200):
+    """The index of a region colouring agrees with the general rebuild of
+    the same colouring, and with DFS components after every one of
+    ``walk`` seeded commits."""
+    geometry = st.geometry
+    index = st.component_index()
+    general = ComponentIndex(geometry, st.snapshot(), st.n)
+    assert _partition(index) == _partition(general)
+    assert index.count == general.count
+    assert (index.total, index.excess) == (general.total, general.excess)
+    assert_index_matches_components(index, geometry, st.snapshot(), st.n)
+    for _ in range(walk):
+        st.assign(rng.choice(st.order), rng.randint(1, st.n))
+        assert_index_matches_components(index, geometry, st.snapshot(), st.n)
+
+
+@pytest.mark.parametrize("name", sorted(GROW_CASES))
+def test_region_index_matches_the_general_rebuild(name):
+    build, ks = GROW_CASES[name]
+    geometry = build()
+    for k in ks:
+        st = ColourState(geometry, k)
+        st.component_index()
+        for seed in range(4):
+            rng = random.Random(seed)
+            st.set_all(grow_regions(geometry, k, rng), regions=True)
+            _check_region_index_walk(st, rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_region_index_after_hard_init_with_empty_colours(seed):
+    # three regions over five colours: colours 4 and 5 start empty
+    st = ColourState(grid(6, 5, dim=2), 5)
+    connected = ConnectedConstraint(st, "=", 3)
+    st.register(connected)
+    rng = random.Random(seed)
+    connected.hard_init(rng)
+    assert st.unused_colours() == [4, 5]
+    assert connected.violation() == 0
+    _check_region_index_walk(st, rng)
+
+
+def _observed(model):
+    """Everything a set_all may change, copied."""
+    st = model.state
+    index = st.component_index()
+    return (
+        st.snapshot(),
+        list(st.class_mask),
+        list(st.class_size),
+        dict(index.label),
+        dict(index.size),
+        dict(index.count),
+        index.total,
+        index.excess,
+        [(c.violation(), c.conflicts()) for c, _ in model.entries],
+    )
+
+
+@pytest.mark.parametrize("regions", [False, True], ids=["general", "regions"])
+def test_failed_set_all_changes_nothing(regions):
+    instance = generate(seed=4, width=7, height=6, colours=4, flights=3,
+                        with_compact=True, with_nonborder=True)
+    for spec in instance.constraints:
+        if spec.kind == "compact":
+            spec.params.update(mode="A", threshold=0)
+    model = instance.build()
+    st = model.state
+    path = {"regions": True} if regions else {}
+    rng = random.Random(2)
+    st.set_all(grow_regions(st.geometry, st.n, rng), **path)
+    for _ in range(30):
+        st.assign(rng.choice(st.order), rng.randint(1, st.n))
+    before = _observed(model)
+    last = st.order[-1]
+    good = grow_regions(st.geometry, st.n, rng)
+    missing = {v: c for v, c in good.items() if v != last}
+    for bad, message in (
+        (missing, f"vertex {last} has no colour"),
+        ({**good, last: st.n + 1}, f"vertex {last}: colour {st.n + 1} outside 1..{st.n}"),
+        ({**good, last: 0}, f"vertex {last}: colour 0 outside 1..{st.n}"),
+    ):
+        with pytest.raises(InputError, match=message):
+            st.set_all(bad, **path)
+        assert _observed(model) == before
