@@ -6,27 +6,32 @@ Mode "B" drops the component structure and bounds the total border area of
 the colouring: every interior facet between differently coloured vertices
 counts once, every facet on the geometry boundary counts once.
 
-Mode B is kept in doubled integer units internally (the per-vertex border
-sum counts interior facets twice, and boundary facets once from their
-vertex and once more from the geometry's outside area), so its
-arithmetic is exact.
+Both modes keep one integer border total over the per-vertex border
+areas.  Mode B sums their weights plus the weight of the geometry's
+outside area, in doubled units (the per-vertex sum counts interior
+facets twice and boundary facets once, the outside area counts them
+once more), so its arithmetic is exact.  Mode A sums the plain areas,
+whatever the weight, which there sets only ``var_violation``: a
+component's border area is the sum of its vertices', so mode A's total
+is the border total minus the spheres of all components, which depend
+only on the components' volumes.
 
 A move changes the border areas of the moved vertex and of its
 neighbours only; one pass over its neighbours yields them, and probes and
-commits both start from that pass.  Mode B probes and the mode A fast
-probe (the change of the moved vertex's own border area) cost
-O(degree).
+commits both start from that pass, so the border total follows a move in
+O(degree).  The mode A fast probe (the change of the moved vertex's own
+border area) costs the same.
 
-Mode A keeps an integer border sum sigma and volume nu per component,
-keyed by the labels of the state's component index.  One routine
-computes the sums of the components a move leaves behind and forms: the
-closed pieces of a split, the rest of the old component, and the new
-colour's components merged with the moved vertex.  The exact probe feeds
-it the pieces of the index's split search and the labels of v's
-neighbours; a commit feeds it the index's record of the same move.  So
-probes and commits cost the smaller sides of a split, never a whole
-colour class.  Per colour, the terms ``sigma - sphere_surface(nu)`` are
-summed with :func:`math.fsum`, and so are the colours' sums; ``fsum`` is
+Mode A keeps the volume nu of every component, keyed by the labels of
+the state's component index, and per colour the sphere surface of each
+of its components.  One routine computes the volumes of the components a
+move leaves behind and forms: the closed pieces of a split, the rest of
+the old component, and the new colour's components merged with the moved
+vertex.  The exact probe feeds it the pieces of the index's split search
+and the labels of v's neighbours; a commit feeds it the index's record of
+the same move.  So probes and commits cost the smaller sides of a split,
+never a whole colour class.  The spheres are summed with
+:func:`math.fsum` per colour, and so are the colours' sums; ``fsum`` is
 correctly rounded whatever the order, so a probe equals the committed
 change to the last bit.
 """
@@ -83,6 +88,9 @@ class CompactConstraint(Constraint):
         self.threshold = int(threshold)
         self.weight_fn = weight_fn
         self._f = _WEIGHT_FN[weight_fn]
+        # the weight the border total sums; mode A subtracts spheres from
+        # plain areas
+        self._g = self._f if mode == "B" else _WEIGHT_FN["identity"]
         self.probe = probe
         self.id = id
         self.rebuild()
@@ -94,16 +102,8 @@ class CompactConstraint(Constraint):
         border_areas = geometry.border_areas
         # the geometry's own tables: every vertex read here is known to it
         edge_areas = geometry._edge_areas
-        volume = geometry._volume
-        mode_a = self.mode == "A"
-        if mode_a:
-            self.index = state.component_index()
-            label = self.index.label
-            sigma: Dict[int, int] = dict.fromkeys(self.index.size, 0)
-            nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
-            owner: Dict[int, int] = {}
-        f = self._f
-        total2 = 0
+        g = self._g
+        total = 0
         border: Dict[int, int] = {}
         conflicts = bytearray((len(state.order) + 7) // 8)
         # one pass in sorted order, so r is v's bit in a vertex mask
@@ -114,34 +114,32 @@ class CompactConstraint(Constraint):
                 if colour[w] != cv:
                     b += area
             border[v] = b
-            # border areas are never negative, so f(b) > 0 iff b > 0
+            # border areas are never negative, so g(b) > 0 iff b > 0
             if b:
                 conflicts[r >> 3] |= 1 << (r & 7)
-                total2 += f(b)
-            if mode_a:
-                lab = label[v]
-                sigma[lab] += b
-                nu[lab] += volume[v]
-                owner[lab] = cv
+                total += g(b)
         self.border_cache = border
-        self._outside = geometry.outside_area()
         self._conflicts = int.from_bytes(conflicts, "little")
-        if not mode_a:
-            self._total2 = total2 + f(self._outside)
+        if self.mode == "B":
+            self.border_total = total + g(geometry.outside_area())
+            self.sphere_total = 0.0  # mode B subtracts no spheres
             return
-        self.sigma = sigma
+        self.border_total = total
+        self.index = state.component_index()
+        label = self.index.label
+        volume = geometry._volume
+        nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
+        for v, lab in label.items():
+            nu[lab] += volume[v]
         self.nu = nu
-        #: per colour, the term of each of its components' labels
-        self.terms: List[Dict[int, float]] = [{} for _ in range(state.n + 1)]
-        for lab, c in owner.items():
-            self.terms[c][lab] = self._term(sigma[lab], nu[lab])
-        self.colour_term: List[float] = [math.fsum(t.values()) for t in self.terms]
-        self._total = math.fsum(self.colour_term)
-
-    def _term(self, sigma: int, nu: int) -> float:
-        """Sphericity discrepancy of one component: its border area minus
-        the surface of the equal-volume sphere."""
-        return sigma - sphere_surface(nu, self.state.geometry.dim)
+        dim = geometry.dim
+        #: per colour, the sphere surface of each of its components' labels
+        self.spheres: List[Dict[int, float]] = [{} for _ in range(state.n + 1)]
+        # one vertex of each label tells the label's colour
+        for lab, v in dict(zip(label.values(), label)).items():
+            self.spheres[colour[v]][lab] = sphere_surface(nu[lab], dim)
+        self.sphere_sums: List[float] = [math.fsum(s.values()) for s in self.spheres]
+        self.sphere_total = math.fsum(self.sphere_sums)
 
     # measurement -------------------------------------------------------
     def var_violation(self, v: int) -> int:
@@ -151,9 +149,12 @@ class CompactConstraint(Constraint):
         return self._conflicts
 
     def violation(self) -> float:
+        return self._violation(self.border_total, self.sphere_total)
+
+    def _violation(self, border_total: int, sphere_total: float) -> float:
         if self.mode == "B":
-            return max(self._total2 - 2 * self.threshold, 0) / 2.0
-        return max(self._total - self.threshold, 0.0)
+            return max(border_total - 2 * self.threshold, 0) / 2.0
+        return max(border_total - sphere_total - self.threshold, 0.0)
 
     def check(self) -> bool:
         """Cache-free semantics at the current state."""
@@ -197,102 +198,63 @@ class CompactConstraint(Constraint):
         changed[v] = new_bv
         return changed
 
-    def _total2_change(self, changed: Mapping[int, int]) -> int:
-        f = self._f
+    def _border_total_change(self, changed: Mapping[int, int]) -> int:
+        g = self._g
         border = self.border_cache
-        return sum(f(b) - f(border[u]) for u, b in changed.items())
+        return sum(g(b) - g(border[u]) for u, b in changed.items())
 
     def probe_assign(self, v: int, colour: int) -> float:
         before = self.state.colour(v)
         if colour == before:
             return 0.0
         changed = self._border_move(v, before, colour)
-        if self.mode == "B":
-            total2 = self._total2 + self._total2_change(changed)
-            return max(total2 - 2 * self.threshold, 0) / 2.0 - self.violation()
-        if self.probe == "fast":
+        if self.mode == "A" and self.probe == "fast":
             # cheap approximation: the change of v's own border area
             return changed[v] - self.border_cache[v]
-        total = self._total_after(v, before, colour, changed)
-        return max(total - self.threshold, 0.0) - self.violation()
+        border_total = self.border_total + self._border_total_change(changed)
+        sphere_total = self._sphere_total_after(v, before, colour) if self.mode == "A" else 0.0
+        return self._violation(border_total, sphere_total) - self.violation()
 
-    def _total_after(self, v: int, before: int, after: int, changed: Mapping[int, int]) -> float:
-        """Mode A's total once ``colour(v): before -> after``, with the
-        pieces of the index's split search and the labels of v's
-        neighbours of the new colour; ``changed`` is the move's
-        :meth:`_border_move`."""
+    def _sphere_total_after(self, v: int, before: int, after: int) -> float:
+        """Mode A's sphere total once ``colour(v): before -> after``, with
+        the pieces of the index's split search and the labels of v's
+        neighbours of the new colour."""
         index = self.index
         lab = index.label[v]
         pieces, closed = index.split(v)
         joined = index.neighbour_labels(v, after)
-        split_off, rest, merged = self._components_move(v, lab, pieces, closed, joined, changed)
-        old_terms = [t for m, t in self.terms[before].items() if m != lab]
-        old_terms.extend(self._term(*comp) for comp in split_off)
+        split_off, rest, merged = self._components_move(v, lab, pieces, closed, joined)
+        dim = self.state.geometry.dim
+        old = [s for m, s in self.spheres[before].items() if m != lab]
+        old.extend(sphere_surface(nu, dim) for nu in split_off)
         if rest is not None:
-            old_terms.append(self._term(*rest))
-        new_terms = [t for m, t in self.terms[after].items() if m not in joined]
-        new_terms.append(self._term(*merged))
-        sums = [t for c, t in enumerate(self.colour_term) if c != before and c != after]
-        sums.append(math.fsum(old_terms))
-        sums.append(math.fsum(new_terms))
+            old.append(sphere_surface(rest, dim))
+        new = [s for m, s in self.spheres[after].items() if m not in joined]
+        new.append(sphere_surface(merged, dim))
+        sums = [s for c, s in enumerate(self.sphere_sums) if c != before and c != after]
+        sums.append(math.fsum(old))
+        sums.append(math.fsum(new))
         return math.fsum(sums)
 
     def _components_move(
-        self,
-        v: int,
-        lab: int,
-        pieces: int,
-        closed: List[List[int]],
-        joined: Iterable[int],
-        changed: Mapping[int, int],
-    ) -> Tuple[List[Tuple[int, int]], Optional[Tuple[int, int]], Tuple[int, int]]:
-        """Border sums and volumes of the components a move of ``v``
-        leaves behind and forms.
-
-        Without ``v`` its component ``lab`` falls into ``pieces`` pieces,
-        ``closed`` holding the vertices of all of them but one, and ``v``
-        joins the components ``joined`` of its new colour.  Returns the
-        (sigma, nu) of every closed piece, of the remaining piece (None if
-        ``v`` was alone) and of v's new component.  Only the sums and areas
-        from before the move are read, so a probe and the commit that
-        follows get the same answer.
-        """
-        sigma = self.sigma
-        nu = self.nu
-        border = self.border_cache
+        self, v: int, lab: int, pieces: int, closed: List[List[int]], joined: Iterable[int]
+    ) -> Tuple[List[int], Optional[int], int]:
+        """Volumes of the components a move of ``v`` leaves behind and
+        forms: of every closed piece of v's component ``lab`` (which falls
+        into ``pieces`` pieces without v), of the remaining piece (None if
+        ``v`` was alone) and of v's new component, which joins ``joined``.
+        Only volumes from before the move are read."""
         volume = self.state.geometry.volume
-        rest_sigma = sigma[lab] - border[v]
-        rest_nu = nu[lab] - volume(v)
-        big_sigma = changed[v]
-        big_nu = volume(v)
-        for m in joined:
-            big_sigma += sigma[m]
-            big_nu += nu[m]
-        for u, b in changed.items():
-            # a changed neighbour of the old colour gains the facet it
-            # shares with v as border; one of the new colour loses it
-            if u != v:
-                if b > border[u]:
-                    rest_sigma += b - border[u]
-                else:
-                    big_sigma += b - border[u]
-        split_off = []
-        for piece in closed:
-            piece_sigma = sum(changed.get(u, border[u]) for u in piece)
-            piece_nu = sum(volume(u) for u in piece)
-            split_off.append((piece_sigma, piece_nu))
-            rest_sigma -= piece_sigma
-            rest_nu -= piece_nu
-        rest = (rest_sigma, rest_nu) if pieces else None
-        return split_off, rest, (big_sigma, big_nu)
+        split_off = [sum(map(volume, piece)) for piece in closed]
+        rest = self.nu[lab] - volume(v) - sum(split_off) if pieces else None
+        return split_off, rest, volume(v) + sum(self.nu[m] for m in joined)
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         changed = self._border_move(v, old, new)
-        if self.mode == "B":
-            self._total2 += self._total2_change(changed)
-        else:
-            self._commit_components(v, old, new, changed)
+        self.border_total += self._border_total_change(changed)
+        if self.mode == "A":
+            self._commit_components(v, old, new)
         rank = self.state.rank
         mask = self._conflicts
         for u, b in changed.items():
@@ -300,34 +262,30 @@ class CompactConstraint(Constraint):
             mask = with_bit(mask, rank[u], b > 0)
         self._conflicts = mask
 
-    def _commit_components(self, v: int, old: int, new: int, changed: Mapping[int, int]) -> None:
-        """Follow the index's record of the move in sigma, nu and the
-        terms of colours ``old`` and ``new``; ``border_cache`` still holds
-        the areas before the move."""
+    def _commit_components(self, v: int, old: int, new: int) -> None:
+        """Follow the index's record of the move in nu and the spheres of
+        colours ``old`` and ``new``."""
         change = self.index.change
         lab = change.label
         split_off, rest, merged = self._components_move(
-            v, lab, change.pieces, change.closed, change.joined, changed
+            v, lab, change.pieces, change.closed, change.joined
         )
-        sigma = self.sigma
         nu = self.nu
-        old_terms = self.terms[old]
-        new_terms = self.terms[new]
+        old_spheres = self.spheres[old]
+        new_spheres = self.spheres[new]
         # drop the components the move touched, then add those it formed
-        del sigma[lab], nu[lab], old_terms[lab]
+        del nu[lab], old_spheres[lab]
         for m in change.joined:
-            del sigma[m], nu[m], new_terms[m]
+            del nu[m], new_spheres[m]
         formed = list(zip(change.fresh, split_off))
         if rest is not None:
             formed.append((lab, rest))
-        for m, (m_sigma, m_nu) in formed:
-            sigma[m] = m_sigma
+        dim = self.state.geometry.dim
+        for m, m_nu in formed:
             nu[m] = m_nu
-            old_terms[m] = self._term(m_sigma, m_nu)
-        big_sigma, big_nu = merged
-        sigma[change.big] = big_sigma
-        nu[change.big] = big_nu
-        new_terms[change.big] = self._term(big_sigma, big_nu)
-        self.colour_term[old] = math.fsum(old_terms.values())
-        self.colour_term[new] = math.fsum(new_terms.values())
-        self._total = math.fsum(self.colour_term)
+            old_spheres[m] = sphere_surface(m_nu, dim)
+        nu[change.big] = merged
+        new_spheres[change.big] = sphere_surface(merged, dim)
+        self.sphere_sums[old] = math.fsum(old_spheres.values())
+        self.sphere_sums[new] = math.fsum(new_spheres.values())
+        self.sphere_total = math.fsum(self.sphere_sums)

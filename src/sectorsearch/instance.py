@@ -526,8 +526,13 @@ def generate(
                 ConstraintSpec(id=f"inside{i}", kind="nonborder", params={"flight": i})
             )
     if with_compact:
-        # allow the border budget of an even split into stripes
-        budget = 2 * (width * height + width + height)
+        # the outside area, which every colouring pays, plus two unit
+        # facets per cell for the borders between colours
+        if dim == 2:
+            outside = 2 * (width + height)
+        else:
+            outside = 2 * (width * height + (width + height) * depth)
+        budget = outside + 2 * len(workloads)
         specs.append(
             ConstraintSpec(
                 id="compactness",

@@ -130,8 +130,9 @@ def test_mode_a_exact_probe_matches_scratch():
 
 
 def test_mode_a_exact_probe_is_the_committed_change():
-    """To the last bit: the probe and the commit sum the same component
-    terms, each colour and then the colours with ``math.fsum``."""
+    """To the last bit: the probe and the commit take the same integer
+    border total and sum the same component spheres, each colour and then
+    the colours with ``math.fsum``."""
     rng = random.Random(67)
     geometry = grid(4, 4, 3)
     moves = 0

@@ -1,5 +1,6 @@
-"""The state's component index, and compact mode A's per-component sums
-kept by its labels, against from-scratch components along random walks."""
+"""The state's component index, and compact mode A's per-component
+volumes and spheres kept by its labels, against from-scratch components
+along random walks."""
 
 import math
 import random
@@ -13,27 +14,39 @@ from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
 
-def assert_compact_sums_match_components(c, st):
+def assert_compact_caches_match_components(c, st):
     index = st.component_index()
-    terms = [{} for _ in range(st.n + 1)]
+    dim = st.geometry.dim
+    spheres = [{} for _ in range(st.n + 1)]
     for comp in st.connected_components():
         lab = index.label[min(comp.vertices)]
-        assert c.sigma[lab] == comp.border_area
         assert c.nu[lab] == comp.volume
-        terms[comp.colour][lab] = comp.border_area - sphere_surface(comp.volume, st.geometry.dim)
-    assert set(c.sigma) == set(c.nu) == set(index.size)
-    assert c.terms == terms
-    assert c.colour_term == [math.fsum(t.values()) for t in terms]
-    assert c.violation() == max(math.fsum(c.colour_term) - c.threshold, 0.0)
+        spheres[comp.colour][lab] = sphere_surface(comp.volume, dim)
+    assert set(c.nu) == set(index.size)
+    assert c.spheres == spheres
+    assert c.sphere_sums == [math.fsum(s.values()) for s in spheres]
+    assert c.sphere_total == math.fsum(c.sphere_sums)
+    # mode A sums the plain border areas, whatever the weight
+    assert c.border_total == sum(st.border_area(v) for v in st.geometry.vertices)
+    fresh = CompactConstraint(st, c.threshold, mode="A", weight_fn=c.weight_fn, probe=c.probe)
+    assert c.violation() == fresh.violation()
 
 
-@pytest.mark.parametrize("with_connected", [False, True], ids=["compact-alone", "with-connected"])
-def test_walk_keeps_index_and_compact_sums(with_connected):
+@pytest.mark.parametrize(
+    "with_connected, weight_fn",
+    [
+        pytest.param(False, "identity", id="compact-alone"),
+        pytest.param(True, "identity", id="with-connected"),
+        pytest.param(False, "square", id="compact-alone-square"),
+        pytest.param(True, "square", id="with-connected-square"),
+    ],
+)
+def test_walk_keeps_index_and_compact_sums(with_connected, weight_fn):
     rng = random.Random(71)
     geometry = grid(4, 4, 3)
     n = 3
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
-    compact = CompactConstraint(st, threshold=0, mode="A", probe="exact")
+    compact = CompactConstraint(st, threshold=0, mode="A", weight_fn=weight_fn, probe="exact")
     st.register(compact)
     if with_connected:
         connected = ConnectedConstraint(st, "=", n)
@@ -43,7 +56,7 @@ def test_walk_keeps_index_and_compact_sums(with_connected):
 
     def check():
         assert_index_matches_components(index, geometry, st.snapshot(), n)
-        assert_compact_sums_match_components(compact, st)
+        assert_compact_caches_match_components(compact, st)
         if with_connected:
             assert connected.counts is index
 
@@ -52,7 +65,11 @@ def test_walk_keeps_index_and_compact_sums(with_connected):
         colour = rng.randint(1, n)
         if colour == st.colour(v):
             continue
+        before = compact.violation()
+        delta = compact.probe_assign(v, colour)
         st.assign(v, colour)
+        # the exact probe is the committed change, to the last bit
+        assert delta == compact.violation() - before
         commits += 1
         splits += index.change.pieces >= 2
         merges += len(index.change.joined) >= 2
@@ -100,7 +117,7 @@ def test_a_split_is_searched_once_per_vertex_and_state():
         searched.clear()
         splits += index.change.pieces >= 2
         assert_index_matches_components(index, geometry, st.snapshot(), n)
-        assert_compact_sums_match_components(compact, st)
+        assert_compact_caches_match_components(compact, st)
         if step % 50 == 49:
             # a rebuild relabels, so a split found before it is searched again
             index.split(v)

@@ -540,11 +540,11 @@ GOLDEN = [
         "3824336d682f591b03187954b0113165c5b5013c0c3d82a786dd0379dd1df048",
     ),
     # 3D, compact mode A, restarting every 15 iterations without progress
-    (lambda: _run_3d_compact_a(1, 300), "d2a5366c0ebbb570cf8a80080f9d5a016b92f51b2a1de8a88571e6143f3f8d81"),
+    (lambda: _run_3d_compact_a(1, 300), "0c6a637981865b2e0c1f18865083543c1672e77ab1338fec93ad7ef1764b3ddd"),
     # the same run with the exact mode A probe
     (
         lambda: _run_3d_compact_a(1, 300, probe="exact"),
-        "c9a7013259c432f711a3cfbeedae583d793d79ce4a38ceb7ec1c4fc3e93cf938",
+        "83b731ba4a232996d89bebbaaba480d0462d324edd0ee61d1b2d914a613b9f6f",
     ),
     # compact mode B, non-border and bounded from a random colouring
     (

@@ -85,6 +85,34 @@ def test_generate_flights_validate():
     assert instance.workload_total() == sum(instance.workloads.values())
 
 
+def _compact_threshold(instance):
+    (spec,) = [spec for spec in instance.constraints if spec.kind == "compact"]
+    return spec.params["threshold"]
+
+
+@pytest.mark.parametrize(
+    "width, height, threshold", [(1, 1, 6), (4, 4, 48), (6, 3, 54), (12, 12, 336), (80, 80, 13120)]
+)
+def test_generated_2d_compact_threshold_is_pinned(width, height, threshold):
+    instance = generate(seed=1, width=width, height=height, colours=2, with_compact=True)
+    assert _compact_threshold(instance) == threshold
+
+
+@pytest.mark.parametrize(
+    "width, height, depth, threshold", [(4, 4, 3, 176), (8, 8, 4, 768), (3, 5, 1, 76)]
+)
+def test_generated_3d_compact_admits_one_colour(width, height, depth, threshold):
+    # the outside area plus two facets per cell: 80 + 96 on 4x4x3
+    instance = generate(
+        seed=1, width=width, height=height, depth=depth, dim=3, colours=3, with_compact=True
+    )
+    assert _compact_threshold(instance) == threshold
+    model = instance.build(colours=dict.fromkeys(instance.workloads, 1))
+    compact = model.constraint("compactness")
+    assert compact.violation() == 0
+    assert compact.check()
+
+
 def _count_grid_builds(monkeypatch):
     calls = []
     build = GridSpec.build
