@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InitError, InputError
@@ -51,11 +51,12 @@ from .state import ColourState, MaskView, grow_regions, scope_of, scope_table
 #: floats; everything else is integer)
 TOLERANCE = 1e-9
 
-#: the candidate rules of :func:`_candidate_colours`
-NEIGHBOURHOODS = ("border", "full")
-
 #: the search parameters that count something, none of which may be negative
 COUNTS = ("max_iterations", "tabu_tenure", "restart_after", "moves_per_iter")
+
+#: the search parameters that name a policy, with their values: the candidate
+#: rules of :func:`_candidate_colours` and the starts of :func:`_initialise`
+CHOICES = {"neighbourhood": ("border", "full"), "init": ("regions", "random", "keep")}
 
 
 class Move(NamedTuple):
@@ -79,15 +80,19 @@ class Move(NamedTuple):
 
 @dataclass
 class SearchConfig:
-    max_iterations: int = 20000
+    """A search's parameters, in the order and of the types of the
+    ``[search]`` keys of an instance file; :func:`check_parameter` checks
+    every value, in the file and before a search."""
+
     seed: int = 0
+    max_iterations: int = 20000
     tabu_tenure: int = 8
     restart_after: int = 2000
     moves_per_iter: int = 12
-    neighbourhood: str = "border"  # "border" | "full"
+    neighbourhood: str = "border"
     noise: float = 0.08
+    init: str = "regions"
     hard: Tuple[str, ...] = ()
-    init: str = "regions"  # "regions" | "random" | "keep"
 
 
 @dataclass
@@ -198,7 +203,7 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     With unused colours, every vertex has a candidate, interior vertices
     of a colour class included, so monochrome states stay escapable.
     """
-    _check_neighbourhood(selector)
+    check_parameter("neighbourhood", selector)
     state = model.state
     unused = state.unused_colours()
     moves = [
@@ -212,19 +217,15 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
 
 def check_parameter(name: str, value) -> None:
     """Raise an :class:`InputError` naming the search parameter ``name``
-    when ``value`` is out of its range: ``noise`` is a probability and
-    the :data:`COUNTS` are not negative."""
+    when ``value`` is out of its range: ``noise`` is a probability, the
+    :data:`COUNTS` are not negative and each of the :data:`CHOICES` is
+    one of its values.  Parameters without a range pass."""
     if name == "noise" and not 0 <= value <= 1:
         raise InputError(f"search parameter noise must lie in [0, 1], got {value!r}")
     if name in COUNTS and value < 0:
         raise InputError(f"search parameter {name} must not be negative, got {value!r}")
-
-
-def _check_neighbourhood(selector: str) -> None:
-    if selector not in NEIGHBOURHOODS:
-        raise InputError(
-            f"unknown neighbourhood {selector!r}, expected one of {NEIGHBOURHOODS}"
-        )
+    if name in CHOICES and value not in CHOICES[name]:
+        raise InputError(f"search parameter {name} {value!r} is not one of {CHOICES[name]}")
 
 
 def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -> List[int]:
@@ -267,13 +268,8 @@ def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
         state.set_all({v: rng.randint(1, state.n) for v in state.geometry.vertices})
     elif cfg.init == "regions":
         state.set_all(grow_regions(state.geometry, state.n, rng), regions=True)
-    elif cfg.init != "keep":
-        raise InputError(f"unknown init policy {cfg.init!r}")
     for cid in cfg.hard:
-        constraint = model.constraint(cid)
-        if not hasattr(constraint, "hard_init"):
-            raise InitError(f"constraint {cid!r} cannot be made hard")
-        constraint.hard_init(rng)
+        model.constraint(cid).hard_init(rng)
     for cid in cfg.hard:
         if model.constraint(cid).violation() != 0:
             raise InitError(f"hard constraints conflict at initialisation ({cid})")
@@ -287,11 +283,14 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     model was built with.  Returns the best state visited (its colouring
     and its searchable counters' values) and a per-iteration violation
     trace.  ``cfg.hard`` freezes the hard constraints' counters for this
-    run only.
+    run only.  Every field of ``cfg``, and each hard id, is checked before
+    the model changes or a number is drawn.
     """
-    _check_neighbourhood(cfg.neighbourhood)
-    for name in ("noise", *COUNTS):
-        check_parameter(name, getattr(cfg, name))
+    for f in fields(cfg):
+        check_parameter(f.name, getattr(cfg, f.name))
+    for cid in cfg.hard:
+        if not hasattr(model.constraint(cid), "hard_init"):
+            raise InputError(f"constraint {cid!r} cannot be made hard")
     rng = random.Random(cfg.seed)
     state = model.state
     entries = model.entries

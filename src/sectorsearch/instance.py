@@ -4,6 +4,10 @@ Both file formats are line oriented and canonical: the writer emits
 sections and keys in one fixed order with plain integer formatting, so a
 save/load round trip reproduces the file byte for byte and golden files
 stay stable across platforms.  ``#`` starts a comment when reading.
+
+The ``[grid]`` and ``[search]`` keys are the fields of :class:`GridSpec`
+and :class:`SearchConfig`; ``loads`` checks each value on its line, so a
+bad one is named with its ``file:line``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .constraints import (
     NonBorderConstraint,
     StretchSumConstraint,
 )
-from .engine import NEIGHBOURHOODS, Model, SearchConfig, check_parameter
+from .engine import Model, SearchConfig, check_parameter
 from .errors import FormatError, InputError
 from .geometry import Geometry, grid, grid_vertices
 from .state import ColourState
@@ -132,12 +136,6 @@ class Instance:
             flight = spec.params.get("flight")
             if flight is not None and not 0 <= flight < len(self.flights):
                 raise FormatError(where, f"flight {flight} does not exist")
-        if self.search.neighbourhood not in NEIGHBOURHOODS:
-            raise FormatError(
-                "search",
-                f"unknown neighbourhood {self.search.neighbourhood!r}, "
-                f"expected one of {NEIGHBOURHOODS}",
-            )
         return g
 
     def build(
@@ -201,16 +199,8 @@ class Instance:
 # ---------------------------------------------------------------------------
 # serialisation
 
-_SEARCH_KEYS = (
-    ("seed", int),
-    ("max_iterations", int),
-    ("tabu_tenure", int),
-    ("restart_after", int),
-    ("moves_per_iter", int),
-    ("neighbourhood", str),
-    ("noise", float),
-    ("init", str),
-)
+#: every ``[search]`` key, in file order, with the type of its default
+_SEARCH_KEYS = {f.name: type(f.default) for f in fields(SearchConfig)}
 
 #: every constraint parameter, in file order, with its type
 _CONSTRAINT_KEYS = (
@@ -255,10 +245,11 @@ def dumps(instance: Instance) -> str:
             if key in spec.params:
                 lines.append(f"{key} {spec.params[key]}")
     lines.append("[search]")
-    cfg = instance.search
-    for key, _ in _SEARCH_KEYS:
-        lines.append(f"{key} {getattr(cfg, key)}")
-    lines.append(f"hard {','.join(cfg.hard) if cfg.hard else '-'}")
+    for key in _SEARCH_KEYS:
+        value = getattr(instance.search, key)
+        if key == "hard":
+            value = ",".join(value) or "-"
+        lines.append(f"{key} {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -284,7 +275,6 @@ def loads(text: str, origin: str = "<string>") -> Instance:
     flights: Dict[int, List[Tuple[int, int, int]]] = {}
     constraints: List[ConstraintSpec] = []
     search_fields: Dict[str, object] = {}
-    hard: Tuple[str, ...] = ()
 
     section = None
     section_arg = None
@@ -322,6 +312,8 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                 if key not in _GRID_KEYS:
                     raise FormatError(where, f"unknown grid key {key!r}")
                 grid_fields[key] = int(rest)
+                if grid_fields[key] < 1:
+                    raise FormatError(where, f"{key} must be at least 1, got {grid_fields[key]}")
             elif section == "workloads":
                 if key != "w":
                     raise FormatError(where, f"unknown workloads key {key!r}")
@@ -344,14 +336,15 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                         raise FormatError(where, f"unknown constraint key {key!r}")
                     spec.params[key] = caster(rest)
             elif section == "search":
+                caster = _SEARCH_KEYS.get(key)
+                if caster is None:
+                    raise FormatError(where, f"unknown search key {key!r}")
                 if key == "hard":
-                    hard = tuple(p for p in rest.split(",") if p and p != "-")
+                    value = tuple(p for p in rest.split(",") if p and p != "-")
                 else:
-                    caster = dict(_SEARCH_KEYS).get(key)
-                    if caster is None:
-                        raise FormatError(where, f"unknown search key {key!r}")
-                    search_fields[key] = caster(rest)
-                    check_parameter(key, search_fields[key])
+                    value = caster(rest)
+                check_parameter(key, value)
+                search_fields[key] = value
         except FormatError:
             raise
         except ValueError as exc:
@@ -372,14 +365,13 @@ def loads(text: str, origin: str = "<string>") -> Instance:
             raise FormatError(
                 f"{origin}:[constraint {spec_c.id}]", "missing kind"
             )
-    search = SearchConfig(hard=hard, **search_fields)
     instance = Instance(
         colours=colours,
         grid=GridSpec(**grid_fields),
         workloads=workloads,
         flights=plans,
         constraints=constraints,
-        search=search,
+        search=SearchConfig(**search_fields),
     )
     instance.validate()
     return instance

@@ -24,11 +24,12 @@ The state also keeps, once a constraint asks for it, one
 component, a size per label and a component count per colour.  Every
 ``assign`` updates it before any constraint hears of the move, at the
 cost of the smaller sides of a split or merge, and records what the move
-did (:class:`ComponentChange`); ``set_all`` rebuilds it.  A restart
+did (:class:`ComponentChange`); ``set_all`` rebuilds it, labelling each
+vertex by its colour and minting fresh labels above ``n``.  A restart
 passes ``set_all(..., regions=True)`` with a :func:`grow_regions`
-colouring, whose used colours are one component each: the index then
-labels every vertex by its colour, takes the sizes from the class sizes
-and mints fresh labels above ``n``, with no search.  Exact connectedness
+colouring, whose used colours are one component each, so those labels
+stay, with no search; any other colouring's components are flooded to
+fresh labels, as a move merges components.  Exact connectedness
 counts from the index and compact mode A keeps its per-component sums by
 its labels.
 
@@ -339,44 +340,48 @@ class ComponentIndex(ComponentCounts):
         """Label every component of ``colour``, the state's colour map,
         which later commits update in place.
 
-        Given the colouring's ``class_size`` (indexed by colour), every
-        class is taken to be connected or empty: each vertex is labelled
-        by its colour, with no search, and fresh labels start above n.
+        Each vertex is labelled by its colour and fresh labels start
+        above n.  Given the colouring's ``class_size`` (indexed by
+        colour), every class is taken to be connected or empty and those
+        labels stay; otherwise each vertex still carrying a colour label
+        floods its component to a fresh label.
         """
         self._colour = colour
         # drop the old labels first, so they never coexist with the new
         self.label: Dict[int, int] = {}
-        self.size: Dict[int, int] = {}
+        self.label.update(colour)
         self.change: Optional[ComponentChange] = None
         self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
+        self._labels = itertools.count(self.n + 1)
         if class_size is not None:
-            self.label = dict(colour)
             self.size = {c: k for c, k in enumerate(class_size) if c and k}
-            self._labels = itertools.count(self.n + 1)
             self.reset({c: int(class_size[c] > 0) for c in range(1, self.n + 1)})
             return
-        adjacent = self.geometry.adjacent
-        label = self.label
-        self._labels = itertools.count(1)
+        self.size = {}
         count = dict.fromkeys(range(1, self.n + 1), 0)
-        for start in colour:
-            if start in label:
-                continue
-            c = colour[start]
-            lab = next(self._labels)
-            label[start] = lab
-            stack = [start]
-            size = 1
-            while stack:
-                u = stack.pop()
-                for w in adjacent(u):
-                    if w not in label and colour[w] == c:
-                        label[w] = lab
-                        stack.append(w)
-                        size += 1
-            self.size[lab] = size
-            count[c] += 1
+        for start, c in self.label.items():
+            if c <= self.n:
+                lab = next(self._labels)
+                self.size[lab] = self._flood(start, c, lab)
+                count[c] += 1
         self.reset(count)
+
+    def _flood(self, start: int, old: int, new: int) -> int:
+        """Relabel ``start`` and every vertex it reaches through vertices
+        labelled ``old`` to ``new``; returns how many it relabelled."""
+        label = self.label
+        adjacent = self.geometry.adjacent
+        label[start] = new
+        stack = [start]
+        size = 1
+        while stack:
+            u = stack.pop()
+            for w in adjacent(u):
+                if label[w] == old:
+                    label[w] = new
+                    stack.append(w)
+                    size += 1
+        return size
 
     def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
         """Label -> one neighbour of ``v`` carrying it, over v's
@@ -483,19 +488,10 @@ class ComponentIndex(ComponentCounts):
         else:
             big = next(self._labels)
             size[big] = 0
-        adjacent = self.geometry.adjacent
         for m, start in touched.items():
-            if m == big:
-                continue
-            label[start] = big
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adjacent(u):
-                    if label[w] == m:
-                        label[w] = big
-                        stack.append(w)
-            size[big] += size.pop(m)
+            if m != big:
+                self._flood(start, m, big)
+                size[big] += size.pop(m)
         size[big] += 1
         label[v] = big
 

@@ -205,19 +205,16 @@ def propagate_connected_1d(store: DomainStore, path: OrderedPath, v: int) -> Lis
 
 
 def propagate_connected_path(store: DomainStore, path: OrderedPath) -> List[Event]:
-    """Run the 1D propagator from every currently singleton vertex, then
-    complete stores without any singleton to the same fixpoint."""
-    events: List[Event] = []
-    triggered = False
-    for u in path.interior:
-        if store.failed:
-            return events
-        if store.singleton(u) is not None:
-            events.extend(propagate_connected_1d(store, path, u))
-            triggered = True
-    if not triggered and not store.failed:
-        events.extend(_support_filter(store, list(path.interior)))
-    return events
+    """Run the 1D propagator from the first singleton vertex, or the
+    support filter alone when there is none: either reaches the
+    domain-consistent fixpoint, where a run from any other singleton
+    prunes nothing."""
+    if store.failed:
+        return []
+    first = next((u for u in path.interior if store.singleton(u) is not None), None)
+    if first is None:
+        return _support_filter(store, list(path.interior))
+    return propagate_connected_1d(store, path, first)
 
 
 def narrow_counter_domain(store: DomainStore, path: OrderedPath) -> List[int]:

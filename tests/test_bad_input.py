@@ -172,6 +172,8 @@ OUT_OF_RANGE = [
     ("tabu_tenure", "-2"),
     ("max_iterations", "-1"),
     ("restart_after", "-5"),
+    ("neighbourhood", "nosuch"),
+    ("init", "rnadom"),
 ]
 
 
@@ -188,11 +190,26 @@ def test_search_parameter_out_of_range_in_the_file(key, value):
 def test_search_parameter_out_of_range_in_the_config(key, value):
     model = generate(seed=2, width=4, height=4, colours=3).build()
     before = model.state.snapshot()
-    cast = float if key == "noise" else int
+    cast = type(getattr(SearchConfig(), key))
     cfg = replace(SearchConfig(seed=1, max_iterations=50), **{key: cast(value)})
     with pytest.raises(InputError, match=f"search parameter {key} "):
         search(model, cfg)
     assert model.state.snapshot() == before
+
+
+# no constraint "nosuch"; the balance constraint has no hard_init
+@pytest.mark.parametrize("hard", ["nosuch", "balance"])
+def test_bad_hard_id_changes_nothing(hard):
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = text.replace("counter 3\n", "counter 3\ncounter_min 2\ncounter_max 4\n")
+    model = loads(text).build()
+    model.commit(Move.counter("connected", 4))
+    before = model.state.snapshot()
+    cfg = SearchConfig(seed=1, max_iterations=50, hard=(hard,))
+    with pytest.raises(InputError, match=f"'{hard}'"):
+        search(model, cfg)
+    assert model.state.snapshot() == before
+    assert model.constraint("connected").counter_value == 4
 
 
 def test_negative_iterations_on_the_command_line(inst, capsys):
@@ -276,3 +293,13 @@ def test_model_colours_below_one_in_the_file(inst, capsys):
     with pytest.raises(FormatError, match=f"^g.inst:{lineno}: colours must be at least 1, got 0$"):
         loads(inst.read_text(), origin="g.inst")
     assert f"{inst}:{lineno}: colours must be at least 1" in _solve_fails(capsys, inst)
+
+
+@pytest.mark.parametrize("key, value", [("cell_area", "0"), ("cell_volume", "-2"), ("width", "0")])
+def test_grid_value_below_one_in_the_file(key, value):
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = re.sub(f"^{key} .*$", f"{key} {value}", text, count=1, flags=re.M)
+    lineno = text.splitlines().index(f"{key} {value}") + 1
+    message = f"^g.inst:{lineno}: {key} must be at least 1, got {value}$"
+    with pytest.raises(FormatError, match=message):
+        loads(text, origin="g.inst")

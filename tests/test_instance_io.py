@@ -1,5 +1,6 @@
 import inspect
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -45,6 +46,22 @@ def test_round_trip_is_canonical(tmp_path):
     save(instance, str(first))
     save(load(str(first)), str(second))
     assert first.read_text() == second.read_text()
+
+
+def test_search_section_is_pinned():
+    # the README's [search] block, then every field set to another value
+    assert dumps(tiny_instance()).split("[search]\n")[1] == (
+        "seed 1\nmax_iterations 20000\ntabu_tenure 8\nrestart_after 2000\n"
+        "moves_per_iter 12\nneighbourhood border\nnoise 0.08\ninit regions\nhard -\n"
+    )
+    cfg = SearchConfig(
+        seed=5, max_iterations=300, tabu_tenure=4, restart_after=90, moves_per_iter=6,
+        neighbourhood="full", noise=0.5, init="keep", hard=("connected", "balance"),
+    )
+    assert dumps(replace(tiny_instance(), search=cfg)).split("[search]\n")[1] == (
+        "seed 5\nmax_iterations 300\ntabu_tenure 4\nrestart_after 90\n"
+        "moves_per_iter 6\nneighbourhood full\nnoise 0.5\ninit keep\nhard connected,balance\n"
+    )
 
 
 def test_loads_reports_field_paths():
