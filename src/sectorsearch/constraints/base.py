@@ -25,6 +25,7 @@ the search draws its focus vertex from the union of the masks.
 
 from __future__ import annotations
 
+from ..errors import InputError
 from ..state import ColourState
 
 
@@ -61,8 +62,8 @@ class Constraint:
 
     def scope(self):
         """The vertices whose recolouring can change the violation, or
-        ``None`` for every vertex.  A constraint without this method is
-        treated as scoped to every vertex."""
+        ``None`` for every vertex.  The model reads it once, when it is
+        built, and the state once per registration."""
         return None
 
     # differentiation ----------------------------------------------------
@@ -78,6 +79,12 @@ class Constraint:
         raise NotImplementedError
 
     def rebuild(self) -> None:
-        """Recompute every cache from the current state."""
+        """Recompute every cache from the current state, into new objects
+        (the old ones are never updated in place)."""
         raise NotImplementedError
 
+    def check_hard(self) -> None:
+        """Raise an :class:`InputError` naming the constraint, and change
+        nothing, unless a search can make it hard with its ``hard_init``."""
+        if not hasattr(self, "hard_init"):
+            raise InputError(f"constraint {self.id!r} cannot be made hard")

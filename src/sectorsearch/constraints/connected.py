@@ -147,18 +147,18 @@ class ConnectedConstraint(Constraint):
         self.counter_value = int(n_new)
 
     # hard mode -------------------------------------------------------------
-    def hard_init(self, rng: Optional[random.Random] = None) -> None:
-        """Partition the graph into a component count satisfying the
-        relation, by seeded region growing; raises when impossible.
-
-        A paper-fast constraint cannot be hard: its probes miss splits, so
-        the search could not tell which moves keep it satisfied.
-        """
+    def check_hard(self) -> None:
+        """A paper-fast constraint cannot be hard: its probes miss splits, so
+        the search could not tell which moves keep it satisfied."""
         if self.mode == "paper-fast":
             raise InputError(
                 f"constraint {self.id}: mode paper-fast cannot be hard, "
                 "its probes miss splits; use mode exact"
             )
+
+    def hard_init(self, rng: Optional[random.Random] = None) -> None:
+        """Partition the graph into a component count satisfying the
+        relation, by seeded region growing; raises when impossible."""
         if rng is None:
             rng = random.Random(0)
         n_vertices = len(self.state.geometry.vertices)

@@ -92,16 +92,6 @@ class StretchSumConstraint(Constraint):
     def violation(self) -> int:
         return self._violating
 
-    def records(self) -> List[tuple]:
-        """Current stretch records as (left, right, colour, sum) tuples."""
-        out = []
-        i = 0
-        m = len(self.path.interior)
-        while i < m:
-            out.append((self._start[i], self._end[i], self._col(i), self._sum[i]))
-            i = self._end[i] + 1
-        return out
-
     def scope(self):
         """Only the path's vertices can change its stretches."""
         return self.path.interior

@@ -45,7 +45,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InitError, InputError
-from .state import ColourState, MaskView, grow_regions, scope_of, scope_table
+from .state import ColourState, MaskView, grow_regions, scope_table
 
 #: total violations below this are treated as zero (Compact contributes
 #: floats; everything else is integer)
@@ -131,7 +131,7 @@ class Model:
             state.register(constraint)
         #: the entries a move of each vertex reaches, see :func:`scope_table`
         self._everywhere, self._scoped = scope_table(
-            (entry, scope_of(entry[0])) for entry in self.entries
+            (entry, entry[0].scope()) for entry in self.entries
         )
         self.searchable_counters: Dict[str, Tuple[int, ...]] = {}
         #: each searchable counter's value as built, where a search starts it
@@ -289,8 +289,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     for f in fields(cfg):
         check_parameter(f.name, getattr(cfg, f.name))
     for cid in cfg.hard:
-        if not hasattr(model.constraint(cid), "hard_init"):
-            raise InputError(f"constraint {cid!r} cannot be made hard")
+        model.constraint(cid).check_hard()
     rng = random.Random(cfg.seed)
     state = model.state
     entries = model.entries

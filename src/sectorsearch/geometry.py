@@ -174,13 +174,6 @@ class Geometry:
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
 
-    def edge_area(self, v: int, w: int) -> int:
-        """Surface area crossed when moving between adjacent ``v`` and ``w``."""
-        try:
-            return self.edge_areas(v)[w]
-        except KeyError:
-            raise InputError(f"vertices {v} and {w} are not adjacent") from None
-
     def outside_area(self) -> int:
         """Total area of the geometry boundary (all border facets once)."""
         return sum(self.border_areas.values())

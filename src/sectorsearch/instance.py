@@ -275,6 +275,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
     flights: Dict[int, List[Tuple[int, int, int]]] = {}
     constraints: List[ConstraintSpec] = []
     search_fields: Dict[str, object] = {}
+    hard_where = ""
 
     section = None
     section_arg = None
@@ -341,6 +342,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                     raise FormatError(where, f"unknown search key {key!r}")
                 if key == "hard":
                     value = tuple(p for p in rest.split(",") if p and p != "-")
+                    hard_where = where
                 else:
                     value = caster(rest)
                 check_parameter(key, value)
@@ -365,6 +367,10 @@ def loads(text: str, origin: str = "<string>") -> Instance:
             raise FormatError(
                 f"{origin}:[constraint {spec_c.id}]", "missing kind"
             )
+    # checked once every section is read: [search] may precede the constraints
+    ids = {spec_c.id for spec_c in constraints}
+    for cid in (c for c in search_fields.get("hard", ()) if c not in ids):
+        raise FormatError(hard_where, f"unknown constraint id {cid!r}")
     instance = Instance(
         colours=colours,
         grid=GridSpec(**grid_fields),

@@ -152,8 +152,8 @@ class ColourState:
 
     def register(self, observer) -> None:
         """Attach a constraint; for as long as something else keeps it
-        alive, it will see every commit of a vertex in its ``scope()`` via
-        hooks, and every ``set_all``."""
+        alive, it will see every commit of a vertex in its ``scope()``, read
+        at the next ``assign``, via hooks, and every ``set_all``."""
         self._observers.append(weakref.ref(observer))
         self._notify = None
 
@@ -181,7 +181,9 @@ class ColourState:
             if self._index is not None:
                 self._index.move(v, old, c)
             if self._notify is None:
-                self._notify = scope_table((ref, scope_of(ref())) for ref in self._observers)
+                self._notify = scope_table(
+                    (ref, obs.scope()) for ref in self._observers if (obs := ref()) is not None
+                )
             everywhere, table = self._notify
             for ref in table.get(v, everywhere):
                 obs = ref()
@@ -498,13 +500,6 @@ class ComponentIndex(ComponentCounts):
         count = self.count
         self.recount(old, new, count[old] - 1 + pieces, count[new] + 1 - len(touched))
         self.change = ComponentChange(lab, pieces, closed, fresh, big, list(touched))
-
-
-def scope_of(item) -> Optional[Iterable[int]]:
-    """The vertices whose recolouring can change ``item``, from its
-    ``scope()``; ``None``, every vertex, when it has no such method."""
-    scope = getattr(item, "scope", None)
-    return None if scope is None else scope()
 
 
 def scope_table(scoped: Iterable[Tuple[object, Optional[Iterable[int]]]]):

@@ -24,11 +24,8 @@ class DomainStore:
     counter_dom: Optional[Set[int]] = None
     failed: bool = False
 
-    def dom(self, v: int) -> Set[int]:
-        return self.doms[v]
-
     def prune(self, v: int, value: int) -> bool:
-        """Remove ``value`` from ``dom(v)``; flags failure on wipe-out."""
+        """Remove ``value`` from ``doms[v]``; flags failure on wipe-out."""
         d = self.doms[v]
         if value not in d:
             return False

@@ -3,11 +3,13 @@
 Everything here recomputes from first principles (plain DFS/scans/sums
 over the geometry data), independently of the package's incremental
 caches and delta formulas; the ``assert_*`` helpers compare those caches
-against it.
+against it.  :func:`assert_caches_match_rebuild`, the audit the walk
+tests share, also compares each constraint with its own ``rebuild()``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from itertools import product
@@ -60,6 +62,45 @@ def assert_index_matches_components(index, base, colours, n):
     assert index.excess == sum(k - 1 for k in per.values() if k > 1)
 
 
+def assert_caches_match_rebuild(state, constraints):
+    """Every cache of ``state`` and of ``constraints`` equals its
+    from-scratch value; a failure names the first constraint and field
+    that differ.
+
+    - the class masks and sizes, recomputed from the colours;
+    - the component index, if the state keeps one, against the DFS
+      components, and each split it keeps against a fresh search;
+    - each constraint, field by field, against a shallow copy of it that
+      ran ``rebuild()``.  Every ``rebuild()`` assigns new cache objects, so
+      the copy's rebuild leaves the original's caches as they were.  A
+      paper-fast connected constraint's ``counts`` are estimates that
+      drift by design, so that field is skipped;
+    - each constraint's ``conflicts()``, against a scan of its
+      ``var_violation``.
+    """
+    colours = state.snapshot()
+    for c in range(state.n + 1):
+        ranks = [r for r, v in enumerate(state.order) if colours[v] == c]
+        assert state.class_mask[c] == sum(1 << r for r in ranks), f"state: class_mask[{c}]"
+        assert state.class_size[c] == len(ranks), f"state: class_size[{c}]"
+    index = state._index
+    if index is not None:
+        assert_index_matches_components(index, state.geometry, colours, state.n)
+        for v, kept in index._splits.items():
+            assert kept == index._split_search(v), f"state: kept split of vertex {v}"
+    for constraint in constraints:
+        fresh = copy.copy(constraint)
+        fresh.rebuild()
+        drifts = ("counts",) if getattr(constraint, "mode", None) == "paper-fast" else ()
+        for field, value in vars(fresh).items():
+            if field not in drifts:
+                assert vars(constraint)[field] == value, f"{constraint.id}: {field}"
+        scanned = sum(
+            1 << r for r, v in enumerate(state.order) if constraint.var_violation(v) > 0
+        )
+        assert constraint.conflicts() == scanned, f"{constraint.id}: conflicts()"
+
+
 def _rel(relop, a, b):
     return {
         "<=": a <= b,
@@ -96,7 +137,7 @@ def naive_border(geometry, colours, v):
     total = geometry.border_areas.get(v, 0)
     for w in geometry.adjacent(v):
         if colours[w] != colours[v]:
-            total += geometry.edge_area(v, w)
+            total += geometry.edge_areas(v)[w]
     return total
 
 
@@ -106,7 +147,7 @@ def literal_neighbour_delta(geometry, colours, w, v, new_colour):
     stops being border when ``w`` already has the new colour, and becomes
     border when ``v`` leaves ``w``'s colour."""
     cv, cw = colours[v], colours[w]
-    area = geometry.edge_area(v, w)
+    area = geometry.edge_areas(v)[w]
     if cv != cw and cw == new_colour:
         return -area
     if cv == cw and cw != new_colour:

@@ -197,19 +197,41 @@ def test_search_parameter_out_of_range_in_the_config(key, value):
     assert model.state.snapshot() == before
 
 
-# no constraint "nosuch"; the balance constraint has no hard_init
-@pytest.mark.parametrize("hard", ["nosuch", "balance"])
-def test_bad_hard_id_changes_nothing(hard):
+# no constraint "nosuch"; the balance constraint has no hard_init; a
+# paper-fast connected constraint's probes miss splits
+@pytest.mark.parametrize(
+    "hard, mode, message",
+    [
+        pytest.param("nosuch", None, "'nosuch'", id="nosuch"),
+        pytest.param("balance", None, "'balance'", id="balance"),
+        pytest.param(
+            "connected", "paper-fast", "constraint connected: mode paper-fast cannot be hard",
+            id="paper-fast",
+        ),
+    ],
+)
+def test_bad_hard_id_changes_nothing(hard, mode, message):
     text = dumps(generate(seed=2, width=4, height=4, colours=3))
     text = text.replace("counter 3\n", "counter 3\ncounter_min 2\ncounter_max 4\n")
-    model = loads(text).build()
+    model = loads(text).build(mode_override=mode)
     model.commit(Move.counter("connected", 4))
     before = model.state.snapshot()
     cfg = SearchConfig(seed=1, max_iterations=50, hard=(hard,))
-    with pytest.raises(InputError, match=f"'{hard}'"):
+    with pytest.raises(InputError, match=message):
         search(model, cfg)
     assert model.state.snapshot() == before
     assert model.constraint("connected").counter_value == 4
+
+
+def test_unknown_hard_id_in_the_file_names_its_line():
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    # [search] first: "connected" is known although its section comes later
+    head, search_section = text.split("[search]\n")
+    header, body = head.split("\n", 1)
+    text = f"{header}\n[search]\n{search_section}{body}".replace("hard -", "hard connected,nosuch")
+    lineno = text.splitlines().index("hard connected,nosuch") + 1
+    with pytest.raises(FormatError, match=f"^g.inst:{lineno}: unknown constraint id 'nosuch'$"):
+        loads(text, origin="g.inst")
 
 
 def test_negative_iterations_on_the_command_line(inst, capsys):

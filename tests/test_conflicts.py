@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import monotone_path, random_colours
+from oracles import assert_caches_match_rebuild, monotone_path, random_colours
 from sectorsearch.constraints import (
     BalancedConstraint,
     BoundedConstraint,
@@ -75,25 +75,13 @@ def all_kinds(side, n, rng, rename=None):
     return st, Model(st, [(c, 1 + i % 3) for i, c in enumerate(constraints)])
 
 
-def scanned_mask(st, constraint):
-    return sum(
-        1 << r for r, v in enumerate(st.order) if constraint.var_violation(v) > 0
-    )
-
-
 def check_invariants(st, model):
+    assert_caches_match_rebuild(st, [c for c, _ in model.entries])
+    masks = {c.id: c.conflicts() for c, _ in model.entries}
     union = 0
-    masks = {}
-    for constraint, _ in model.entries:
-        mask = constraint.conflicts()
-        assert mask == scanned_mask(st, constraint), constraint.id
-        masks[constraint.id] = mask
+    for mask in masks.values():
         union |= mask
     colours = st.snapshot()
-    for c in range(1, st.n + 1):
-        ranks = [r for r, v in enumerate(st.order) if colours[v] == c]
-        assert st.class_mask[c] == sum(1 << r for r in ranks)
-        assert st.class_size[c] == len(ranks)
     assert st.unused_colours() == [
         c for c in range(1, st.n + 1) if c not in set(colours.values())
     ]

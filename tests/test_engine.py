@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import monotone_path, random_colours
+from oracles import assert_caches_match_rebuild, monotone_path, random_colours
 from sectorsearch.constraints import (
     BalancedConstraint,
     BoundedConstraint,
@@ -54,28 +54,6 @@ def scale(values, n):
     return round(0.2 * n * sum(values.values()))
 
 
-def scratch_model_violation(model):
-    """Fresh, unregistered clones measure the state from scratch."""
-    total = 0.0
-    for constraint, weight in model.entries:
-        cls = type(constraint)
-        st = constraint.state
-        if cls is ConnectedConstraint:
-            clone = cls(st, constraint.relop, constraint.counter_value, mode=constraint.mode)
-        elif cls is CompactConstraint:
-            clone = cls(st, constraint.threshold, mode=constraint.mode, weight_fn=constraint.weight_fn)
-        elif cls is BalancedConstraint:
-            clone = cls(st, constraint.values, constraint.delta_scaled)
-        elif cls is BoundedConstraint:
-            clone = cls(st, constraint.values, constraint.relop, constraint.threshold)
-        elif cls is StretchSumConstraint:
-            clone = cls(st, constraint.path, constraint.values, constraint.relop, constraint.threshold)
-        else:
-            clone = cls(st, constraint.path)
-        total += weight * clone.violation()
-    return total
-
-
 def test_probe_noop_is_zero():
     st, model = full_model()
     v = sorted(st.geometry.vertices)[0]
@@ -101,7 +79,7 @@ def test_committed_caches_equal_scratch():
     vs = sorted(st.geometry.vertices)
     for _ in range(200):
         model.commit(Move.assign(rng.choice(vs), rng.randint(1, st.n)))
-    assert abs(model.total_violation() - scratch_model_violation(model)) < 1e-9
+        assert_caches_match_rebuild(st, [c for c, _ in model.entries])
 
 
 def test_weighted_total():

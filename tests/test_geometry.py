@@ -32,12 +32,6 @@ def test_shared_facet_unit_grid():
     assert g.edge_areas(1)[0] == 1
 
 
-def test_shared_facet_non_adjacent():
-    g = grid(2, 2, dim=2)
-    with pytest.raises(InputError, match="not adjacent"):
-        g.edge_area(0, 3)
-
-
 def test_border_vertices_2x2():
     assert set(grid(2, 2, dim=2).border_areas) == {0, 1, 2, 3}
 
@@ -120,7 +114,7 @@ def test_border_count_formula_2d(w, h):
 
 def test_edge_area_and_outside_area():
     g = grid(2, 2, dim=2)
-    assert g.edge_area(0, 1) == 1
+    assert g.edge_areas(0)[1] == 1
     assert g.border_areas[0] == 2  # two outer sides
     assert g.outside_area() == 8
 
@@ -147,7 +141,7 @@ def test_unequal_areas_attach_to_their_pairs():
     assert g.border_areas == {0: 12, 1: 11, 2: 13}
     assert [g.volume(v) for v in range(3)] == [1, 4, 9]
     assert list(g.edges()) == [(0, 1), (1, 2)]
-    assert g.edge_area(2, 1) == 3
+    assert g.edge_areas(2)[1] == 3
     assert g.outside_area() == 36
 
 

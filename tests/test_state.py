@@ -98,6 +98,9 @@ class _Listener:
         self.name = name
         self.log = log
 
+    def scope(self):
+        return None
+
     def commit_assign(self, v, old, new):
         self.log.append((self.name, v, old, new))
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import (
+    assert_caches_match_rebuild,
     literal_min_sum_table_delta,
     naive_stretch_ok,
     naive_stretch_violation,
@@ -103,14 +104,16 @@ def test_commit_rebuilds_affected_records(relop):
         st.assign(v, colour)
         assert c.violation() - before == delta
         snapshot = [st.colour(i) for i in range(m)]
-        fresh = StretchSumConstraint(st, c.path, values, relop, 12)
-        assert c.records() == fresh.records()
+        assert_caches_match_rebuild(st, [c])
         assert c.violation() == naive_stretch_violation(snapshot, values, relop, 12)
 
 
 def test_records_match_stretch_scan():
     _, c = make([1, 1, 2, 2, 2, 1], [5, 5, 5, 5, 5, 5], ">=", 10)
-    assert c.records() == [(0, 1, 1, 10), (2, 4, 2, 15), (5, 5, 1, 5)]
+    # stretches 0..1, 2..4 and 5..5, with their value sums
+    assert c._start == [0, 0, 2, 2, 2, 5]
+    assert c._end == [1, 1, 4, 4, 4, 5]
+    assert c._sum == [10, 10, 15, 15, 15, 5]
 
 
 def test_violation_zero_iff_check():
