@@ -11,6 +11,8 @@ probing/updating modes exist:
   v's neighbours of the new colour, which costs O(degree), and asks the
   index's interleaved split search how many pieces v's old component
   falls into, which costs the smaller sides, not the colour class.
+  Around that search a probe does O(degree) integer work: the relation
+  is resolved once, at construction, and no per-probe dict is built.
   Deltas are exact under arbitrary moves, articulation splits and
   multi-component merges included.
 * ``paper-fast``: the literal constant-per-neighbour estimate.  It tests
@@ -29,7 +31,7 @@ import random
 from typing import Dict, Optional, Set
 
 from ..errors import InitError, InputError
-from ..relation import check_relop, holds
+from ..relation import OPS, check_relop, holds
 from ..state import ColourState, ComponentCounts, class_components, grow_regions
 from .base import Constraint
 
@@ -62,6 +64,8 @@ class ConnectedConstraint(Constraint):
     ):
         super().__init__(state)
         self.relop = check_relop(relop)
+        # resolved once: an exact probe compares twice
+        self._holds = OPS[self.relop]
         self.counter_value = int(counter)
         if mode not in MODES:
             raise InputError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -84,7 +88,7 @@ class ConnectedConstraint(Constraint):
         return self.var_violation_counter() + self.counts.excess
 
     def var_violation_counter(self) -> int:
-        return 1 - int(holds(self.relop, self.ncc, self.counter_value))
+        return 1 - self._holds(self.ncc, self.counter_value)
 
     def var_violation(self, v: int) -> int:
         return self.counts.count[self.state.colour(v)] - 1
@@ -110,27 +114,21 @@ class ConnectedConstraint(Constraint):
             return 0
         if self.mode == "paper-fast":
             p, m = self._fast_pm(v, colour, d)
-            return (
-                p
-                - m
-                + int(holds(self.relop, self.ncc, self.counter_value))
-                - int(holds(self.relop, self.ncc + p - m, self.counter_value))
-            )
+            ok, n_val = self._holds, self.counter_value
+            return p - m + ok(self.ncc, n_val) - ok(self.ncc + p - m, n_val)
         counts = self.counts
-        k_old2 = counts.count[d] - 1 + counts.split(v)[0]
-        k_new2 = counts.count[colour] + 1 - len(counts.neighbour_labels(v, colour))
-        ncc2, excess2 = counts.after(d, colour, k_old2, k_new2)
-        return (
-            int(holds(self.relop, self.ncc, self.counter_value))
-            - int(holds(self.relop, ncc2, self.counter_value))
-            + excess2
-            - counts.excess
+        count = counts.count
+        total2, excess2 = counts.after(
+            d,
+            colour,
+            count[d] - 1 + counts.split(v)[0],
+            count[colour] + 1 - counts.joined(v, colour),
         )
+        ok, n_val = self._holds, self.counter_value
+        return ok(counts.total, n_val) - ok(total2, n_val) + excess2 - counts.excess
 
     def probe_counter(self, n_new: int) -> int:
-        return int(holds(self.relop, self.ncc, self.counter_value)) - int(
-            holds(self.relop, self.ncc, n_new)
-        )
+        return self._holds(self.ncc, self.counter_value) - self._holds(self.ncc, n_new)
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
@@ -165,7 +163,7 @@ class ConnectedConstraint(Constraint):
         limit = min(self.state.n, n_vertices)
         target = None
         for k in range(1, limit + 1):
-            if holds(self.relop, k, self.counter_value):
+            if self._holds(k, self.counter_value):
                 target = k
                 break
         if target is None:

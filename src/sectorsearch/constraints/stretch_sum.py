@@ -194,6 +194,14 @@ class StretchSumConstraint(Constraint):
         self._conflicts = mask
 
     # hard mode -------------------------------------------------------------
+    def check_hard(self) -> None:
+        """Only ``>=`` and ``<=`` have a greedy :meth:`hard_init`."""
+        if self.relop not in (">=", "<="):
+            raise InputError(
+                f"constraint {self.id}: relation {self.relop} cannot be hard, "
+                "hard initialisation supports >= and <="
+            )
+
     def hard_init(self, rng: Optional[random.Random] = None) -> None:
         """Greedy left-to-right colouring making every stretch satisfy the
         relation; raises when no such colouring exists."""

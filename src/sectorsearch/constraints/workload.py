@@ -3,6 +3,12 @@
 All balance arithmetic is carried out in n-scaled integer units,
 ``|n * X[i] - sum(values)|``, so a fractional average never forces
 floating point; the threshold is declared in the same scaled units.
+
+Each kind's ``_total_after`` is its one move routine: the probe reduces
+it to a violation delta and the commit stores it as the new total, as
+:mod:`sectorsearch.constraints.base` requires.  The sum core's routine
+works for any penalty; the balance kind, which every assign probe
+reaches, writes its four penalties out.
 """
 
 from __future__ import annotations
@@ -118,7 +124,20 @@ class BalancedConstraint(ColourSumConstraint):
         return abs(self.state.n * x - self.mu_num)
 
     def _violation_of(self, total: int) -> int:
-        return max(total - self.delta_scaled, 0)
+        excess = total - self.delta_scaled
+        return excess if excess > 0 else 0
+
+    def _total_after(self, v: int, before: int, after: int) -> int:
+        """The generic routine with the four scaled penalties written out,
+        reading ``n`` and the scaled average once: every assign probe
+        reaches this kind."""
+        n = self.state.n
+        mu = self.mu_num
+        sums = self.sums
+        x = n * sums[before] - mu
+        y = n * sums[after] - mu
+        moved = n * self.values[v]
+        return self._total - abs(x) - abs(y) + abs(x - moved) + abs(y + moved)
 
     def check(self) -> bool:
         sums = self._class_sums()

@@ -274,16 +274,20 @@ class ComponentCounts:
 
     def after(self, a: int, b: int, k_a: int, k_b: int) -> Tuple[int, int]:
         """Total and excess once colours ``a != b`` have ``k_a`` and
-        ``k_b`` components."""
-        old_a = self.count[a]
-        old_b = self.count[b]
+        ``k_b`` components.  The one formula behind a probe's delta and
+        :meth:`recount`, so the two cannot drift apart; it runs once per
+        exact connected probe, hence conditional expressions, not
+        ``max`` calls."""
+        count = self.count
+        old_a = count[a]
+        old_b = count[b]
         total = self.total + k_a + k_b - old_a - old_b
         excess = (
             self.excess
-            + max(k_a - 1, 0)
-            + max(k_b - 1, 0)
-            - max(old_a - 1, 0)
-            - max(old_b - 1, 0)
+            + (k_a - 1 if k_a > 1 else 0)
+            + (k_b - 1 if k_b > 1 else 0)
+            - (old_a - 1 if old_a > 1 else 0)
+            - (old_b - 1 if old_b > 1 else 0)
         )
         return total, excess
 
@@ -393,6 +397,18 @@ class ComponentIndex(ComponentCounts):
         return {
             label[w]: w for w in self.geometry.adjacent(v) if state_colour[w] == colour
         }
+
+    def joined(self, v: int, colour: int) -> int:
+        """How many components of ``colour`` a move of ``v`` to it joins:
+        the distinct labels among v's neighbours of ``colour``, the size
+        of :meth:`neighbour_labels` without building its dict.  O(degree)."""
+        label = self.label
+        state_colour = self._colour
+        seen = set()
+        for w in self.geometry.adjacent(v):
+            if state_colour[w] == colour:
+                seen.add(label[w])
+        return len(seen)
 
     def split(self, v: int) -> Tuple[int, List[List[int]]]:
         """Pieces that v's component falls into without ``v``.

@@ -198,21 +198,35 @@ def test_search_parameter_out_of_range_in_the_config(key, value):
 
 
 # no constraint "nosuch"; the balance constraint has no hard_init; a
-# paper-fast connected constraint's probes miss splits
+# paper-fast connected constraint's probes miss splits; a stretch-sum
+# constraint is hard only with >= or <=
 @pytest.mark.parametrize(
-    "hard, mode, message",
+    "hard, mode, edit, message",
     [
-        pytest.param("nosuch", None, "'nosuch'", id="nosuch"),
-        pytest.param("balance", None, "'balance'", id="balance"),
+        pytest.param("nosuch", None, None, "'nosuch'", id="nosuch"),
+        pytest.param("balance", None, None, "'balance'", id="balance"),
         pytest.param(
-            "connected", "paper-fast", "constraint connected: mode paper-fast cannot be hard",
+            "connected",
+            "paper-fast",
+            None,
+            "constraint connected: mode paper-fast cannot be hard",
             id="paper-fast",
+        ),
+        pytest.param(
+            "dwell0",
+            None,
+            ("relop >=\nthreshold 120\n", "relop =\nthreshold 120\n"),
+            "constraint dwell0: relation = cannot be hard",
+            id="stretchsum-equal",
         ),
     ],
 )
-def test_bad_hard_id_changes_nothing(hard, mode, message):
+def test_bad_hard_id_changes_nothing(hard, mode, edit, message):
     text = dumps(generate(seed=2, width=4, height=4, colours=3))
     text = text.replace("counter 3\n", "counter 3\ncounter_min 2\ncounter_max 4\n")
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
     model = loads(text).build(mode_override=mode)
     model.commit(Move.counter("connected", 4))
     before = model.state.snapshot()
