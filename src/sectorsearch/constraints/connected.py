@@ -11,8 +11,8 @@ probing/updating modes exist:
   v's neighbours of the new colour, which costs O(degree), and asks the
   index's interleaved split search how many pieces v's old component
   falls into, which costs the smaller sides, not the colour class.
-  Around that search a probe does O(degree) integer work: the relation
-  is resolved once, at construction, and no per-probe dict is built.
+  Around that search a probe does O(degree) integer work; the relation
+  is resolved once, at construction.
   Deltas are exact under arbitrary moves, articulation splits and
   multi-component merges included.
 * ``paper-fast``: the literal constant-per-neighbour estimate.  It tests
@@ -122,7 +122,7 @@ class ConnectedConstraint(Constraint):
             d,
             colour,
             count[d] - 1 + counts.split(v)[0],
-            count[colour] + 1 - counts.joined(v, colour),
+            count[colour] + 1 - len(counts.neighbour_labels(v, colour)),
         )
         ok, n_val = self._holds, self.counter_value
         return ok(counts.total, n_val) - ok(total2, n_val) + excess2 - counts.excess

@@ -205,6 +205,7 @@ class StretchSumConstraint(Constraint):
     def hard_init(self, rng: Optional[random.Random] = None) -> None:
         """Greedy left-to-right colouring making every stretch satisfy the
         relation; raises when no such colouring exists."""
+        self.check_hard()
         values = self.values
         t = self.threshold
         n = self.state.n
@@ -227,7 +228,7 @@ class StretchSumConstraint(Constraint):
                 prev = colours[stretch_start - 1]
                 for i in range(stretch_start, len(values)):
                     colours[i] = prev
-        elif self.relop == "<=":
+        else:  # "<=": check_hard refused every other relation
             if max(values) > t:
                 raise InitError(f"value {max(values)} exceeds threshold {t}")
             if n == 1 and total > t:
@@ -240,8 +241,6 @@ class StretchSumConstraint(Constraint):
                     acc = 0
                 acc += val
                 colours.append(cur)
-        else:
-            raise InitError(f"hard initialisation supports >= and <=, not {self.relop}")
         for i, v in enumerate(self.path.interior):
             self.state.assign(v, colours[i])
         self.rebuild()

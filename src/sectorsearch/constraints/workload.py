@@ -6,9 +6,8 @@ floating point; the threshold is declared in the same scaled units.
 
 Each kind's ``_total_after`` is its one move routine: the probe reduces
 it to a violation delta and the commit stores it as the new total, as
-:mod:`sectorsearch.constraints.base` requires.  The sum core's routine
-works for any penalty; the balance kind, which every assign probe
-reaches, writes its four penalties out.
+:mod:`sectorsearch.constraints.base` requires.  Both kinds share the
+sum core's routine, which works for any penalty.
 """
 
 from __future__ import annotations
@@ -126,18 +125,6 @@ class BalancedConstraint(ColourSumConstraint):
     def _violation_of(self, total: int) -> int:
         excess = total - self.delta_scaled
         return excess if excess > 0 else 0
-
-    def _total_after(self, v: int, before: int, after: int) -> int:
-        """The generic routine with the four scaled penalties written out,
-        reading ``n`` and the scaled average once: every assign probe
-        reaches this kind."""
-        n = self.state.n
-        mu = self.mu_num
-        sums = self.sums
-        x = n * sums[before] - mu
-        y = n * sums[after] - mu
-        moved = n * self.values[v]
-        return self._total - abs(x) - abs(y) + abs(x - moved) + abs(y + moved)
 
     def check(self) -> bool:
         sums = self._class_sums()

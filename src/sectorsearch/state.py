@@ -398,18 +398,6 @@ class ComponentIndex(ComponentCounts):
             label[w]: w for w in self.geometry.adjacent(v) if state_colour[w] == colour
         }
 
-    def joined(self, v: int, colour: int) -> int:
-        """How many components of ``colour`` a move of ``v`` to it joins:
-        the distinct labels among v's neighbours of ``colour``, the size
-        of :meth:`neighbour_labels` without building its dict.  O(degree)."""
-        label = self.label
-        state_colour = self._colour
-        seen = set()
-        for w in self.geometry.adjacent(v):
-            if state_colour[w] == colour:
-                seen.add(label[w])
-        return len(seen)
-
     def split(self, v: int) -> Tuple[int, List[List[int]]]:
         """Pieces that v's component falls into without ``v``.
 

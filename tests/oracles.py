@@ -69,10 +69,7 @@ def assert_caches_match_rebuild(state, constraints):
 
     - the class masks and sizes, recomputed from the colours;
     - the component index, if the state keeps one, against the DFS
-      components, each split it keeps against a fresh search, and, for
-      every vertex and colour, the count of components a move joins that
-      the connected probe reads against :meth:`neighbour_labels`, which
-      the move itself relabels by;
+      components, and each split it keeps against a fresh search;
     - each constraint, field by field, against a shallow copy of it that
       ran ``rebuild()``.  Every ``rebuild()`` assigns new cache objects, so
       the copy's rebuild leaves the original's caches as they were.  A
@@ -91,10 +88,6 @@ def assert_caches_match_rebuild(state, constraints):
         assert_index_matches_components(index, state.geometry, colours, state.n)
         for v, kept in index._splits.items():
             assert kept == index._split_search(v), f"state: kept split of vertex {v}"
-        for v in state.order:
-            for c in range(1, state.n + 1):
-                joined = len(index.neighbour_labels(v, c))
-                assert index.joined(v, c) == joined, f"state: joined({v}, {c})"
     for constraint in constraints:
         fresh = copy.copy(constraint)
         fresh.rebuild()

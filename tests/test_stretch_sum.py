@@ -200,8 +200,10 @@ def test_hard_init_unsupported_relop():
     g = grid(2, 1, dim=2)
     st = ColourState(g, 2)
     c = StretchSumConstraint(st, OrderedPath([0, 1], g), [5, 5], "=", 10)
-    with pytest.raises(InitError):
+    before = st.snapshot()
+    with pytest.raises(InputError, match="relation = cannot be hard"):
         c.hard_init()
+    assert st.snapshot() == before
 
 
 def test_value_validation():
