@@ -2,8 +2,10 @@
 
 A constraint owns incremental caches over one :class:`ColourState`.  The
 caches are initialised from the state at construction time and kept in
-sync through the commit hooks, which the state invokes for every change
-once the constraint is registered.  Probes never mutate anything.
+sync through the commit hooks, which the model holding the constraint
+(:class:`~sectorsearch.engine.Model`) invokes for every change it
+commits; the state itself holds no constraint.  Probes never mutate
+anything.
 
 A kind computes the local effect of a single-vertex move once, in one
 routine that reads the other vertices' colours from the state and so
@@ -12,10 +14,10 @@ reduces that effect to a violation delta and ``commit_assign`` applies
 it to the caches, so the two cannot drift apart.
 
 A constraint names the vertices whose recolouring can change its
-violation in :meth:`Constraint.scope`.  The model never probes it and the
-state never notifies it for a move outside that scope, so its probe and
-commit hooks see only moves of those vertices (a direct probe outside the
-scope must still answer 0).
+violation in :meth:`Constraint.scope`.  The model neither probes it nor
+commits to it a move outside that scope, so its probe and commit hooks
+see only moves of those vertices (a direct probe outside the scope must
+still answer 0).
 
 Besides its violation, every constraint reports its conflicting vertices
 as a bit mask over ``state.order`` (see :meth:`Constraint.conflicts`).
@@ -63,7 +65,7 @@ class Constraint:
     def scope(self):
         """The vertices whose recolouring can change the violation, or
         ``None`` for every vertex.  The model reads it once, when it is
-        built, and the state once per registration."""
+        built, into the one table that routes its probes and commits."""
         return None
 
     # differentiation ----------------------------------------------------
@@ -73,8 +75,8 @@ class Constraint:
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        """Hook called by the state after ``colour(v)`` changed from ``old``
-        to ``new``; the state calls it only for a real change, so
+        """Hook called by ``Model.assign`` after ``colour(v)`` changed from
+        ``old`` to ``new``; the model calls it only for a real change, so
         ``old != new`` always holds."""
         raise NotImplementedError
 

@@ -154,11 +154,10 @@ class ConnectedConstraint(Constraint):
                 "its probes miss splits; use mode exact"
             )
 
-    def hard_init(self, rng: Optional[random.Random] = None) -> None:
+    def hard_init(self, model, rng: random.Random) -> None:
         """Partition the graph into a component count satisfying the
-        relation, by seeded region growing; raises when impossible."""
-        if rng is None:
-            rng = random.Random(0)
+        relation, by seeded region growing, set through ``model``, which
+        holds this constraint; raises when impossible."""
         n_vertices = len(self.state.geometry.vertices)
         limit = min(self.state.n, n_vertices)
         target = None
@@ -172,6 +171,6 @@ class ConnectedConstraint(Constraint):
                 f"satisfies {self.relop} {self.counter_value}"
             )
         colours = grow_regions(self.state.geometry, target, rng)
-        self.state.set_all(colours, regions=True)
+        model.set_all(colours, regions=True)
         if not self.check():
             raise InitError("region growing failed to satisfy the constraint")

@@ -12,7 +12,7 @@ and one constant-time routine answers both the probe and the commit.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import InitError, InputError
 from ..geometry import OrderedPath
@@ -202,9 +202,10 @@ class StretchSumConstraint(Constraint):
                 "hard initialisation supports >= and <="
             )
 
-    def hard_init(self, rng: Optional[random.Random] = None) -> None:
+    def hard_init(self, model, rng: random.Random) -> None:
         """Greedy left-to-right colouring making every stretch satisfy the
-        relation; raises when no such colouring exists."""
+        relation, committed through ``model``, which holds this
+        constraint; raises when no such colouring exists."""
         self.check_hard()
         values = self.values
         t = self.threshold
@@ -242,7 +243,6 @@ class StretchSumConstraint(Constraint):
                 acc += val
                 colours.append(cur)
         for i, v in enumerate(self.path.interior):
-            self.state.assign(v, colours[i])
-        self.rebuild()
+            model.assign(v, colours[i])
         if self.violation() != 0:
             raise InitError("greedy colouring failed to satisfy the constraint")

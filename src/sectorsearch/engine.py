@@ -2,10 +2,11 @@
 protocol, border-move neighbourhood and a tabu min-conflicts loop.
 
 A move recolours one vertex or sets one constraint's counter.  Probes
-only read the caches, so probing any move leaves the model unchanged;
-commits go through the state, which notifies the constraints whose scope
-holds the vertex.  A probe of ``v`` likewise reaches only those
-constraints: the others' delta is 0 by their scope.
+only read the caches, so probing any move leaves the model unchanged.
+The model alone routes a probe or a commit of ``v``, through one
+:func:`scope_table`, to the constraints whose scope holds ``v``: the
+others' delta is 0 by their scope.  As the state holds no constraint, the
+model also rebuilds them after a bulk assignment (:meth:`Model.set_all`).
 
 The conflict pool, the vertices with a positive ``var_violation`` in some
 constraint, is maintained rather than scanned: every constraint keeps its
@@ -42,10 +43,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InitError, InputError
-from .state import ColourState, MaskView, grow_regions, scope_table
+from .state import ColourState, MaskView, grow_regions
 
 #: total violations below this are treated as zero (Compact contributes
 #: floats; everything else is integer)
@@ -106,6 +107,41 @@ class SearchResult:
     counters: Dict[str, int]
 
 
+def scope_table(scoped: Iterable[Tuple[object, Optional[Iterable[int]]]]):
+    """Route items to the vertices they apply to.
+
+    ``scoped`` lists ``(item, scope)`` pairs in entry order; a scope of
+    ``None`` means every vertex.  Returns the tuple of the global
+    items and a dict mapping each vertex of some scope to the tuple of
+    every item that applies to it, both in entry order, so
+    ``table.get(v, everywhere)`` is what a move of ``v`` reaches.  A
+    vertex listed twice in one scope gets the item once, and vertices
+    with the same items share one tuple.
+    """
+    items = []
+    everywhere: List[int] = []
+    at: Dict[int, List[int]] = {}
+    for i, (item, scope) in enumerate(scoped):
+        items.append(item)
+        if scope is None:
+            everywhere.append(i)
+            continue
+        for v in scope:
+            mine = at.setdefault(v, [])
+            if not mine or mine[-1] != i:
+                mine.append(i)
+    # keyed by the scoped items alone: the global ones are the same for all
+    shared: Dict[Tuple[int, ...], Tuple] = {}
+    table: Dict[int, Tuple] = {}
+    for v, mine in at.items():
+        key = tuple(mine)
+        row = shared.get(key)
+        if row is None:
+            row = shared[key] = tuple(items[i] for i in sorted(everywhere + mine))
+        table[v] = row
+    return tuple(items[i] for i in everywhere), table
+
+
 class Model:
     """A colour state plus weighted constraints and searchable counters."""
 
@@ -125,10 +161,11 @@ class Model:
                 )
             if constraint.id in self.by_id:
                 raise InputError(f"duplicate constraint id {constraint.id!r}")
+            if constraint.state is not state:
+                raise InputError(f"constraint {constraint.id}: built on another state")
             entry = (constraint, weight)
             self.entries.append(entry)
             self.by_id[constraint.id] = entry
-            state.register(constraint)
         #: the entries a move of each vertex reaches, see :func:`scope_table`
         self._everywhere, self._scoped = scope_table(
             (entry, entry[0].scope()) for entry in self.entries
@@ -181,11 +218,27 @@ class Model:
         raise InputError(f"unknown move kind {move.kind!r}")
 
     # incrementality ------------------------------------------------------
+    def assign(self, v: int, c: int) -> None:
+        """Commit ``colour(v) := c`` to the state, then, if the colour
+        changed, to the constraints whose scope holds ``v``."""
+        old = self.state.colour(v)
+        self.state.assign(v, c)
+        if old != c:
+            for constraint, _ in self._scoped.get(v, self._everywhere):
+                constraint.commit_assign(v, old, c)
+
+    def set_all(self, colours: Mapping[int, int], *, regions: bool = False) -> None:
+        """Bulk assignment (see ``ColourState.set_all``); every constraint
+        then rebuilds from scratch."""
+        self.state.set_all(colours, regions=regions)
+        for constraint, _ in self.entries:
+            constraint.rebuild()
+
     def commit(self, move: Move) -> Move:
         """Apply ``move``; returns the move that takes it back."""
         if move.kind == "assign":
             undo = Move.assign(move.vertex, self.state.colour(move.vertex))
-            self.state.assign(move.vertex, move.colour)
+            self.assign(move.vertex, move.colour)
         elif move.kind == "counter":
             constraint = self.constraint(move.counter_id)
             undo = Move.counter(move.counter_id, constraint.counter_value)
@@ -265,11 +318,11 @@ def _counter_moves(model: Model, frozen: Sequence[str] = ()) -> List[Move]:
 def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
     state = model.state
     if cfg.init == "random":
-        state.set_all({v: rng.randint(1, state.n) for v in state.geometry.vertices})
+        model.set_all({v: rng.randint(1, state.n) for v in state.geometry.vertices})
     elif cfg.init == "regions":
-        state.set_all(grow_regions(state.geometry, state.n, rng), regions=True)
+        model.set_all(grow_regions(state.geometry, state.n, rng), regions=True)
     for cid in cfg.hard:
-        model.constraint(cid).hard_init(rng)
+        model.constraint(cid).hard_init(model, rng)
     for cid in cfg.hard:
         if model.constraint(cid).violation() != 0:
             raise InitError(f"hard constraints conflict at initialisation ({cid})")

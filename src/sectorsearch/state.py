@@ -4,12 +4,12 @@ A :class:`ColourState` colours every vertex of a :class:`Geometry` with
 one of ``1..n``.  The outside carries no colour: a vertex's border area
 with it (``geometry.border_areas``) always counts as border.
 
-Every constraint observes one :class:`ColourState`.  The state owns the
-assignment and the commit protocol; the constraints own their incremental
-caches.  A committed change of ``v`` is notified to the constraints whose
-``scope()`` holds ``v`` and to those scoped to every vertex, in
-registration order, through a table built once by :func:`scope_table`;
-``set_all`` rebuilds every constraint.
+Every constraint reads one :class:`ColourState`, which holds no
+constraint: it owns the assignment and what the assignment induces, and
+the constraints own their incremental caches.  The model
+(:class:`~sectorsearch.engine.Model`) routes each committed change to the
+constraints it reaches and rebuilds them after a bulk assignment, so a
+model's state is recoloured through the model.
 
 Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
 ``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import collections.abc
 import itertools
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -87,12 +86,6 @@ class ColourState:
             raise InputError(f"need at least one colour, got n={n}")
         self.geometry = geometry
         self.n = n
-        #: constraints are held weakly, so a model is free of reference
-        #: cycles and is freed as soon as it is dropped
-        self._observers: List[weakref.ref] = []
-        #: :func:`scope_table` of those weak references, built by the first
-        #: ``assign`` after a ``register``
-        self._notify: Optional[Tuple[Tuple, Dict[int, Tuple]]] = None
         self.order: List[int] = list(geometry.order())
         #: position of each vertex in ``order``; when the ids are
         #: exactly 0..V-1, as on every grid, that is the identity, and a
@@ -150,13 +143,6 @@ class ColourState:
         later ``assign`` calls but not ``set_all``."""
         return MappingProxyType(self._colour)
 
-    def register(self, observer) -> None:
-        """Attach a constraint; for as long as something else keeps it
-        alive, it will see every commit of a vertex in its ``scope()``, read
-        at the next ``assign``, via hooks, and every ``set_all``."""
-        self._observers.append(weakref.ref(observer))
-        self._notify = None
-
     def component_index(self) -> ComponentIndex:
         """The maintained same-colour components, built on the first
         request and kept up to date by every later commit."""
@@ -164,11 +150,10 @@ class ColourState:
             self._index = ComponentIndex(self.geometry, self._colour, self.n)
         return self._index
 
-    def _live_observers(self) -> List:
-        return [obs for obs in (ref() for ref in self._observers) if obs is not None]
-
     def assign(self, v: int, c: int) -> None:
-        """Commit ``colour(v) := c`` and notify registered constraints."""
+        """Set ``colour(v) := c``, its class masks and component index.
+        Recolouring a model's state directly leaves its constraints behind:
+        recolour through ``Model.assign``, ``Model.set_all`` or ``Model.commit``."""
         old = self.colour(v)
         self._check_colour(v, c)
         self._colour[v] = c
@@ -180,18 +165,9 @@ class ColourState:
             self.class_size[c] += 1
             if self._index is not None:
                 self._index.move(v, old, c)
-            if self._notify is None:
-                self._notify = scope_table(
-                    (ref, obs.scope()) for ref in self._observers if (obs := ref()) is not None
-                )
-            everywhere, table = self._notify
-            for ref in table.get(v, everywhere):
-                obs = ref()
-                if obs is not None:
-                    obs.commit_assign(v, old, c)
 
     def set_all(self, colours: Mapping[int, int], *, regions: bool = False) -> None:
-        """Bulk assignment; registered constraints rebuild from scratch.
+        """Bulk assignment; like :meth:`assign`, it reaches no constraint.
 
         ``regions`` says that every colour class of ``colours`` is
         connected or empty, as in a :func:`grow_regions` colouring; the
@@ -201,8 +177,6 @@ class ColourState:
         self._take(colours)
         if self._index is not None:
             self._index.rebuild(self._colour, self.class_size if regions else None)
-        for obs in self._live_observers():
-            obs.rebuild()
 
     # ------------------------------------------------------------------
     # vertex masks
@@ -504,41 +478,6 @@ class ComponentIndex(ComponentCounts):
         count = self.count
         self.recount(old, new, count[old] - 1 + pieces, count[new] + 1 - len(touched))
         self.change = ComponentChange(lab, pieces, closed, fresh, big, list(touched))
-
-
-def scope_table(scoped: Iterable[Tuple[object, Optional[Iterable[int]]]]):
-    """Route items to the vertices they apply to.
-
-    ``scoped`` lists ``(item, scope)`` pairs in registration order; a
-    scope of ``None`` means every vertex.  Returns the tuple of the global
-    items and a dict mapping each vertex of some scope to the tuple of
-    every item that applies to it, both in registration order, so
-    ``table.get(v, everywhere)`` is what a move of ``v`` reaches.  A
-    vertex listed twice in one scope gets the item once, and vertices
-    with the same items share one tuple.
-    """
-    items = []
-    everywhere: List[int] = []
-    at: Dict[int, List[int]] = {}
-    for i, (item, scope) in enumerate(scoped):
-        items.append(item)
-        if scope is None:
-            everywhere.append(i)
-            continue
-        for v in scope:
-            mine = at.setdefault(v, [])
-            if not mine or mine[-1] != i:
-                mine.append(i)
-    # keyed by the scoped items alone: the global ones are the same for all
-    shared: Dict[Tuple[int, ...], Tuple] = {}
-    table: Dict[int, Tuple] = {}
-    for v, mine in at.items():
-        key = tuple(mine)
-        row = shared.get(key)
-        if row is None:
-            row = shared[key] = tuple(items[i] for i in sorted(everywhere + mine))
-        table[v] = row
-    return tuple(items[i] for i in everywhere), table
 
 
 def with_bit(mask: int, r: int, on: bool) -> int:

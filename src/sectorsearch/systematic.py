@@ -338,9 +338,10 @@ def brute_force_solve(model, limit: int = 10, max_colours: int = 4) -> List[Dict
     """All total colourings satisfying every constraint's semantics.
 
     Exhaustive; guarded by instance-size preconditions.  Each colouring
-    recolours, through ``assign``, only the vertices the previous one
-    coloured differently; ``check()`` reads the colours alone.  The
-    model's state is restored afterwards.
+    recolours, through the state's ``assign``, only the vertices the
+    previous one coloured differently; ``check()`` reads the colours
+    alone, so no constraint hears of it.  The model's colouring and
+    caches are restored afterwards, through ``model.set_all``.
     """
     state = model.state
     vertices = sorted(state.geometry.vertices)
@@ -358,7 +359,7 @@ def brute_force_solve(model, limit: int = 10, max_colours: int = 4) -> List[Dict
         previous = combo
         if all(constraint.check() for constraint, _ in model.entries):
             solutions.append(dict(zip(vertices, combo)))
-    state.set_all(original)
+    model.set_all(original)
     return solutions
 
 

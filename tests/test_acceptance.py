@@ -31,7 +31,7 @@ from sectorsearch.constraints import (
     StretchSumConstraint,
     stretch_sum_check,
 )
-from sectorsearch.engine import search
+from sectorsearch.engine import Model, search
 from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.instance import generate
 from sectorsearch.state import ColourState, stretches
@@ -84,9 +84,9 @@ def test_criterion_1_violation_semantics_equivalence():
         nonlocal checked
         st = ColourState(geometry, n)
         constraint = build(st)
-        st.register(constraint)
+        model = Model(st, [(constraint, 1)])
         for colouring in all_colourings(geometry.vertices, n):
-            st.set_all(colouring)
+            model.set_all(colouring)
             assert (constraint.violation() == 0) == constraint.check()
             checked += 1
 
@@ -154,10 +154,12 @@ def test_criterion_2_delta_exactness():
     start = time.time()
     probes_per_family = 10000
 
-    def drive(constraint, scratch, tolerance=0):
-        """Random walk of probe-then-commit moves, each probe checked
-        against the naive before/after difference."""
-        st = constraint.state
+    def drive(model, scratch, tolerance=0):
+        """Random walk of probe-then-commit moves of a one-constraint
+        model, each probe checked against the naive before/after
+        difference."""
+        constraint, _ = model.entries[0]
+        st = model.state
         vertices = sorted(st.geometry.vertices)
         for _ in range(probes_per_family):
             v = rng.choice(vertices)
@@ -171,46 +173,46 @@ def test_criterion_2_delta_exactness():
                 assert abs(delta - expected) <= tolerance
             else:
                 assert delta == expected
-            st.assign(v, colour)
+            model.assign(v, colour)
 
     g, st = _probe_state(rng)
     connected = ConnectedConstraint(st, "=", 3)
-    st.register(connected)
-    drive(connected, lambda cols: naive_connected_violation(g, cols, "=", 3))
+    model = Model(st, [(connected, 1)])
+    drive(model, lambda cols: naive_connected_violation(g, cols, "=", 3))
 
     g, st = _probe_state(rng)
     pv = monotone_path(rng, 4, 4)
     values = [rng.randint(1, 9) for _ in pv]
     stretch = StretchSumConstraint(st, OrderedPath(pv, g), values, ">=", 12)
-    st.register(stretch)
-    drive(stretch, lambda cols: naive_stretch_violation([cols[u] for u in pv], values, ">=", 12))
+    model = Model(st, [(stretch, 1)])
+    drive(model, lambda cols: naive_stretch_violation([cols[u] for u in pv], values, ">=", 12))
 
     g, st = _probe_state(rng)
     value_map = {v: (v % 9) + 1 for v in g.vertices}
     balanced = BalancedConstraint(st, value_map, 30)
-    st.register(balanced)
-    drive(balanced, lambda cols: naive_balanced_violation(cols, value_map, 3, 30))
+    model = Model(st, [(balanced, 1)])
+    drive(model, lambda cols: naive_balanced_violation(cols, value_map, 3, 30))
 
     g, st = _probe_state(rng)
     bounded = BoundedConstraint(st, value_map, "<=", 20)
-    st.register(bounded)
-    drive(bounded, lambda cols: naive_bounded_violation(cols, value_map, 3, "<=", 20))
+    model = Model(st, [(bounded, 1)])
+    drive(model, lambda cols: naive_bounded_violation(cols, value_map, 3, "<=", 20))
 
     g, st = _probe_state(rng)
     pv = monotone_path(rng, 4, 4)
     non_border = NonBorderConstraint(st, OrderedPath(pv, g))
-    st.register(non_border)
-    drive(non_border, lambda cols: naive_nonborder_violation(g, cols, pv))
+    model = Model(st, [(non_border, 1)])
+    drive(model, lambda cols: naive_nonborder_violation(g, cols, pv))
 
     g, st = _probe_state(rng)
     compact_b = CompactConstraint(st, 20, mode="B")
-    st.register(compact_b)
-    drive(compact_b, lambda cols: naive_compact_b_violation(g, cols, 20), tolerance=1e-9)
+    model = Model(st, [(compact_b, 1)])
+    drive(model, lambda cols: naive_compact_b_violation(g, cols, 20), tolerance=1e-9)
 
     g, st = _probe_state(rng)
     compact_a = CompactConstraint(st, 10, mode="A", probe="exact")
-    st.register(compact_a)
-    drive(compact_a, lambda cols: naive_compact_a_violation(g, cols, 10), tolerance=1e-9)
+    model = Model(st, [(compact_a, 1)])
+    drive(model, lambda cols: naive_compact_a_violation(g, cols, 10), tolerance=1e-9)
 
     elapsed = time.time() - start
     _verdict(
@@ -239,13 +241,13 @@ def test_criterion_3_incrementality_on_20x20():
     bounded = BoundedConstraint(st, values, "<=", 600)
     stretch = StretchSumConstraint(st, path, dwell, ">=", 120)
     non_border = NonBorderConstraint(st, path)
-    for c in (connected, compact_a, compact_b, balanced, bounded, stretch, non_border):
-        st.register(c)
+    constraints = (connected, compact_a, compact_b, balanced, bounded, stretch, non_border)
+    model = Model(st, [(c, 1) for c in constraints])
 
     vertices = sorted(g.vertices)
     moves = 10000
     for i in range(1, moves + 1):
-        st.assign(rng.choice(vertices), rng.randint(1, n))
+        model.assign(rng.choice(vertices), rng.randint(1, n))
         if i % 2500 == 0 or i == moves:
             cols = st.snapshot()
             assert connected.violation() == naive_connected_violation(g, cols, "=", n)
@@ -348,7 +350,7 @@ def test_criterion_7_fast_delta_divergence_ledger():
     st = ColourState(g, n, colours=random_colours(rng, g, n))
     exact = ConnectedConstraint(st, "=", n)
     fast = ConnectedConstraint(st, "=", n, mode="paper-fast")
-    st.register(exact)
+    model = Model(st, [(exact, 1)])
     index = st.component_index()
     vertices = sorted(g.vertices)
     from sectorsearch.relation import holds
@@ -375,7 +377,7 @@ def test_criterion_7_fast_delta_divergence_ledger():
             assert merges >= 2 or pieces >= 2, "unclassified divergence"
         if merges <= 1 and pieces <= 1:
             assert fast_delta == true_delta, "estimate wrong without split/merge"
-        st.assign(v, colour)
+        model.assign(v, colour)
     _verdict(
         7,
         True,

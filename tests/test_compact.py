@@ -13,6 +13,7 @@ from oracles import (
     random_geometry,
 )
 from sectorsearch.constraints import CompactConstraint, sphere_surface
+from sectorsearch.engine import Model
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
@@ -139,13 +140,13 @@ def test_mode_a_exact_probe_is_the_committed_change():
     while moves < 2000:
         st = ColourState(geometry, 3, colours=random_colours(rng, geometry, 3))
         c = CompactConstraint(st, threshold=0, mode="A", probe="exact")
-        st.register(c)
+        model = Model(st, [(c, 1)])
         for _ in range(100):
             v = rng.choice(st.order)
             colour = rng.randint(1, 3)
             before = c.violation()
             delta = c.probe_assign(v, colour)
-            st.assign(v, colour)
+            model.assign(v, colour)
             assert delta == c.violation() - before
             moves += 1
 
@@ -185,10 +186,10 @@ def test_commit_matches_scratch():
         n = 3
         st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
         c = CompactConstraint(st, threshold=5, mode=mode)
-        st.register(c)
+        model = Model(st, [(c, 1)])
         for _ in range(150):
             v = rng.choice(sorted(geometry.vertices))
-            st.assign(v, rng.randint(1, n))
+            model.assign(v, rng.randint(1, n))
             if mode == "B":
                 expected = naive_compact_b_violation(geometry, st.snapshot(), 5)
             else:
@@ -200,9 +201,9 @@ def test_commit_touches_only_neighbourhood_caches():
     geometry = grid(3, 3, dim=2)
     st = ColourState(geometry, 2)
     c = CompactConstraint(st, threshold=12)
-    st.register(c)
+    model = Model(st, [(c, 1)])
     before = dict(c.border_cache)
-    st.assign(4, 2)  # centre cell
+    model.assign(4, 2)  # centre cell
     changed = {v for v in before if before[v] != c.border_cache[v]}
     assert changed <= {4} | set(geometry.adjacent(4))
 

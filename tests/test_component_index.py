@@ -10,6 +10,7 @@ import pytest
 from oracles import assert_caches_match_rebuild, assert_index_matches_components, random_colours
 from sectorsearch import bench
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
+from sectorsearch.engine import Model
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
@@ -47,15 +48,15 @@ def test_walk_keeps_index_and_compact_sums(with_connected, weight_fn):
     n = 3
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     compact = CompactConstraint(st, threshold=0, mode="A", weight_fn=weight_fn, probe="exact")
-    st.register(compact)
+    constraints = [compact]
     if with_connected:
-        connected = ConnectedConstraint(st, "=", n)
-        st.register(connected)
+        constraints.append(ConnectedConstraint(st, "=", n))
+    model = Model(st, [(c, 1) for c in constraints])
     index = st.component_index()
     splits = merges = commits = 0
 
     def check():
-        assert_caches_match_rebuild(st, [compact, connected] if with_connected else [compact])
+        assert_caches_match_rebuild(st, constraints)
         assert_compact_caches_match_components(compact, st)
 
     while commits < 400:
@@ -65,7 +66,7 @@ def test_walk_keeps_index_and_compact_sums(with_connected, weight_fn):
             continue
         before = compact.violation()
         delta = compact.probe_assign(v, colour)
-        st.assign(v, colour)
+        model.assign(v, colour)
         # the exact probe is the committed change, to the last bit
         assert delta == compact.violation() - before
         commits += 1
@@ -73,7 +74,7 @@ def test_walk_keeps_index_and_compact_sums(with_connected, weight_fn):
         merges += len(index.change.joined) >= 2
         check()
         if commits % 50 == 0:
-            st.set_all(random_colours(rng, geometry, n))
+            model.set_all(random_colours(rng, geometry, n))
             check()
     assert splits > 20 and merges > 20
 
@@ -85,8 +86,7 @@ def test_a_split_is_searched_once_per_vertex_and_state():
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     compact = CompactConstraint(st, threshold=0, mode="A", probe="exact")
     connected = ConnectedConstraint(st, "=", n)
-    st.register(compact)
-    st.register(connected)
+    model = Model(st, [(compact, 1), (connected, 1)])
     index = st.component_index()
     searched = []
     split_search = index._split_search
@@ -110,7 +110,7 @@ def test_a_split_is_searched_once_per_vertex_and_state():
         # the commit of a probed vertex reuses its search; a commit
         # without a probe, as after a noise draw, runs its own
         v = probed[0] if step % 4 else rng.choice([u for u in st.order if u not in probed])
-        st.assign(v, rng.choice([c for c in range(1, n + 1) if c != st.colour(v)]))
+        model.assign(v, rng.choice([c for c in range(1, n + 1) if c != st.colour(v)]))
         assert searched == ([] if step % 4 else [v])
         searched.clear()
         splits += index.change.pieces >= 2
@@ -119,7 +119,7 @@ def test_a_split_is_searched_once_per_vertex_and_state():
         if step % 50 == 49:
             # a rebuild relabels, so a split found before it is searched again
             index.split(v)
-            st.set_all(random_colours(rng, geometry, n))
+            model.set_all(random_colours(rng, geometry, n))
             index.split(v)
             assert searched == [v, v]
             searched.clear()

@@ -44,7 +44,7 @@ def _relabelled(g, f):
 
 def all_kinds(side, n, rng, rename=None):
     """A state on a ``side`` x ``side`` grid with every constraint kind
-    registered through one model; ``rename`` relabels the vertex ids."""
+    held by one model; ``rename`` relabels the vertex ids."""
     rename = rename or (lambda v: v)
     g = _relabelled(grid(side, side, dim=2), rename)
     st = ColourState(g, n, colours=random_colours(rng, g, n))
@@ -110,22 +110,22 @@ def test_masks_track_var_violation_over_a_walk(rename):
     for step in range(420):
         roll = rng.random()
         if roll < 0.03:
-            st.set_all(random_colours(rng, st.geometry, st.n))
+            model.set_all(random_colours(rng, st.geometry, st.n))
             rebuilds += 1
         elif roll < 0.06:
-            rng.choice(hard).hard_init(rng)
+            rng.choice(hard).hard_init(model, rng)
             rebuilds += 1
         elif roll < 0.2:
             v, w = rng.sample(st.order, 2)
             before = st.snapshot()
             model.probe_parts(Move.assign(v, st.colour(w)))
             assert st.snapshot() == before
-            st.assign(v, st.colour(w))
+            model.assign(v, st.colour(w))
             check_invariants(st, model)
-            st.assign(v, before[v])
+            model.assign(v, before[v])
             probes += 1
         else:
-            st.assign(rng.choice(st.order), rng.randint(1, st.n))
+            model.assign(rng.choice(st.order), rng.randint(1, st.n))
             commits += 1
         for cid, mask in check_invariants(st, model).items():
             seen[cid].add(mask)

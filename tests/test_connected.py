@@ -11,6 +11,7 @@ from oracles import (
     random_geometry,
 )
 from sectorsearch.constraints import ConnectedConstraint, connected_check
+from sectorsearch.engine import Model
 from sectorsearch.errors import InitError
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
@@ -78,8 +79,8 @@ def test_probe_counter():
 def test_commit_updates_caches():
     st = path_state([1, 1, 2, 1])
     c = ConnectedConstraint(st, "=", 2)
-    st.register(c)
-    st.assign(3, 2)
+    model = Model(st, [(c, 1)])
+    model.assign(3, 2)
     assert c.counts.count == {1: 1, 2: 1}
     assert c.violation() == 0
 
@@ -87,8 +88,8 @@ def test_commit_updates_caches():
 def test_commit_merge_exact():
     st = path_state([1, 1, 2, 1])
     c = ConnectedConstraint(st, "=", 2)
-    st.register(c)
-    st.assign(2, 1)
+    model = Model(st, [(c, 1)])
+    model.assign(2, 1)
     assert c.ncc == 1
 
 
@@ -117,10 +118,10 @@ def test_incremental_equals_scratch_after_commits():
     n = 3
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     c = ConnectedConstraint(st, "=", 2)
-    st.register(c)
+    model = Model(st, [(c, 1)])
     for _ in range(200):
         v = rng.choice(sorted(geometry.vertices))
-        st.assign(v, rng.randint(1, n))
+        model.assign(v, rng.randint(1, n))
         assert c.violation() == naive_connected_violation(geometry, st.snapshot(), "=", 2)
         assert c.ncc == sum(c.counts.count.values())
 
@@ -165,7 +166,7 @@ def label_walk(rng, geometry, n, steps, relop="=", n_val=2):
     merged several components of the new colour."""
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     c = ConnectedConstraint(st, relop, n_val)
-    st.register(c)
+    model = Model(st, [(c, 1)])
     index = st.component_index()
     vertices = sorted(geometry.vertices)
     splits = merges = 0
@@ -175,7 +176,7 @@ def label_walk(rng, geometry, n, steps, relop="=", n_val=2):
         if colour != st.colour(v):
             splits += index.split(v)[0] >= 2
             merges += len(index.neighbour_labels(v, colour)) >= 2
-        st.assign(v, colour)
+        model.assign(v, colour)
         colours = st.snapshot()
         assert_index_matches_components(index, geometry, colours, n)
         before = naive_connected_violation(geometry, colours, relop, n_val)
@@ -214,7 +215,7 @@ def test_hard_init_relops():
     for relop, counter in (("=", 3), ("<=", 2), (">=", 2), ("<", 4), (">", 1), ("!=", 1)):
         st = ColourState(geometry, 4)
         c = ConnectedConstraint(st, relop, counter)
-        c.hard_init(rng)
+        c.hard_init(Model(st, [(c, 1)]), rng)
         assert c.check()
         assert c.violation() == 0
 
@@ -223,7 +224,7 @@ def test_hard_init_single_colour():
     geometry = grid(3, 1, dim=2)
     st = ColourState(geometry, 1)
     c = ConnectedConstraint(st, "=", 1)
-    c.hard_init(random.Random(0))
+    c.hard_init(Model(st, [(c, 1)]), random.Random(0))
     assert len(set(st.snapshot().values())) == 1
 
 
@@ -232,4 +233,4 @@ def test_hard_init_impossible():
     st = ColourState(geometry, 2)
     c = ConnectedConstraint(st, "=", 5)  # needs 5 components on 2 vertices
     with pytest.raises(InitError):
-        c.hard_init(random.Random(0))
+        c.hard_init(Model(st, [(c, 1)]), random.Random(0))

@@ -334,6 +334,30 @@ def test_exact_search_zeros_are_brute_force_solutions():
     assert zeros and unsolvable
 
 
+def test_brute_force_restores_the_colouring_and_the_caches():
+    instance = generate(seed=3, width=3, height=3, colours=3, flights=1,
+                        with_compact=True, with_nonborder=True)
+    for spec in instance.constraints:
+        if spec.kind == "compact":
+            spec.params.update(mode="A", threshold=0)
+    model = instance.build()
+    # after a search the component labels differ from a first build's, so
+    # caches left at the enumeration's last colouring cannot pass as rebuilt
+    search(model, replace(instance.search, seed=1, max_iterations=20))
+    before = model.state.snapshot()
+    brute_force_solve(model, limit=9)
+    assert model.state.snapshot() == before
+    assert_caches_match_rebuild(model.state, [c for c, _ in model.entries])
+
+
+def test_a_model_refuses_a_constraint_on_another_state():
+    geometry = grid(3, 3, dim=2)
+    state, other = ColourState(geometry, 2), ColourState(geometry, 2)
+    workloads = dict.fromkeys(geometry.vertices, 1)
+    with pytest.raises(InputError, match="constraint balanced: built on another state"):
+        Model(state, [(BalancedConstraint(other, workloads, 0), 1)])
+
+
 def test_hard_search_commits_no_counter_move():
     # under "<=" raising the counter keeps the hard constraint satisfied,
     # so only the freezing keeps the search from committing it
@@ -370,7 +394,7 @@ class _BreaksOnCommit(Constraint):
     def rebuild(self):
         pass
 
-    def hard_init(self, rng):
+    def hard_init(self, model, rng):
         pass
 
     def violation(self):

@@ -2,6 +2,7 @@ import random
 
 from oracles import all_colourings, monotone_path, naive_nonborder_violation, random_colours
 from sectorsearch.constraints import NonBorderConstraint, non_border_check
+from sectorsearch.engine import Model
 from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.state import ColourState
 
@@ -77,10 +78,10 @@ def test_commit_matches_scratch():
     path = OrderedPath(path_vertices, g)
     st = ColourState(g, 3, colours=random_colours(rng, g, 3))
     c = NonBorderConstraint(st, path)
-    st.register(c)
+    model = Model(st, [(c, 1)])
     for _ in range(200):
         v = rng.choice(sorted(g.vertices))
-        st.assign(v, rng.randint(1, 3))
+        model.assign(v, rng.randint(1, 3))
         assert c.violation() == naive_nonborder_violation(g, st.snapshot(), path_vertices)
         assert (c.violation() == 0) == c.check()
 
@@ -90,7 +91,7 @@ def test_violation_zero_iff_check_exhaustive():
     path = OrderedPath([0, 1, 2], g)
     st = ColourState(g, 2)
     c = NonBorderConstraint(st, path)
-    st.register(c)
+    model = Model(st, [(c, 1)])
     for colouring in all_colourings(g.vertices, 2):
-        st.set_all(colouring)
+        model.set_all(colouring)
         assert (c.violation() == 0) == non_border_check(st, path)

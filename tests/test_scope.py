@@ -1,7 +1,7 @@
 """A constraint's ``scope()`` holds every vertex whose move can change it.
 
-The model probes a constraint, and the state notifies it, only for moves
-of the vertices in its scope.  So a probe the model leaves out must be
+The model probes a constraint, and commits a move to it, only for moves
+of the vertices in its scope, through one table.  So a probe the model leaves out must be
 exactly 0, the probes it makes must be the unscoped ones, and caches kept
 by scoped commits must agree with a fresh build.
 """

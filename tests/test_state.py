@@ -6,6 +6,7 @@ import pytest
 from oracles import assert_index_matches_components, naive_components
 from sectorsearch import generate
 from sectorsearch.constraints import ConnectedConstraint
+from sectorsearch.engine import Model
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import Geometry, grid
 from sectorsearch.state import (
@@ -92,78 +93,46 @@ def test_assign_errors():
 
 
 class _Listener:
-    """A stub observer, scoped to every vertex, logging what it hears."""
+    """A stub constraint logging the commits and rebuilds it hears."""
 
-    def __init__(self, name, log):
-        self.name = name
+    def __init__(self, state, name, log, scope=None):
+        self.state = state
+        self.id = name
         self.log = log
-
-    def scope(self):
-        return None
-
-    def commit_assign(self, v, old, new):
-        self.log.append((self.name, v, old, new))
-
-
-class _ScopedListener(_Listener):
-    def __init__(self, name, log, scope):
-        super().__init__(name, log)
         self._scope = scope
 
     def scope(self):
         return self._scope
 
+    def commit_assign(self, v, old, new):
+        self.log.append((self.id, v, old, new))
 
-def test_commits_reach_the_observers_in_scope_in_registration_order():
+    def rebuild(self):
+        self.log.append((self.id, "rebuild"))
+
+
+def test_the_model_routes_commits_in_scope_in_entry_order():
     st = path_state([1, 1, 1, 1])
     log = []
-    observers = [
-        _ScopedListener("a", log, (1, 2)),
-        _Listener("all", log),
-        _ScopedListener("b", log, (2, 3, 2)),  # vertex 2 listed twice
-    ]
-    for obs in observers:
-        st.register(obs)
-    st.assign(0, 2)
-    st.assign(2, 2)
-    st.assign(2, 2)  # no change, no notification
-    st.assign(3, 3)
-    st.assign(1, 3)
+    model = Model(st, [
+        (_Listener(st, "a", log, (1, 2)), 1),
+        (_Listener(st, "all", log), 1),
+        (_Listener(st, "b", log, (2, 3, 2)), 1),  # vertex 2 listed twice
+    ])
+    model.assign(0, 2)
+    model.assign(2, 2)
+    model.assign(2, 2)  # no change, no notification
+    model.assign(3, 3)
+    model.assign(1, 3)
+    model.set_all({0: 1, 1: 2, 2: 3, 3: 1})
     assert log == [
         ("all", 0, 1, 2),
         ("a", 2, 1, 2), ("all", 2, 1, 2), ("b", 2, 1, 2),
         ("all", 3, 1, 3), ("b", 3, 1, 3),
         ("a", 1, 1, 3), ("all", 1, 1, 3),
+        ("a", "rebuild"), ("all", "rebuild"), ("b", "rebuild"),
     ]
-
-
-def test_registering_after_the_first_assign_takes_effect():
-    st = path_state([1, 1, 1])
-    log = []
-    first = _ScopedListener("first", log, (0,))
-    st.register(first)
-    st.assign(0, 2)
-    late = _ScopedListener("late", log, (0, 1))
-    st.register(late)
-    st.assign(0, 3)
-    st.assign(1, 2)
-    assert log == [("first", 0, 1, 2), ("first", 0, 2, 3), ("late", 0, 2, 3), ("late", 1, 1, 2)]
-
-
-def test_dropped_scoped_observers_are_skipped():
-    st = path_state([1, 1, 1])
-    log = []
-    kept = _ScopedListener("kept", log, (0,))
-    early = _ScopedListener("early", log, (0,))
-    late = _ScopedListener("late", log, (0,))
-    st.register(early)
-    st.register(kept)
-    st.register(late)
-    del early  # dropped before the first assign builds the table
-    st.assign(0, 2)
-    del late  # dropped after
-    st.assign(0, 3)
-    assert log == [("kept", 0, 1, 2), ("late", 0, 1, 2), ("kept", 0, 2, 3)]
+    assert st.snapshot() == {0: 1, 1: 2, 2: 3, 3: 1}
 
 
 def test_grow_regions_properties():
@@ -311,9 +280,9 @@ def test_region_index_after_hard_init_with_empty_colours(seed):
     # three regions over five colours: colours 4 and 5 start empty
     st = ColourState(grid(6, 5, dim=2), 5)
     connected = ConnectedConstraint(st, "=", 3)
-    st.register(connected)
+    model = Model(st, [(connected, 1)])
     rng = random.Random(seed)
-    connected.hard_init(rng)
+    connected.hard_init(model, rng)
     assert st.unused_colours() == [4, 5]
     assert connected.violation() == 0
     _check_region_index_walk(st, rng)
@@ -347,9 +316,9 @@ def test_failed_set_all_changes_nothing(regions):
     st = model.state
     path = {"regions": True} if regions else {}
     rng = random.Random(2)
-    st.set_all(grow_regions(st.geometry, st.n, rng), **path)
+    model.set_all(grow_regions(st.geometry, st.n, rng), **path)
     for _ in range(30):
-        st.assign(rng.choice(st.order), rng.randint(1, st.n))
+        model.assign(rng.choice(st.order), rng.randint(1, st.n))
     before = _observed(model)
     last = st.order[-1]
     good = grow_regions(st.geometry, st.n, rng)
@@ -360,5 +329,5 @@ def test_failed_set_all_changes_nothing(regions):
         ({**good, last: 0}, f"vertex {last}: colour 0 outside 1..{st.n}"),
     ):
         with pytest.raises(InputError, match=message):
-            st.set_all(bad, **path)
+            model.set_all(bad, **path)
         assert _observed(model) == before

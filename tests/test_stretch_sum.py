@@ -10,6 +10,7 @@ from oracles import (
     naive_stretches,
 )
 from sectorsearch.constraints import StretchSumConstraint, stretch_sum_check
+from sectorsearch.engine import Model
 from sectorsearch.errors import InitError, InputError
 from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.state import ColourState
@@ -95,13 +96,13 @@ def test_commit_rebuilds_affected_records(relop):
     colours = [rng.randint(1, 3) for _ in range(m)]
     values = [rng.randint(1, 9) for _ in range(m)]
     st, c = make(colours, values, relop, 12)
-    st.register(c)
+    model = Model(st, [(c, 1)])
     for _ in range(300):
         v = rng.randrange(m)
         colour = rng.randint(1, 3)
         before = c.violation()
         delta = c.probe_assign(v, colour)
-        st.assign(v, colour)
+        model.assign(v, colour)
         assert c.violation() - before == delta
         snapshot = [st.colour(i) for i in range(m)]
         assert_caches_match_rebuild(st, [c])
@@ -164,9 +165,9 @@ def test_hard_init_minimum_dwell():
         c = StretchSumConstraint(st, path, values, ">=", t)
         if sum(values) < t:
             with pytest.raises(InitError):
-                c.hard_init()
+                c.hard_init(Model(st, [(c, 1)]), rng)
         else:
-            c.hard_init()
+            c.hard_init(Model(st, [(c, 1)]), rng)
             assert c.violation() == 0
 
 
@@ -182,9 +183,9 @@ def test_hard_init_maximum_dwell():
         c = StretchSumConstraint(st, path, values, "<=", t)
         if max(values) > t:
             with pytest.raises(InitError):
-                c.hard_init()
+                c.hard_init(Model(st, [(c, 1)]), rng)
         else:
-            c.hard_init()
+            c.hard_init(Model(st, [(c, 1)]), rng)
             assert c.violation() == 0
 
 
@@ -192,7 +193,7 @@ def test_hard_init_single_vertex():
     g = grid(1, 1, dim=2)
     st = ColourState(g, 2)
     c = StretchSumConstraint(st, OrderedPath([0], g), [150], ">=", 120)
-    c.hard_init()
+    c.hard_init(Model(st, [(c, 1)]), random.Random(0))
     assert c.violation() == 0
 
 
@@ -202,7 +203,7 @@ def test_hard_init_unsupported_relop():
     c = StretchSumConstraint(st, OrderedPath([0, 1], g), [5, 5], "=", 10)
     before = st.snapshot()
     with pytest.raises(InputError, match="relation = cannot be hard"):
-        c.hard_init()
+        c.hard_init(Model(st, [(c, 1)]), random.Random(0))
     assert st.snapshot() == before
 
 

@@ -7,6 +7,7 @@ from oracles import (
     random_geometry,
 )
 from sectorsearch.constraints import BalancedConstraint, BoundedConstraint, deviation_check
+from sectorsearch.engine import Model
 from sectorsearch.geometry import grid
 from sectorsearch.state import ColourState
 
@@ -112,12 +113,11 @@ def test_commits_conserve_sums():
     values = {v: rng.randint(1, 9) for v in sorted(geometry.vertices)}
     bal = BalancedConstraint(st, values, 10)
     bou = BoundedConstraint(st, values, "<=", 15)
-    st.register(bal)
-    st.register(bou)
+    model = Model(st, [(bal, 1), (bou, 1)])
     total = sum(values.values())
     for _ in range(200):
         v = rng.choice(sorted(geometry.vertices))
-        st.assign(v, rng.randint(1, n))
+        model.assign(v, rng.randint(1, n))
         assert sum(bal.sums.values()) == total
         assert sum(bou.sums.values()) == total
         colours = st.snapshot()
@@ -144,7 +144,7 @@ def test_checks_read_the_colours_not_the_cache():
     n = 3
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
     values = {v: rng.randint(1, 9) for v in sorted(geometry.vertices)}
-    # unregistered: every assign leaves their sums stale
+    # in no model: every assign leaves their sums stale
     bal = BalancedConstraint(st, values, 10)
     bou = BoundedConstraint(st, values, "<=", 15)
     for _ in range(100):
