@@ -11,10 +11,16 @@ model also rebuilds them after a bulk assignment (:meth:`Model.set_all`).
 The conflict pool, the vertices with a positive ``var_violation`` in some
 constraint, is maintained rather than scanned: every constraint keeps its
 conflicting vertices as a bit mask (``Constraint.conflicts``), and the
-state keeps one mask and one size per colour class.  An iteration ORs a
-handful of masks and draws its focus vertex through a sorted view of the
-union, so its cost does not grow with the instance, and a seeded run
-draws exactly the vertex a draw from the sorted pool list would.
+state keeps one mask and one size per colour class.  An iteration ORs the
+masks in entry order until the union holds every vertex, as a balance
+constraint's alone does whenever no colour's sum is exactly the average,
+and then draws its focus from the vertex list itself; a partial union is
+drawn through a sorted view.  Either way a seeded run draws exactly the
+vertex a draw from the sorted pool list would.  The masks are integers
+of V bits, so the pool still costs a few big-integer operations that
+grow with V, not a call per vertex; a partial union adds a halving of
+about log2(V) steps.  An empty pool, where only counter relations are
+violated, falls back to scanning every vertex's neighbours for the border.
 
 :func:`search` and :func:`neighbourhood` share one candidate rule: a
 vertex may take the colour of a differently coloured neighbour or an
@@ -31,7 +37,12 @@ search until the next commit, so committing a probed move repeats none.
 A run's state lives in :func:`search` alone: the tabu list, keyed by the
 moves that would undo recent commits (``Model.commit`` returns them), the
 best colouring with its counter values, the trace and the counters that
-``cfg.hard`` freezes.
+``cfg.hard`` freezes.  The best colouring is brought up to date from a log
+of the assign commits since the last best state, so recording a new best
+state costs its commits, not a copy of the colouring.  The colouring is
+copied whole only for the first best state after a start or a restart,
+which replace the colouring, and for one reached after more than V
+commits, where the log stops so that it never outgrows the colouring.
 The model holds only the colouring, the constraints and their counters,
 so a model can be searched again with any config.  Every iteration ends
 with one step that reads each constraint's ``violation()`` once and
@@ -357,10 +368,14 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     tabu: Dict[Move, int] = {}  # move -> last iteration it stays tabu
     best_total = math.inf
     best_colours: Dict[int, int] = {}
+    # the (vertex, colour) commits since the best state, which bring
+    # best_colours up to the next one; None when that one is copied whole
+    log: Optional[List[Tuple[int, int]]] = None
     best_counters: Dict[str, int] = {}
     since_best = 0
     restarted = False
     vertices = state.order
+    full_pool = (1 << len(vertices)) - 1
     iteration = 0
 
     while True:
@@ -375,7 +390,11 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         improved = total < best_total - TOLERANCE
         if improved:
             best_total = total
-            best_colours = state.snapshot()
+            if log is None:
+                best_colours = state.snapshot()
+            else:
+                best_colours.update(log)
+            log = []
             best_counters = {
                 cid: model.constraint(cid).counter_value for cid in model.searchable_counters
             }
@@ -390,6 +409,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         restarted = since_best > cfg.restart_after
         if restarted:
             _initialise(model, cfg, rng)
+            log = None
             tabu.clear()
             continue
 
@@ -399,7 +419,10 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         mask = 0
         for constraint, _ in entries:
             mask |= constraint.conflicts()
-        pool = MaskView(vertices, mask)
+            if mask == full_pool:
+                break
+        # rng.choice draws one index from either, and both map it to one vertex
+        pool = vertices if mask == full_pool else MaskView(vertices, mask)
         if not pool:
             pool = [
                 v
@@ -446,6 +469,11 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             ties = [m for m, d in allowed if abs(d - best_delta) <= TOLERANCE]
             move = ties[rng.randrange(len(ties))]
         tabu[model.commit(move)] = iteration + cfg.tabu_tenure
+        if log is not None and move.kind == "assign":
+            log.append((move.vertex, move.colour))
+            # past V commits, copying the colouring is the cheaper record
+            if len(log) > len(vertices):
+                log = None
 
     return SearchResult(
         colours=best_colours,

@@ -316,6 +316,62 @@ def test_result_counters_are_the_best_states():
     assert ended_elsewhere > 0
 
 
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_the_best_state_survives_restarts(seed):
+    """A restart replaces the colouring between two best states; the best
+    colouring a result reports still rebuilds to the violation it reports.
+    Compact mode A at threshold 0 restarts every 10 iterations here."""
+    instance = generate(
+        seed=seed, width=4, height=4, depth=3, dim=3, colours=6, flights=2, with_compact=True
+    )
+    for spec in instance.constraints:
+        if spec.kind == "compact":
+            spec.params.update(mode="A", threshold=0)
+    plain = replace(instance.search, moves_per_iter=2, restart_after=10, max_iterations=300)
+    for search_seed in range(1, 6):
+        result = search(instance.build(), replace(plain, seed=search_seed))
+        rebuilt = instance.build(colours=result.colours)
+        for cid, value in result.counters.items():
+            rebuilt.constraint(cid).commit_counter(value)
+        assert rebuilt.total_violation() == result.violation, search_seed
+
+
+def _count_calls(obj, name, counts):
+    method = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return method(*args, **kwargs)
+
+    setattr(obj, name, counted)
+
+
+@pytest.mark.parametrize("restarts", [False, True], ids=["one-start", "restarts"])
+def test_the_colouring_is_copied_once_per_start(restarts):
+    """Best states after the first of a start are recorded from the commits
+    since the last one, not by copying the colouring."""
+    instance = generate(seed=3, width=12, height=12, colours=4, flights=2)
+    model = instance.build()
+    counts = dict.fromkeys(("snapshot", "set_all"), 0)
+    for name in counts:
+        _count_calls(model.state, name, counts)
+    # fewer iterations, so fewer commits, than the 144 vertices
+    cfg = replace(instance.search, seed=1, max_iterations=140,
+                  restart_after=10 if restarts else 1000)
+    result = search(model, cfg)
+    best, improvements = float("inf"), 0
+    for _, total, _ in result.trace:
+        if total < best - TOLERANCE:
+            best, improvements = total, improvements + 1
+    # more best states than starts, so copying each would show
+    assert improvements > counts["set_all"]
+    if restarts:
+        assert counts["set_all"] > 1
+        assert counts["snapshot"] <= counts["set_all"]
+    else:
+        assert counts == {"snapshot": 1, "set_all": 1}
+
+
 def test_exact_search_zeros_are_brute_force_solutions():
     zeros = unsolvable = 0
     for width, height, colours in ((3, 3, 2), (2, 4, 2), (3, 2, 3)):
@@ -457,6 +513,32 @@ def test_noise_draws_probe_nothing(hard):
     assert (counting.probes > 0) == bool(hard)
 
 
+class _CountsConflicts(_CountsProbes):
+    """Also counts the times it is asked for its conflicts."""
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.asked = 0
+
+    def conflicts(self):
+        self.asked += 1
+        return super().conflicts()
+
+
+def test_a_full_pool_asks_no_later_constraint():
+    # 37 does not divide by 4 colours, so every colour's sum misses the
+    # average and the balance alone puts every vertex in the pool
+    geometry = grid(6, 6, dim=2)
+    st = ColourState(geometry, 4)
+    values = dict.fromkeys(geometry.vertices, 1)
+    values[0] = 2
+    counting = _CountsConflicts(st)
+    model = Model(st, [(BalancedConstraint(st, values, 0), 1), (counting, 1)])
+    result = search(model, SearchConfig(max_iterations=50, seed=1))
+    assert result.iterations == 50
+    assert counting.asked == 0
+
+
 # ---------------------------------------------------------------------------
 # golden replays: any refactor must reproduce these runs byte for byte
 
@@ -522,6 +604,15 @@ def _run_dwell(seed, iters, relop=">=", threshold=120, hard=()):
     return search(model, cfg)
 
 
+def _run_counter_only(seed, iters):
+    """A lone exact connected "=" 5 on 4 colours: while every class is
+    connected only the counter relation is violated, no vertex conflicts,
+    and the focus comes from the border scan of an empty pool."""
+    st = ColourState(grid(6, 6, dim=2), 4)
+    model = Model(st, [(ConnectedConstraint(st, "=", 5, id="connected"), 1)])
+    return search(model, SearchConfig(seed=seed, max_iterations=iters))
+
+
 GOLDEN = [
     # exact connectedness from grown regions: short runs to zero
     (lambda: _run_2d(1, 1500), "a8fa6b684c733ad1a0b9ffdca760fb1b630eaaac89ba122999220e7274925860"),
@@ -566,6 +657,11 @@ GOLDEN = [
     (
         lambda: _run_dwell(2, 600, hard=("dwell0",)),
         "e4da3fae6e3454c6b41e004132cfa040b927d64a8dcc0b44291409dc40256885",
+    ),
+    # an empty conflict pool in 60 of the 300 draws, a partial one in the rest
+    (
+        lambda: _run_counter_only(1, 300),
+        "7aa11a7f427281c604aa8f91c5607763984230bcaba30ca9f0e46bb5a9358d73",
     ),
 ]
 
