@@ -7,7 +7,11 @@ times the paper-fast and the exact connectedness probes, the balance
 probe and the path-interior probe over identical move batches.  The
 component index keeps a split until the next commit, and the batches
 repeat moves and commit nothing, so its kept splits are dropped before
-every probe: each exact probe times a fresh split search.
+every probe: each exact probe times a fresh split search.  On these
+smooth region colourings most of those searches end at their first
+stage, the grouping of v's same-component neighbours by common
+neighbours, so the exact probe mostly times O(degree^2) reads rather
+than a breadth-first search.
 """
 
 from __future__ import annotations

@@ -29,11 +29,15 @@ move leaves behind and forms: the closed pieces of a split, the rest of
 the old component, and the new colour's components merged with the moved
 vertex.  The exact probe feeds it the pieces of the index's split search
 and the labels of v's neighbours; a commit feeds it the index's record of
-the same move.  So probes and commits cost the smaller sides of a split,
-never a whole colour class.  The spheres are summed with
-:func:`math.fsum` per colour, and so are the colours' sums; ``fsum`` is
-correctly rounded whatever the order, so a probe equals the committed
-change to the last bit.
+the same move.  The index answers a split without searching when v's
+neighbours in the component are linked through common neighbours there,
+and otherwise its search costs the smaller sides, so probes and commits
+never cost a whole colour class.  Which piece the search closes and
+which keeps the old label is its own choice; the volumes and spheres do
+not depend on it.  The spheres are summed with :func:`math.fsum` per
+colour, and so are the colours' sums; ``fsum`` is correctly rounded
+whatever the order, so a probe equals the committed change to the last
+bit.
 """
 
 from __future__ import annotations

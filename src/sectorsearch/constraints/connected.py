@@ -9,8 +9,12 @@ probing/updating modes exist:
   keeps up to date before the constraint hears of it, so a commit has
   nothing left to do.  A probe of ``v`` counts the distinct labels among
   v's neighbours of the new colour, which costs O(degree), and asks the
-  index's interleaved split search how many pieces v's old component
-  falls into, which costs the smaller sides, not the colour class.
+  index's split search how many pieces v's old component falls into.
+  That search first groups v's neighbours in the component by common
+  neighbours there, which answers "one piece" after O(degree^2) reads
+  when they are all linked; otherwise interleaved searches, one per
+  group (a two-frontier loop for two), cost the smaller sides, not the
+  colour class.
   Around that search a probe does O(degree) integer work; the relation
   is resolved once, at construction.
   Deltas are exact under arbitrary moves, articulation splits and

@@ -24,14 +24,20 @@ The state also keeps, once a constraint asks for it, one
 component, a size per label and a component count per colour.  Every
 ``assign`` updates it before any constraint hears of the move, at the
 cost of the smaller sides of a split or merge, and records what the move
-did (:class:`ComponentChange`); ``set_all`` rebuilds it, labelling each
-vertex by its colour and minting fresh labels above ``n``.  A restart
-passes ``set_all(..., regions=True)`` with a :func:`grow_regions`
-colouring, whose used colours are one component each, so those labels
-stay, with no search; any other colouring's components are flooded to
-fresh labels, as a move merges components.  Exact connectedness
-counts from the index and compact mode A keeps its per-component sums by
-its labels.
+did (:class:`ComponentChange`).  Whether a move splits its vertex's
+component is first decided from the neighbours of the vertex and of its
+same-component neighbours alone: those that are adjacent or share a
+neighbour in the component lie in one piece, and when they all do there
+is no search.  Otherwise one breadth-first search per group of them runs
+interleaved, and two groups, the common case, have a loop of their own.
+
+``set_all`` rebuilds the index, labelling each vertex by its colour and
+minting fresh labels above ``n``.  A restart passes ``set_all(...,
+regions=True)`` with a :func:`grow_regions` colouring, whose used
+colours are one component each, so those labels stay, with no search;
+any other colouring's components are flooded to fresh labels, as a move
+merges components.  Exact connectedness counts from the index and
+compact mode A keeps its per-component sums by its labels.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,
@@ -300,8 +306,11 @@ class ComponentIndex(ComponentCounts):
     colour as there are distinct labels among v's neighbours of that
     colour, which costs O(degree); the smaller ones are relabelled into
     the largest (union by size).  Whether v's old component splits is
-    decided by :meth:`split`, whose cost is that of the smaller sides,
-    not of the colour class; the pieces it closes get fresh labels.
+    decided by :meth:`split`: v's neighbours in the component that are
+    linked through a common neighbour there need no search, which settles
+    most moves after O(degree^2) reads, and otherwise interleaved
+    searches, one per group of linked neighbours, cost the smaller sides,
+    not the colour class.  The pieces a split closes get fresh labels.
     ``change`` records the last move.
 
     A split reads only labels, which change only on ``move`` and
@@ -390,34 +399,93 @@ class ComponentIndex(ComponentCounts):
         self._splits = {}
 
     def _split_search(self, v: int) -> Tuple[int, List[List[int]]]:
-        """The search behind :meth:`split`.  Breadth-first searches
-        start at v's neighbours of v's label and advance one vertex each
-        per round; searches that meet unite, and the run stops when one
-        open group is left (the on-line edge-deletion trick of Even &
+        """The search behind :meth:`split`, in two stages.
+
+        First the starts, v's neighbours of v's label, are grouped: two
+        starts lie in one piece when they are adjacent or share a
+        neighbour of v's label other than v.  The test reads only the
+        neighbours of v and of its starts, and more than two starts are
+        united in a union-find; when one group is left, nothing is
+        searched.
+
+        Then breadth-first searches, one per group, advance one vertex
+        each per round; searches that meet unite, and the run stops when
+        one open group is left (the on-line edge-deletion trick of Even &
         Shiloach, JACM 1981).  Exhausted groups never grow again, so they
-        are whole pieces and the count is final.
+        are whole pieces and the count is final.  Two groups, the common
+        case, take :meth:`_two_sided_search`.
         """
         label = self.label
         lab = label[v]
-        adjacent = self.geometry.adjacent
-        starts = [w for w in adjacent(v) if label[w] == lab]
-        if len(starts) <= 1:
-            return len(starts), []
+        adj = self.geometry._adj
+        starts = []
+        for w in adj[v]:
+            if label[w] == lab:
+                starts.append(w)
         k = len(starts)
+        if k <= 1:
+            return k, []
+        if k == 2:
+            # the commonest case, without the union-find
+            s, t = starts
+            near = adj[s]
+            if t in near:
+                return 1, []
+            for c in near & adj[t]:
+                if c != v and label[c] == lab:
+                    return 1, []
+            return self._two_sided_search(v, lab, [[s], [t]], {s: 0, t: 1})
         parent = list(range(k))
-        queues = [deque([s]) for s in starts]
-        found = [[s] for s in starts]
-        owner = {s: i for i, s in enumerate(starts)}
+        groups = k
+        for i in range(1, k):
+            near = adj[starts[i]]
+            r = i
+            while parent[r] != r:
+                r = parent[r]
+            for j in range(i):
+                q = j
+                while parent[q] != q:
+                    q = parent[q]
+                if q == r:
+                    continue
+                t = starts[j]
+                if t not in near:
+                    for c in near & adj[t]:
+                        if c != v and label[c] == lab:
+                            break
+                    else:
+                        continue
+                parent[q] = r
+                groups -= 1
+                if groups == 1:
+                    return 1, []
+        found: List[List[int]] = []
+        owner: Dict[int, int] = {}
+        roots: Dict[int, int] = {}
+        for i, s in enumerate(starts):
+            r = i
+            while parent[r] != r:
+                r = parent[r]
+            g = roots.setdefault(r, len(found))
+            if g == len(found):
+                found.append([])
+            found[g].append(s)
+            owner[s] = g
+        if groups == 2:
+            return self._two_sided_search(v, lab, found, owner)
+
+        parent = list(range(groups))
+        queues = [deque(group) for group in found]
         owner[v] = -1
         closed: List[List[int]] = []
-        open_groups = k
+        open_groups = groups
         while True:
-            for i in range(k):
+            for i in range(groups):
                 queue = queues[i]
                 if parent[i] != i or not queue:
                     continue
                 u = queue.popleft()
-                for w in adjacent(u):
+                for w in adj[u]:
                     if label[w] != lab:
                         continue
                     o = owner.get(w)
@@ -442,6 +510,49 @@ class ComponentIndex(ComponentCounts):
                     open_groups -= 1
                     if open_groups == 1:
                         return len(closed) + 1, closed
+
+    def _two_sided_search(
+        self, v: int, lab: int, sides: List[List[int]], owner: Dict[int, int]
+    ) -> Tuple[int, List[List[int]]]:
+        """The split search of two groups of starts, ``sides[0]`` and
+        ``sides[1]``, each vertex of which ``owner`` maps to its side.
+
+        Each side's list is both its queue, read by a head index, and the
+        piece it has found.  The sides advance one vertex each per round:
+        meeting the other side means one piece, and a side that runs out
+        first is a closed piece of its own.
+        """
+        label = self.label
+        adj = self.geometry._adj
+        a, b = sides
+        # v counts as side 0's, so side 0 passes it by; side 1 tests for it
+        # only when it meets side 0
+        owner[v] = 0
+        get = owner.get
+        head_a = head_b = 0
+        while True:
+            for w in adj[a[head_a]]:
+                if label[w] == lab:
+                    o = get(w)
+                    if o is None:
+                        owner[w] = 0
+                        a.append(w)
+                    elif o:
+                        return 1, []
+            head_a += 1
+            if head_a == len(a):
+                return 2, [a]
+            for w in adj[b[head_b]]:
+                if label[w] == lab:
+                    o = get(w)
+                    if o is None:
+                        owner[w] = 1
+                        b.append(w)
+                    elif not o and w != v:
+                        return 1, []
+            head_b += 1
+            if head_b == len(b):
+                return 2, [b]
 
     def move(self, v: int, old: int, new: int) -> None:
         """Follow ``colour(v): old -> new``, already in the colour map."""

@@ -62,6 +62,30 @@ def assert_index_matches_components(index, base, colours, n):
     assert index.excess == sum(k - 1 for k in per.values() if k > 1)
 
 
+def split_pieces(base, colours, v):
+    """The pieces of v's same-colour component without ``v``, as frozen
+    sets, by two DFS passes from scratch."""
+    (component,) = [comp for _, comp in naive_components(base, colours) if v in comp]
+    inside = {u: u != v and u in component for u in colours}
+    return [frozenset(comp) for kept, comp in naive_components(base, inside) if kept]
+
+
+def assert_split_matches_flood(base, colours, v, found):
+    """A split result ``(pieces, closed)`` of ``v`` counts the pieces of
+    v's component without v, and its closed pieces are all of them but
+    one, each exactly one real piece and none twice."""
+    pieces, closed = found
+    real = split_pieces(base, colours, v)
+    assert pieces == len(real), f"vertex {v}: {pieces} pieces, the flood finds {len(real)}"
+    assert len(closed) == max(pieces - 1, 0), f"vertex {v}: {len(closed)} closed pieces"
+    shapes = [frozenset(piece) for piece in closed]
+    assert all(len(shape) == len(piece) for shape, piece in zip(shapes, closed)), (
+        f"vertex {v}: a closed piece lists a vertex twice"
+    )
+    assert all(shape in real for shape in shapes), f"vertex {v}: a closed piece is no piece"
+    assert len(set(shapes)) == len(shapes), f"vertex {v}: a piece is closed twice"
+
+
 def assert_caches_match_rebuild(state, constraints):
     """Every cache of ``state`` and of ``constraints`` equals its
     from-scratch value; a failure names the first constraint and field
@@ -69,7 +93,8 @@ def assert_caches_match_rebuild(state, constraints):
 
     - the class masks and sizes, recomputed from the colours;
     - the component index, if the state keeps one, against the DFS
-      components, and each split it keeps against a fresh search;
+      components, and each split it keeps against a flood of the split
+      vertex's component without it;
     - each constraint, field by field, against a shallow copy of it that
       ran ``rebuild()``.  Every ``rebuild()`` assigns new cache objects, so
       the copy's rebuild leaves the original's caches as they were.  A
@@ -87,7 +112,7 @@ def assert_caches_match_rebuild(state, constraints):
     if index is not None:
         assert_index_matches_components(index, state.geometry, colours, state.n)
         for v, kept in index._splits.items():
-            assert kept == index._split_search(v), f"state: kept split of vertex {v}"
+            assert_split_matches_flood(state.geometry, colours, v, kept)
     for constraint in constraints:
         fresh = copy.copy(constraint)
         fresh.rebuild()

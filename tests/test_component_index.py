@@ -1,17 +1,24 @@
 """The state's component index, and compact mode A's per-component
 volumes and spheres kept by its labels, against from-scratch components
-along random walks."""
+along random walks; the index's split search against a flood of the
+split vertex's component, vertex by vertex."""
 
+import collections.abc
 import math
 import random
 
 import pytest
 
-from oracles import assert_caches_match_rebuild, assert_index_matches_components, random_colours
+from oracles import (
+    assert_caches_match_rebuild,
+    assert_index_matches_components,
+    assert_split_matches_flood,
+    random_colours,
+)
 from sectorsearch import bench
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
 from sectorsearch.engine import Model
-from sectorsearch.geometry import grid
+from sectorsearch.geometry import Geometry, grid
 from sectorsearch.state import ColourState
 
 
@@ -56,6 +63,9 @@ def test_walk_keeps_index_and_compact_sums(with_connected, weight_fn):
     splits = merges = commits = 0
 
     def check():
+        # keep some splits, so the audit checks them against a flood
+        for u in st.order[commits % 7 :: 7]:
+            index.split(u)
         assert_caches_match_rebuild(st, constraints)
         assert_compact_caches_match_components(compact, st)
 
@@ -142,3 +152,133 @@ def test_probe_bench_times_a_split_search_per_exact_probe():
     batch = moves[:3] * 2
     bench._time_probes(constraints["connected-exact"], batch, index.forget_splits)
     assert searched == [v for v, _ in batch]
+
+
+def triangulated(w, h):
+    """A ``w`` x ``h`` lattice of cells with one diagonal per square, so
+    that inner cells have six neighbours and neighbours of a cell can be
+    adjacent; ids ``3 * (x + w * y) + 1``, facet areas 1 to 3, no border
+    facets."""
+    def ident(x, y):
+        return 3 * (x + w * y) + 1
+
+    facets_of = {ident(x, y): [] for x in range(w) for y in range(h)}
+    areas = {}
+    for y in range(h):
+        for x in range(w):
+            for dx, dy in ((1, 0), (0, 1), (1, 1)):
+                if x + dx < w and y + dy < h:
+                    facets_of[ident(x, y)].append(len(areas))
+                    facets_of[ident(x + dx, y + dy)].append(len(areas))
+                    areas[len(areas)] = 1 + len(areas) % 3
+    return Geometry(facets_of, areas, dict.fromkeys(facets_of, 1), 2)
+
+
+def drawn(rows):
+    """A 2D grid coloured by ``rows`` of colour digits, top row first."""
+    geometry = grid(len(rows[0]), len(rows), dim=2)
+    width = len(rows[0])
+    colours = {x + width * y: int(c) for y, row in enumerate(rows) for x, c in enumerate(row)}
+    return geometry, colours
+
+
+#: hand-built splits: the rows, the split vertex (x, y) and its piece count
+DRAWN = {
+    # the middle of a 1-wide path has two pieces, and its starts meet
+    # nowhere near it
+    "path": (["22222", "11111", "22222"], (2, 1), 2),
+    # a corner of a 2x2 block: its starts share the fourth cell
+    "block-corner": (["11", "11"], (0, 0), 1),
+    # a corner of a ring: its starts' common neighbour is the hole, so only
+    # the search finds them joined, around the ring
+    "ring": (["1111", "1221", "1221", "1111"], (0, 0), 1),
+    # the centre of a plus: four arms, whose starts share only v and
+    # corners of the other colour, so the search runs with four groups
+    "plus": (["22122", "22122", "11111", "22122", "22122"], (2, 2), 4),
+}
+
+
+def random_cases(geometry, seed, rounds=12):
+    rng = random.Random(seed)
+    for k in range(rounds):
+        yield random_colours(rng, geometry, 2 + k % 3)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["grid-2d", "grid-3d", "triangulated", *DRAWN],
+)
+def test_split_matches_a_flood(case):
+    if case in DRAWN:
+        rows, (x, y), pieces = DRAWN[case]
+        geometry, colours = drawn(rows)
+        colourings = [colours]
+    else:
+        geometry = {
+            "grid-2d": lambda: grid(7, 6, dim=2),
+            "grid-3d": lambda: grid(4, 4, 3),
+            "triangulated": lambda: triangulated(6, 5),
+        }[case]()
+        colourings = random_cases(geometry, seed=len(case))
+    three_or_more = 0
+    for colours in colourings:
+        index = ColourState(geometry, max(colours.values()), colours=colours).component_index()
+        for v in sorted(geometry.vertices):
+            found = index._split_search(v)
+            assert_split_matches_flood(geometry, colours, v, found)
+            three_or_more += found[0] >= 3
+    if case in DRAWN:
+        assert index._split_search(x + len(rows[0]) * y)[0] == pieces
+    else:
+        assert three_or_more, "no vertex split into three or more pieces"
+
+
+class CountingAdjacency(collections.abc.Mapping):
+    """A geometry's neighbour table that records every vertex whose
+    neighbours are read."""
+
+    def __init__(self, table):
+        self.table = table
+        self.reads = []
+
+    def __getitem__(self, v):
+        self.reads.append(v)
+        return self.table[v]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def counted_index(geometry, colours):
+    index = ColourState(geometry, max(colours.values()), colours=colours).component_index()
+    geometry._adj = CountingAdjacency(geometry._adj)
+    return index, geometry._adj.reads
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_linked_starts_are_not_searched(dim):
+    # in a one-colour block every vertex's starts are linked through
+    # common neighbours, so a split reads the neighbours of v and of its
+    # starts and nothing else
+    geometry = grid(4, 4, dim=2) if dim == 2 else grid(3, 3, 3)
+    neighbours = {v: set(geometry.adjacent(v)) for v in geometry.vertices}
+    index, reads = counted_index(geometry, dict.fromkeys(geometry.vertices, 1))
+    for v in sorted(geometry.vertices):
+        reads.clear()
+        assert index._split_search(v) == (1, [])
+        assert reads[0] == v
+        assert set(reads) <= {v} | neighbours[v]
+
+
+@pytest.mark.parametrize("case", ["path", "ring"])
+def test_unlinked_starts_are_searched(case):
+    rows, (x, y), pieces = DRAWN[case]
+    geometry, colours = drawn(rows)
+    v = x + len(rows[0]) * y
+    near = {v} | set(geometry.adjacent(v))
+    index, reads = counted_index(geometry, colours)
+    assert index._split_search(v)[0] == pieces
+    assert set(reads) - near, "no vertex beyond the starts read"
