@@ -11,7 +11,13 @@ every probe: each exact probe times a fresh split search.  On these
 smooth region colourings most of those searches end at their first
 stage, the grouping of v's same-component neighbours by common
 neighbours, so the exact probe mostly times O(degree^2) reads rather
-than a breadth-first search.
+than a breadth-first search.  A second batch therefore probes the exact
+connectedness constraint on a two-colour brick wall, where the grouping
+settles no split and every vertex with two or more same-colour
+neighbours is searched: 1-wide bricks split in two, a mortar cell's
+neighbours meet only around a brick, and the mortar's T-junctions start
+three searches.  The bricks keep one size at every grid size, so these
+searches must cost the same at every size too.
 """
 
 from __future__ import annotations
@@ -51,19 +57,43 @@ def _setup(side: int, seed: int):
         legs.append((i, t, t + 60))  # straight flight along the first row
         t += 60
     non_border = NonBorderConstraint(state, visited_path(FlightPlan(tuple(legs))))
-    moves: List[Tuple[int, int]] = []
-    for v in sorted(geometry.vertices):
-        cv = state.colour(v)
-        for c in sorted({state.colour(w) for w in geometry.adjacent(v)} - {cv}):
-            moves.append((v, c))
-    rng.shuffle(moves)
     constraints = {
         "connected": connected,
         "connected-exact": connected_exact,
         "balanced": balanced,
         "nonborder": non_border,
     }
-    return state, constraints, moves
+    return state, constraints, _border_moves(state, rng)
+
+
+def _bricks(side: int, seed: int):
+    """A side x side grid coloured as a brick wall: the even rows and
+    one cell in four of each odd row are mortar (colour 2), the rest are
+    bricks (colour 1) three cells long, and the mortar cells of the odd
+    rows are offset by two from one odd row to the next.  Returns the
+    state, an exact connectedness constraint and its shuffled border
+    moves."""
+    geometry = grid(side, side, dim=2)
+    colours = {}
+    for y in range(side):
+        gap = 3 if y % 4 == 1 else 1
+        for x in range(side):
+            colours[x + side * y] = 2 if y % 2 == 0 or x % 4 == gap else 1
+    state = ColourState(geometry, 2, colours=colours)
+    connected = ConnectedConstraint(state, "=", 2)
+    return state, connected, _border_moves(state, random.Random(seed))
+
+
+def _border_moves(state: ColourState, rng: random.Random) -> List[Tuple[int, int]]:
+    """Every move of a vertex to the colour of a neighbour, shuffled."""
+    geometry = state.geometry
+    moves: List[Tuple[int, int]] = []
+    for v in sorted(geometry.vertices):
+        cv = state.colour(v)
+        for c in sorted({state.colour(w) for w in geometry.adjacent(v)} - {cv}):
+            moves.append((v, c))
+    rng.shuffle(moves)
+    return moves
 
 
 def _time_probes(
@@ -96,18 +126,25 @@ def bench_probe_scaling(
     for size in sizes:
         side = max(int(round(math.sqrt(size))), 2)
         state, constraints, moves = _setup(side, seed)
-        if not moves:
+        bricks, connected, brick_moves = _bricks(side, seed)
+        if not moves or not brick_moves:
             raise RuntimeError("no border moves available for the benchmark")
         batch = [moves[i % len(moves)] for i in range(probes)]
-        for constraint in constraints.values():
+        forget = state.component_index().forget_splits
+        timed = {name: (c, batch, forget) for name, c in constraints.items()}
+        timed["connected-bricks"] = (
+            connected,
+            [brick_moves[i % len(brick_moves)] for i in range(probes)],
+            bricks.component_index().forget_splits,
+        )
+        for constraint, batch, _ in timed.values():
             constraint.probe_assign(*batch[0])  # warm caches
-        batches[size] = (constraints, batch, state.component_index().forget_splits)
+        batches[size] = timed
     means: Dict[str, Dict[int, float]] = {}
     for r in range(ROUNDS):
         k = r % len(sizes)
         for size in list(sizes[k:]) + list(sizes[:k]):
-            constraints, batch, forget = batches[size]
-            for name, constraint in constraints.items():
+            for name, (constraint, batch, forget) in batches[size].items():
                 by_size = means.setdefault(name, {})
                 mean = _time_probes(constraint, batch, forget)
                 by_size[size] = min(by_size.get(size, math.inf), mean)
@@ -120,10 +157,10 @@ def bench_probe_scaling(
 
 def format_report(report: Dict) -> str:
     lines = ["probe cost scaling (mean microseconds per probe)"]
-    header = f"{'constraint':<15}" + "".join(f"{size:>12}" for size in report["sizes"])
+    header = f"{'constraint':<17}" + "".join(f"{size:>12}" for size in report["sizes"])
     lines.append(header)
     for name, by_size in sorted(report["means"].items()):
-        row = f"{name:<15}" + "".join(
+        row = f"{name:<17}" + "".join(
             f"{by_size[size] * 1e6:>12.3f}" for size in report["sizes"]
         )
         lines.append(row)

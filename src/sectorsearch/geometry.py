@@ -167,6 +167,13 @@ class Geometry:
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
 
+    def adjacency(self) -> Mapping[int, KeysView[int]]:
+        """The table behind :meth:`adjacent`, vertex -> its neighbours,
+        for loops that read many vertices' neighbours and can skip the
+        per-call vertex check.  It is the geometry's own table: read it,
+        never change it."""
+        return self._adj
+
     def edge_areas(self, v: int) -> Mapping[int, int]:
         """Each neighbour of ``v`` with the area of the facet they share."""
         try:

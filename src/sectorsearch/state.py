@@ -404,9 +404,10 @@ class ComponentIndex(ComponentCounts):
         First the starts, v's neighbours of v's label, are grouped: two
         starts lie in one piece when they are adjacent or share a
         neighbour of v's label other than v.  The test reads only the
-        neighbours of v and of its starts, and more than two starts are
-        united in a union-find; when one group is left, nothing is
-        searched.
+        neighbours of v and of its starts.  Each start joins the group of
+        an earlier start it is linked to, or opens a group of its own,
+        and a start linked to two groups merges them.  When one group is
+        left, nothing is searched.
 
         Then breadth-first searches, one per group, advance one vertex
         each per round; searches that meet unite, and the run stops when
@@ -417,7 +418,7 @@ class ComponentIndex(ComponentCounts):
         """
         label = self.label
         lab = label[v]
-        adj = self.geometry._adj
+        adj = self.geometry.adjacency()
         starts = []
         for w in adj[v]:
             if label[w] == lab:
@@ -425,52 +426,45 @@ class ComponentIndex(ComponentCounts):
         k = len(starts)
         if k <= 1:
             return k, []
-        if k == 2:
-            # the commonest case, without the union-find
-            s, t = starts
-            near = adj[s]
-            if t in near:
-                return 1, []
-            for c in near & adj[t]:
-                if c != v and label[c] == lab:
-                    return 1, []
-            return self._two_sided_search(v, lab, [[s], [t]], {s: 0, t: 1})
-        parent = list(range(k))
-        groups = k
+        # found[g] holds the starts of group g and owner maps each start to
+        # its g; each start joins the group of the first earlier start it
+        # is linked to, and a later link to another group merges the two
+        found: List[List[int]] = [[starts[0]]]
+        owner: Dict[int, int] = {starts[0]: 0}
         for i in range(1, k):
-            near = adj[starts[i]]
-            r = i
-            while parent[r] != r:
-                r = parent[r]
-            for j in range(i):
-                q = j
-                while parent[q] != q:
-                    q = parent[q]
-                if q == r:
+            s = starts[i]
+            near = adj[s]
+            g = -1
+            for t in starts[:i]:
+                h = owner[t]
+                if h == g:
                     continue
-                t = starts[j]
                 if t not in near:
                     for c in near & adj[t]:
                         if c != v and label[c] == lab:
                             break
                     else:
                         continue
-                parent[q] = r
-                groups -= 1
-                if groups == 1:
-                    return 1, []
-        found: List[List[int]] = []
-        owner: Dict[int, int] = {}
-        roots: Dict[int, int] = {}
-        for i, s in enumerate(starts):
-            r = i
-            while parent[r] != r:
-                r = parent[r]
-            g = roots.setdefault(r, len(found))
-            if g == len(found):
-                found.append([])
-            found[g].append(s)
-            owner[s] = g
+                if g < 0:
+                    g = owner[s] = h
+                    found[h].append(s)
+                    continue
+                # keep the lower number; the groups above h move down one
+                if h < g:
+                    g, h = h, g
+                moved = found.pop(h)
+                found[g] += moved
+                for u in moved:
+                    owner[u] = g
+                for m in range(h, len(found)):
+                    for u in found[m]:
+                        owner[u] = m
+            if g < 0:
+                owner[s] = len(found)
+                found.append([s])
+        groups = len(found)
+        if groups == 1:
+            return 1, []
         if groups == 2:
             return self._two_sided_search(v, lab, found, owner)
 
@@ -523,7 +517,7 @@ class ComponentIndex(ComponentCounts):
         first is a closed piece of its own.
         """
         label = self.label
-        adj = self.geometry._adj
+        adj = self.geometry.adjacency()
         a, b = sides
         # v counts as side 0's, so side 0 passes it by; side 1 tests for it
         # only when it meets side 0

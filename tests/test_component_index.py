@@ -4,6 +4,7 @@ along random walks; the index's split search against a flood of the
 split vertex's component, vertex by vertex."""
 
 import collections.abc
+import itertools
 import math
 import random
 
@@ -154,6 +155,27 @@ def test_probe_bench_times_a_split_search_per_exact_probe():
     assert searched == [v for v, _ in batch]
 
 
+def test_probe_bench_brick_wall_leaves_every_split_to_the_search():
+    # the brick wall batch is there to time breadth-first split searches:
+    # no two same-colour neighbours of a moved vertex are adjacent or share
+    # another same-colour neighbour, so the grouping settles none of its
+    # splits, and the mortar's T-junctions give three searches
+    state, _, moves = bench._bricks(14, seed=0)
+    geometry = state.geometry
+    neighbours = {v: set(geometry.adjacent(v)) for v in geometry.vertices}
+    start_counts = set()
+    for v, _ in moves:
+        cv = state.colour(v)
+        starts = [w for w in neighbours[v] if state.colour(w) == cv]
+        start_counts.add(len(starts))
+        for s, t in itertools.combinations(starts, 2):
+            assert t not in neighbours[s]
+            assert all(
+                c == v or state.colour(c) != cv for c in neighbours[s] & neighbours[t]
+            )
+    assert {2, 3} <= start_counts
+
+
 def triangulated(w, h):
     """A ``w`` x ``h`` lattice of cells with one diagonal per square, so
     that inner cells have six neighbours and neighbours of a cell can be
@@ -234,8 +256,8 @@ def test_split_matches_a_flood(case):
 
 
 class CountingAdjacency(collections.abc.Mapping):
-    """A geometry's neighbour table that records every vertex whose
-    neighbours are read."""
+    """A geometry's neighbour table, as ``adjacency()`` hands it out,
+    that records every vertex whose neighbours are read."""
 
     def __init__(self, table):
         self.table = table
@@ -254,8 +276,9 @@ class CountingAdjacency(collections.abc.Mapping):
 
 def counted_index(geometry, colours):
     index = ColourState(geometry, max(colours.values()), colours=colours).component_index()
-    geometry._adj = CountingAdjacency(geometry._adj)
-    return index, geometry._adj.reads
+    table = CountingAdjacency(geometry.adjacency())
+    geometry.adjacency = lambda: table
+    return index, table.reads
 
 
 @pytest.mark.parametrize("dim", [2, 3])
