@@ -12,9 +12,10 @@ probing/updating modes exist:
   index's split search how many pieces v's old component falls into.
   That search first groups v's neighbours in the component by common
   neighbours there, which answers "one piece" after O(degree^2) reads
-  when they are all linked; otherwise interleaved searches, one per
-  group (a two-frontier loop for two), cost the smaller sides, not the
-  colour class.
+  when they are all linked; otherwise one loop runs interleaved
+  searches, one per group, and a search that meets another takes it
+  over.  They cost the smaller sides, not the colour class, plus at most
+  one more pass over a group per take-over.
   Around that search a probe does O(degree) integer work; the relation
   is resolved once, at construction.
   Deltas are exact under arbitrary moves, articulation splits and

@@ -276,6 +276,15 @@ def loads(text: str, origin: str = "<string>") -> Instance:
     constraints: List[ConstraintSpec] = []
     search_fields: Dict[str, object] = {}
     hard_where = ""
+    # the line that first gave each section and each key; a workload line
+    # is checked against ``workloads`` instead, as there is one per vertex
+    first: Dict[Tuple[object, ...], str] = {}
+
+    def once(key: Tuple[object, ...], what: str, where: str) -> None:
+        """Refuse ``what``, on line ``where``, when a line before gave it."""
+        earlier = first.setdefault(key, where)
+        if earlier != where:
+            raise FormatError(where, f"{what} given twice, first at {earlier}")
 
     section = None
     section_arg = None
@@ -290,18 +299,23 @@ def loads(text: str, origin: str = "<string>") -> Instance:
             if section == "flight":
                 if section_arg is None or not section_arg.isdigit():
                     raise FormatError(where, "flight sections need a numeric id")
-                flights.setdefault(int(section_arg), [])
+                section_arg = str(int(section_arg))
+                flights[int(section_arg)] = []
             elif section == "constraint":
                 if section_arg is None:
                     raise FormatError(where, "constraint sections need an id")
                 constraints.append(ConstraintSpec(id=section_arg, kind=""))
             elif section not in ("model", "grid", "workloads", "search"):
                 raise FormatError(where, f"unknown section {section!r}")
+            once((section, section_arg), f"section {line}", where)
             continue
         if section is None:
             raise FormatError(where, f"content outside any section: {line!r}")
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if section not in ("workloads", "flight"):
+            # an unknown key is refused below, at its first occurrence
+            once((section, section_arg, key), f"key {key!r}", where)
         try:
             if section == "model":
                 if key != "colours":
@@ -319,7 +333,18 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                 if key != "w":
                     raise FormatError(where, f"unknown workloads key {key!r}")
                 v, value = rest.split()
-                workloads[int(v)] = int(value)
+                vertex = int(v)
+                if vertex in workloads:
+                    # every earlier line starting "w " is a workload line:
+                    # elsewhere the key would have been refused
+                    no = next(
+                        no for no, earlier in _body(text, INSTANCE_MAGIC, origin)
+                        if earlier.startswith("w ") and int(earlier.split()[1]) == vertex
+                    )
+                    raise FormatError(
+                        where, f"workload of vertex {vertex} given twice, first at {origin}:{no}"
+                    )
+                workloads[vertex] = int(value)
             elif section == "flight":
                 if key != "leg":
                     raise FormatError(where, f"unknown flight key {key!r}")

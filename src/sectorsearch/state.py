@@ -28,8 +28,10 @@ did (:class:`ComponentChange`).  Whether a move splits its vertex's
 component is first decided from the neighbours of the vertex and of its
 same-component neighbours alone: those that are adjacent or share a
 neighbour in the component lie in one piece, and when they all do there
-is no search.  Otherwise one breadth-first search per group of them runs
-interleaved, and two groups, the common case, have a loop of their own.
+is no search.  Otherwise one breadth-first loop runs the groups of them
+in turn, whatever their number.  Both stages unite groups by one rule:
+a group takes another over by appending the other's vertex list to its
+own.
 
 ``set_all`` rebuilds the index, labelling each vertex by its colour and
 minting fresh labels above ``n``.  A restart passes ``set_all(...,
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import collections.abc
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
@@ -308,9 +309,11 @@ class ComponentIndex(ComponentCounts):
     the largest (union by size).  Whether v's old component splits is
     decided by :meth:`split`: v's neighbours in the component that are
     linked through a common neighbour there need no search, which settles
-    most moves after O(degree^2) reads, and otherwise interleaved
-    searches, one per group of linked neighbours, cost the smaller sides,
-    not the colour class.  The pieces a split closes get fresh labels.
+    most moves after O(degree^2) reads, and otherwise one loop runs an
+    interleaved breadth-first search per group of linked neighbours, in
+    which a group that meets another takes it over; it costs the smaller
+    sides, not the colour class, plus at most one more pass over a group
+    per take-over.  The pieces a split closes get fresh labels.
     ``change`` records the last move.
 
     A split reads only labels, which change only on ``move`` and
@@ -399,22 +402,31 @@ class ComponentIndex(ComponentCounts):
         self._splits = {}
 
     def _split_search(self, v: int) -> Tuple[int, List[List[int]]]:
-        """The search behind :meth:`split`, in two stages.
+        """The search behind :meth:`split`, in two stages that share one
+        take-over rule.
+
+        Groups of vertices are kept as lists, ``found[g]``, with ``owner``
+        mapping each listed vertex to its ``g``.  A group takes another
+        over by relabelling the other's vertices in ``owner``, appending
+        the other's list to its own and leaving the other's list empty.
 
         First the starts, v's neighbours of v's label, are grouped: two
         starts lie in one piece when they are adjacent or share a
         neighbour of v's label other than v.  The test reads only the
         neighbours of v and of its starts.  Each start joins the group of
-        an earlier start it is linked to, or opens a group of its own,
-        and a start linked to two groups merges them.  When one group is
-        left, nothing is searched.
+        the first earlier start it is linked to, or opens a group of its
+        own, and its group takes over any other group it is linked to.
+        When one group is left, nothing is searched.
 
-        Then breadth-first searches, one per group, advance one vertex
-        each per round; searches that meet unite, and the run stops when
-        one open group is left (the on-line edge-deletion trick of Even &
-        Shiloach, JACM 1981).  Exhausted groups never grow again, so they
-        are whole pieces and the count is final.  Two groups, the common
-        case, take :meth:`_two_sided_search`.
+        Then one breadth-first loop runs the groups in turn, each
+        expanding one vertex per turn (the on-line edge-deletion trick of
+        Even & Shiloach, JACM 1981).  Each group's list is both its queue,
+        read from its own head index, and its piece.  A group that meets
+        another takes it over, and the loop stops when one open group is
+        left.  An empty list is a group taken over, and a spent list is a
+        closed piece: it never grows again, so the count is final.  A
+        taken-over group's expanded vertices are expanded again by the
+        group that took it over, at most once per take-over.
         """
         label = self.label
         lab = label[v]
@@ -426,11 +438,9 @@ class ComponentIndex(ComponentCounts):
         k = len(starts)
         if k <= 1:
             return k, []
-        # found[g] holds the starts of group g and owner maps each start to
-        # its g; each start joins the group of the first earlier start it
-        # is linked to, and a later link to another group merges the two
         found: List[List[int]] = [[starts[0]]]
         owner: Dict[int, int] = {starts[0]: 0}
+        open_groups = 1
         for i in range(1, k):
             s = starts[i]
             near = adj[s]
@@ -449,104 +459,43 @@ class ComponentIndex(ComponentCounts):
                     g = owner[s] = h
                     found[h].append(s)
                     continue
-                # keep the lower number; the groups above h move down one
-                if h < g:
-                    g, h = h, g
-                moved = found.pop(h)
-                found[g] += moved
-                for u in moved:
-                    owner[u] = g
-                for m in range(h, len(found)):
-                    for u in found[m]:
-                        owner[u] = m
+                _take_over(found, owner, g, h)
+                open_groups -= 1
             if g < 0:
                 owner[s] = len(found)
                 found.append([s])
-        groups = len(found)
-        if groups == 1:
-            return 1, []
-        if groups == 2:
-            return self._two_sided_search(v, lab, found, owner)
+                open_groups += 1
 
-        parent = list(range(groups))
-        queues = [deque(group) for group in found]
-        owner[v] = -1
+        if open_groups <= 1:
+            return 1, []
+        owner[v] = -1  # no group's, so every group passes it by
+        get = owner.get
+        heads = [0] * len(found)
         closed: List[List[int]] = []
-        open_groups = groups
-        while True:
-            for i in range(groups):
-                queue = queues[i]
-                if parent[i] != i or not queue:
-                    continue
-                u = queue.popleft()
-                for w in adj[u]:
-                    if label[w] != lab:
-                        continue
-                    o = owner.get(w)
+        for i in itertools.cycle(range(len(found))):
+            piece = found[i]
+            h = heads[i]
+            try:
+                near = adj[piece[h]]
+            except IndexError:  # a closed piece, or a group taken over
+                continue
+            heads[i] = h = h + 1
+            for w in near:
+                if label[w] == lab:
+                    o = get(w)
                     if o is None:
                         owner[w] = i
-                        queue.append(w)
-                        found[i].append(w)
-                        continue
-                    if o < 0:
-                        continue
-                    while parent[o] != o:
-                        o = parent[o]
-                    if o != i:
-                        parent[o] = i
-                        queue.extend(queues[o])
-                        found[i].extend(found[o])
+                        piece.append(w)
+                    elif o != i and o >= 0:
+                        _take_over(found, owner, i, o)
                         open_groups -= 1
-                        if open_groups == 1:
+                        if open_groups <= 1:
                             return len(closed) + 1, closed
-                if not queue:
-                    closed.append(found[i])
-                    open_groups -= 1
-                    if open_groups == 1:
-                        return len(closed) + 1, closed
-
-    def _two_sided_search(
-        self, v: int, lab: int, sides: List[List[int]], owner: Dict[int, int]
-    ) -> Tuple[int, List[List[int]]]:
-        """The split search of two groups of starts, ``sides[0]`` and
-        ``sides[1]``, each vertex of which ``owner`` maps to its side.
-
-        Each side's list is both its queue, read by a head index, and the
-        piece it has found.  The sides advance one vertex each per round:
-        meeting the other side means one piece, and a side that runs out
-        first is a closed piece of its own.
-        """
-        label = self.label
-        adj = self.geometry.adjacency()
-        a, b = sides
-        # v counts as side 0's, so side 0 passes it by; side 1 tests for it
-        # only when it meets side 0
-        owner[v] = 0
-        get = owner.get
-        head_a = head_b = 0
-        while True:
-            for w in adj[a[head_a]]:
-                if label[w] == lab:
-                    o = get(w)
-                    if o is None:
-                        owner[w] = 0
-                        a.append(w)
-                    elif o:
-                        return 1, []
-            head_a += 1
-            if head_a == len(a):
-                return 2, [a]
-            for w in adj[b[head_b]]:
-                if label[w] == lab:
-                    o = get(w)
-                    if o is None:
-                        owner[w] = 1
-                        b.append(w)
-                    elif not o and w != v:
-                        return 1, []
-            head_b += 1
-            if head_b == len(b):
-                return 2, [b]
+            if h == len(piece):
+                closed.append(piece)
+                open_groups -= 1
+                if open_groups <= 1:
+                    return len(closed) + 1, closed
 
     def move(self, v: int, old: int, new: int) -> None:
         """Follow ``colour(v): old -> new``, already in the colour map."""
@@ -583,6 +532,15 @@ class ComponentIndex(ComponentCounts):
         count = self.count
         self.recount(old, new, count[old] - 1 + pieces, count[new] + 1 - len(touched))
         self.change = ComponentChange(lab, pieces, closed, fresh, big, list(touched))
+
+
+def _take_over(found: List[List[int]], owner: Dict[int, int], keep: int, gone: int) -> None:
+    """Group ``keep`` of a split search takes group ``gone`` over."""
+    taken = found[gone]
+    for u in taken:
+        owner[u] = keep
+    found[keep] += taken
+    found[gone] = []
 
 
 def with_bit(mask: int, r: int, on: bool) -> int:

@@ -339,3 +339,49 @@ def test_grid_value_below_one_in_the_file(key, value):
     message = f"^g.inst:{lineno}: {key} must be at least 1, got {value}$"
     with pytest.raises(FormatError, match=message):
         loads(text, origin="g.inst")
+
+
+@pytest.mark.parametrize(
+    "edit, repeated, what",
+    [
+        pytest.param(("w 3 6\n", "w 3 6\nw 3 7\n"), "w 3", "workload of vertex 3", id="workload"),
+        pytest.param(("colours 3\n", "colours 3\ncolours 4\n"), "colours", "key 'colours'",
+                     id="colours"),
+        pytest.param(("width 4\n", "width 4\nwidth 5\n"), "width", "key 'width'", id="grid-key"),
+        pytest.param(("noise 0.08\n", "noise 0.08\nnoise 0.1\n"), "noise", "key 'noise'",
+                     id="search-key"),
+        pytest.param(("delta_scaled ", "delta_scaled 1\ndelta_scaled "), "delta_scaled",
+                     "key 'delta_scaled'", id="constraint-key"),
+        pytest.param(("[search]\n", "[flight 0]\nleg 1 0 9\n[search]\n"), "[flight 0]",
+                     "section [flight 0]", id="flight-section"),
+        pytest.param(("[search]\n", "[flight 00]\n[search]\n"), "[flight 0",
+                     "section [flight 00]", id="flight-section-spelt-otherwise"),
+        pytest.param(("[search]\n", "[constraint balance]\nkind balanced\n[search]\n"),
+                     "[constraint balance]", "section [constraint balance]",
+                     id="constraint-section"),
+        pytest.param(("[search]\n", "[grid]\n[search]\n"), "[grid]", "section [grid]",
+                     id="grid-section"),
+    ],
+)
+def test_a_repeat_names_its_line_and_the_first(edit, repeated, what):
+    # a repeat would otherwise replace the first value, or add a second
+    # [flight i]'s legs to the first's
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    assert text.count(edit[0]) == 1
+    text = text.replace(*edit)
+    hits = [no for no, line in enumerate(text.splitlines(), 1) if line.startswith(repeated)]
+    assert len(hits) == 2
+    match = f"^g.inst:{hits[1]}: {re.escape(what)} given twice, first at g.inst:{hits[0]}$"
+    with pytest.raises(FormatError, match=match):
+        loads(text, origin="g.inst")
+
+
+def test_a_repeated_constraint_id_is_refused_before_build(inst, capsys):
+    # refused where the file is read, with both lines, not at build
+    text = inst.read_text().replace("[search]\n", "[constraint balance]\nkind balanced\n[search]\n")
+    inst.write_text(text)
+    lines = text.splitlines()
+    first = lines.index("[constraint balance]") + 1
+    repeat = lines.index("[constraint balance]", first) + 1
+    message = f"{inst}:{repeat}: section [constraint balance] given twice, first at {inst}:{first}"
+    assert message in _solve_fails(capsys, inst)

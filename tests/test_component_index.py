@@ -217,6 +217,18 @@ DRAWN = {
     # the centre of a plus: four arms, whose starts share only v and
     # corners of the other colour, so the search runs with four groups
     "plus": (["22122", "22122", "11111", "22122", "22122"], (2, 2), 4),
+    # three groups search: the upper and the left start meet around the
+    # hole at (2, 1), and the group that takes the other over closes, with
+    # both groups' vertices, while the right start's long arm is still open
+    "hole-then-arm": (
+        ["2111222", "2121221", "2111111", "2222221", "1111111", "2222222"],
+        (3, 2),
+        2,
+    ),
+    # starts in id order up, left, right, down: left opens group 1, right
+    # joins the upper start's group 0, and down joins group 1 first, through
+    # left, then meets group 0, through right, so group 1 takes group 0 over
+    "higher-group-first": (["211", "111", "111"], (1, 1), 1),
 }
 
 
@@ -305,3 +317,24 @@ def test_unlinked_starts_are_searched(case):
     index, reads = counted_index(geometry, colours)
     assert index._split_search(v)[0] == pieces
     assert set(reads) - near, "no vertex beyond the starts read"
+
+
+def test_brick_wall_split_reads_do_not_grow_with_the_wall():
+    # a brick wall's splits all reach the breadth-first loop, and its bricks
+    # and mortar keep one shape at every size, so the most neighbour-table
+    # reads an exact probe makes must not grow with the wall either
+    most = {}
+    for side in (32, 100):
+        state, connected, moves = bench._bricks(side, seed=0)
+        geometry = state.geometry
+        table = CountingAdjacency(geometry.adjacency())
+        geometry.adjacency = lambda: table
+        index = state.component_index()
+        reads = []
+        for v, c in moves:
+            index.forget_splits()
+            table.reads.clear()
+            connected.probe_assign(v, c)
+            reads.append(len(table.reads))
+        most[side] = max(reads)
+    assert most[32] == most[100] <= 33, most
