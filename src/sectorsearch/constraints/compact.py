@@ -22,22 +22,26 @@ commits both start from that pass, so the border total follows a move in
 O(degree).  The mode A fast probe (the change of the moved vertex's own
 border area) costs the same.
 
-Mode A keeps the volume nu of every component, keyed by the labels of
-the state's component index, and per colour the sphere surface of each
-of its components.  One routine computes the volumes of the components a
-move leaves behind and forms: the closed pieces of a split, the rest of
-the old component, and the new colour's components merged with the moved
-vertex.  The exact probe feeds it the pieces of the index's split search
-and the labels of v's neighbours; a commit feeds it the index's record of
-the same move.  The index answers a split without searching when v's
+Mode A keeps one table per colour, the volume of each of its
+components keyed by the labels of the state's component index, and per
+colour the sum of its components' sphere surfaces.  One routine lists
+the two colours' components after a move, as (label, volume) pairs: the
+closed pieces of a split, the rest of the old component, the new
+colour's components merged with the moved vertex, and the components
+the move leaves alone.  The exact probe feeds it the pieces of the
+index's split search and the labels of v's neighbours, with None for the
+labels a commit would mint, and sums the spheres; a commit feeds it the
+index's record of the same move and keeps the pairs as the two colours'
+tables.  The index answers a split without searching when v's
 neighbours in the component are linked through common neighbours there,
 and otherwise its search costs the smaller sides, so probes and commits
 never cost a whole colour class.  Which piece the search closes and
 which keeps the old label is its own choice; the volumes and spheres do
-not depend on it.  The spheres are summed with :func:`math.fsum` per
-colour, and so are the colours' sums; ``fsum`` is correctly rounded
-whatever the order, so a probe equals the committed change to the last
-bit.
+not depend on it.  The spheres are worked out from the volumes, so a
+probe and a commit cost O(components of the two colours), and summed
+with :func:`math.fsum` per colour, and so are the colours' sums;
+``fsum`` is correctly rounded whatever the order, so a probe equals the
+committed change to the last bit.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ MODES = ("A", "B")
 WEIGHTS = ("identity", "square")
 #: mode A probing: the moved vertex's own border change, or the committed change
 PROBES = ("fast", "exact")
+#: (label, volume) pairs, with None for a label that a probe cannot know
+Components = List[Tuple[Optional[int], int]]
 
 _WEIGHT_FN: Dict[str, Callable[[int], int]] = {
     "identity": lambda x: x,
@@ -130,19 +136,14 @@ class CompactConstraint(Constraint):
             return
         self.border_total = total
         self.index = state.component_index()
-        label = self.index.label
         volume = geometry._volume
-        nu: Dict[int, int] = dict.fromkeys(self.index.size, 0)
-        for v, lab in label.items():
-            nu[lab] += volume[v]
-        self.nu = nu
-        dim = geometry.dim
-        #: per colour, the sphere surface of each of its components' labels
-        self.spheres: List[Dict[int, float]] = [{} for _ in range(state.n + 1)]
-        # one vertex of each label tells the label's colour
-        for lab, v in dict(zip(label.values(), label)).items():
-            self.spheres[colour[v]][lab] = sphere_surface(nu[lab], dim)
-        self.sphere_sums: List[float] = [math.fsum(s.values()) for s in self.spheres]
+        #: per colour, the volume of each of its components' labels
+        volumes: List[Dict[int, int]] = [{} for _ in range(state.n + 1)]
+        for v, lab in self.index.label.items():
+            table = volumes[colour[v]]
+            table[lab] = table.get(lab, 0) + volume[v]
+        self.volumes = volumes
+        self.sphere_sums: List[float] = [self._sphere_sum(t.items()) for t in volumes]
         self.sphere_total = math.fsum(self.sphere_sums)
 
     # measurement -------------------------------------------------------
@@ -220,38 +221,51 @@ class CompactConstraint(Constraint):
         return self._violation(border_total, sphere_total) - self.violation()
 
     def _sphere_total_after(self, v: int, before: int, after: int) -> float:
-        """Mode A's sphere total once ``colour(v): before -> after``, with
+        """Mode A's sphere total once ``colour(v): before -> after``, from
         the pieces of the index's split search and the labels of v's
         neighbours of the new colour."""
         index = self.index
-        lab = index.label[v]
         pieces, closed = index.split(v)
-        joined = index.neighbour_labels(v, after)
-        split_off, rest, merged = self._components_move(v, lab, pieces, closed, joined)
-        dim = self.state.geometry.dim
-        old = [s for m, s in self.spheres[before].items() if m != lab]
-        old.extend(sphere_surface(nu, dim) for nu in split_off)
-        if rest is not None:
-            old.append(sphere_surface(rest, dim))
-        new = [s for m, s in self.spheres[after].items() if m not in joined]
-        new.append(sphere_surface(merged, dim))
-        sums = [s for c, s in enumerate(self.sphere_sums) if c != before and c != after]
-        sums.append(math.fsum(old))
-        sums.append(math.fsum(new))
+        old, new = self._components_after(
+            v, before, after, index.label[v], pieces, closed, [None] * len(closed), None,
+            index.neighbour_labels(v, after),
+        )
+        sums = list(self.sphere_sums)
+        sums[before] = self._sphere_sum(old)
+        sums[after] = self._sphere_sum(new)
         return math.fsum(sums)
 
-    def _components_move(
-        self, v: int, lab: int, pieces: int, closed: List[List[int]], joined: Iterable[int]
-    ) -> Tuple[List[int], Optional[int], int]:
-        """Volumes of the components a move of ``v`` leaves behind and
-        forms: of every closed piece of v's component ``lab`` (which falls
-        into ``pieces`` pieces without v), of the remaining piece (None if
-        ``v`` was alone) and of v's new component, which joins ``joined``.
-        Only volumes from before the move are read."""
+    def _components_after(
+        self, v: int, before: int, after: int, lab: int, pieces: int, closed: List[List[int]],
+        fresh: Iterable[Optional[int]], big: Optional[int], joined: Iterable[int],
+    ) -> Tuple[Components, Components]:
+        """The components of colours ``before`` and ``after`` once
+        ``colour(v): before -> after``.  v's component ``lab`` falls into
+        ``pieces`` pieces without v (0 if v was alone): each ``closed`` one
+        under its ``fresh`` label, the rest under ``lab``.  v's new
+        component joins the ``joined`` components of ``after`` under
+        ``big``.  The arguments are those of the index's
+        :class:`~sectorsearch.state.ComponentChange`, and only volumes from
+        before the move are read, so a probe and a commit get the same
+        pairs."""
         volume = self.state.geometry.volume
-        split_off = [sum(map(volume, piece)) for piece in closed]
-        rest = self.nu[lab] - volume(v) - sum(split_off) if pieces else None
-        return split_off, rest, volume(v) + sum(self.nu[m] for m in joined)
+        table = self.volumes[before]
+        old = [(m, nu) for m, nu in table.items() if m != lab]
+        split_off = 0
+        for f, piece in zip(fresh, closed):
+            nu = sum(map(volume, piece))
+            split_off += nu
+            old.append((f, nu))
+        if pieces:
+            old.append((lab, table[lab] - volume(v) - split_off))
+        table = self.volumes[after]
+        new = [(m, nu) for m, nu in table.items() if m not in joined]
+        new.append((big, volume(v) + sum(table[m] for m in joined)))
+        return old, new
+
+    def _sphere_sum(self, components: Iterable[Tuple[Optional[int], int]]) -> float:
+        dim = self.state.geometry.dim
+        return math.fsum(sphere_surface(nu, dim) for _, nu in components)
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
@@ -267,29 +281,10 @@ class CompactConstraint(Constraint):
         self._conflicts = mask
 
     def _commit_components(self, v: int, old: int, new: int) -> None:
-        """Follow the index's record of the move in nu and the spheres of
-        colours ``old`` and ``new``."""
-        change = self.index.change
-        lab = change.label
-        split_off, rest, merged = self._components_move(
-            v, lab, change.pieces, change.closed, change.joined
-        )
-        nu = self.nu
-        old_spheres = self.spheres[old]
-        new_spheres = self.spheres[new]
-        # drop the components the move touched, then add those it formed
-        del nu[lab], old_spheres[lab]
-        for m in change.joined:
-            del nu[m], new_spheres[m]
-        formed = list(zip(change.fresh, split_off))
-        if rest is not None:
-            formed.append((lab, rest))
-        dim = self.state.geometry.dim
-        for m, m_nu in formed:
-            nu[m] = m_nu
-            old_spheres[m] = sphere_surface(m_nu, dim)
-        nu[change.big] = merged
-        new_spheres[change.big] = sphere_surface(merged, dim)
-        self.sphere_sums[old] = math.fsum(old_spheres.values())
-        self.sphere_sums[new] = math.fsum(new_spheres.values())
+        """Follow the index's record of the move in the volumes and sphere
+        sums of colours ``old`` and ``new``."""
+        after = self._components_after(v, old, new, *self.index.change)
+        for c, components in zip((old, new), after):
+            self.volumes[c] = dict(components)
+            self.sphere_sums[c] = self._sphere_sum(components)
         self.sphere_total = math.fsum(self.sphere_sums)

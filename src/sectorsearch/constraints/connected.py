@@ -33,7 +33,7 @@ sizes, merges and splits are read from ``state.component_index()``.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..errors import InitError, InputError
 from ..relation import OPS, check_relop, holds
@@ -101,10 +101,8 @@ class ConnectedConstraint(Constraint):
     def conflicts(self) -> int:
         return self.state.classes_mask(c for c, k in self.counts.count.items() if k > 1)
 
-    def check(self, n_val: Optional[int] = None) -> bool:
-        if n_val is None:
-            n_val = self.counter_value
-        return connected_check(self.state, self.relop, n_val)
+    def check(self) -> bool:
+        return connected_check(self.state, self.relop, self.counter_value)
 
     # differentiation ----------------------------------------------------
     def _fast_pm(self, v: int, new: int, old: int):

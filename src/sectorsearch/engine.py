@@ -126,6 +126,8 @@ class SearchResult:
     seed: int
     #: each searchable counter's value in the best state, beside ``colours``
     counters: Dict[str, int]
+    #: the restarts of the run, the starts after the first
+    restarts: int
 
 
 def scope_table(scoped: Iterable[Tuple[object, Optional[Iterable[int]]]]):
@@ -509,4 +511,5 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         trace=trace,
         seed=cfg.seed,
         counters=best_counters,
+        restarts=restarts,
     )

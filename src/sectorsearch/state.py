@@ -39,7 +39,7 @@ regions=True)`` with a :func:`grow_regions` colouring, whose used
 colours are one component each, so those labels stay, with no search;
 any other colouring's components are flooded to fresh labels, as a move
 merges components.  Exact connectedness counts from the index and
-compact mode A keeps its per-component sums by its labels.
+compact mode A keeps a volume per label, in one table per colour.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,

@@ -1,7 +1,7 @@
-"""The state's component index, and compact mode A's per-component
-volumes and spheres kept by its labels, against from-scratch components
-along random walks; the index's split search against a flood of the
-split vertex's component, vertex by vertex."""
+"""The state's component index, and compact mode A's per-colour tables
+of component volumes kept by its labels, with their sphere sums, against
+from-scratch components along random walks; the index's split search
+against a flood of the split vertex's component, vertex by vertex."""
 
 import collections.abc
 import itertools
@@ -26,15 +26,14 @@ from sectorsearch.state import ColourState
 def assert_compact_caches_match_components(c, st):
     index = st.component_index()
     dim = st.geometry.dim
-    spheres = [{} for _ in range(st.n + 1)]
+    volumes = [{} for _ in range(st.n + 1)]
     for comp in st.connected_components():
-        lab = index.label[min(comp.vertices)]
-        assert c.nu[lab] == comp.volume
-        spheres[comp.colour][lab] = sphere_surface(comp.volume, dim)
-    assert set(c.nu) == set(index.size)
-    assert c.spheres == spheres
-    assert c.sphere_sums == [math.fsum(s.values()) for s in spheres]
-    assert c.sphere_total == math.fsum(c.sphere_sums)
+        volumes[comp.colour][index.label[min(comp.vertices)]] = comp.volume
+    assert c.volumes == volumes
+    assert set().union(*c.volumes) == set(index.size)
+    sums = [math.fsum(sphere_surface(nu, dim) for nu in t.values()) for t in volumes]
+    assert c.sphere_sums == sums
+    assert c.sphere_total == math.fsum(sums)
     # mode A sums the plain border areas, whatever the weight
     assert c.border_total == sum(st.border_area(v) for v in st.geometry.vertices)
     fresh = CompactConstraint(st, c.threshold, mode="A", weight_fn=c.weight_fn, probe=c.probe)

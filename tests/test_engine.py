@@ -567,8 +567,9 @@ def _restart_waits(restart_after, max_iterations):
         return set_all(*args, **kwargs)
 
     model.commit, model.set_all = counted_commit, counted_set_all
-    search(model, SearchConfig(seed=1, restart_after=restart_after,
-                               max_iterations=max_iterations))
+    result = search(model, SearchConfig(seed=1, restart_after=restart_after,
+                                        max_iterations=max_iterations))
+    assert result.restarts == len(starts) - 1
     return [b - a - 1 for a, b in zip(starts, starts[1:])]
 
 
@@ -578,6 +579,20 @@ def test_restarts_follow_the_luby_schedule():
 
 def test_restart_after_0_restarts_at_every_iteration_without_a_new_best():
     assert _restart_waits(0, 40) == [0] * 20
+
+
+def test_restarts_do_not_count_a_hard_init():
+    """A hard connected constraint's ``hard_init`` recolours the state a
+    second time per start, so bulk assignments over-count restarts."""
+    instance = generate(seed=4, width=6, height=6, colours=3, flights=1)
+    model = instance.build()
+    counts = {"set_all": 0}
+    _count_calls(model.state, "set_all", counts)
+    cfg = replace(instance.search, seed=1, max_iterations=400, restart_after=5,
+                  hard=("connected",))
+    result = search(model, cfg)
+    assert result.restarts == 2
+    assert counts["set_all"] == 6
 
 
 # ---------------------------------------------------------------------------

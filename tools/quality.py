@@ -39,7 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmark"))
 
 from run import WORKLOADS, make_instance  # noqa: E402
-from sectorsearch import engine, generate, search  # noqa: E402
+from sectorsearch import generate, search  # noqa: E402
 from sectorsearch.engine import TOLERANCE  # noqa: E402
 
 RUN_LENGTH_INSTANCES = (7, 13)
@@ -49,24 +49,8 @@ BEST_AT_BUDGET = {"iterate-80x80": 2000, "restart-3d": 1500}
 
 
 def searched(instance, seed, budget):
-    """One seeded search on a fresh model: its result and its restarts,
-    the initialisations after the first.  A bulk assignment would count a
-    hard constraint's ``hard_init`` as one more start."""
-    starts = 0
-    initialise = engine._initialise
-
-    def counted(*args):
-        nonlocal starts
-        starts += 1
-        return initialise(*args)
-
-    engine._initialise = counted
-    try:
-        result = search(instance.build(),
-                        replace(instance.search, seed=seed, max_iterations=budget))
-    finally:
-        engine._initialise = initialise
-    return result, starts - 1
+    """One seeded search on a fresh model."""
+    return search(instance.build(), replace(instance.search, seed=seed, max_iterations=budget))
 
 
 def nearest_rank(ordered, p):
@@ -77,11 +61,11 @@ def run_length(instance_seed):
     instance = generate(seed=instance_seed, width=20, height=20, colours=6, flights=3)
     lengths, restarts, unsolved = [], [], 0
     for seed in RUN_LENGTH_SEEDS:
-        result, n = searched(instance, seed, RUN_LENGTH_BUDGET)
+        result = searched(instance, seed, RUN_LENGTH_BUDGET)
         solved = result.violation <= TOLERANCE
         unsolved += not solved
         lengths.append(result.iterations if solved else RUN_LENGTH_BUDGET)
-        restarts.append(n)
+        restarts.append(result.restarts)
     ordered = sorted(lengths)
     return {
         "instance": f"generate(seed={instance_seed}, width=20, height=20, colours=6, flights=3)",
@@ -100,9 +84,9 @@ def best_at_budget(name, budget):
     instance = make_instance(w)
     best, restarts = [], []
     for seed in w.seeds:
-        result, n = searched(instance, seed, budget)
+        result = searched(instance, seed, budget)
         best.append(result.violation)
-        restarts.append(n)
+        restarts.append(result.restarts)
     return {
         "seeds": list(w.seeds),
         "budget": budget,
