@@ -22,6 +22,15 @@ commits both start from that pass, so the border total follows a move in
 O(degree).  The mode A fast probe (the change of the moved vertex's own
 border area) costs the same.
 
+A rebuild reads no neighbour.  It starts every vertex at its area on the
+outside, takes the edges between differently coloured vertices from the
+state's class masks (:meth:`~sectorsearch.state.ColourState.border_edges`),
+one mask of lower ends per rank offset and area, and adds each border
+edge's area to both its ends, looping over the set bits alone; the
+conflict mask is the union of those masks, each also shifted to its upper
+ends, and of the vertices on the outside.  The few edges of an offset
+that a mask would not pay for come as a list, read in the same pass.
+
 Mode A keeps one table per colour, the volume of each of its
 components keyed by the labels of the state's component index, and per
 colour the sum of its components' sphere surfaces.  One routine lists
@@ -50,7 +59,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import InputError
-from ..state import ColourState, with_bit
+from ..state import ColourState, set_bits, with_bit
 from .base import Constraint
 
 MODES = ("A", "B")
@@ -108,28 +117,25 @@ class CompactConstraint(Constraint):
     def rebuild(self) -> None:
         state = self.state
         geometry = state.geometry
-        colour = state.colours()
-        border_areas = geometry.border_areas
-        # the geometry's own tables: every vertex read here is known to it
-        edge_areas = geometry._edge_areas
-        g = self._g
-        total = 0
-        border: Dict[int, int] = {}
-        conflicts = bytearray((len(state.order) + 7) // 8)
-        # one pass in sorted order, so r is v's bit in a vertex mask
-        for r, v in enumerate(state.order):
-            cv = colour[v]
-            b = border_areas.get(v, 0)
-            for w, area in edge_areas[v].items():
-                if colour[w] != cv:
-                    b += area
-            border[v] = b
-            # border areas are never negative, so g(b) > 0 iff b > 0
-            if b:
-                conflicts[r >> 3] |= 1 << (r & 7)
-                total += g(b)
+        order = state.order
+        # from a set, dict.fromkeys sizes the table once
+        border = dict.fromkeys(geometry.vertices, 0)
+        border.update(geometry.border_areas)
+        dense, sparse, ends = state.border_edges()
+        for d, a, lower in dense:
+            for r in set_bits(lower):
+                border[order[r]] += a
+                border[order[r + d]] += a
+        for v, w, a in sparse:
+            border[v] += a
+            border[w] += a
         self.border_cache = border
-        self._conflicts = int.from_bytes(conflicts, "little")
+        # every end of a border edge conflicts, and so does every vertex
+        # with a facet on the outside
+        self._conflicts = ends | geometry.edge_masks().outside
+        g = self._g
+        # g(0) = 0 for both weights
+        total = sum(map(g, filter(None, border.values())))
         if self.mode == "B":
             self.border_total = total + g(geometry.outside_area())
             self.sphere_total = 0.0  # mode B subtracts no spheres
@@ -137,6 +143,7 @@ class CompactConstraint(Constraint):
         self.border_total = total
         self.index = state.component_index()
         volume = geometry._volume
+        colour = state.colours()
         #: per colour, the volume of each of its components' labels
         volumes: List[Dict[int, int]] = [{} for _ in range(state.n + 1)]
         for v, lab in self.index.label.items():

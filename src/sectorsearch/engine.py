@@ -20,7 +20,8 @@ vertex a draw from the sorted pool list would.  The masks are integers
 of V bits, so the pool still costs a few big-integer operations that
 grow with V, not a call per vertex; a partial union adds a halving of
 about log2(V) steps.  An empty pool, where only counter relations are
-violated, falls back to scanning every vertex's neighbours for the border.
+violated, falls back to the vertices with a differently coloured
+neighbour, found from the class masks (``ColourState.border_mask``).
 
 :func:`search` and :func:`neighbourhood` share one candidate rule: a
 vertex may take the colour of a differently coloured neighbour or an
@@ -453,12 +454,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         # rng.choice draws one index from either, and both map it to one vertex
         pool = vertices if mask == full_pool else MaskView(vertices, mask)
         if not pool:
-            pool = [
-                v
-                for v in vertices
-                if any(state.colour(w) != state.colour(v)
-                       for w in state.geometry.adjacent(v))
-            ] or vertices
+            pool = MaskView(vertices, state.border_mask()) or vertices
 
         focus = rng.choice(pool)
         moves = [Move.assign(focus, c) for c in _candidate_colours(model, focus, cfg.neighbourhood, unused)]

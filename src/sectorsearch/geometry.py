@@ -36,6 +36,7 @@ from typing import (
     KeysView,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -43,6 +44,25 @@ from typing import (
 )
 
 from .errors import InputError
+
+
+#: an offset-and-area group with at least V / DENSE_SHARE edges is kept
+#: as one mask: testing it costs a few passes over V bits, about what
+#: testing this many edges one by one costs
+DENSE_SHARE = 16
+
+
+class EdgeMasks(NamedTuple):
+    """A geometry's edges, grouped by rank offset and facet area, and the
+    vertices with facets on the outside, as masks over :meth:`Geometry.order`."""
+
+    #: per offset ``d``, ``(a, mask)`` per area: bit ``r`` of the mask is
+    #: the edge ``(order[r], order[r + d])`` of area ``a``
+    dense: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]
+    #: every other edge as ``(v, w, a)``
+    sparse: Tuple[Tuple[int, int, int], ...]
+    #: the vertices with a border area
+    outside: int
 
 
 class Geometry:
@@ -53,13 +73,15 @@ class Geometry:
     construction, and the one-facet-per-edge invariant is validated here.
     The facets themselves are not kept.
 
-    As nothing in a geometry changes after construction, three tables
+    As nothing in a geometry changes after construction, five tables
     are computed on the first request and kept, so every later call
-    returns the same object: the sorted vertex ``order()``, the connected
-    ``components()`` and the ``ascending_adjacency()``, each vertex's
-    neighbours as an increasing tuple.  ``adjacent()`` keeps the order in
-    which the facets named the neighbours; the sorted table is built only
-    for the callers that walk neighbours in increasing order.
+    returns the same object: the sorted vertex ``order()`` with each
+    vertex's ``rank()`` in it, the connected ``components()``, the
+    ``ascending_adjacency()``, each vertex's neighbours as an increasing
+    tuple, and the ``edge_masks()``, the edges grouped by rank offset and
+    area.  ``adjacent()`` keeps the order in which the facets named the
+    neighbours; the sorted table is built only for the callers that walk
+    neighbours in increasing order.
     """
 
     def __init__(
@@ -127,6 +149,8 @@ class Geometry:
         self._adj: Dict[int, KeysView[int]] = {v: ws.keys() for v, ws in edge_areas.items()}
         self._vertices: FrozenSet[int] = frozenset(edge_areas)
         self._order: Optional[Tuple[int, ...]] = None
+        self._rank: Optional[Mapping[int, int]] = None
+        self._edge_masks: Optional[EdgeMasks] = None
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._ascending: Optional[Mapping[int, Tuple[int, ...]]] = None
 
@@ -139,6 +163,67 @@ class Geometry:
         if self._order is None:
             self._order = tuple(sorted(self._vertices))
         return self._order
+
+    def rank(self) -> Mapping[int, int]:
+        """Each vertex's position in :meth:`order`, a table to read,
+        never change.  When the ids are exactly 0..V-1, as on every grid,
+        that is the identity, and a range stands in for a V-entry dict."""
+        if self._rank is None:
+            order = self.order()
+            self._rank = (
+                range(len(order))
+                if not order or order[-1] == len(order) - 1
+                else {v: r for r, v in enumerate(order)}
+            )
+        return self._rank
+
+    def edge_masks(self) -> EdgeMasks:
+        """The edges grouped by rank offset ``d`` and facet area ``a``,
+        built in one pass on the first request and kept.
+
+        An edge ``(order[r], order[r + d])`` of a group with at least
+        V / ``DENSE_SHARE`` edges is bit ``r`` of the group's mask, so a
+        test of every edge of the group is a few operations on V-bit
+        integers; the edges of the other groups, which on a geometry with
+        scattered ids are nearly all of them, stay a list of
+        ``(v, w, a)``, as a mask of few bits would cost as much as a dense
+        one.
+        """
+        if self._edge_masks is None:
+            rank = self.rank()
+            groups: Dict[Tuple[int, int], List[int]] = {}
+            for v, ws in self._edge_areas.items():
+                r = rank[v]
+                for w, a in ws.items():
+                    if w > v:  # so rank[w] > r: each edge once, from its lower end
+                        key = (rank[w] - r, a)
+                        lower = groups.get(key)
+                        if lower is None:
+                            groups[key] = [r]
+                        else:
+                            lower.append(r)
+            order = self.order()
+            size = len(order)
+            dense: Dict[int, List[Tuple[int, int]]] = {}
+            sparse: List[Tuple[int, int, int]] = []
+            for (d, a), lower in groups.items():
+                if len(lower) * DENSE_SHARE >= size:
+                    digits = bytearray(b"0") * size
+                    for r in lower:
+                        digits[r] = 49  # ord("1")
+                    dense.setdefault(d, []).append((a, int(digits[::-1], 2)))
+                else:
+                    for r in lower:
+                        sparse.append((order[r], order[r + d], a))
+            digits = bytearray(b"0") * size
+            for v in self.border_areas:
+                digits[rank[v]] = 49
+            self._edge_masks = EdgeMasks(
+                tuple((d, tuple(masks)) for d, masks in dense.items()),
+                tuple(sparse),
+                int(digits[::-1] or b"0", 2),
+            )
+        return self._edge_masks
 
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """The connected components, each a sorted tuple, in the order of

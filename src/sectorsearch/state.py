@@ -15,9 +15,19 @@ Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
 ``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
 mask and one size per colour class, so the constraints can report their
 conflicting vertices as the union of a few masks.  ``set_all`` (and the
-constructor) makes one pass over the vertices that checks each colour,
-copies it and fills the class masks and sizes; a bad colour raises,
-naming its vertex, before any of the state changes.
+constructor) copies and checks the colouring with whole-sequence passes
+(the colours in vertex order, their types, their least and greatest) and
+reads each used colour's class mask from a string of one byte per vertex,
+so no Python code runs per vertex; a bad colour raises, naming its
+vertex, before any of the state changes.
+
+The edges between differently coloured vertices come from the class
+masks too (:meth:`ColourState.border_edges`): the geometry groups its
+edges by rank offset ``d`` and facet area into masks of their lower ends
+(:meth:`Geometry.edge_masks`), and an edge of offset ``d`` joins two
+vertices of one class ``M`` exactly when its bit is set in
+``M & (M >> d)``.  Compact's rebuild and the search's empty-pool
+fallback (``border_mask``) read them without visiting a neighbour.
 
 The state also keeps, once a constraint asks for it, one
 :class:`ComponentIndex`: a label per vertex naming its same-colour
@@ -57,6 +67,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -94,14 +105,8 @@ class ColourState:
         self.geometry = geometry
         self.n = n
         self.order: List[int] = list(geometry.order())
-        #: position of each vertex in ``order``; when the ids are
-        #: exactly 0..V-1, as on every grid, that is the identity, and a
-        #: range stands in for a V-entry dict
-        self.rank: Mapping[int, int] = (
-            range(len(self.order))
-            if not self.order or self.order[-1] == len(self.order) - 1
-            else {v: r for r, v in enumerate(self.order)}
-        )
+        #: position of each vertex in ``order``, the geometry's table
+        self.rank: Mapping[int, int] = geometry.rank()
         self._index: Optional[ComponentIndex] = None
         self._take(dict.fromkeys(geometry.vertices, 1) if colours is None else colours)
 
@@ -113,28 +118,52 @@ class ColourState:
         """Make ``colours`` the assignment, with its ``class_mask`` and
         ``class_size`` (indexed by colour, entry 0 unused).
 
-        One pass over the geometry's vertices, in their order, checks
-        each colour, copies it and sets its class bit; nothing changes
-        unless every vertex carries a colour in 1..n.
+        Nothing changes unless every vertex carries a colour in 1..n.
+        Checking and copying the colours are whole-sequence passes, and
+        the class masks are read from a string of one byte per vertex;
+        only a bad colouring is walked vertex by vertex, to name the first
+        bad vertex.
         """
         n = self.n
-        rank = self.rank
-        width = (len(self.order) + 7) // 8
-        buffers = [bytearray(width) for _ in range(n + 1)]
-        out: Dict[int, int] = {}
-        for v in self.geometry.vertices:
-            try:
-                c = colours[v]
-            except KeyError:
-                raise InputError(f"vertex {v} has no colour") from None
-            if type(c) is not int or not 1 <= c <= n:
-                self._check_colour(v, c)  # raises unless an int subclass in range
-            out[v] = c
-            r = rank[v]
-            buffers[c][r >> 3] |= 1 << (r & 7)
-        self._colour: Dict[int, int] = out
-        self.class_mask: List[int] = [int.from_bytes(b, "little") for b in buffers]
-        self.class_size: List[int] = [mask.bit_count() for mask in self.class_mask]
+        vertices = self.geometry.vertices
+        try:
+            # the component index floods in the order of this map
+            colour: Dict[int, int] = dict(zip(vertices, map(colours.__getitem__, vertices)))
+        except KeyError:
+            colour = {}
+        # a float equal to a colour would hide in a set of the colours, so
+        # the types are checked at every vertex, the range over the set
+        ints = len(colour) == len(vertices) and not set(map(type, colour.values())) - {int}
+        used = set(colour.values()) if ints else set()
+        if not ints or used and not (1 <= min(used) and max(used) <= n):
+            # raises, unless every colour is an int subclass in range
+            colour = {v: self._checked(colours, v) for v in vertices}
+            used = set(colour.values())
+        ranked = list(map(colour.__getitem__, reversed(self.order)))
+        class_mask = [0] * (n + 1)
+        # a byte per vertex codes its colour among up to 255 at a time,
+        # and 255 stands for the others
+        used = list(used)
+        for start in range(0, len(used), 255):
+            block = used[start:start + 255]
+            code = {c: i for i, c in enumerate(block)}
+            digits = bytes(map(code.get, ranked, itertools.repeat(255)))
+            table = bytearray(b"0" * 256)
+            for i, c in enumerate(block):
+                table[i] = 49  # ord("1")
+                class_mask[c] = int(digits.translate(table), 2)
+                table[i] = 48  # ord("0")
+        self._colour = colour
+        self.class_mask: List[int] = class_mask
+        self.class_size: List[int] = [mask.bit_count() for mask in class_mask]
+
+    def _checked(self, colours: Mapping[int, int], v: int) -> int:
+        try:
+            c = colours[v]
+        except KeyError:
+            raise InputError(f"vertex {v} has no colour") from None
+        self._check_colour(v, c)
+        return c
 
     def colour(self, v: int) -> int:
         try:
@@ -196,6 +225,40 @@ class ColourState:
             r = rank[v]
             buffer[r >> 3] |= 1 << (r & 7)
         return int.from_bytes(buffer, "little")
+
+    def border_edges(self) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]], int]:
+        """The edges between differently coloured vertices, from the
+        geometry's :meth:`~Geometry.edge_masks`: per dense group
+        ``(d, a, lower)``, where bit ``r`` of ``lower`` is the edge
+        ``(order[r], order[r + d])`` of area ``a``; every other such edge
+        as ``(v, w, a)``; and the mask of their ends.
+
+        Two ends ``d`` ranks apart share a colour exactly when some class
+        mask ``M`` has both bits, that is bit ``r`` of ``M & (M >> d)``, so
+        a dense group costs a few operations per used colour and reads no
+        neighbour.
+        """
+        edge_masks = self.geometry.edge_masks()
+        masks = [m for m in self.class_mask if m]
+        dense = []
+        for d, groups in edge_masks.dense:
+            same = 0
+            for m in masks:
+                same |= m & (m >> d)
+            for a, edges in groups:
+                lower = edges & ~same
+                if lower:
+                    dense.append((d, a, lower))
+        colour = self._colour
+        sparse = [e for e in edge_masks.sparse if colour[e[0]] != colour[e[1]]]
+        ends = self.mask_of(itertools.chain.from_iterable(e[:2] for e in sparse))
+        for d, _, lower in dense:
+            ends |= lower | lower << d
+        return dense, sparse, ends
+
+    def border_mask(self) -> int:
+        """The mask of the vertices with a differently coloured neighbour."""
+        return self.border_edges()[2]
 
     def classes_mask(self, colours: Iterable[int]) -> int:
         """The union of the given colours' classes."""
@@ -541,6 +604,16 @@ def _take_over(found: List[List[int]], owner: Dict[int, int], keep: int, gone: i
         owner[u] = keep
     found[keep] += taken
     found[gone] = []
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, in increasing order: one
+    search of its binary digits per set bit."""
+    digits = format(mask, "b")[::-1]
+    r = digits.find("1")
+    while r >= 0:
+        yield r
+        r = digits.find("1", r + 1)
 
 
 def with_bit(mask: int, r: int, on: bool) -> int:

@@ -14,7 +14,7 @@ import math
 import random
 from itertools import product
 
-from sectorsearch.geometry import grid
+from sectorsearch.geometry import Geometry, grid
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +101,16 @@ def assert_caches_match_rebuild(state, constraints):
       paper-fast connected constraint's ``counts`` are estimates that
       drift by design, so that field is skipped;
     - each constraint's ``conflicts()``, against a scan of its
-      ``var_violation``.
+      ``var_violation``;
+    - the state's ``border_mask()``, against a scan of every vertex's
+      neighbours.
     """
     colours = state.snapshot()
     for c in range(state.n + 1):
         ranks = [r for r, v in enumerate(state.order) if colours[v] == c]
         assert state.class_mask[c] == sum(1 << r for r in ranks), f"state: class_mask[{c}]"
         assert state.class_size[c] == len(ranks), f"state: class_size[{c}]"
+    assert state.border_mask() == naive_border_mask(state.geometry, colours), "state: border_mask()"
     index = state._index
     if index is not None:
         assert_index_matches_components(index, state.geometry, colours, state.n)
@@ -124,6 +127,16 @@ def assert_caches_match_rebuild(state, constraints):
             1 << r for r, v in enumerate(state.order) if constraint.var_violation(v) > 0
         )
         assert constraint.conflicts() == scanned, f"{constraint.id}: conflicts()"
+
+
+def naive_border_mask(geometry, colours):
+    """The vertices with a differently coloured neighbour, as a mask over
+    the sorted vertices."""
+    return sum(
+        1 << r
+        for r, v in enumerate(sorted(geometry.vertices))
+        if any(colours[w] != colours[v] for w in geometry.adjacent(v))
+    )
 
 
 def _rel(relop, a, b):
@@ -347,6 +360,45 @@ def random_geometry(rng, max_cells=8):
         w, h, d, dim = rng.choice(GRID_CHOICES)
         if w * h * d <= max_cells:
             return grid(w, h, d, dim=dim)
+
+
+def relabelled(g, f, area=None):
+    """``g`` with every vertex id ``v`` renamed to ``f(v)``: one facet per
+    edge and one border facet per border vertex, with the same areas, or
+    with ``area(v, w)`` for the facet of each edge ``v < w`` when given."""
+    facets_of = {f(v): [] for v in g.vertices}
+    areas = {}
+    for v, w in g.edges():
+        facets_of[f(v)].append(len(areas))
+        facets_of[f(w)].append(len(areas))
+        areas[len(areas)] = g.edge_areas(v)[w] if area is None else area(v, w)
+    for v, border in g.border_areas.items():
+        facets_of[f(v)].append(len(areas))
+        areas[len(areas)] = border
+    return Geometry(facets_of, areas, {f(v): g.volume(v) for v in g.vertices}, g.dim)
+
+
+def permuted(g, seed, share=1.0):
+    """``g`` with a seeded share of its vertex ids shuffled among
+    themselves, so the ids stay 0..V-1 but most edges join far ranks."""
+    rng = random.Random(seed)
+    ids = sorted(g.vertices)
+    moved = rng.sample(ids, round(share * len(ids)))
+    renamed = dict(zip(moved, rng.sample(moved, len(moved))))
+    return relabelled(g, lambda v: renamed.get(v, v))
+
+
+#: geometries whose vertex ids are not their ranks in sorted order, or
+#: whose edges join far ranks, each built on call
+RANK_GEOMETRIES = {
+    "2d-spread-ids": lambda: relabelled(grid(7, 5, dim=2), lambda v: 3 * v + 11),
+    "3d-spread-ids": lambda: relabelled(grid(4, 3, 3, dim=3), lambda v: 5 * v + 2),
+    "mixed-areas": lambda: relabelled(
+        grid(9, 6, dim=2), lambda v: v * v + 1, area=lambda v, w: 1 + (v * w) % 4
+    ),
+    "30x30-partly-permuted": lambda: permuted(grid(30, 30, dim=2), seed=2, share=0.05),
+    "80x80-permuted": lambda: permuted(grid(80, 80, dim=2), seed=1),
+}
 
 
 def random_colours(rng, geometry, n):

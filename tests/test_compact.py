@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import (
+    RANK_GEOMETRIES,
     all_colourings,
     literal_neighbour_delta,
     naive_compact_a_violation,
@@ -16,7 +17,7 @@ from sectorsearch.constraints import CompactConstraint, sphere_surface
 from sectorsearch.engine import Model
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import grid
-from sectorsearch.state import ColourState
+from sectorsearch.state import ColourState, grow_regions
 
 
 def square_state(colours, n=2, side=2):
@@ -250,3 +251,34 @@ def test_identity_probe_equals_neighbour_delta_sum():
                 for w in geometry.adjacent(v)
             )
             assert c.probe_assign(v, colour) == table_sum
+
+
+def _rank_colourings(geometry, n, seed):
+    """A random colouring, a grown one and a one-colour one."""
+    rng = random.Random(seed)
+    yield random_colours(rng, geometry, n)
+    yield grow_regions(geometry, n, rng)
+    yield dict.fromkeys(geometry.vertices, n)
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize("weight", ["identity", "square"])
+@pytest.mark.parametrize("name", sorted(RANK_GEOMETRIES))
+def test_rebuild_matches_a_scan_where_ranks_are_not_ids(name, weight, mode):
+    """The border areas, conflicts and totals of a rebuild, from the
+    geometry's edge masks, equal a cache-free scan of every vertex's
+    neighbours."""
+    geometry = RANK_GEOMETRIES[name]()
+    f = (lambda x: x) if weight == "identity" or mode == "A" else (lambda x: x * x)
+    for colours in _rank_colourings(geometry, 4, seed=len(name)):
+        st = ColourState(geometry, 4, colours)
+        c = CompactConstraint(st, threshold=0, mode=mode, weight_fn=weight)
+        scan = {v: st.border_area(v) for v in geometry.vertices}
+        assert c.border_cache == scan
+        assert c.conflicts() == sum(1 << st.rank[v] for v, b in scan.items() if b)
+        outside = f(geometry.outside_area()) if mode == "B" else 0
+        assert c.border_total == sum(map(f, scan.values())) + outside
+        if mode == "B":
+            assert c.violation() == naive_compact_b_violation(geometry, colours, 0, weight)
+        else:
+            assert c.violation() == pytest.approx(naive_compact_a_violation(geometry, colours, 0))

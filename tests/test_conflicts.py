@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import assert_caches_match_rebuild, monotone_path, random_colours
+from oracles import assert_caches_match_rebuild, monotone_path, random_colours, relabelled
 from sectorsearch.constraints import (
     BalancedConstraint,
     BoundedConstraint,
@@ -22,31 +22,16 @@ from sectorsearch.constraints import (
     StretchSumConstraint,
 )
 from sectorsearch.engine import Model, Move, search
-from sectorsearch.geometry import Geometry, OrderedPath, grid
+from sectorsearch.geometry import OrderedPath, grid
 from sectorsearch.instance import ConstraintSpec, generate
 from sectorsearch.state import ColourState, MaskView
-
-
-def _relabelled(g, f):
-    """``g`` with every vertex id ``v`` renamed to ``f(v)``: one facet per
-    edge and one border facet per border vertex, with the same areas."""
-    facets_of = {f(v): [] for v in g.vertices}
-    areas = {}
-    for v, w in g.edges():
-        facets_of[f(v)].append(len(areas))
-        facets_of[f(w)].append(len(areas))
-        areas[len(areas)] = g.edge_areas(v)[w]
-    for v, area in g.border_areas.items():
-        facets_of[f(v)].append(len(areas))
-        areas[len(areas)] = area
-    return Geometry(facets_of, areas, {f(v): g.volume(v) for v in g.vertices}, g.dim)
 
 
 def all_kinds(side, n, rng, rename=None):
     """A state on a ``side`` x ``side`` grid with every constraint kind
     held by one model; ``rename`` relabels the vertex ids."""
     rename = rename or (lambda v: v)
-    g = _relabelled(grid(side, side, dim=2), rename)
+    g = relabelled(grid(side, side, dim=2), rename)
     st = ColourState(g, n, colours=random_colours(rng, g, n))
     # small workloads with a whole average, so that a class sum sometimes
     # hits it and the balanced term of that class is zero
@@ -136,7 +121,7 @@ def test_masks_track_var_violation_over_a_walk(rename):
 
 def test_rank_is_the_position_in_order():
     for rename in (lambda v: v, lambda v: 5 * v + 2):
-        geometry = _relabelled(grid(3, 4, dim=2), rename)
+        geometry = relabelled(grid(3, 4, dim=2), rename)
         st = ColourState(geometry, 2)
         assert st.order == sorted(geometry.vertices)
         assert [st.rank[v] for v in st.order] == list(range(len(st.order)))

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from oracles import assert_index_matches_components, naive_components
+from oracles import (
+    RANK_GEOMETRIES,
+    assert_index_matches_components,
+    naive_border_mask,
+    naive_components,
+    random_colours,
+)
 from sectorsearch import generate
 from sectorsearch.constraints import ConnectedConstraint
 from sectorsearch.engine import Model
@@ -327,7 +333,78 @@ def test_failed_set_all_changes_nothing(regions):
         (missing, f"vertex {last} has no colour"),
         ({**good, last: st.n + 1}, f"vertex {last}: colour {st.n + 1} outside 1..{st.n}"),
         ({**good, last: 0}, f"vertex {last}: colour 0 outside 1..{st.n}"),
+        ({**good, last: 1.0}, f"vertex {last}: colour 1.0 outside 1..{st.n}"),
+        ({**good, last: "1"}, f"vertex {last}: colour '1' outside 1..{st.n}"),
     ):
         with pytest.raises(InputError, match=message):
             model.set_all(bad, **path)
         assert _observed(model) == before
+
+
+EDGE_MASK_BUILDS = {
+    **dict(zip(("5x4", "3x3x2", "two-components"), CACHED_TABLE_BUILDS)), **RANK_GEOMETRIES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MASK_BUILDS))
+def test_geometry_edge_masks_are_cached_and_hold_every_edge_once(name):
+    geometry = EDGE_MASK_BUILDS[name]()
+    table = geometry.edge_masks()
+    assert geometry.edge_masks() is table
+    order = geometry.order()
+    rank = geometry.rank()
+    assert [rank[v] for v in order] == list(range(len(order)))
+    listed = list(table.sparse)
+    for d, groups in table.dense:
+        for a, mask in groups:
+            for r in range(len(order)):
+                if mask >> r & 1:
+                    listed.append((order[r], order[r + d], a))
+    assert sorted(listed) == sorted(
+        (v, w, geometry.edge_areas(v)[w]) for v, w in geometry.edges()
+    )
+    assert table.outside == sum(1 << rank[v] for v in geometry.border_areas)
+
+
+def test_partly_permuted_grid_has_dense_and_sparse_edges():
+    table = RANK_GEOMETRIES["30x30-partly-permuted"]().edge_masks()
+    assert table.dense and table.sparse
+    assert not RANK_GEOMETRIES["80x80-permuted"]().edge_masks().dense
+
+
+@pytest.mark.parametrize("name", sorted(RANK_GEOMETRIES))
+def test_border_mask_matches_a_neighbour_scan(name):
+    geometry = RANK_GEOMETRIES[name]()
+    rng = random.Random(len(name))
+    st = ColourState(geometry, 5)
+    assert st.border_mask() == 0
+    for colours in (random_colours(rng, geometry, 5), grow_regions(geometry, 5, rng)):
+        st.set_all(colours)
+        assert st.border_mask() == naive_border_mask(geometry, colours)
+    for _ in range(20):
+        st.assign(rng.choice(st.order), rng.randint(1, 5))
+        assert st.border_mask() == naive_border_mask(geometry, st.snapshot())
+
+
+def test_many_colours_build_their_class_masks():
+    geometry = grid(30, 20, dim=2)
+    n = 300
+    rng = random.Random(3)
+    colours = {v: rng.randint(1, n) for v in geometry.vertices}
+    colours[0], colours[1] = n, 256  # above one byte
+    st = ColourState(geometry, n, colours)
+    for c in range(n + 1):
+        ranks = [r for r, v in enumerate(st.order) if colours[v] == c]
+        assert st.class_mask[c] == sum(1 << r for r in ranks)
+        assert st.class_size[c] == len(ranks)
+    assert st.class_size[n] >= 1 and st.class_size[256] >= 1
+
+
+def test_colours_follow_the_geometry_vertex_order():
+    geometry = RANK_GEOMETRIES["mixed-areas"]()
+    assert list(geometry.vertices) != sorted(geometry.vertices)
+    colours = dict(sorted(random_colours(random.Random(4), geometry, 6).items(), reverse=True))
+    st = ColourState(geometry, 6, colours)
+    assert list(st.colours()) == list(geometry.vertices)
+    st.set_all(colours)
+    assert list(st.colours()) == list(geometry.vertices)
