@@ -37,6 +37,8 @@ def _parse_weights(text: Optional[str]) -> Dict[str, int]:
         key, _, value = part.partition("=")
         if not key or not value:
             raise InputError(f"bad weight entry {part!r}, expected id=value")
+        if key in weights:
+            raise InputError(f"weight for {key!r} given twice")
         try:
             weights[key] = int(value)
         except ValueError:
@@ -57,11 +59,13 @@ def _sizes(text: str) -> Tuple[int, ...]:
     return sizes
 
 
-def _scratch_violations(instance, colours, mode=None, weights=None, counters=None):
+def _scratch_violations(instance, colours, weights=None, counters=None):
     """Build ``instance`` with ``colours`` (and ``counters``, constraint id
     to counter value, in place of the file's) and evaluate it from scratch:
-    each constraint's id and violation, and the weighted total."""
-    model = instance.build(colours=colours, mode_override=mode, weight_overrides=weights)
+    each constraint's id and violation, and the weighted total.  A fresh
+    build counts every colour's components in either connectedness mode,
+    so the file's mode serves."""
+    model = instance.build(colours=colours, weight_overrides=weights)
     for cid, value in (counters or {}).items():
         domain = model.searchable_counters.get(cid)
         if domain is None:
@@ -127,7 +131,7 @@ def _cmd_solve(args) -> int:
         if best is None or (result.violation, result.seed) < (best.violation, best.seed):
             best = result
     # the reported total is the rebuilt best state's, never the search's caches
-    _, total = _scratch_violations(instance, best.colours, args.mode, weights, best.counters)
+    _, total = _scratch_violations(instance, best.colours, weights, best.counters)
     line = f"best: seed {best.seed} violation {_fmt(total)}"
     if abs(total - best.violation) > TOLERANCE:
         line += f" (the search reported {_fmt(best.violation)})"

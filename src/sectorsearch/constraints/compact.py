@@ -34,13 +34,15 @@ that a mask would not pay for come as a list, read in the same pass.
 Mode A keeps one table per colour, the volume of each of its
 components keyed by the labels of the state's component index, and per
 colour the sum of its components' sphere surfaces.  One routine lists
-the two colours' components after a move, as (label, volume) pairs: the
-closed pieces of a split, the rest of the old component, the new
-colour's components merged with the moved vertex, and the components
-the move leaves alone.  The exact probe feeds it the pieces of the
-index's split search and the labels of v's neighbours, with None for the
-labels a commit would mint, and sums the spheres; a commit feeds it the
-index's record of the same move and keeps the pairs as the two colours'
+the two colours' components after a move, as (label, volume) pairs,
+from one record of what the move does to the components
+(:class:`~sectorsearch.state.ComponentChange`): the closed pieces of a
+split, the rest of the old component, the new colour's components merged
+with the moved vertex, and the components the move leaves alone.  The
+exact probe builds that record from the pieces of the index's split
+search and the labels of v's neighbours, with None for the labels a
+commit would mint, and sums the spheres; a commit passes the index's own
+record of the same move and keeps the pairs as the two colours'
 tables.  The index answers a split without searching when v's
 neighbours in the component are linked through common neighbours there,
 and otherwise its search costs the smaller sides, so probes and commits
@@ -59,7 +61,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import InputError
-from ..state import ColourState, set_bits, with_bit
+from ..state import ColourState, ComponentChange, set_bits, with_bit
 from .base import Constraint
 
 MODES = ("A", "B")
@@ -233,29 +235,29 @@ class CompactConstraint(Constraint):
         neighbours of the new colour."""
         index = self.index
         pieces, closed = index.split(v)
-        old, new = self._components_after(
-            v, before, after, index.label[v], pieces, closed, [None] * len(closed), None,
+        change = ComponentChange(
+            index.label[v], pieces, closed, [None] * len(closed), None,
             index.neighbour_labels(v, after),
         )
+        old, new = self._components_after(v, before, after, change)
         sums = list(self.sphere_sums)
         sums[before] = self._sphere_sum(old)
         sums[after] = self._sphere_sum(new)
         return math.fsum(sums)
 
     def _components_after(
-        self, v: int, before: int, after: int, lab: int, pieces: int, closed: List[List[int]],
-        fresh: Iterable[Optional[int]], big: Optional[int], joined: Iterable[int],
+        self, v: int, before: int, after: int, change: ComponentChange
     ) -> Tuple[Components, Components]:
         """The components of colours ``before`` and ``after`` once
-        ``colour(v): before -> after``.  v's component ``lab`` falls into
-        ``pieces`` pieces without v (0 if v was alone): each ``closed`` one
-        under its ``fresh`` label, the rest under ``lab``.  v's new
-        component joins the ``joined`` components of ``after`` under
-        ``big``.  The arguments are those of the index's
-        :class:`~sectorsearch.state.ComponentChange`, and only volumes from
-        before the move are read, so a probe and a commit get the same
-        pairs."""
+        ``colour(v): before -> after`` makes ``change``
+        (:class:`~sectorsearch.state.ComponentChange`): v's component
+        ``label`` falls into ``pieces`` pieces without v (0 if v was
+        alone), each ``closed`` one under its ``fresh`` label and the rest
+        under ``label``, and v's new component joins the ``joined``
+        components of ``after`` under ``big``.  Only volumes from before
+        the move are read, so a probe and a commit get the same pairs."""
         volume = self.state.geometry.volume
+        lab, pieces, closed, fresh, big, joined = change
         table = self.volumes[before]
         old = [(m, nu) for m, nu in table.items() if m != lab]
         split_off = 0
@@ -290,7 +292,7 @@ class CompactConstraint(Constraint):
     def _commit_components(self, v: int, old: int, new: int) -> None:
         """Follow the index's record of the move in the volumes and sphere
         sums of colours ``old`` and ``new``."""
-        after = self._components_after(v, old, new, *self.index.change)
+        after = self._components_after(v, old, new, self.index.change)
         for c, components in zip((old, new), after):
             self.volumes[c] = dict(components)
             self.sphere_sums[c] = self._sphere_sum(components)

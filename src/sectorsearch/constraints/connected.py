@@ -173,7 +173,6 @@ class ConnectedConstraint(Constraint):
                 f"no feasible component count in 1..{limit} "
                 f"satisfies {self.relop} {self.counter_value}"
             )
-        colours = grow_regions(self.state.geometry, target, rng)
-        model.set_all(colours, regions=True)
+        model.set_all(grow_regions(self.state.geometry, target, rng))
         if not self.check():
             raise InitError("region growing failed to satisfy the constraint")

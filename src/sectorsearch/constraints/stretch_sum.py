@@ -2,11 +2,12 @@
 
 Every maximal same-coloured run along the path must have a value sum in
 relation with the threshold: ``>=`` expresses minimum dwell time, ``<=``
-maximum dwell time.  Each position keeps the bounds and value sum of its
-stretch.  A move of one position retires the stretches from the one left
-of its own to the one right of it and forms new ones in their place;
-values are fixed per constraint, so the new sums come from a prefix table
-and one constant-time routine answers both the probe and the commit.
+maximum dwell time.  Each position keeps the bounds of its stretch;
+values are fixed per constraint, so a stretch's value sum is the
+difference of two entries of a prefix table.  A move of one position
+retires the stretches from the one left of its own to the one right of
+it and forms new ones in their place, and one constant-time routine
+answers both the probe and the commit.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ class StretchSumConstraint(Constraint):
             self._prefix.append(self._prefix[-1] + val)
         self.rebuild()
 
-    # cache layout: per position, the bounds and value sum of its stretch
+    # cache layout: per position, the bounds of its stretch; the stretch
+    # left..right sums to _prefix[right + 1] - _prefix[left]
     def rebuild(self) -> None:
         interior = self.path.interior
         m = len(interior)
         self._start = [0] * m
         self._end = [0] * m
-        self._sum = [0] * m
         colour = self.state.colours()
         colours = [colour[v] for v in interior]
         self._violating = sum(self._write(left, right) for left, right in stretches(colours))
@@ -74,13 +75,9 @@ class StretchSumConstraint(Constraint):
     def _write(self, left: int, right: int) -> int:
         """Record ``left..right`` as the stretch of each of its positions;
         returns the stretch's violation."""
-        s = self._prefix[right + 1] - self._prefix[left]
-        start, end, sums = self._start, self._end, self._sum
-        for k in range(left, right + 1):
-            start[k] = left
-            end[k] = right
-            sums[k] = s
-        return self._viol(s)
+        self._start[left:right + 1] = [left] * (right + 1 - left)
+        self._end[left:right + 1] = [right] * (right + 1 - left)
+        return self._viol(self._prefix[right + 1] - self._prefix[left])
 
     def _col(self, i: int) -> int:
         return self.state.colour(self.path.interior[i])
@@ -107,9 +104,10 @@ class StretchSumConstraint(Constraint):
 
     def _term(self, i: int) -> int:
         """``var_violation`` of the path vertex at position ``i``."""
-        if self._start[i] < i < self._end[i]:
+        left, right = self._start[i], self._end[i]
+        if left < i < right:
             return 0
-        sigma = self._sum[i]
+        sigma = self._prefix[right + 1] - self._prefix[left]
         if self._viol(sigma):
             return 1
         if holds(self.relop, sigma - self.values[i], self.threshold):
@@ -128,9 +126,9 @@ class StretchSumConstraint(Constraint):
         ``i``'s to the stretch right of it.  Only the records, the prefix
         table and the colours just outside ``i``'s stretch are read, so
         the answer is the same before the move and after it."""
-        start, end, sums, prefix = self._start, self._end, self._sum, self._prefix
+        start, end, prefix = self._start, self._end, self._prefix
         left, right = start[i], end[i]
-        retired = [(left, right, sums[i])]
+        retired = [(left, right, prefix[right + 1] - prefix[left])]
         formed = []
         if left < i:
             formed.append((left, i - 1, prefix[i] - prefix[left]))
@@ -138,14 +136,16 @@ class StretchSumConstraint(Constraint):
             formed.append((i + 1, right, prefix[right + 1] - prefix[i + 1]))
         lo = hi = i
         if left > 0:
-            outside = (start[left - 1], left - 1, sums[left - 1])
+            far = start[left - 1]
+            outside = (far, left - 1, prefix[left] - prefix[far])
             retired.append(outside)
             if i == left and self._col(left - 1) == colour:
                 lo = outside[0]
             else:
                 formed.append(outside)
         if right < len(end) - 1:
-            outside = (right + 1, end[right + 1], sums[right + 1])
+            far = end[right + 1]
+            outside = (right + 1, far, prefix[far + 1] - prefix[right + 1])
             retired.append(outside)
             if i == right and self._col(right + 1) == colour:
                 hi = outside[1]

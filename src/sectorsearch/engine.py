@@ -251,10 +251,10 @@ class Model:
             for constraint, _ in self._scoped.get(v, self._everywhere):
                 constraint.commit_assign(v, old, c)
 
-    def set_all(self, colours: Mapping[int, int], *, regions: bool = False) -> None:
+    def set_all(self, colours: Mapping[int, int]) -> None:
         """Bulk assignment (see ``ColourState.set_all``); every constraint
         then rebuilds from scratch."""
-        self.state.set_all(colours, regions=regions)
+        self.state.set_all(colours)
         for constraint, _ in self.entries:
             constraint.rebuild()
 
@@ -295,8 +295,13 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
 def check_parameter(name: str, value) -> None:
     """Raise an :class:`InputError` naming the search parameter ``name``
     when ``value`` is out of its range: ``noise`` is a probability, the
-    :data:`COUNTS` are not negative and each of the :data:`CHOICES` is
-    one of its values.  Parameters without a range pass."""
+    :data:`COUNTS` are not negative, each of the :data:`CHOICES` is one
+    of its values and ``hard`` names no id twice.  Parameters without a
+    range pass."""
+    if name == "hard":
+        for i, cid in enumerate(value):
+            if cid in value[:i]:
+                raise InputError(f"search parameter hard names {cid!r} twice")
     if name == "noise" and not 0 <= value <= 1:
         raise InputError(f"search parameter noise must lie in [0, 1], got {value!r}")
     if name in COUNTS and value < 0:
@@ -356,7 +361,7 @@ def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
     if cfg.init == "random":
         model.set_all({v: rng.randint(1, state.n) for v in state.geometry.vertices})
     elif cfg.init == "regions":
-        model.set_all(grow_regions(state.geometry, state.n, rng), regions=True)
+        model.set_all(grow_regions(state.geometry, state.n, rng))
     for cid in cfg.hard:
         model.constraint(cid).hard_init(model, rng)
     for cid in cfg.hard:

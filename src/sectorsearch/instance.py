@@ -203,18 +203,18 @@ class Instance:
 _SEARCH_KEYS = {f.name: type(f.default) for f in fields(SearchConfig)}
 
 #: every constraint parameter, in file order, with its type
-_CONSTRAINT_KEYS = (
-    ("relop", str),
-    ("counter", int),
-    ("counter_min", int),
-    ("counter_max", int),
-    ("mode", str),
-    ("threshold", int),
-    ("weight_fn", str),
-    ("probe", str),
-    ("delta_scaled", int),
-    ("flight", int),
-)
+_CONSTRAINT_KEYS = {
+    "relop": str,
+    "counter": int,
+    "counter_min": int,
+    "counter_max": int,
+    "mode": str,
+    "threshold": int,
+    "weight_fn": str,
+    "probe": str,
+    "delta_scaled": int,
+    "flight": int,
+}
 
 
 def save(instance: Instance, path: str) -> None:
@@ -241,7 +241,7 @@ def dumps(instance: Instance) -> str:
         lines.append(f"[constraint {spec.id}]")
         lines.append(f"kind {spec.kind}")
         lines.append(f"weight {spec.weight}")
-        for key, _ in _CONSTRAINT_KEYS:
+        for key in _CONSTRAINT_KEYS:
             if key in spec.params:
                 lines.append(f"{key} {spec.params[key]}")
     lines.append("[search]")
@@ -357,7 +357,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                 elif key == "weight":
                     spec.weight = int(rest)
                 else:
-                    caster = dict(_CONSTRAINT_KEYS).get(key)
+                    caster = _CONSTRAINT_KEYS.get(key)
                     if caster is None:
                         raise FormatError(where, f"unknown constraint key {key!r}")
                     spec.params[key] = caster(rest)

@@ -15,7 +15,7 @@ Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
 ``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
 mask and one size per colour class, so the constraints can report their
 conflicting vertices as the union of a few masks.  ``set_all`` (and the
-constructor) copies and checks the colouring with whole-sequence passes
+constructor) reads and checks the colouring with whole-sequence passes
 (the colours in vertex order, their types, their least and greatest) and
 reads each used colour's class mask from a string of one byte per vertex,
 so no Python code runs per vertex; a bad colour raises, naming its
@@ -43,9 +43,11 @@ in turn, whatever their number.  Both stages unite groups by one rule:
 a group takes another over by appending the other's vertex list to its
 own.
 
-``set_all`` rebuilds the index, labelling each vertex by its colour and
-minting fresh labels above ``n``.  A restart passes ``set_all(...,
-regions=True)`` with a :func:`grow_regions` colouring, whose used
+The state creates its colour map once: ``set_all`` writes into it, so a
+``colours()`` view and the index, which reads the same map, follow every
+colouring.  ``set_all`` rebuilds the index, labelling each vertex by its
+colour and minting fresh labels above ``n``.  :func:`grow_regions`, as a
+restart calls it, returns a :class:`Regions` colouring, whose used
 colours are one component each, so those labels stay, with no search;
 any other colouring's components are flooded to fresh labels, as a move
 merges components.  Exact connectedness counts from the index and
@@ -108,38 +110,41 @@ class ColourState:
         #: position of each vertex in ``order``, the geometry's table
         self.rank: Mapping[int, int] = geometry.rank()
         self._index: Optional[ComponentIndex] = None
-        self._take(dict.fromkeys(geometry.vertices, 1) if colours is None else colours)
+        #: the one colour map, in the order of ``geometry.vertices``, which
+        #: the component index floods in; ``set_all`` writes into it
+        self._colour: Dict[int, int] = dict.fromkeys(geometry.vertices, 1)
+        self._take(self._colour if colours is None else colours)
 
     def _check_colour(self, v: int, c: int) -> None:
         if not isinstance(c, int) or not 1 <= c <= self.n:
             raise InputError(f"vertex {v}: colour {c!r} outside 1..{self.n}")
 
     def _take(self, colours: Mapping[int, int]) -> None:
-        """Make ``colours`` the assignment, with its ``class_mask`` and
-        ``class_size`` (indexed by colour, entry 0 unused).
+        """Write ``colours`` into the colour map, with its ``class_mask``
+        and ``class_size`` (indexed by colour, entry 0 unused).
 
         Nothing changes unless every vertex carries a colour in 1..n.
-        Checking and copying the colours are whole-sequence passes, and
+        Checking and writing the colours are whole-sequence passes, and
         the class masks are read from a string of one byte per vertex;
         only a bad colouring is walked vertex by vertex, to name the first
         bad vertex.
         """
         n = self.n
         vertices = self.geometry.vertices
-        try:
-            # the component index floods in the order of this map
-            colour: Dict[int, int] = dict(zip(vertices, map(colours.__getitem__, vertices)))
-        except KeyError:
-            colour = {}
-        # a float equal to a colour would hide in a set of the colours, so
-        # the types are checked at every vertex, the range over the set
-        ints = len(colour) == len(vertices) and not set(map(type, colour.values())) - {int}
-        used = set(colour.values()) if ints else set()
-        if not ints or used and not (1 <= min(used) and max(used) <= n):
+        # a missing colour reads None; a float equal to a colour would hide
+        # in a set of the colours, so the types are checked at every vertex,
+        # the range over the set
+        values = list(map(colours.get, vertices))
+        used = set(values) if set(map(type, values)) <= {int} else None
+        if used is None or used and not (1 <= min(used) and max(used) <= n):
             # raises, unless every colour is an int subclass in range
-            colour = {v: self._checked(colours, v) for v in vertices}
-            used = set(colour.values())
-        ranked = list(map(colour.__getitem__, reversed(self.order)))
+            for v, c in zip(vertices, values):
+                if v not in colours:
+                    raise InputError(f"vertex {v} has no colour")
+                self._check_colour(v, c)
+            used = set(values)
+        self._colour.update(zip(vertices, values))
+        ranked = list(map(self._colour.__getitem__, reversed(self.order)))
         class_mask = [0] * (n + 1)
         # a byte per vertex codes its colour among up to 255 at a time,
         # and 255 stands for the others
@@ -153,17 +158,8 @@ class ColourState:
                 table[i] = 49  # ord("1")
                 class_mask[c] = int(digits.translate(table), 2)
                 table[i] = 48  # ord("0")
-        self._colour = colour
         self.class_mask: List[int] = class_mask
         self.class_size: List[int] = [mask.bit_count() for mask in class_mask]
-
-    def _checked(self, colours: Mapping[int, int], v: int) -> int:
-        try:
-            c = colours[v]
-        except KeyError:
-            raise InputError(f"vertex {v} has no colour") from None
-        self._check_colour(v, c)
-        return c
 
     def colour(self, v: int) -> int:
         try:
@@ -176,7 +172,7 @@ class ColourState:
 
     def colours(self) -> Mapping[int, int]:
         """The assignment as a read-only view, without a copy; it follows
-        later ``assign`` calls but not ``set_all``."""
+        later ``assign`` and ``set_all`` calls."""
         return MappingProxyType(self._colour)
 
     def component_index(self) -> ComponentIndex:
@@ -202,17 +198,16 @@ class ColourState:
             if self._index is not None:
                 self._index.move(v, old, c)
 
-    def set_all(self, colours: Mapping[int, int], *, regions: bool = False) -> None:
+    def set_all(self, colours: Mapping[int, int]) -> None:
         """Bulk assignment; like :meth:`assign`, it reaches no constraint.
 
-        ``regions`` says that every colour class of ``colours`` is
-        connected or empty, as in a :func:`grow_regions` colouring; the
-        component index then takes one component per used colour, labelled
-        by the colour, instead of searching.
+        A :class:`Regions` colouring's classes are connected or empty, so
+        the component index then takes one component per used colour,
+        labelled by the colour, instead of searching.
         """
         self._take(colours)
         if self._index is not None:
-            self._index.rebuild(self._colour, self.class_size if regions else None)
+            self._index.rebuild(self.class_size if isinstance(colours, Regions) else None)
 
     # ------------------------------------------------------------------
     # vertex masks
@@ -343,7 +338,9 @@ class ComponentCounts:
 
 
 class ComponentChange(NamedTuple):
-    """What one committed move did to the components."""
+    """What one move does to the components: the index records each
+    commit's, and compact mode A's exact probe builds one before the move,
+    with None for the labels the commit would mint."""
 
     #: the moved vertex's component before the move
     label: int
@@ -354,12 +351,12 @@ class ComponentChange(NamedTuple):
     #: found them
     closed: List[List[int]]
     #: the fresh labels of those pieces
-    fresh: List[int]
+    fresh: List[Optional[int]]
     #: the vertex's component after the move
-    big: int
+    big: Optional[int]
     #: the components of the new colour the vertex joined, relabelled into
     #: ``big``, which is one of them unless there are none and it is fresh
-    joined: List[int]
+    joined: Iterable[int]
 
 
 class ComponentIndex(ComponentCounts):
@@ -389,11 +386,12 @@ class ComponentIndex(ComponentCounts):
     def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int):
         self.geometry = geometry
         self.n = n
-        self.rebuild(colour)
+        #: the state's colour map, which commits and ``set_all`` update in place
+        self._colour = colour
+        self.rebuild()
 
-    def rebuild(self, colour: Dict[int, int], class_size: Optional[Sequence[int]] = None) -> None:
-        """Label every component of ``colour``, the state's colour map,
-        which later commits update in place.
+    def rebuild(self, class_size: Optional[Sequence[int]] = None) -> None:
+        """Label every component of the colour map.
 
         Each vertex is labelled by its colour and fresh labels start
         above n.  Given the colouring's ``class_size`` (indexed by
@@ -401,10 +399,9 @@ class ComponentIndex(ComponentCounts):
         labels stay; otherwise each vertex still carrying a colour label
         floods its component to a fresh label.
         """
-        self._colour = colour
         # drop the old labels first, so they never coexist with the new
         self.label: Dict[int, int] = {}
-        self.label.update(colour)
+        self.label.update(self._colour)
         self.change: Optional[ComponentChange] = None
         self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
         self._labels = itertools.count(self.n + 1)
@@ -679,7 +676,13 @@ def stretches(seq: Sequence) -> List[Tuple[int, int]]:
     return spans
 
 
-def grow_regions(geometry: Geometry, k: int, rng) -> Dict[int, int]:
+class Regions(dict):
+    """A colouring whose every colour class is connected or empty, as
+    :func:`grow_regions` returns it; ``set_all`` labels its components by
+    their colours, with no search."""
+
+
+def grow_regions(geometry: Geometry, k: int, rng) -> Regions:
     """Partition the vertices into ``k`` connected regions, colours 1..k.
 
     Multi-source BFS from random seeds, one per geometry component first,
@@ -690,8 +693,8 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Dict[int, int]:
     of its vertices in the order it claimed them, through one resumable
     head: a neighbour once found claimed stays claimed, so each round
     resumes where the last claim stopped.  Each region is connected by
-    construction.  Raises when the geometry cannot be covered by ``k``
-    connected regions.
+    construction, so the colouring is a :class:`Regions`.  Raises when the
+    geometry cannot be covered by ``k`` connected regions.
     """
     vertices = geometry.order()
     if not 1 <= k <= len(vertices):
@@ -722,4 +725,5 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Dict[int, int]:
                     break
         if len(colour) == claimed:
             raise InputError("region growing could not reach every vertex")
-    return colour
+    # claimed into a plain dict, which the loop reads faster, and copied once
+    return Regions(colour)

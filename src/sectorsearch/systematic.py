@@ -334,10 +334,11 @@ def stretchsum_dfa_check(
 # ---------------------------------------------------------------------------
 # brute force
 
-def brute_force_solve(model, limit: int = 10, max_colours: int = 4) -> List[Dict[int, int]]:
+def brute_force_solve(model, limit: int = 10) -> List[Dict[int, int]]:
     """All total colourings satisfying every constraint's semantics.
 
-    Exhaustive; guarded by instance-size preconditions.  Each colouring
+    Exhaustive; guarded by instance-size preconditions: at most ``limit``
+    vertices and 4 colours.  Each colouring
     recolours, through the state's ``assign``, only the vertices the
     previous one coloured differently; ``check()`` reads the colours
     alone, so no constraint hears of it.  The model's colouring and
@@ -347,8 +348,8 @@ def brute_force_solve(model, limit: int = 10, max_colours: int = 4) -> List[Dict
     vertices = sorted(state.geometry.vertices)
     if len(vertices) > limit:
         raise InputError(f"{len(vertices)} vertices exceed the oracle limit {limit}")
-    if state.n > max_colours:
-        raise InputError(f"{state.n} colours exceed the oracle limit {max_colours}")
+    if state.n > 4:
+        raise InputError(f"{state.n} colours exceed the oracle limit 4")
     original = state.snapshot()
     solutions: List[Dict[int, int]] = []
     previous = [original[v] for v in vertices]

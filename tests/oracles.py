@@ -92,9 +92,10 @@ def assert_caches_match_rebuild(state, constraints):
     that differ.
 
     - the class masks and sizes, recomputed from the colours;
-    - the component index, if the state keeps one, against the DFS
-      components, and each split it keeps against a flood of the split
-      vertex's component without it;
+    - the component index, if the state keeps one: that it reads the
+      state's own colour map, its components against the DFS components,
+      and each split it keeps against a flood of the split vertex's
+      component without it;
     - each constraint, field by field, against a shallow copy of it that
       ran ``rebuild()``.  Every ``rebuild()`` assigns new cache objects, so
       the copy's rebuild leaves the original's caches as they were.  A
@@ -113,6 +114,7 @@ def assert_caches_match_rebuild(state, constraints):
     assert state.border_mask() == naive_border_mask(state.geometry, colours), "state: border_mask()"
     index = state._index
     if index is not None:
+        assert index._colour is state._colour, "state: the index reads another colour map"
         assert_index_matches_components(index, state.geometry, colours, state.n)
         for v, kept in index._splits.items():
             assert_split_matches_flood(state.geometry, colours, v, kept)

@@ -248,6 +248,43 @@ def test_unknown_hard_id_in_the_file_names_its_line():
         loads(text, origin="g.inst")
 
 
+def test_repeated_hard_id_on_the_command_line(inst, capsys):
+    err = _solve_fails(capsys, inst, "--hard", "connected,connected")
+    assert "search parameter hard names 'connected' twice" in err
+
+
+def test_repeated_hard_id_in_the_file_names_its_line():
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = text.replace("hard -", "hard connected,dwell0,connected")
+    lineno = text.splitlines().index("hard connected,dwell0,connected") + 1
+    with pytest.raises(
+        FormatError, match=f"^g.inst:{lineno}: .*search parameter hard names 'connected' twice$"
+    ):
+        loads(text, origin="g.inst")
+
+
+def test_repeated_hard_id_in_the_config_changes_nothing():
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = text.replace("counter 3\n", "counter 3\ncounter_min 2\ncounter_max 4\n")
+    model = loads(text).build()
+    model.commit(Move.counter("connected", 4))
+    before = model.state.snapshot()
+    calls = []
+    set_all = model.set_all
+    model.set_all = lambda colours: calls.append(colours) or set_all(colours)
+    cfg = SearchConfig(seed=1, max_iterations=50, hard=("connected", "connected"))
+    with pytest.raises(InputError, match="search parameter hard names 'connected' twice"):
+        search(model, cfg)
+    assert calls == []
+    assert model.state.snapshot() == before
+    assert model.constraint("connected").counter_value == 4
+
+
+def test_repeated_weight_id(inst, capsys):
+    err = _solve_fails(capsys, inst, "--weights", "balance=2,balance=3")
+    assert "weight for 'balance' given twice" in err
+
+
 def test_negative_iterations_on_the_command_line(inst, capsys):
     assert cli.main(["solve", str(inst), "--iters", "-1"]) == 2
     assert "search parameter max_iterations must not be negative" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from sectorsearch.geometry import Geometry, grid
 from sectorsearch.state import (
     ColourState,
     ComponentIndex,
+    Regions,
     class_components,
     grow_regions,
     stretches,
@@ -277,7 +278,7 @@ def test_region_index_matches_the_general_rebuild(name):
         st.component_index()
         for seed in range(4):
             rng = random.Random(seed)
-            st.set_all(grow_regions(geometry, k, rng), regions=True)
+            st.set_all(grow_regions(geometry, k, rng))
             _check_region_index_walk(st, rng)
 
 
@@ -320,9 +321,9 @@ def test_failed_set_all_changes_nothing(regions):
             spec.params.update(mode="A", threshold=0)
     model = instance.build()
     st = model.state
-    path = {"regions": True} if regions else {}
+    path = Regions if regions else dict
     rng = random.Random(2)
-    model.set_all(grow_regions(st.geometry, st.n, rng), **path)
+    model.set_all(path(grow_regions(st.geometry, st.n, rng)))
     for _ in range(30):
         model.assign(rng.choice(st.order), rng.randint(1, st.n))
     before = _observed(model)
@@ -337,7 +338,7 @@ def test_failed_set_all_changes_nothing(regions):
         ({**good, last: "1"}, f"vertex {last}: colour '1' outside 1..{st.n}"),
     ):
         with pytest.raises(InputError, match=message):
-            model.set_all(bad, **path)
+            model.set_all(path(bad))
         assert _observed(model) == before
 
 
@@ -398,6 +399,19 @@ def test_many_colours_build_their_class_masks():
         assert st.class_mask[c] == sum(1 << r for r in ranks)
         assert st.class_size[c] == len(ranks)
     assert st.class_size[n] >= 1 and st.class_size[256] >= 1
+
+
+def test_a_colours_view_follows_set_all():
+    geometry = grid(5, 4, dim=2)
+    st = ColourState(geometry, 3)
+    index = st.component_index()
+    view = st.colours()
+    rng = random.Random(5)
+    for colours in (random_colours(rng, geometry, 3), grow_regions(geometry, 3, rng)):
+        st.set_all(colours)
+        assert dict(view) == colours
+        assert index._colour is st._colour
+        assert_index_matches_components(index, geometry, colours, st.n)
 
 
 def test_colours_follow_the_geometry_vertex_order():

@@ -114,7 +114,8 @@ def test_records_match_stretch_scan():
     # stretches 0..1, 2..4 and 5..5, with their value sums
     assert c._start == [0, 0, 2, 2, 2, 5]
     assert c._end == [1, 1, 4, 4, 4, 5]
-    assert c._sum == [10, 10, 15, 15, 15, 5]
+    sums = [c._prefix[right + 1] - c._prefix[left] for left, right in zip(c._start, c._end)]
+    assert sums == [10, 10, 15, 15, 15, 5]
 
 
 def test_violation_zero_iff_check():
