@@ -8,6 +8,13 @@ Each kind's ``_total_after`` is its one move routine: the probe reduces
 it to a violation delta and the commit stores it as the new total, as
 :mod:`sectorsearch.constraints.base` requires.  Both kinds share the
 sum core's routine, which works for any penalty.
+
+The core also keeps the set of met colours, those whose penalty is 0; a
+commit updates it for the two colours it changes.  As the colour classes
+partition the vertices, the conflicting vertices are every vertex but
+the met colours' classes, so ``conflicts()`` is one XOR of the
+all-vertices mask: nothing to compute while no colour is met, as a
+balance constraint's sums rarely sit exactly at the average.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ class ColourSumConstraint(Constraint):
             if v not in values:
                 raise InputError(f"vertex {v} has no value")
         self.values = {v: int(values[v]) for v in state.geometry.vertices}
+        #: the mask of every vertex, the union of all the classes
+        self._everyone = (1 << len(state.order)) - 1
 
     def _penalty(self, x: int) -> int:
         raise NotImplementedError
@@ -61,6 +70,8 @@ class ColourSumConstraint(Constraint):
     def rebuild(self) -> None:
         self.sums = self._class_sums()
         self._total = sum(self._penalty(x) for x in self.sums.values())
+        #: the colours whose penalty is 0
+        self._met = {c for c, x in self.sums.items() if not self._penalty(x)}
 
     # measurement -------------------------------------------------------
     def violation(self) -> int:
@@ -70,7 +81,7 @@ class ColourSumConstraint(Constraint):
         return self._penalty(self.sums[self.state.colour(v)])
 
     def conflicts(self) -> int:
-        return self.state.classes_mask(c for c, x in self.sums.items() if self._penalty(x))
+        return self._everyone ^ self.state.classes_mask(self._met)
 
     # differentiation ----------------------------------------------------
     def _total_after(self, v: int, before: int, after: int) -> int:
@@ -97,8 +108,15 @@ class ColourSumConstraint(Constraint):
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         self._total = self._total_after(v, old, new)
-        self.sums[old] -= self.values[v]
-        self.sums[new] += self.values[v]
+        sums = self.sums
+        sums[old] -= self.values[v]
+        sums[new] += self.values[v]
+        met = self._met
+        for c in (old, new):
+            if self._penalty(sums[c]):
+                met.discard(c)
+            else:
+                met.add(c)
 
 
 class BalancedConstraint(ColourSumConstraint):

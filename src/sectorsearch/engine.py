@@ -16,16 +16,23 @@ masks in entry order until the union holds every vertex, as a balance
 constraint's alone does whenever no colour's sum is exactly the average,
 and then draws its focus from the vertex list itself; a partial union is
 drawn through a sorted view.  Either way a seeded run draws exactly the
-vertex a draw from the sorted pool list would.  The masks are integers
-of V bits, so the pool still costs a few big-integer operations that
-grow with V, not a call per vertex; a partial union adds a halving of
-about log2(V) steps.  An empty pool, where only counter relations are
-violated, falls back to the vertices with a differently coloured
-neighbour, found from the class masks (``ColourState.border_mask``).
+vertex a draw from the sorted pool list would.  The per-colour sum kinds
+keep the set of their met colours up to date on each commit, so their
+mask is the all-vertices mask XOR the met classes, with no penalty
+computed on the read.  The masks are integers of V bits, so the pool
+still costs a few big-integer operations that grow with V, not a call
+per vertex; a partial union adds a halving of about log2(V) steps.  An
+empty pool, where only counter relations are violated, falls back to the
+vertices with a differently coloured neighbour, found from the class
+masks (``ColourState.border_mask``).
 
-:func:`search` and :func:`neighbourhood` share one candidate rule: a
-vertex may take the colour of a differently coloured neighbour or an
-unused colour (``selector="border"``), or any other colour (``"full"``).
+:func:`search` and :func:`neighbourhood` share one candidate rule, made
+by :func:`_candidate_rule`: a vertex may take the colour of a differently
+coloured neighbour or an unused colour (``selector="border"``), or any
+other colour (``"full"``).  The rule holds the state's colour view, which
+follows every commit and restart, and the geometry's adjacency table, so
+a search makes it once, as it binds each constraint's ``violation`` and
+``conflicts`` reads, the weights and the draws once.
 :func:`neighbourhood` lists exactly the moves :func:`search` may draw.
 
 An iteration evaluates only what its choice reads.  Probes draw no
@@ -61,7 +68,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InitError, InputError
 from .state import ColourState, MaskView, grow_regions
@@ -74,7 +82,7 @@ TOLERANCE = 1e-9
 COUNTS = ("max_iterations", "tabu_tenure", "restart_after", "moves_per_iter")
 
 #: the search parameters that name a policy, with their values: the candidate
-#: rules of :func:`_candidate_colours` and the starts of :func:`_initialise`
+#: rules of :func:`_candidate_rule` and the starts of :func:`_initialise`
 CHOICES = {"neighbourhood": ("border", "full"), "init": ("regions", "random", "keep")}
 
 
@@ -274,7 +282,7 @@ class Model:
 
 def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     """Every move :func:`search` may draw: each vertex's candidate
-    recolourings (see :func:`_candidate_colours`), then the counter moves
+    recolourings (see :func:`_candidate_rule`), then the counter moves
     (a search with hard constraints leaves out their counters).
 
     With unused colours, every vertex has a candidate, interior vertices
@@ -282,12 +290,9 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     """
     check_parameter("neighbourhood", selector)
     state = model.state
+    candidates = _candidate_rule(state, selector)
     unused = state.unused_colours()
-    moves = [
-        Move.assign(v, c)
-        for v in state.order
-        for c in _candidate_colours(model, v, selector, unused)
-    ]
+    moves = [Move("assign", v, c) for v in state.order for c in candidates(v, unused)]
     moves.extend(_counter_moves(model))
     return moves
 
@@ -310,27 +315,40 @@ def check_parameter(name: str, value) -> None:
         raise InputError(f"search parameter {name} {value!r} is not one of {CHOICES[name]}")
 
 
-def _candidate_colours(model: Model, v: int, selector: str, unused: List[int]) -> List[int]:
-    """The colours ``v`` may take, in increasing order: those of its
-    differently coloured neighbours plus the unused ones, or with
-    ``selector="full"`` every colour but its own."""
-    state = model.state
+def _candidate_rule(state: ColourState, selector: str) -> Callable[[int, List[int]], List[int]]:
+    """The rule ``(v, unused) -> colours`` giving the colours ``v`` may
+    take, in increasing order: those of its differently coloured
+    neighbours plus the ``unused`` ones, or with ``selector="full"`` every
+    colour but its own.  It holds the state's colour view, which follows
+    every commit and ``set_all``, and the geometry's adjacency table, so
+    a search builds it once."""
     colour = state.colours()
-    cv = colour[v]
     if selector == "full":
-        return [c for c in range(1, state.n + 1) if c != cv]
-    adjacent = state.geometry.adjacent(v)
-    if not unused:
-        # most vertices are interior to their class and have no candidate
-        for w in adjacent:
-            if colour[w] != cv:
-                break
-        else:
-            return []
-    cands = {colour[w] for w in adjacent}
-    cands.update(unused)
-    cands.discard(cv)
-    return sorted(cands)
+        every = range(1, state.n + 1)
+
+        def full(v: int, unused: List[int]) -> List[int]:
+            cv = colour[v]
+            return [c for c in every if c != cv]
+
+        return full
+    adjacency = state.geometry.adjacency()
+
+    def border(v: int, unused: List[int]) -> List[int]:
+        cv = colour[v]
+        adjacent = adjacency[v]
+        if not unused:
+            # most vertices are interior to their class and have no candidate
+            for w in adjacent:
+                if colour[w] != cv:
+                    break
+            else:
+                return []
+        cands = {colour[w] for w in adjacent}
+        cands.update(unused)
+        cands.discard(cv)
+        return sorted(cands)
+
+    return border
 
 
 def _counter_moves(model: Model, frozen: Sequence[str] = ()) -> List[Move]:
@@ -394,6 +412,15 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             model.constraint(cid).commit_counter(value)
     _initialise(model, cfg, rng)
 
+    # what every iteration reads, looked up once: the constraints' bound
+    # reads, the weights, the candidate rule and the draws
+    violation_reads = [c.violation for c, _ in entries]
+    conflict_reads = [c.conflicts for c, _ in entries]
+    weights = [w for _, w in entries]
+    candidates = _candidate_rule(state, cfg.neighbourhood)
+    counters = bool(model.searchable_counters)
+    choice = rng.choice
+    probe_parts = model.probe_parts
     trace: List[Tuple] = []
     tabu: Dict[Move, int] = {}  # move -> last iteration it stays tabu
     best_total = math.inf
@@ -414,11 +441,11 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     while True:
         # the step every iteration ends with, and the run starts with: one
         # violation() read per constraint, summed as total_violation does
-        violations = tuple(c.violation() for c, _ in entries)
+        violations = tuple([read() for read in violation_reads])
         for i in hard_rows:
             if violations[i] != 0:
                 raise RuntimeError(f"hard constraint {entries[i][0].id!r} violated after commit")
-        total = sum(w * x for (_, w), x in zip(entries, violations))
+        total = sum(map(mul, weights, violations))
         trace.append((iteration, total, violations))
         improved = total < best_total - TOLERANCE
         if improved:
@@ -452,8 +479,8 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         # weights are positive, so a vertex conflicts in the weighted sum
         # exactly when it conflicts in some constraint
         mask = 0
-        for constraint, _ in entries:
-            mask |= constraint.conflicts()
+        for conflicts in conflict_reads:
+            mask |= conflicts()
             if mask == full_pool:
                 break
         # rng.choice draws one index from either, and both map it to one vertex
@@ -461,21 +488,22 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         if not pool:
             pool = MaskView(vertices, state.border_mask()) or vertices
 
-        focus = rng.choice(pool)
-        moves = [Move.assign(focus, c) for c in _candidate_colours(model, focus, cfg.neighbourhood, unused)]
+        focus = choice(pool)
+        moves = [Move("assign", focus, c) for c in candidates(focus, unused)]
         for _ in range(cfg.moves_per_iter):
-            v = rng.choice(vertices)
-            cands = _candidate_colours(model, v, cfg.neighbourhood, unused)
+            v = choice(vertices)
+            cands = candidates(v, unused)
             if cands:
-                moves.append(Move.assign(v, rng.choice(cands)))
-        moves.extend(_counter_moves(model, hard))
+                moves.append(Move("assign", v, choice(cands)))
+        if counters:
+            moves.extend(_counter_moves(model, hard))
 
         evaluated = None
         if hard:
             # the filter needs every probe; the choice reuses their sums
             evaluated = []
             for move in moves:
-                parts = model.probe_parts(move)
+                parts = probe_parts(move)
                 if any(abs(parts.get(cid, 0)) > TOLERANCE for cid in hard):
                     continue
                 evaluated.append((move, sum(parts.values())))
@@ -489,7 +517,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             move = moves[rng.randrange(len(moves))]
         else:
             if evaluated is None:
-                evaluated = [(move, sum(model.probe_parts(move).values())) for move in moves]
+                evaluated = [(move, sum(probe_parts(move).values())) for move in moves]
             allowed = [
                 (move, delta)
                 for move, delta in evaluated

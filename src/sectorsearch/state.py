@@ -676,10 +676,31 @@ def stretches(seq: Sequence) -> List[Tuple[int, int]]:
     return spans
 
 
+#: the key :func:`grow_regions` mints a :class:`Regions` with
+_GROWN = object()
+
+
 class Regions(dict):
     """A colouring whose every colour class is connected or empty, as
     :func:`grow_regions` returns it; ``set_all`` labels its components by
-    their colours, with no search."""
+    their colours, with no search.
+
+    Nothing checks that promise, so only :func:`grow_regions` can make
+    one, and once made it cannot change: building one elsewhere, or
+    writing to one, raises a ``TypeError``.  A ``dict`` of it is an
+    ordinary colouring.
+    """
+
+    def __init__(self, colours: Mapping[int, int], _key: object = None):
+        if _key is not _GROWN:
+            raise TypeError("only grow_regions makes a Regions colouring")
+        super().__init__(colours)
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a Regions colouring cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = _frozen
+    clear = pop = popitem = setdefault = update = _frozen
 
 
 def grow_regions(geometry: Geometry, k: int, rng) -> Regions:
@@ -726,4 +747,4 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Regions:
         if len(colour) == claimed:
             raise InputError("region growing could not reach every vertex")
     # claimed into a plain dict, which the loop reads faster, and copied once
-    return Regions(colour)
+    return Regions(colour, _GROWN)

@@ -1,6 +1,8 @@
 """``tools/bench.py`` writes one ``BENCH_<workload>.json`` per workload
-with the benchmark's report and what produced it."""
+with the benchmark's report and what produced it, and ``compare`` runs
+two trees in alternating pairs."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -28,3 +30,42 @@ def test_bench_tool_writes_the_report_and_its_provenance(tmp_path):
     [report] = written["reports"]
     assert report["correct"] is True and report["failed"] == 0
     assert set(report["metrics"]) == {"setup_s", "iters_per_s", "solve_s", "peak_rss_mb"}
+
+
+def test_compare_runs_alternating_pairs_of_two_trees(tmp_path):
+    """A tree compared with itself: every pair runs on both sides, and the
+    exact counts and ``failed`` agree."""
+    out = tmp_path / "runs.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench.py"), "compare", str(ROOT), str(ROOT),
+         "--workload", "iterate-80x80", "--pairs", "2", "--seconds", "0", "-o", str(out)],
+        check=True, capture_output=True, text=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[0] == "iterate-80x80: 2 pairs at --seconds 0, seeds 1..2"
+    for metric in ("setup_s", "iters_per_s", "solve_s", "peak_rss_mb"):
+        [row] = [line for line in lines if line.split()[:1] == [metric]]
+        assert "/2 " in row
+    assert "  exact counts agree: yes" in "\n".join(lines)
+    assert "  failed agree: yes (values [0])" in lines
+    runs = json.loads(out.read_text())["iterate-80x80"]
+    assert [len(runs[side]) for side in ("parent", "change")] == [2, 2]
+    exact = [run["exact"] for side in ("parent", "change") for run in runs[side]]
+    assert set(exact[0]) == {"solved_frac", "best_violation", "iterations"}
+    assert all(counts == exact[0] for counts in exact)
+
+
+def test_compare_counts_wins_in_each_metric_direction(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parent, change = [10, 12, 11, 13], [9, 12, 12, 10]
+    lower = tool.summarise(parent, change, "lower")
+    assert lower["wins"] == 2  # the tie in the second pair counts for neither
+    assert lower["parent"] == (11.5, 10.25, 12.75)
+    assert lower["gain"] == 11.5 - 11.0
+    assert lower["spread"] == 12.75 - 10.25
+    higher = tool.summarise(parent, change, "higher")
+    assert higher["wins"] == 1
+    assert higher["gain"] == -lower["gain"]

@@ -19,7 +19,7 @@ from sectorsearch.engine import (
     Model,
     Move,
     SearchConfig,
-    _candidate_colours,
+    _candidate_rule,
     _luby,
     neighbourhood,
     search,
@@ -128,17 +128,20 @@ def test_neighbourhood_is_what_search_draws_from():
             listed = {v: [] for v in st.order}
             for move in neighbourhood(model, selector):
                 listed[move.vertex].append(move.colour)
+            rule = _candidate_rule(st, selector)
             for v in st.order:
-                assert listed[v] == _candidate_colours(model, v, selector, unused)
+                assert listed[v] == rule(v, unused)
                 if selector == "border":
                     assert listed[v] == set_rule(v, unused)
         st.assign(rng.choice(st.order), rng.randint(1, st.n))
     # every colour in use and the centre interior to its class: no candidate
+    # a rule built before set_all follows it
+    border = _candidate_rule(st, "border")
     st.set_all({v: {0: 2, 8: 3}.get(v, 1) for v in st.order})
     assert st.unused_colours() == []
     for v in st.order:
-        assert _candidate_colours(model, v, "border", []) == set_rule(v, [])
-    assert _candidate_colours(model, 4, "border", []) == []
+        assert border(v, []) == set_rule(v, [])
+    assert border(4, []) == []
 
 
 def test_neighbourhood_lists_counter_moves():
@@ -606,10 +609,12 @@ def replay_digest(result):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _run_2d(seed, iters, init="regions", mode=None):
+def _run_2d(seed, iters, init="regions", mode=None, neighbourhood="border"):
     instance = generate(seed=42, width=10, height=10, colours=4, flights=1)
     model = instance.build(mode_override=mode)
-    cfg = replace(instance.search, seed=seed, max_iterations=iters, init=init)
+    cfg = replace(
+        instance.search, seed=seed, max_iterations=iters, init=init, neighbourhood=neighbourhood
+    )
     return search(model, cfg)
 
 
@@ -669,6 +674,24 @@ def _run_counter_only(seed, iters):
     return search(model, SearchConfig(seed=seed, max_iterations=iters))
 
 
+def _searched_counter(seed, iters):
+    """A searchable component counter in 5..9 beside a tight balance, so a
+    counter move joins every move list; the model and the config."""
+    instance = generate(seed=17, width=8, height=8, colours=5, flights=2, balanced_share=0.01)
+    for spec in instance.constraints:
+        if spec.kind == "connected":
+            spec.params.update(counter_min=5, counter_max=9)
+    return instance.build(), replace(instance.search, seed=seed, max_iterations=iters)
+
+
+def _fewer_components(seed, iters):
+    """Exact connectedness asking for 3 components of 6 colours: from six
+    grown regions, colours go unused partway through the search."""
+    st = ColourState(grid(5, 5, dim=2), 6)
+    model = Model(st, [(ConnectedConstraint(st, "=", 3, id="connected"), 1)])
+    return model, SearchConfig(seed=seed, max_iterations=iters)
+
+
 GOLDEN = [
     # exact connectedness from grown regions: short runs to zero
     (lambda: _run_2d(1, 1500), "a8fa6b684c733ad1a0b9ffdca760fb1b630eaaac89ba122999220e7274925860"),
@@ -719,6 +742,14 @@ GOLDEN = [
         lambda: _run_counter_only(1, 300),
         "41afdf0fd7f86c09d411688a03702f443170fdb937f30958696c26d14aa329bb",
     ),
+    # every other colour is a candidate (neighbourhood "full")
+    (lambda: _run_2d(1, 600, neighbourhood="full"), "c9e26a3d561de96a837f0dffacad1db40b51589846e260c36e779576d90b7460"),
+    (lambda: _run_2d(2, 600, neighbourhood="full"), "7fb78bf3db6985adae1c7535c91e26fa262900cdb05613b19af021766f3c2e83"),
+    # a searchable counter's moves in every move list
+    (lambda: search(*_searched_counter(1, 600)), "d4a893e221f907386495de96f7e0c1f6a52f456d9179adca67259ad4ee0f68ac"),
+    # colours going unused and becoming candidates, to zero and with restarts
+    (lambda: search(*_fewer_components(2, 300)), "d2b523f334d57522789ed4dfd60a53b1b3f8d5dda4937e7d05f13edc1e2fd48a"),
+    (lambda: search(*_fewer_components(3, 300)), "0ed2f267ccb31347766f785dc786263f26318c3efe7b8cd2352d1dded5598d32"),
 ]
 
 
@@ -726,6 +757,31 @@ GOLDEN = [
 def test_golden_replay_digest(case):
     run, expected = GOLDEN[case]
     assert replay_digest(run()) == expected
+
+
+def _commits(model, cfg):
+    """Each move a search commits, with the class sizes after it."""
+    seen = []
+    commit = model.commit
+
+    def recorded(move):
+        undo = commit(move)
+        seen.append((move, list(model.state.class_size)))
+        return undo
+
+    model.commit = recorded
+    search(model, cfg)
+    return seen
+
+
+def test_golden_runs_take_the_paths_they_pin():
+    """The searched-counter run commits counter moves, and the
+    fewer-components runs start with every colour used and pass through
+    states with an unused one."""
+    assert any(move.kind == "counter" for move, _ in _commits(*_searched_counter(1, 600)))
+    for seed in (2, 3):
+        unused = [0 in sizes[1:] for _, sizes in _commits(*_fewer_components(seed, 300))]
+        assert not unused[0] and any(unused), seed
 
 
 def coarse_digest(result):

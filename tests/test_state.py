@@ -312,6 +312,21 @@ def _observed(model):
     )
 
 
+def _bad_regions(st, rng):
+    """Region colourings ``set_all`` refuses, made by ``grow_regions`` as
+    every region colouring is, each with the error it raises: one region
+    more than the colours, and regions over a grid one row short."""
+    geometry = st.geometry
+    extra = grow_regions(geometry, st.n + 1, rng)
+    v = next(v for v in geometry.vertices if extra[v] > st.n)
+    short = grow_regions(grid(7, 5, dim=2), st.n, rng)
+    w = next(v for v in geometry.vertices if v not in short)
+    return [
+        (extra, f"vertex {v}: colour {st.n + 1} outside 1..{st.n}"),
+        (short, f"vertex {w} has no colour"),
+    ]
+
+
 @pytest.mark.parametrize("regions", [False, True], ids=["general", "regions"])
 def test_failed_set_all_changes_nothing(regions):
     instance = generate(seed=4, width=7, height=6, colours=4, flights=3,
@@ -321,25 +336,61 @@ def test_failed_set_all_changes_nothing(regions):
             spec.params.update(mode="A", threshold=0)
     model = instance.build()
     st = model.state
-    path = Regions if regions else dict
     rng = random.Random(2)
-    model.set_all(path(grow_regions(st.geometry, st.n, rng)))
+    grown = grow_regions(st.geometry, st.n, rng)
+    model.set_all(grown if regions else dict(grown))
     for _ in range(30):
         model.assign(rng.choice(st.order), rng.randint(1, st.n))
     before = _observed(model)
-    last = st.order[-1]
-    good = grow_regions(st.geometry, st.n, rng)
-    missing = {v: c for v, c in good.items() if v != last}
-    for bad, message in (
-        (missing, f"vertex {last} has no colour"),
-        ({**good, last: st.n + 1}, f"vertex {last}: colour {st.n + 1} outside 1..{st.n}"),
-        ({**good, last: 0}, f"vertex {last}: colour 0 outside 1..{st.n}"),
-        ({**good, last: 1.0}, f"vertex {last}: colour 1.0 outside 1..{st.n}"),
-        ({**good, last: "1"}, f"vertex {last}: colour '1' outside 1..{st.n}"),
-    ):
+    if regions:
+        refused = _bad_regions(st, rng)
+    else:
+        last = st.order[-1]
+        good = grow_regions(st.geometry, st.n, rng)
+        missing = {v: c for v, c in good.items() if v != last}
+        refused = [
+            (missing, f"vertex {last} has no colour"),
+            ({**good, last: st.n + 1}, f"vertex {last}: colour {st.n + 1} outside 1..{st.n}"),
+            ({**good, last: 0}, f"vertex {last}: colour 0 outside 1..{st.n}"),
+            ({**good, last: 1.0}, f"vertex {last}: colour 1.0 outside 1..{st.n}"),
+            ({**good, last: "1"}, f"vertex {last}: colour '1' outside 1..{st.n}"),
+        ]
+    for bad, message in refused:
+        assert isinstance(bad, Regions) == regions
         with pytest.raises(InputError, match=message):
-            model.set_all(path(bad))
+            model.set_all(bad)
         assert _observed(model) == before
+
+
+def test_only_grow_regions_makes_a_regions_colouring():
+    """``set_all`` takes a Regions colouring's classes to be connected
+    without a search.  Colour 1 of this one has two components; were it
+    accepted, the index would count one component of colour 1 and no
+    excess, where a flood of the same colours counts two."""
+    st = ColourState(grid(3, 1, dim=2), 2)
+    index = st.component_index()
+    with pytest.raises(TypeError, match="only grow_regions"):
+        Regions({0: 1, 1: 2, 2: 1})
+    grown = grow_regions(st.geometry, 2, random.Random(0))
+    before = dict(grown)
+    for write in (
+        lambda r: r.__setitem__(0, 2),
+        lambda r: r.__delitem__(0),
+        lambda r: r.update({0: 2}),
+        lambda r: r.setdefault(0, 2),
+        lambda r: r.pop(0),
+        lambda r: r.popitem(),
+        lambda r: r.clear(),
+    ):
+        with pytest.raises(TypeError, match="cannot be changed"):
+            write(grown)
+    with pytest.raises(TypeError, match="cannot be changed"):
+        grown |= {0: 2}
+    assert grown == before
+    st.set_all({0: 1, 1: 2, 2: 1})
+    assert index.count == {1: 2, 2: 1}
+    assert (index.total, index.excess) == (3, 1)
+    assert_index_matches_components(index, st.geometry, st.snapshot(), st.n)
 
 
 EDGE_MASK_BUILDS = {

@@ -1,6 +1,7 @@
 import random
 
 from oracles import (
+    assert_caches_match_rebuild,
     naive_balanced_violation,
     naive_bounded_violation,
     random_colours,
@@ -125,6 +126,30 @@ def test_commits_conserve_sums():
         assert bou.violation() == naive_bounded_violation(colours, values, n, "<=", 15)
         assert (bal.violation() == 0) == bal.check()
         assert (bou.violation() == 0) == bou.check()
+
+
+def test_met_colours_follow_a_balanced_walk():
+    """A walk of commits passes through states in which some colour's sum
+    is exactly the average and states in which none is; after each commit
+    every cache, the met colours included, equals a rebuild's and
+    ``conflicts()`` equals a scan of ``var_violation``."""
+    rng = random.Random(5)
+    geometry = grid(3, 3, dim=2)
+    n = 3
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    # nine values summing to 15: a colour meets the average at a sum of 5
+    values = dict(zip(sorted(geometry.vertices), (1, 1, 1, 1, 2, 2, 2, 2, 3)))
+    bal = BalancedConstraint(st, values, 4)
+    bou = BoundedConstraint(st, values, "<=", 5)
+    model = Model(st, [(bal, 1), (bou, 1)])
+    met = set()
+    for _ in range(150):
+        model.assign(rng.choice(st.order), rng.randint(1, n))
+        assert_caches_match_rebuild(st, [bal, bou])
+        at_average = any(n * x == sum(values.values()) for x in bal.sums.values())
+        assert at_average == bool(bal._met)
+        met.add(at_average)
+    assert met == {True, False}
 
 
 def test_balanced_over_volumes_is_balanced_size():
