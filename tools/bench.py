@@ -89,8 +89,9 @@ def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return _report(_run(ROOT, workload, seed, seconds, trace))
 
 
-def bench(workload: str, seeds, seconds: float, trace: int) -> dict:
-    status = _git("status", "--porcelain", "--untracked-files=no")
+def bench(workload: str, seeds, seconds: float, trace: int, dirty) -> dict:
+    """One workload's file; ``dirty`` is read before any file is written,
+    as a written ``BENCH_*.json`` is itself a tracked file."""
     return {
         "workload": workload,
         "seeds": list(seeds),
@@ -98,7 +99,7 @@ def bench(workload: str, seeds, seconds: float, trace: int) -> dict:
         "trace": trace,
         "python": platform.python_version(),
         "revision": _git("rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
+        "dirty": dirty,
         "reports": [run_once(workload, seed, seconds, trace) for seed in seeds],
     }
 
@@ -212,10 +213,12 @@ def main(argv=None) -> int:
                         help="directory the files are written to")
     args = parser.parse_args(argv)
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    dirty = None if status is None else bool(status)
     args.out.mkdir(parents=True, exist_ok=True)
     for name in names:
         path = args.out / f"BENCH_{name}.json"
-        path.write_text(json.dumps(bench(name, args.seeds, args.seconds, args.trace),
+        path.write_text(json.dumps(bench(name, args.seeds, args.seconds, args.trace, dirty),
                                    indent=2) + "\n")
         print(f"wrote {path}")
     return 0
