@@ -4,10 +4,12 @@ All balance arithmetic is carried out in n-scaled integer units,
 ``|n * X[i] - sum(values)|``, so a fractional average never forces
 floating point; the threshold is declared in the same scaled units.
 
-Each kind's ``_total_after`` is its one move routine: the probe reduces
-it to a violation delta and the commit stores it as the new total, as
-:mod:`sectorsearch.constraints.base` requires.  Both kinds share the
-sum core's routine, which works for any penalty.
+A move changes two sums, so its effect is four penalties: the two
+colours' before the move and after it.  The probe reads the total they
+give from ``_total_after`` and reduces it to a violation delta; the
+commit computes the same four, keeping the two new ones for the met set
+as well, so each penalty is computed once per commit.  Both kinds share
+the sum core's routines, which work for any penalty.
 
 The core also keeps the set of met colours, those whose penalty is 0; a
 commit updates it for the two colours it changes.  As the colour classes
@@ -49,8 +51,6 @@ class ColourSumConstraint(Constraint):
             if v not in values:
                 raise InputError(f"vertex {v} has no value")
         self.values = {v: int(values[v]) for v in state.geometry.vertices}
-        #: the mask of every vertex, the union of all the classes
-        self._everyone = (1 << len(state.order)) - 1
 
     def _penalty(self, x: int) -> int:
         raise NotImplementedError
@@ -81,7 +81,7 @@ class ColourSumConstraint(Constraint):
         return self._penalty(self.sums[self.state.colour(v)])
 
     def conflicts(self) -> int:
-        return self._everyone ^ self.state.classes_mask(self._met)
+        return self.state.everyone ^ self.state.classes_mask(self._met)
 
     # differentiation ----------------------------------------------------
     def _total_after(self, v: int, before: int, after: int) -> int:
@@ -107,16 +107,25 @@ class ColourSumConstraint(Constraint):
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
-        self._total = self._total_after(v, old, new)
+        # the four penalties of _total_after, the two new ones computed
+        # once for the total and the met set
+        val = self.values[v]
+        penalty = self._penalty
         sums = self.sums
-        sums[old] -= self.values[v]
-        sums[new] += self.values[v]
+        after_old = penalty(sums[old] - val)
+        after_new = penalty(sums[new] + val)
+        self._total += after_old + after_new - penalty(sums[old]) - penalty(sums[new])
+        sums[old] -= val
+        sums[new] += val
         met = self._met
-        for c in (old, new):
-            if self._penalty(sums[c]):
-                met.discard(c)
-            else:
-                met.add(c)
+        if after_old:
+            met.discard(old)
+        else:
+            met.add(old)
+        if after_new:
+            met.discard(new)
+        else:
+            met.add(new)
 
 
 class BalancedConstraint(ColourSumConstraint):

@@ -435,7 +435,7 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     # the iterations without a new best after which the next restart comes
     wait = cfg.restart_after * _luby(1)
     vertices = state.order
-    full_pool = (1 << len(vertices)) - 1
+    full_pool = state.everyone
     iteration = 0
 
     while True:

@@ -48,7 +48,8 @@ The state creates its colour map once: ``set_all`` writes into it, so a
 colouring.  ``set_all`` rebuilds the index, labelling each vertex by its
 colour and minting fresh labels above ``n``.  :func:`grow_regions`, as a
 restart calls it, returns a :class:`Regions` colouring, whose used
-colours are one component each, so those labels stay, with no search;
+colours are one component each on the geometry it was grown on, so on a
+state over that geometry those labels stay, with no search;
 any other colouring's components are flooded to fresh labels, as a move
 merges components.  Exact connectedness counts from the index and
 compact mode A keeps a volume per label, in one table per colour.
@@ -109,6 +110,8 @@ class ColourState:
         self.order: List[int] = list(geometry.order())
         #: position of each vertex in ``order``, the geometry's table
         self.rank: Mapping[int, int] = geometry.rank()
+        #: the mask of every vertex, the union of all the classes
+        self.everyone: int = (1 << len(self.order)) - 1
         self._index: Optional[ComponentIndex] = None
         #: the one colour map, in the order of ``geometry.vertices``, which
         #: the component index floods in; ``set_all`` writes into it
@@ -201,13 +204,15 @@ class ColourState:
     def set_all(self, colours: Mapping[int, int]) -> None:
         """Bulk assignment; like :meth:`assign`, it reaches no constraint.
 
-        A :class:`Regions` colouring's classes are connected or empty, so
-        the component index then takes one component per used colour,
-        labelled by the colour, instead of searching.
+        A :class:`Regions` colouring grown on this state's geometry has
+        classes that are connected or empty, so the component index then
+        takes one component per used colour, labelled by the colour,
+        instead of searching.
         """
         self._take(colours)
         if self._index is not None:
-            self._index.rebuild(self.class_size if isinstance(colours, Regions) else None)
+            grown_here = isinstance(colours, Regions) and colours.geometry is self.geometry
+            self._index.rebuild(self.class_size if grown_here else None)
 
     # ------------------------------------------------------------------
     # vertex masks
@@ -681,20 +686,26 @@ _GROWN = object()
 
 
 class Regions(dict):
-    """A colouring whose every colour class is connected or empty, as
-    :func:`grow_regions` returns it; ``set_all`` labels its components by
-    their colours, with no search.
+    """A colouring whose every colour class is connected or empty on
+    ``geometry``, as :func:`grow_regions` returns it; ``set_all`` on a
+    state over that same geometry labels its components by their colours,
+    with no search.
 
     Nothing checks that promise, so only :func:`grow_regions` can make
     one, and once made it cannot change: building one elsewhere, or
-    writing to one, raises a ``TypeError``.  A ``dict`` of it is an
-    ordinary colouring.
+    writing to one, raises a ``TypeError``.  The promise holds only on the
+    geometry the regions were grown on (another geometry over the same
+    vertices has other neighbours), so a state over any other geometry
+    floods it as an ordinary colouring.  A ``dict`` of it is an ordinary
+    colouring.
     """
 
-    def __init__(self, colours: Mapping[int, int], _key: object = None):
+    def __init__(self, colours: Mapping[int, int], geometry: Geometry, _key: object = None):
         if _key is not _GROWN:
             raise TypeError("only grow_regions makes a Regions colouring")
         super().__init__(colours)
+        #: the geometry every class is connected on
+        self.geometry = geometry
 
     def _frozen(self, *args, **kwargs):
         raise TypeError("a Regions colouring cannot be changed")
@@ -747,4 +758,4 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Regions:
         if len(colour) == claimed:
             raise InputError("region growing could not reach every vertex")
     # claimed into a plain dict, which the loop reads faster, and copied once
-    return Regions(colour, _GROWN)
+    return Regions(colour, geometry, _GROWN)

@@ -370,7 +370,7 @@ def test_only_grow_regions_makes_a_regions_colouring():
     st = ColourState(grid(3, 1, dim=2), 2)
     index = st.component_index()
     with pytest.raises(TypeError, match="only grow_regions"):
-        Regions({0: 1, 1: 2, 2: 1})
+        Regions({0: 1, 1: 2, 2: 1}, st.geometry)
     grown = grow_regions(st.geometry, 2, random.Random(0))
     before = dict(grown)
     for write in (
@@ -391,6 +391,28 @@ def test_only_grow_regions_makes_a_regions_colouring():
     assert index.count == {1: 2, 2: 1}
     assert (index.total, index.excess) == (3, 1)
     assert_index_matches_components(index, st.geometry, st.snapshot(), st.n)
+
+
+@pytest.mark.parametrize(
+    "grown_on, state_on",
+    [((6, 7), (7, 6)), ((2, 2), (4, 1))],
+    ids=["6x7-on-7x6", "2x2-on-4x1"],
+)
+def test_regions_grown_on_another_geometry_are_flooded(grown_on, state_on):
+    """Regions are connected on the geometry they were grown on.  Set on a
+    state over another geometry with the same vertex ids, they are an
+    ordinary colouring, whose split classes the index must count."""
+    st = ColourState(grid(*state_on, dim=2), 3)
+    index = st.component_index()
+    other = grid(*grown_on, dim=2)
+    assert set(other.vertices) == set(st.geometry.vertices)
+    split = 0
+    for seed in range(8):
+        regions = grow_regions(other, 3, random.Random(seed))
+        st.set_all(regions)
+        assert_index_matches_components(index, st.geometry, st.snapshot(), st.n)
+        split += index.excess > 0
+    assert split, "no seed splits a region on the state's geometry"
 
 
 EDGE_MASK_BUILDS = {

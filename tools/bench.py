@@ -22,14 +22,14 @@ workload names.
 ``compare PARENT CHANGE`` takes two trees, each a directory or a git
 revision of this checkout, and copies them to fresh directories at paths
 of equal length (``parent`` and ``change`` side by side), so neither
-side's path costs more.  For each pair ``i`` (seed ``--first-seed + i``)
-and each workload it runs ``benchmark/run.py`` untraced once in each
-copy, one run at a time, the parent first in even pairs and the change
-first in odd ones.  It then prints, per workload and end-to-end metric,
-each side's median and quartiles, the pairs the change won (ties count
-for neither), the gain of the medians against the parent's quartile
-spread, and whether the exact counts (``solved_frac``, ``best_violation``,
-``iterations``) and ``failed`` agree in every run.
+side's path costs more.  Pair ``i``, counted from 1, runs seed ``i``: for
+each workload it runs ``benchmark/run.py`` untraced once in each copy,
+one run at a time, the parent first in odd-numbered pairs and the
+change first in even-numbered ones.  It then prints, per workload and
+end-to-end metric, each side's median and quartiles, the pairs the
+change won (ties count for neither), the gain of the medians against the
+parent's quartile spread, and whether the exact counts (``solved_frac``,
+``best_violation``, ``iterations``) and ``failed`` agree in every run.
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ def summarise(parent, change, better: str) -> dict:
     }
 
 
-def compare(parent: str, change: str, names, pairs: int, seconds: float,
-            first_seed: int) -> dict:
+def compare(parent: str, change: str, names, pairs: int, seconds: float) -> dict:
     """Run the alternating pairs and print the summary; returns, per
     workload, every run's report and exact counts by side."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -171,7 +170,7 @@ def compare(parent: str, change: str, names, pairs: int, seconds: float,
         _copy_tree(parent, roots["parent"])
         _copy_tree(change, roots["change"])
         for i in range(pairs):
-            seed = first_seed + i
+            seed = i + 1
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for name in names:
                 for side in sides:
@@ -180,8 +179,7 @@ def compare(parent: str, change: str, names, pairs: int, seconds: float,
                 print(f"pair {i + 1}/{pairs} {name} done", file=sys.stderr)
     for name in names:
         sides = runs[name]
-        print(f"{name}: {pairs} pairs at --seconds {seconds:g}, seeds "
-              f"{first_seed}..{first_seed + pairs - 1}")
+        print(f"{name}: {pairs} pairs at --seconds {seconds:g}, seeds 1..{pairs}")
         print(f"  {'metric':<12} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34} "
               "wins   gain / parent spread")
         for metric, direction in better.items():
@@ -233,15 +231,13 @@ def compare_main(argv) -> int:
     parser.add_argument("--workload", default="all", choices=["all", *WORKLOADS])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("-o", "--out", type=Path,
                         help="file every run's report is written to, as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    runs = compare(args.parent, args.change, names, args.pairs, args.seconds,
-                   args.first_seed)
+    runs = compare(args.parent, args.change, names, args.pairs, args.seconds)
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1) + "\n")
     return 0
