@@ -51,14 +51,20 @@ class Constraint:
         raise NotImplementedError
 
     def conflicts(self) -> int:
-        """Mask of the vertices ``v`` with ``var_violation(v) > 0``.
+        """Mask of the vertices ``v`` with ``var_violation(v) > 0`` of a
+        violated constraint, and 0 while ``violation()`` is 0; exact
+        connectedness marks only its stray fragments, the vertices outside
+        their colour's largest component.
 
         Bit ``r`` stands for ``state.order[r]``.  Per-colour kinds answer
         with the union of the class masks of their violating colours,
         per-vertex kinds with a mask they update where they update the
-        terms.  This default scans every vertex, so a kind that does not
-        override it costs O(V) per search iteration.
+        terms.  This default scans every vertex of a violated constraint,
+        so a kind that does not override it costs O(V) per search
+        iteration.
         """
+        if not self.violation():
+            return 0
         state = self.state
         return state.mask_of(v for v in state.order if self.var_violation(v) > 0)
 

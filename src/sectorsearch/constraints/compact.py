@@ -160,7 +160,7 @@ class CompactConstraint(Constraint):
         return self._f(self.border_cache[v])
 
     def conflicts(self) -> int:
-        return self._conflicts
+        return self._conflicts if self.violation() else 0
 
     def violation(self) -> float:
         return self._violation(self.border_total, self.sphere_total)

@@ -26,6 +26,14 @@ probing/updating modes exist:
   cheap probing and for measuring how often the estimate diverges.  Its
   commits use the estimate too, on counts of its own.
 
+Its conflicts are the vertices a repair should move.  In exact mode
+they are the stray fragments, the vertices outside their colour's
+largest component (a tie goes to the component holding the
+lowest-ranked vertex), a mask the index keeps on every commit, so
+``conflicts()`` reads it in O(1); ``var_violation`` keeps the paper's
+per-colour formula.  Paper-fast mode reports the whole class of every
+colour its own counts call fragmented.
+
 The constraint exposes only the local-search protocol; component labels,
 sizes, merges and splits are read from ``state.component_index()``.
 """
@@ -99,6 +107,11 @@ class ConnectedConstraint(Constraint):
         return self.counts.count[self.state.colour(v)] - 1
 
     def conflicts(self) -> int:
+        """Exact: the stray fragments, the vertices outside their colour's
+        largest component, kept by the index.  Paper-fast: the whole class
+        of every colour its own counts call fragmented."""
+        if self.mode == "exact":
+            return self.counts.stray
         return self.state.classes_mask(c for c, k in self.counts.count.items() if k > 1)
 
     def check(self) -> bool:

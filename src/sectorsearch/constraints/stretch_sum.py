@@ -100,7 +100,7 @@ class StretchSumConstraint(Constraint):
         return self._term(i)
 
     def conflicts(self) -> int:
-        return self._conflicts
+        return self._conflicts if self._violating else 0
 
     def _term(self, i: int) -> int:
         """``var_violation`` of the path vertex at position ``i``."""

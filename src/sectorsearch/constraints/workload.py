@@ -13,15 +13,25 @@ the sum core's routines, which work for any penalty.
 
 The core also keeps the set of met colours, those whose penalty is 0; a
 commit updates it for the two colours it changes.  As the colour classes
-partition the vertices, the conflicting vertices are every vertex but
-the met colours' classes, so ``conflicts()`` is one XOR of the
-all-vertices mask: nothing to compute while no colour is met, as a
-balance constraint's sums rarely sit exactly at the average.
+partition the vertices, the conflicting vertices of a violated
+constraint are every vertex but the met colours' classes, so
+``conflicts()`` is one XOR of the all-vertices mask: nothing to compute
+while no colour is met, as a balance constraint's sums rarely sit
+exactly at the average.  A constraint at violation 0 has no conflicts,
+although ``var_violation`` keeps the paper's per-vertex penalty: a
+balance constraint within its threshold still has colours off the
+average, and none of them needs repair.
+
+A rebuild reads the class sums from the state's class masks: the core
+keeps, once per constraint, one mask per bit of ``value - min(values)``,
+the vertices whose offset value has that bit set, so a class's sum is
+``min * class_size`` plus each plane's popcount within the class,
+shifted by its bit, and no Python code runs per vertex.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import InputError
 from ..relation import check_relop, excess, holds
@@ -35,6 +45,30 @@ def deviation_check(sums: Sequence[int], total: int, delta_scaled: int) -> bool:
     within the scaled threshold."""
     n = len(sums)
     return sum(abs(n * x - total) for x in sums) <= delta_scaled
+
+
+#: per bit b of a byte, the table that translates each byte to the
+#: binary digit of its bit b
+_BIT_DIGITS = [bytes(49 if i >> b & 1 else 48 for i in range(256)) for b in range(8)]
+
+
+def _value_planes(order: Sequence[int], values: Mapping[int, int]) -> Tuple[int, List[int]]:
+    """The least value and, per bit ``b`` of the offsets ``value - least``,
+    the mask over ``order`` of the vertices whose offset has bit ``b`` set.
+
+    The offsets are read once, in rank order; each group of eight bits of
+    them is one string of bytes, and each bit a translation of that string
+    to binary digits."""
+    low = min(values.values(), default=0)
+    # highest rank first, as int(digits, 2) reads the top bit first
+    offsets = [values[v] - low for v in reversed(order)]
+    width = max(offsets, default=0).bit_length()
+    planes = []
+    for shift in range(0, width, 8):
+        chunk = bytes(offsets if width <= 8 else [x >> shift & 255 for x in offsets])
+        for table in _BIT_DIGITS[:width - shift]:
+            planes.append(int(chunk.translate(table), 2))
+    return low, planes
 
 
 class ColourSumConstraint(Constraint):
@@ -51,6 +85,7 @@ class ColourSumConstraint(Constraint):
             if v not in values:
                 raise InputError(f"vertex {v} has no value")
         self.values = {v: int(values[v]) for v in state.geometry.vertices}
+        self._low, self._planes = _value_planes(state.order, self.values)
 
     def _penalty(self, x: int) -> int:
         raise NotImplementedError
@@ -68,7 +103,15 @@ class ColourSumConstraint(Constraint):
         return sums
 
     def rebuild(self) -> None:
-        self.sums = self._class_sums()
+        state = self.state
+        low, planes = self._low, self._planes
+        class_mask, class_size = state.class_mask, state.class_size
+        self.sums = {
+            c: low * class_size[c] + sum(
+                (class_mask[c] & plane).bit_count() << b for b, plane in enumerate(planes)
+            )
+            for c in range(1, state.n + 1)
+        }
         self._total = sum(self._penalty(x) for x in self.sums.values())
         #: the colours whose penalty is 0
         self._met = {c for c, x in self.sums.items() if not self._penalty(x)}
@@ -81,6 +124,8 @@ class ColourSumConstraint(Constraint):
         return self._penalty(self.sums[self.state.colour(v)])
 
     def conflicts(self) -> int:
+        if not self._violation_of(self._total):
+            return 0
         return self.state.everyone ^ self.state.classes_mask(self._met)
 
     # differentiation ----------------------------------------------------

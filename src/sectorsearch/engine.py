@@ -8,18 +8,23 @@ The model alone routes a probe or a commit of ``v``, through one
 others' delta is 0 by their scope.  As the state holds no constraint, the
 model also rebuilds them after a bulk assignment (:meth:`Model.set_all`).
 
-The conflict pool, the vertices with a positive ``var_violation`` in some
-constraint, is maintained rather than scanned: every constraint keeps its
-conflicting vertices as a bit mask (``Constraint.conflicts``), and the
-state keeps one mask and one size per colour class.  An iteration ORs the
-masks in entry order until the union holds every vertex, as a balance
-constraint's alone does whenever no colour's sum is exactly the average,
-and then draws its focus from the vertex list itself; a partial union is
-drawn through a sorted view.  Either way a seeded run draws exactly the
-vertex a draw from the sorted pool list would.  The per-colour sum kinds
-keep the set of their met colours up to date on each commit, so their
-mask is the all-vertices mask XOR the met classes, with no penalty
-computed on the read.  The masks are integers of V bits, so the pool
+The conflict pool is the union of the constraints' conflict masks
+(``Constraint.conflicts``): the vertices with a positive
+``var_violation`` in some violated constraint, where exact
+connectedness marks only its stray fragments, the vertices outside their
+colour's largest component.  A met constraint adds nothing, so the focus
+is drawn from what is wrong (min-conflicts, Minton et al. 1992).  The
+pool is maintained rather than scanned: every constraint keeps its mask,
+the state keeps one mask and one size per colour class, and the
+component index keeps the stray fragments on every commit.  An iteration
+ORs the masks in entry order until the union holds every vertex, as a
+violated balance constraint's alone does whenever no colour's sum is
+exactly the average, and then draws its focus from the vertex list
+itself; a partial union is drawn through a sorted view.  Either way a
+seeded run draws exactly the vertex a draw from the sorted pool list
+would.  The per-colour sum kinds keep the set of their met colours up to
+date on each commit, so their mask is the all-vertices mask XOR the met
+classes, with no penalty computed on the read.  The masks are integers of V bits, so the pool
 still costs a few big-integer operations that grow with V, not a call
 per vertex; a partial union adds a halving of about log2(V) steps.  An
 empty pool, where only counter relations are violated, falls back to the

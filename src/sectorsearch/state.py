@@ -52,7 +52,10 @@ colours are one component each on the geometry it was grown on, so on a
 state over that geometry those labels stay, with no search;
 any other colouring's components are flooded to fresh labels, as a move
 merges components.  Exact connectedness counts from the index and
-compact mode A keeps a volume per label, in one table per colour.
+reports its stray mask, the vertices outside their colour's largest
+component, which the index keeps from the class masks and the masks of
+the components of fragmented colours; compact mode A keeps a volume per
+label, in one table per colour.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,
@@ -182,7 +185,7 @@ class ColourState:
         """The maintained same-colour components, built on the first
         request and kept up to date by every later commit."""
         if self._index is None:
-            self._index = ComponentIndex(self.geometry, self._colour, self.n)
+            self._index = ComponentIndex(self.geometry, self._colour, self.n, self.class_mask)
         return self._index
 
     def assign(self, v: int, c: int) -> None:
@@ -207,24 +210,20 @@ class ColourState:
         A :class:`Regions` colouring grown on this state's geometry has
         classes that are connected or empty, so the component index then
         takes one component per used colour, labelled by the colour,
-        instead of searching.
+        instead of searching.  The index is handed the new class masks,
+        as ``_take`` replaces their list.
         """
         self._take(colours)
         if self._index is not None:
             grown_here = isinstance(colours, Regions) and colours.geometry is self.geometry
-            self._index.rebuild(self.class_size if grown_here else None)
+            self._index.rebuild(self.class_mask, grown_here)
 
     # ------------------------------------------------------------------
     # vertex masks
 
     def mask_of(self, vertices: Iterable[int]) -> int:
         """The mask of a vertex set, built in one linear pass."""
-        buffer = bytearray((len(self.order) + 7) // 8)
-        rank = self.rank
-        for v in vertices:
-            r = rank[v]
-            buffer[r >> 3] |= 1 << (r & 7)
-        return int.from_bytes(buffer, "little")
+        return mask_of(self.rank, len(self.order), vertices)
 
     def border_edges(self) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]], int]:
         """The edges between differently coloured vertices, from the
@@ -386,59 +385,101 @@ class ComponentIndex(ComponentCounts):
     them: the commit of a probed move, and a second constraint probing
     the same vertex, reuse the probe's search.  :meth:`forget_splits`
     drops the kept results.
+
+    The index also keeps ``stray``, the mask of the vertices outside
+    their colour's largest component, where a tie goes to the component
+    that holds the lowest-ranked vertex; exact connectedness reports it
+    as its conflicts.  It reads the state's class masks, whose list
+    every ``rebuild`` is handed, and keeps a mask per component only for
+    the colours with more than one (``_parts``): a connected colour's one
+    component is its class.  Each such colour also keeps the label of
+    the part it keeps (``_kept``) and its stray part, and the total
+    follows the stray parts by XOR, as the classes are disjoint.  A move
+    touches the parts of a colour only when that colour has more than one
+    component before or after it; the pieces a split closes are masked
+    from the vertex lists the split search found, a merge ORs the parts
+    it joins, and no neighbour is read for either.  The parts are
+    searched for the largest only when the kept part was split or a
+    colour becomes fragmented; otherwise a split leaves the kept part
+    ahead, a merge is compared with it alone, and the moved vertex's bit
+    is the whole change of the stray part.
     """
 
-    def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int):
+    def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int,
+                 class_mask: Sequence[int]):
         self.geometry = geometry
         self.n = n
         #: the state's colour map, which commits and ``set_all`` update in place
         self._colour = colour
-        self.rebuild()
+        self._order = geometry.order()
+        self._rank = geometry.rank()
+        self.rebuild(class_mask)
 
-    def rebuild(self, class_size: Optional[Sequence[int]] = None) -> None:
-        """Label every component of the colour map.
+    def rebuild(self, class_mask: Sequence[int], regions: bool = False) -> None:
+        """Label every component of the colour map, whose class masks
+        (indexed by colour) are ``class_mask``; the index reads that list
+        until the next rebuild.
 
         Each vertex is labelled by its colour and fresh labels start
-        above n.  Given the colouring's ``class_size`` (indexed by
-        colour), every class is taken to be connected or empty and those
-        labels stay; otherwise each vertex still carrying a colour label
-        floods its component to a fresh label.
+        above n.  With ``regions``, every class is taken to be connected
+        or empty and those labels stay, with no mask built; otherwise each
+        vertex still carrying a colour label floods its component to a
+        fresh label, and the colours with more than one component get
+        their parts and stray masks.
         """
+        n = self.n
         # drop the old labels first, so they never coexist with the new
         self.label: Dict[int, int] = {}
         self.label.update(self._colour)
         self.change: Optional[ComponentChange] = None
         self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
-        self._labels = itertools.count(self.n + 1)
-        if class_size is not None:
-            self.size = {c: k for c, k in enumerate(class_size) if c and k}
-            self.reset({c: int(class_size[c] > 0) for c in range(1, self.n + 1)})
+        self._labels = itertools.count(n + 1)
+        self._class_mask = class_mask
+        #: per colour with more than one component, label -> its mask
+        self._parts: Dict[int, Dict[int, int]] = {}
+        #: per colour with parts, the label of the part it keeps
+        self._kept: Dict[int, int] = {}
+        #: per colour, its class outside its largest component
+        self._stray: List[int] = [0] * (n + 1)
+        #: the union of the colours' stray parts
+        self.stray = 0
+        if regions:
+            self.size = {c: m.bit_count() for c, m in enumerate(class_mask) if c and m}
+            self.reset({c: int(class_mask[c] > 0) for c in range(1, n + 1)})
             return
         self.size = {}
-        count = dict.fromkeys(range(1, self.n + 1), 0)
+        found: Dict[int, List[Tuple[int, List[int]]]] = {c: [] for c in range(1, n + 1)}
         for start, c in self.label.items():
-            if c <= self.n:
+            if c <= n:
                 lab = next(self._labels)
-                self.size[lab] = self._flood(start, c, lab)
-                count[c] += 1
-        self.reset(count)
+                members = self._flood(start, c, lab)
+                self.size[lab] = len(members)
+                found[c].append((lab, members))
+        self.reset({c: len(comps) for c, comps in found.items()})
+        for c, comps in found.items():
+            if len(comps) > 1:
+                parts = self._parts[c] = {lab: self._mask(members) for lab, members in comps}
+                self._keep_part(c, self._largest(parts))
 
-    def _flood(self, start: int, old: int, new: int) -> int:
+    def _flood(self, start: int, old: int, new: int) -> List[int]:
         """Relabel ``start`` and every vertex it reaches through vertices
-        labelled ``old`` to ``new``; returns how many it relabelled."""
+        labelled ``old`` to ``new``; returns the relabelled vertices."""
         label = self.label
         adjacent = self.geometry.adjacent
         label[start] = new
         stack = [start]
-        size = 1
+        members = [start]
         while stack:
             u = stack.pop()
             for w in adjacent(u):
                 if label[w] == old:
                     label[w] = new
                     stack.append(w)
-                    size += 1
-        return size
+                    members.append(w)
+        return members
+
+    def _mask(self, vertices: Iterable[int]) -> int:
+        return mask_of(self._rank, len(self._order), vertices)
 
     def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
         """Label -> one neighbour of ``v`` carrying it, over v's
@@ -595,8 +636,104 @@ class ComponentIndex(ComponentCounts):
         label[v] = big
 
         count = self.count
-        self.recount(old, new, count[old] - 1 + pieces, count[new] + 1 - len(touched))
+        k_old = count[old] - 1 + pieces
+        k_new = count[new] + 1 - len(touched)
+        # a colour with at most one component before and after has no parts
+        if k_old > 1 or count[old] > 1:
+            self._split_parts(v, old, lab, pieces, closed, fresh, k_old)
+        if k_new > 1 or count[new] > 1:
+            self._merge_parts(v, new, big, touched, k_new)
+        self.recount(old, new, k_old, k_new)
         self.change = ComponentChange(lab, pieces, closed, fresh, big, list(touched))
+
+    def _split_parts(self, v: int, c: int, lab: int, pieces: int,
+                     closed: List[List[int]], fresh: List[int], k: int) -> None:
+        """Follow in the parts of colour ``c`` that ``v`` left component
+        ``lab``, which fell into ``pieces``, the ``closed`` ones now
+        labelled ``fresh``, leaving ``k`` components."""
+        if k <= 1:
+            self._parts.pop(c, None)
+            self._keep_part(c, None)
+            return
+        bit = 1 << self._rank[v]
+        parts = self._parts.get(c)
+        if parts is None:
+            # c had one component, its class; the class mask has lost v
+            parts = self._parts[c] = {}
+            rest = self._class_mask[c]
+        else:
+            rest = parts.pop(lab) ^ bit
+        for f, piece in zip(fresh, closed):
+            part = parts[f] = self._mask(piece)
+            rest ^= part
+        if pieces:
+            parts[lab] = rest
+        kept = self._kept.get(c)
+        if kept is None or kept == lab:
+            self._keep_part(c, self._largest(parts))
+        else:
+            # the kept part lost nothing and outgrows every piece: only v
+            # leaves the stray part
+            self._stray[c] ^= bit
+            self.stray ^= bit
+
+    def _merge_parts(self, v: int, c: int, big: int, touched: Mapping[int, int],
+                     k: int) -> None:
+        """Follow in the parts of colour ``c`` that ``v`` joined it,
+        merging the ``touched`` components into ``big``, leaving ``k``."""
+        if k <= 1:
+            self._parts.pop(c, None)
+            self._keep_part(c, None)
+            return
+        bit = 1 << self._rank[v]
+        parts = self._parts.get(c)
+        if parts is None:
+            # c had one component, which v does not touch: v is its own
+            rest = self._class_mask[c] ^ bit
+            low = (rest & -rest).bit_length() - 1
+            parts = self._parts[c] = {self.label[self._order[low]]: rest, big: bit}
+            self._keep_part(c, self._largest(parts))
+            return
+        merged = bit
+        for m in touched:
+            merged |= parts.pop(m)
+        parts[big] = merged
+        kept = self._kept[c]
+        if kept in touched or self._before(parts, big, kept):
+            self._keep_part(c, big)
+        else:
+            # v joins the stray part, as do the parts it merged
+            self._stray[c] ^= bit
+            self.stray ^= bit
+
+    def _before(self, parts: Mapping[int, int], a: int, b: int) -> bool:
+        """Whether part ``a`` of ``parts`` is kept before part ``b``: it
+        is larger, or as large and holds the lower-ranked vertex, which is
+        worked out only on a tie."""
+        size = self.size
+        if size[a] != size[b]:
+            return size[a] > size[b]
+        return parts[a] & -parts[a] < parts[b] & -parts[b]
+
+    def _largest(self, parts: Mapping[int, int]) -> int:
+        """The label of the part of ``parts`` to keep."""
+        kept = None
+        for lab in parts:
+            if kept is None or self._before(parts, lab, kept):
+                kept = lab
+        return kept
+
+    def _keep_part(self, c: int, kept: Optional[int]) -> None:
+        """Keep part ``kept`` of colour ``c``, or none when None; the
+        colour's stray part and the total follow."""
+        if kept is None:
+            self._kept.pop(c, None)
+            stray = 0
+        else:
+            self._kept[c] = kept
+            stray = self._class_mask[c] ^ self._parts[c][kept]
+        self.stray ^= self._stray[c] ^ stray
+        self._stray[c] = stray
 
 
 def _take_over(found: List[List[int]], owner: Dict[int, int], keep: int, gone: int) -> None:
@@ -606,6 +743,16 @@ def _take_over(found: List[List[int]], owner: Dict[int, int], keep: int, gone: i
         owner[u] = keep
     found[keep] += taken
     found[gone] = []
+
+
+def mask_of(rank: Mapping[int, int], size: int, vertices: Iterable[int]) -> int:
+    """The mask over ``size`` ranks of a vertex set, built in one linear
+    pass from each vertex's ``rank``."""
+    buffer = bytearray((size + 7) // 8)
+    for v in vertices:
+        r = rank[v]
+        buffer[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buffer, "little")
 
 
 def set_bits(mask: int) -> Iterator[int]:

@@ -41,9 +41,29 @@ def naive_components(base, colours):
     return comps
 
 
+def naive_stray(base, colours, n):
+    """Per colour with more than one DFS component, each component's mask
+    over the sorted vertices, keyed by one of its vertices, and the mask
+    of the vertices outside their colour's largest component, where a
+    tie goes to the component holding the lowest vertex."""
+    rank = {v: r for r, v in enumerate(sorted(colours))}
+    per = {c: [] for c in range(1, n + 1)}
+    for colour, comp in naive_components(base, colours):
+        per[colour].append(comp)
+    parts = {}
+    stray = 0
+    for c, comps in per.items():
+        if len(comps) > 1:
+            parts[c] = {min(comp): sum(1 << rank[u] for u in comp) for comp in comps}
+            kept = max(comps, key=lambda comp: (len(comp), -min(comp)))
+            stray |= sum(1 << rank[u] for comp in comps if comp is not kept for u in comp)
+    return parts, stray
+
+
 def assert_index_matches_components(index, base, colours, n):
     """A component index (labels, sizes, per-colour counts, total and
-    excess) agrees with the DFS components of ``colours``."""
+    excess, and the parts and stray masks of the fragmented colours)
+    agrees with the DFS components of ``colours``."""
     comps = naive_components(base, colours)
     labels = []
     for _, comp in comps:
@@ -60,6 +80,11 @@ def assert_index_matches_components(index, base, colours, n):
     assert index.count == per
     assert index.total == len(comps)
     assert index.excess == sum(k - 1 for k in per.values() if k > 1)
+    parts, stray = naive_stray(base, colours, n)
+    assert {c: {index.label[u]: m for u, m in p.items()} for c, p in parts.items()} == (
+        index._parts
+    ), "parts of the fragmented colours"
+    assert index.stray == stray, "stray mask"
 
 
 def split_pieces(base, colours, v):
@@ -101,8 +126,7 @@ def assert_caches_match_rebuild(state, constraints):
       the copy's rebuild leaves the original's caches as they were.  A
       paper-fast connected constraint's ``counts`` are estimates that
       drift by design, so that field is skipped;
-    - each constraint's ``conflicts()``, against a scan of its
-      ``var_violation``;
+    - each constraint's ``conflicts()``, against :func:`expected_conflicts`;
     - the state's ``border_mask()``, against a scan of every vertex's
       neighbours.
     """
@@ -125,10 +149,20 @@ def assert_caches_match_rebuild(state, constraints):
         for field, value in vars(fresh).items():
             if field not in drifts:
                 assert vars(constraint)[field] == value, f"{constraint.id}: {field}"
-        scanned = sum(
-            1 << r for r, v in enumerate(state.order) if constraint.var_violation(v) > 0
-        )
-        assert constraint.conflicts() == scanned, f"{constraint.id}: conflicts()"
+        expected = expected_conflicts(state, constraint)
+        assert constraint.conflicts() == expected, f"{constraint.id}: conflicts()"
+
+
+def expected_conflicts(state, constraint):
+    """What ``constraint.conflicts()`` must be: for exact connectedness, a
+    flood of each fragmented class marking all but its largest
+    component; for every other constraint, a scan of its
+    ``var_violation`` if it is violated, else 0."""
+    if getattr(constraint, "mode", None) == "exact":
+        return naive_stray(state.geometry, state.snapshot(), state.n)[1]
+    if not constraint.violation():
+        return 0
+    return sum(1 << r for r, v in enumerate(state.order) if constraint.var_violation(v) > 0)
 
 
 def naive_border_mask(geometry, colours):

@@ -1,7 +1,10 @@
 """The state's component index, and compact mode A's per-colour tables
 of component volumes kept by its labels, with their sphere sums, against
 from-scratch components along random walks; the index's split search
-against a flood of the split vertex's component, vertex by vertex."""
+against a flood of the split vertex's component, vertex by vertex; its
+stray mask, the vertices outside their colour's largest component,
+against a flood of each fragmented class; and the neighbour reads of a
+split and of a commit."""
 
 import collections.abc
 import itertools
@@ -14,13 +17,14 @@ from oracles import (
     assert_caches_match_rebuild,
     assert_index_matches_components,
     assert_split_matches_flood,
+    naive_components,
     random_colours,
 )
 from sectorsearch import bench
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
 from sectorsearch.engine import Model
 from sectorsearch.geometry import Geometry, grid
-from sectorsearch.state import ColourState
+from sectorsearch.state import ColourState, grow_regions
 
 
 def assert_compact_caches_match_components(c, st):
@@ -134,6 +138,54 @@ def test_a_split_is_searched_once_per_vertex_and_state():
             assert searched == [v, v]
             searched.clear()
     assert splits > 20
+
+
+def _largest(colours, base, c):
+    """Colour ``c``'s DFS components and the one the stray mask keeps:
+    the largest, a tie going to the one holding the lowest vertex."""
+    comps = [comp for colour, comp in naive_components(base, colours) if colour == c]
+    return comps, max(comps, key=lambda comp: (len(comp), -min(comp)), default=None)
+
+
+def test_stray_mask_follows_splits_merges_and_ties():
+    # every commit of the walk is audited, parts and stray mask included,
+    # and the walk must reach the three moves that change which component
+    # a colour keeps
+    rng = random.Random(5)
+    geometry = grid(7, 6, dim=2)
+    n = 3
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    connected = ConnectedConstraint(st, "=", n)
+    model = Model(st, [(connected, 1)])
+    index = st.component_index()
+    seen = {"split piece kept": 0, "merge overtakes": 0, "tie": 0}
+    for step in range(1500):
+        if step % 250 == 249:
+            model.set_all(
+                grow_regions(geometry, n, rng) if step % 500 == 249
+                else random_colours(rng, geometry, n)
+            )
+            assert_caches_match_rebuild(st, [connected])
+            continue
+        v = rng.choice(st.order)
+        new = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
+        old = st.colour(v)
+        _, kept_before = _largest(st.snapshot(), geometry, new)
+        model.assign(v, new)
+        colours = st.snapshot()
+        assert_caches_match_rebuild(st, [connected])
+        change = index.change
+        _, kept = _largest(colours, geometry, old)
+        if change.pieces >= 2 and index.label[min(kept)] in change.fresh:
+            seen["split piece kept"] += 1
+        _, kept = _largest(colours, geometry, new)
+        if len(change.joined) >= 2 and v in kept and not kept_before <= kept:
+            seen["merge overtakes"] += 1
+        for c in (old, new):
+            comps, kept = _largest(colours, geometry, c)
+            if sum(len(comp) == len(kept) for comp in comps) >= 2:
+                seen["tie"] += 1
+    assert all(seen.values()), seen
 
 
 def test_probe_bench_times_a_split_search_per_exact_probe():
@@ -283,6 +335,36 @@ class CountingAdjacency(collections.abc.Mapping):
 
     def __len__(self):
         return len(self.table)
+
+
+def test_a_commits_mask_upkeep_reads_no_neighbour():
+    # with its split already searched, as after a probe, a commit reads the
+    # moved vertex's neighbours once and floods the components a merge
+    # relabels; keeping the parts and stray masks adds no read
+    rng = random.Random(9)
+    geometry = grid(8, 8, dim=2)
+    n = 3
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    index = st.component_index()
+    table = CountingAdjacency(geometry.adjacency())
+    geometry.adjacency = lambda: table
+    geometry.adjacent = table.__getitem__
+    upkeep = 0
+    for _ in range(400):
+        v = rng.choice(st.order)
+        colour = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
+        index.split(v)
+        size = dict(index.size)
+        parts = {c: dict(p) for c, p in index._parts.items()}
+        table.reads.clear()
+        st.assign(v, colour)
+        change = index.change
+        flooded = [m for m in change.joined if m != change.big]
+        assert table.reads == [v] + table.reads[1:]
+        assert len(table.reads) == 1 + sum(size[m] for m in flooded)
+        upkeep += parts != index._parts
+    assert_index_matches_components(index, geometry, st.snapshot(), n)
+    assert upkeep > 200, upkeep
 
 
 def counted_index(geometry, colours):

@@ -1,7 +1,9 @@
 """Maintained conflict masks and colour classes.
 
 Every constraint's ``conflicts()`` must equal the mask of the vertices
-with a positive ``var_violation``, the state's class masks and sizes must
+with a positive ``var_violation`` while it is violated and be empty while
+it is not, exact connectedness must mark the vertices outside their
+colour's largest component, the state's class masks and sizes must
 describe the colouring, and the engine's sorted view of a mask must list
 the same vertices in the same order as the sorted pool it replaces.
 """
@@ -12,7 +14,13 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import assert_caches_match_rebuild, monotone_path, random_colours, relabelled
+from oracles import (
+    assert_caches_match_rebuild,
+    expected_conflicts,
+    monotone_path,
+    random_colours,
+    relabelled,
+)
 from sectorsearch.constraints import (
     BalancedConstraint,
     BoundedConstraint,
@@ -70,12 +78,11 @@ def check_invariants(st, model):
     assert st.unused_colours() == [
         c for c in range(1, st.n + 1) if c not in set(colours.values())
     ]
-    # the pool the engine used to scan for
-    pool = [
-        v
-        for v in sorted(st.geometry.vertices)
-        if any(w * c.var_violation(v) > 0 for c, w in model.entries)
-    ]
+    # the pool of the from-scratch masks
+    expected = 0
+    for c, _ in model.entries:
+        expected |= expected_conflicts(st, c)
+    pool = [v for r, v in enumerate(st.order) if expected >> r & 1]
     view = MaskView(st.order, union)
     assert len(view) == len(pool)
     assert [view[k] for k in range(len(view))] == pool

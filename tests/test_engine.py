@@ -360,8 +360,9 @@ def test_the_colouring_is_copied_once_per_start(restarts):
     counts = dict.fromkeys(("snapshot", "set_all"), 0)
     for name in counts:
         _count_calls(model.state, name, counts)
-    # fewer iterations, so fewer commits, than the 144 vertices
-    cfg = replace(instance.search, seed=1, max_iterations=140,
+    # fewer iterations, so fewer commits, than the 144 vertices; seed 2
+    # restarts once within them
+    cfg = replace(instance.search, seed=2, max_iterations=140,
                   restart_after=10 if restarts else 1000)
     result = search(model, cfg)
     best, improvements = float("inf"), 0
@@ -591,7 +592,7 @@ def test_restarts_do_not_count_a_hard_init():
     model = instance.build()
     counts = {"set_all": 0}
     _count_calls(model.state, "set_all", counts)
-    cfg = replace(instance.search, seed=1, max_iterations=400, restart_after=5,
+    cfg = replace(instance.search, seed=4, max_iterations=400, restart_after=5,
                   hard=("connected",))
     result = search(model, cfg)
     assert result.restarts == 2
@@ -695,21 +696,21 @@ def _fewer_components(seed, iters):
 GOLDEN = [
     # exact connectedness from grown regions: short runs to zero
     (lambda: _run_2d(1, 1500), "a8fa6b684c733ad1a0b9ffdca760fb1b630eaaac89ba122999220e7274925860"),
-    (lambda: _run_2d(2, 1500), "71ec73abb4897ddcb61096371bb8a907638e8331459e2f9c13031240759408ba"),
-    (lambda: _run_2d(3, 1500), "9b046a442c89b43a71199e9b03447e9c8750a3da2e8d7c4a05a0919483d4f1aa"),
+    (lambda: _run_2d(2, 1500), "155d1695feb8fce274a35cef4dcb8f06f6e87713c5b00bcd7b7745c6a6a6ca99"),
+    (lambda: _run_2d(3, 1500), "1112c498ef96611388b83c4cc8d3540c826f04cac32736f7e370fe6f19a46f21"),
     # exact connectedness from a random colouring: many splits and merges
     (
         lambda: _run_2d(1, 600, init="random"),
-        "4663f70dc6812cc4919545db790a7f709406449bed5157552ef69278282e6ab7",
+        "c53a40d79ecd1f2721fd6f9bc838dbd071f8c6057da5b615da4afd9562d13d05",
     ),
     (
         lambda: _run_2d(2, 600, init="random"),
-        "20a19151b808a4c2054bd1877290a40536ea78fb0cd955ae12d9a7be87898842",
+        "b40bf7e3b83c327f3378618fde9d8e819cc1765e3bde6f2bfe2a2b00423448e9",
     ),
     # the paper-fast estimate, false counts included
     (
         lambda: _run_2d(1, 300, init="random", mode="paper-fast"),
-        "f12839a1f66838a48cb9c936745f84c70a5900dae2abb9416d98f35ce5174446",
+        "4fa07f2bee290627188f395953021c2d0435509d1c2de8258bf606b4ba09c069",
     ),
     # 3D, compact mode A, restarting on a Luby schedule of unit 15
     (lambda: _run_3d_compact_a(1, 300), "c4c89f0eb5c74355ad7a18fb0235c7362462d422cb36237f482d79ede8482417"),
@@ -721,40 +722,40 @@ GOLDEN = [
     # compact mode B, non-border and bounded from a random colouring
     (
         lambda: _run_mixed(1, 800),
-        "894ac70be9992ea6c3fae6dfb880761c487cd5b9fe26be60e8bf19d530271d62",
+        "dfa8c9e155505454bc021ad24f022555c4ee8b564d583ef7deb854ee158ed157",
     ),
     (
         lambda: _run_mixed(2, 800),
-        "8761d5c93669b3f7a5061588878ac5fad60576b55c66d3ee7884aef87d2887b5",
+        "aac41563118c3a36731dd17379e5a85dd54ad1788fb93fe39541e937463c877e",
     ),
     # maximum dwell: every stretch-sum is "<=" a threshold that binds
     (
         lambda: _run_dwell(2, 600, relop="<=", threshold=300),
-        "213bfb9fdacadf0af3ee03240eeb2d5383757c7fcd66316a66bf4e3cae4d2b7a",
+        "e702e7d8f4fa6cabcfe45f7eed42e0818c8dabda208009270e480c705575b402",
     ),
     # a hard stretch-sum: greedy initialisation and the hard-move filter
     (
         lambda: _run_dwell(2, 600, hard=("dwell0",)),
-        "dbee210bf60f931acec8389708477bf636e364864812500bca166ac097037699",
+        "1496ccbf3434ed8fc8500ff785d051b6746c3189b777625890813e24a4e3a543",
     ),
-    # an empty conflict pool in 60 of the 300 draws, a partial one in the rest
+    # an empty conflict pool in 65 of the 297 draws, a partial one in the rest
     (
         lambda: _run_counter_only(1, 300),
-        "41afdf0fd7f86c09d411688a03702f443170fdb937f30958696c26d14aa329bb",
+        "144087abcf222106f1969aa815db8349c32a4e0a95c721b834bb633501e90468",
     ),
     # every other colour is a candidate (neighbourhood "full")
     (
         lambda: _run_2d(1, 600, neighbourhood="full"),
-        "c9e26a3d561de96a837f0dffacad1db40b51589846e260c36e779576d90b7460",
+        "40163a98ba87c02501641731e42df86048d653ca8563b42f0c64a37129cab44a",
     ),
     (
         lambda: _run_2d(2, 600, neighbourhood="full"),
-        "7fb78bf3db6985adae1c7535c91e26fa262900cdb05613b19af021766f3c2e83",
+        "d35496b21ac9e820d5961e66fa95e6e4a52b1b24fe19a14551239c43502634f2",
     ),
     # a searchable counter's moves in every move list
     (
         lambda: search(*_searched_counter(1, 600)),
-        "d4a893e221f907386495de96f7e0c1f6a52f456d9179adca67259ad4ee0f68ac",
+        "87daceff42ae1c1ee152b7939852ec612c05048060a76b1223fdbc0ca420cd2c",
     ),
     # colours going unused and becoming candidates, to zero and with restarts
     (
@@ -763,7 +764,7 @@ GOLDEN = [
     ),
     (
         lambda: search(*_fewer_components(3, 300)),
-        "0ed2f267ccb31347766f785dc786263f26318c3efe7b8cd2352d1dded5598d32",
+        "cd1fdd3c0b7cdb3229f9a700843357753c12d64e319a3927bda8978537db654a",
     ),
 ]
 

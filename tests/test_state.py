@@ -259,7 +259,7 @@ def _check_region_index_walk(st, rng, walk=200):
     ``walk`` seeded commits."""
     geometry = st.geometry
     index = st.component_index()
-    general = ComponentIndex(geometry, st.snapshot(), st.n)
+    general = ComponentIndex(geometry, st.snapshot(), st.n, list(st.class_mask))
     assert _partition(index) == _partition(general)
     assert index.count == general.count
     assert (index.total, index.excess) == (general.total, general.excess)

@@ -5,6 +5,7 @@ Run from the repository root::
 
     python3 tools/quality.py                      # writes BENCH_quality.json
     python3 tools/quality.py -o /tmp/quality.json
+    python3 tools/quality.py compare HEAD~1 .
 
 Time-to-solve is heavy-tailed, so quality is reported as run-length
 distributions in iterations (Hoos & Stützle, *Stochastic Local Search*,
@@ -17,11 +18,23 @@ is.  The file holds:
   instances, ``generate(seed=7, ...)`` and ``generate(seed=13, ...)``, the
   iterations to zero at the nearest-rank quartiles, median and 90th
   percentile, their sum and the unsolved count.  An unsolved run counts
-  at the budget, the longest any run can read;
+  at the budget, the longest any run can read.  ``lengths`` lists each
+  seed's run length, with ``null`` for an unsolved run;
 - ``best_at_budget``: the best violation per seed of the benchmark's
   ``iterate-80x80`` at 2000 iterations (seeds 1..5) and ``restart-3d`` at
   1500 iterations (seeds 1..4), with their medians;
 - the restarts of every run beside each.
+
+``compare PARENT CHANGE`` takes two trees, each a directory or a git
+revision of this checkout, copies them as ``tools/bench.py compare``
+does, puts this file into both copies, so that both are measured by the
+same code, and writes each copy's file in a fresh interpreter, the two
+at once (the counts do not depend on timing).  Per instance and
+workload it then prints the medians, the seeds on which the change is
+better, worse or equal (lower is better for both measures; an unsolved
+run is worse than any solved one), the two-sided exact sign-test
+p-value over the seeds that differ (Hoos & Stützle, ch. 4), and for run
+lengths the unsolved counts side by side.
 """
 
 from __future__ import annotations
@@ -29,8 +42,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,9 +80,9 @@ def run_length(instance_seed):
         result = searched(instance, seed, RUN_LENGTH_BUDGET)
         solved = result.violation <= TOLERANCE
         unsolved += not solved
-        lengths.append(result.iterations if solved else RUN_LENGTH_BUDGET)
+        lengths.append(result.iterations if solved else None)
         restarts.append(result.restarts)
-    ordered = sorted(lengths)
+    ordered = sorted(RUN_LENGTH_BUDGET if n is None else n for n in lengths)
     return {
         "instance": f"generate(seed={instance_seed}, width=20, height=20, colours=6, flights=3)",
         "seeds": [RUN_LENGTH_SEEDS.start, RUN_LENGTH_SEEDS.stop - 1],
@@ -74,8 +90,9 @@ def run_length(instance_seed):
         "unsolved": unsolved,
         **{name: nearest_rank(ordered, p)
            for name, p in (("q25", 0.25), ("median", 0.5), ("q75", 0.75), ("q90", 0.9))},
-        "sum": sum(lengths),
+        "sum": sum(ordered),
         "restarts_per_run": restarts,
+        "lengths": lengths,
     }
 
 
@@ -103,7 +120,88 @@ def quality():
     }
 
 
+# ---------------------------------------------------------------------------
+# compare
+
+def sign_test(wins: int, losses: int) -> float:
+    """The two-sided exact sign-test p-value of ``wins`` against
+    ``losses``, ties left out: the chance, under a fair coin, of a split
+    at least this uneven."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def paired(parent, change):
+    """Per seed, whether the change is lower (a win), higher (a loss) or
+    equal; ``None``, an unsolved run, is higher than any number."""
+    def key(x):
+        return math.inf if x is None else x
+    wins = sum(key(b) < key(a) for a, b in zip(parent, change))
+    losses = sum(key(b) > key(a) for a, b in zip(parent, change))
+    return wins, losses, len(parent) - wins - losses
+
+
+def _row(label: str, parent, change) -> str:
+    wins, losses, ties = paired(parent, change)
+    return (f"  {label}: {wins} better, {losses} worse, {ties} equal; "
+            f"sign test p = {sign_test(wins, losses):.4g}")
+
+
+def summary(parent: dict, change: dict) -> list:
+    """The lines :func:`compare` prints for two quality files."""
+    lines = []
+    for name, p in parent["run_length"].items():
+        c = change["run_length"][name]
+        lines.append(f"{name}: run lengths, seeds {p['seeds'][0]}..{p['seeds'][1]}, "
+                     f"budget {p['budget']}")
+        lines.append(f"  median {p['median']} -> {c['median']}, sum {p['sum']} -> {c['sum']}, "
+                     f"unsolved {p['unsolved']} -> {c['unsolved']}")
+        lines.append(_row("per seed", p["lengths"], c["lengths"]))
+    for name, p in parent["best_at_budget"].items():
+        c = change["best_at_budget"][name]
+        lines.append(f"{name}: best at {p['budget']} iterations, seeds "
+                     f"{', '.join(map(str, p['seeds']))}")
+        lines.append(f"  median {p['median']:.6g} -> {c['median']:.6g}")
+        lines.append(_row("per seed", p["best"], c["best"]))
+    return lines
+
+
+def compare(parent: str, change: str) -> list:
+    """Measure both trees with this file's code; the summary lines."""
+    from bench import _copy_tree
+
+    with tempfile.TemporaryDirectory(prefix="quality-compare-") as work:
+        runs = []
+        for side, source in (("parent", parent), ("change", change)):
+            root = Path(work) / side
+            _copy_tree(source, root)
+            (root / "tools").mkdir(exist_ok=True)
+            shutil.copyfile(__file__, root / "tools" / "quality.py")
+            out = root / "quality.json"
+            command = [sys.executable, str(root / "tools" / "quality.py"), "-o", str(out)]
+            runs.append((side, out, subprocess.Popen(
+                command, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)))
+        files = []
+        for side, out, process in runs:
+            _, err = process.communicate()
+            if process.returncode != 0:
+                raise SystemExit(f"the {side} tree failed:\n{err}")
+            files.append(json.loads(out.read_text()))
+    return summary(*files)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["compare"]:
+        parser = argparse.ArgumentParser(
+            prog="quality.py compare",
+            description="Search quality of two trees, seed by seed.")
+        parser.add_argument("parent", help="directory, or git revision of this checkout")
+        parser.add_argument("change", help="directory, or git revision of this checkout")
+        args = parser.parse_args(argv[1:])
+        print("\n".join(compare(args.parent, args.change)))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("-o", "--output", default=str(ROOT / "BENCH_quality.json"))
     args = parser.parse_args(argv)
