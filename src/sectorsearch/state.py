@@ -399,10 +399,10 @@ class ComponentIndex(ComponentCounts):
     component before or after it; the pieces a split closes are masked
     from the vertex lists the split search found, a merge ORs the parts
     it joins, and no neighbour is read for either.  The parts are
-    searched for the largest only when the kept part was split or a
-    colour becomes fragmented; otherwise a split leaves the kept part
-    ahead, a merge is compared with it alone, and the moved vertex's bit
-    is the whole change of the stray part.
+    searched for the largest only when the moved vertex leaves the kept
+    part or a colour becomes fragmented; otherwise the kept part stays
+    ahead of every piece of a split, a merge is compared with it alone,
+    and the moved vertex's bit is the whole change of the stray part.
     """
 
     def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int,
