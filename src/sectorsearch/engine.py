@@ -1,5 +1,5 @@
 """Search orchestration: weighted constraint registry, probe/commit
-protocol, border-move neighbourhood and a tabu min-conflicts loop.
+protocol, border-move neighbourhood and a min-conflicts loop.
 
 A move recolours one vertex or sets one constraint's counter.  Probes
 only read the caches, so probing any move leaves the model unchanged.
@@ -40,12 +40,11 @@ a search makes it once, as it binds each constraint's ``violation`` and
 ``conflicts`` reads, the weights and the draws once.
 :func:`neighbourhood` lists exactly the moves :func:`search` may draw.
 
-An iteration evaluates only what its choice reads.  Probes draw no
-random numbers, so the noise coin is flipped before them: a noise
-iteration commits a random move and probes nothing.  Only with
-``cfg.hard`` is every move probed first, for the filter that keeps the
-hard constraints satisfied.  The state's component index keeps a split
-search until the next commit, so committing a probed move repeats none.
+An iteration probes each move it drew once, skips a move that would
+violate a hard constraint, and commits a least-delta move of the rest,
+ties broken by one draw (min-conflicts with restarts, Minton et al.
+1992).  The state's component index keeps a split search until the next
+commit, so committing a probed move repeats none.
 
 A stalled run restarts on the Luby schedule (Luby, Sinclair & Zuckerman,
 1993) with ``cfg.restart_after`` as its unit: the k-th restart comes once
@@ -53,12 +52,11 @@ more than ``restart_after * _luby(k)`` iterations went by without a new
 best since the start or the last restart.  The wait is worked out once
 per start, so an iteration still tests one comparison.
 
-A run's state lives in :func:`search` alone: the tabu list, keyed by the
-moves that would undo recent commits (``Model.commit`` returns them), the
-best colouring with its counter values, the trace and the counters that
-``cfg.hard`` freezes.  The best colouring is brought up to date from a log
-of the assign commits since the last best state, so recording a new best
-state costs its commits, not a copy of the colouring.  The colouring is
+A run's state lives in :func:`search` alone: the best colouring with its
+counter values, the trace and the counters that ``cfg.hard`` freezes.
+The best colouring is brought up to date from a log of the assign
+commits since the last best state, so recording a new best state costs
+its commits, not a copy of the colouring.  The colouring is
 copied whole only for the first best state after a start or a restart,
 which replace the colouring, and for one reached after more than V
 commits, where the log stops so that it never outgrows the colouring.
@@ -84,7 +82,7 @@ from .state import ColourState, MaskView, grow_regions
 TOLERANCE = 1e-9
 
 #: the search parameters that count something, none of which may be negative
-COUNTS = ("max_iterations", "tabu_tenure", "restart_after", "moves_per_iter")
+COUNTS = ("max_iterations", "restart_after", "moves_per_iter")
 
 #: the search parameters that name a policy, with their values: the candidate
 #: rules of :func:`_candidate_rule` and the starts of :func:`_initialise`
@@ -92,8 +90,8 @@ CHOICES = {"neighbourhood": ("border", "full"), "init": ("regions", "random", "k
 
 
 class Move(NamedTuple):
-    """One move; a tuple, so building, hashing and comparing it, as the
-    move list and the tabu dict do every iteration, run in C."""
+    """One move; a tuple, so building it, as the move list does every
+    iteration, runs in C."""
 
     kind: str
     vertex: Optional[int] = None
@@ -122,11 +120,9 @@ class SearchConfig:
 
     seed: int = 0
     max_iterations: int = 20000
-    tabu_tenure: int = 8
     restart_after: int = 64
     moves_per_iter: int = 12
     neighbourhood: str = "border"
-    noise: float = 0.08
     init: str = "regions"
     hard: Tuple[str, ...] = ()
 
@@ -271,18 +267,14 @@ class Model:
         for constraint, _ in self.entries:
             constraint.rebuild()
 
-    def commit(self, move: Move) -> Move:
-        """Apply ``move``; returns the move that takes it back."""
+    def commit(self, move: Move) -> None:
+        """Apply ``move``."""
         if move.kind == "assign":
-            undo = Move.assign(move.vertex, self.state.colour(move.vertex))
             self.assign(move.vertex, move.colour)
         elif move.kind == "counter":
-            constraint = self.constraint(move.counter_id)
-            undo = Move.counter(move.counter_id, constraint.counter_value)
-            constraint.commit_counter(move.value)
+            self.constraint(move.counter_id).commit_counter(move.value)
         else:
             raise InputError(f"unknown move kind {move.kind!r}")
-        return undo
 
 
 def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
@@ -304,16 +296,13 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
 
 def check_parameter(name: str, value) -> None:
     """Raise an :class:`InputError` naming the search parameter ``name``
-    when ``value`` is out of its range: ``noise`` is a probability, the
-    :data:`COUNTS` are not negative, each of the :data:`CHOICES` is one
-    of its values and ``hard`` names no id twice.  Parameters without a
-    range pass."""
+    when ``value`` is out of its range: the :data:`COUNTS` are not
+    negative, each of the :data:`CHOICES` is one of its values and
+    ``hard`` names no id twice.  Parameters without a range pass."""
     if name == "hard":
         for i, cid in enumerate(value):
             if cid in value[:i]:
                 raise InputError(f"search parameter hard names {cid!r} twice")
-    if name == "noise" and not 0 <= value <= 1:
-        raise InputError(f"search parameter noise must lie in [0, 1], got {value!r}")
     if name in COUNTS and value < 0:
         raise InputError(f"search parameter {name} must not be negative, got {value!r}")
     if name in CHOICES and value not in CHOICES[name]:
@@ -393,7 +382,7 @@ def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
 
 
 def search(model: Model, cfg: SearchConfig) -> SearchResult:
-    """Tabu min-conflicts over the configured neighbourhood.
+    """Min-conflicts over the configured neighbourhood.
 
     The seed fully determines the run: unless ``cfg.init`` is ``"keep"``,
     it starts from a fresh colouring and from the counter values the
@@ -427,7 +416,6 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     choice = rng.choice
     probe_parts = model.probe_parts
     trace: List[Tuple] = []
-    tabu: Dict[Move, int] = {}  # move -> last iteration it stays tabu
     best_total = math.inf
     best_colours: Dict[int, int] = {}
     # the (vertex, colour) commits since the best state, which bring
@@ -477,7 +465,6 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
             wait = cfg.restart_after * _luby(restarts + 1)
             _initialise(model, cfg, rng)
             log = None
-            tabu.clear()
             continue
 
         unused = state.unused_colours()
@@ -503,35 +490,18 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
         if counters:
             moves.extend(_counter_moves(model, hard))
 
-        evaluated = None
-        if hard:
-            # the filter needs every probe; the choice reuses their sums
-            evaluated = []
-            for move in moves:
-                parts = probe_parts(move)
-                if any(abs(parts.get(cid, 0)) > TOLERANCE for cid in hard):
-                    continue
-                evaluated.append((move, sum(parts.values())))
-            moves = [move for move, _ in evaluated]
-        if not moves:
+        evaluated = []
+        for move in moves:
+            parts = probe_parts(move)
+            if hard and any(abs(parts.get(cid, 0)) > TOLERANCE for cid in hard):
+                continue
+            evaluated.append((move, sum(parts.values())))
+        if not evaluated:
             continue
-
-        # probes draw no random numbers, so flipping the noise coin before
-        # them leaves every draw as it was, and a noise draw probes nothing
-        if cfg.noise > 0 and rng.random() < cfg.noise:
-            move = moves[rng.randrange(len(moves))]
-        else:
-            if evaluated is None:
-                evaluated = [(move, sum(probe_parts(move).values())) for move in moves]
-            allowed = [
-                (move, delta)
-                for move, delta in evaluated
-                if tabu.get(move, 0) < iteration or total + delta < best_total - TOLERANCE
-            ] or evaluated
-            best_delta = min(d for _, d in allowed)
-            ties = [m for m, d in allowed if abs(d - best_delta) <= TOLERANCE]
-            move = ties[rng.randrange(len(ties))]
-        tabu[model.commit(move)] = iteration + cfg.tabu_tenure
+        best_delta = min(d for _, d in evaluated)
+        ties = [m for m, d in evaluated if abs(d - best_delta) <= TOLERANCE]
+        move = ties[rng.randrange(len(ties))]
+        model.commit(move)
         if log is not None and move.kind == "assign":
             log.append((move.vertex, move.colour))
             # past V commits, copying the colouring is the cheaper record

@@ -165,11 +165,7 @@ def test_unknown_neighbourhood():
 
 
 OUT_OF_RANGE = [
-    ("noise", "nan"),
-    ("noise", "-0.5"),
-    ("noise", "7"),
     ("moves_per_iter", "-3"),
-    ("tabu_tenure", "-2"),
     ("max_iterations", "-1"),
     ("restart_after", "-5"),
     ("neighbourhood", "nosuch"),
@@ -195,6 +191,19 @@ def test_search_parameter_out_of_range_in_the_config(key, value):
     with pytest.raises(InputError, match=f"search parameter {key} "):
         search(model, cfg)
     assert model.state.snapshot() == before
+
+
+# the search has no noise coin and no tabu list, so a file that still sets
+# either is refused at the key, whatever its value, as any unknown key is
+@pytest.mark.parametrize(
+    "key, value", [("noise", "nan"), ("noise", "-0.5"), ("noise", "7"), ("tabu_tenure", "-2")]
+)
+def test_a_removed_search_key_is_unknown_in_the_file(key, value):
+    text = dumps(generate(seed=2, width=4, height=4, colours=3))
+    text = text.replace("[search]\n", f"[search]\n{key} {value}\n")
+    lineno = text.splitlines().index(f"{key} {value}") + 1
+    with pytest.raises(FormatError, match=f"^g.inst:{lineno}: unknown search key '{key}'$"):
+        loads(text, origin="g.inst")
 
 
 # no constraint "nosuch"; the balance constraint has no hard_init; a
@@ -385,8 +394,8 @@ def test_grid_value_below_one_in_the_file(key, value):
         pytest.param(("colours 3\n", "colours 3\ncolours 4\n"), "colours", "key 'colours'",
                      id="colours"),
         pytest.param(("width 4\n", "width 4\nwidth 5\n"), "width", "key 'width'", id="grid-key"),
-        pytest.param(("noise 0.08\n", "noise 0.08\nnoise 0.1\n"), "noise", "key 'noise'",
-                     id="search-key"),
+        pytest.param(("moves_per_iter 12\n", "moves_per_iter 12\nmoves_per_iter 6\n"),
+                     "moves_per_iter", "key 'moves_per_iter'", id="search-key"),
         pytest.param(("delta_scaled ", "delta_scaled 1\ndelta_scaled "), "delta_scaled",
                      "key 'delta_scaled'", id="constraint-key"),
         pytest.param(("[search]\n", "[flight 0]\nleg 1 0 9\n[search]\n"), "[flight 0]",

@@ -122,7 +122,7 @@ def test_a_split_is_searched_once_per_vertex_and_state():
         assert sorted(searched) == sorted(probed)
         searched.clear()
         # the commit of a probed vertex reuses its search; a commit
-        # without a probe, as after a noise draw, runs its own
+        # without a probe, as a direct Model.assign makes, runs its own
         v = probed[0] if step % 4 else rng.choice([u for u in st.order if u not in probed])
         model.assign(v, rng.choice([c for c in range(1, n + 1) if c != st.colour(v)]))
         assert searched == ([] if step % 4 else [v])

@@ -153,16 +153,6 @@ def test_neighbourhood_lists_counter_moves():
     assert {m.value for m in counter_moves} == {1, 3}
 
 
-def test_commit_returns_the_move_that_takes_it_back():
-    geometry = grid(3, 1, dim=2)
-    st = ColourState(geometry, 3, colours={0: 1, 1: 2, 2: 3})
-    con = ConnectedConstraint(st, "=", 2)
-    model = Model(st, [(con, 1)], searchable_counters={"connected": (1, 2, 3)})
-    assert model.commit(Move.assign(1, 3)) == Move.assign(1, 2)
-    assert model.commit(Move.counter("connected", 3)) == Move.counter("connected", 2)
-    assert con.counter_value == 3
-
-
 def test_moves_are_immutable_and_hashable():
     move = Move.assign(1, 3)
     with pytest.raises(AttributeError):
@@ -171,9 +161,9 @@ def test_moves_are_immutable_and_hashable():
         "assign", 1, 3, None, None
     )
     assert Move.counter("connected", 3) == Move(kind="counter", counter_id="connected", value=3)
-    tabu = {move: 5, Move.counter("connected", 3): 6}
-    assert tabu[Move.assign(1, 3)] == 5
-    assert Move.assign(1, 2) not in tabu and Move.assign(3, 1) not in tabu
+    by_move = {move: 5, Move.counter("connected", 3): 6}
+    assert by_move[Move.assign(1, 3)] == 5
+    assert Move.assign(1, 2) not in by_move and Move.assign(3, 1) not in by_move
 
 
 def test_unknown_neighbourhood_rejected_before_any_draw():
@@ -288,7 +278,7 @@ def test_search_starts_from_the_built_counters():
     # the first search leaves the counter at 4; the next starts again at 3
     plain = replace(_counter_instance().search, seed=3, max_iterations=2000)
     model = _counter_instance().build()
-    search(model, replace(plain, seed=5, max_iterations=15))
+    search(model, replace(plain, seed=3, max_iterations=20))
     assert model.constraint("connected").counter_value == 4
     again = search(model, plain)
     fresh = search(_counter_instance().build(), plain)
@@ -507,18 +497,6 @@ class _CountsProbes(Constraint):
         pass
 
 
-@pytest.mark.parametrize("hard", [(), ("connected",)], ids=["soft", "hard"])
-def test_noise_draws_probe_nothing(hard):
-    geometry = grid(4, 4, dim=2)
-    st = ColourState(geometry, 3)
-    counting = _CountsProbes(st)
-    model = Model(st, [(ConnectedConstraint(st, "=", 3, id="connected"), 1), (counting, 1)])
-    result = search(model, SearchConfig(max_iterations=50, seed=1, noise=1.0, hard=hard))
-    assert result.iterations == 50
-    # a noise draw needs no delta, but the hard filter needs every one
-    assert (counting.probes > 0) == bool(hard)
-
-
 class _CountsConflicts(_CountsProbes):
     """Also counts the times it is asked for its conflicts."""
 
@@ -592,7 +570,7 @@ def test_restarts_do_not_count_a_hard_init():
     model = instance.build()
     counts = {"set_all": 0}
     _count_calls(model.state, "set_all", counts)
-    cfg = replace(instance.search, seed=4, max_iterations=400, restart_after=5,
+    cfg = replace(instance.search, seed=21, max_iterations=400, restart_after=5,
                   hard=("connected",))
     result = search(model, cfg)
     assert result.restarts == 2
@@ -695,76 +673,76 @@ def _fewer_components(seed, iters):
 
 GOLDEN = [
     # exact connectedness from grown regions: short runs to zero
-    (lambda: _run_2d(1, 1500), "a8fa6b684c733ad1a0b9ffdca760fb1b630eaaac89ba122999220e7274925860"),
-    (lambda: _run_2d(2, 1500), "155d1695feb8fce274a35cef4dcb8f06f6e87713c5b00bcd7b7745c6a6a6ca99"),
-    (lambda: _run_2d(3, 1500), "1112c498ef96611388b83c4cc8d3540c826f04cac32736f7e370fe6f19a46f21"),
+    (lambda: _run_2d(1, 1500), "9660a2914c50ad2bd80c2d746c01dae5dd5fe9bd6740d26a39d93abf3e33ddd3"),
+    (lambda: _run_2d(2, 1500), "1a6fa7ad1f022e96b91c53e6a66c89d3279c9f34ebade2a5ba83ddf68dc2211d"),
+    (lambda: _run_2d(3, 1500), "607f54cf774b8faeae01932f8e126f786e6423f53cf8d918652584dedf92b1a5"),
     # exact connectedness from a random colouring: many splits and merges
     (
         lambda: _run_2d(1, 600, init="random"),
-        "c53a40d79ecd1f2721fd6f9bc838dbd071f8c6057da5b615da4afd9562d13d05",
+        "9e1ea7c4f3b4e90d148928e59736f1ae5f2f63e85d9bf25ca0d3ef246ff6f44e",
     ),
     (
         lambda: _run_2d(2, 600, init="random"),
-        "b40bf7e3b83c327f3378618fde9d8e819cc1765e3bde6f2bfe2a2b00423448e9",
+        "602de49ebf673be3ce7e1d72a95dfa75d1db5e0610d888650634e93f3463f4cc",
     ),
     # the paper-fast estimate, false counts included
     (
         lambda: _run_2d(1, 300, init="random", mode="paper-fast"),
-        "4fa07f2bee290627188f395953021c2d0435509d1c2de8258bf606b4ba09c069",
+        "90ebb8f14254f7652f6115289c3bbdcbc3b55b14efe1cf21adc522fba73df114",
     ),
     # 3D, compact mode A, restarting on a Luby schedule of unit 15
-    (lambda: _run_3d_compact_a(1, 300), "c4c89f0eb5c74355ad7a18fb0235c7362462d422cb36237f482d79ede8482417"),
+    (lambda: _run_3d_compact_a(1, 300), "50d09ac8488ec15d6b5cfd9e562b4c58765a915ccf1f563c77f5f04aff8f121a"),
     # the same run with the exact mode A probe
     (
         lambda: _run_3d_compact_a(1, 300, probe="exact"),
-        "a46a73b6ce82f9f0625245dca63fed2b883737808e5a390d68c71f0162fd90bb",
+        "8b36cd91ebf33bddb0f79c8b2e2cc8ef6c18df1e75a4dfea46e5ade010bf0632",
     ),
     # compact mode B, non-border and bounded from a random colouring
     (
         lambda: _run_mixed(1, 800),
-        "dfa8c9e155505454bc021ad24f022555c4ee8b564d583ef7deb854ee158ed157",
+        "5bfdde9b8de5f535371b4c5ba94063523cb13023de9f8340414704d35f0b8e13",
     ),
     (
         lambda: _run_mixed(2, 800),
-        "aac41563118c3a36731dd17379e5a85dd54ad1788fb93fe39541e937463c877e",
+        "ce43beb02a30fa48d88079694f64bf062c5bdbf0599d5363180a5d65e6fd1e1a",
     ),
     # maximum dwell: every stretch-sum is "<=" a threshold that binds
     (
         lambda: _run_dwell(2, 600, relop="<=", threshold=300),
-        "e702e7d8f4fa6cabcfe45f7eed42e0818c8dabda208009270e480c705575b402",
+        "c0454ff91fc75daf29744ee1db2b8d5f529088686e3f291ef7477c400b911930",
     ),
     # a hard stretch-sum: greedy initialisation and the hard-move filter
     (
         lambda: _run_dwell(2, 600, hard=("dwell0",)),
-        "1496ccbf3434ed8fc8500ff785d051b6746c3189b777625890813e24a4e3a543",
+        "bfe0cb292529c8d20b891137ec5eb602ecb732d26d960a9f6e4e5e6ac8a91a21",
     ),
-    # an empty conflict pool in 65 of the 297 draws, a partial one in the rest
+    # an empty conflict pool in 114 of the 297 draws, a partial one in the rest
     (
         lambda: _run_counter_only(1, 300),
-        "144087abcf222106f1969aa815db8349c32a4e0a95c721b834bb633501e90468",
+        "05ffb258e860665407451eff370f598e24f787c3ecc18d4f1b84324cd1fcd1ee",
     ),
     # every other colour is a candidate (neighbourhood "full")
     (
         lambda: _run_2d(1, 600, neighbourhood="full"),
-        "40163a98ba87c02501641731e42df86048d653ca8563b42f0c64a37129cab44a",
+        "02c4da4dedd047d07b0a0114e1567b4c37e1fc57af020dad3d28769b58557e7a",
     ),
     (
         lambda: _run_2d(2, 600, neighbourhood="full"),
-        "d35496b21ac9e820d5961e66fa95e6e4a52b1b24fe19a14551239c43502634f2",
+        "0d3aa800c76d04ea6d1789eecf485b793aff3d8623b33cf5249e05a5eea79f74",
     ),
     # a searchable counter's moves in every move list
     (
         lambda: search(*_searched_counter(1, 600)),
-        "87daceff42ae1c1ee152b7939852ec612c05048060a76b1223fdbc0ca420cd2c",
+        "d1327426d77e6aa43cbad15056461d5efb2c304add768d3cabecfc498917ca28",
     ),
     # colours going unused and becoming candidates, to zero and with restarts
     (
         lambda: search(*_fewer_components(2, 300)),
-        "d2b523f334d57522789ed4dfd60a53b1b3f8d5dda4937e7d05f13edc1e2fd48a",
+        "9d69db1459e319b3c3697b72128f8f8cf7281aabad690c9654c42c8c7fe006da",
     ),
     (
         lambda: search(*_fewer_components(3, 300)),
-        "cd1fdd3c0b7cdb3229f9a700843357753c12d64e319a3927bda8978537db654a",
+        "94e956111c4209102d98236ea9eba9e276fb9cda5a498ec8718f79c280f440c9",
     ),
 ]
 
@@ -781,9 +759,8 @@ def _commits(model, cfg):
     commit = model.commit
 
     def recorded(move):
-        undo = commit(move)
+        commit(move)
         seen.append((move, list(model.state.class_size)))
-        return undo
 
     model.commit = recorded
     search(model, cfg)
@@ -812,10 +789,10 @@ def coarse_digest(result):
 
 
 COARSE = [
-    (lambda: _run_3d_compact_a(1, 300), "a63b2fd1052593059fc4e196e586f50c4d75475a199bf87df49197c6c2f16b76"),
+    (lambda: _run_3d_compact_a(1, 300), "6036a0f4551748e875b5ed1475537e1d96247b498774900f96cc1eca3ea038f4"),
     (
         lambda: _run_3d_compact_a(1, 300, probe="exact"),
-        "dd79b5cfcf25eb1d42fb755ac37123f3dd252477b0d904391a7c7ea9f4f5b981",
+        "65d206385b1876140e0c7274769822775888219f9b99f70145520e9ea8d96395",
     ),
 ]
 

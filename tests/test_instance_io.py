@@ -51,16 +51,16 @@ def test_round_trip_is_canonical(tmp_path):
 def test_search_section_is_pinned():
     # the README's [search] block, then every field set to another value
     assert dumps(tiny_instance()).split("[search]\n")[1] == (
-        "seed 1\nmax_iterations 20000\ntabu_tenure 8\nrestart_after 64\n"
-        "moves_per_iter 12\nneighbourhood border\nnoise 0.08\ninit regions\nhard -\n"
+        "seed 1\nmax_iterations 20000\nrestart_after 64\n"
+        "moves_per_iter 12\nneighbourhood border\ninit regions\nhard -\n"
     )
     cfg = SearchConfig(
-        seed=5, max_iterations=300, tabu_tenure=4, restart_after=90, moves_per_iter=6,
-        neighbourhood="full", noise=0.5, init="keep", hard=("connected", "balance"),
+        seed=5, max_iterations=300, restart_after=90, moves_per_iter=6,
+        neighbourhood="full", init="keep", hard=("connected", "balance"),
     )
     assert dumps(replace(tiny_instance(), search=cfg)).split("[search]\n")[1] == (
-        "seed 5\nmax_iterations 300\ntabu_tenure 4\nrestart_after 90\n"
-        "moves_per_iter 6\nneighbourhood full\nnoise 0.5\ninit keep\nhard connected,balance\n"
+        "seed 5\nmax_iterations 300\nrestart_after 90\n"
+        "moves_per_iter 6\nneighbourhood full\ninit keep\nhard connected,balance\n"
     )
 
 
@@ -257,12 +257,12 @@ def test_cli_solve_reports_the_rebuilt_total(tmp_path, capsys):
         "--iters", "4000", "--trace", str(trace),
     ])
     out = capsys.readouterr().out
-    assert "best: seed 2 violation 3 (the search reported 0)" in out
+    assert "best: seed 2 violation 2 (the search reported 0)" in out
     assert code == 1
     # the trace keeps the search's own figures; they do not set the exit code
     assert trace.read_text().splitlines()[-1].split(",")[1] == "0"
     assert cli.main(["check", str(inst), str(sol)]) == 1
-    assert "total 3\n" in capsys.readouterr().out
+    assert "total 2\n" in capsys.readouterr().out
 
 
 def test_cli_solve_rebuilds_with_the_searched_counters(tmp_path, capsys):
@@ -298,9 +298,9 @@ def test_cli_solve_writes_the_best_states_counters(tmp_path, capsys):
     inst = tmp_path / "b.inst"
     sol = tmp_path / "b.sol"
     save(instance, str(inst))
-    assert cli.main(["solve", str(inst), "-o", str(sol), "--seed", "2", "--iters", "60"]) == 1
+    assert cli.main(["solve", str(inst), "-o", str(sol), "--seed", "3", "--iters", "60"]) == 1
     out = capsys.readouterr().out
-    assert "best: seed 2 violation 1\n" in out
+    assert "best: seed 3 violation 1\n" in out
     assert "counter connected 4\n" in out
     assert "counter connected 4\n" in sol.read_text()
     assert cli.main(["check", str(inst), str(sol)]) == 1
@@ -316,13 +316,13 @@ def test_cli_check_takes_the_solve_weights(tmp_path, capsys):
     weights = ["--weights", "dwell0=5"]
     # 40 iterations end before the first restart, in a best state where
     # dwell0 is violated, so the weight shows in the total
-    assert cli.main(["solve", str(inst), "-o", str(sol), "--seed", "1", "--iters", "40",
+    assert cli.main(["solve", str(inst), "-o", str(sol), "--seed", "2", "--iters", "40",
                      *weights]) == 1
-    assert "best: seed 1 violation 9\n" in capsys.readouterr().out
+    assert "best: seed 2 violation 7\n" in capsys.readouterr().out
     assert cli.main(["check", str(inst), str(sol)]) == 1
-    assert "total 5\n" in capsys.readouterr().out
+    assert "total 3\n" in capsys.readouterr().out
     assert cli.main(["check", str(inst), str(sol), *weights]) == 1
-    assert "total 9\n" in capsys.readouterr().out
+    assert "total 7\n" in capsys.readouterr().out
 
 
 def test_cli_check_reports_violations(tmp_path, capsys):

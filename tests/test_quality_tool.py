@@ -48,7 +48,13 @@ def test_a_tree_compared_with_itself_ties_on_every_seed():
         "  per seed: 0 better, 0 worse, 5 equal; sign test p = 1",
         "  per seed: 0 better, 0 worse, 4 equal; sign test p = 1",
     ]
+    # the best-at-budget workloads also over seeds 1..20
+    wide = [line for line in lines if line.startswith("  seeds 1..20, per seed:")]
+    assert wide == ["  seeds 1..20, per seed: 0 better, 0 worse, 20 equal; sign test p = 1"] * 2
     for line in lines:
         if line.startswith("  median"):
             medians = line.split(",")[0].split()[1:]
+            assert medians[0] == medians[2], line
+        if line.startswith("  seeds 1..20: median"):
+            medians = line.split()[3:]
             assert medians[0] == medians[2], line

@@ -23,6 +23,9 @@ is.  The file holds:
 - ``best_at_budget``: the best violation per seed of the benchmark's
   ``iterate-80x80`` at 2000 iterations (seeds 1..5) and ``restart-3d`` at
   1500 iterations (seeds 1..4), with their medians;
+- ``best_at_budget_20_seeds``: the same over seeds 1..20, enough for the
+  sign test to tell a change from luck (with 5 seeds no split reaches
+  p < 0.05);
 - the restarts of every run beside each.
 
 ``compare PARENT CHANGE`` takes two trees, each a directory or a git
@@ -62,6 +65,7 @@ RUN_LENGTH_INSTANCES = (7, 13)
 RUN_LENGTH_SEEDS = range(101, 201)
 RUN_LENGTH_BUDGET = 5000
 BEST_AT_BUDGET = {"iterate-80x80": 2000, "restart-3d": 1500}
+WIDE_SEEDS = range(1, 21)
 
 
 def searched(instance, seed, budget):
@@ -97,26 +101,35 @@ def run_length(instance_seed):
 
 
 def best_at_budget(name, budget):
+    """Two rows of best violations at ``budget``: over the workload's
+    benchmark seeds and over :data:`WIDE_SEEDS`, each seed searched once."""
     w = WORKLOADS[name]
     instance = make_instance(w)
-    best, restarts = [], []
-    for seed in w.seeds:
-        result = searched(instance, seed, budget)
-        best.append(result.violation)
-        restarts.append(result.restarts)
-    return {
-        "seeds": list(w.seeds),
-        "budget": budget,
-        "best": best,
-        "median": statistics.median(best),
-        "restarts_per_run": restarts,
-    }
+    runs = {}  # seed -> (best violation, restarts)
+    for seed in (*w.seeds, *WIDE_SEEDS):
+        if seed not in runs:
+            result = searched(instance, seed, budget)
+            runs[seed] = result.violation, result.restarts
+
+    def row(seeds):
+        best = [runs[seed][0] for seed in seeds]
+        return {
+            "budget": budget,
+            "best": best,
+            "median": statistics.median(best),
+            "restarts_per_run": [runs[seed][1] for seed in seeds],
+        }
+
+    wide = [WIDE_SEEDS.start, WIDE_SEEDS.stop - 1]
+    return {"seeds": list(w.seeds), **row(w.seeds)}, {"seeds": wide, **row(WIDE_SEEDS)}
 
 
 def quality():
+    rows = {name: best_at_budget(name, b) for name, b in BEST_AT_BUDGET.items()}
     return {
         "run_length": {f"20x20-seed{s}": run_length(s) for s in RUN_LENGTH_INSTANCES},
-        "best_at_budget": {name: best_at_budget(name, b) for name, b in BEST_AT_BUDGET.items()},
+        "best_at_budget": {name: few for name, (few, _) in rows.items()},
+        "best_at_budget_20_seeds": {name: wide for name, (_, wide) in rows.items()},
     }
 
 
@@ -164,6 +177,10 @@ def summary(parent: dict, change: dict) -> list:
                      f"{', '.join(map(str, p['seeds']))}")
         lines.append(f"  median {p['median']:.6g} -> {c['median']:.6g}")
         lines.append(_row("per seed", p["best"], c["best"]))
+        p, c = parent["best_at_budget_20_seeds"][name], change["best_at_budget_20_seeds"][name]
+        seeds = f"seeds {p['seeds'][0]}..{p['seeds'][1]}"
+        lines.append(f"  {seeds}: median {p['median']:.6g} -> {c['median']:.6g}")
+        lines.append(_row(f"{seeds}, per seed", p["best"], c["best"]))
     return lines
 
 
