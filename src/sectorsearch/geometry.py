@@ -11,6 +11,8 @@ complexes whose facet "areas" are side lengths.
 Once the facet structure is checked, a geometry keeps per vertex only
 what the search reads: each neighbour with the area of the facet they
 share, the total area of the vertex's border facets, and its volume.
+A grid (:func:`grid`) has no facet structure to check: it writes those
+tables, and its edge masks, straight from its cells' coordinates.
 
 The paper closes the geometry with an outside vertex adjacent to every
 border vertex.  Here the outside is no vertex: a vertex's border area
@@ -25,6 +27,7 @@ geometry's own components are one of their results.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from types import MappingProxyType
 from typing import (
     Callable,
@@ -71,7 +74,8 @@ class Geometry:
     Adjacency is not given separately: two vertices are adjacent exactly
     when they share a facet, so symmetry and irreflexivity hold by
     construction, and the one-facet-per-edge invariant is validated here.
-    The facets themselves are not kept.
+    The facets themselves are not kept.  :func:`grid` builds its
+    geometries without facets, from the same tables written per cell.
 
     As nothing in a geometry changes after construction, five tables
     are computed on the first request and kept, so every later call
@@ -79,8 +83,9 @@ class Geometry:
     vertex's ``rank()`` in it, the connected ``components()``, the
     ``ascending_adjacency()``, each vertex's neighbours as an increasing
     tuple, and the ``edge_masks()``, the edges grouped by rank offset and
-    area.  ``adjacent()`` keeps the order in which the facets named the
-    neighbours; the sorted table is built only for the callers that walk
+    area, which a grid supplies when it is built.  ``adjacent()`` keeps
+    the order in which the facets named the neighbours, increasing on a
+    grid; the sorted table is built only for the callers that walk
     neighbours in increasing order.
     """
 
@@ -144,13 +149,36 @@ class Geometry:
                 f"vertices {v} and {w} share facets {first} and {f}, "
                 "exactly one shared facet is allowed"
             )
+        self._keep(edge_areas, None)
+
+    @classmethod
+    def _from_tables(
+        cls,
+        dim: int,
+        edge_areas: Dict[int, Dict[int, int]],
+        border_areas: Dict[int, int],
+        volume: Dict[int, int],
+        edge_masks: EdgeMasks,
+    ) -> "Geometry":
+        """A geometry from tables its caller has built and checked, as
+        :func:`grid` builds them from cells; nothing is checked here."""
+        geometry = cls.__new__(cls)
+        geometry.dim = dim
+        geometry.border_areas = border_areas
+        geometry._volume = volume
+        geometry._keep(edge_areas, edge_masks)
+        return geometry
+
+    def _keep(self, edge_areas: Dict[int, Dict[int, int]], edge_masks: Optional[EdgeMasks]) -> None:
+        """The tail both constructors share: the neighbour tables and the
+        lazy caches, with the edge masks when the caller has them."""
         self._edge_areas = edge_areas
         # stored, so that the hot path allocates nothing per call
         self._adj: Dict[int, KeysView[int]] = {v: ws.keys() for v, ws in edge_areas.items()}
         self._vertices: FrozenSet[int] = frozenset(edge_areas)
         self._order: Optional[Tuple[int, ...]] = None
         self._rank: Optional[Mapping[int, int]] = None
-        self._edge_masks: Optional[EdgeMasks] = None
+        self._edge_masks: Optional[EdgeMasks] = edge_masks
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._ascending: Optional[Mapping[int, Tuple[int, ...]]] = None
 
@@ -208,20 +236,14 @@ class Geometry:
             sparse: List[Tuple[int, int, int]] = []
             for (d, a), lower in groups.items():
                 if len(lower) * DENSE_SHARE >= size:
-                    digits = bytearray(b"0") * size
-                    for r in lower:
-                        digits[r] = 49  # ord("1")
-                    dense.setdefault(d, []).append((a, int(digits[::-1], 2)))
+                    dense.setdefault(d, []).append((a, _mask(size, lower)))
                 else:
                     for r in lower:
                         sparse.append((order[r], order[r + d], a))
-            digits = bytearray(b"0") * size
-            for v in self.border_areas:
-                digits[rank[v]] = 49
             self._edge_masks = EdgeMasks(
                 tuple((d, tuple(masks)) for d, masks in dense.items()),
                 tuple(sparse),
-                int(digits[::-1] or b"0", 2),
+                _mask(size, map(rank.__getitem__, self.border_areas)),
             )
         return self._edge_masks
 
@@ -281,6 +303,14 @@ class Geometry:
         return iter(sorted(
             (v, w) for v, ws in self._edge_areas.items() for w in ws if v < w
         ))
+
+
+def _mask(size: int, ranks: Iterable[int]) -> int:
+    """The ``size``-bit mask with bit ``r`` set for each ``r`` in ``ranks``."""
+    digits = bytearray(b"0") * size
+    for r in ranks:
+        digits[r] = 49  # ord("1")
+    return int(digits[::-1] or b"0", 2)
 
 
 def components(
@@ -348,34 +378,59 @@ def grid(
 
     ``dim`` defaults to 3; pass ``dim=2`` (requires ``d == 1``) for a flat
     grid whose cells have four side facets.  All facets get ``cell_area``
-    and all cells ``cell_volume``.
+    and all cells ``cell_volume``, each a positive int.
+
+    No facet is numbered: along an axis of stride ``s``, cell ``i`` and
+    cell ``i + s`` share a facet unless ``i`` is last on the axis, and a
+    cell's border area is ``cell_area`` per face on the hull.  The edges
+    along each axis of extent above 1 are one dense edge-mask group of
+    offset ``s``, whose bits are the cells not last on the axis.
     """
     vertices = grid_vertices(w, h, d, dim)
     if dim is None:
         dim = 3
-
-    # per axis, a low border facet, then the facet towards the next cell
-    # or a high border facet, numbered in that order
-    facets_of: Dict[int, list] = {v: [] for v in vertices}
-    strides = ((w, 1), (h, w), (d, w * h))[: 3 if dim == 3 else 2]
-    fid = 0
-    v = 0
-    for z in range(d):
-        for y in range(h):
-            for x in range(w):
-                own = facets_of[v]
-                for coord, (extent, stride) in zip((x, y, z), strides):
-                    if coord == 0:
-                        own.append(fid)
-                        fid += 1
-                    own.append(fid)
-                    if coord != extent - 1:
-                        facets_of[v + stride].append(fid)
-                    fid += 1
-                v += 1
-    areas = dict.fromkeys(range(fid), cell_area)
-    volumes = dict.fromkeys(facets_of, cell_volume)
-    return Geometry(facets_of, areas, volumes, dim)
+    for name, value in (("cell_area", cell_area), ("cell_volume", cell_volume)):
+        if not isinstance(value, int) or value <= 0:
+            raise InputError(f"{name} must be a positive integer, got {value!r}")
+    size = len(vertices)
+    # every table keys a cell by this one int object: a dict lookup with
+    # the stored key object passes on identity, an equal int compares
+    ids = list(vertices)
+    tables: List[Dict[int, int]] = [{} for _ in ids]
+    edges = []  # per axis of extent above 1, its stride and its edges' lower ends
+    dense = []
+    hull = 0  # per cell a base-256 digit: its faces on the hull
+    for extent, stride in ((w, 1), (h, w), (d, w * h))[:dim]:
+        block = extent * stride  # the cells that share their later coordinates
+        blocks = size // block
+        first = (b"\x01" * stride + bytes(block - stride)) * blocks
+        # the last cells on the axis are the first ones mirrored
+        hull += int.from_bytes(first, "big") + int.from_bytes(first, "little")
+        if extent == 1:
+            continue
+        # the cells not last on the axis, each the lower end of an edge
+        lower = (b"\x01" * (block - stride) + bytes(stride)) * blocks
+        edges.append((stride, lower))
+        # the same cells as a mask, its highest bit first
+        bits = (b"0" * stride + b"1" * (block - stride)) * blocks
+        dense.append((stride, ((cell_area, int(bits, 2)),)))
+    # each cell's neighbours in increasing order: the lower ones, farthest
+    # first, then the upper ones, nearest first
+    for stride, lower in reversed(edges):
+        for lo, hi in zip(compress(ids, lower), compress(ids[stride:], lower)):
+            tables[hi][lo] = cell_area
+    for stride, lower in edges:
+        for lo, hi in zip(compress(ids, lower), compress(ids[stride:], lower)):
+            tables[lo][hi] = cell_area
+    faces = hull.to_bytes(size, "big")
+    border = dict(zip(compress(ids, faces), [cell_area * f for f in faces if f]))
+    return Geometry._from_tables(
+        dim,
+        dict(zip(ids, tables)),
+        border,
+        dict.fromkeys(ids, cell_volume),
+        EdgeMasks(tuple(dense), (), _mask(size, border)),
+    )
 
 
 class OrderedPath:

@@ -104,12 +104,14 @@ class Instance:
             built = (replace(self.grid), self.grid.build())
             self._built_grid = built
         g = built[1]
-        for v in g.vertices:
-            if v not in self.workloads:
-                raise FormatError("workloads", f"vertex {v} has no workload")
-        for v in self.workloads:
-            if v not in g.vertices:
-                raise FormatError("workloads", f"unknown vertex {v}")
+        # one set comparison; the walk only names the offender
+        if self.workloads.keys() != g.vertices:
+            for v in g.vertices:
+                if v not in self.workloads:
+                    raise FormatError("workloads", f"vertex {v} has no workload")
+            for v in self.workloads:
+                if v not in g.vertices:
+                    raise FormatError("workloads", f"unknown vertex {v}")
         for i, plan in enumerate(self.flights):
             try:
                 validate(plan, g)

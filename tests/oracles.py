@@ -14,7 +14,7 @@ import math
 import random
 from itertools import product
 
-from sectorsearch.geometry import Geometry, grid
+from sectorsearch.geometry import Geometry, grid, grid_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +396,38 @@ def random_geometry(rng, max_cells=8):
         w, h, d, dim = rng.choice(GRID_CHOICES)
         if w * h * d <= max_cells:
             return grid(w, h, d, dim=dim)
+
+
+def facet_grid(w, h, d=1, cell_area=1, cell_volume=1, dim=None):
+    """The geometry ``grid(w, h, d, ...)`` describes, built the long way:
+    every facet of every cell numbered, then handed to the validated
+    :class:`Geometry` constructor, which reads the adjacency off the
+    facets two cells share."""
+    vertices = grid_vertices(w, h, d, dim)
+    if dim is None:
+        dim = 3
+    # per axis, a low border facet, then the facet towards the next cell
+    # or a high border facet, numbered in that order
+    facets_of = {v: [] for v in vertices}
+    strides = ((w, 1), (h, w), (d, w * h))[: 3 if dim == 3 else 2]
+    fid = 0
+    v = 0
+    for z in range(d):
+        for y in range(h):
+            for x in range(w):
+                own = facets_of[v]
+                for coord, (extent, stride) in zip((x, y, z), strides):
+                    if coord == 0:
+                        own.append(fid)
+                        fid += 1
+                    own.append(fid)
+                    if coord != extent - 1:
+                        facets_of[v + stride].append(fid)
+                    fid += 1
+                v += 1
+    areas = dict.fromkeys(range(fid), cell_area)
+    volumes = dict.fromkeys(facets_of, cell_volume)
+    return Geometry(facets_of, areas, volumes, dim)
 
 
 def relabelled(g, f, area=None):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -46,6 +48,12 @@ def test_compare_runs_alternating_pairs_of_two_trees(tmp_path):
     for metric in ("setup_s", "iters_per_s", "solve_s", "peak_rss_mb"):
         [row] = [line for line in lines if line.split()[:1] == [metric]]
         assert "/2 " in row
+    # each side's set-up counts come right under peak_rss_mb, and every
+    # run sets up at least three times
+    [rss] = [i for i, line in enumerate(lines) if line.split()[:1] == ["peak_rss_mb"]]
+    setups = lines[rss + 1].split()
+    assert setups[0] == "set-ups"
+    assert all(float(setups[i]) >= 3 for i in (1, 4))
     assert "  exact counts agree: yes" in "\n".join(lines)
     assert "  failed agree: yes (values [0])" in lines
     runs = json.loads(out.read_text())["iterate-80x80"]
@@ -55,11 +63,18 @@ def test_compare_runs_alternating_pairs_of_two_trees(tmp_path):
     assert all(counts == exact[0] for counts in exact)
 
 
-def test_compare_counts_wins_in_each_metric_direction(monkeypatch):
+def _tool(monkeypatch):
+    """``tools/bench.py`` as a module, imported without keeping its
+    ``sys.path`` entry."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_compare_counts_wins_in_each_metric_direction(monkeypatch):
+    tool = _tool(monkeypatch)
     parent, change = [10, 12, 11, 13], [9, 12, 12, 10]
     lower = tool.summarise(parent, change, "lower")
     assert lower["wins"] == 2  # the tie in the second pair counts for neither
@@ -69,3 +84,15 @@ def test_compare_counts_wins_in_each_metric_direction(monkeypatch):
     higher = tool.summarise(parent, change, "higher")
     assert higher["wins"] == 1
     assert higher["gain"] == -lower["gain"]
+
+
+def test_compare_reads_the_set_up_count_of_a_run(monkeypatch):
+    tool = _tool(monkeypatch)
+    out = (
+        "workload iterate-80x80 seed 2 trace 0 passes 5 set-ups 37 speed samples 12\n"
+        "  wall-clock: setup_s 0.027 solve_s 0.11\n"
+        "  iterations 1000 iterations\n"
+    )
+    assert tool.setup_count(out) == 37
+    with pytest.raises(ValueError):
+        tool.setup_count("  iterations 1000 iterations\n")

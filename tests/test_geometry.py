@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import facet_grid
 from sectorsearch.errors import InputError
 from sectorsearch.geometry import Geometry, OrderedPath, grid, grid_vertices
 
@@ -124,6 +125,63 @@ def test_scaled_areas_and_volumes():
     assert g.edge_areas(0) == {1: 3, 2: 3}
     assert g.volume(0) == 5
     assert g.border_areas[0] == 6
+
+
+GRID_SHAPES = [
+    (1, 1, 1, 2), (1, 5, 1, 2), (5, 1, 1, 2), (4, 3, 1, 2), (20, 20, 1, 2),
+    (1, 1, 4, 3), (3, 1, 2, 3), (3, 2, 2, 3), (8, 8, 4, 3),
+]
+
+
+@pytest.mark.parametrize("cell_volume", [1, 5])
+@pytest.mark.parametrize("cell_area", [1, 3])
+@pytest.mark.parametrize("shape", GRID_SHAPES, ids=lambda s: "x".join(map(str, s[:s[3]])))
+def test_grid_equals_its_facet_structure(shape, cell_area, cell_volume):
+    """``grid`` writes its tables from cell coordinates; the validated
+    facet constructor, fed every facet of every cell, reads the same
+    geometry off them, edge masks included."""
+    w, h, d, dim = shape
+    g = grid(w, h, d, cell_area=cell_area, cell_volume=cell_volume, dim=dim)
+    oracle = facet_grid(w, h, d, cell_area=cell_area, cell_volume=cell_volume, dim=dim)
+    assert g.dim == oracle.dim
+    assert g.order() == oracle.order()
+    assert g.rank() == oracle.rank()
+    for v in oracle.order():
+        assert g.edge_areas(v) == oracle.edge_areas(v)
+        assert g.volume(v) == oracle.volume(v)
+    assert g.border_areas == oracle.border_areas
+    assert g.outside_area() == oracle.outside_area()
+    masks, expected = g.edge_masks(), oracle.edge_masks()
+    assert set(masks.dense) == set(expected.dense)
+    assert masks.sparse == expected.sparse
+    assert masks.outside == expected.outside
+
+
+@pytest.mark.parametrize("shape", [(80, 80, 1, 2), (8, 8, 4, 3)])
+def test_grid_tables_share_the_vertex_objects(shape):
+    """Every table of a grid keys a vertex by the very int object of
+    ``order()``.  A lookup by an equal int that is another object cannot
+    pass on identity and compares: a grid whose neighbour keys were fresh
+    ints replayed byte-identically, but searched about 5% slower
+    (``solve_s`` of the ``iterate-80x80`` benchmark)."""
+    w, h, d, dim = shape
+    g = grid(w, h, d, dim=dim)
+    order = g.order()
+    stored = {id(v) for v in order}
+    assert len(stored) == len(order)
+    for v, ws in g.adjacency().items():
+        assert v is order[v]
+        assert all(w is order[w] for w in ws)
+        assert all(w is order[w] for w in g.edge_areas(v))
+    assert all(v is order[v] for v in g.border_areas)
+    assert all(v is order[v] for v in g._volume)
+
+
+@pytest.mark.parametrize("value", [0, -2, 1.0, "1", None])
+@pytest.mark.parametrize("name", ["cell_area", "cell_volume"])
+def test_grid_refuses_a_cell_size_that_is_not_a_positive_int(name, value):
+    with pytest.raises(InputError, match=f"{name} must be a positive integer, got {value!r}"):
+        grid(3, 2, dim=2, **{name: value})
 
 
 def test_unequal_areas_attach_to_their_pairs():

@@ -29,6 +29,10 @@ change first in even-numbered ones.  It then prints, per workload and
 end-to-end metric, each side's median and quartiles, the pairs the
 change won (ties count for neither), the gain of the medians against the
 parent's quartile spread, and whether ``failed`` agrees in every run.
+Under ``peak_rss_mb`` come each side's set-up counts (the ``set-ups N``
+a run prints): a run repeats its set-up until ``SETUP_MIN_SECONDS`` have
+passed, so a faster set-up runs more of them, and the memory a run peaks
+at depends on that count.
 The exact counts (``solved_frac``, ``best_violation``, ``iterations``)
 are compared seed by seed between the sides, and each side's distinct
 values are listed apart: ``best_violation`` sums floats in the batch
@@ -140,6 +144,16 @@ def exact_counts(out: str) -> dict:
     return counts
 
 
+def setup_count(out: str) -> int:
+    """How many set-ups a run timed, from the ``set-ups N`` of its
+    ``workload`` line."""
+    for line in out.splitlines():
+        parts = line.split()
+        if parts[:1] == ["workload"] and "set-ups" in parts:
+            return int(parts[parts.index("set-ups") + 1])
+    raise ValueError("no set-up count in the run's output")
+
+
 def _quartiles(values):
     """Median, first and third quartile."""
     if len(values) < 2:
@@ -179,7 +193,8 @@ def compare(parent: str, change: str, names, pairs: int, seconds: float) -> dict
             for name in names:
                 for side in sides:
                     out = _run(roots[side], name, seed, seconds, 0)
-                    runs[name][side].append({"report": _report(out), "exact": exact_counts(out)})
+                    runs[name][side].append({"report": _report(out), "exact": exact_counts(out),
+                                             "setups": setup_count(out)})
                 print(f"pair {i + 1}/{pairs} {name} done", file=sys.stderr)
     for name in names:
         sides = runs[name]
@@ -193,6 +208,9 @@ def compare(parent: str, change: str, names, pairs: int, seconds: float) -> dict
             cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*row[side]) for side in ("parent", "change")]
             print(f"  {metric:<12} {cells[0]:<34} {cells[1]:<34} "
                   f"{row['wins']:>2}/{pairs:<3} {row['gain']:+.4g} / {row['spread']:.4g}")
+        cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*_quartiles([r["setups"] for r in sides[side]]))
+                 for side in ("parent", "change")]
+        print(f"  {'set-ups':<12} {cells[0]:<34} {cells[1]}")
         # both sides list their runs by pair, so by seed
         exact = {side: [json.dumps(r["exact"], sort_keys=True) for r in sides[side]]
                  for side in ("parent", "change")}
