@@ -201,7 +201,7 @@ class CompactConstraint(Constraint):
         changed: Dict[int, int] = {}
         # the facets with the outside stay border whatever the colour
         new_bv = state.geometry.border_areas.get(v, 0)
-        for w, area in state.geometry.edge_areas(v).items():
+        for w, area in zip(state.geometry.adjacency()[v], state.geometry.facet_areas()[v]):
             cw = colour[w]
             if cw == after:
                 changed[w] = border[w] - area

@@ -31,8 +31,9 @@ class NonBorderConstraint(Constraint):
         self.path = path
         self.id = id
         on_path = set(path.interior)
+        adjacent = state.geometry.adjacent
         self.off_path: Dict[int, Tuple[int, ...]] = {
-            v: tuple(sorted(state.geometry.adjacent(v) - on_path)) for v in path.interior
+            v: tuple(w for w in adjacent(v) if w not in on_path) for v in path.interior
         }
         # off-path vertices adjacent to the path, keyed to their path neighbours
         side: Dict[int, list] = {}

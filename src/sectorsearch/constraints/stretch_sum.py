@@ -50,6 +50,8 @@ class StretchSumConstraint(Constraint):
         self.path = path
         self.values = list(values)
         self.relop = check_relop(relop)
+        # resolved once: every probe and every term compares
+        self._holds = OPS[self.relop]
         self.threshold = int(threshold)
         self.id = id
         self._pos: Dict[int, int] = {v: i for i, v in enumerate(path.interior)}
@@ -83,7 +85,7 @@ class StretchSumConstraint(Constraint):
         return self.state.colour(self.path.interior[i])
 
     def _viol(self, sigma: int) -> int:
-        return 0 if holds(self.relop, sigma, self.threshold) else 1
+        return 0 if self._holds(sigma, self.threshold) else 1
 
     # measurement -------------------------------------------------------
     def violation(self) -> int:
@@ -110,7 +112,7 @@ class StretchSumConstraint(Constraint):
         sigma = self._prefix[right + 1] - self._prefix[left]
         if self._viol(sigma):
             return 1
-        if holds(self.relop, sigma - self.values[i], self.threshold):
+        if self._holds(sigma - self.values[i], self.threshold):
             return self.values[i]
         return 0
 
@@ -159,7 +161,7 @@ class StretchSumConstraint(Constraint):
         if i is None or colour == self._col(i):
             return 0
         retired, formed = self._stretch_move(i, colour)
-        ok, t = OPS[self.relop], self.threshold
+        ok, t = self._holds, self.threshold
         delta = 0
         for _, _, s in formed:
             if not ok(s, t):

@@ -9,10 +9,12 @@ instance-defined units.  Two-dimensional instances are depth-1 cell
 complexes whose facet "areas" are side lengths.
 
 Once the facet structure is checked, a geometry keeps per vertex only
-what the search reads: each neighbour with the area of the facet they
-share, the total area of the vertex's border facets, and its volume.
-A grid (:func:`grid`) has no facet structure to check: it writes those
-tables, and its edge masks, straight from its cells' coordinates.
+what the search reads: its neighbours as an increasing tuple, the areas
+of the facets it shares with them as a tuple in the same order, the
+total area of its border facets, and its volume.  However the facets
+are numbered, the same graph has the same neighbour rows.  A grid
+(:func:`grid`) has no facet structure to check: it writes those tables,
+and its edge masks, straight from its cells' coordinates.
 
 The paper closes the geometry with an outside vertex adjacent to every
 border vertex.  Here the outside is no vertex: a vertex's border area
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress
-from types import MappingProxyType
 from typing import (
     Callable,
     Container,
@@ -36,7 +37,6 @@ from typing import (
     FrozenSet,
     Iterable,
     Iterator,
-    KeysView,
     List,
     Mapping,
     NamedTuple,
@@ -48,6 +48,9 @@ from typing import (
 
 from .errors import InputError
 
+
+#: per vertex, its neighbours in increasing order, or their facet areas
+Rows = Dict[int, Tuple[int, ...]]
 
 #: an offset-and-area group with at least V / DENSE_SHARE edges is kept
 #: as one mask: testing it costs a few passes over V bits, about what
@@ -77,16 +80,15 @@ class Geometry:
     The facets themselves are not kept.  :func:`grid` builds its
     geometries without facets, from the same tables written per cell.
 
-    As nothing in a geometry changes after construction, five tables
-    are computed on the first request and kept, so every later call
-    returns the same object: the sorted vertex ``order()`` with each
-    vertex's ``rank()`` in it, the connected ``components()``, the
-    ``ascending_adjacency()``, each vertex's neighbours as an increasing
-    tuple, and the ``edge_masks()``, the edges grouped by rank offset and
-    area, which a grid supplies when it is built.  ``adjacent()`` keeps
-    the order in which the facets named the neighbours, increasing on a
-    grid; the sorted table is built only for the callers that walk
-    neighbours in increasing order.
+    Each vertex's neighbours are kept once, as an increasing tuple of
+    the int objects that key the vertices (:meth:`adjacency`), with the
+    areas of the facets it shares with them in a tuple aligned with it
+    (:meth:`facet_areas`).  As nothing changes after construction, three
+    more tables are computed on the first request and kept, so every
+    later call returns the same object: the sorted vertex ``order()``
+    with each vertex's ``rank()`` in it, the connected ``components()``,
+    and the ``edge_masks()``, the edges grouped by rank offset and area,
+    which a grid supplies when it is built.
     """
 
     def __init__(
@@ -98,7 +100,6 @@ class Geometry:
     ):
         if dim not in (2, 3):
             raise InputError(f"dim must be 2 or 3, got {dim}")
-        self.dim = dim
         owners: Dict[int, list] = {}
         for v, fs in facets_of.items():
             if not isinstance(v, int) or v < 0:
@@ -110,9 +111,7 @@ class Geometry:
                 else:
                     vs.append(v)
         edge_areas: Dict[int, Dict[int, int]] = {v: {} for v in facets_of}
-        #: the total area of each vertex's facets that no other vertex
-        #: shares; only border vertices have an entry
-        self.border_areas: Dict[int, int] = {}
+        border_areas: Dict[int, int] = {}
         # the first pair found sharing a second facet, reported only after
         # the volumes are checked, as the facet checks come first
         twice: Optional[Tuple[int, int, int]] = None
@@ -126,7 +125,7 @@ class Geometry:
                 raise InputError(f"facet {f} area must be a positive integer, got {a!r}")
             if len(vs) == 1:
                 v = vs[0]
-                self.border_areas[v] = self.border_areas.get(v, 0) + a
+                border_areas[v] = border_areas.get(v, 0) + a
                 continue
             v, w = sorted(vs)
             if w in edge_areas[v]:
@@ -134,14 +133,14 @@ class Geometry:
                 continue
             edge_areas[v][w] = a
             edge_areas[w][v] = a
-        self._volume: Dict[int, int] = {}
+        volumes: Dict[int, int] = {}
         for v in edge_areas:
             if v not in volume:
                 raise InputError(f"vertex {v} has no volume")
             w = volume[v]
             if not isinstance(w, int) or w <= 0:
                 raise InputError(f"vertex {v} volume must be a positive integer, got {w!r}")
-            self._volume[v] = w
+            volumes[v] = w
         if twice is not None:
             v, w, f = twice
             first = next(g for g, vs in owners.items() if g != f and sorted(vs) == [v, w])
@@ -149,38 +148,40 @@ class Geometry:
                 f"vertices {v} and {w} share facets {first} and {f}, "
                 "exactly one shared facet is allowed"
             )
-        self._keep(edge_areas, None)
+        adjacency: Rows = {}
+        facet_areas: Rows = {}
+        rows: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # one tuple per distinct area row
+        for v, ws in edge_areas.items():
+            row = adjacency[v] = tuple(sorted(ws))
+            areas = tuple(map(ws.__getitem__, row))
+            facet_areas[v] = rows.setdefault(areas, areas)
+        self._keep(dim, adjacency, facet_areas, border_areas, volumes, None)
 
     @classmethod
-    def _from_tables(
-        cls,
-        dim: int,
-        edge_areas: Dict[int, Dict[int, int]],
-        border_areas: Dict[int, int],
-        volume: Dict[int, int],
-        edge_masks: EdgeMasks,
-    ) -> "Geometry":
-        """A geometry from tables its caller has built and checked, as
-        :func:`grid` builds them from cells; nothing is checked here."""
+    def _from_tables(cls, *tables) -> "Geometry":
+        """A geometry from the tables :meth:`_keep` takes, which its caller
+        has built and checked, as :func:`grid` builds them from cells;
+        nothing is checked here."""
         geometry = cls.__new__(cls)
-        geometry.dim = dim
-        geometry.border_areas = border_areas
-        geometry._volume = volume
-        geometry._keep(edge_areas, edge_masks)
+        geometry._keep(*tables)
         return geometry
 
-    def _keep(self, edge_areas: Dict[int, Dict[int, int]], edge_masks: Optional[EdgeMasks]) -> None:
-        """The tail both constructors share: the neighbour tables and the
-        lazy caches, with the edge masks when the caller has them."""
-        self._edge_areas = edge_areas
-        # stored, so that the hot path allocates nothing per call
-        self._adj: Dict[int, KeysView[int]] = {v: ws.keys() for v, ws in edge_areas.items()}
-        self._vertices: FrozenSet[int] = frozenset(edge_areas)
+    def _keep(self, dim: int, adjacency: Rows, facet_areas: Rows, border_areas: Dict[int, int],
+              volume: Dict[int, int], edge_masks: Optional[EdgeMasks]) -> None:
+        """The tail both constructors share: the tables and the lazy
+        caches, with the edge masks when the caller has them."""
+        self.dim = dim
+        #: the total area of each vertex's facets that no other vertex
+        #: shares; only border vertices have an entry
+        self.border_areas = border_areas
+        self._volume = volume
+        self._adj = adjacency
+        self._facet_areas = facet_areas
+        self._vertices: FrozenSet[int] = frozenset(adjacency)
         self._order: Optional[Tuple[int, ...]] = None
         self._rank: Optional[Mapping[int, int]] = None
         self._edge_masks: Optional[EdgeMasks] = edge_masks
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._ascending: Optional[Mapping[int, Tuple[int, ...]]] = None
 
     @property
     def vertices(self) -> FrozenSet[int]:
@@ -219,31 +220,32 @@ class Geometry:
         """
         if self._edge_masks is None:
             rank = self.rank()
+            facet_areas = self._facet_areas
             groups: Dict[Tuple[int, int], List[int]] = {}
-            for v, ws in self._edge_areas.items():
+            for v, ws in self._adj.items():
                 r = rank[v]
-                for w, a in ws.items():
+                for w, a in zip(ws, facet_areas[v]):
                     if w > v:  # so rank[w] > r: each edge once, from its lower end
                         key = (rank[w] - r, a)
                         lower = groups.get(key)
                         if lower is None:
-                            groups[key] = [r]
+                            groups[key] = [v]
                         else:
-                            lower.append(r)
+                            lower.append(v)
             order = self.order()
             size = len(order)
             dense: Dict[int, List[Tuple[int, int]]] = {}
             sparse: List[Tuple[int, int, int]] = []
             for (d, a), lower in groups.items():
                 if len(lower) * DENSE_SHARE >= size:
-                    dense.setdefault(d, []).append((a, _mask(size, lower)))
+                    dense.setdefault(d, []).append((a, mask_of(rank, lower)))
                 else:
-                    for r in lower:
-                        sparse.append((order[r], order[r + d], a))
+                    for v in lower:
+                        sparse.append((v, order[rank[v] + d], a))
             self._edge_masks = EdgeMasks(
                 tuple((d, tuple(masks)) for d, masks in dense.items()),
                 tuple(sparse),
-                _mask(size, map(rank.__getitem__, self.border_areas)),
+                mask_of(rank, self.border_areas),
             )
         return self._edge_masks
 
@@ -258,33 +260,33 @@ class Geometry:
             )
         return self._components
 
-    def ascending_adjacency(self) -> Mapping[int, Tuple[int, ...]]:
-        """Each vertex's neighbours as an increasing tuple, sorted on the
-        first request and kept."""
-        if self._ascending is None:
-            self._ascending = MappingProxyType(
-                {v: tuple(sorted(ws)) for v, ws in self._adj.items()}
-            )
-        return self._ascending
-
-    def adjacent(self, v: int) -> KeysView[int]:
-        """Vertices sharing a facet with ``v``."""
+    def adjacent(self, v: int) -> Tuple[int, ...]:
+        """Vertices sharing a facet with ``v``, in increasing order."""
         try:
             return self._adj[v]
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
 
-    def adjacency(self) -> Mapping[int, KeysView[int]]:
-        """The table behind :meth:`adjacent`, vertex -> its neighbours,
-        for loops that read many vertices' neighbours and can skip the
-        per-call vertex check.  It is the geometry's own table: read it,
-        never change it."""
+    def adjacency(self) -> Mapping[int, Tuple[int, ...]]:
+        """The table behind :meth:`adjacent`, vertex -> its neighbours in
+        increasing order, for loops that read many vertices' neighbours
+        and can skip the per-call vertex check.  It is the geometry's own
+        table: read it, never change it."""
         return self._adj
 
-    def edge_areas(self, v: int) -> Mapping[int, int]:
-        """Each neighbour of ``v`` with the area of the facet they share."""
+    def facet_areas(self) -> Mapping[int, Tuple[int, ...]]:
+        """Vertex -> the areas of the facets it shares with its
+        neighbours, aligned with its :meth:`adjacency` row, so
+        ``zip(adjacency()[v], facet_areas()[v])`` walks its edges.  Equal
+        rows are one tuple.  It is the geometry's own table: read it,
+        never change it."""
+        return self._facet_areas
+
+    def edge_areas(self, v: int) -> Dict[int, int]:
+        """Each neighbour of ``v`` with the area of the facet they share,
+        a new dict built from the two rows."""
         try:
-            return self._edge_areas[v]
+            return dict(zip(self._adj[v], self._facet_areas[v]))
         except KeyError:
             raise InputError(f"unknown vertex {v}") from None
 
@@ -300,17 +302,18 @@ class Geometry:
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Every adjacent pair ``v < w``, in increasing order."""
-        return iter(sorted(
-            (v, w) for v, ws in self._edge_areas.items() for w in ws if v < w
-        ))
+        adj = self._adj
+        return ((v, w) for v in self.order() for w in adj[v] if w > v)
 
 
-def _mask(size: int, ranks: Iterable[int]) -> int:
-    """The ``size``-bit mask with bit ``r`` set for each ``r`` in ``ranks``."""
-    digits = bytearray(b"0") * size
-    for r in ranks:
-        digits[r] = 49  # ord("1")
-    return int(digits[::-1] or b"0", 2)
+def mask_of(rank: Mapping[int, int], vertices: Iterable[int]) -> int:
+    """The mask of a vertex set: bit ``rank[v]`` per vertex ``v``, over
+    as many ranks as ``rank`` has, set in a V/8-byte buffer."""
+    buffer = bytearray((len(rank) + 7) // 8)
+    for v in vertices:
+        r = rank[v]
+        buffer[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buffer, "little")
 
 
 def components(
@@ -396,7 +399,7 @@ def grid(
     # every table keys a cell by this one int object: a dict lookup with
     # the stored key object passes on identity, an equal int compares
     ids = list(vertices)
-    tables: List[Dict[int, int]] = [{} for _ in ids]
+    rows: List[List[int]] = [[] for _ in ids]
     edges = []  # per axis of extent above 1, its stride and its edges' lower ends
     dense = []
     hull = 0  # per cell a base-256 digit: its faces on the hull
@@ -417,19 +420,23 @@ def grid(
     # each cell's neighbours in increasing order: the lower ones, farthest
     # first, then the upper ones, nearest first
     for stride, lower in reversed(edges):
-        for lo, hi in zip(compress(ids, lower), compress(ids[stride:], lower)):
-            tables[hi][lo] = cell_area
+        for lo, row in zip(compress(ids, lower), compress(rows[stride:], lower)):
+            row.append(lo)
     for stride, lower in edges:
-        for lo, hi in zip(compress(ids, lower), compress(ids[stride:], lower)):
-            tables[lo][hi] = cell_area
+        for row, hi in zip(compress(rows, lower), compress(ids[stride:], lower)):
+            row.append(hi)
+    # every facet has the cell area, so the area rows differ only in length
+    areas = [(cell_area,) * k for k in range(2 * dim + 1)]
     faces = hull.to_bytes(size, "big")
     border = dict(zip(compress(ids, faces), [cell_area * f for f in faces if f]))
     return Geometry._from_tables(
         dim,
-        dict(zip(ids, tables)),
+        dict(zip(ids, map(tuple, rows))),
+        dict(zip(ids, [areas[len(row)] for row in rows])),
         border,
         dict.fromkeys(ids, cell_volume),
-        EdgeMasks(tuple(dense), (), _mask(size, border)),
+        # a grid's ranks are its ids, so its vertex range is its rank table
+        EdgeMasks(tuple(dense), (), mask_of(vertices, border)),
     )
 
 

@@ -84,7 +84,7 @@ from typing import (
 )
 
 from .errors import InputError
-from .geometry import Geometry, class_components, components
+from .geometry import Geometry, class_components, components, mask_of
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ class ColourState:
 
     def mask_of(self, vertices: Iterable[int]) -> int:
         """The mask of a vertex set, built in one linear pass."""
-        return mask_of(self.rank, len(self.order), vertices)
+        return mask_of(self.rank, vertices)
 
     def border_edges(self) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int]], int]:
         """The edges between differently coloured vertices, from the
@@ -280,7 +280,7 @@ class ColourState:
         neighbours, the outside included."""
         c = self.colour(v)
         total = self.geometry.border_areas.get(v, 0)
-        for w, area in self.geometry.edge_areas(v).items():
+        for w, area in zip(self.geometry.adjacency()[v], self.geometry.facet_areas()[v]):
             if self._colour[w] != c:
                 total += area
         return total
@@ -458,7 +458,7 @@ class ComponentIndex(ComponentCounts):
         self.reset({c: len(comps) for c, comps in found.items()})
         for c, comps in found.items():
             if len(comps) > 1:
-                parts = self._parts[c] = {lab: self._mask(members) for lab, members in comps}
+                parts = self._parts[c] = {lab: mask_of(self._rank, vs) for lab, vs in comps}
                 self._keep_part(c, self._largest(parts))
 
     def _flood(self, start: int, old: int, new: int) -> List[int]:
@@ -477,9 +477,6 @@ class ComponentIndex(ComponentCounts):
                     stack.append(w)
                     members.append(w)
         return members
-
-    def _mask(self, vertices: Iterable[int]) -> int:
-        return mask_of(self._rank, len(self._order), vertices)
 
     def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
         """Label -> one neighbour of ``v`` carrying it, over v's
@@ -556,8 +553,9 @@ class ComponentIndex(ComponentCounts):
                 if h == g:
                     continue
                 if t not in near:
-                    for c in near & adj[t]:
-                        if c != v and label[c] == lab:
+                    other = adj[t]
+                    for c in near:
+                        if c != v and c in other and label[c] == lab:
                             break
                     else:
                         continue
@@ -664,7 +662,7 @@ class ComponentIndex(ComponentCounts):
         else:
             rest = parts.pop(lab) ^ bit
         for f, piece in zip(fresh, closed):
-            part = parts[f] = self._mask(piece)
+            part = parts[f] = mask_of(self._rank, piece)
             rest ^= part
         if pieces:
             parts[lab] = rest
@@ -743,16 +741,6 @@ def _take_over(found: List[List[int]], owner: Dict[int, int], keep: int, gone: i
         owner[u] = keep
     found[keep] += taken
     found[gone] = []
-
-
-def mask_of(rank: Mapping[int, int], size: int, vertices: Iterable[int]) -> int:
-    """The mask over ``size`` ranks of a vertex set, built in one linear
-    pass from each vertex's ``rank``."""
-    buffer = bytearray((size + 7) // 8)
-    for v in vertices:
-        r = rank[v]
-        buffer[r >> 3] |= 1 << (r & 7)
-    return int.from_bytes(buffer, "little")
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -868,7 +856,7 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Regions:
     growing regions one vertex per round so sizes stay roughly even.
     Each round a region claims the first unclaimed neighbour, in
     increasing order, of the oldest vertex it holds that has one.  So a
-    region reads one stream, the tuples of ``geometry.ascending_adjacency()``
+    region reads one stream, the rows of ``geometry.adjacency()``
     of its vertices in the order it claimed them, through one resumable
     head: a neighbour once found claimed stays claimed, so each round
     resumes where the last claim stopped.  Each region is connected by
@@ -888,11 +876,11 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Regions:
     remaining = [v for v in vertices if v not in chosen]
     seeds.extend(rng.sample(remaining, k - len(seeds)))
 
-    ascending = geometry.ascending_adjacency()
+    adjacency = geometry.adjacency()
     colour: Dict[int, int] = {s: i + 1 for i, s in enumerate(seeds)}
     # a list iterator sees what is appended to its list until it runs out,
     # and a region's stream runs out only once the region can claim nothing
-    streams = [list(ascending[s]) for s in seeds]
+    streams = [list(adjacency[s]) for s in seeds]
     heads = [iter(stream) for stream in streams]
     while len(colour) < len(vertices):
         claimed = len(colour)
@@ -900,7 +888,7 @@ def grow_regions(geometry: Geometry, k: int, rng) -> Regions:
             for w in head:
                 if w not in colour:
                     colour[w] = c
-                    stream.extend(ascending[w])
+                    stream.extend(adjacency[w])
                     break
         if len(colour) == claimed:
             raise InputError("region growing could not reach every vertex")

@@ -398,11 +398,12 @@ def random_geometry(rng, max_cells=8):
             return grid(w, h, d, dim=dim)
 
 
-def facet_grid(w, h, d=1, cell_area=1, cell_volume=1, dim=None):
+def facet_grid(w, h, d=1, cell_area=1, cell_volume=1, dim=None, seed=None):
     """The geometry ``grid(w, h, d, ...)`` describes, built the long way:
     every facet of every cell numbered, then handed to the validated
     :class:`Geometry` constructor, which reads the adjacency off the
-    facets two cells share."""
+    facets two cells share.  With a ``seed``, the facet ids are shuffled
+    and so is each cell's list of them."""
     vertices = grid_vertices(w, h, d, dim)
     if dim is None:
         dim = 3
@@ -425,6 +426,12 @@ def facet_grid(w, h, d=1, cell_area=1, cell_volume=1, dim=None):
                         facets_of[v + stride].append(fid)
                     fid += 1
                 v += 1
+    if seed is not None:
+        rng = random.Random(seed)
+        renamed = rng.sample(range(fid), fid)
+        for own in facets_of.values():
+            own[:] = [renamed[f] for f in own]
+            rng.shuffle(own)
     areas = dict.fromkeys(range(fid), cell_area)
     volumes = dict.fromkeys(facets_of, cell_volume)
     return Geometry(facets_of, areas, volumes, dim)

@@ -17,6 +17,7 @@ from oracles import (
     assert_caches_match_rebuild,
     assert_index_matches_components,
     assert_split_matches_flood,
+    facet_grid,
     naive_components,
     random_colours,
 )
@@ -400,22 +401,40 @@ def test_unlinked_starts_are_searched(case):
     assert set(reads) - near, "no vertex beyond the starts read"
 
 
+def probe_reads(state, connected, moves):
+    """The vertices whose neighbour rows each exact probe of ``moves``
+    reads, per move, each probe with a fresh split search."""
+    geometry = state.geometry
+    table = CountingAdjacency(geometry.adjacency())
+    geometry.adjacency = lambda: table
+    index = state.component_index()
+    reads = []
+    for v, c in moves:
+        index.forget_splits()
+        table.reads.clear()
+        connected.probe_assign(v, c)
+        reads.append(list(table.reads))
+    return reads
+
+
 def test_brick_wall_split_reads_do_not_grow_with_the_wall():
     # a brick wall's splits all reach the breadth-first loop, and its bricks
     # and mortar keep one shape at every size, so the most neighbour-table
     # reads an exact probe makes must not grow with the wall either
     most = {}
     for side in (32, 100):
-        state, connected, moves = bench._bricks(side, seed=0)
-        geometry = state.geometry
-        table = CountingAdjacency(geometry.adjacency())
-        geometry.adjacency = lambda: table
-        index = state.component_index()
-        reads = []
-        for v, c in moves:
-            index.forget_splits()
-            table.reads.clear()
-            connected.probe_assign(v, c)
-            reads.append(len(table.reads))
-        most[side] = max(reads)
+        most[side] = max(map(len, probe_reads(*bench._bricks(side, seed=0))))
     assert most[32] == most[100] <= 33, most
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_brick_wall_split_reads_do_not_depend_on_facet_numbering(seed):
+    # the same wall on the same grid, its facets numbered in a shuffled
+    # order, reads the same rows in the same order as on grid()'s tables
+    side = 20
+    state, connected, moves = bench._bricks(side, seed=0)
+    shuffled = ColourState(
+        facet_grid(side, side, dim=2, seed=seed), 2, colours=state.snapshot()
+    )
+    expected = probe_reads(state, connected, moves)
+    assert probe_reads(shuffled, ConnectedConstraint(shuffled, "=", 2), moves) == expected

@@ -7,18 +7,18 @@ from sectorsearch.geometry import Geometry, OrderedPath, grid, grid_vertices
 
 def test_adjacent_on_path():
     g = grid(3, 1, dim=2)
-    assert g.adjacent(1) == {0, 2}
-    assert g.adjacent(0) == {1}
+    assert g.adjacent(1) == (0, 2)
+    assert g.adjacent(0) == (1,)
 
 
 def test_adjacent_isolated_vertex():
     g = grid(1, 1, dim=2)
-    assert g.adjacent(0) == frozenset()
+    assert g.adjacent(0) == ()
 
 
 def test_adjacent_grid_corner():
     g = grid(2, 2, dim=2)
-    assert g.adjacent(0) == {1, 2}
+    assert g.adjacent(0) == (1, 2)
 
 
 def test_adjacent_unknown_vertex():
@@ -62,7 +62,7 @@ def test_envelop_single_vertex():
     # which is its border area rather than an enveloping vertex
     g = grid(1, 1, dim=2)
     assert g.border_areas == {0: 4}
-    assert g.adjacent(0) == frozenset()
+    assert g.adjacent(0) == ()
     assert g.edge_areas(0) == {}
     assert g.outside_area() == 4
 
@@ -204,10 +204,29 @@ def test_unequal_areas_attach_to_their_pairs():
 
 
 def test_accessors_return_stored_objects():
+    # the two rows are stored; edge_areas builds a new dict from them
     g = grid(3, 3, dim=2)
     for v in (0, 4):
-        assert g.adjacent(v) is g.adjacent(v)
-        assert g.edge_areas(v) is g.edge_areas(v)
+        assert g.adjacent(v) is g.adjacent(v) is g.adjacency()[v]
+        assert g.facet_areas()[v] is g.facet_areas()[v]
+        assert g.edge_areas(v) == dict(zip(g.adjacent(v), g.facet_areas()[v]))
+    # equal area rows are one tuple: on a grid, one per degree
+    rows = {len(g.adjacent(v)): g.facet_areas()[v] for v in g.vertices}
+    assert all(g.facet_areas()[v] is rows[len(g.adjacent(v))] for v in g.vertices)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", [(6, 5, 1, 2), (4, 3, 3, 3)])
+def test_neighbour_rows_do_not_depend_on_facet_numbering(shape, seed):
+    """Facets numbered in a shuffled order give the same rows as
+    ``grid``: each vertex's neighbours increasing, its areas aligned."""
+    w, h, d, dim = shape
+    g = grid(w, h, d, dim=dim)
+    shuffled = facet_grid(w, h, d, dim=dim, seed=seed)
+    assert shuffled.adjacency() == g.adjacency()
+    assert shuffled.facet_areas() == g.facet_areas()
+    for row in shuffled.adjacency().values():
+        assert list(row) == sorted(set(row))
 
 
 def test_pair_sharing_two_facets_rejected():

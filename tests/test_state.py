@@ -235,16 +235,6 @@ def test_grow_regions_more_components_than_regions():
         grow_regions(_two_component_geometry(), 1, random.Random(0))
 
 
-@pytest.mark.parametrize("build", CACHED_TABLE_BUILDS)
-def test_geometry_ascending_adjacency_is_cached_and_sorted(build):
-    geometry = build()
-    table = geometry.ascending_adjacency()
-    assert set(table) == set(geometry.vertices)
-    for v in geometry.vertices:
-        assert table[v] == tuple(sorted(geometry.adjacent(v)))
-    assert geometry.ascending_adjacency() is table
-
-
 def _partition(index):
     """The vertex sets of an index's labels."""
     members = {}
@@ -418,6 +408,21 @@ def test_regions_grown_on_another_geometry_are_flooded(grown_on, state_on):
 EDGE_MASK_BUILDS = {
     **dict(zip(("5x4", "3x3x2", "two-components"), CACHED_TABLE_BUILDS)), **RANK_GEOMETRIES,
 }
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MASK_BUILDS))
+def test_geometry_neighbour_rows_are_increasing(name):
+    # every geometry, facet-built or a grid, keeps each vertex's
+    # neighbours once, increasing, with its facet areas aligned
+    geometry = EDGE_MASK_BUILDS[name]()
+    adjacency = geometry.adjacency()
+    assert set(adjacency) == set(geometry.vertices)
+    for v in geometry.vertices:
+        row = adjacency[v]
+        assert type(row) is tuple and list(row) == sorted(set(row))
+        assert v not in row and all(v in adjacency[w] for w in row)
+        assert len(geometry.facet_areas()[v]) == len(row)
+    assert geometry.adjacency() is adjacency
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_MASK_BUILDS))
