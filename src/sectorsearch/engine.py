@@ -33,11 +33,10 @@ masks (``ColourState.border_mask``).
 
 :func:`search` and :func:`neighbourhood` share one candidate rule, made
 by :func:`_candidate_rule`: a vertex may take the colour of a differently
-coloured neighbour or an unused colour (``selector="border"``), or any
-other colour (``"full"``).  The rule holds the state's colour view, which
-follows every commit and restart, and the geometry's adjacency table, so
-a search makes it once, as it binds each constraint's ``violation`` and
-``conflicts`` reads, the weights and the draws once.
+coloured neighbour or an unused colour.  The rule holds the state's colour
+view, which follows every commit and restart, and the geometry's
+adjacency table, so a search makes it once, as it binds each constraint's
+``violation`` and ``conflicts`` reads, the weights and the draws once.
 :func:`neighbourhood` lists exactly the moves :func:`search` may draw.
 
 An iteration probes each move it drew once, skips a move that would
@@ -84,9 +83,9 @@ TOLERANCE = 1e-9
 #: the search parameters that count something, none of which may be negative
 COUNTS = ("max_iterations", "restart_after", "moves_per_iter")
 
-#: the search parameters that name a policy, with their values: the candidate
-#: rules of :func:`_candidate_rule` and the starts of :func:`_initialise`
-CHOICES = {"neighbourhood": ("border", "full"), "init": ("regions", "random", "keep")}
+#: the search parameters that name a policy, with their values: the first
+#: start grows regions or keeps the model's colouring (see :func:`search`)
+CHOICES = {"init": ("regions", "keep")}
 
 
 class Move(NamedTuple):
@@ -116,13 +115,13 @@ class SearchConfig:
 
     ``restart_after`` is the unit of the Luby restart schedule: the k-th
     restart of a run waits for more than ``restart_after * _luby(k)``
-    iterations without a new best (see :func:`search`)."""
+    iterations without a new best (see :func:`search`).  ``init`` names
+    the first start only: every restart grows regions."""
 
     seed: int = 0
     max_iterations: int = 20000
     restart_after: int = 64
     moves_per_iter: int = 12
-    neighbourhood: str = "border"
     init: str = "regions"
     hard: Tuple[str, ...] = ()
 
@@ -277,7 +276,7 @@ class Model:
             raise InputError(f"unknown move kind {move.kind!r}")
 
 
-def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
+def neighbourhood(model: Model) -> List[Move]:
     """Every move :func:`search` may draw: each vertex's candidate
     recolourings (see :func:`_candidate_rule`), then the counter moves
     (a search with hard constraints leaves out their counters).
@@ -285,9 +284,8 @@ def neighbourhood(model: Model, selector: str = "border") -> List[Move]:
     With unused colours, every vertex has a candidate, interior vertices
     of a colour class included, so monochrome states stay escapable.
     """
-    check_parameter("neighbourhood", selector)
     state = model.state
-    candidates = _candidate_rule(state, selector)
+    candidates = _candidate_rule(state)
     unused = state.unused_colours()
     moves = [Move("assign", v, c) for v in state.order for c in candidates(v, unused)]
     moves.extend(_counter_moves(model))
@@ -309,22 +307,13 @@ def check_parameter(name: str, value) -> None:
         raise InputError(f"search parameter {name} {value!r} is not one of {CHOICES[name]}")
 
 
-def _candidate_rule(state: ColourState, selector: str) -> Callable[[int, List[int]], List[int]]:
+def _candidate_rule(state: ColourState) -> Callable[[int, List[int]], List[int]]:
     """The rule ``(v, unused) -> colours`` giving the colours ``v`` may
     take, in increasing order: those of its differently coloured
-    neighbours plus the ``unused`` ones, or with ``selector="full"`` every
-    colour but its own.  It holds the state's colour view, which follows
-    every commit and ``set_all``, and the geometry's adjacency table, so
-    a search builds it once."""
+    neighbours plus the ``unused`` ones.  It holds the state's colour
+    view, which follows every commit and ``set_all``, and the geometry's
+    adjacency table, so a search builds it once."""
     colour = state.colours()
-    if selector == "full":
-        every = range(1, state.n + 1)
-
-        def full(v: int, unused: List[int]) -> List[int]:
-            cv = colour[v]
-            return [c for c in every if c != cv]
-
-        return full
     adjacency = state.geometry.adjacency()
 
     def border(v: int, unused: List[int]) -> List[int]:
@@ -368,12 +357,10 @@ def _luby(k: int) -> int:
         k -= (1 << (j - 1)) - 1
 
 
-def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
-    state = model.state
-    if cfg.init == "random":
-        model.set_all({v: rng.randint(1, state.n) for v in state.geometry.vertices})
-    elif cfg.init == "regions":
-        model.set_all(grow_regions(state.geometry, state.n, rng))
+def _initialise(model: Model, cfg: SearchConfig, rng: random.Random, regrow: bool = True) -> None:
+    """Grow a fresh colouring unless ``regrow`` is false, then satisfy the hard constraints."""
+    if regrow:
+        model.set_all(grow_regions(model.state.geometry, model.state.n, rng))
     for cid in cfg.hard:
         model.constraint(cid).hard_init(model, rng)
     for cid in cfg.hard:
@@ -382,15 +369,16 @@ def _initialise(model: Model, cfg: SearchConfig, rng: random.Random) -> None:
 
 
 def search(model: Model, cfg: SearchConfig) -> SearchResult:
-    """Min-conflicts over the configured neighbourhood.
+    """Min-conflicts over the border-move neighbourhood.
 
     The seed fully determines the run: unless ``cfg.init`` is ``"keep"``,
     it starts from a fresh colouring and from the counter values the
-    model was built with.  Returns the best state visited (its colouring
-    and its searchable counters' values) and a per-iteration violation
-    trace.  ``cfg.hard`` freezes the hard constraints' counters for this
-    run only.  Every field of ``cfg``, and each hard id, is checked before
-    the model changes or a number is drawn.
+    model was built with; every restart grows a fresh colouring.  Returns
+    the best state visited (its colouring and its searchable counters'
+    values) and a per-iteration violation trace.  ``cfg.hard`` freezes
+    the hard constraints' counters for this run only.  Every field of
+    ``cfg``, and each hard id, is checked before the model changes or a
+    number is drawn.
     """
     for f in fields(cfg):
         check_parameter(f.name, getattr(cfg, f.name))
@@ -401,17 +389,17 @@ def search(model: Model, cfg: SearchConfig) -> SearchResult:
     entries = model.entries
     hard = set(cfg.hard)
     hard_rows = [i for i, (c, _) in enumerate(entries) if c.id in hard]
-    if cfg.init != "keep":
+    if cfg.init == "regions":
         for cid, value in model.built_counters.items():
             model.constraint(cid).commit_counter(value)
-    _initialise(model, cfg, rng)
+    _initialise(model, cfg, rng, regrow=cfg.init == "regions")
 
     # what every iteration reads, looked up once: the constraints' bound
     # reads, the weights, the candidate rule and the draws
     violation_reads = [c.violation for c, _ in entries]
     conflict_reads = [c.conflicts for c, _ in entries]
     weights = [w for _, w in entries]
-    candidates = _candidate_rule(state, cfg.neighbourhood)
+    candidates = _candidate_rule(state)
     counters = bool(model.searchable_counters)
     choice = rng.choice
     probe_parts = model.probe_parts

@@ -486,6 +486,12 @@ def generate(
     """
     if colours < 1:
         raise InputError(f"need at least one colour, got colours={colours}")
+    for name, (low, high) in (("dwell", dwell), ("workload", workload)):
+        if low > high:
+            raise InputError(f"empty {name} range, got {name}=({low}, {high})")
+    if dwell[0] < 1:
+        # the loader refuses a leg of zero or negative dwell
+        raise InputError(f"need a dwell of at least 1, got dwell=({dwell[0]}, {dwell[1]})")
     rng = random.Random(seed)
     workloads = {
         v: rng.randint(*workload) for v in grid_vertices(width, height, depth, dim)

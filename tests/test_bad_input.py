@@ -157,19 +157,12 @@ def test_unknown_compact_probe(inst, capsys):
     assert "constraint compactness: unknown probe 'exakt'" in _solve_fails(capsys, inst)
 
 
-def test_unknown_neighbourhood():
-    text = dumps(generate(seed=2, width=4, height=4, colours=3))
-    text = text.replace("neighbourhood border", "neighbourhood nosuch")
-    with pytest.raises(FormatError, match="neighbourhood 'nosuch'"):
-        loads(text)
-
-
 OUT_OF_RANGE = [
     ("moves_per_iter", "-3"),
     ("max_iterations", "-1"),
     ("restart_after", "-5"),
-    ("neighbourhood", "nosuch"),
     ("init", "rnadom"),
+    ("init", "random"),
 ]
 
 
@@ -193,10 +186,19 @@ def test_search_parameter_out_of_range_in_the_config(key, value):
     assert model.state.snapshot() == before
 
 
-# the search has no noise coin and no tabu list, so a file that still sets
-# either is refused at the key, whatever its value, as any unknown key is
+# the search has no noise coin, no tabu list and one candidate rule, so a
+# file that still sets any of them is refused at the key, whatever its
+# value, as any unknown key is
 @pytest.mark.parametrize(
-    "key, value", [("noise", "nan"), ("noise", "-0.5"), ("noise", "7"), ("tabu_tenure", "-2")]
+    "key, value",
+    [
+        ("noise", "nan"),
+        ("noise", "-0.5"),
+        ("noise", "7"),
+        ("tabu_tenure", "-2"),
+        ("neighbourhood", "border"),
+        ("neighbourhood", "full"),
+    ],
 )
 def test_a_removed_search_key_is_unknown_in_the_file(key, value):
     text = dumps(generate(seed=2, width=4, height=4, colours=3))
@@ -365,6 +367,25 @@ def test_generate_without_colours(tmp_path, capsys):
     out = tmp_path / "none.inst"
     assert cli.main(["generate", "--colours", "0", "-o", str(out)]) == 2
     assert "colours=0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# an empty range used to end in a traceback from the draw, and a dwell
+# below 1 in a file the loader refuses
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--workload-min", "5", "--workload-max", "1"], "workload"),
+        (["--dwell-min", "10", "--dwell-max", "5"], "dwell"),
+        (["--dwell-min", "0"], "dwell"),
+        (["--dwell-min", "-3", "--dwell-max", "-1"], "dwell"),
+    ],
+    ids=["empty-workload", "empty-dwell", "zero-dwell", "negative-dwell"],
+)
+def test_generate_with_a_bad_range(tmp_path, capsys, argv, name):
+    out = tmp_path / "bad.inst"
+    assert cli.main(["generate", *argv, "-o", str(out)]) == 2
+    assert f"{name}=(" in capsys.readouterr().err
     assert not out.exists()
 
 

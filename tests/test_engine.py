@@ -14,6 +14,7 @@ from sectorsearch.constraints import (
     NonBorderConstraint,
     StretchSumConstraint,
 )
+from sectorsearch.constraints.connected import component_counts
 from sectorsearch.engine import (
     TOLERANCE,
     Model,
@@ -123,19 +124,16 @@ def test_neighbourhood_is_what_search_draws_from():
 
     rng = random.Random(4)
     for _ in range(3):
-        for selector in ("border", "full"):
-            unused = st.unused_colours()
-            listed = {v: [] for v in st.order}
-            for move in neighbourhood(model, selector):
-                listed[move.vertex].append(move.colour)
-            rule = _candidate_rule(st, selector)
-            for v in st.order:
-                assert listed[v] == rule(v, unused)
-                if selector == "border":
-                    assert listed[v] == set_rule(v, unused)
+        unused = st.unused_colours()
+        listed = {v: [] for v in st.order}
+        for move in neighbourhood(model):
+            listed[move.vertex].append(move.colour)
+        rule = _candidate_rule(st)
+        for v in st.order:
+            assert listed[v] == rule(v, unused) == set_rule(v, unused)
         st.assign(rng.choice(st.order), rng.randint(1, st.n))
     # a rule built before set_all follows it
-    border = _candidate_rule(st, "border")
+    border = _candidate_rule(st)
     # every colour in use and the centre interior to its class: no candidate
     st.set_all({v: {0: 2, 8: 3}.get(v, 1) for v in st.order})
     assert st.unused_colours() == []
@@ -164,17 +162,6 @@ def test_moves_are_immutable_and_hashable():
     by_move = {move: 5, Move.counter("connected", 3): 6}
     assert by_move[Move.assign(1, 3)] == 5
     assert Move.assign(1, 2) not in by_move and Move.assign(3, 1) not in by_move
-
-
-def test_unknown_neighbourhood_rejected_before_any_draw():
-    st, model = full_model(seed=3)
-    before = st.snapshot()
-    cfg = replace(SearchConfig(max_iterations=10, seed=1), neighbourhood="nosuch")
-    with pytest.raises(InputError, match="neighbourhood 'nosuch'"):
-        search(model, cfg)
-    with pytest.raises(InputError, match="neighbourhood 'nosuch'"):
-        neighbourhood(model, "nosuch")
-    assert st.snapshot() == before
 
 
 def test_search_starting_at_zero_returns_immediately():
@@ -236,7 +223,7 @@ def test_hard_connected_stays_satisfied():
     model = Model(st, [(con, 1), (bal, 1)])
     result = search(
         model,
-        SearchConfig(max_iterations=400, seed=2, hard=("connected",), init="random"),
+        SearchConfig(max_iterations=400, seed=2, hard=("connected",)),
     )
     # the run ends with the hard constraint still satisfied
     assert con.violation() == 0
@@ -425,9 +412,7 @@ def test_hard_search_commits_no_counter_move():
         return commit(move)
 
     model.commit = recording_commit
-    cfg = replace(
-        instance.search, seed=1, max_iterations=500, hard=("connected",), init="random"
-    )
+    cfg = replace(instance.search, seed=1, max_iterations=500, hard=("connected",))
     search(model, cfg)
     assert committed
     assert all(move.kind == "assign" for move in committed)
@@ -467,7 +452,7 @@ def test_hard_constraint_broken_by_a_commit_raises():
     st = ColourState(geometry, 2)
     brittle = _BreaksOnCommit(st)
     model = Model(st, [(ConnectedConstraint(st, "=", 1), 1), (brittle, 1)])
-    cfg = SearchConfig(max_iterations=50, seed=1, hard=("brittle",), init="random")
+    cfg = SearchConfig(max_iterations=50, seed=1, hard=("brittle",))
     with pytest.raises(RuntimeError, match="brittle"):
         search(model, cfg)
 
@@ -577,6 +562,19 @@ def test_restarts_do_not_count_a_hard_init():
     assert counts["set_all"] == 6
 
 
+def test_keep_names_the_first_start_only():
+    """A run that keeps the model's colouring grows fresh regions at each
+    restart, so every restart it counts recolours the state."""
+    instance = generate(seed=3, width=8, height=8, colours=4, flights=1, balanced_share=0.0)
+    model = instance.build()
+    counts = {"set_all": 0}
+    _count_calls(model, "set_all", counts)
+    cfg = replace(instance.search, seed=1, max_iterations=300, restart_after=5, init="keep")
+    result = search(model, cfg)
+    assert result.restarts > 0
+    assert counts["set_all"] == result.restarts
+
+
 # ---------------------------------------------------------------------------
 # golden replays: any refactor must reproduce these runs byte for byte
 
@@ -588,12 +586,10 @@ def replay_digest(result):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _run_2d(seed, iters, init="regions", mode=None, neighbourhood="border"):
+def _run_2d(seed, iters):
     instance = generate(seed=42, width=10, height=10, colours=4, flights=1)
-    model = instance.build(mode_override=mode)
-    cfg = replace(
-        instance.search, seed=seed, max_iterations=iters, init=init, neighbourhood=neighbourhood
-    )
+    model = instance.build()
+    cfg = replace(instance.search, seed=seed, max_iterations=iters)
     return search(model, cfg)
 
 
@@ -611,9 +607,10 @@ def _run_3d_compact_a(seed, iters, probe="fast"):
     return search(model, cfg)
 
 
-def _run_mixed(seed, iters):
+def _mixed(seed, iters):
     """Compact mode B, non-border and bounded alongside the default kinds;
-    the compact budget is tight enough that its violation rises and falls."""
+    the compact budget is tight enough that its violation rises and falls.
+    The model and the config."""
     instance = generate(
         seed=11,
         width=12,
@@ -628,9 +625,16 @@ def _run_mixed(seed, iters):
     for spec in instance.constraints:
         if spec.kind == "compact":
             spec.params.update(threshold=120)
-    model = instance.build()
-    cfg = replace(instance.search, seed=seed, max_iterations=iters, init="random")
-    return search(model, cfg)
+    return instance.build(), replace(instance.search, seed=seed, max_iterations=iters)
+
+
+def _paper_fast(seed, iters):
+    """The benchmark self-test's instance under the paper-fast estimate,
+    whose count drifts from the true one as splits go unseen; the model
+    and the config."""
+    instance = generate(seed=1, width=12, height=12, colours=5, flights=3, balanced_share=0.03)
+    model = instance.build(mode_override="paper-fast")
+    return model, replace(instance.search, seed=seed, max_iterations=iters)
 
 
 def _run_dwell(seed, iters, relop=">=", threshold=120, hard=()):
@@ -676,19 +680,10 @@ GOLDEN = [
     (lambda: _run_2d(1, 1500), "9660a2914c50ad2bd80c2d746c01dae5dd5fe9bd6740d26a39d93abf3e33ddd3"),
     (lambda: _run_2d(2, 1500), "1a6fa7ad1f022e96b91c53e6a66c89d3279c9f34ebade2a5ba83ddf68dc2211d"),
     (lambda: _run_2d(3, 1500), "607f54cf774b8faeae01932f8e126f786e6423f53cf8d918652584dedf92b1a5"),
-    # exact connectedness from a random colouring: many splits and merges
+    # the paper-fast estimate, false counts included: it claims a false 0
     (
-        lambda: _run_2d(1, 600, init="random"),
-        "9e1ea7c4f3b4e90d148928e59736f1ae5f2f63e85d9bf25ca0d3ef246ff6f44e",
-    ),
-    (
-        lambda: _run_2d(2, 600, init="random"),
-        "602de49ebf673be3ce7e1d72a95dfa75d1db5e0610d888650634e93f3463f4cc",
-    ),
-    # the paper-fast estimate, false counts included
-    (
-        lambda: _run_2d(1, 300, init="random", mode="paper-fast"),
-        "90ebb8f14254f7652f6115289c3bbdcbc3b55b14efe1cf21adc522fba73df114",
+        lambda: search(*_paper_fast(2, 300)),
+        "e852d41149dcc99c58b8ef515b7e224698a5264365a5272a508e7acd0919411f",
     ),
     # 3D, compact mode A, restarting on a Luby schedule of unit 15
     (lambda: _run_3d_compact_a(1, 300), "50d09ac8488ec15d6b5cfd9e562b4c58765a915ccf1f563c77f5f04aff8f121a"),
@@ -697,14 +692,14 @@ GOLDEN = [
         lambda: _run_3d_compact_a(1, 300, probe="exact"),
         "8b36cd91ebf33bddb0f79c8b2e2cc8ef6c18df1e75a4dfea46e5ade010bf0632",
     ),
-    # compact mode B, non-border and bounded from a random colouring
+    # compact mode B, non-border and bounded
     (
-        lambda: _run_mixed(1, 800),
-        "5bfdde9b8de5f535371b4c5ba94063523cb13023de9f8340414704d35f0b8e13",
+        lambda: search(*_mixed(1, 800)),
+        "1ffbe9df7f6de5c185b257b32fa9bca05d781546adcbfa40e576ace1a33bec56",
     ),
     (
-        lambda: _run_mixed(2, 800),
-        "ce43beb02a30fa48d88079694f64bf062c5bdbf0599d5363180a5d65e6fd1e1a",
+        lambda: search(*_mixed(2, 800)),
+        "0d0e3b05e3a785b6b60ad343bbf179820b56a901ae06a920953a1032d66bd321",
     ),
     # maximum dwell: every stretch-sum is "<=" a threshold that binds
     (
@@ -720,15 +715,6 @@ GOLDEN = [
     (
         lambda: _run_counter_only(1, 300),
         "05ffb258e860665407451eff370f598e24f787c3ecc18d4f1b84324cd1fcd1ee",
-    ),
-    # every other colour is a candidate (neighbourhood "full")
-    (
-        lambda: _run_2d(1, 600, neighbourhood="full"),
-        "02c4da4dedd047d07b0a0114e1567b4c37e1fc57af020dad3d28769b58557e7a",
-    ),
-    (
-        lambda: _run_2d(2, 600, neighbourhood="full"),
-        "0d3aa800c76d04ea6d1789eecf485b793aff3d8623b33cf5249e05a5eea79f74",
     ),
     # a searchable counter's moves in every move list
     (
@@ -753,28 +739,43 @@ def test_golden_replay_digest(case):
     assert replay_digest(run()) == expected
 
 
-def _commits(model, cfg):
-    """Each move a search commits, with the class sizes after it."""
+def _commits(model, cfg, read=lambda model: list(model.state.class_size)):
+    """Each move a search commits, with what ``read`` finds after it, by
+    default the class sizes."""
     seen = []
     commit = model.commit
 
     def recorded(move):
         commit(move)
-        seen.append((move, list(model.state.class_size)))
+        seen.append((move, read(model)))
 
     model.commit = recorded
     search(model, cfg)
     return seen
 
 
+def _miscounted(model):
+    """Whether the connected constraint's count differs from a recount."""
+    return model.constraint("connected").counts.count != component_counts(model.state)
+
+
 def test_golden_runs_take_the_paths_they_pin():
-    """The searched-counter run commits counter moves, and the
+    """The searched-counter run commits counter moves, the
     fewer-components runs still use every colour after their first commit
-    and later pass through states with an unused one."""
+    and later pass through states with an unused one, the paper-fast
+    estimate miscounts after some commit, and each mixed run's compact
+    violation both rises and falls."""
     assert any(move.kind == "counter" for move, _ in _commits(*_searched_counter(1, 600)))
     for seed in (2, 3):
         unused = [0 in sizes[1:] for _, sizes in _commits(*_fewer_components(seed, 300))]
         assert not unused[0] and any(unused), seed
+    assert any(wrong for _, wrong in _commits(*_paper_fast(2, 300), read=_miscounted))
+    for seed in (1, 2):
+        model, cfg = _mixed(seed, 800)
+        i = [c.id for c, _ in model.entries].index("compactness")
+        compact = [parts[i] for _, _, parts in search(model, cfg).trace]
+        steps = list(zip(compact, compact[1:]))
+        assert any(b > a for a, b in steps) and any(b < a for a, b in steps), seed
 
 
 def coarse_digest(result):

@@ -52,15 +52,15 @@ def test_search_section_is_pinned():
     # the README's [search] block, then every field set to another value
     assert dumps(tiny_instance()).split("[search]\n")[1] == (
         "seed 1\nmax_iterations 20000\nrestart_after 64\n"
-        "moves_per_iter 12\nneighbourhood border\ninit regions\nhard -\n"
+        "moves_per_iter 12\ninit regions\nhard -\n"
     )
     cfg = SearchConfig(
         seed=5, max_iterations=300, restart_after=90, moves_per_iter=6,
-        neighbourhood="full", init="keep", hard=("connected", "balance"),
+        init="keep", hard=("connected", "balance"),
     )
     assert dumps(replace(tiny_instance(), search=cfg)).split("[search]\n")[1] == (
         "seed 5\nmax_iterations 300\nrestart_after 90\n"
-        "moves_per_iter 6\nneighbourhood full\ninit keep\nhard connected,balance\n"
+        "moves_per_iter 6\ninit keep\nhard connected,balance\n"
     )
 
 
