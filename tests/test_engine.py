@@ -593,6 +593,18 @@ def _run_2d(seed, iters):
     return search(model, cfg)
 
 
+def _run_2d_kept(seed, iters, restart_after=64):
+    """The 2D instance from a scattered colouring that ``init="keep"``
+    takes as the first start; every restart grows regions."""
+    instance = generate(seed=42, width=10, height=10, colours=4, flights=1)
+    model = instance.build()
+    model.set_all(random_colours(random.Random(seed), model.state.geometry, 4))
+    cfg = replace(
+        instance.search, seed=seed, max_iterations=iters, init="keep", restart_after=restart_after
+    )
+    return search(model, cfg)
+
+
 def _run_3d_compact_a(seed, iters, probe="fast"):
     instance = generate(
         seed=5, width=4, height=4, depth=3, dim=3, colours=6, flights=2, with_compact=True
@@ -680,6 +692,10 @@ GOLDEN = [
     (lambda: _run_2d(1, 1500), "9660a2914c50ad2bd80c2d746c01dae5dd5fe9bd6740d26a39d93abf3e33ddd3"),
     (lambda: _run_2d(2, 1500), "1a6fa7ad1f022e96b91c53e6a66c89d3279c9f34ebade2a5ba83ddf68dc2211d"),
     (lambda: _run_2d(3, 1500), "607f54cf774b8faeae01932f8e126f786e6423f53cf8d918652584dedf92b1a5"),
+    # exact connectedness from a kept scattered colouring of some fifty
+    # components, merging before the restart that grows regions
+    (lambda: _run_2d_kept(1, 600), "c7ac4ddd69586fce79bf1ef43fe7ba461a09aa7e2082550eac1ad3d53a3f5034"),
+    (lambda: _run_2d_kept(2, 600), "12a20a4cd333cef943f91165ea737713788a0edfebdfd8d0389f20885ad2ce87"),
     # the paper-fast estimate, false counts included: it claims a false 0
     (
         lambda: search(*_paper_fast(2, 300)),
@@ -716,6 +732,9 @@ GOLDEN = [
         lambda: _run_counter_only(1, 300),
         "05ffb258e860665407451eff370f598e24f787c3ecc18d4f1b84324cd1fcd1ee",
     ),
+    # a kept first start, then restarts on a Luby schedule of unit 5
+    (lambda: _run_2d_kept(1, 600, restart_after=5), "8c26cf5946e98751514d0cd065b0a78db2fe6697201c84bb85cc94bcd8d86526"),
+    (lambda: _run_2d_kept(2, 600, restart_after=5), "e02f5f99f2d72e5935dd7ac532d8882c2ba32a152e288d3c6bf15e7e36924064"),
     # a searchable counter's moves in every move list
     (
         lambda: search(*_searched_counter(1, 600)),
