@@ -31,6 +31,8 @@ shifted by its bit, and no Python code runs per vertex.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import and_, rshift, sub
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import InputError
@@ -52,20 +54,24 @@ def deviation_check(sums: Sequence[int], total: int, delta_scaled: int) -> bool:
 _BIT_DIGITS = [bytes(49 if i >> b & 1 else 48 for i in range(256)) for b in range(8)]
 
 
-def _value_planes(order: Sequence[int], values: Mapping[int, int]) -> Tuple[int, List[int]]:
-    """The least value and, per bit ``b`` of the offsets ``value - least``,
-    the mask over ``order`` of the vertices whose offset has bit ``b`` set.
+def _value_planes(ranked: Sequence[int]) -> Tuple[int, List[int]]:
+    """The least of the values ``ranked``, listed in rank order, and, per
+    bit ``b`` of the offsets ``value - least``, the mask of the ranks
+    whose offset has bit ``b`` set.
 
-    The offsets are read once, in rank order; each group of eight bits of
-    them is one string of bytes, and each bit a translation of that string
-    to binary digits."""
-    low = min(values.values(), default=0)
+    The offsets are read once, highest rank first; each group of eight
+    bits of them is one string of bytes, and each bit a translation of
+    that string to binary digits.  Every pass is a ``map``, so no Python
+    code runs per vertex."""
+    low = min(ranked, default=0)
     # highest rank first, as int(digits, 2) reads the top bit first
-    offsets = [values[v] - low for v in reversed(order)]
+    offsets = list(map(sub, reversed(ranked), repeat(low)))
     width = max(offsets, default=0).bit_length()
     planes = []
     for shift in range(0, width, 8):
-        chunk = bytes(offsets if width <= 8 else [x >> shift & 255 for x in offsets])
+        chunk = bytes(
+            offsets if width <= 8 else map(and_, map(rshift, offsets, repeat(shift)), repeat(255))
+        )
         for table in _BIT_DIGITS[:width - shift]:
             planes.append(int(chunk.translate(table), 2))
     return low, planes
@@ -81,11 +87,14 @@ class ColourSumConstraint(Constraint):
 
     def __init__(self, state: ColourState, values: Mapping[int, int]):
         super().__init__(state)
-        for v in state.geometry.vertices:
-            if v not in values:
-                raise InputError(f"vertex {v} has no value")
-        self.values = {v: int(values[v]) for v in state.geometry.vertices}
-        self._low, self._planes = _value_planes(state.order, self.values)
+        # one set comparison; the walk only names the offender
+        if values.keys() != state.geometry.vertices:
+            for v in state.geometry.vertices:
+                if v not in values:
+                    raise InputError(f"vertex {v} has no value")
+        ranked = list(map(int, map(values.__getitem__, state.order)))
+        self.values = dict(zip(state.order, ranked))
+        self._low, self._planes = _value_planes(ranked)
 
     def _penalty(self, x: int) -> int:
         raise NotImplementedError

@@ -87,8 +87,9 @@ class Geometry:
     more tables are computed on the first request and kept, so every
     later call returns the same object: the sorted vertex ``order()``
     with each vertex's ``rank()`` in it, the connected ``components()``,
-    and the ``edge_masks()``, the edges grouped by rank offset and area,
-    which a grid supplies when it is built.
+    and the ``edge_masks()``, the edges grouped by rank offset and area.
+    A grid supplies its edge masks and its one component when it is
+    built.
     """
 
     def __init__(
@@ -167,9 +168,11 @@ class Geometry:
         return geometry
 
     def _keep(self, dim: int, adjacency: Rows, facet_areas: Rows, border_areas: Dict[int, int],
-              volume: Dict[int, int], edge_masks: Optional[EdgeMasks]) -> None:
+              volume: Dict[int, int], edge_masks: Optional[EdgeMasks],
+              components: Optional[Tuple[Tuple[int, ...], ...]] = None) -> None:
         """The tail both constructors share: the tables and the lazy
-        caches, with the edge masks when the caller has them."""
+        caches, with the edge masks and the components when the caller
+        has them."""
         self.dim = dim
         #: the total area of each vertex's facets that no other vertex
         #: shares; only border vertices have an entry
@@ -181,7 +184,7 @@ class Geometry:
         self._order: Optional[Tuple[int, ...]] = None
         self._rank: Optional[Mapping[int, int]] = None
         self._edge_masks: Optional[EdgeMasks] = edge_masks
-        self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._components = components
 
     @property
     def vertices(self) -> FrozenSet[int]:
@@ -387,7 +390,9 @@ def grid(
     cell ``i + s`` share a facet unless ``i`` is last on the axis, and a
     cell's border area is ``cell_area`` per face on the hull.  The edges
     along each axis of extent above 1 are one dense edge-mask group of
-    offset ``s``, whose bits are the cells not last on the axis.
+    offset ``s``, whose bits are the cells not last on the axis.  The
+    grid is connected, so its ``components()`` are all its cells, with
+    no search.
     """
     vertices = grid_vertices(w, h, d, dim)
     if dim is None:
@@ -437,6 +442,8 @@ def grid(
         dict.fromkeys(ids, cell_volume),
         # a grid's ranks are its ids, so its vertex range is its rank table
         EdgeMasks(tuple(dense), (), mask_of(vertices, border)),
+        # a grid is connected: its one component holds every cell
+        (tuple(ids),),
     )
 
 

@@ -7,13 +7,21 @@ stay stable across platforms.  ``#`` starts a comment when reading.
 
 The ``[grid]`` and ``[search]`` keys are the fields of :class:`GridSpec`
 and :class:`SearchConfig`; ``loads`` checks each value on its line, so a
-bad one is named with its ``file:line``.
+bad one is named with its ``file:line``, which is formatted only then.
+
+``Instance.build`` without a solution colours every vertex 1.  On a grid,
+which is connected by construction, the component index takes that one
+class as one component, so set-up searches no component; on another
+geometry the geometry's components are searched once, and the class is
+flooded only when the geometry has more than one.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import (
@@ -233,12 +241,11 @@ def dumps(instance: Instance) -> str:
     for key in _GRID_KEYS:
         lines.append(f"{key} {getattr(g, key)}")
     lines.append("[workloads]")
-    for v in sorted(instance.workloads):
-        lines.append(f"w {v} {instance.workloads[v]}")
+    workloads = instance.workloads
+    lines += [f"w {v} {workloads[v]}" for v in sorted(workloads)]
     for i, plan in enumerate(instance.flights):
         lines.append(f"[flight {i}]")
-        for v, t_in, t_out in plan.legs:
-            lines.append(f"leg {v} {t_in} {t_out}")
+        lines += [f"leg {v} {t_in} {t_out}" for v, t_in, t_out in plan.legs]
     for spec in instance.constraints:
         lines.append(f"[constraint {spec.id}]")
         lines.append(f"kind {spec.kind}")
@@ -262,78 +269,56 @@ def load(path: str) -> Instance:
 
 def _body(text: str, magic: str, origin: str) -> List[Tuple[int, str]]:
     """The numbered non-blank lines after the ``magic`` header, with
-    comments stripped; raises unless the first such line is the header."""
-    lines = ((no, raw.split("#", 1)[0].strip()) for no, raw in enumerate(text.splitlines(), 1))
-    body = [(no, line) for no, line in lines if line]
+    comments stripped; raises unless the first such line is the header.
+
+    Numbering, stripping and dropping blank lines are whole-list passes;
+    only a line that holds a ``#`` is split."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] if "#" in raw else raw for raw in lines]
+    body = list(filter(itemgetter(1), zip(itertools.count(1), map(str.strip, lines))))
     if not body or body[0][1] != magic:
         raise FormatError(f"{origin}:1", f"expected header {magic!r}")
-    return body[1:]
+    del body[0]
+    return body
 
 
 def loads(text: str, origin: str = "<string>") -> Instance:
+    """The instance of an instance file's ``text``, checked against its
+    grid; a refused line is named as ``origin:line``.
+
+    The lines are read one at a time.  A workload or leg line, nearly
+    every line of a large instance, takes the first branch of the walk,
+    and no line's ``origin:line`` text is formatted unless that line is
+    refused.
+    """
     colours: Optional[int] = None
     grid_fields: Dict[str, int] = {}
     workloads: Dict[int, int] = {}
     flights: Dict[int, List[Tuple[int, int, int]]] = {}
+    legs: List[Tuple[int, int, int]] = []  # the legs of the current flight
     constraints: List[ConstraintSpec] = []
     search_fields: Dict[str, object] = {}
-    hard_where = ""
+    hard_line = 0
     # the line that first gave each section and each key; a workload line
     # is checked against ``workloads`` instead, as there is one per vertex
-    first: Dict[Tuple[object, ...], str] = {}
+    first: Dict[Tuple[object, ...], int] = {}
 
-    def once(key: Tuple[object, ...], what: str, where: str) -> None:
-        """Refuse ``what``, on line ``where``, when a line before gave it."""
-        earlier = first.setdefault(key, where)
-        if earlier != where:
-            raise FormatError(where, f"{what} given twice, first at {earlier}")
+    def at(no: int) -> str:
+        return f"{origin}:{no}"
+
+    def once(key: Tuple[object, ...], what: str, no: int) -> None:
+        """Refuse ``what``, on line ``no``, when a line before gave it."""
+        earlier = first.setdefault(key, no)
+        if earlier != no:
+            raise FormatError(at(no), f"{what} given twice, first at {at(earlier)}")
 
     section = None
     section_arg = None
     for lineno, line in _body(text, INSTANCE_MAGIC, origin):
-        where = f"{origin}:{lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise FormatError(where, f"malformed section header {line!r}")
-            parts = line[1:-1].split()
-            section = parts[0]
-            section_arg = parts[1] if len(parts) > 1 else None
-            if section == "flight":
-                if section_arg is None or not section_arg.isdigit():
-                    raise FormatError(where, "flight sections need a numeric id")
-                section_arg = str(int(section_arg))
-                flights[int(section_arg)] = []
-            elif section == "constraint":
-                if section_arg is None:
-                    raise FormatError(where, "constraint sections need an id")
-                constraints.append(ConstraintSpec(id=section_arg, kind=""))
-            elif section not in ("model", "grid", "workloads", "search"):
-                raise FormatError(where, f"unknown section {section!r}")
-            once((section, section_arg), f"section {line}", where)
-            continue
-        if section is None:
-            raise FormatError(where, f"content outside any section: {line!r}")
         key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if section not in ("workloads", "flight"):
-            # an unknown key is refused below, at its first occurrence
-            once((section, section_arg, key), f"key {key!r}", where)
         try:
-            if section == "model":
-                if key != "colours":
-                    raise FormatError(where, f"unknown model key {key!r}")
-                colours = int(rest)
-                if colours < 1:
-                    raise FormatError(where, f"colours must be at least 1, got {colours}")
-            elif section == "grid":
-                if key not in _GRID_KEYS:
-                    raise FormatError(where, f"unknown grid key {key!r}")
-                grid_fields[key] = int(rest)
-                if grid_fields[key] < 1:
-                    raise FormatError(where, f"{key} must be at least 1, got {grid_fields[key]}")
-            elif section == "workloads":
-                if key != "w":
-                    raise FormatError(where, f"unknown workloads key {key!r}")
+            if key == "w" and section == "workloads":
                 v, value = rest.split()
                 vertex = int(v)
                 if vertex in workloads:
@@ -344,14 +329,57 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                         if earlier.startswith("w ") and int(earlier.split()[1]) == vertex
                     )
                     raise FormatError(
-                        where, f"workload of vertex {vertex} given twice, first at {origin}:{no}"
+                        at(lineno), f"workload of vertex {vertex} given twice, first at {at(no)}"
                     )
                 workloads[vertex] = int(value)
-            elif section == "flight":
-                if key != "leg":
-                    raise FormatError(where, f"unknown flight key {key!r}")
+                continue
+            if key == "leg" and section == "flight":
                 v, t_in, t_out = rest.split()
-                flights[int(section_arg)].append((int(v), int(t_in), int(t_out)))
+                legs.append((int(v), int(t_in), int(t_out)))
+                continue
+            if line.startswith("["):
+                if not line.endswith("]"):
+                    raise FormatError(at(lineno), f"malformed section header {line!r}")
+                parts = line[1:-1].split()
+                section = parts[0]
+                section_arg = parts[1] if len(parts) > 1 else None
+                if section == "flight":
+                    if section_arg is None or not section_arg.isdigit():
+                        raise FormatError(at(lineno), "flight sections need a numeric id")
+                    section_arg = str(int(section_arg))
+                    legs = flights[int(section_arg)] = []
+                elif section == "constraint":
+                    if section_arg is None:
+                        raise FormatError(at(lineno), "constraint sections need an id")
+                    constraints.append(ConstraintSpec(id=section_arg, kind=""))
+                elif section not in ("model", "grid", "workloads", "search"):
+                    raise FormatError(at(lineno), f"unknown section {section!r}")
+                once((section, section_arg), f"section {line}", lineno)
+                continue
+            if section is None:
+                raise FormatError(at(lineno), f"content outside any section: {line!r}")
+            rest = rest.strip()
+            if section not in ("workloads", "flight"):
+                # an unknown key is refused below, at its first occurrence
+                once((section, section_arg, key), f"key {key!r}", lineno)
+            if section == "model":
+                if key != "colours":
+                    raise FormatError(at(lineno), f"unknown model key {key!r}")
+                colours = int(rest)
+                if colours < 1:
+                    raise FormatError(at(lineno), f"colours must be at least 1, got {colours}")
+            elif section == "grid":
+                if key not in _GRID_KEYS:
+                    raise FormatError(at(lineno), f"unknown grid key {key!r}")
+                grid_fields[key] = int(rest)
+                if grid_fields[key] < 1:
+                    raise FormatError(
+                        at(lineno), f"{key} must be at least 1, got {grid_fields[key]}"
+                    )
+            elif section == "workloads":
+                raise FormatError(at(lineno), f"unknown workloads key {key!r}")
+            elif section == "flight":
+                raise FormatError(at(lineno), f"unknown flight key {key!r}")
             elif section == "constraint":
                 spec = constraints[-1]
                 if key == "kind":
@@ -361,15 +389,15 @@ def loads(text: str, origin: str = "<string>") -> Instance:
                 else:
                     caster = _CONSTRAINT_KEYS.get(key)
                     if caster is None:
-                        raise FormatError(where, f"unknown constraint key {key!r}")
+                        raise FormatError(at(lineno), f"unknown constraint key {key!r}")
                     spec.params[key] = caster(rest)
             elif section == "search":
                 caster = _SEARCH_KEYS.get(key)
                 if caster is None:
-                    raise FormatError(where, f"unknown search key {key!r}")
+                    raise FormatError(at(lineno), f"unknown search key {key!r}")
                 if key == "hard":
                     value = tuple(p for p in rest.split(",") if p and p != "-")
-                    hard_where = where
+                    hard_line = lineno
                 else:
                     value = caster(rest)
                 check_parameter(key, value)
@@ -377,7 +405,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
         except FormatError:
             raise
         except ValueError as exc:
-            raise FormatError(where, f"bad value in {line!r}: {exc}") from exc
+            raise FormatError(at(lineno), f"bad value in {line!r}: {exc}") from exc
 
     if colours is None:
         raise FormatError(f"{origin}:[model]", "missing colours")
@@ -397,7 +425,7 @@ def loads(text: str, origin: str = "<string>") -> Instance:
     # checked once every section is read: [search] may precede the constraints
     ids = {spec_c.id for spec_c in constraints}
     for cid in (c for c in search_fields.get("hard", ()) if c not in ids):
-        raise FormatError(hard_where, f"unknown constraint id {cid!r}")
+        raise FormatError(at(hard_line), f"unknown constraint id {cid!r}")
     instance = Instance(
         colours=colours,
         grid=GridSpec(**grid_fields),
@@ -492,6 +520,13 @@ def generate(
     if dwell[0] < 1:
         # the loader refuses a leg of zero or negative dwell
         raise InputError(f"need a dwell of at least 1, got dwell=({dwell[0]}, {dwell[1]})")
+    if workload[0] < 0:
+        # a negative total would give the balance a negative threshold
+        raise InputError(
+            f"need a workload of at least 0, got workload=({workload[0]}, {workload[1]})"
+        )
+    if flights < 0:
+        raise InputError(f"need at least 0 flights, got flights={flights}")
     rng = random.Random(seed)
     workloads = {
         v: rng.randint(*workload) for v in grid_vertices(width, height, depth, dim)

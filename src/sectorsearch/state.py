@@ -49,13 +49,16 @@ colouring.  ``set_all`` rebuilds the index, labelling each vertex by its
 colour and minting fresh labels above ``n``.  :func:`grow_regions`, as a
 restart calls it, returns a :class:`Regions` colouring, whose used
 colours are one component each on the geometry it was grown on, so on a
-state over that geometry those labels stay, with no search;
-any other colouring's components are flooded to fresh labels, as a move
-merges components.  Exact connectedness counts from the index and
-reports its stray mask, the vertices outside their colour's largest
-component, which the index keeps from the class masks and the masks of
-the components of fragmented colours; compact mode A keeps a volume per
-label, in one table per colour.
+state over that geometry those labels stay, with no search.  So they do
+when one colour covers a connected geometry, as it does in the model
+``Instance.build`` makes, so set-up floods nothing on a grid, which is
+connected by construction.  Any other colouring's components are
+flooded to fresh labels, as a move merges components.  Exact
+connectedness counts from the index and reports its stray mask, the
+vertices outside their colour's largest component, which the index
+keeps from the class masks and the masks of the components of
+fragmented colours; compact mode A keeps a volume per label, in one
+table per colour.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,
@@ -119,7 +122,14 @@ class ColourState:
         #: the one colour map, in the order of ``geometry.vertices``, which
         #: the component index floods in; ``set_all`` writes into it
         self._colour: Dict[int, int] = dict.fromkeys(geometry.vertices, 1)
-        self._take(self._colour if colours is None else colours)
+        if colours is not None:
+            self._take(colours)
+            return
+        # every vertex coloured 1: one class of all, nothing to check
+        self.class_mask: List[int] = [0] * (n + 1)
+        self.class_mask[1] = self.everyone
+        self.class_size: List[int] = [0] * (n + 1)
+        self.class_size[1] = len(self.order)
 
     def _check_colour(self, v: int, c: int) -> None:
         if not isinstance(c, int) or not 1 <= c <= self.n:
@@ -164,8 +174,8 @@ class ColourState:
                 table[i] = 49  # ord("1")
                 class_mask[c] = int(digits.translate(table), 2)
                 table[i] = 48  # ord("0")
-        self.class_mask: List[int] = class_mask
-        self.class_size: List[int] = [mask.bit_count() for mask in class_mask]
+        self.class_mask = class_mask
+        self.class_size = [mask.bit_count() for mask in class_mask]
 
     def colour(self, v: int) -> int:
         try:
@@ -422,12 +432,18 @@ class ComponentIndex(ComponentCounts):
 
         Each vertex is labelled by its colour and fresh labels start
         above n.  With ``regions``, every class is taken to be connected
-        or empty and those labels stay, with no mask built; otherwise each
-        vertex still carrying a colour label floods its component to a
-        fresh label, and the colours with more than one component get
-        their parts and stray masks.
+        or empty and those labels stay, with no mask built.  So they do,
+        with no search, when one colour covers a geometry of one
+        component, as on the model a grid instance builds, whose every
+        vertex is coloured 1; a grid knows it is connected without a
+        search.  Otherwise each vertex still carrying a colour label
+        floods its component to a fresh label, and the colours with more
+        than one component get their parts and stray masks.
         """
         n = self.n
+        if not regions and class_mask.count(0) == n:
+            # one class of all: connected exactly when the geometry is
+            regions = len(self.geometry.components()) == 1
         # drop the old labels first, so they never coexist with the new
         self.label: Dict[int, int] = {}
         self.label.update(self._colour)

@@ -370,23 +370,35 @@ def test_generate_without_colours(tmp_path, capsys):
     assert not out.exists()
 
 
-# an empty range used to end in a traceback from the draw, and a dwell
-# below 1 in a file the loader refuses
+# an empty range used to end in a traceback from the draw; a dwell below
+# 1, a negative workload (a negative balance threshold) and a negative
+# flight count (silently none) in a file solve refuses or misreads
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, named",
     [
-        (["--workload-min", "5", "--workload-max", "1"], "workload"),
-        (["--dwell-min", "10", "--dwell-max", "5"], "dwell"),
-        (["--dwell-min", "0"], "dwell"),
-        (["--dwell-min", "-3", "--dwell-max", "-1"], "dwell"),
+        (["--workload-min", "5", "--workload-max", "1"], "workload=("),
+        (["--dwell-min", "10", "--dwell-max", "5"], "dwell=("),
+        (["--dwell-min", "0"], "dwell=("),
+        (["--dwell-min", "-3", "--dwell-max", "-1"], "dwell=("),
+        (["--workload-min", "-5", "--workload-max", "-1"], "workload=(-5, -1)"),
+        (["--workload-min", "-1"], "workload=(-1, 9)"),
+        (["--flights", "-1"], "flights=-1"),
     ],
-    ids=["empty-workload", "empty-dwell", "zero-dwell", "negative-dwell"],
+    ids=["empty-workload", "empty-dwell", "zero-dwell", "negative-dwell",
+         "negative-workload", "workload-below-zero", "negative-flights"],
 )
-def test_generate_with_a_bad_range(tmp_path, capsys, argv, name):
+def test_generate_with_a_bad_range(tmp_path, capsys, argv, named):
     out = tmp_path / "bad.inst"
     assert cli.main(["generate", *argv, "-o", str(out)]) == 2
-    assert f"{name}=(" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_accepts_zero_workloads_and_no_flights():
+    # the lowest values the checks let through still load and build
+    instance = generate(seed=2, width=4, height=4, colours=3, flights=0, workload=(0, 0))
+    assert instance.workload_total() == 0 and instance.flights == []
+    loads(dumps(instance)).build()
 
 
 def test_model_colours_below_one_in_the_file(inst, capsys):

@@ -21,11 +21,12 @@ from oracles import (
     naive_components,
     random_colours,
 )
-from sectorsearch import bench
+from sectorsearch import bench, geometry as geometry_module
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
 from sectorsearch.engine import Model
 from sectorsearch.geometry import Geometry, grid
-from sectorsearch.state import ColourState, grow_regions
+from sectorsearch.instance import generate
+from sectorsearch.state import ColourState, ComponentIndex, grow_regions
 
 
 def assert_compact_caches_match_components(c, st):
@@ -366,6 +367,86 @@ def test_a_commits_mask_upkeep_reads_no_neighbour():
         upkeep += parts != index._parts
     assert_index_matches_components(index, geometry, st.snapshot(), n)
     assert upkeep > 200, upkeep
+
+
+def count_searches(monkeypatch):
+    """The component floods of every index and the searches of every
+    geometry's own components from now on, each as its arguments."""
+    floods, searches = [], []
+    flood, search = ComponentIndex._flood, geometry_module.components
+
+    def counted_flood(self, *args):
+        floods.append(args)
+        return flood(self, *args)
+
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(ComponentIndex, "_flood", counted_flood)
+    monkeypatch.setattr(geometry_module, "components", counted_search)
+    return floods, searches
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(seed=3, width=12, height=10, colours=4, flights=2, with_nonborder=True,
+             with_compact=True),
+        dict(seed=5, width=4, height=3, depth=3, dim=3, colours=5, flights=2, with_compact=True),
+        dict(seed=1, width=1, height=1, colours=2, flights=0),
+    ],
+    ids=["2d", "3d", "one-cell"],
+)
+def test_a_grid_instance_builds_its_model_without_a_search(monkeypatch, params):
+    # the built model colours every vertex 1, and a grid knows it is
+    # connected, so the one class is one component labelled 1
+    floods, searches = count_searches(monkeypatch)
+    model = generate(**params).build()
+    state = model.state
+    index = state.component_index()
+    assert (floods, searches) == ([], [])
+    assert set(index.label.values()) == {1} and index.size == {1: len(state.order)}
+    assert_index_matches_components(index, state.geometry, state.snapshot(), state.n)
+    # the labels minted from here on are fresh ones, as after a flood
+    rng = random.Random(params["seed"])
+    for _ in range(60):
+        v = rng.choice(state.order)
+        model.assign(v, rng.randint(1, state.n))
+        assert_index_matches_components(index, state.geometry, state.snapshot(), state.n)
+    assert_caches_match_rebuild(state, [c for c, _ in model.entries])
+
+
+def test_one_colour_over_a_facet_geometry_searches_only_when_it_must(monkeypatch):
+    floods, searches = count_searches(monkeypatch)
+    # connected: the geometry's components are searched once, and kept
+    connected = facet_grid(4, 3, seed=2)
+    state = ColourState(connected, 2)
+    index = state.component_index()
+    assert (len(floods), len(searches)) == (0, 1)
+    assert_index_matches_components(index, connected, state.snapshot(), 2)
+    state.set_all(dict.fromkeys(connected.vertices, 2))
+    assert (len(floods), len(searches)) == (0, 1)
+    assert_index_matches_components(index, connected, state.snapshot(), 2)
+    # two components (a 2x2 block and a path of three) keep their floods
+    split = Geometry(
+        {0: [0, 1], 1: [0, 2], 2: [1, 3], 3: [2, 3], 4: [4], 5: [4, 5], 6: [5]},
+        dict.fromkeys(range(6), 1), dict.fromkeys(range(7), 1), dim=2,
+    )
+    state = ColourState(split, 3)
+    index = state.component_index()
+    assert index.count == {1: 2, 2: 0, 3: 0}
+    assert len(floods) == 2
+    assert_index_matches_components(index, split, state.snapshot(), 3)
+
+
+def test_a_state_without_colours_equals_one_coloured_1():
+    for geometry in (grid(5, 4, dim=2), facet_grid(3, 2, 2, seed=1), grid(1, 1, dim=2)):
+        plain = ColourState(geometry, 3)
+        ones = ColourState(geometry, 3, colours=dict.fromkeys(geometry.vertices, 1))
+        assert plain.snapshot() == ones.snapshot()
+        assert list(plain.colours()) == list(ones.colours())
+        assert plain.class_mask == ones.class_mask and plain.class_size == ones.class_size
 
 
 def counted_index(geometry, colours):

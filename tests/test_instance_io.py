@@ -88,6 +88,54 @@ def test_comments_are_ignored():
     loads(text)
 
 
+def test_comments_and_blank_lines_inside_sections_parse():
+    # a trailing comment on a workload, a leg and a header line, and blank,
+    # indented and comment-only lines between workload and leg lines
+    instance = generate(seed=3, width=4, height=3, colours=3, flights=1)
+    text = dumps(instance)
+    edited = (
+        text.replace("[workloads]\n", "[workloads]  # one per cell\n\n   \n# none yet\n")
+        .replace("w 2 ", "  w 2 ", 1)
+        .replace("\nw 5 ", "\n\n# half way\n\t\nw 5 ", 1)
+        .replace("\nleg ", "\n# the first leg\nleg ", 1)
+    )
+    edited = "\n".join(
+        line + " #" + "x" * (no % 3) if line.startswith(("w 7 ", "leg ")) else line
+        for no, line in enumerate(edited.splitlines())
+    ) + "\n"
+    assert edited.count("#") > 5
+    loaded = loads(edited)
+    assert loaded.workloads == instance.workloads
+    assert loaded.flights == instance.flights
+    assert dumps(loaded) == text
+
+
+@pytest.mark.parametrize(
+    "edit, line, message",
+    [
+        # a workload line short of its value, then one with a value too
+        # many: refused at the first, as lines are read one at a time
+        pytest.param(("w 1 ", "w 1\n2 w 3 4\nw 1 "), "w 1", "bad value in 'w 1': not enough values",
+                     id="misaligned"),
+        pytest.param(("w 1 ", "w 1 5 6\nw 1 "), "w 1 5 6", "bad value in 'w 1 5 6': too many values",
+                     id="too-many"),
+        pytest.param(("w 1 ", "w one "), "w one", "bad value in 'w one", id="not-a-number"),
+        pytest.param(("w 1 ", "x 1 "), "x 1", "unknown workloads key 'x'", id="other-key"),
+        pytest.param(("w 1 ", "leg 1 "), "leg 1", "unknown workloads key 'leg'", id="leg-key"),
+        pytest.param(("leg ", "w  "), "w  ", "unknown flight key 'w'", id="w-in-a-flight"),
+        pytest.param(("leg ", "leg 9 "), "leg 9", "bad value in 'leg 9", id="short-leg"),
+    ],
+)
+def test_a_bad_workload_or_leg_line_is_refused_at_its_line(edit, line, message):
+    text = dumps(generate(seed=3, width=4, height=3, colours=3, flights=1))
+    assert edit[0] in text
+    text = text.replace(*edit, 1)
+    lineno = next(no for no, raw in enumerate(text.splitlines(), 1) if raw.startswith(line))
+    with pytest.raises(FormatError) as caught:
+        loads(text, origin="g.inst")
+    assert str(caught.value).startswith(f"g.inst:{lineno}: {message}")
+
+
 def test_generate_is_deterministic():
     a = generate(seed=9, width=5, height=5, colours=3, flights=2)
     b = generate(seed=9, width=5, height=5, colours=3, flights=2)
