@@ -31,45 +31,43 @@ conflict mask is the union of those masks, each also shifted to its upper
 ends, and of the vertices on the outside.  The few edges of an offset
 that a mask would not pay for come as a list, read in the same pass.
 
-Mode A keeps one table per colour, the volume of each of its
-components keyed by the labels of the state's component index, and per
-colour the sum of its components' sphere surfaces.  One routine lists
-the two colours' components after a move, as (label, volume) pairs,
-from one record of what the move does to the components
-(:class:`~sectorsearch.state.ComponentChange`): the closed pieces of a
-split, the rest of the old component, the new colour's components merged
-with the moved vertex, and the components the move leaves alone.  The
-exact probe builds that record from the pieces of the index's split
-search and the labels of v's neighbours, with None for the labels a
-commit would mint, and sums the spheres; a commit passes the index's own
-record of the same move and keeps the pairs as the two colours'
-tables.  The index answers a split without searching when v's
-neighbours in the component are linked through common neighbours there,
-and otherwise its search costs the smaller sides, so probes and commits
-never cost a whole colour class.  Which piece the search closes and
-which keeps the old label is its own choice; the volumes and spheres do
-not depend on it.  The spheres are worked out from the volumes, so a
-probe and a commit cost O(components of the two colours), and summed
-with :func:`math.fsum` per colour, and so are the colours' sums;
-``fsum`` is correctly rounded whatever the order, so a probe equals the
-committed change to the last bit.
+Mode A keeps per colour the sum of its components' sphere surfaces and
+no record of the components of its own: the state's component index is
+the one record, and a component's volume is read from its mask
+(:meth:`~sectorsearch.state.ComponentIndex.component_masks`).  The
+vertex volumes are cut into bit planes once, at construction
+(:func:`~sectorsearch.geometry.value_planes`), so a mask's volume is a
+few popcounts (:func:`~sectorsearch.geometry.masked_sum`, which the sum
+kinds share) and a rebuild runs no Python code per vertex.  A commit,
+which the index has already followed, sums the two colours' spheres
+again from their masks.  The exact probe lists the same volumes before
+the move: the pieces of the index's split search, summed vertex by
+vertex, the rest of the moved vertex's component, the new colour's
+components it joins with the moved vertex, and every other component of
+the two colours from its mask.  The index answers a split without
+searching when v's neighbours in the component are linked through common
+neighbours there, and otherwise its search costs the smaller sides, so
+probes and commits never cost a whole colour class.  Which piece the
+search closes is its own choice; the volumes do not depend on it.  The
+spheres are summed with :func:`math.fsum` per colour, and so are the
+colours' sums; ``fsum`` is correctly rounded whatever the order, so a
+probe equals the committed change to the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping
 
 from ..errors import InputError
-from ..state import ColourState, ComponentChange, set_bits, with_bit
+from ..geometry import masked_sum, value_planes
+from ..state import ColourState, set_bits, with_bit
 from .base import Constraint
 
 MODES = ("A", "B")
 WEIGHTS = ("identity", "square")
 #: mode A probing: the moved vertex's own border change, or the committed change
 PROBES = ("fast", "exact")
-#: (label, volume) pairs, with None for a label that a probe cannot know
-Components = List[Tuple[Optional[int], int]]
 
 _WEIGHT_FN: Dict[str, Callable[[int], int]] = {
     "identity": lambda x: x,
@@ -114,6 +112,9 @@ class CompactConstraint(Constraint):
         self._g = self._f if mode == "B" else _WEIGHT_FN["identity"]
         self.probe = probe
         self.id = id
+        if mode == "A":
+            volume = state.geometry._volume
+            self._low, self._planes = value_planes(list(map(volume.__getitem__, state.order)))
         self.rebuild()
 
     def rebuild(self) -> None:
@@ -144,15 +145,10 @@ class CompactConstraint(Constraint):
             return
         self.border_total = total
         self.index = state.component_index()
-        volume = geometry._volume
-        colour = state.colours()
-        #: per colour, the volume of each of its components' labels
-        volumes: List[Dict[int, int]] = [{} for _ in range(state.n + 1)]
-        for v, lab in self.index.label.items():
-            table = volumes[colour[v]]
-            table[lab] = table.get(lab, 0) + volume[v]
-        self.volumes = volumes
-        self.sphere_sums: List[float] = [self._sphere_sum(t.items()) for t in volumes]
+        #: per colour (entry 0 unused), the spheres of its components
+        self.sphere_sums: List[float] = [0.0] * (state.n + 1)
+        for c in range(1, state.n + 1):
+            self._sum_spheres(c)
         self.sphere_total = math.fsum(self.sphere_sums)
 
     # measurement -------------------------------------------------------
@@ -231,69 +227,55 @@ class CompactConstraint(Constraint):
 
     def _sphere_total_after(self, v: int, before: int, after: int) -> float:
         """Mode A's sphere total once ``colour(v): before -> after``, from
-        the pieces of the index's split search and the labels of v's
-        neighbours of the new colour."""
+        the pieces of the index's split search, the labels of v's
+        neighbours of the new colour and the masks of the components."""
         index = self.index
+        volume = self.state.geometry.volume
+        mask_volume = self._mask_volume
+        lab = index.label[v]
         pieces, closed = index.split(v)
-        change = ComponentChange(
-            index.label[v], pieces, closed, [None] * len(closed), None,
-            index.neighbour_labels(v, after),
-        )
-        old, new = self._components_after(v, before, after, change)
+        masks = index.component_masks(before)
+        old = [mask_volume(m) for m_lab, m in masks.items() if m_lab != lab]
+        rest = mask_volume(masks[lab]) - volume(v)
+        for piece in closed:
+            nu = sum(map(volume, piece))
+            rest -= nu
+            old.append(nu)
+        if pieces:
+            old.append(rest)
+        joined = index.neighbour_labels(v, after)
+        masks = index.component_masks(after)
+        new = [mask_volume(m) for m_lab, m in masks.items() if m_lab not in joined]
+        new.append(volume(v) + sum(mask_volume(masks[m_lab]) for m_lab in joined))
         sums = list(self.sphere_sums)
         sums[before] = self._sphere_sum(old)
         sums[after] = self._sphere_sum(new)
         return math.fsum(sums)
 
-    def _components_after(
-        self, v: int, before: int, after: int, change: ComponentChange
-    ) -> Tuple[Components, Components]:
-        """The components of colours ``before`` and ``after`` once
-        ``colour(v): before -> after`` makes ``change``
-        (:class:`~sectorsearch.state.ComponentChange`): v's component
-        ``label`` falls into ``pieces`` pieces without v (0 if v was
-        alone), each ``closed`` one under its ``fresh`` label and the rest
-        under ``label``, and v's new component joins the ``joined``
-        components of ``after`` under ``big``.  Only volumes from before
-        the move are read, so a probe and a commit get the same pairs."""
-        volume = self.state.geometry.volume
-        lab, pieces, closed, fresh, big, joined = change
-        table = self.volumes[before]
-        old = [(m, nu) for m, nu in table.items() if m != lab]
-        split_off = 0
-        for f, piece in zip(fresh, closed):
-            nu = sum(map(volume, piece))
-            split_off += nu
-            old.append((f, nu))
-        if pieces:
-            old.append((lab, table[lab] - volume(v) - split_off))
-        table = self.volumes[after]
-        new = [(m, nu) for m, nu in table.items() if m not in joined]
-        new.append((big, volume(v) + sum(table[m] for m in joined)))
-        return old, new
+    def _mask_volume(self, mask: int) -> int:
+        return masked_sum(self._low, self._planes, mask)
 
-    def _sphere_sum(self, components: Iterable[Tuple[Optional[int], int]]) -> float:
+    def _sphere_sum(self, volumes: Iterable[int]) -> float:
         dim = self.state.geometry.dim
-        return math.fsum(sphere_surface(nu, dim) for _, nu in components)
+        return math.fsum(sphere_surface(nu, dim) for nu in volumes)
+
+    def _sum_spheres(self, c: int) -> None:
+        """Sum colour ``c``'s spheres from its components' masks."""
+        masks = self.index.component_masks(c).values()
+        self.sphere_sums[c] = self._sphere_sum(map(self._mask_volume, masks))
 
     # incrementality ------------------------------------------------------
     def commit_assign(self, v: int, old: int, new: int) -> None:
         changed = self._border_move(v, old, new)
         self.border_total += self._border_total_change(changed)
         if self.mode == "A":
-            self._commit_components(v, old, new)
+            # the index has followed the move already
+            self._sum_spheres(old)
+            self._sum_spheres(new)
+            self.sphere_total = math.fsum(self.sphere_sums)
         rank = self.state.rank
         mask = self._conflicts
         for u, b in changed.items():
             self.border_cache[u] = b
             mask = with_bit(mask, rank[u], b > 0)
         self._conflicts = mask
-
-    def _commit_components(self, v: int, old: int, new: int) -> None:
-        """Follow the index's record of the move in the volumes and sphere
-        sums of colours ``old`` and ``new``."""
-        after = self._components_after(v, old, new, self.index.change)
-        for c, components in zip((old, new), after):
-            self.volumes[c] = dict(components)
-            self.sphere_sums[c] = self._sphere_sum(components)
-        self.sphere_total = math.fsum(self.sphere_sums)

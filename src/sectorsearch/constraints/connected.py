@@ -29,10 +29,11 @@ probing/updating modes exist:
 Its conflicts are the vertices a repair should move.  In exact mode
 they are the stray fragments, the vertices outside their colour's
 largest component (a tie goes to the component holding the
-lowest-ranked vertex), a mask the index keeps on every commit, so
-``conflicts()`` reads it in O(1); ``var_violation`` keeps the paper's
-per-colour formula.  Paper-fast mode reports the whole class of every
-colour its own counts call fragmented.
+lowest-ranked vertex), a mask the index works out from the masks of the
+fragmented colours' components on the first read after a commit that
+changed them; ``var_violation`` keeps the paper's per-colour formula.
+Paper-fast mode reports the whole class of every colour its own counts
+call fragmented.
 
 The constraint exposes only the local-search protocol; component labels,
 sizes, merges and splits are read from ``state.component_index()``.

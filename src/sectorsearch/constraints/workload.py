@@ -24,18 +24,20 @@ average, and none of them needs repair.
 
 A rebuild reads the class sums from the state's class masks: the core
 keeps, once per constraint, one mask per bit of ``value - min(values)``,
-the vertices whose offset value has that bit set, so a class's sum is
+the vertices whose offset value has that bit set
+(:func:`~sectorsearch.geometry.value_planes`), so a class's sum is
 ``min * class_size`` plus each plane's popcount within the class,
-shifted by its bit, and no Python code runs per vertex.
+shifted by its bit (:func:`~sectorsearch.geometry.masked_sum`, which
+compact mode A's component volumes share), and no Python code runs per
+vertex.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import and_, rshift, sub
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 from ..errors import InputError
+from ..geometry import masked_sum, value_planes
 from ..relation import check_relop, excess, holds
 from ..state import ColourState
 from .base import Constraint
@@ -47,34 +49,6 @@ def deviation_check(sums: Sequence[int], total: int, delta_scaled: int) -> bool:
     within the scaled threshold."""
     n = len(sums)
     return sum(abs(n * x - total) for x in sums) <= delta_scaled
-
-
-#: per bit b of a byte, the table that translates each byte to the
-#: binary digit of its bit b
-_BIT_DIGITS = [bytes(49 if i >> b & 1 else 48 for i in range(256)) for b in range(8)]
-
-
-def _value_planes(ranked: Sequence[int]) -> Tuple[int, List[int]]:
-    """The least of the values ``ranked``, listed in rank order, and, per
-    bit ``b`` of the offsets ``value - least``, the mask of the ranks
-    whose offset has bit ``b`` set.
-
-    The offsets are read once, highest rank first; each group of eight
-    bits of them is one string of bytes, and each bit a translation of
-    that string to binary digits.  Every pass is a ``map``, so no Python
-    code runs per vertex."""
-    low = min(ranked, default=0)
-    # highest rank first, as int(digits, 2) reads the top bit first
-    offsets = list(map(sub, reversed(ranked), repeat(low)))
-    width = max(offsets, default=0).bit_length()
-    planes = []
-    for shift in range(0, width, 8):
-        chunk = bytes(
-            offsets if width <= 8 else map(and_, map(rshift, offsets, repeat(shift)), repeat(255))
-        )
-        for table in _BIT_DIGITS[:width - shift]:
-            planes.append(int(chunk.translate(table), 2))
-    return low, planes
 
 
 class ColourSumConstraint(Constraint):
@@ -94,7 +68,7 @@ class ColourSumConstraint(Constraint):
                     raise InputError(f"vertex {v} has no value")
         ranked = list(map(int, map(values.__getitem__, state.order)))
         self.values = dict(zip(state.order, ranked))
-        self._low, self._planes = _value_planes(ranked)
+        self._low, self._planes = value_planes(ranked)
 
     def _penalty(self, x: int) -> int:
         raise NotImplementedError
@@ -114,13 +88,8 @@ class ColourSumConstraint(Constraint):
     def rebuild(self) -> None:
         state = self.state
         low, planes = self._low, self._planes
-        class_mask, class_size = state.class_mask, state.class_size
-        self.sums = {
-            c: low * class_size[c] + sum(
-                (class_mask[c] & plane).bit_count() << b for b, plane in enumerate(planes)
-            )
-            for c in range(1, state.n + 1)
-        }
+        class_mask = state.class_mask
+        self.sums = {c: masked_sum(low, planes, class_mask[c]) for c in range(1, state.n + 1)}
         self._total = sum(self._penalty(x) for x in self.sums.values())
         #: the colours whose penalty is 0
         self._met = {c for c, x in self.sums.items() if not self._penalty(x)}

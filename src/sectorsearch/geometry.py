@@ -23,13 +23,17 @@ it always counts as border.
 
 The breadth-first component searches over vertex classes
 (:func:`components`, :func:`class_components`) live here too, as a
-geometry's own components are one of their results.
+geometry's own components are one of their results, and so do the
+routines over vertex masks: :func:`mask_of`, and the bit planes of
+per-vertex values (:func:`value_planes`) with the masked sums read from
+them (:func:`masked_sum`), which the sum kinds and compact mode A share.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
+from itertools import compress, repeat
+from operator import and_, rshift, sub
 from typing import (
     Callable,
     Container,
@@ -317,6 +321,44 @@ def mask_of(rank: Mapping[int, int], vertices: Iterable[int]) -> int:
         r = rank[v]
         buffer[r >> 3] |= 1 << (r & 7)
     return int.from_bytes(buffer, "little")
+
+
+#: per bit b of a byte, the table that translates each byte to the
+#: binary digit of its bit b
+_BIT_DIGITS = [bytes(49 if i >> b & 1 else 48 for i in range(256)) for b in range(8)]
+
+
+def value_planes(ranked: Sequence[int]) -> Tuple[int, List[int]]:
+    """The least of the values ``ranked``, listed in rank order, and, per
+    bit ``b`` of the offsets ``value - least``, the mask of the ranks
+    whose offset has bit ``b`` set; :func:`masked_sum` reads them.
+
+    The offsets are read once, highest rank first; each group of eight
+    bits of them is one string of bytes, and each bit a translation of
+    that string to binary digits.  Every pass is a ``map``, so no Python
+    code runs per vertex."""
+    low = min(ranked, default=0)
+    # highest rank first, as int(digits, 2) reads the top bit first
+    offsets = list(map(sub, reversed(ranked), repeat(low)))
+    width = max(offsets, default=0).bit_length()
+    planes = []
+    for shift in range(0, width, 8):
+        chunk = bytes(
+            offsets if width <= 8 else map(and_, map(rshift, offsets, repeat(shift)), repeat(255))
+        )
+        for table in _BIT_DIGITS[:width - shift]:
+            planes.append(int(chunk.translate(table), 2))
+    return low, planes
+
+
+def masked_sum(low: int, planes: Sequence[int], mask: int) -> int:
+    """The sum of the values of the ranks in ``mask``, from the least
+    value and the bit planes :func:`value_planes` returns: ``low`` per
+    rank plus each plane's popcount within the mask, shifted by its bit."""
+    total = low * mask.bit_count()
+    for b, plane in enumerate(planes):
+        total += (mask & plane).bit_count() << b
+    return total
 
 
 def components(

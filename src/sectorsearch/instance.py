@@ -527,6 +527,14 @@ def generate(
         )
     if flights < 0:
         raise InputError(f"need at least 0 flights, got flights={flights}")
+    # workloads are never negative, so no colouring meets a negative cap,
+    # and a negative share gives the balance a negative threshold
+    if bounded_threshold is not None and bounded_threshold < 0:
+        raise InputError(f"need a bounded cap of at least 0, got bounded={bounded_threshold}")
+    if not balanced_share >= 0:  # NaN included
+        raise InputError(
+            f"need a balanced_share of at least 0, got balanced_share={balanced_share}"
+        )
     rng = random.Random(seed)
     workloads = {
         v: rng.randint(*workload) for v in grid_vertices(width, height, depth, dim)

@@ -30,18 +30,18 @@ vertices of one class ``M`` exactly when its bit is set in
 fallback (``border_mask``) read them without visiting a neighbour.
 
 The state also keeps, once a constraint asks for it, one
-:class:`ComponentIndex`: a label per vertex naming its same-colour
-component, a size per label and a component count per colour.  Every
+:class:`ComponentIndex`, the one record of the components: a label per
+vertex naming its same-colour component, a size per label, a component
+count per colour and a mask per component of a fragmented colour.  Every
 ``assign`` updates it before any constraint hears of the move, at the
-cost of the smaller sides of a split or merge, and records what the move
-did (:class:`ComponentChange`).  Whether a move splits its vertex's
-component is first decided from the neighbours of the vertex and of its
-same-component neighbours alone: those that are adjacent or share a
-neighbour in the component lie in one piece, and when they all do there
-is no search.  Otherwise one breadth-first loop runs the groups of them
-in turn, whatever their number.  Both stages unite groups by one rule:
-a group takes another over by appending the other's vertex list to its
-own.
+cost of the smaller sides of a split or merge.  Whether a move splits
+its vertex's component is first decided from the neighbours of the
+vertex and of its same-component neighbours alone: those that are
+adjacent or share a neighbour in the component lie in one piece, and
+when they all do there is no search.  Otherwise one breadth-first loop
+runs the groups of them in turn, whatever their number.  Both stages
+unite groups by one rule: a group takes another over by appending the
+other's vertex list to its own.
 
 The state creates its colour map once: ``set_all`` writes into it, so a
 ``colours()`` view and the index, which reads the same map, follow every
@@ -56,9 +56,9 @@ connected by construction.  Any other colouring's components are
 flooded to fresh labels, as a move merges components.  Exact
 connectedness counts from the index and reports its stray mask, the
 vertices outside their colour's largest component, which the index
-keeps from the class masks and the masks of the components of
-fragmented colours; compact mode A keeps a volume per label, in one
-table per colour.
+works out from the class masks and the masks of the components of
+fragmented colours when it is read; compact mode A sums its
+components' volumes over the same masks.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,
@@ -79,7 +79,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -351,28 +350,6 @@ class ComponentCounts:
         self.count[b] = k_b
 
 
-class ComponentChange(NamedTuple):
-    """What one move does to the components: the index records each
-    commit's, and compact mode A's exact probe builds one before the move,
-    with None for the labels the commit would mint."""
-
-    #: the moved vertex's component before the move
-    label: int
-    #: pieces that component fell into without the vertex, 0 if it was
-    #: alone; ``label`` stays with the last piece
-    pieces: int
-    #: the vertices of every other piece, as :meth:`ComponentIndex.split`
-    #: found them
-    closed: List[List[int]]
-    #: the fresh labels of those pieces
-    fresh: List[Optional[int]]
-    #: the vertex's component after the move
-    big: Optional[int]
-    #: the components of the new colour the vertex joined, relabelled into
-    #: ``big``, which is one of them unless there are none and it is fresh
-    joined: Iterable[int]
-
-
 class ComponentIndex(ComponentCounts):
     """Same-colour components kept up to date under single-vertex moves.
 
@@ -388,7 +365,6 @@ class ComponentIndex(ComponentCounts):
     which a group that meets another takes it over; it costs the smaller
     sides, not the colour class, plus at most one more pass over a group
     per take-over.  The pieces a split closes get fresh labels.
-    ``change`` records the last move.
 
     A split reads only labels, which change only on ``move`` and
     ``rebuild``, so :meth:`split` keeps each result until the next of
@@ -396,23 +372,23 @@ class ComponentIndex(ComponentCounts):
     the same vertex, reuse the probe's search.  :meth:`forget_splits`
     drops the kept results.
 
-    The index also keeps ``stray``, the mask of the vertices outside
-    their colour's largest component, where a tie goes to the component
-    that holds the lowest-ranked vertex; exact connectedness reports it
-    as its conflicts.  It reads the state's class masks, whose list
-    every ``rebuild`` is handed, and keeps a mask per component only for
-    the colours with more than one (``_parts``): a connected colour's one
-    component is its class.  Each such colour also keeps the label of
-    the part it keeps (``_kept``) and its stray part, and the total
-    follows the stray parts by XOR, as the classes are disjoint.  A move
-    touches the parts of a colour only when that colour has more than one
+    The index is the one record of the components: every reader works
+    out what it needs from its labels, sizes and masks.  It reads the
+    state's class masks, whose list every ``rebuild`` is handed, and
+    keeps a mask per component only for the colours with more than one
+    (``_parts``): a connected colour's one component is its class.
+    :meth:`component_masks` hands out either, by label.  A move touches
+    the parts of a colour only when that colour has more than one
     component before or after it; the pieces a split closes are masked
     from the vertex lists the split search found, a merge ORs the parts
-    it joins, and no neighbour is read for either.  The parts are
-    searched for the largest only when the moved vertex leaves the kept
-    part or a colour becomes fragmented; otherwise the kept part stays
-    ahead of every piece of a split, a merge is compared with it alone,
-    and the moved vertex's bit is the whole change of the stray part.
+    it joins, and no neighbour is read for either.
+
+    ``stray`` is the mask of the vertices outside their colour's largest
+    component, where a tie goes to the component that holds the
+    lowest-ranked vertex; exact connectedness reports it as its
+    conflicts.  It is worked out from the parts on the first read after
+    a move that touched them or a rebuild, so an index no one asks for it
+    never searches the parts for their largest.
     """
 
     def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int,
@@ -438,7 +414,7 @@ class ComponentIndex(ComponentCounts):
         vertex is coloured 1; a grid knows it is connected without a
         search.  Otherwise each vertex still carrying a colour label
         floods its component to a fresh label, and the colours with more
-        than one component get their parts and stray masks.
+        than one component get their parts.
         """
         n = self.n
         if not regions and class_mask.count(0) == n:
@@ -447,18 +423,13 @@ class ComponentIndex(ComponentCounts):
         # drop the old labels first, so they never coexist with the new
         self.label: Dict[int, int] = {}
         self.label.update(self._colour)
-        self.change: Optional[ComponentChange] = None
         self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
         self._labels = itertools.count(n + 1)
         self._class_mask = class_mask
         #: per colour with more than one component, label -> its mask
         self._parts: Dict[int, Dict[int, int]] = {}
-        #: per colour with parts, the label of the part it keeps
-        self._kept: Dict[int, int] = {}
-        #: per colour, its class outside its largest component
-        self._stray: List[int] = [0] * (n + 1)
-        #: the union of the colours' stray parts
-        self.stray = 0
+        #: the stray mask, or None until the next read works it out
+        self._fragments: Optional[int] = None
         if regions:
             self.size = {c: m.bit_count() for c, m in enumerate(class_mask) if c and m}
             self.reset({c: int(class_mask[c] > 0) for c in range(1, n + 1)})
@@ -474,8 +445,7 @@ class ComponentIndex(ComponentCounts):
         self.reset({c: len(comps) for c, comps in found.items()})
         for c, comps in found.items():
             if len(comps) > 1:
-                parts = self._parts[c] = {lab: mask_of(self._rank, vs) for lab, vs in comps}
-                self._keep_part(c, self._largest(parts))
+                self._parts[c] = {lab: mask_of(self._rank, vs) for lab, vs in comps}
 
     def _flood(self, start: int, old: int, new: int) -> List[int]:
         """Relabel ``start`` and every vertex it reaches through vertices
@@ -493,6 +463,31 @@ class ComponentIndex(ComponentCounts):
                     stack.append(w)
                     members.append(w)
         return members
+
+    def component_masks(self, c: int) -> Mapping[int, int]:
+        """Label -> mask of each component of colour ``c``: the parts of a
+        fragmented colour, which are the index's own and only to be read,
+        or its class under its one label."""
+        parts = self._parts.get(c)
+        if parts is not None:
+            return parts
+        mask = self._class_mask[c]
+        if not mask:
+            return {}
+        return {self.label[self._order[(mask & -mask).bit_length() - 1]]: mask}
+
+    @property
+    def stray(self) -> int:
+        """The vertices outside their colour's largest component, as a
+        mask, worked out on the first read after a change of the parts."""
+        stray = self._fragments
+        if stray is None:
+            stray = 0
+            class_mask = self._class_mask
+            for c, parts in self._parts.items():
+                stray |= class_mask[c] ^ parts[self._largest(parts)]
+            self._fragments = stray
+        return stray
 
     def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
         """Label -> one neighbour of ``v`` carrying it, over v's
@@ -652,13 +647,15 @@ class ComponentIndex(ComponentCounts):
         count = self.count
         k_old = count[old] - 1 + pieces
         k_new = count[new] + 1 - len(touched)
-        # a colour with at most one component before and after has no parts
+        # a colour with at most one component before and after has no
+        # parts, and leaves the stray mask as it is
         if k_old > 1 or count[old] > 1:
             self._split_parts(v, old, lab, pieces, closed, fresh, k_old)
+            self._fragments = None
         if k_new > 1 or count[new] > 1:
             self._merge_parts(v, new, big, touched, k_new)
+            self._fragments = None
         self.recount(old, new, k_old, k_new)
-        self.change = ComponentChange(lab, pieces, closed, fresh, big, list(touched))
 
     def _split_parts(self, v: int, c: int, lab: int, pieces: int,
                      closed: List[List[int]], fresh: List[int], k: int) -> None:
@@ -667,29 +664,19 @@ class ComponentIndex(ComponentCounts):
         labelled ``fresh``, leaving ``k`` components."""
         if k <= 1:
             self._parts.pop(c, None)
-            self._keep_part(c, None)
             return
-        bit = 1 << self._rank[v]
         parts = self._parts.get(c)
         if parts is None:
             # c had one component, its class; the class mask has lost v
             parts = self._parts[c] = {}
             rest = self._class_mask[c]
         else:
-            rest = parts.pop(lab) ^ bit
+            rest = parts.pop(lab) ^ (1 << self._rank[v])
         for f, piece in zip(fresh, closed):
             part = parts[f] = mask_of(self._rank, piece)
             rest ^= part
         if pieces:
             parts[lab] = rest
-        kept = self._kept.get(c)
-        if kept is None or kept == lab:
-            self._keep_part(c, self._largest(parts))
-        else:
-            # the kept part lost nothing and outgrows every piece: only v
-            # leaves the stray part
-            self._stray[c] ^= bit
-            self.stray ^= bit
 
     def _merge_parts(self, v: int, c: int, big: int, touched: Mapping[int, int],
                      k: int) -> None:
@@ -697,7 +684,6 @@ class ComponentIndex(ComponentCounts):
         merging the ``touched`` components into ``big``, leaving ``k``."""
         if k <= 1:
             self._parts.pop(c, None)
-            self._keep_part(c, None)
             return
         bit = 1 << self._rank[v]
         parts = self._parts.get(c)
@@ -705,20 +691,12 @@ class ComponentIndex(ComponentCounts):
             # c had one component, which v does not touch: v is its own
             rest = self._class_mask[c] ^ bit
             low = (rest & -rest).bit_length() - 1
-            parts = self._parts[c] = {self.label[self._order[low]]: rest, big: bit}
-            self._keep_part(c, self._largest(parts))
+            self._parts[c] = {self.label[self._order[low]]: rest, big: bit}
             return
         merged = bit
         for m in touched:
             merged |= parts.pop(m)
         parts[big] = merged
-        kept = self._kept[c]
-        if kept in touched or self._before(parts, big, kept):
-            self._keep_part(c, big)
-        else:
-            # v joins the stray part, as do the parts it merged
-            self._stray[c] ^= bit
-            self.stray ^= bit
 
     def _before(self, parts: Mapping[int, int], a: int, b: int) -> bool:
         """Whether part ``a`` of ``parts`` is kept before part ``b``: it
@@ -736,18 +714,6 @@ class ComponentIndex(ComponentCounts):
             if kept is None or self._before(parts, lab, kept):
                 kept = lab
         return kept
-
-    def _keep_part(self, c: int, kept: Optional[int]) -> None:
-        """Keep part ``kept`` of colour ``c``, or none when None; the
-        colour's stray part and the total follow."""
-        if kept is None:
-            self._kept.pop(c, None)
-            stray = 0
-        else:
-            self._kept[c] = kept
-            stray = self._class_mask[c] ^ self._parts[c][kept]
-        self.stray ^= self._stray[c] ^ stray
-        self._stray[c] = stray
 
 
 def _take_over(found: List[List[int]], owner: Dict[int, int], keep: int, gone: int) -> None:

@@ -437,10 +437,11 @@ def facet_grid(w, h, d=1, cell_area=1, cell_volume=1, dim=None, seed=None):
     return Geometry(facets_of, areas, volumes, dim)
 
 
-def relabelled(g, f, area=None):
+def relabelled(g, f, area=None, volume=None):
     """``g`` with every vertex id ``v`` renamed to ``f(v)``: one facet per
     edge and one border facet per border vertex, with the same areas, or
-    with ``area(v, w)`` for the facet of each edge ``v < w`` when given."""
+    with ``area(v, w)`` for the facet of each edge ``v < w`` when given,
+    and the same volumes, or ``volume(v)`` when given."""
     facets_of = {f(v): [] for v in g.vertices}
     areas = {}
     for v, w in g.edges():
@@ -450,7 +451,8 @@ def relabelled(g, f, area=None):
     for v, border in g.border_areas.items():
         facets_of[f(v)].append(len(areas))
         areas[len(areas)] = border
-    return Geometry(facets_of, areas, {f(v): g.volume(v) for v in g.vertices}, g.dim)
+    volume = g.volume if volume is None else volume
+    return Geometry(facets_of, areas, {f(v): volume(v) for v in g.vertices}, g.dim)
 
 
 def permuted(g, seed, share=1.0):

@@ -371,8 +371,9 @@ def test_generate_without_colours(tmp_path, capsys):
 
 
 # an empty range used to end in a traceback from the draw; a dwell below
-# 1, a negative workload (a negative balance threshold) and a negative
-# flight count (silently none) in a file solve refuses or misreads
+# 1, a negative workload (a negative balance threshold), a negative
+# flight count (silently none) and a negative cap (which no colouring
+# meets) in a file solve refuses, misreads or cannot solve
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -383,15 +384,26 @@ def test_generate_without_colours(tmp_path, capsys):
         (["--workload-min", "-5", "--workload-max", "-1"], "workload=(-5, -1)"),
         (["--workload-min", "-1"], "workload=(-1, 9)"),
         (["--flights", "-1"], "flights=-1"),
+        (["--bounded", "-5"], "bounded=-5"),
     ],
     ids=["empty-workload", "empty-dwell", "zero-dwell", "negative-dwell",
-         "negative-workload", "workload-below-zero", "negative-flights"],
+         "negative-workload", "workload-below-zero", "negative-flights",
+         "negative-bounded"],
 )
 def test_generate_with_a_bad_range(tmp_path, capsys, argv, named):
     out = tmp_path / "bad.inst"
     assert cli.main(["generate", *argv, "-o", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("share", [-0.5, float("nan")])
+def test_generate_refuses_a_balanced_share_below_zero(share):
+    # refused by generate, naming its argument, not by the balance's build
+    named = f"^need a balanced_share of at least 0, got balanced_share={share}$"
+    with pytest.raises(InputError, match=named):
+        generate(seed=1, width=3, height=3, colours=2, balanced_share=share)
+    generate(seed=1, width=3, height=3, colours=2, balanced_share=0.0).build()
 
 
 def test_generate_accepts_zero_workloads_and_no_flights():

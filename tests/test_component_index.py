@@ -1,10 +1,11 @@
-"""The state's component index, and compact mode A's per-colour tables
-of component volumes kept by its labels, with their sphere sums, against
-from-scratch components along random walks; the index's split search
+"""The state's component index, and compact mode A's per-colour sphere
+sums, which it reads from the index's component masks, against
+from-scratch components along random walks, on grids and on a facet
+geometry with scattered ids and volumes; the index's split search
 against a flood of the split vertex's component, vertex by vertex; its
 stray mask, the vertices outside their colour's largest component,
-against a flood of each fragmented class; and the neighbour reads of a
-split and of a commit."""
+against a flood of each fragmented class, and worked out only when read;
+and the neighbour reads of a split and of a commit."""
 
 import collections.abc
 import itertools
@@ -19,7 +20,9 @@ from oracles import (
     assert_split_matches_flood,
     facet_grid,
     naive_components,
+    naive_stray,
     random_colours,
+    relabelled,
 )
 from sectorsearch import bench, geometry as geometry_module
 from sectorsearch.constraints import CompactConstraint, ConnectedConstraint, sphere_surface
@@ -29,14 +32,21 @@ from sectorsearch.instance import generate
 from sectorsearch.state import ColourState, ComponentIndex, grow_regions
 
 
+def split_and_merge(index, old, new, count):
+    """Whether a commit ``old -> new`` split the moved vertex's component
+    into two or more pieces, and whether it joined two or more components
+    of the new colour, from the colour counts before it, ``count``: the
+    old colour's count rises exactly on the first, the new colour's
+    falls exactly on the second."""
+    return index.count[old] > count[old], index.count[new] < count[new]
+
+
 def assert_compact_caches_match_components(c, st):
     index = st.component_index()
     dim = st.geometry.dim
     volumes = [{} for _ in range(st.n + 1)]
     for comp in st.connected_components():
         volumes[comp.colour][index.label[min(comp.vertices)]] = comp.volume
-    assert c.volumes == volumes
-    assert set().union(*c.volumes) == set(index.size)
     sums = [math.fsum(sphere_surface(nu, dim) for nu in t.values()) for t in volumes]
     assert c.sphere_sums == sums
     assert c.sphere_total == math.fsum(sums)
@@ -82,12 +92,14 @@ def test_walk_keeps_index_and_compact_sums(with_connected, weight_fn):
             continue
         before = compact.violation()
         delta = compact.probe_assign(v, colour)
+        old, count = st.colour(v), dict(index.count)
         model.assign(v, colour)
         # the exact probe is the committed change, to the last bit
         assert delta == compact.violation() - before
         commits += 1
-        splits += index.change.pieces >= 2
-        merges += len(index.change.joined) >= 2
+        split, merge = split_and_merge(index, old, colour, count)
+        splits += split
+        merges += merge
         check()
         if commits % 50 == 0:
             model.set_all(random_colours(rng, geometry, n))
@@ -126,10 +138,12 @@ def test_a_split_is_searched_once_per_vertex_and_state():
         # the commit of a probed vertex reuses its search; a commit
         # without a probe, as a direct Model.assign makes, runs its own
         v = probed[0] if step % 4 else rng.choice([u for u in st.order if u not in probed])
-        model.assign(v, rng.choice([c for c in range(1, n + 1) if c != st.colour(v)]))
+        old, count = st.colour(v), dict(index.count)
+        new = rng.choice([c for c in range(1, n + 1) if c != old])
+        model.assign(v, new)
         assert searched == ([] if step % 4 else [v])
         searched.clear()
-        splits += index.change.pieces >= 2
+        splits += split_and_merge(index, old, new, count)[0]
         assert_index_matches_components(index, geometry, st.snapshot(), n)
         assert_compact_caches_match_components(compact, st)
         if step % 50 == 49:
@@ -140,6 +154,82 @@ def test_a_split_is_searched_once_per_vertex_and_state():
             assert searched == [v, v]
             searched.clear()
     assert splits > 20
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mode_a_reads_scattered_volumes_from_the_index_masks(dim):
+    # volumes of 1..700 take ten bit planes, and scattered ids make the
+    # ranks differ from the ids; exact connectedness reads the same index
+    rng = random.Random(31 + dim)
+    base = grid(6, 5, dim=2) if dim == 2 else grid(4, 3, 3, dim=3)
+    volumes = {v: rng.randint(1, 700) for v in sorted(base.vertices)}
+    volumes[min(volumes)], volumes[max(volumes)] = 1, 700
+    geometry = relabelled(base, lambda v: 7 * v + 3, volume=volumes.__getitem__)
+    n = 4
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    # a threshold far below zero keeps the violation off its floor, so
+    # every probe's delta is the change of the border total minus spheres
+    compact = CompactConstraint(st, threshold=-10**6, mode="A", probe="exact")
+    connected = ConnectedConstraint(st, "=", n)
+    model = Model(st, [(compact, 1), (connected, 1)])
+    index = st.component_index()
+    assert len(compact._planes) == 10
+    splits = merges = 0
+    for step in range(400):
+        if step % 80 == 79:
+            model.set_all(
+                grow_regions(geometry, n, rng) if step % 160 == 79
+                else random_colours(rng, geometry, n)
+            )
+        else:
+            v = rng.choice(st.order)
+            old, count = st.colour(v), dict(index.count)
+            new = rng.choice([c for c in range(1, n + 1) if c != old])
+            before = compact.violation()
+            delta = compact.probe_assign(v, new)
+            model.assign(v, new)
+            # the exact probe is the committed change, to the last bit
+            assert delta == compact.violation() - before
+            split, merge = split_and_merge(index, old, new, count)
+            splits += split
+            merges += merge
+        assert compact.violation() > 0
+        assert_compact_caches_match_components(compact, st)
+        if step % 20 == 0:
+            assert_caches_match_rebuild(st, [compact, connected])
+    assert splits > 10 and merges > 10, (splits, merges)
+
+
+def test_compact_mode_a_alone_never_works_out_the_stray_mask(monkeypatch):
+    # only exact connectedness reads the stray mask, so a model whose only
+    # index reader is compact mode A never searches the parts for their
+    # largest, however fragmented its colours
+    calls = []
+    largest = ComponentIndex._largest
+
+    def counted_largest(self, parts):
+        calls.append(len(parts))
+        return largest(self, parts)
+
+    monkeypatch.setattr(ComponentIndex, "_largest", counted_largest)
+    rng = random.Random(37)
+    geometry = grid(6, 6, dim=2)
+    n = 3
+    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    compact = CompactConstraint(st, threshold=0, mode="A", probe="exact")
+    model = Model(st, [(compact, 1)])
+    index = st.component_index()
+    fragmented = 0
+    for _ in range(300):
+        v = rng.choice(st.order)
+        colour = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
+        compact.probe_assign(v, colour)
+        model.assign(v, colour)
+        fragmented += bool(index._parts)
+    assert calls == [] and fragmented == 300
+    # the first read works it out, once per fragmented colour
+    assert index.stray == naive_stray(geometry, st.snapshot(), n)[1]
+    assert len(calls) == len(index._parts)
 
 
 def _largest(colours, base, c):
@@ -173,15 +263,18 @@ def test_stray_mask_follows_splits_merges_and_ties():
         new = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
         old = st.colour(v)
         _, kept_before = _largest(st.snapshot(), geometry, new)
+        count, labels = dict(index.count), set(index.size)
         model.assign(v, new)
         colours = st.snapshot()
         assert_caches_match_rebuild(st, [connected])
-        change = index.change
+        split, merge = split_and_merge(index, old, new, count)
         _, kept = _largest(colours, geometry, old)
-        if change.pieces >= 2 and index.label[min(kept)] in change.fresh:
+        # a label of the old colour that no component carried before the
+        # commit is one the split minted for a piece it closed
+        if split and index.label[min(kept)] not in labels:
             seen["split piece kept"] += 1
         _, kept = _largest(colours, geometry, new)
-        if len(change.joined) >= 2 and v in kept and not kept_before <= kept:
+        if merge and v in kept and not kept_before <= kept:
             seen["merge overtakes"] += 1
         for c in (old, new):
             comps, kept = _largest(colours, geometry, c)
@@ -342,7 +435,8 @@ class CountingAdjacency(collections.abc.Mapping):
 def test_a_commits_mask_upkeep_reads_no_neighbour():
     # with its split already searched, as after a probe, a commit reads the
     # moved vertex's neighbours once and floods the components a merge
-    # relabels; keeping the parts and stray masks adds no read
+    # relabels, all but the largest; keeping the parts and working out the
+    # stray mask add no read
     rng = random.Random(9)
     geometry = grid(8, 8, dim=2)
     n = 3
@@ -356,14 +450,14 @@ def test_a_commits_mask_upkeep_reads_no_neighbour():
         v = rng.choice(st.order)
         colour = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
         index.split(v)
-        size = dict(index.size)
+        joined = [index.size[m] for m in index.neighbour_labels(v, colour)]
+        flooded = sum(joined) - max(joined, default=0)
         parts = {c: dict(p) for c, p in index._parts.items()}
         table.reads.clear()
         st.assign(v, colour)
-        change = index.change
-        flooded = [m for m in change.joined if m != change.big]
+        index.stray
         assert table.reads == [v] + table.reads[1:]
-        assert len(table.reads) == 1 + sum(size[m] for m in flooded)
+        assert len(table.reads) == 1 + flooded
         upkeep += parts != index._parts
     assert_index_matches_components(index, geometry, st.snapshot(), n)
     assert upkeep > 200, upkeep
