@@ -29,14 +29,15 @@ probing/updating modes exist:
 Its conflicts are the vertices a repair should move.  In exact mode
 they are the stray fragments, the vertices outside their colour's
 largest component (a tie goes to the component holding the
-lowest-ranked vertex), a mask the index works out from the masks of the
-fragmented colours' components on the first read after a commit that
-changed them; ``var_violation`` keeps the paper's per-colour formula.
+lowest-ranked vertex), a mask the index works out from its component
+masks, reading their popcounts, on the first read after a commit that
+changed a colour with more than one component; ``var_violation`` keeps
+the paper's per-colour formula.
 Paper-fast mode reports the whole class of every colour its own counts
 call fragmented.
 
 The constraint exposes only the local-search protocol; component labels,
-sizes, merges and splits are read from ``state.component_index()``.
+masks, merges and splits are read from ``state.component_index()``.
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ A rebuild reads the class sums from the state's class masks: the core
 keeps, once per constraint, one mask per bit of ``value - min(values)``,
 the vertices whose offset value has that bit set
 (:func:`~sectorsearch.geometry.value_planes`), so a class's sum is
-``min * class_size`` plus each plane's popcount within the class,
-shifted by its bit (:func:`~sectorsearch.geometry.masked_sum`, which
-compact mode A's component volumes share), and no Python code runs per
-vertex.
+``min`` times the class mask's popcount plus each plane's popcount
+within the class, shifted by its bit
+(:func:`~sectorsearch.geometry.masked_sum`, which compact mode A's
+component volumes share), and no Python code runs per vertex.
 """
 
 from __future__ import annotations

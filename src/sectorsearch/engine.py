@@ -15,8 +15,9 @@ connectedness marks only its stray fragments, the vertices outside their
 colour's largest component.  A met constraint adds nothing, so the focus
 is drawn from what is wrong (min-conflicts, Minton et al. 1992).  The
 pool is maintained rather than scanned: every constraint keeps its mask,
-the state keeps one mask and one size per colour class, and the
-component index keeps the stray fragments on every commit.  An iteration
+the state keeps one mask per colour class, and the component index one
+mask per component, from which it works out the stray fragments when
+they are read after a commit that changed them.  An iteration
 ORs the masks in entry order until the union holds every vertex, as a
 violated balance constraint's alone does whenever no colour's sum is
 exactly the average, and then draws its focus from the vertex list

@@ -527,10 +527,7 @@ def generate(
         )
     if flights < 0:
         raise InputError(f"need at least 0 flights, got flights={flights}")
-    # workloads are never negative, so no colouring meets a negative cap,
-    # and a negative share gives the balance a negative threshold
-    if bounded_threshold is not None and bounded_threshold < 0:
-        raise InputError(f"need a bounded cap of at least 0, got bounded={bounded_threshold}")
+    # a negative share gives the balance a negative threshold
     if not balanced_share >= 0:  # NaN included
         raise InputError(
             f"need a balanced_share of at least 0, got balanced_share={balanced_share}"
@@ -539,6 +536,14 @@ def generate(
     workloads = {
         v: rng.randint(*workload) for v in grid_vertices(width, height, depth, dim)
     }
+    total = sum(workloads.values())
+    # some colour carries at least total / colours, so no colouring meets
+    # a lower cap, a negative one included
+    if bounded_threshold is not None and bounded_threshold * colours < total:
+        raise InputError(
+            f"need a bounded cap of at least {-(-total // colours)} for a workload total "
+            f"of {total} over {colours} colours, got bounded={bounded_threshold}"
+        )
 
     def vid(x: int, y: int, z: int) -> int:
         return x + width * (y + height * z)
@@ -573,7 +578,6 @@ def generate(
                 z += 1
         plans.append(FlightPlan(tuple(legs)))
 
-    total = sum(workloads.values())
     specs = [
         ConstraintSpec(
             id="connected",

@@ -12,14 +12,15 @@ constraints it reaches and rebuilds them after a bulk assignment, so a
 model's state is recoloured through the model.
 
 Vertex sets are also kept as bit masks: bit ``r`` of a mask stands for
-``order[r]``, the ``r``-th vertex in sorted order.  The state keeps one
-mask and one size per colour class, so the constraints can report their
-conflicting vertices as the union of a few masks.  ``set_all`` (and the
-constructor) reads and checks the colouring with whole-sequence passes
-(the colours in vertex order, their types, their least and greatest) and
-reads each used colour's class mask from a string of one byte per vertex,
-so no Python code runs per vertex; a bad colour raises, naming its
-vertex, before any of the state changes.
+``order[r]``, the ``r``-th vertex in sorted order, and the size of a
+set is its mask's popcount.  The state keeps one mask per colour class,
+so the constraints can report their conflicting vertices as the union
+of a few masks.  ``set_all`` (and the constructor) reads and checks the
+colouring with whole-sequence passes (the colours in vertex order, their
+types, their least and greatest) and reads each used colour's class
+mask from a string of one byte per vertex, so no Python code runs per
+vertex; a bad colour raises, naming its vertex, before any of the state
+changes.
 
 The edges between differently coloured vertices come from the class
 masks too (:meth:`ColourState.border_edges`): the geometry groups its
@@ -31,8 +32,9 @@ fallback (``border_mask``) read them without visiting a neighbour.
 
 The state also keeps, once a constraint asks for it, one
 :class:`ComponentIndex`, the one record of the components: a label per
-vertex naming its same-colour component, a size per label, a component
-count per colour and a mask per component of a fragmented colour.  Every
+vertex naming its same-colour component, and per colour the mask of
+each of its components under its label, so a component's size is a
+popcount and a colour's component count the number of its masks.  Every
 ``assign`` updates it before any constraint hears of the move, at the
 cost of the smaller sides of a split or merge.  Whether a move splits
 its vertex's component is first decided from the neighbours of the
@@ -56,9 +58,9 @@ connected by construction.  Any other colouring's components are
 flooded to fresh labels, as a move merges components.  Exact
 connectedness counts from the index and reports its stray mask, the
 vertices outside their colour's largest component, which the index
-works out from the class masks and the masks of the components of
-fragmented colours when it is read; compact mode A sums its
-components' volumes over the same masks.
+works out from the masks of the colours with more than one component
+when it is read; compact mode A sums its components' volumes over the
+same masks.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,
@@ -127,8 +129,6 @@ class ColourState:
         # every vertex coloured 1: one class of all, nothing to check
         self.class_mask: List[int] = [0] * (n + 1)
         self.class_mask[1] = self.everyone
-        self.class_size: List[int] = [0] * (n + 1)
-        self.class_size[1] = len(self.order)
 
     def _check_colour(self, v: int, c: int) -> None:
         if not isinstance(c, int) or not 1 <= c <= self.n:
@@ -136,7 +136,7 @@ class ColourState:
 
     def _take(self, colours: Mapping[int, int]) -> None:
         """Write ``colours`` into the colour map, with its ``class_mask``
-        and ``class_size`` (indexed by colour, entry 0 unused).
+        (indexed by colour, entry 0 unused).
 
         Nothing changes unless every vertex carries a colour in 1..n.
         Checking and writing the colours are whole-sequence passes, and
@@ -174,7 +174,6 @@ class ColourState:
                 class_mask[c] = int(digits.translate(table), 2)
                 table[i] = 48  # ord("0")
         self.class_mask = class_mask
-        self.class_size = [mask.bit_count() for mask in class_mask]
 
     def colour(self, v: int) -> int:
         try:
@@ -208,8 +207,6 @@ class ColourState:
             bit = 1 << self.rank[v]
             self.class_mask[old] ^= bit
             self.class_mask[c] |= bit
-            self.class_size[old] -= 1
-            self.class_size[c] += 1
             if self._index is not None:
                 self._index.move(v, old, c)
 
@@ -218,9 +215,8 @@ class ColourState:
 
         A :class:`Regions` colouring grown on this state's geometry has
         classes that are connected or empty, so the component index then
-        takes one component per used colour, labelled by the colour,
-        instead of searching.  The index is handed the new class masks,
-        as ``_take`` replaces their list.
+        takes one component per used colour, labelled by the colour and
+        masked by its class mask, instead of searching.
         """
         self._take(colours)
         if self._index is not None:
@@ -278,8 +274,8 @@ class ColourState:
 
     def unused_colours(self) -> List[int]:
         """The colours no vertex carries, in increasing order."""
-        size = self.class_size
-        return [c for c in range(1, self.n + 1) if not size[c]]
+        class_mask = self.class_mask
+        return [c for c in range(1, self.n + 1) if not class_mask[c]]
 
     # ------------------------------------------------------------------
     # induced structures
@@ -353,18 +349,23 @@ class ComponentCounts:
 class ComponentIndex(ComponentCounts):
     """Same-colour components kept up to date under single-vertex moves.
 
-    Every vertex carries the ``label`` of its component and every label
-    its ``size``.  A move of ``v`` joins as many components of the new
-    colour as there are distinct labels among v's neighbours of that
-    colour, which costs O(degree); the smaller ones are relabelled into
-    the largest (union by size).  Whether v's old component splits is
-    decided by :meth:`split`: v's neighbours in the component that are
-    linked through a common neighbour there need no search, which settles
-    most moves after O(degree^2) reads, and otherwise one loop runs an
+    Every vertex carries the ``label`` of its component, and every colour
+    keeps label -> mask for each of its components (``_parts``, handed out
+    by :meth:`component_masks`): a component's size is the popcount of its
+    mask and a colour's count the number of its masks.  A move of ``v``
+    joins as many components of the new colour as there are distinct
+    labels among v's neighbours of that colour, which costs O(degree); the
+    smaller ones are relabelled into the largest (union by size) and their
+    masks ORed into its mask.  Whether v's old component splits is decided
+    by :meth:`split`: v's neighbours in the component that are linked
+    through a common neighbour there need no search, which settles most
+    moves after O(degree^2) reads, and otherwise one loop runs an
     interleaved breadth-first search per group of linked neighbours, in
     which a group that meets another takes it over; it costs the smaller
     sides, not the colour class, plus at most one more pass over a group
-    per take-over.  The pieces a split closes get fresh labels.
+    per take-over.  The pieces a split closes get fresh labels, and their
+    masks come from the vertex lists the split search found, so keeping
+    the masks reads no neighbour.
 
     A split reads only labels, which change only on ``move`` and
     ``rebuild``, so :meth:`split` keeps each result until the next of
@@ -373,22 +374,15 @@ class ComponentIndex(ComponentCounts):
     drops the kept results.
 
     The index is the one record of the components: every reader works
-    out what it needs from its labels, sizes and masks.  It reads the
-    state's class masks, whose list every ``rebuild`` is handed, and
-    keeps a mask per component only for the colours with more than one
-    (``_parts``): a connected colour's one component is its class.
-    :meth:`component_masks` hands out either, by label.  A move touches
-    the parts of a colour only when that colour has more than one
-    component before or after it; the pieces a split closes are masked
-    from the vertex lists the split search found, a merge ORs the parts
-    it joins, and no neighbour is read for either.
+    out what it needs from its labels and masks.
 
     ``stray`` is the mask of the vertices outside their colour's largest
     component, where a tie goes to the component that holds the
     lowest-ranked vertex; exact connectedness reports it as its
-    conflicts.  It is worked out from the parts on the first read after
-    a move that touched them or a rebuild, so an index no one asks for it
-    never searches the parts for their largest.
+    conflicts.  It is worked out from the masks on the first read after a
+    rebuild or a move that changed a colour with more than one component,
+    so an index no one asks for it never searches the masks for their
+    largest.
     """
 
     def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int,
@@ -397,24 +391,23 @@ class ComponentIndex(ComponentCounts):
         self.n = n
         #: the state's colour map, which commits and ``set_all`` update in place
         self._colour = colour
-        self._order = geometry.order()
         self._rank = geometry.rank()
         self.rebuild(class_mask)
 
     def rebuild(self, class_mask: Sequence[int], regions: bool = False) -> None:
-        """Label every component of the colour map, whose class masks
-        (indexed by colour) are ``class_mask``; the index reads that list
-        until the next rebuild.
+        """Label and mask every component of the colour map, whose class
+        masks (indexed by colour) are ``class_mask``.
 
         Each vertex is labelled by its colour and fresh labels start
         above n.  With ``regions``, every class is taken to be connected
-        or empty and those labels stay, with no mask built.  So they do,
-        with no search, when one colour covers a geometry of one
-        component, as on the model a grid instance builds, whose every
-        vertex is coloured 1; a grid knows it is connected without a
-        search.  Otherwise each vertex still carrying a colour label
-        floods its component to a fresh label, and the colours with more
-        than one component get their parts.
+        or empty, so those labels stay and each class mask is its one
+        component's mask, with no search.  So they do when one colour
+        covers a geometry of one component, as on the model a grid
+        instance builds, whose every vertex is coloured 1; a grid knows
+        it is connected without a search.  Otherwise each vertex still
+        carrying a colour label floods its component to a fresh label; a
+        colour with one component takes its class mask, and only the
+        components of the other colours are masked from their vertices.
         """
         n = self.n
         if not regions and class_mask.count(0) == n:
@@ -425,27 +418,25 @@ class ComponentIndex(ComponentCounts):
         self.label.update(self._colour)
         self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
         self._labels = itertools.count(n + 1)
-        self._class_mask = class_mask
-        #: per colour with more than one component, label -> its mask
-        self._parts: Dict[int, Dict[int, int]] = {}
         #: the stray mask, or None until the next read works it out
         self._fragments: Optional[int] = None
         if regions:
-            self.size = {c: m.bit_count() for c, m in enumerate(class_mask) if c and m}
-            self.reset({c: int(class_mask[c] > 0) for c in range(1, n + 1)})
-            return
-        self.size = {}
-        found: Dict[int, List[Tuple[int, List[int]]]] = {c: [] for c in range(1, n + 1)}
-        for start, c in self.label.items():
-            if c <= n:
-                lab = next(self._labels)
-                members = self._flood(start, c, lab)
-                self.size[lab] = len(members)
-                found[c].append((lab, members))
-        self.reset({c: len(comps) for c, comps in found.items()})
-        for c, comps in found.items():
-            if len(comps) > 1:
-                self._parts[c] = {lab: mask_of(self._rank, vs) for lab, vs in comps}
+            parts = {c: {c: class_mask[c]} if class_mask[c] else {} for c in range(1, n + 1)}
+        else:
+            found: Dict[int, List[Tuple[int, List[int]]]] = {c: [] for c in range(1, n + 1)}
+            for start, c in self.label.items():
+                if c <= n:
+                    lab = next(self._labels)
+                    found[c].append((lab, self._flood(start, c, lab)))
+            rank = self._rank
+            parts = {
+                c: {lab: mask_of(rank, vs) for lab, vs in comps} if len(comps) > 1
+                else {lab: class_mask[c] for lab, _ in comps}
+                for c, comps in found.items()
+            }
+        #: per colour 1..n, label -> the mask of each of its components
+        self._parts: Dict[int, Dict[int, int]] = parts
+        self.reset({c: len(masks) for c, masks in parts.items()})
 
     def _flood(self, start: int, old: int, new: int) -> List[int]:
         """Relabel ``start`` and every vertex it reaches through vertices
@@ -465,27 +456,24 @@ class ComponentIndex(ComponentCounts):
         return members
 
     def component_masks(self, c: int) -> Mapping[int, int]:
-        """Label -> mask of each component of colour ``c``: the parts of a
-        fragmented colour, which are the index's own and only to be read,
-        or its class under its one label."""
-        parts = self._parts.get(c)
-        if parts is not None:
-            return parts
-        mask = self._class_mask[c]
-        if not mask:
-            return {}
-        return {self.label[self._order[(mask & -mask).bit_length() - 1]]: mask}
+        """Label -> mask of each component of colour ``c``, the index's
+        own and only to be read."""
+        return self._parts[c]
 
     @property
     def stray(self) -> int:
         """The vertices outside their colour's largest component, as a
-        mask, worked out on the first read after a change of the parts."""
+        mask, worked out on the first read after a change of a colour
+        with more than one component."""
         stray = self._fragments
         if stray is None:
             stray = 0
-            class_mask = self._class_mask
-            for c, parts in self._parts.items():
-                stray |= class_mask[c] ^ parts[self._largest(parts)]
+            for parts in self._parts.values():
+                if len(parts) > 1:
+                    kept = self._largest(parts)
+                    for lab, mask in parts.items():
+                        if lab != kept:
+                            stray |= mask
             self._fragments = stray
         return stray
 
@@ -615,104 +603,56 @@ class ComponentIndex(ComponentCounts):
     def move(self, v: int, old: int, new: int) -> None:
         """Follow ``colour(v): old -> new``, already in the colour map."""
         label = self.label
-        size = self.size
+        rank = self._rank
+        bit = 1 << rank[v]
         lab = label[v]
         pieces, closed = self.split(v)
         self.forget_splits()
-        size[lab] -= 1
-        if not pieces:
-            del size[lab]
-        fresh = []
+        olds = self._parts[old]
+        rest = olds.pop(lab) ^ bit
         for piece in closed:
             f = next(self._labels)
             for u in piece:
                 label[u] = f
-            size[f] = len(piece)
-            size[lab] -= len(piece)
-            fresh.append(f)
+            olds[f] = part = mask_of(rank, piece)
+            rest ^= part
+        if pieces:
+            olds[lab] = rest
 
+        news = self._parts[new]
         touched = self.neighbour_labels(v, new)
-        if touched:
-            big = max(touched, key=size.__getitem__)
+        if len(touched) > 1:
+            # union by size
+            big = max(touched, key=lambda m: news[m].bit_count())
+        elif touched:
+            (big,) = touched
         else:
             big = next(self._labels)
-            size[big] = 0
+            news[big] = 0
+        merged = bit
         for m, start in touched.items():
             if m != big:
                 self._flood(start, m, big)
-                size[big] += size.pop(m)
-        size[big] += 1
+                merged |= news.pop(m)
+        news[big] |= merged
         label[v] = big
 
         count = self.count
-        k_old = count[old] - 1 + pieces
-        k_new = count[new] + 1 - len(touched)
-        # a colour with at most one component before and after has no
-        # parts, and leaves the stray mask as it is
-        if k_old > 1 or count[old] > 1:
-            self._split_parts(v, old, lab, pieces, closed, fresh, k_old)
+        # a colour with at most one component before and after leaves the
+        # stray mask as it is
+        if count[old] > 1 or len(olds) > 1 or count[new] > 1 or len(news) > 1:
             self._fragments = None
-        if k_new > 1 or count[new] > 1:
-            self._merge_parts(v, new, big, touched, k_new)
-            self._fragments = None
-        self.recount(old, new, k_old, k_new)
-
-    def _split_parts(self, v: int, c: int, lab: int, pieces: int,
-                     closed: List[List[int]], fresh: List[int], k: int) -> None:
-        """Follow in the parts of colour ``c`` that ``v`` left component
-        ``lab``, which fell into ``pieces``, the ``closed`` ones now
-        labelled ``fresh``, leaving ``k`` components."""
-        if k <= 1:
-            self._parts.pop(c, None)
-            return
-        parts = self._parts.get(c)
-        if parts is None:
-            # c had one component, its class; the class mask has lost v
-            parts = self._parts[c] = {}
-            rest = self._class_mask[c]
-        else:
-            rest = parts.pop(lab) ^ (1 << self._rank[v])
-        for f, piece in zip(fresh, closed):
-            part = parts[f] = mask_of(self._rank, piece)
-            rest ^= part
-        if pieces:
-            parts[lab] = rest
-
-    def _merge_parts(self, v: int, c: int, big: int, touched: Mapping[int, int],
-                     k: int) -> None:
-        """Follow in the parts of colour ``c`` that ``v`` joined it,
-        merging the ``touched`` components into ``big``, leaving ``k``."""
-        if k <= 1:
-            self._parts.pop(c, None)
-            return
-        bit = 1 << self._rank[v]
-        parts = self._parts.get(c)
-        if parts is None:
-            # c had one component, which v does not touch: v is its own
-            rest = self._class_mask[c] ^ bit
-            low = (rest & -rest).bit_length() - 1
-            self._parts[c] = {self.label[self._order[low]]: rest, big: bit}
-            return
-        merged = bit
-        for m in touched:
-            merged |= parts.pop(m)
-        parts[big] = merged
-
-    def _before(self, parts: Mapping[int, int], a: int, b: int) -> bool:
-        """Whether part ``a`` of ``parts`` is kept before part ``b``: it
-        is larger, or as large and holds the lower-ranked vertex, which is
-        worked out only on a tie."""
-        size = self.size
-        if size[a] != size[b]:
-            return size[a] > size[b]
-        return parts[a] & -parts[a] < parts[b] & -parts[b]
+        self.recount(old, new, len(olds), len(news))
 
     def _largest(self, parts: Mapping[int, int]) -> int:
-        """The label of the part of ``parts`` to keep."""
-        kept = None
-        for lab in parts:
-            if kept is None or self._before(parts, lab, kept):
-                kept = lab
+        """The label of the part of ``parts`` to keep: the largest, a tie
+        going to the one that holds the lowest-ranked vertex, which is
+        worked out only on a tie."""
+        kept, top = None, 0
+        for lab, mask in parts.items():
+            size = mask.bit_count()
+            if size > top or size == top and mask & -mask < parts[kept] & -parts[kept]:
+                kept, top = lab, size
         return kept
 
 

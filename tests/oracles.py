@@ -42,49 +42,55 @@ def naive_components(base, colours):
 
 
 def naive_stray(base, colours, n):
-    """Per colour with more than one DFS component, each component's mask
-    over the sorted vertices, keyed by one of its vertices, and the mask
-    of the vertices outside their colour's largest component, where a
-    tie goes to the component holding the lowest vertex."""
+    """The mask over the sorted vertices of the vertices outside their
+    colour's largest DFS component, where a tie goes to the component
+    holding the lowest vertex."""
     rank = {v: r for r, v in enumerate(sorted(colours))}
     per = {c: [] for c in range(1, n + 1)}
     for colour, comp in naive_components(base, colours):
         per[colour].append(comp)
-    parts = {}
     stray = 0
-    for c, comps in per.items():
+    for comps in per.values():
         if len(comps) > 1:
-            parts[c] = {min(comp): sum(1 << rank[u] for u in comp) for comp in comps}
             kept = max(comps, key=lambda comp: (len(comp), -min(comp)))
             stray |= sum(1 << rank[u] for comp in comps if comp is not kept for u in comp)
-    return parts, stray
+    return stray
 
 
 def assert_index_matches_components(index, base, colours, n):
-    """A component index (labels, sizes, per-colour counts, total and
-    excess, and the parts and stray masks of the fragmented colours)
-    agrees with the DFS components of ``colours``."""
+    """A component index (labels, per-colour counts, total and excess,
+    the component masks of every colour 1..n and the stray mask) agrees
+    with the DFS components of ``colours``."""
     comps = naive_components(base, colours)
+    rank = {v: r for r, v in enumerate(sorted(colours))}
+    per = {c: {} for c in range(1, n + 1)}
     labels = []
-    for _, comp in comps:
+    for colour, comp in comps:
         comp_labels = {index.label[u] for u in comp}
         assert len(comp_labels) == 1, "one component carries several labels"
         (lab,) = comp_labels
-        assert index.size[lab] == len(comp)
         labels.append(lab)
+        per[colour][lab] = comp
     assert len(set(labels)) == len(labels), "two components share a label"
-    assert set(index.size) == set(labels), "sizes kept for labels no vertex carries"
-    per = dict.fromkeys(range(1, n + 1), 0)
-    for colour, _ in comps:
-        per[colour] += 1
-    assert index.count == per
+    for c, members in per.items():
+        masks = index.component_masks(c)
+        assert dict(masks) == {
+            lab: sum(1 << rank[u] for u in comp) for lab, comp in members.items()
+        }, f"component masks of colour {c}"
+        union = 0
+        for mask in masks.values():
+            union |= mask
+        assert union == sum(1 << rank[v] for v in colours if colours[v] == c), (
+            f"the component masks of colour {c} are not its class"
+        )
+        assert {lab: mask.bit_count() for lab, mask in masks.items()} == {
+            lab: len(comp) for lab, comp in members.items()
+        }, f"component sizes of colour {c}"
+    count = {c: len(members) for c, members in per.items()}
+    assert index.count == count
     assert index.total == len(comps)
-    assert index.excess == sum(k - 1 for k in per.values() if k > 1)
-    parts, stray = naive_stray(base, colours, n)
-    assert {c: {index.label[u]: m for u, m in p.items()} for c, p in parts.items()} == (
-        index._parts
-    ), "parts of the fragmented colours"
-    assert index.stray == stray, "stray mask"
+    assert index.excess == sum(k - 1 for k in count.values() if k > 1)
+    assert index.stray == naive_stray(base, colours, n), "stray mask"
 
 
 def split_pieces(base, colours, v):
@@ -116,7 +122,7 @@ def assert_caches_match_rebuild(state, constraints):
     from-scratch value; a failure names the first constraint and field
     that differ.
 
-    - the class masks and sizes, recomputed from the colours;
+    - the class masks and the unused colours, recomputed from the colours;
     - the component index, if the state keeps one: that it reads the
       state's own colour map, its components against the DFS components,
       and each split it keeps against a flood of the split vertex's
@@ -134,7 +140,9 @@ def assert_caches_match_rebuild(state, constraints):
     for c in range(state.n + 1):
         ranks = [r for r, v in enumerate(state.order) if colours[v] == c]
         assert state.class_mask[c] == sum(1 << r for r in ranks), f"state: class_mask[{c}]"
-        assert state.class_size[c] == len(ranks), f"state: class_size[{c}]"
+    used = set(colours.values())
+    unused = [c for c in range(1, state.n + 1) if c not in used]
+    assert state.unused_colours() == unused, "state: unused_colours()"
     assert state.border_mask() == naive_border_mask(state.geometry, colours), "state: border_mask()"
     index = state._index
     if index is not None:
@@ -159,7 +167,7 @@ def expected_conflicts(state, constraint):
     component; for every other constraint, a scan of its
     ``var_violation`` if it is violated, else 0."""
     if getattr(constraint, "mode", None) == "exact":
-        return naive_stray(state.geometry, state.snapshot(), state.n)[1]
+        return naive_stray(state.geometry, state.snapshot(), state.n)
     if not constraint.violation():
         return 0
     return sum(1 << r for r, v in enumerate(state.order) if constraint.var_violation(v) > 0)

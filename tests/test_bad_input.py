@@ -397,6 +397,27 @@ def test_generate_with_a_bad_range(tmp_path, capsys, argv, named):
     assert not out.exists()
 
 
+def test_generate_refuses_a_cap_below_the_workload_share(tmp_path, capsys):
+    # a workload total of 47 over 2 colours: some colour carries 24, so
+    # no colouring meets a cap of 23
+    args = dict(seed=1, width=3, height=3, colours=2, flights=1)
+    named = (
+        "^need a bounded cap of at least 24 for a workload total of 47 over 2 colours,"
+        " got bounded=23$"
+    )
+    with pytest.raises(InputError, match=named):
+        generate(**args, bounded_threshold=23)
+    generate(**args, bounded_threshold=24).build()
+    argv = ["generate", "--seed", "1", "--width", "3", "--height", "3", "--colours", "2",
+            "--flights", "1"]
+    out = tmp_path / "cap.inst"
+    assert cli.main([*argv, "--bounded", "23", "-o", str(out)]) == 2
+    assert "got bounded=23" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([*argv, "--bounded", "24", "-o", str(out)]) == 0
+    assert loads(out.read_text()).workload_total() == 47
+
+
 @pytest.mark.parametrize("share", [-0.5, float("nan")])
 def test_generate_refuses_a_balanced_share_below_zero(share):
     # refused by generate, naming its argument, not by the balance's build

@@ -202,7 +202,7 @@ def test_mode_a_reads_scattered_volumes_from_the_index_masks(dim):
 
 def test_compact_mode_a_alone_never_works_out_the_stray_mask(monkeypatch):
     # only exact connectedness reads the stray mask, so a model whose only
-    # index reader is compact mode A never searches the parts for their
+    # index reader is compact mode A never searches the masks for their
     # largest, however fragmented its colours
     calls = []
     largest = ComponentIndex._largest
@@ -225,11 +225,11 @@ def test_compact_mode_a_alone_never_works_out_the_stray_mask(monkeypatch):
         colour = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
         compact.probe_assign(v, colour)
         model.assign(v, colour)
-        fragmented += bool(index._parts)
+        fragmented += index.excess > 0
     assert calls == [] and fragmented == 300
     # the first read works it out, once per fragmented colour
-    assert index.stray == naive_stray(geometry, st.snapshot(), n)[1]
-    assert len(calls) == len(index._parts)
+    assert index.stray == naive_stray(geometry, st.snapshot(), n)
+    assert len(calls) == sum(k > 1 for k in index.count.values())
 
 
 def _largest(colours, base, c):
@@ -240,7 +240,7 @@ def _largest(colours, base, c):
 
 
 def test_stray_mask_follows_splits_merges_and_ties():
-    # every commit of the walk is audited, parts and stray mask included,
+    # every commit of the walk is audited, masks and stray mask included,
     # and the walk must reach the three moves that change which component
     # a colour keeps
     rng = random.Random(5)
@@ -263,7 +263,7 @@ def test_stray_mask_follows_splits_merges_and_ties():
         new = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
         old = st.colour(v)
         _, kept_before = _largest(st.snapshot(), geometry, new)
-        count, labels = dict(index.count), set(index.size)
+        count, labels = dict(index.count), set(index.label.values())
         model.assign(v, new)
         colours = st.snapshot()
         assert_caches_match_rebuild(st, [connected])
@@ -435,7 +435,7 @@ class CountingAdjacency(collections.abc.Mapping):
 def test_a_commits_mask_upkeep_reads_no_neighbour():
     # with its split already searched, as after a probe, a commit reads the
     # moved vertex's neighbours once and floods the components a merge
-    # relabels, all but the largest; keeping the parts and working out the
+    # relabels, all but the largest; keeping the masks and working out the
     # stray mask add no read
     rng = random.Random(9)
     geometry = grid(8, 8, dim=2)
@@ -450,15 +450,17 @@ def test_a_commits_mask_upkeep_reads_no_neighbour():
         v = rng.choice(st.order)
         colour = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
         index.split(v)
-        joined = [index.size[m] for m in index.neighbour_labels(v, colour)]
+        masks = index.component_masks(colour)
+        joined = [masks[m].bit_count() for m in index.neighbour_labels(v, colour)]
         flooded = sum(joined) - max(joined, default=0)
-        parts = {c: dict(p) for c, p in index._parts.items()}
+        old, count = st.colour(v), dict(index.count)
         table.reads.clear()
         st.assign(v, colour)
         index.stray
         assert table.reads == [v] + table.reads[1:]
         assert len(table.reads) == 1 + flooded
-        upkeep += parts != index._parts
+        # a commit that changes a colour with more than one component
+        upkeep += max(count[old], count[colour], index.count[old], index.count[colour]) > 1
     assert_index_matches_components(index, geometry, st.snapshot(), n)
     assert upkeep > 200, upkeep
 
@@ -500,7 +502,8 @@ def test_a_grid_instance_builds_its_model_without_a_search(monkeypatch, params):
     state = model.state
     index = state.component_index()
     assert (floods, searches) == ([], [])
-    assert set(index.label.values()) == {1} and index.size == {1: len(state.order)}
+    assert set(index.label.values()) == {1}
+    assert index.component_masks(1) == {1: state.everyone}
     assert_index_matches_components(index, state.geometry, state.snapshot(), state.n)
     # the labels minted from here on are fresh ones, as after a flood
     rng = random.Random(params["seed"])
@@ -540,7 +543,8 @@ def test_a_state_without_colours_equals_one_coloured_1():
         ones = ColourState(geometry, 3, colours=dict.fromkeys(geometry.vertices, 1))
         assert plain.snapshot() == ones.snapshot()
         assert list(plain.colours()) == list(ones.colours())
-        assert plain.class_mask == ones.class_mask and plain.class_size == ones.class_size
+        assert plain.class_mask == ones.class_mask
+        assert plain.unused_colours() == ones.unused_colours()
 
 
 def counted_index(geometry, colours):

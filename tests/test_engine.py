@@ -758,9 +758,9 @@ def test_golden_replay_digest(case):
     assert replay_digest(run()) == expected
 
 
-def _commits(model, cfg, read=lambda model: list(model.state.class_size)):
+def _commits(model, cfg, read=lambda model: [m.bit_count() for m in model.state.class_mask]):
     """Each move a search commits, with what ``read`` finds after it, by
-    default the class sizes."""
+    default the class sizes, the popcounts of the class masks."""
     seen = []
     commit = model.commit
 

@@ -292,9 +292,8 @@ def _observed(model):
     return (
         st.snapshot(),
         list(st.class_mask),
-        list(st.class_size),
         dict(index.label),
-        dict(index.size),
+        {c: dict(index.component_masks(c)) for c in range(1, st.n + 1)},
         dict(index.count),
         index.total,
         index.excess,
@@ -475,8 +474,8 @@ def test_many_colours_build_their_class_masks():
     for c in range(n + 1):
         ranks = [r for r, v in enumerate(st.order) if colours[v] == c]
         assert st.class_mask[c] == sum(1 << r for r in ranks)
-        assert st.class_size[c] == len(ranks)
-    assert st.class_size[n] >= 1 and st.class_size[256] >= 1
+        assert st.class_mask[c].bit_count() == len(ranks)
+    assert n not in st.unused_colours() and 256 not in st.unused_colours()
 
 
 def test_a_colours_view_follows_set_all():
