@@ -16,8 +16,8 @@ colour's largest component.  A met constraint adds nothing, so the focus
 is drawn from what is wrong (min-conflicts, Minton et al. 1992).  The
 pool is maintained rather than scanned: every constraint keeps its mask,
 the state keeps one mask per colour class, and the component index one
-mask per component, from which it works out the stray fragments when
-they are read after a commit that changed them.  An iteration
+mask per component, from which exact connectedness works out its stray
+fragments on a commit that can change them.  An iteration
 ORs the masks in entry order until the union holds every vertex, as a
 violated balance constraint's alone does whenever no colour's sum is
 exactly the average, and then draws its focus from the vertex list

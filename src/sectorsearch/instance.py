@@ -536,6 +536,13 @@ def generate(
     workloads = {
         v: rng.randint(*workload) for v in grid_vertices(width, height, depth, dim)
     }
+    # the connectedness counter asks for one component per colour, and a
+    # component takes at least one cell
+    if colours > len(workloads):
+        raise InputError(
+            f"need at most one colour per grid cell, got colours={colours} "
+            f"over {len(workloads)} cells"
+        )
     total = sum(workloads.values())
     # some colour carries at least total / colours, so no colouring meets
     # a lower cap, a negative one included

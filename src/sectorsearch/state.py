@@ -55,12 +55,10 @@ state over that geometry those labels stay, with no search.  So they do
 when one colour covers a connected geometry, as it does in the model
 ``Instance.build`` makes, so set-up floods nothing on a grid, which is
 connected by construction.  Any other colouring's components are
-flooded to fresh labels, as a move merges components.  Exact
-connectedness counts from the index and reports its stray mask, the
-vertices outside their colour's largest component, which the index
-works out from the masks of the colours with more than one component
-when it is read; compact mode A sums its components' volumes over the
-same masks.
+flooded to fresh labels, as a move merges components.  The index keeps
+nothing derived from its labels and masks: exact connectedness counts
+each colour's masks and works out its own conflicts from them, and
+compact mode A sums its components' volumes over the same masks.
 
 The from-scratch component searches (``connected_components``, the
 cache-free checks and the systematic toolbox) share :func:`components`,
@@ -307,46 +305,7 @@ class ColourState:
         return out
 
 
-class ComponentCounts:
-    """Same-colour components per colour (``count``, colours ``1..n``),
-    their ``total`` and their ``excess``: the components beyond the first
-    of each colour."""
-
-    def __init__(self, count: Dict[int, int]):
-        self.reset(count)
-
-    def reset(self, count: Dict[int, int]) -> None:
-        self.count = count
-        self.total = sum(count.values())
-        self.excess = sum(k - 1 for k in count.values() if k > 1)
-
-    def after(self, a: int, b: int, k_a: int, k_b: int) -> Tuple[int, int]:
-        """Total and excess once colours ``a != b`` have ``k_a`` and
-        ``k_b`` components.  The one formula behind a probe's delta and
-        :meth:`recount`, so the two cannot drift apart; it runs once per
-        exact connected probe, hence conditional expressions, not
-        ``max`` calls."""
-        count = self.count
-        old_a = count[a]
-        old_b = count[b]
-        total = self.total + k_a + k_b - old_a - old_b
-        excess = (
-            self.excess
-            + (k_a - 1 if k_a > 1 else 0)
-            + (k_b - 1 if k_b > 1 else 0)
-            - (old_a - 1 if old_a > 1 else 0)
-            - (old_b - 1 if old_b > 1 else 0)
-        )
-        return total, excess
-
-    def recount(self, a: int, b: int, k_a: int, k_b: int) -> None:
-        """Give colours ``a != b`` ``k_a`` and ``k_b`` components."""
-        self.total, self.excess = self.after(a, b, k_a, k_b)
-        self.count[a] = k_a
-        self.count[b] = k_b
-
-
-class ComponentIndex(ComponentCounts):
+class ComponentIndex:
     """Same-colour components kept up to date under single-vertex moves.
 
     Every vertex carries the ``label`` of its component, and every colour
@@ -373,16 +332,10 @@ class ComponentIndex(ComponentCounts):
     the same vertex, reuse the probe's search.  :meth:`forget_splits`
     drops the kept results.
 
-    The index is the one record of the components: every reader works
-    out what it needs from its labels and masks.
-
-    ``stray`` is the mask of the vertices outside their colour's largest
-    component, where a tie goes to the component that holds the
-    lowest-ranked vertex; exact connectedness reports it as its
-    conflicts.  It is worked out from the masks on the first read after a
-    rebuild or a move that changed a colour with more than one component,
-    so an index no one asks for it never searches the masks for their
-    largest.
+    The index is the one record of the components and keeps nothing
+    derived from it: every reader works out what it needs from its labels
+    and masks, as exact connectedness counts each colour's masks and
+    compact mode A sums their volumes.
     """
 
     def __init__(self, geometry: Geometry, colour: Dict[int, int], n: int,
@@ -418,8 +371,6 @@ class ComponentIndex(ComponentCounts):
         self.label.update(self._colour)
         self._splits: Dict[int, Tuple[int, List[List[int]]]] = {}
         self._labels = itertools.count(n + 1)
-        #: the stray mask, or None until the next read works it out
-        self._fragments: Optional[int] = None
         if regions:
             parts = {c: {c: class_mask[c]} if class_mask[c] else {} for c in range(1, n + 1)}
         else:
@@ -436,7 +387,6 @@ class ComponentIndex(ComponentCounts):
             }
         #: per colour 1..n, label -> the mask of each of its components
         self._parts: Dict[int, Dict[int, int]] = parts
-        self.reset({c: len(masks) for c, masks in parts.items()})
 
     def _flood(self, start: int, old: int, new: int) -> List[int]:
         """Relabel ``start`` and every vertex it reaches through vertices
@@ -459,23 +409,6 @@ class ComponentIndex(ComponentCounts):
         """Label -> mask of each component of colour ``c``, the index's
         own and only to be read."""
         return self._parts[c]
-
-    @property
-    def stray(self) -> int:
-        """The vertices outside their colour's largest component, as a
-        mask, worked out on the first read after a change of a colour
-        with more than one component."""
-        stray = self._fragments
-        if stray is None:
-            stray = 0
-            for parts in self._parts.values():
-                if len(parts) > 1:
-                    kept = self._largest(parts)
-                    for lab, mask in parts.items():
-                        if lab != kept:
-                            stray |= mask
-            self._fragments = stray
-        return stray
 
     def neighbour_labels(self, v: int, colour: int) -> Dict[int, int]:
         """Label -> one neighbour of ``v`` carrying it, over v's
@@ -636,24 +569,6 @@ class ComponentIndex(ComponentCounts):
                 merged |= news.pop(m)
         news[big] |= merged
         label[v] = big
-
-        count = self.count
-        # a colour with at most one component before and after leaves the
-        # stray mask as it is
-        if count[old] > 1 or len(olds) > 1 or count[new] > 1 or len(news) > 1:
-            self._fragments = None
-        self.recount(old, new, len(olds), len(news))
-
-    def _largest(self, parts: Mapping[int, int]) -> int:
-        """The label of the part of ``parts`` to keep: the largest, a tie
-        going to the one that holds the lowest-ranked vertex, which is
-        worked out only on a tie."""
-        kept, top = None, 0
-        for lab, mask in parts.items():
-            size = mask.bit_count()
-            if size > top or size == top and mask & -mask < parts[kept] & -parts[kept]:
-                kept, top = lab, size
-        return kept
 
 
 def _take_over(found: List[List[int]], owner: Dict[int, int], keep: int, gone: int) -> None:

@@ -418,6 +418,25 @@ def test_generate_refuses_a_cap_below_the_workload_share(tmp_path, capsys):
     assert loads(out.read_text()).workload_total() == 47
 
 
+def test_generate_refuses_more_colours_than_cells(tmp_path, capsys):
+    # the counter asks for one component per colour, and a 2x1 grid has
+    # room for two: a third colour wrote a file solve refused, as it
+    # cannot grow three regions over two cells
+    args = dict(seed=1, width=2, height=1, flights=1)
+    named = "^need at most one colour per grid cell, got colours=3 over 2 cells$"
+    with pytest.raises(InputError, match=named):
+        generate(**args, colours=3)
+    generate(**args, colours=2).build()
+    argv = ["generate", "--seed", "1", "--width", "2", "--height", "1", "--flights", "1"]
+    out = tmp_path / "cells.inst"
+    assert cli.main([*argv, "--colours", "3", "-o", str(out)]) == 2
+    assert "colours=3" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([*argv, "--colours", "2", "-o", str(out)]) == 0
+    assert cli.main(["solve", str(out), "--iters", "50"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("share", [-0.5, float("nan")])
 def test_generate_refuses_a_balanced_share_below_zero(share):
     # refused by generate, naming its argument, not by the balance's build

@@ -2,10 +2,11 @@
 sums, which it reads from the index's component masks, against
 from-scratch components along random walks, on grids and on a facet
 geometry with scattered ids and volumes; the index's split search
-against a flood of the split vertex's component, vertex by vertex; its
-stray mask, the vertices outside their colour's largest component,
-against a flood of each fragmented class, and worked out only when read;
-and the neighbour reads of a split and of a commit."""
+against a flood of the split vertex's component, vertex by vertex; exact
+connectedness's stray mask, the vertices outside their colour's largest
+component, against a flood of each fragmented class, and worked out
+again only on a commit that can change it; and the neighbour reads of a
+split and of a commit."""
 
 import collections.abc
 import itertools
@@ -19,6 +20,7 @@ from oracles import (
     assert_index_matches_components,
     assert_split_matches_flood,
     facet_grid,
+    index_counts,
     naive_components,
     naive_stray,
     random_colours,
@@ -38,7 +40,8 @@ def split_and_merge(index, old, new, count):
     of the new colour, from the colour counts before it, ``count``: the
     old colour's count rises exactly on the first, the new colour's
     falls exactly on the second."""
-    return index.count[old] > count[old], index.count[new] < count[new]
+    after = index_counts(index)
+    return after[old] > count[old], after[new] < count[new]
 
 
 def assert_compact_caches_match_components(c, st):
@@ -92,7 +95,7 @@ def test_walk_keeps_index_and_compact_sums(with_connected, weight_fn):
             continue
         before = compact.violation()
         delta = compact.probe_assign(v, colour)
-        old, count = st.colour(v), dict(index.count)
+        old, count = st.colour(v), index_counts(index)
         model.assign(v, colour)
         # the exact probe is the committed change, to the last bit
         assert delta == compact.violation() - before
@@ -138,7 +141,7 @@ def test_a_split_is_searched_once_per_vertex_and_state():
         # the commit of a probed vertex reuses its search; a commit
         # without a probe, as a direct Model.assign makes, runs its own
         v = probed[0] if step % 4 else rng.choice([u for u in st.order if u not in probed])
-        old, count = st.colour(v), dict(index.count)
+        old, count = st.colour(v), index_counts(index)
         new = rng.choice([c for c in range(1, n + 1) if c != old])
         model.assign(v, new)
         assert searched == ([] if step % 4 else [v])
@@ -183,7 +186,7 @@ def test_mode_a_reads_scattered_volumes_from_the_index_masks(dim):
             )
         else:
             v = rng.choice(st.order)
-            old, count = st.colour(v), dict(index.count)
+            old, count = st.colour(v), index_counts(index)
             new = rng.choice([c for c in range(1, n + 1) if c != old])
             before = compact.violation()
             delta = compact.probe_assign(v, new)
@@ -200,36 +203,47 @@ def test_mode_a_reads_scattered_volumes_from_the_index_masks(dim):
     assert splits > 10 and merges > 10, (splits, merges)
 
 
-def test_compact_mode_a_alone_never_works_out_the_stray_mask(monkeypatch):
-    # only exact connectedness reads the stray mask, so a model whose only
-    # index reader is compact mode A never searches the masks for their
-    # largest, however fragmented its colours
+def test_the_stray_mask_is_worked_out_only_when_a_commit_can_change_it(monkeypatch):
+    # exact connectedness works its stray mask out on every rebuild and on
+    # a commit that changes a colour with more than one component, before
+    # or after it; a commit between two colours of one component each
+    # leaves it as it is
     calls = []
-    largest = ComponentIndex._largest
+    stray_mask = ConnectedConstraint._stray_mask
 
-    def counted_largest(self, parts):
-        calls.append(len(parts))
-        return largest(self, parts)
+    def counted_stray_mask(self):
+        calls.append(self)
+        return stray_mask(self)
 
-    monkeypatch.setattr(ComponentIndex, "_largest", counted_largest)
+    monkeypatch.setattr(ConnectedConstraint, "_stray_mask", counted_stray_mask)
     rng = random.Random(37)
     geometry = grid(6, 6, dim=2)
-    n = 3
-    st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
-    compact = CompactConstraint(st, threshold=0, mode="A", probe="exact")
-    model = Model(st, [(compact, 1)])
+    n = 5
+    st = ColourState(geometry, n)
+    connected = ConnectedConstraint(st, "=", n)
+    model = Model(st, [(connected, 1)])
     index = st.component_index()
-    fragmented = 0
-    for _ in range(300):
+    rebuilds, upkeep, left = 1, 0, 0
+    for step in range(300):
+        if step % 15 == 0:
+            model.set_all(grow_regions(geometry, n, rng))
+            rebuilds += 1
         v = rng.choice(st.order)
-        colour = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
-        compact.probe_assign(v, colour)
-        model.assign(v, colour)
-        fragmented += index.excess > 0
-    assert calls == [] and fragmented == 300
-    # the first read works it out, once per fragmented colour
-    assert index.stray == naive_stray(geometry, st.snapshot(), n)
-    assert len(calls) == sum(k > 1 for k in index.count.values())
+        old = st.colour(v)
+        # a neighbour's colour where there is one, so that some commits
+        # between grown regions keep both colours in one piece
+        near = {st.colour(w) for w in geometry.adjacent(v)} - {old}
+        new = rng.choice(sorted(near or set(range(1, n + 1)) - {old}))
+        before = index_counts(index)
+        model.assign(v, new)
+        after = index_counts(index)
+        if before[old] > 1 or before[new] > 1 or after[old] > 1 or after[new] > 1:
+            upkeep += 1
+        else:
+            left += 1
+    assert len(calls) == rebuilds + upkeep
+    assert left > 0 and upkeep > 0, (left, upkeep)
+    assert connected.conflicts() == naive_stray(geometry, st.snapshot(), n)
 
 
 def _largest(colours, base, c):
@@ -263,7 +277,7 @@ def test_stray_mask_follows_splits_merges_and_ties():
         new = rng.choice([c for c in range(1, n + 1) if c != st.colour(v)])
         old = st.colour(v)
         _, kept_before = _largest(st.snapshot(), geometry, new)
-        count, labels = dict(index.count), set(index.label.values())
+        count, labels = index_counts(index), set(index.label.values())
         model.assign(v, new)
         colours = st.snapshot()
         assert_caches_match_rebuild(st, [connected])
@@ -435,12 +449,14 @@ class CountingAdjacency(collections.abc.Mapping):
 def test_a_commits_mask_upkeep_reads_no_neighbour():
     # with its split already searched, as after a probe, a commit reads the
     # moved vertex's neighbours once and floods the components a merge
-    # relabels, all but the largest; keeping the masks and working out the
-    # stray mask add no read
+    # relabels, all but the largest; keeping the masks, and exact
+    # connectedness's counts and stray mask, add no read
     rng = random.Random(9)
     geometry = grid(8, 8, dim=2)
     n = 3
     st = ColourState(geometry, n, colours=random_colours(rng, geometry, n))
+    connected = ConnectedConstraint(st, "=", n)
+    model = Model(st, [(connected, 1)])
     index = st.component_index()
     table = CountingAdjacency(geometry.adjacency())
     geometry.adjacency = lambda: table
@@ -453,15 +469,15 @@ def test_a_commits_mask_upkeep_reads_no_neighbour():
         masks = index.component_masks(colour)
         joined = [masks[m].bit_count() for m in index.neighbour_labels(v, colour)]
         flooded = sum(joined) - max(joined, default=0)
-        old, count = st.colour(v), dict(index.count)
+        old, count = st.colour(v), index_counts(index)
         table.reads.clear()
-        st.assign(v, colour)
-        index.stray
+        model.assign(v, colour)
         assert table.reads == [v] + table.reads[1:]
         assert len(table.reads) == 1 + flooded
         # a commit that changes a colour with more than one component
-        upkeep += max(count[old], count[colour], index.count[old], index.count[colour]) > 1
-    assert_index_matches_components(index, geometry, st.snapshot(), n)
+        after = index_counts(index)
+        upkeep += max(count[old], count[colour], after[old], after[colour]) > 1
+    assert_caches_match_rebuild(st, [connected])
     assert upkeep > 200, upkeep
 
 
@@ -490,7 +506,7 @@ def count_searches(monkeypatch):
         dict(seed=3, width=12, height=10, colours=4, flights=2, with_nonborder=True,
              with_compact=True),
         dict(seed=5, width=4, height=3, depth=3, dim=3, colours=5, flights=2, with_compact=True),
-        dict(seed=1, width=1, height=1, colours=2, flights=0),
+        dict(seed=1, width=1, height=1, colours=1, flights=0),
     ],
     ids=["2d", "3d", "one-cell"],
 )
@@ -532,7 +548,7 @@ def test_one_colour_over_a_facet_geometry_searches_only_when_it_must(monkeypatch
     )
     state = ColourState(split, 3)
     index = state.component_index()
-    assert index.count == {1: 2, 2: 0, 3: 0}
+    assert index_counts(index) == {1: 2, 2: 0, 3: 0}
     assert len(floods) == 2
     assert_index_matches_components(index, split, state.snapshot(), 3)
 

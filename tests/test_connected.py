@@ -81,7 +81,7 @@ def test_commit_updates_caches():
     c = ConnectedConstraint(st, "=", 2)
     model = Model(st, [(c, 1)])
     model.assign(3, 2)
-    assert c.counts.count == {1: 1, 2: 1}
+    assert c.count == {1: 1, 2: 1}
     assert c.violation() == 0
 
 
@@ -123,7 +123,7 @@ def test_incremental_equals_scratch_after_commits():
         v = rng.choice(sorted(geometry.vertices))
         model.assign(v, rng.randint(1, n))
         assert c.violation() == naive_connected_violation(geometry, st.snapshot(), "=", 2)
-        assert c.ncc == sum(c.counts.count.values())
+        assert c.ncc == sum(c.count.values())
 
 
 def test_violation_zero_iff_check_small_exhaustive():

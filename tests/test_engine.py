@@ -775,7 +775,7 @@ def _commits(model, cfg, read=lambda model: [m.bit_count() for m in model.state.
 
 def _miscounted(model):
     """Whether the connected constraint's count differs from a recount."""
-    return model.constraint("connected").counts.count != component_counts(model.state)
+    return model.constraint("connected").count != component_counts(model.state)
 
 
 def test_golden_runs_take_the_paths_they_pin():
